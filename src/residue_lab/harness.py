@@ -87,11 +87,18 @@ SCENARIO_SCHEMA = {
             "samples": "int (Monte Carlo tasks)",
             "seed": "int",
             "radius": "float (local_mass)",
-            "curve_factor / cofactor / psi_cofactor": "polynomial strings (generalized_cb)",
-            "lines_f / lines_g": "lists of linear strings (exact-backend cayley_bacharach)",
+            "rtol": "float, relative tolerance of each ball mass against its local residue (local_mass)",
+            "sigma_l1_frac": "float, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
+            "curve_factor": "polynomial string (generalized_cb)",
+            "cofactor": "polynomial string (generalized_cb)",
+            "psi_cofactor": "polynomial string (generalized_cb)",
+            "lines_f": "list of linear strings (exact-backend cayley_bacharach)",
+            "lines_g": "list of linear strings (exact-backend cayley_bacharach)",
         }
     ],
 }
+# the task keys some runner reads; any other key is a schema error
+TASK_KEYS = frozenset(SCENARIO_SCHEMA["tasks"][0])
 
 
 class ScenarioError(ValueError):
@@ -141,6 +148,11 @@ class Scenario:
             if not isinstance(task, dict) or task.get("kind") not in TASK_KINDS:
                 raise ScenarioError(
                     f"every task needs a kind from {TASK_KINDS}; got {task!r}"
+                )
+            unknown = sorted(set(task) - TASK_KEYS)
+            if unknown:
+                raise ScenarioError(
+                    f"unknown key(s) {unknown} in {task['kind']} task; known keys: {sorted(TASK_KEYS)}"
                 )
         return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
 
@@ -521,10 +533,10 @@ def _run_virtual_residue(scenario, task, seed, samples, threads):
 
 
 def _run_local_mass(scenario, task, seed, samples, threads):
-    section, psi = scenario.parse_polys()
-    if psi is None:
-        raise ScenarioError("local_mass requires psi")
     ctx = scenario.geometry()
+    if ctx.psi is None:
+        raise ScenarioError("local_mass requires psi")
+    section, psi = ctx.section.components, ctx.psi.H
     t = float(task.get("t", 0.01))
     radius = float(task.get("radius", 0.5))
     rtol = float(task.get("rtol", 0.05))

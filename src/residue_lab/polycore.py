@@ -21,6 +21,7 @@ or rational (``p/q``) components, whitespace insignificant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -134,6 +135,27 @@ def _canonical(terms: Mapping) -> dict:
     return {e: c for e, c in terms.items() if c}
 
 
+def _add_terms(a: Mapping, b: Mapping) -> dict:
+    """Sum of two term maps; zero coefficients are dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        out[e] = c if s is None else s + c
+    return _canonical(out)
+
+
+def _mul_terms(a: Mapping, b: Mapping) -> dict:
+    """Product of two term maps; zero coefficients are dropped."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e)
+            p = c1 * c2
+            out[e] = p if s is None else s + p
+    return _canonical(out)
+
+
 class _PolyBase:
     """Shared arithmetic for exponent-map polynomials (backend-agnostic)."""
 
@@ -147,34 +169,45 @@ class _PolyBase:
             if len(e) != self.num_vars:
                 raise PolyError(f"exponent {e} does not match num_vars={num_vars}")
 
+    def _like(self, terms: Mapping, degree_shift: int = 0):
+        """A polynomial of this type and variable count with the given terms;
+        a homogeneous result has degree shifted by ``degree_shift``."""
+        raise NotImplementedError
+
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _add_maps(self, other):
+    def _add_maps(self, other) -> dict:
         if self.num_vars != other.num_vars:
             raise PolyError("variable-count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return _canonical(out)
+        return _add_terms(self.terms, other.terms)
 
-    def _mul_maps(self, other):
+    def _mul_maps(self, other) -> dict:
         if self.num_vars != other.num_vars:
             raise PolyError("variable-count mismatch")
+        return _mul_terms(self.terms, other.terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return self._like({e: c * v for e, v in self.terms.items()} if c else {})
+
+    def partial(self, k: int):
+        if not 0 <= k < self.num_vars:
+            raise PolyError(f"variable index {k} out of range")
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                p = c1 * c2
-                out[e] = p if s is None else s + p
-        return _canonical(out)
+        for e, c in self.terms.items():
+            if e[k] == 0:
+                continue
+            ne = list(e)
+            ne[k] -= 1
+            out[tuple(ne)] = c * e[k]
+        return self._like(out, -1)
 
-    def _scale_map(self, c):
-        if not c:
-            return {}
-        return {e: c * v for e, v in self.terms.items()}
+    def coeff_norm(self) -> float:
+        """Euclidean norm of the coefficient vector."""
+        return math.sqrt(sum(abs(complex(c)) ** 2 for c in self.terms.values()))
 
     def eval(self, z) -> Coeff:
         """Evaluate at a point (sequence of scalars, one per variable)."""
@@ -212,17 +245,14 @@ class _PolyBase:
 class AffinePoly(_PolyBase):
     """Polynomial in n affine chart variables w_1..w_n (no degree constraint)."""
 
+    def _like(self, terms: Mapping, degree_shift: int = 0) -> "AffinePoly":
+        return AffinePoly(self.num_vars, terms)
+
     def __add__(self, other: "AffinePoly") -> "AffinePoly":
         return AffinePoly(self.num_vars, self._add_maps(other))
 
-    def __sub__(self, other: "AffinePoly") -> "AffinePoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "AffinePoly") -> "AffinePoly":
         return AffinePoly(self.num_vars, self._mul_maps(other))
-
-    def scale(self, c) -> "AffinePoly":
-        return AffinePoly(self.num_vars, self._scale_map(c))
 
     @staticmethod
     def constant(num_vars: int, c) -> "AffinePoly":
@@ -233,18 +263,6 @@ class AffinePoly(_PolyBase):
         e = [0] * num_vars
         e[k] = 1
         return AffinePoly(num_vars, {tuple(e): c})
-
-    def partial(self, k: int) -> "AffinePoly":
-        if not 0 <= k < self.num_vars:
-            raise PolyError(f"variable index {k} out of range")
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            ne = list(e)
-            ne[k] -= 1
-            out[tuple(ne)] = c * e[k]
-        return AffinePoly(self.num_vars, out)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -286,18 +304,15 @@ class HomogeneousPoly(_PolyBase):
                     f"monomial {e} has degree {sum(e)}, expected {self.degree}"
                 )
 
+    def _like(self, terms: Mapping, degree_shift: int = 0) -> "HomogeneousPoly":
+        return HomogeneousPoly(self.num_vars, max(self.degree + degree_shift, 0), terms)
+
     def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         deg = self._join_degree(other)
         return HomogeneousPoly(self.num_vars, deg, self._add_maps(other))
 
-    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         return HomogeneousPoly(self.num_vars, self.degree + other.degree, self._mul_maps(other))
-
-    def scale(self, c) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.num_vars, self.degree, self._scale_map(c))
 
     def _join_degree(self, other) -> int:
         # Zero polynomials are degree-compatible with anything.
@@ -311,18 +326,6 @@ class HomogeneousPoly(_PolyBase):
             )
         return self.degree
 
-    def partial(self, k: int) -> "HomogeneousPoly":
-        if not 0 <= k < self.num_vars:
-            raise PolyError(f"variable index {k} out of range")
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            ne = list(e)
-            ne[k] -= 1
-            out[tuple(ne)] = c * e[k]
-        return HomogeneousPoly(self.num_vars, max(self.degree - 1, 0), out)
-
     def dehomogenize(self, chart: int) -> AffinePoly:
         """Chart trivialization: Q(w) = P(z)/z_chart^degree under w_j = z_j/z_chart."""
         if not 0 <= chart < self.num_vars:
@@ -334,12 +337,22 @@ class HomogeneousPoly(_PolyBase):
             out[ne] = c if s is None else s + c
         return AffinePoly(self.num_vars - 1, out)
 
-    def conjugate_coefficients(self) -> "HomogeneousPoly":
-        conj = {
-            e: (c.conjugate() if isinstance(c, GaussianRational) else complex(c).conjugate())
-            for e, c in self.terms.items()
-        }
-        return HomogeneousPoly(self.num_vars, self.degree, conj)
+    def substitute_linear(self, Q) -> "HomogeneousPoly":
+        """The form z -> self(Q z) for a square matrix Q, expanded term by term
+        with complex coefficients; the degree is preserved."""
+        nv = self.num_vars
+        images = [
+            _canonical({tuple(int(i == c) for i in range(nv)): complex(Q[r, c]) for c in range(nv)})
+            for r in range(nv)
+        ]
+        total: dict = {}
+        for e, c in self.terms.items():
+            term = {(0,) * nv: complex(c)}
+            for k, power in enumerate(e):
+                for _ in range(power):
+                    term = _mul_terms(term, images[k])
+            total = _add_terms(total, term)
+        return HomogeneousPoly(nv, self.degree, total)
 
     def to_text(self) -> str:
         """Canonical grammar string; parse(to_text()) reproduces the term map."""
@@ -498,10 +511,7 @@ class _Parser:
                 rhs = self.term()
                 if val == "-":
                     rhs = {e: -c for e, c in rhs.items()}
-                for e, c in rhs.items():
-                    s = acc.get(e)
-                    acc[e] = c if s is None else s + c
-                acc = {e: c for e, c in acc.items() if c}
+                acc = _add_terms(acc, rhs)
             else:
                 return acc
 
@@ -511,15 +521,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == _TOK_OP and val == "*":
                 self.next()
-                rhs = self.unary()
-                out: dict = {}
-                for e1, c1 in acc.items():
-                    for e2, c2 in rhs.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        s = out.get(e)
-                        p = c1 * c2
-                        out[e] = p if s is None else s + p
-                acc = {e: c for e, c in out.items() if c}
+                acc = _mul_terms(acc, self.unary())
             else:
                 return acc
 
@@ -545,14 +547,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", p) from None
             acc = {(0,) * self.num_vars: self.one()}
             for _ in range(expo):
-                out: dict = {}
-                for e1, c1 in acc.items():
-                    for e2, c2 in base.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        s = out.get(e)
-                        pr = c1 * c2
-                        out[e] = pr if s is None else s + pr
-                acc = {e: c for e, c in out.items() if c}
+                acc = _mul_terms(acc, base)
             return acc
         return base
 

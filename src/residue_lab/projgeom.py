@@ -38,7 +38,6 @@ __all__ = [
     "PsiSpec",
     "MetricSpec",
     "ProjPoint",
-    "CurvatureValue",
     "GeometryContext",
     "Example22Geometry",
     "GeometryError",
@@ -149,18 +148,6 @@ class ProjPoint:
         return chart_coords(np.asarray(self.z, dtype=complex), chart)
 
 
-@dataclass
-class CurvatureValue:
-    """Chern curvature at a point: coef[i, j, a, b] is the e_i (x) e*_j
-    component along dw_a ^ dwbar_b in the active chart."""
-
-    n: int
-    coef: np.ndarray  # shape (rank, rank, n, n)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.coef[i, j]
-
-
 # ------------------------------------------------------------------ charts
 
 
@@ -234,6 +221,17 @@ class _ChartData:
     dG: Optional[list] = None
     dbarG: Optional[list] = None
     d2G: Optional[list] = None
+
+
+def _eval_matrix(mat: List[List[ChartFunction]], W: np.ndarray) -> np.ndarray:
+    """A square matrix of chart functions at a batch of points, shape (N, n, n)."""
+    n = len(mat)
+    out = np.zeros((W.shape[0], n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if mat[i][j].terms:
+                out[:, i, j] = mat[i][j].eval_batch(W)
+    return out
 
 
 class GeometryContext:
@@ -354,15 +352,7 @@ class GeometryContext:
         return self.metric_matrix_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
 
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        data = self.chart_data(chart)
-        n = self.n
-        N = W.shape[0]
-        out = np.zeros((N, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                if data.H[i][j].terms:
-                    out[:, i, j] = data.H[i][j].eval_batch(W)
-        return out
+        return _eval_matrix(self.chart_data(chart).H, W)
 
     def s_value_and_norm(self, chart: int, w: Sequence[complex]):
         """(s_i(w) in the chart frame, |s|^2(w))."""
@@ -390,14 +380,7 @@ class GeometryContext:
 
     def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Unscaled dbar<., s> as (N, n, n) with [b, p] = dbar_b xi_p."""
-        data = self.chart_data(chart)
-        n = self.n
-        out = np.zeros((W.shape[0], n, n), dtype=complex)
-        for b in range(n):
-            for p in range(n):
-                if data.Abar[b][p].terms:
-                    out[:, b, p] = data.Abar[b][p].eval_batch(W)
-        return out
+        return _eval_matrix(self.chart_data(chart).Abar, W)
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         return self.chart_data(chart).s_norm2.eval_batch(W).real
@@ -408,9 +391,10 @@ class GeometryContext:
             raise GeometryError("this instance carries no psi")
         return data.psi_aff.eval_batch(W)
 
-    def chern_curvature(self, chart: int, w: Sequence[complex]) -> CurvatureValue:
-        coef = self.chern_curvature_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
-        return CurvatureValue(self.n, coef)
+    def chern_curvature(self, chart: int, w: Sequence[complex]) -> np.ndarray:
+        """Chern curvature at one point, shape (rank, rank, n, n): [i, j, a, b]
+        is the e_i (x) e*_j component along dw_a ^ dwbar_b in the chart."""
+        return self.chern_curvature_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
 
     def chern_curvature_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Curvature of the Chern connection, shape (N, rank, rank, n, n):
@@ -421,24 +405,13 @@ class GeometryContext:
         """
         data = self._curvature_functions(chart)
         n = self.n
-        N = W.shape[0]
-
-        def ev(mat):
-            out = np.zeros((N, n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    if mat[i][j].terms:
-                        out[:, i, j] = mat[i][j].eval_batch(W)
-            return out
-
-        G = ev(data.G)
-        Ginv = np.linalg.inv(G)
-        out = np.zeros((N, n, n, n, n), dtype=complex)
+        Ginv = np.linalg.inv(_eval_matrix(data.G, W))
+        out = np.zeros((W.shape[0], n, n, n, n), dtype=complex)
         for a in range(n):
-            dGa = ev(data.dG[a])
+            dGa = _eval_matrix(data.dG[a], W)
             for b in range(n):
-                dbGb = ev(data.dbarG[b])
-                d2 = ev(data.d2G[a][b])
+                dbGb = _eval_matrix(data.dbarG[b], W)
+                d2 = _eval_matrix(data.d2G[a][b], W)
                 term = Ginv @ dbGb @ Ginv @ dGa - Ginv @ d2
                 out[:, :, :, a, b] = term
         return out

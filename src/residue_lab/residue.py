@@ -15,7 +15,6 @@ points are rational).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -212,10 +211,9 @@ class CBReport:
 
 def _normalized_eval(form: HomogeneousPoly, point: np.ndarray) -> float:
     """|form(p)| / (||coeffs||_2 max(1, ||p||)^deg); scale-free residual."""
-    coeff_norm = math.sqrt(sum(abs(complex(c)) ** 2 for c in form.terms.values()))
     p = np.asarray(point, dtype=complex)
     val = abs(complex(form.eval(list(p))))
-    return val / (coeff_norm * max(1.0, float(np.linalg.norm(p))) ** form.degree)
+    return val / (form.coeff_norm() * max(1.0, float(np.linalg.norm(p))) ** form.degree)
 
 
 def cayley_bacharach_verify(
@@ -238,7 +236,7 @@ def cayley_bacharach_verify(
         # move the configuration into the affine chart by a random rotation
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         Q, _ = np.linalg.qr(A)
-        cur_f, cur_g = _rotate_form(f, Q), _rotate_form(g, Q)
+        cur_f, cur_g = f.substitute_linear(Q), g.substitute_linear(Q)
     else:
         raise ResidueError("could not move all intersection points into the chart")
 
@@ -268,27 +266,6 @@ def cayley_bacharach_verify(
         max_residual=max(residuals) if residuals else 0.0,
         vacuous=all(x == 0 for x in dims),
     )
-
-
-def _rotate_form(form: HomogeneousPoly, Q: np.ndarray) -> HomogeneousPoly:
-    nv = form.num_vars
-    coords = [
-        AffinePoly(nv, {tuple(int(i == k) for i in range(nv)): 1.0 + 0j}) for k in range(nv)
-    ]
-    new_vars = []
-    for r in range(nv):
-        acc = AffinePoly(nv, {})
-        for c in range(nv):
-            acc = acc + coords[c].scale(complex(Q[r, c]))
-        new_vars.append(acc)
-    total = AffinePoly(nv, {})
-    for expo, cval in form.terms.items():
-        term = AffinePoly.constant(nv, complex(cval))
-        for k, power in enumerate(expo):
-            for _ in range(power):
-                term = term * new_vars[k]
-        total = total + term
-    return HomogeneousPoly(nv, form.degree, total.terms)
 
 
 # ----------------------------------------------------- generalized CB

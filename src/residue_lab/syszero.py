@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .polycore import AffinePoly
+from .polycore import AffinePoly, HomogeneousPoly
 
 __all__ = ["ZeroPoint", "ZeroSet", "TrackerOptions", "solve_square_system", "certify_zero", "zeros_at_infinity_check", "SolveError"]
 
@@ -291,14 +291,14 @@ def zeros_at_infinity_check(
     # random unitary mixing makes patch degeneracies measure-zero
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, _ = np.linalg.qr(A)
-    rotated = [_substitute_linear(r, Q) for r in restricted]
+    rotated = [r.substitute_linear(Q) for r in restricted]
 
     # patch z_last = 1 of P^{n-1}: solve the first n-1 forms, test the last
     patched = [r.dehomogenize(n - 1) for r in rotated]
     if n == 2:
         roots = _univariate_roots(patched[0])
         test = patched[1]
-        scale = _coeff_norm(test)
+        scale = test.coeff_norm() or 1.0
         for r in roots:
             if abs(test.eval([r])) <= tol * scale * max(1.0, abs(r)) ** max(test.degree(), 1):
                 return False
@@ -306,7 +306,7 @@ def zeros_at_infinity_check(
         return True
     zs = solve_square_system(patched[:-1], seed=seed + 7)
     test = patched[-1]
-    scale = _coeff_norm(test)
+    scale = test.coeff_norm() or 1.0
     for zp in zs.points:
         pt = list(zp.point)
         if abs(test.eval(pt)) <= tol * scale * max(1.0, float(np.linalg.norm(pt))) ** max(test.degree(), 1):
@@ -314,48 +314,10 @@ def zeros_at_infinity_check(
     return True
 
 
-def _restrict_to_infinity(poly) -> "AffinePoly":
-    """Substitute z_0 = 0: a form in the remaining n variables."""
-    out = {}
-    for e, c in poly.terms.items():
-        if e[0] == 0:
-            out[e[1:]] = out.get(e[1:], 0) + c
-    return _HomoView(poly.num_vars - 1, poly.degree, out)
-
-
-class _HomoView(AffinePoly):
-    """Homogeneous form reused through the AffinePoly interface."""
-
-    def __init__(self, num_vars, degree, terms):
-        super().__init__(num_vars, terms)
-        self.form_degree = degree
-
-    def dehomogenize(self, chart: int) -> AffinePoly:
-        out = {}
-        for e, c in self.terms.items():
-            ne = tuple(v for i, v in enumerate(e) if i != chart)
-            out[ne] = out.get(ne, 0) + c
-        return AffinePoly(self.num_vars - 1, out)
-
-
-def _substitute_linear(form: _HomoView, Q: np.ndarray) -> _HomoView:
-    """form(Q z) expanded term by term."""
-    m = form.num_vars
-    rows = [AffinePoly(m, {tuple(int(i == k) for i in range(m)): 1.0 + 0j}) for k in range(m)]
-    new_vars = []
-    for r in range(m):
-        acc = AffinePoly(m, {})
-        for c in range(m):
-            acc = acc + rows[c].scale(complex(Q[r, c]))
-        new_vars.append(acc)
-    total = AffinePoly(m, {})
-    for e, cval in form.terms.items():
-        term = AffinePoly.constant(m, complex(cval))
-        for k, power in enumerate(e):
-            for _ in range(power):
-                term = term * new_vars[k]
-        total = total + term
-    return _HomoView(m, form.form_degree, total.terms)
+def _restrict_to_infinity(poly: HomogeneousPoly) -> HomogeneousPoly:
+    """Substitute z_0 = 0: a form of the same degree in the remaining n variables."""
+    terms = {e[1:]: c for e, c in poly.terms.items() if e[0] == 0}
+    return HomogeneousPoly(poly.num_vars - 1, poly.degree, terms)
 
 
 def _univariate_roots(p: AffinePoly) -> np.ndarray:
@@ -366,7 +328,3 @@ def _univariate_roots(p: AffinePoly) -> np.ndarray:
     for e, c in p.terms.items():
         coeffs[e[0]] = complex(c)
     return np.roots(coeffs[::-1])
-
-
-def _coeff_norm(p: AffinePoly) -> float:
-    return math.sqrt(sum(abs(complex(c)) ** 2 for c in p.terms.values())) or 1.0

@@ -119,6 +119,15 @@ def test_unknown_task_kind_rejected(tmp_path):
         run_scenario(path)
 
 
+def test_misspelled_task_key_rejected(tmp_path):
+    doc = dict(BASE_P1)
+    doc["tasks"] = [{"kind": "euler_jacobi", "tolerance": 1e-30}]
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match="tolerance"):
+        run_scenario(path)
+    assert main(["verify", path]) == 2
+
+
 def test_malformed_json_is_schema_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -197,6 +197,21 @@ def test_zero_poly_degree_compatibility():
         p + parse_poly("z0^3", 2)
 
 
+@pytest.mark.parametrize("nv", [2, 3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_linear_substitution_matches_evaluation_at_Qz(nv, degree):
+    rng = np.random.default_rng(100 * nv + degree)
+    p = random_hpoly(nv, degree, rng, density=0.8)
+    Q, _ = np.linalg.qr(rng.normal(size=(nv, nv)) + 1j * rng.normal(size=(nv, nv)))
+    q = p.substitute_linear(Q)
+    assert q.degree == degree
+    for _ in range(5):
+        z = rng.normal(size=nv) + 1j * rng.normal(size=nv)
+        expected = p.eval(list(Q @ z))
+        assert abs(q.eval(list(z)) - expected) <= 1e-12 * max(abs(expected), 1.0)
+    assert p.substitute_linear(np.eye(nv)).terms == p.terms
+
+
 # ---------------------------------------------------------------- batch eval
 
 

@@ -19,6 +19,7 @@ from residue_lab.residue import (
     global_residue_sum,
     local_residue,
 )
+from residue_lab.syszero import zeros_at_infinity_check
 
 
 def random_form(nv, deg, rng, scale=1.0):
@@ -217,6 +218,21 @@ def test_cb_cubics_float_path():
     rep = cayley_bacharach_verify(random_form(3, 3, rng), random_form(3, 3, rng), seed=9)
     assert rep.num_points == 9
     assert rep.space_dimension == 2
+    assert rep.max_residual <= 1e-8
+
+
+@pytest.mark.parametrize("d, e", [(2, 3), (3, 3)])
+def test_cb_rotates_common_point_at_infinity_into_chart(d, e):
+    # both curves pass through (0:1:0), so chart 0 misses an intersection
+    # point and the verifier must rotate coordinates before solving
+    rng = np.random.default_rng(23 + d + e)
+    f, g = random_form(3, d, rng), random_form(3, e, rng)
+    f = HomogeneousPoly(3, d, {k: c for k, c in f.terms.items() if k != (0, d, 0)})
+    g = HomogeneousPoly(3, e, {k: c for k, c in g.terms.items() if k != (0, e, 0)})
+    assert not zeros_at_infinity_check([f, g], seed=4)
+    rep = cayley_bacharach_verify(f, g, seed=4)
+    assert rep.num_points == d * e
+    assert rep.space_dimension == d + e - 4
     assert rep.max_residual <= 1e-8
 
 
