@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare two sets of canonical JSON reports task by task.
+
+Usage: python3 scripts/compare_reports.py OLD NEW
+
+OLD and NEW are report files or directories of ``*.json`` reports (as written
+by ``residue-lab verify --json-out`` or ``scripts/run_scenarios.py
+--json-dir``); directories are matched by file name.  For every task the
+script prints the verdict pair and the largest relative deviation over all
+numbers in the report, |a - b| / max(|a|, |b|).  Complex numbers are stored
+as [re, im] pairs and compared as complex numbers, so the rounding noise of an
+imaginary part that is zero in exact arithmetic is measured against the
+modulus, not against itself.  It exits 0 only when every verdict is
+identical, every non-numeric field agrees and every number agrees within
+1e-12 relative.
+"""
+
+import argparse
+import json
+from pathlib import Path
+
+RTOL = 1e-12
+
+
+def _pairs(old: Path, new: Path):
+    if old.is_dir() != new.is_dir():
+        raise SystemExit("OLD and NEW must both be files or both be directories")
+    if not old.is_dir():
+        return [(old.name, old, new)]
+    names = sorted({p.name for p in old.glob("*.json")} | {p.name for p in new.glob("*.json")})
+    return [(name, old / name, new / name) for name in names]
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _as_number(x):
+    """A JSON number, or an [re, im] pair, as a complex number; else None."""
+    if _is_real(x):
+        return complex(x)
+    if isinstance(x, list) and len(x) == 2 and all(map(_is_real, x)):
+        return complex(x[0], x[1])
+    return None
+
+
+def _deviation(a, b, where: str, mismatches: list) -> float:
+    """Largest relative deviation between the numbers of two JSON values;
+    any other difference is recorded in ``mismatches``."""
+    za, zb = _as_number(a), _as_number(b)
+    if za is not None and zb is not None:
+        return 0.0 if za == zb else abs(za - zb) / max(abs(za), abs(zb))
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_deviation(a[k], b[k], f"{where}.{k}", mismatches) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = enumerate(zip(a, b))
+        return max((_deviation(x, y, f"{where}[{i}]", mismatches) for i, (x, y) in pairs), default=0.0)
+    if a != b:
+        mismatches.append(f"{where}: {a!r} != {b!r}")
+    return 0.0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    args = parser.parse_args()
+
+    ok = True
+    for name, old_path, new_path in _pairs(args.old, args.new):
+        if not (old_path.exists() and new_path.exists()):
+            print(f"{name}: missing on one side")
+            ok = False
+            continue
+        old = json.loads(old_path.read_text())
+        new = json.loads(new_path.read_text())
+        if len(old["tasks"]) != len(new["tasks"]):
+            print(f"{name}: task counts differ")
+            ok = False
+            continue
+        mismatches: list = []
+        header_old, header_new = ({k: v for k, v in doc.items() if k != "tasks"} for doc in (old, new))
+        _deviation(header_old, header_new, "report", mismatches)
+        for i, (a, b) in enumerate(zip(old["tasks"], new["tasks"])):
+            dev = _deviation(a, b, f"tasks[{i}]", mismatches)
+            same = a["verdict"] == b["verdict"]
+            print(f"{name} [{i}] {a['kind']:18s} {a['verdict']} -> {b['verdict']}  max rel dev {dev:.2e}")
+            ok = ok and same and dev <= RTOL
+        for m in mismatches:
+            print(f"    {m}")
+        ok = ok and not mismatches
+    print("OK" if ok else "DIFFER")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,6 +10,11 @@ products, d/dw_a and d/dwbar_a (the weight derivative produces an extra
 conjugated or plain coordinate factor, which folds into B or A), so all
 derivatives needed for the superconnection one-form and the Chern curvature
 are exact -- no numerical differentiation in the production path.
+
+For evaluation a function compiles itself once (see :meth:`ChartFunction.eval_batch`)
+into one :class:`~residue_lab.polycore.PolyKernel` over all of its polynomial
+factors, so a batch costs one monomial table, one matrix product and a
+weighted sum however many terms there are.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from .polycore import AffinePoly
+from .polycore import AffinePoly, PolyKernel, row_blocks
 
 __all__ = ["ChartFunction"]
 
@@ -35,11 +40,12 @@ class _Term:
 class ChartFunction:
     """Finite sum of weighted mixed-polynomial terms on one affine chart."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "terms", "_compiled")
 
     def __init__(self, num_vars: int, terms: List[_Term]):
         self.num_vars = num_vars
         self.terms = [t for t in terms if t.coef and not t.hol.is_zero() and not t.anti.is_zero()]
+        self._compiled = None
 
     # ------------------------------------------------------------ builders
 
@@ -145,21 +151,54 @@ class ChartFunction:
         w = np.asarray(w, dtype=np.complex128)
         return complex(self.eval_batch(w.reshape(1, -1))[0])
 
+    def _compile(self):
+        """Sum coef * hol over the terms that share (weight, anti), so equal
+        terms merge and cancelling ones drop out.
+
+        Returns the kernel over [the sums..., the distinct anti factors...],
+        the kernel row of each sum's anti factor, and (weight, slice of the
+        sums) pairs.  Compiling is deterministic, so threads that race on
+        the first call store equal results."""
+        if self._compiled is None:
+            by_weight: dict = {}  # weight -> {anti: sum of coef * hol}
+            for t in self.terms:
+                sums = by_weight.setdefault(t.weight, {})
+                part = t.hol.scale(t.coef)
+                sums[t.anti] = sums[t.anti] + part if t.anti in sums else part
+            hols, antis, slices = [], [], []
+            for w, sums in by_weight.items():
+                start = len(hols)
+                for anti, hol in sums.items():
+                    if not hol.is_zero():
+                        hols.append(hol)
+                        antis.append(anti)
+                if len(hols) > start:
+                    slices.append((w, slice(start, len(hols))))
+            distinct = list(dict.fromkeys(antis))
+            kernel = PolyKernel(self.num_vars, hols + distinct)
+            anti_row = np.array([len(hols) + distinct.index(a) for a in antis], dtype=np.int64)
+            self._compiled = (kernel, anti_row, slices)
+        return self._compiled
+
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of chart points, shape (N, num_vars) -> (N,)."""
         W = np.asarray(W, dtype=np.complex128)
-        N = W.shape[0]
-        if not self.terms:
-            return np.zeros(N, dtype=np.complex128)
-        weight_base = 1.0 + np.sum(W.real**2 + W.imag**2, axis=1)
-        powers = {}
-        total = np.zeros(N, dtype=np.complex128)
-        for t in self.terms:
-            if t.weight not in powers:
-                powers[t.weight] = weight_base ** float(t.weight)
-            val = t.coef * t.hol.eval_batch(W) * np.conj(t.anti.eval_batch(W)) * powers[t.weight]
-            total += val
-        return total
+        out = np.zeros(W.shape[0], dtype=np.complex128)
+        kernel, anti_row, slices = self._compile()
+        if not slices:
+            return out
+        for rows in row_blocks(W.shape[0]):
+            Wb = W[rows]
+            V = kernel.eval_batch(Wb)
+            prod = np.conjugate(V[anti_row])
+            prod *= V[: len(anti_row)]
+            # 1 + |w|^2; the row sum as a product with ones is far faster than
+            # a reduction over the short axis
+            weight_base = 1.0 + (Wb.real**2 + Wb.imag**2) @ np.ones(self.num_vars)
+            for w, group in slices:
+                part = prod[group].sum(axis=0)
+                out[rows] += part * weight_base ** float(w) if w else part
+        return out
 
     def __repr__(self):
         return f"ChartFunction({self.num_vars} vars, {len(self.terms)} terms)"

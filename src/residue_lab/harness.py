@@ -84,7 +84,7 @@ SCENARIO_SCHEMA = {
             "kind": "one of %s" % (TASK_KINDS,),
             "tol": "float tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
             "t": "list of floats > 0 (virtual_residue), float (local_mass)",
-            "samples": "int (Monte Carlo tasks)",
+            "samples": "int >= 1 (Monte Carlo tasks)",
             "seed": "int",
             "radius": "float (local_mass)",
             "rtol": "float, relative tolerance of each ball mass against its local residue (local_mass)",
@@ -97,12 +97,37 @@ SCENARIO_SCHEMA = {
         }
     ],
 }
-# the task keys some runner reads; any other key is a schema error
-TASK_KEYS = frozenset(SCENARIO_SCHEMA["tasks"][0])
+# the task kinds whose runner reads each task key (the kinds named in
+# SCENARIO_SCHEMA); a key that no runner of its task's kind reads is a schema error
+TASK_KEY_KINDS = {
+    "kind": TASK_KINDS,
+    "seed": TASK_KINDS,
+    "tol": ("euler_jacobi", "cayley_bacharach", "generalized_cb"),
+    "t": ("virtual_residue", "local_mass"),
+    "samples": ("virtual_residue", "local_mass", "curve_localization"),
+    "radius": ("local_mass",),
+    "rtol": ("local_mass",),
+    "sigma_l1_frac": ("curve_localization",),
+    "curve_factor": ("generalized_cb",),
+    "cofactor": ("generalized_cb",),
+    "psi_cofactor": ("generalized_cb",),
+    "lines_f": ("cayley_bacharach",),
+    "lines_g": ("cayley_bacharach",),
+}
+KIND_KEYS = {
+    kind: frozenset(key for key, kinds in TASK_KEY_KINDS.items() if kind in kinds)
+    for kind in TASK_KINDS
+}
 
 
 class ScenarioError(ValueError):
     """Scenario file violates the schema or its degree constraints."""
+
+
+def _check_samples(value, what: str) -> None:
+    """A sample count must be an int >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ScenarioError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -149,11 +174,14 @@ class Scenario:
                 raise ScenarioError(
                     f"every task needs a kind from {TASK_KINDS}; got {task!r}"
                 )
-            unknown = sorted(set(task) - TASK_KEYS)
+            known = KIND_KEYS[task["kind"]]
+            unknown = sorted(set(task) - known)
             if unknown:
                 raise ScenarioError(
-                    f"unknown key(s) {unknown} in {task['kind']} task; known keys: {sorted(TASK_KEYS)}"
+                    f"unknown key(s) {unknown} in {task['kind']} task; known keys: {sorted(known)}"
                 )
+            if "samples" in task:
+                _check_samples(task["samples"], f"{task['kind']} task key 'samples'")
         return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
 
     # ---------------------------------------------------------------- build
@@ -323,6 +351,8 @@ def run_scenario(
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
+    if samples is not None:
+        _check_samples(samples, "the samples override")
     scenario = Scenario.from_dict(doc)
     scenario.parse_polys()  # fail fast on degree violations (exit 2)
     global_seed = seed if seed is not None else 0
@@ -509,7 +539,7 @@ def _poly_close(a: HomogeneousPoly, b: HomogeneousPoly, tol: float = 1e-12) -> b
 def _run_virtual_residue(scenario, task, seed, samples, threads):
     ctx = scenario.geometry()
     ts = [float(x) for x in task.get("t", [1.0])]
-    n_samples = int(samples or 50000)
+    n_samples = 50000 if samples is None else samples
     ests = virtual_residue_sweep(ctx, ts, n_samples, seed, threads)
     entries = []
     ok = True
@@ -540,7 +570,7 @@ def _run_local_mass(scenario, task, seed, samples, threads):
     t = float(task.get("t", 0.01))
     radius = float(task.get("radius", 0.5))
     rtol = float(task.get("rtol", 0.05))
-    n_samples = int(samples or 50000)
+    n_samples = 50000 if samples is None else samples
     ledger = global_residue_sum(section, psi, seed=seed)
     pts = [np.array(p) for p, _ in ledger.entries]
     for i in range(len(pts)):
@@ -589,7 +619,7 @@ def _run_curve_localization(scenario, task, seed, samples, threads):
     geo = Example22Geometry(ctx)
     if not geo.certify_smooth_curve(lambda polys: [list(p.point) for p in solve_square_system(polys, seed=seed).points]):
         raise GeometryError("singular curve: the section zero locus is not smooth")
-    n_samples = int(samples or 30000)
+    n_samples = 30000 if samples is None else samples
     term = curve_localized_term(geo, n_samples, seed, threads=threads)
     sigma_l1 = float(task.get("sigma_l1_frac", 0.02))
     results = {

@@ -86,6 +86,7 @@ class FlatModel:
         self.n = s_aff[0].num_vars
         self.s_aff = list(s_aff)
         self.psi_aff = psi_aff
+        self.ds = [[s.partial(b) for b in range(self.n)] for s in self.s_aff]
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         total = np.zeros(W.shape[0])
@@ -97,9 +98,9 @@ class FlatModel:
         # xi_p = conj(s_p); dbar_b xi_p = conj(d_b s_p)
         n = self.n
         out = np.zeros((W.shape[0], n, n), dtype=complex)
-        for p, s in enumerate(self.s_aff):
+        for p, ds in enumerate(self.ds):
             for b in range(n):
-                out[:, b, p] = np.conj(s.partial(b).eval_batch(W))
+                out[:, b, p] = np.conj(ds[b].eval_batch(W))
         return out
 
     def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:

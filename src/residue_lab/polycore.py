@@ -14,6 +14,9 @@ Two carrier types:
 * :class:`AffinePoly` -- n chart variables, no degree constraint; produced by
   :meth:`HomogeneousPoly.dehomogenize` and consumed by the numeric layers.
 
+Batched evaluation of affine polynomials, alone or as a set that shares one
+monomial table, goes through :class:`PolyKernel`.
+
 The input grammar (see :func:`parse_poly`): variables ``z0``..``z9``, operators
 ``+ - * ^``, parentheses, complex literals ``a``, ``bi``, ``a+bi`` with decimal
 or rational (``p/q``) components, whitespace insignificant.
@@ -35,6 +38,7 @@ __all__ = [
     "GaussianRational",
     "HomogeneousPoly",
     "AffinePoly",
+    "PolyKernel",
     "parse_poly",
     "monomials_of_degree",
 ]
@@ -267,21 +271,81 @@ class AffinePoly(_PolyBase):
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def _arrays(self):
-        if self._cache is None:
-            expos = np.array(sorted(self.terms), dtype=np.int64).reshape(len(self.terms), self.num_vars)
-            coeffs = np.array([complex(_to_c(self.terms[tuple(e)])) for e in expos], dtype=np.complex128)
-            self._cache = (expos, coeffs)
-        return self._cache
-
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points, shape (N, num_vars) -> (N,)."""
+        if self._cache is None:
+            self._cache = PolyKernel(self.num_vars, [self])
+        return self._cache.eval_batch(W)[0]
+
+
+ROW_BLOCK = 1 << 12  # points per monomial table: bounds its memory and keeps it in cache
+
+
+def row_blocks(count: int):
+    """Slices of at most ROW_BLOCK points covering ``range(count)`` in order."""
+    return [slice(s, min(s + ROW_BLOCK, count)) for s in range(0, count, ROW_BLOCK)]
+
+
+class PolyKernel:
+    """A list of affine polynomials compiled for batched evaluation.
+
+    The polynomials become the rows of one coefficient matrix over their shared
+    monomials.  The monomial values at a batch of points are products of
+    per-variable power tables, filled by repeated multiplication; one matrix
+    product then evaluates every polynomial.  Arrays run along the batch in
+    their last axis, so every step works on contiguous rows of points.
+    Batches are processed in blocks of ROW_BLOCK points.
+    """
+
+    __slots__ = ("num_vars", "degree", "factors", "coeffs")
+
+    def __init__(self, num_vars: int, polys):
+        self.num_vars = int(num_vars)
+        expos = sorted(set().union(*(p.terms for p in polys)))
+        self.degree = max((max(e) for e in expos if e), default=0)
+        # factors[m]: the rows of the flattened (degree + 1, num_vars) power
+        # table whose product is monomial m; row 0 holds ones
+        self.factors = [
+            tuple(j * self.num_vars + k for k, j in enumerate(e) if j) or (0,) for e in expos
+        ]
+        self.coeffs = np.array(
+            [[_to_c(p.terms.get(e, 0)) for e in expos] for p in polys], dtype=np.complex128
+        ).reshape(len(polys), len(expos))
+
+    def _monomials(self, W: np.ndarray) -> np.ndarray:
+        """Values of the monomials at one block of points, shape (M, N)."""
+        N, n = W.shape
+        if n != self.num_vars:
+            raise PolyError(f"points have {n} coordinates, polynomials have {self.num_vars} variables")
+        width = max(n, 1)  # a constant in no variables still reads the ones of row 0
+        table = np.empty((self.degree + 1, width, N), dtype=np.complex128)
+        table[0] = 1.0
+        if self.degree:
+            table[1] = W.T
+        for j in range(2, self.degree + 1):  # table[j, k] = W[:, k] ** j
+            np.multiply(table[j - 1], table[1], out=table[j])
+        table = table.reshape((self.degree + 1) * width, N)
+        # one monomial at a time: each product stays in cache, where gathering
+        # whole (M, N) operands would not
+        monos = np.empty((len(self.factors), N), dtype=np.complex128)
+        for row, (first, *rest) in zip(monos, self.factors):
+            if not rest:
+                row[:] = table[first]
+                continue
+            np.multiply(table[first], table[rest[0]], out=row)
+            for k in rest[1:]:
+                row *= table[k]
+        return monos
+
+    def eval_batch(self, W: np.ndarray) -> np.ndarray:
+        """Every polynomial at a batch of points, (N, num_vars) -> (P, N)."""
         W = np.asarray(W, dtype=np.complex128)
-        if self.is_zero():
-            return np.zeros(W.shape[0], dtype=np.complex128)
-        expos, coeffs = self._arrays()
-        monos = np.prod(W[:, None, :] ** expos[None, :, :], axis=2)
-        return monos @ coeffs
+        if W.shape[0] <= ROW_BLOCK:
+            return self.coeffs @ self._monomials(W)
+        out = np.empty((self.coeffs.shape[0], W.shape[0]), dtype=np.complex128)
+        for block in row_blocks(W.shape[0]):
+            out[:, block] = self.coeffs @ self._monomials(W[block])
+        return out
 
 
 def _to_c(c) -> complex:

@@ -223,14 +223,16 @@ class _ChartData:
     d2G: Optional[list] = None
 
 
-def _eval_matrix(mat: List[List[ChartFunction]], W: np.ndarray) -> np.ndarray:
-    """A square matrix of chart functions at a batch of points, shape (N, n, n)."""
+def _eval_matrix(mat: List[List[ChartFunction]], W: np.ndarray, cols=None) -> np.ndarray:
+    """A square matrix of chart functions at a batch of points, shape (N, n, n);
+    with ``cols``, only those columns, shape (N, n, len(cols))."""
     n = len(mat)
-    out = np.zeros((W.shape[0], n, n), dtype=complex)
+    cols = range(n) if cols is None else cols
+    out = np.zeros((W.shape[0], n, len(cols)), dtype=complex)
     for i in range(n):
-        for j in range(n):
+        for k, j in enumerate(cols):
             if mat[i][j].terms:
-                out[:, i, j] = mat[i][j].eval_batch(W)
+                out[:, i, k] = mat[i][j].eval_batch(W)
     return out
 
 
@@ -396,25 +398,36 @@ class GeometryContext:
         is the e_i (x) e*_j component along dw_a ^ dwbar_b in the chart."""
         return self.chern_curvature_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
 
-    def chern_curvature_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
+    def chern_curvature_batch(
+        self, chart: int, W: np.ndarray, *, entry: Optional[Tuple[int, int, int]] = None
+    ) -> np.ndarray:
         """Curvature of the Chern connection, shape (N, rank, rank, n, n):
         out[s, i, j, a, b] along dw_a ^ dwbar_b.
 
         Computed from exact derivatives of G = H^T:
         R[a][b] = G^{-1}(dbar_b G) G^{-1}(d_a G) - G^{-1}(d_a dbar_b G).
+
+        ``entry=(i, j, a)`` returns only out[:, i, j, a, :], shape (N, n).  It
+        takes row i of G^{-1} against column j of d_a G and d_a dbar_b G, so
+        the other columns of those matrices are never evaluated.
         """
         data = self._curvature_functions(chart)
         n = self.n
         Ginv = np.linalg.inv(_eval_matrix(data.G, W))
-        out = np.zeros((W.shape[0], n, n, n, n), dtype=complex)
-        for a in range(n):
-            dGa = _eval_matrix(data.dG[a], W)
+        if entry is None:
+            rows, cols, a_values = Ginv, range(n), range(n)
+        else:
+            i, j, a = entry
+            rows, cols, a_values = Ginv[:, i : i + 1, :], [j], [a]
+        # (rows of) G^{-1} (dbar_b G) G^{-1}, once per b
+        left = [rows @ _eval_matrix(data.dbarG[b], W) @ Ginv for b in range(n)]
+        out = np.zeros((W.shape[0], rows.shape[1], len(cols), len(a_values), n), dtype=complex)
+        for k, a in enumerate(a_values):
+            dGa = _eval_matrix(data.dG[a], W, cols)
             for b in range(n):
-                dbGb = _eval_matrix(data.dbarG[b], W)
-                d2 = _eval_matrix(data.d2G[a][b], W)
-                term = Ginv @ dbGb @ Ginv @ dGa - Ginv @ d2
-                out[:, :, :, a, b] = term
-        return out
+                d2 = _eval_matrix(data.d2G[a][b], W, cols)
+                out[:, :, :, k, b] = left[b] @ dGa - rows @ d2
+        return out if entry is None else out[:, 0, 0, 0, :]
 
     def ds_matrix(self, chart: int, w: Sequence[complex]) -> np.ndarray:
         """Jacobian d(s_aff)/dw, rows = components, columns = chart variables."""
@@ -546,9 +559,8 @@ class Example22Geometry:
         fb = f.partial(base).eval_batch(W)
         fn = f.partial(normal).eval_batch(W)
         kappa = -fb / fn
-        R = self.ctx.chern_curvature_batch(chart, W)
         # R(nu, taubar) = sum_b R[normal][b] conj(tau_b); tau_base = 1, tau_normal = kappa
-        block = R[:, self.f_index, self.v_index, normal, :]
+        block = self.ctx.chern_curvature_batch(chart, W, entry=(self.f_index, self.v_index, normal))
         val = block[:, base] + block[:, normal] * np.conj(kappa)
         return -val / fn
 

@@ -1,0 +1,139 @@
+"""Chart functions: compiled batch evaluation against a term-by-term reference,
+term merging, exact derivatives against finite differences."""
+
+import numpy as np
+import pytest
+
+from residue_lab import polycore
+from residue_lab.chartfun import ChartFunction, _Term
+from residue_lab.polycore import AffinePoly
+
+NV = 2
+
+
+def random_poly(rng, max_degree=3, num_vars=NV):
+    terms = {}
+    for _ in range(rng.integers(1, 5)):
+        e = tuple(int(k) for k in rng.integers(0, max_degree + 1, size=num_vars))
+        terms[e] = complex(rng.normal(), rng.normal())
+    return AffinePoly(num_vars, terms)
+
+
+def random_function(rng, depth=2):
+    """A chart function built by the algebra's operations, not by hand."""
+    if depth == 0:
+        return ChartFunction.from_parts(
+            NV,
+            hol=random_poly(rng),
+            anti=random_poly(rng),
+            weight=int(rng.integers(-3, 2)),
+            coef=complex(rng.normal(), rng.normal()),
+        )
+    f = random_function(rng, depth - 1)
+    g = random_function(rng, depth - 1)
+    op = rng.integers(0, 7)
+    if op == 0:
+        return f + g
+    if op == 1:
+        return f * g
+    if op == 2:
+        return f.mul_hol(random_poly(rng, 2))
+    if op == 3:
+        return f.mul_anti(random_poly(rng, 2))
+    if op == 4:
+        return f.conjugate() - g
+    if op == 5:
+        return f.d(int(rng.integers(NV))) + g
+    return f.dbar(int(rng.integers(NV))) + g
+
+
+def reference(fn, W):
+    """Term by term, each factor through the scalar polynomial evaluation."""
+    W = np.asarray(W, dtype=complex).reshape(-1, fn.num_vars)
+    base = 1.0 + np.sum(np.abs(W) ** 2, axis=1)
+    total = np.zeros(len(W), dtype=complex)
+    for t in fn.terms:
+        hol = np.array([t.hol.eval(list(w)) for w in W], dtype=complex)
+        anti = np.array([t.anti.eval(list(w)) for w in W], dtype=complex)
+        total += t.coef * hol * np.conj(anti) * base ** float(t.weight)
+    return total
+
+
+def points(rng, count):
+    return (rng.normal(size=(count, NV)) + 1j * rng.normal(size=(count, NV))) * 0.8
+
+
+def close(a, b, rtol=1e-12):
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    return np.abs(a - b).max(initial=0.0) <= rtol * scale
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compiled_eval_matches_term_by_term(seed):
+    rng = np.random.default_rng(seed)
+    fn = random_function(rng)
+    W = points(rng, 40)
+    assert close(fn.eval_batch(W), reference(fn, W))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 40])
+def test_batch_sizes(rows):
+    rng = np.random.default_rng(100 + rows)
+    fn = random_function(rng)
+    W = points(rng, rows)
+    out = fn.eval_batch(W)
+    assert out.shape == (rows,)
+    assert close(out, reference(fn, W))
+    for k in range(rows):
+        assert abs(fn.eval(W[k]) - out[k]) <= 1e-12 * max(1.0, abs(out[k]))
+
+
+def test_blocks_of_rows_agree_with_one_block(monkeypatch):
+    rng = np.random.default_rng(11)
+    fn = random_function(rng)
+    W = points(rng, 40)
+    whole = fn.eval_batch(W)
+    monkeypatch.setattr(polycore, "ROW_BLOCK", 7)
+    assert close(fn.eval_batch(W), whole, rtol=1e-14)
+
+
+def test_cancelling_terms_merge_to_zero():
+    rng = np.random.default_rng(12)
+    f = random_function(rng)
+    W = points(rng, 20)
+    assert np.array_equal((f - f).eval_batch(W), np.zeros(20, dtype=complex))
+    # equal (hol, anti, weight) with opposite coefficients: stored apart, merged on evaluation
+    A, B = random_poly(rng), random_poly(rng)
+    pair = ChartFunction(NV, [_Term(2.5 - 1j, A, B, -2), _Term(-2.5 + 1j, A, B, -2)])
+    assert len(pair.terms) == 2
+    assert np.array_equal(pair.eval_batch(W), np.zeros(20, dtype=complex))
+    g = random_function(rng)
+    assert close((f + g - f).eval_batch(W), g.eval_batch(W), rtol=1e-10)
+
+
+def test_zero_and_constant():
+    W = points(np.random.default_rng(13), 5)
+    zero = ChartFunction.zero(NV)
+    assert np.array_equal(zero.eval_batch(W), np.zeros(5, dtype=complex))
+    assert zero.eval_batch(np.zeros((0, NV))).shape == (0,)
+    const = ChartFunction.constant(NV, 3 - 2j)
+    assert np.array_equal(const.eval_batch(W), np.full(5, 3 - 2j))
+    # a weight alone: (1 + |w|^2)^-2
+    weight = ChartFunction.from_parts(NV, weight=-2)
+    assert close(weight.eval_batch(W), (1 + np.sum(np.abs(W) ** 2, axis=1)) ** -2.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derivatives_match_central_differences(seed):
+    rng = np.random.default_rng(200 + seed)
+    fn = random_function(rng, depth=1)
+    h = 1e-5
+    for w in points(rng, 3):
+        for a in range(NV):
+            ex = np.zeros(NV, dtype=complex)
+            ex[a] = h
+            fx = (fn.eval(w + ex) - fn.eval(w - ex)) / (2 * h)
+            fy = (fn.eval(w + 1j * ex) - fn.eval(w - 1j * ex)) / (2 * h)
+            d, dbar = fn.d(a).eval(w), fn.dbar(a).eval(w)
+            assert abs(0.5 * (fx - 1j * fy) - d) <= 1e-6 * max(1.0, abs(d))
+            assert abs(0.5 * (fx + 1j * fy) - dbar) <= 1e-6 * max(1.0, abs(dbar))

@@ -7,6 +7,7 @@ import pytest
 
 from residue_lab.cli import main
 from residue_lab.harness import (
+    Scenario,
     ScenarioError,
     emit_report,
     run_scenario,
@@ -119,11 +120,43 @@ def test_unknown_task_kind_rejected(tmp_path):
         run_scenario(path)
 
 
-def test_misspelled_task_key_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tolerance", 1e-30),  # misspelled
+        ("radius", 0.5),  # a local_mass key on another kind
+    ],
+)
+def test_misspelled_task_key_rejected(tmp_path, key, value):
     doc = dict(BASE_P1)
-    doc["tasks"] = [{"kind": "euler_jacobi", "tolerance": 1e-30}]
+    doc["tasks"] = [{"kind": "euler_jacobi", key: value}]
     path = write_scenario(tmp_path, doc)
-    with pytest.raises(ScenarioError, match="tolerance"):
+    with pytest.raises(ScenarioError, match=key):
+        run_scenario(path)
+    assert main(["verify", path]) == 2
+
+
+def test_bundled_task_keys_accepted_by_their_kind():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        Scenario.from_dict(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_nonpositive_samples_override_rejected(tmp_path, samples):
+    doc = dict(BASE_P1)
+    doc["tasks"] = [{"kind": "virtual_residue", "t": [1.0], "samples": 5000}]
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match="samples"):
+        run_scenario(path, samples=samples)
+    assert main(["verify", path, "--samples", str(samples)]) == 2
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True, "5000"])
+def test_invalid_task_samples_rejected(tmp_path, samples):
+    doc = dict(BASE_P1)
+    doc["tasks"] = [{"kind": "virtual_residue", "t": [1.0], "samples": samples}]
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match="samples"):
         run_scenario(path)
     assert main(["verify", path]) == 2
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from residue_lab.polycore import (
+    AffinePoly,
     GaussianRational,
     HomogeneousPoly,
     InhomogeneousError,
@@ -215,12 +216,29 @@ def test_linear_substitution_matches_evaluation_at_Qz(nv, degree):
 # ---------------------------------------------------------------- batch eval
 
 
-def test_affine_batch_eval_matches_scalar():
+def _batch_case(name, rng):
+    if name == "zero":
+        return AffinePoly(2, {})
+    if name == "constant":
+        return AffinePoly.constant(2, 1.5 - 2j)
+    if name == "missing_variable":  # no term involves w_2
+        full = random_hpoly(3, 4, rng).dehomogenize(0)
+        return AffinePoly(2, {e: c for e, c in full.terms.items() if e[1] == 0})
+    degree = int(name.split("_")[1])
+    return random_hpoly(3, degree, rng).dehomogenize(0)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 40])
+@pytest.mark.parametrize(
+    "case", ["zero", "constant", "missing_variable"] + [f"degree_{d}" for d in (1, 3, 5, 8)]
+)
+def test_affine_batch_eval_matches_scalar(case, rows):
     rng = np.random.default_rng(3)
-    p = random_hpoly(3, 3, rng).dehomogenize(0)
-    W = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    p = _batch_case(case, rng)
+    W = (rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))) * 0.7
     batch = p.eval_batch(W)
-    singles = np.array([p.eval(list(w)) for w in W])
+    assert batch.shape == (rows,)
+    singles = np.array([p.eval(list(w)) for w in W], dtype=complex)
     assert np.allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
 

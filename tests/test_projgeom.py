@@ -188,6 +188,20 @@ def test_fs_curvature_off_diagonal_zero():
     assert np.abs(R[:, 1, 0]).max() < 1e-14
 
 
+@pytest.mark.parametrize("chart", [0, 1, 2])
+@pytest.mark.parametrize("base", [0, 1])
+def test_curvature_entry_matches_full_tensor(chart, base):
+    ctx = example22_context()
+    geo = Example22Geometry(ctx)
+    normal = 1 - base
+    rng = np.random.default_rng(10 + chart)
+    W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    full = ctx.chern_curvature_batch(chart, W)[:, geo.f_index, geo.v_index, normal, :]
+    entry = ctx.chern_curvature_batch(chart, W, entry=(geo.f_index, geo.v_index, normal))
+    assert entry.shape == full.shape
+    assert np.all(np.abs(entry - full) <= 1e-13 * np.abs(full))
+
+
 def _fd_curvature(ctx, chart, w, h=1e-4):
     """Nested Richardson central differences of G^{-1} dG; independent oracle."""
 
