@@ -6,11 +6,12 @@ Usage: python3 scripts/compare_reports.py OLD NEW
 OLD and NEW are report files or directories of ``*.json`` reports (as written
 by ``residue-lab verify --json-out`` or ``scripts/run_scenarios.py
 --json-dir``); directories are matched by file name.  For every task the
-script prints the verdict pair and the largest relative deviation over all
-numbers in the report, |a - b| / max(|a|, |b|).  Complex numbers are stored
-as [re, im] pairs and compared as complex numbers, so the rounding noise of an
-imaginary part that is zero in exact arithmetic is measured against the
-modulus, not against itself.  It exits 0 only when every verdict is
+script prints the verdict pair, the largest relative deviation over all
+numbers in the report, |a - b| / max(|a|, |b|), and the JSON path of the
+number where it occurs (e.g. ``tasks[0].results.max_residual``).  Complex
+numbers are stored as [re, im] pairs and compared as complex numbers, so the
+rounding noise of an imaginary part that is zero in exact arithmetic is
+measured against the modulus, not against itself.  It exits 0 only when every verdict is
 identical, every non-numeric field agrees and every number agrees within
 1e-12 relative.
 """
@@ -44,20 +45,22 @@ def _as_number(x):
     return None
 
 
-def _deviation(a, b, where: str, mismatches: list) -> float:
-    """Largest relative deviation between the numbers of two JSON values;
-    any other difference is recorded in ``mismatches``."""
+def _deviation(a, b, where: str, mismatches: list):
+    """(largest relative deviation between the numbers of two JSON values,
+    JSON path of that number); any other difference is recorded in
+    ``mismatches``."""
     za, zb = _as_number(a), _as_number(b)
     if za is not None and zb is not None:
-        return 0.0 if za == zb else abs(za - zb) / max(abs(za), abs(zb))
+        return (0.0 if za == zb else abs(za - zb) / max(abs(za), abs(zb))), where
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return max((_deviation(a[k], b[k], f"{where}.{k}", mismatches) for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        pairs = enumerate(zip(a, b))
-        return max((_deviation(x, y, f"{where}[{i}]", mismatches) for i, (x, y) in pairs), default=0.0)
-    if a != b:
-        mismatches.append(f"{where}: {a!r} != {b!r}")
-    return 0.0
+        parts = [_deviation(a[k], b[k], f"{where}.{k}", mismatches) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [_deviation(x, y, f"{where}[{i}]", mismatches) for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        if a != b:
+            mismatches.append(f"{where}: {a!r} != {b!r}")
+        parts = []
+    return max(parts, key=lambda part: part[0], default=(0.0, where))
 
 
 def main() -> int:
@@ -82,9 +85,10 @@ def main() -> int:
         header_old, header_new = ({k: v for k, v in doc.items() if k != "tasks"} for doc in (old, new))
         _deviation(header_old, header_new, "report", mismatches)
         for i, (a, b) in enumerate(zip(old["tasks"], new["tasks"])):
-            dev = _deviation(a, b, f"tasks[{i}]", mismatches)
+            dev, at = _deviation(a, b, f"tasks[{i}]", mismatches)
             same = a["verdict"] == b["verdict"]
-            print(f"{name} [{i}] {a['kind']:18s} {a['verdict']} -> {b['verdict']}  max rel dev {dev:.2e}")
+            at = f" at {at}" if dev > 0 else ""
+            print(f"{name} [{i}] {a['kind']:18s} {a['verdict']} -> {b['verdict']}  max rel dev {dev:.2e}{at}")
             ok = ok and same and dev <= RTOL
         for m in mismatches:
             print(f"    {m}")

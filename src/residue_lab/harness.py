@@ -6,6 +6,8 @@ and a list of verification tasks.  Tasks run in file order; each produces a
 :class:`TaskResult` with a verdict derived solely from its stated tolerances:
 
 * ``pass`` / ``fail`` -- the check ran and met / missed its tolerance;
+  a zero solve that runs out of retries (``SolveError``) is also ``fail``,
+  with the error in the results;
 * ``precondition-failed`` -- a geometric hypothesis did not hold
   (zeros at infinity, non-simple zeros, singular curve);
 * ``assumed-hypotheses`` -- the check passed but rests on splitting
@@ -43,7 +45,6 @@ from .residue import (
     cb_vanishing_space_exact,
     generalized_cb_check,
     global_residue_sum,
-    local_residue,
 )
 from .syszero import SolveError, solve_square_system
 
@@ -371,8 +372,10 @@ def run_scenario(
         task_samples = samples if samples is not None else task.get("samples")
         try:
             results, verdict = runner(scenario, task, task_seed, task_samples, threads)
-        except (ResidueError, SolveError, GeometryError) as exc:
+        except (ResidueError, GeometryError) as exc:
             results, verdict = {"error": str(exc)}, "precondition-failed"
+        except SolveError as exc:  # a numerical failure, not a broken hypothesis
+            results, verdict = {"error": str(exc)}, "fail"
         report.tasks.append(
             TaskResult(
                 kind=kind,

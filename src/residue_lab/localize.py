@@ -125,18 +125,21 @@ class FlatModel:
         return SForm(self.n, scal, one)
 
 
-def _density_prefactor(n: int) -> float:
-    return (-1.0) ** (n * (n + 1) // 2) / math.pi**n
+def _density_parts(ctx, chart: int, W: np.ndarray):
+    """The t-independent parts of the global density: |s|^2 and P det(Abar)."""
+    s2 = ctx.s_norm2_batch(chart, W)
+    return s2, ctx.psi_batch(chart, W) * np.linalg.det(ctx.sbar_matrix_batch(chart, W))
+
+
+def _density(n: int, s2: np.ndarray, psi_det: np.ndarray, t: float) -> np.ndarray:
+    """g from its t-independent parts, with det(A) = det(-Abar/2t) = det(Abar) (-1/2t)^n."""
+    pref = (-1.0) ** (n * (n + 1) // 2) / math.pi**n
+    return pref * np.exp(-s2 / (2.0 * t)) * psi_det * (-1.0 / (2.0 * t)) ** n
 
 
 def global_density(ctx, chart: int, W: np.ndarray, t: float) -> np.ndarray:
     """Real-measure density g of the prefactored (n,n) integrand (module doc)."""
-    n = ctx.n
-    s2 = ctx.s_norm2_batch(chart, W)
-    Abar = ctx.sbar_matrix_batch(chart, W)
-    psi = ctx.psi_batch(chart, W)
-    detA = np.linalg.det(-Abar / (2.0 * t))
-    return _density_prefactor(n) * np.exp(-s2 / (2.0 * t)) * psi * detA
+    return _density(ctx.n, *_density_parts(ctx, chart, W), t)
 
 
 def global_density_tensor(ctx, chart: int, w, t: float):
@@ -236,13 +239,9 @@ def virtual_residue_sweep(
                 continue
             W = np.delete(Z[mask] / Z[mask, chart][:, None], chart, axis=1)
             dens = fs_density(W, n)
-            s2 = ctx.s_norm2_batch(chart, W)
-            detAbar = np.linalg.det(ctx.sbar_matrix_batch(chart, W))
-            psi = ctx.psi_batch(chart, W)
-            pref = _density_prefactor(n)
+            s2, psi_det = _density_parts(ctx, chart, W)
             for k, t in enumerate(ts):
-                g = pref * np.exp(-s2 / (2.0 * t)) * psi * detAbar * (-1.0 / (2.0 * t)) ** n
-                out[k, mask] = g / dens
+                out[k, mask] = _density(n, s2, psi_det, t) / dens
         return out.T  # (count, len(ts)) so chunks concatenate on axis 0
 
     x = _run_chunks(worker, samples, threads)

@@ -26,7 +26,7 @@ from .polycore import (
     HomogeneousPoly,
     monomials_of_degree,
 )
-from .syszero import certify_zero, solve_square_system, zeros_at_infinity_check
+from .syszero import jacobian_det, solve_square_system, zeros_at_infinity_check
 
 __all__ = [
     "ResidueError",
@@ -76,15 +76,10 @@ def local_residue(
     det_threshold: float = 1e-10,
 ) -> complex:
     """H(p) / det(ds/dw)(p) in a fixed chart; requires a certified simple zero."""
-    res, det, _ = certify_zero(section_aff, p)
-    if det < det_threshold:
-        raise ResidueError(f"singular Jacobian at {p} (|det J| = {det:.2e})")
-    n = len(section_aff)
-    pl = list(p)
-    J = np.array(
-        [[s.partial(k).eval(pl) for k in range(n)] for s in section_aff], dtype=complex
-    )
-    return complex(psi_aff.eval(pl) / np.linalg.det(J))
+    det = jacobian_det(section_aff, p)
+    if abs(det) < det_threshold:
+        raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
+    return complex(psi_aff.eval(list(p)) / det)
 
 
 def global_residue_sum(

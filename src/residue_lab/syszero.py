@@ -2,13 +2,22 @@
 
 Tracks the Bezout count of paths of H(z, tau) = (1-tau) gamma g(z) + tau f(z)
 from the start system g_i = z_i^{d_i} - 1 (gamma a random unit complex), with
-a first-order predictor, Newton corrector and adaptive steps.  A step is
-accepted only when the corrector's residual is small *and* the corrector
-moved the predicted point by at most ``_CORRECTOR_REACH * max(1, |z_pred|)``:
-Newton on the homotopy can converge from far away to a point of another path
-(near tau = 1, to a finite root from anywhere on a path that escapes), and
-such a step is rejected and retried shorter.  A path whose step underflows
-near tau = 1 is counted as escaped to infinity.
+a first-order predictor, Newton corrector and adaptive steps.
+
+Each system is compiled once into one polycore.PolyKernel whose rows are f, g
+and the partials of both, so every predictor, corrector and polish iteration
+is one kernel call returning H, dH/dz and f - gamma g.  The same rows serve
+the certification step (residual |f| and det df/dz) of the endpoints,
+``certify_zero`` and ``jacobian_det``.  Step sizes, iteration counts and
+thresholds are module constants.
+
+A step is accepted only when the corrector's residual is small *and* the
+corrector moved the predicted point by at most
+``_CORRECTOR_REACH * max(1, |z_pred|)``: Newton on the homotopy can converge
+from far away to a point of another path (near tau = 1, to a finite root from
+anywhere on a path that escapes), and such a step is rejected and retried
+shorter.  A path whose step underflows near tau = 1 is counted as escaped to
+infinity.
 
 Endpoints are polished by Newton iteration and certified by residual and
 Jacobian determinant; an endpoint failing either is ``defective``.  Two paths
@@ -35,32 +44,29 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .polycore import AffinePoly, HomogeneousPoly
+from .polycore import AffinePoly, HomogeneousPoly, PolyKernel
 
-__all__ = ["ZeroPoint", "ZeroSet", "TrackerOptions", "solve_square_system", "certify_zero", "zeros_at_infinity_check", "SolveError"]
+__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "jacobian_det", "zeros_at_infinity_check", "SolveError"]
 
 
 class SolveError(RuntimeError):
     """Path tracking failed beyond the retry budget."""
 
 
-# Largest corrector move accepted in one step, relative to max(1, |z_pred|).
-# 0.1 keeps the escaping path of (w0 w1 - 1, w0 - 2) off its finite root at
-# seeds 0-19 and leaves the results of the bundled scenarios unchanged.
+# Tracker constants.  The largest corrector move accepted in one step is
+# _CORRECTOR_REACH * max(1, |z_pred|); 0.1 keeps the escaping path of
+# (w0 w1 - 1, w0 - 2) off its finite root at seeds 0-19 and leaves the results
+# of the bundled scenarios unchanged.
 _CORRECTOR_REACH = 0.1
-
-
-@dataclass(frozen=True)
-class TrackerOptions:
-    max_step: float = 0.1
-    min_step: float = 1e-4
-    newton_iters: int = 3
-    corrector_tol: float = 1e-10
-    endpoint_iters: int = 10
-    blowup: float = 1e8
-    cluster_radius: float = 1e-6
-    det_threshold: float = 1e-10
-    max_retries: int = 3
+_MAX_STEP = 0.1
+_MIN_STEP = 1e-4
+_NEWTON_ITERS = 3
+_CORRECTOR_TOL = 1e-10
+_ENDPOINT_ITERS = 10
+_BLOWUP = 1e8
+_CLUSTER_RADIUS = 1e-6
+_DET_THRESHOLD = 1e-10
+_MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,6 @@ class ZeroPoint:
     point: Tuple[complex, ...]
     residual: float
     abs_det_j: float
-    cond_estimate: float
 
 
 @dataclass
@@ -83,25 +88,47 @@ class ZeroSet:
 
 
 class _System:
-    """Callable square system with cached Jacobian polynomials."""
+    """A square system f and its start system g_i = z_i^{d_i} - 1 as the rows
+    of one PolyKernel: f_i, g_i, df_i/dz_k (row-major in i, k), dg_i/dz_i."""
 
     def __init__(self, polys: Sequence[AffinePoly]):
-        self.polys = list(polys)
-        self.n = polys[0].num_vars
-        if any(p.num_vars != self.n for p in polys):
+        self.n = n = polys[0].num_vars
+        if any(p.num_vars != n for p in polys):
             raise ValueError("mixed variable counts in system")
-        self.jac = [[p.partial(k) for k in range(self.n)] for p in self.polys]
+        if len(polys) != n:
+            raise ValueError(f"square system required: {len(polys)} equations in {n} variables")
+        self.degrees = [p.degree() for p in polys]
+        one = AffinePoly.constant(n, 1.0 + 0j)
+        start = [
+            AffinePoly(n, {tuple(d if k == i else 0 for k in range(n)): 1.0 + 0j}) - one
+            for i, d in enumerate(self.degrees)
+        ]
+        rows = list(polys) + start
+        rows += [f.partial(k) for f in polys for k in range(n)]
+        rows += [g.partial(i) for i, g in enumerate(start)]
+        self.kernel = PolyKernel(n, rows)
 
-    def value(self, z: np.ndarray) -> np.ndarray:
-        zl = list(z)
-        return np.array([p.eval(zl) for p in self.polys], dtype=complex)
+    def rows(self, z: np.ndarray):
+        """(f, g, df, dg) at one point: df is the (n, n) Jacobian of f and dg
+        the diagonal of the Jacobian of g."""
+        n = self.n
+        v = self.kernel.eval_batch(z[None, :])[:, 0]
+        return v[:n], v[n : 2 * n], v[2 * n : 2 * n + n * n].reshape(n, n), v[2 * n + n * n :]
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        zl = list(z)
-        return np.array(
-            [[self.jac[i][k].eval(zl) for k in range(self.n)] for i in range(len(self.polys))],
-            dtype=complex,
-        )
+
+def _homotopy(system: _System, z: np.ndarray, tau: float, gamma: complex):
+    """H = (1 - tau) gamma g + tau f, dH/dz and f - gamma g at z."""
+    f, g, df, dg = system.rows(z)
+    gg = gamma * g
+    H = (1 - tau) * gg + tau * f
+    J = (1 - tau) * np.diag(gamma * dg) + tau * df
+    return H, J, f - gg
+
+
+def _certify(system: _System, z: np.ndarray):
+    """The certification step at z: (residual |f(z)|, det J(z), f(z), J(z))."""
+    f, _, J, _ = system.rows(z)
+    return float(np.linalg.norm(f)), complex(np.linalg.det(J)), f, J
 
 
 def _start_roots(degrees: Sequence[int]) -> List[np.ndarray]:
@@ -112,59 +139,34 @@ def _start_roots(degrees: Sequence[int]) -> List[np.ndarray]:
     return [np.array(combo, dtype=complex) for combo in itertools.product(*axes)]
 
 
-class _ScaledStart:
-    """gamma * (z_i^{d_i} - 1) with cached powers."""
-
-    def __init__(self, degrees: Sequence[int], gamma: complex):
-        self.degrees = list(degrees)
-        self.gamma = gamma
-        self.n = len(degrees)
-
-    def value_scaled(self, z: np.ndarray) -> np.ndarray:
-        return self.gamma * (z ** np.array(self.degrees) - 1.0)
-
-    def jac_scaled(self, z: np.ndarray) -> np.ndarray:
-        d = np.array(self.degrees)
-        return self.gamma * np.diag(d * z ** (d - 1))
-
-
-def solve_square_system(
-    polys: Sequence[AffinePoly],
-    seed: int = 0,
-    options: TrackerOptions = TrackerOptions(),
-) -> ZeroSet:
+def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
     """All isolated finite zeros of the square system polys = 0.
 
     Requires n <= 4 variables and Bezout count prod d_i <= 200 (desk scale).
     """
     system = _System(polys)
-    n = system.n
-    if len(polys) != n:
-        raise ValueError(f"square system required: {len(polys)} equations in {n} variables")
-    if n > 4:
+    if system.n > 4:
         raise ValueError("desk scale supports at most 4 variables")
     if any(p.is_zero() for p in polys):
         raise ValueError("system contains an identically zero equation")
-    if any(p.degree() == 0 for p in polys):
+    if 0 in system.degrees:
         return ZeroSet([], 0, 0, 0)  # a nonzero constant equation: empty zero set
-    degrees = [p.degree() for p in polys]
-    bezout = int(np.prod(degrees))
+    bezout = int(np.prod(system.degrees))
     if bezout > 200:
         raise ValueError(f"Bezout count {bezout} exceeds the desk-scale bound 200")
 
     rng = np.random.default_rng(np.random.Philox(seed))
-    for retry in range(options.max_retries):
+    for retry in range(_MAX_RETRIES):
         gamma = cmath.exp(2j * math.pi * rng.uniform())
-        start = _ScaledStart(degrees, gamma)
-        raw, escaped, failures = _track_all(system, start, options)
+        raw, escaped, failures = _track_all(system, gamma)
         if failures == 0:
-            points, blown_up, defective, duplicates = _finish(system, raw, options)
-            if duplicates == 0 or retry == options.max_retries - 1:
+            points, blown_up, defective, duplicates = _finish(system, raw)
+            if duplicates == 0 or retry == _MAX_RETRIES - 1:
                 return ZeroSet(points, bezout, escaped + blown_up, defective + duplicates)
-    raise SolveError(f"path failures persisted across {options.max_retries} retries")
+    raise SolveError(f"path failures persisted across {_MAX_RETRIES} retries")
 
 
-def _finish(system: _System, raw: List[np.ndarray], options: TrackerOptions):
+def _finish(system: _System, raw: List[np.ndarray]):
     """Polish, certify and deduplicate the endpoints of the finished paths.
 
     Returns (points, blown_up, defective, duplicates): certified simple roots
@@ -175,23 +177,22 @@ def _finish(system: _System, raw: List[np.ndarray], options: TrackerOptions):
     blown_up = 0
     defective = 0
     for z in raw:
-        z, res = _polish(system, z, options.endpoint_iters)
-        if not np.isfinite(z).all() or np.linalg.norm(z) > options.blowup:
+        z = _polish(system, z)
+        if not np.isfinite(z).all() or np.linalg.norm(z) > _BLOWUP:
             blown_up += 1
             continue
-        J = system.jacobian(z)
-        det = abs(np.linalg.det(J))
-        cond = float(np.linalg.cond(J)) if det > 0 else np.inf
-        if res > 1e-8 or det < options.det_threshold:
+        res, det = _certify(system, z)[:2]
+        det = abs(det)
+        if res > 1e-8 or det < _DET_THRESHOLD:
             defective += 1
             continue
-        finished.append(ZeroPoint(tuple(z.tolist()), res, det, cond))
+        finished.append(ZeroPoint(tuple(z.tolist()), res, det))
 
     points: List[ZeroPoint] = []
     duplicates = 0
     for zp in finished:
         if any(
-            np.linalg.norm(np.array(zp.point) - np.array(kept.point)) < options.cluster_radius
+            np.linalg.norm(np.array(zp.point) - np.array(kept.point)) < _CLUSTER_RADIUS
             for kept in points
         ):
             duplicates += 1
@@ -200,12 +201,12 @@ def _finish(system: _System, raw: List[np.ndarray], options: TrackerOptions):
     return points, blown_up, defective, duplicates
 
 
-def _track_all(system: _System, start: _ScaledStart, options: TrackerOptions):
+def _track_all(system: _System, gamma: complex):
     raw = []
     escaped = 0
     failures = 0
-    for z0 in _start_roots(start.degrees):
-        z, status = _track_path(system, start, z0, options)
+    for z0 in _start_roots(system.degrees):
+        z, status = _track_path(system, gamma, z0)
         if status == "ok":
             raw.append(z)
         elif status == "infinity":
@@ -215,44 +216,42 @@ def _track_all(system: _System, start: _ScaledStart, options: TrackerOptions):
     return raw, escaped, failures
 
 
-def _track_path(system: _System, start: _ScaledStart, z0: np.ndarray, options: TrackerOptions):
+def _track_path(system: _System, gamma: complex, z0: np.ndarray):
     z = z0.astype(complex)
     tau = 0.0
-    step = options.max_step
+    step = _MAX_STEP
     while tau < 1.0:
-        if np.linalg.norm(z) > options.blowup:
+        if np.linalg.norm(z) > _BLOWUP:
             return z, "infinity"
         h = min(step, 1.0 - tau)
         # first-order predictor: J_H dz/dtau = -(f - gamma g)
-        J = (1 - tau) * start.jac_scaled(z) + tau * system.jacobian(z)
-        rhs = system.value(z) - start.value_scaled(z)
+        _, J, rhs = _homotopy(system, z, tau, gamma)
         try:
             dz = np.linalg.solve(J, -rhs)
         except np.linalg.LinAlgError:
             return z, "failure"
         z_pred = z + h * dz
-        z_corr, res = _corrector(system, start, tau + h, z_pred, options)
+        z_corr, res = _corrector(system, gamma, tau + h, z_pred)
         reach = _CORRECTOR_REACH * max(1.0, float(np.linalg.norm(z_pred)))
         if (
-            res < options.corrector_tol * max(1.0, float(np.linalg.norm(z_corr)))
+            res < _CORRECTOR_TOL * max(1.0, float(np.linalg.norm(z_corr)))
             and np.linalg.norm(z_corr - z_pred) <= reach
         ):
             tau += h
             z = z_corr
-            step = min(options.max_step, step * 1.5)
+            step = min(_MAX_STEP, step * 1.5)
         else:
             step *= 0.5
-            if step < options.min_step:
+            if step < _MIN_STEP:
                 if tau > 0.99:
                     return z, "infinity"  # step underflow at the end: divergent path
                 return z, "failure"
     return z, "ok"
 
 
-def _corrector(system: _System, start: _ScaledStart, tau: float, z: np.ndarray, options: TrackerOptions):
-    for _ in range(options.newton_iters):
-        H = (1 - tau) * start.value_scaled(z) + tau * system.value(z)
-        J = (1 - tau) * start.jac_scaled(z) + tau * system.jacobian(z)
+def _corrector(system: _System, gamma: complex, tau: float, z: np.ndarray):
+    for _ in range(_NEWTON_ITERS):
+        H, J, _ = _homotopy(system, z, tau, gamma)
         try:
             dz = np.linalg.solve(J, H)
         except np.linalg.LinAlgError:
@@ -260,40 +259,43 @@ def _corrector(system: _System, start: _ScaledStart, tau: float, z: np.ndarray, 
         z = z - dz
         if not np.isfinite(z).all():
             return z, np.inf
-    H = (1 - tau) * start.value_scaled(z) + tau * system.value(z)
+    H = _homotopy(system, z, tau, gamma)[0]
     return z, float(np.linalg.norm(H))
 
 
-def _polish(system: _System, z: np.ndarray, iters: int):
-    for _ in range(iters):
-        val = system.value(z)
+def _polish(system: _System, z: np.ndarray) -> np.ndarray:
+    for _ in range(_ENDPOINT_ITERS):
+        f, _, J, _ = system.rows(z)
         try:
-            dz = np.linalg.solve(system.jacobian(z), val)
+            dz = np.linalg.solve(J, f)
         except np.linalg.LinAlgError:
             break
         z_new = z - dz
         if not np.isfinite(z_new).all():
             break
         z = z_new
-    return z, float(np.linalg.norm(system.value(z)))
+    return z
 
 
 def certify_zero(polys: Sequence[AffinePoly], p: Sequence[complex]):
     """(residual, |det J|, Newton-contraction flag) at a candidate zero."""
     system = _System(polys)
     z = np.asarray(p, dtype=complex)
-    res = float(np.linalg.norm(system.value(z)))
-    J = system.jacobian(z)
-    det = abs(np.linalg.det(J))
+    res, det, f, J = _certify(system, z)
+    det = abs(det)
     contracts = False
     if det > 0:
         try:
-            z1 = z - np.linalg.solve(J, system.value(z))
-            res1 = float(np.linalg.norm(system.value(z1)))
+            res1 = _certify(system, z - np.linalg.solve(J, f))[0]
             contracts = res1 <= res / 10.0 or res1 < 1e-14
         except np.linalg.LinAlgError:
-            contracts = False
+            pass
     return res, det, contracts
+
+
+def jacobian_det(polys: Sequence[AffinePoly], p: Sequence[complex]) -> complex:
+    """det(d polys / dz) at a point, from the certification step."""
+    return _certify(_System(polys), np.asarray(p, dtype=complex))[1]
 
 
 def zeros_at_infinity_check(

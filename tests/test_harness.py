@@ -69,6 +69,21 @@ def test_zero_at_infinity_gives_precondition_failed(tmp_path):
     assert main(["verify", path]) == 1
 
 
+def test_solver_failure_is_fail_not_precondition(tmp_path, monkeypatch):
+    from residue_lab import residue
+    from residue_lab.syszero import SolveError
+
+    def exhausted(*args, **kwargs):
+        raise SolveError("path failures persisted across 3 retries")
+
+    monkeypatch.setattr(residue, "solve_square_system", exhausted)
+    path = write_scenario(tmp_path, BASE_P1)
+    task = run_scenario(path).tasks[0]
+    assert task.kind == "euler_jacobi" and task.verdict == "fail"
+    assert task.results == {"error": "path failures persisted across 3 retries"}
+    assert main(["verify", path]) == 1
+
+
 def test_emit_deterministic_bytes(tmp_path):
     path = write_scenario(tmp_path, BASE_P1)
     r1 = run_scenario(path, seed=5)

@@ -170,3 +170,57 @@ def test_double_root_is_defective_not_a_solve_error(seed):
     assert zs.bezout_count == 2 and zs.missing_paths == 0
     assert zs.defective >= 1 and len(zs.points) + zs.defective == 2
     assert all(np.linalg.norm(p.point) < 1e-6 for p in zs.points)
+
+
+# ------------------------------------------------------- kernel row layout
+
+
+def _random_system(rng, n, kind):
+    """n random affine polynomials: dense of degrees 1-3, all linear, with
+    variable 0 missing from the last equation, or with no constant terms."""
+    polys = []
+    for i in range(n):
+        degree = 1 if kind == "linear" else int(rng.integers(1, 4))
+        terms = {}
+        for d in range(0 if kind != "constant_free" else 1, degree + 1):
+            for e in monomials_of_degree(n, d):
+                if kind == "missing_variable" and i == n - 1 and e[0]:
+                    continue
+                terms[e] = complex(rng.normal(), rng.normal())
+        polys.append(AffinePoly(n, terms))
+    return polys
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+
+_LAYOUT_CASES = [
+    (n, kind)
+    for n in range(1, 5)
+    for kind in ("dense", "linear", "missing_variable", "constant_free")
+    if n > 1 or kind != "missing_variable"  # a lone equation keeps its variable
+]
+
+
+@pytest.mark.parametrize("n, kind", _LAYOUT_CASES)
+def test_homotopy_rows_match_scalar_evaluation(n, kind):
+    rng = np.random.default_rng(1000 * n + len(kind))
+    polys = _random_system(rng, n, kind)
+    if kind == "missing_variable":
+        assert all(e[0] == 0 for e in polys[-1].terms)
+    system = syszero._System(polys)
+    degrees = [p.degree() for p in polys]
+    for _ in range(5):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        zl = list(z)
+        gamma = complex(np.exp(2j * np.pi * rng.uniform()))
+        f = np.array([p.eval(zl) for p in polys])
+        g = np.array([z[i] ** d - 1 for i, d in enumerate(degrees)])
+        df = np.array([[p.partial(k).eval(zl) for k in range(n)] for p in polys])
+        dg = np.diag([d * z[i] ** (d - 1) for i, d in enumerate(degrees)])
+        for tau in (0.0, 0.37, 1.0):
+            H, J, rhs = syszero._homotopy(system, z, tau, gamma)
+            assert _close(H, (1 - tau) * gamma * g + tau * f)
+            assert _close(J, (1 - tau) * gamma * dg + tau * df)
+            assert _close(rhs, f - gamma * g)
