@@ -6,6 +6,10 @@
 
 Exit codes: 0 all tasks pass, 1 any task failed or hit a precondition,
 2 input/schema error.
+
+BLAS and OpenMP run on one thread unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise; the text report's header
+names the count.
 """
 
 from __future__ import annotations
@@ -15,7 +19,14 @@ import json
 import os
 import sys
 
-from .harness import SCENARIO_SCHEMA, ScenarioError, emit_report, run_scenario
+# Parallelism comes from --threads alone: BLAS and OpenMP are pinned to one
+# thread before numpy is first imported (through the harness), unless the
+# environment already sets a count.  Multi-threaded BLAS stalls some runs on
+# the small matrix products of the Monte Carlo chunks.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .harness import SCENARIO_SCHEMA, ScenarioError, emit_report, run_scenario  # noqa: E402
 
 
 def main(argv=None) -> int:

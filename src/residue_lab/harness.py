@@ -21,6 +21,7 @@ are [re, im] pairs, and keys are sorted.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -43,6 +44,7 @@ from .residue import (
     ResidueError,
     cayley_bacharach_verify,
     cb_vanishing_space_exact,
+    exact_monomial_rows,
     generalized_cb_check,
     global_residue_sum,
 )
@@ -308,7 +310,8 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
     if fmt == "text":
         lines = [
             f"residue-lab {report.tool_version}  backend={report.backend} "
-            f"seed={report.seed} threads={report.threads}",
+            f"seed={report.seed} threads={report.threads} "
+            f"blas_threads={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}",
             "",
         ]
         for t in report.tasks:
@@ -478,9 +481,10 @@ def _run_cb_exact(scenario, task, tol):
     m = f.degree + g.degree - 3
     worst_nonzero = 0
     dims = []
+    rows = exact_monomial_rows(pts, m)
     for hold in range(len(pts)):
-        others = [pts[i] for i in range(len(pts)) if i != hold]
-        basis = cb_vanishing_space_exact(others, m)
+        others = [i for i in range(len(pts)) if i != hold]
+        basis = cb_vanishing_space_exact([pts[i] for i in others], m, rows=[rows[i] for i in others])
         dims.append(len(basis))
         for form in basis:
             if form.eval(list(pts[hold])):

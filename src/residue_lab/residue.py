@@ -35,6 +35,7 @@ __all__ = [
     "global_residue_sum",
     "cb_vanishing_space",
     "cb_vanishing_space_exact",
+    "exact_monomial_rows",
     "cayley_bacharach_verify",
     "generalized_cb_check",
     "CBReport",
@@ -142,11 +143,11 @@ def cb_vanishing_space(
     return basis
 
 
-def cb_vanishing_space_exact(
+def exact_monomial_rows(
     points: Sequence[Sequence[GaussianRational]],
     degree: int,
-) -> List[HomogeneousPoly]:
-    """Exact null space over the Gaussian rationals (Gauss-Jordan elimination)."""
+) -> List[List[GaussianRational]]:
+    """The degree-``degree`` monomials of P^2 at each point, exactly."""
     monos = monomials_of_degree(3, degree)
     rows = []
     for p in points:
@@ -158,6 +159,21 @@ def cb_vanishing_space_exact(
                     v = v * coord
             row.append(v)
         rows.append(row)
+    return rows
+
+
+def cb_vanishing_space_exact(
+    points: Sequence[Sequence[GaussianRational]],
+    degree: int,
+    rows: Optional[Sequence[Sequence[GaussianRational]]] = None,
+) -> List[HomogeneousPoly]:
+    """Exact null space over the Gaussian rationals (Gauss-Jordan elimination).
+
+    ``rows`` are the points' monomial rows (``exact_monomial_rows``) when the
+    caller has them already.
+    """
+    monos = monomials_of_degree(3, degree)
+    rows = list(exact_monomial_rows(points, degree) if rows is None else rows)
     ncols = len(monos)
     pivots = []
     r = 0
@@ -175,7 +191,7 @@ def cb_vanishing_space_exact(
         for rr in range(len(rows)):
             if rr != r and rows[rr][c]:
                 fac = rows[rr][c]
-                rows[rr] = [x - fac * y for x, y in zip(rows[rr], rows[r])]
+                rows[rr] = [x - fac * y if y else x for x, y in zip(rows[rr], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -5,10 +5,18 @@ from the start system g_i = z_i^{d_i} - 1 (gamma a random unit complex), with
 a first-order predictor, Newton corrector and adaptive steps.
 
 Each system is compiled once into one polycore.PolyKernel whose rows are f, g
-and the partials of both, so every predictor, corrector and polish iteration
-is one kernel call returning H, dH/dz and f - gamma g.  The same rows serve
-the certification step (residual |f| and det df/dz) of the endpoints,
-``certify_zero`` and ``jacobian_det``.  Step sizes, iteration counts and
+and the partials of both.  All Bezout paths of one gamma are tracked together
+as one (P, n) array of points: every predictor and every corrector iteration
+is one kernel call and one stacked linear solve for all active paths, each
+path with its own tau and step size, and a finished path leaves the batch.  A
+singular matrix makes the stacked solve fail as a whole; the rows are then
+solved one by one, so only the singular path is affected.  An accepted step
+ends with the evaluation of the homotopy at its new point and tau, which the
+next predictor reuses, and a rejected step reuses the evaluation it started
+from; a step after the first thus costs _NEWTON_ITERS + 1 kernel calls.  The
+same rows serve the endpoint polish and the certification step (residual |f|
+and det df/dz), both batched over the endpoints, and ``certify_zero`` and
+``jacobian_det`` at single points.  Step sizes, iteration counts and
 thresholds are module constants.
 
 A step is accepted only when the corrector's residual is small *and* the
@@ -30,8 +38,13 @@ a fresh gamma, and a duplicate still there on the last retry is counted as
 counted, not returned, so finite zeros + escaped paths reconciles with the
 Bezout number on regular instances.
 
-Determinism: all randomness derives from the seed; paths are tracked in start
--root index order and results are merged in that order.
+Determinism: all randomness derives from the seed, and results are merged in
+start-root index order, so a solve is bitwise reproducible.  Every rule reads
+one path's own values, but those values depend in the last bits on the batch
+the path is tracked in: a kernel evaluation at one point and the same
+evaluation inside a matrix product over many points round differently.  A
+path tracked alone and inside the full batch ends at the same point to within
+1e-12 relative, not bitwise.
 """
 
 from __future__ import annotations
@@ -108,35 +121,65 @@ class _System:
         rows += [g.partial(i) for i, g in enumerate(start)]
         self.kernel = PolyKernel(n, rows)
 
-    def rows(self, z: np.ndarray):
-        """(f, g, df, dg) at one point: df is the (n, n) Jacobian of f and dg
-        the diagonal of the Jacobian of g."""
-        n = self.n
-        v = self.kernel.eval_batch(z[None, :])[:, 0]
-        return v[:n], v[n : 2 * n], v[2 * n : 2 * n + n * n].reshape(n, n), v[2 * n + n * n :]
+    def rows(self, Z: np.ndarray):
+        """(f, g, df, dg) at a batch of points Z of shape (P, n): f and g are
+        (P, n), df the (P, n, n) Jacobians of f and dg the diagonals of the
+        Jacobians of g."""
+        n, P = self.n, len(Z)
+        v = self.kernel.eval_batch(Z).T
+        return v[:, :n], v[:, n : 2 * n], v[:, 2 * n : 2 * n + n * n].reshape(P, n, n), v[:, 2 * n + n * n :]
 
 
-def _homotopy(system: _System, z: np.ndarray, tau: float, gamma: complex):
-    """H = (1 - tau) gamma g + tau f, dH/dz and f - gamma g at z."""
-    f, g, df, dg = system.rows(z)
+def _homotopy(system: _System, z: np.ndarray, tau, gamma: complex):
+    """H = (1 - tau) gamma g + tau f, dH/dz and f - gamma g at z: one point
+    (n,) at a scalar tau, or a batch (P, n) with one tau per row."""
+    f, g, df, dg = system.rows(z if z.ndim == 2 else z[None])
+    t = np.asarray(tau, dtype=float).reshape(-1, 1)
+    s = 1 - t
     gg = gamma * g
-    H = (1 - tau) * gg + tau * f
-    J = (1 - tau) * np.diag(gamma * dg) + tau * df
+    H = s * gg + t * f
+    J = t[:, :, None] * df
+    n = system.n
+    J.reshape(-1, n * n)[:, :: n + 1] += s * (gamma * dg)  # the diagonals
+    if z.ndim == 1:
+        return H[0], J[0], f[0] - gg[0]
     return H, J, f - gg
 
 
 def _certify(system: _System, z: np.ndarray):
-    """The certification step at z: (residual |f(z)|, det J(z), f(z), J(z))."""
-    f, _, J, _ = system.rows(z)
-    return float(np.linalg.norm(f)), complex(np.linalg.det(J)), f, J
+    """The certification step at z: (residual |f|, det J, f, J) at one point
+    (n,), or as arrays over a batch (P, n)."""
+    f, _, J, _ = system.rows(z if z.ndim == 2 else z[None])
+    res, det = np.linalg.norm(f, axis=1), np.linalg.det(J)
+    if z.ndim == 1:
+        return float(res[0]), complex(det[0]), f[0], J[0]
+    return res, det, f, J
 
 
-def _start_roots(degrees: Sequence[int]) -> List[np.ndarray]:
-    """Roots of z_i^{d_i} = 1 in lexicographic index order."""
+def _solve_rows(A: np.ndarray, b: np.ndarray):
+    """x with A[p] x[p] = b[p] for a stack of systems, and a mask of the rows
+    whose matrix is not singular.  A stacked solve raises for the whole stack
+    when one matrix is singular; the rows are then solved one at a time, so
+    only the singular ones fail."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        ok = np.ones(len(b), dtype=bool)
+        for p in range(len(b)):
+            try:
+                x[p] = np.linalg.solve(A[p], b[p])
+            except np.linalg.LinAlgError:
+                ok[p] = False
+        return x, ok
+
+
+def _start_roots(degrees: Sequence[int]) -> np.ndarray:
+    """Roots of z_i^{d_i} = 1 in lexicographic index order, one per row."""
     axes = []
     for d in degrees:
         axes.append([cmath.exp(2j * math.pi * k / d) for k in range(d)])
-    return [np.array(combo, dtype=complex) for combo in itertools.product(*axes)]
+    return np.array(list(itertools.product(*axes)), dtype=complex)
 
 
 def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
@@ -166,115 +209,130 @@ def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
     raise SolveError(f"path failures persisted across {_MAX_RETRIES} retries")
 
 
-def _finish(system: _System, raw: List[np.ndarray]):
+def _finish(system: _System, raw: np.ndarray):
     """Polish, certify and deduplicate the endpoints of the finished paths.
 
     Returns (points, blown_up, defective, duplicates): certified simple roots
     in path order, endpoints that blew up during the polish, endpoints that
     failed certification, and endpoints repeating an earlier certified root.
     """
-    finished: List[ZeroPoint] = []
-    blown_up = 0
-    defective = 0
-    for z in raw:
-        z = _polish(system, z)
-        if not np.isfinite(z).all() or np.linalg.norm(z) > _BLOWUP:
-            blown_up += 1
-            continue
-        res, det = _certify(system, z)[:2]
-        det = abs(det)
-        if res > 1e-8 or det < _DET_THRESHOLD:
-            defective += 1
-            continue
-        finished.append(ZeroPoint(tuple(z.tolist()), res, det))
+    Z = _refine_endpoints(system, raw)  # finite: tracking and polish keep finite points only
+    blown = np.linalg.norm(Z, axis=1) > _BLOWUP
+    Z = Z[~blown]
+    res, det = _certify(system, Z)[:2]
+    det = np.abs(det)
+    good = (res <= 1e-8) & (det >= _DET_THRESHOLD)
+    Z, res, det = Z[good], res[good], det[good]
 
-    points: List[ZeroPoint] = []
-    duplicates = 0
-    for zp in finished:
-        if any(
-            np.linalg.norm(np.array(zp.point) - np.array(kept.point)) < _CLUSTER_RADIUS
-            for kept in points
-        ):
-            duplicates += 1
-        else:
-            points.append(zp)
-    return points, blown_up, defective, duplicates
+    # the first certified path to reach a root keeps it
+    dist = np.linalg.norm(Z[:, None, :] - Z[None, :, :], axis=2)
+    kept: List[int] = []
+    for i in range(len(Z)):
+        if not (dist[i, kept] < _CLUSTER_RADIUS).any():
+            kept.append(i)
+    points = [ZeroPoint(tuple(Z[i].tolist()), float(res[i]), float(det[i])) for i in kept]
+    return points, int(blown.sum()), int((~good).sum()), len(Z) - len(kept)
+
+
+def _refine_endpoints(system: _System, Z: np.ndarray) -> np.ndarray:
+    """Newton's method on f from every row of Z, all rows in one batch.  A row
+    stops where its Jacobian is singular or its next iterate is not finite."""
+    Z = Z.copy()
+    live = np.arange(len(Z))
+    for _ in range(_ENDPOINT_ITERS):
+        if not live.size:
+            break
+        f, _, J, _ = system.rows(Z[live])
+        dz, ok = _solve_rows(J, f)
+        z_new = Z[live] - dz
+        ok &= np.isfinite(z_new).all(axis=1)
+        live = live[ok]
+        Z[live] = z_new[ok]
+    return Z
+
+
+_ACTIVE, _OK, _ESCAPED, _FAILED = range(4)
 
 
 def _track_all(system: _System, gamma: complex):
-    raw = []
-    escaped = 0
-    failures = 0
-    for z0 in _start_roots(system.degrees):
-        z, status = _track_path(system, gamma, z0)
-        if status == "ok":
-            raw.append(z)
-        elif status == "infinity":
-            escaped += 1
-        else:
-            failures += 1
-    return raw, escaped, failures
+    """Track every start root; (endpoints in start-root order, escaped paths,
+    failed paths)."""
+    Z, status = _track(system, gamma, _start_roots(system.degrees))
+    return Z[status == _OK], int((status == _ESCAPED).sum()), int((status == _FAILED).sum())
 
 
-def _track_path(system: _System, gamma: complex, z0: np.ndarray):
-    z = z0.astype(complex)
-    tau = 0.0
-    step = _MAX_STEP
-    while tau < 1.0:
-        if np.linalg.norm(z) > _BLOWUP:
-            return z, "infinity"
-        h = min(step, 1.0 - tau)
+def _track(system: _System, gamma: complex, starts: np.ndarray):
+    """Track the paths from the rows of ``starts`` (P, n) as one batch.
+
+    Returns (Z, status): the last point of each path and its status, one of
+    _OK, _ESCAPED or _FAILED.  Each path keeps its own tau and step size; a
+    finished path leaves the batch.  Each step is one predictor, _NEWTON_ITERS
+    corrector iterations and the corrector's residual; the evaluation behind
+    the residual, at the point and tau a step is accepted at, is the next
+    predictor's, and a rejected step reuses the evaluation it started from.
+    """
+    P = len(starts)
+    Z_out = starts.astype(complex)
+    status = np.full(P, _ACTIVE)
+    # the active paths, compacted: their indices, points, tau, step sizes and
+    # the homotopy's dH/dz and f - gamma g at (z, tau)
+    ids = np.arange(P)
+    Z, tau, step = Z_out.copy(), np.zeros(P), np.full(P, _MAX_STEP)
+    _, J, rhs = _homotopy(system, Z, tau, gamma)
+
+    def leave(done, how):
+        nonlocal ids, Z, tau, step, J, rhs
+        if done.any():
+            Z_out[ids[done]] = Z[done]
+            status[ids[done]] = how
+            keep = ~done
+            ids, Z, tau, step, J, rhs = ids[keep], Z[keep], tau[keep], step[keep], J[keep], rhs[keep]
+
+    while ids.size:
+        leave(np.linalg.norm(Z, axis=1) > _BLOWUP, _ESCAPED)
         # first-order predictor: J_H dz/dtau = -(f - gamma g)
-        _, J, rhs = _homotopy(system, z, tau, gamma)
-        try:
-            dz = np.linalg.solve(J, -rhs)
-        except np.linalg.LinAlgError:
-            return z, "failure"
-        z_pred = z + h * dz
-        z_corr, res = _corrector(system, gamma, tau + h, z_pred)
-        reach = _CORRECTOR_REACH * max(1.0, float(np.linalg.norm(z_pred)))
-        if (
-            res < _CORRECTOR_TOL * max(1.0, float(np.linalg.norm(z_corr)))
-            and np.linalg.norm(z_corr - z_pred) <= reach
-        ):
-            tau += h
-            z = z_corr
-            step = min(_MAX_STEP, step * 1.5)
-        else:
-            step *= 0.5
-            if step < _MIN_STEP:
-                if tau > 0.99:
-                    return z, "infinity"  # step underflow at the end: divergent path
-                return z, "failure"
-    return z, "ok"
+        dz, ok = _solve_rows(J, -rhs)
+        leave(~ok, _FAILED)
+        h = np.minimum(step, 1.0 - tau)
+        z_pred = Z + h[:, None] * dz[ok]
+        rows, z_corr, res, J_corr, rhs_corr = _correct(system, gamma, tau + h, z_pred)
+        z_pred = z_pred[rows]
+        reach = _CORRECTOR_REACH * np.maximum(1.0, np.linalg.norm(z_pred, axis=1))
+        good = (res < _CORRECTOR_TOL * np.maximum(1.0, np.linalg.norm(z_corr, axis=1))) & (
+            np.linalg.norm(z_corr - z_pred, axis=1) <= reach
+        )
+        a = rows[good]
+        accepted = np.zeros(len(ids), dtype=bool)
+        accepted[a] = True
+        tau[a] += h[a]
+        Z[a] = z_corr[good]
+        J[a] = J_corr[good]
+        rhs[a] = rhs_corr[good]
+        step = np.where(accepted, np.minimum(_MAX_STEP, step * 1.5), step * 0.5)
+        # a step underflow near tau = 1 marks a divergent path
+        leave((step < _MIN_STEP) & (tau > 0.99), _ESCAPED)
+        leave(step < _MIN_STEP, _FAILED)
+        leave(tau >= 1.0, _OK)
+    return Z_out, status
 
 
-def _corrector(system: _System, gamma: complex, tau: float, z: np.ndarray):
+def _correct(system: _System, gamma: complex, tau: np.ndarray, Z: np.ndarray):
+    """Newton's method on H(., tau) from every row of Z, with per-row tau.
+
+    Returns (rows, Z, res, J, rhs) for the rows that stayed finite with
+    regular Jacobians: their indices into Z, their iterates, the residual |H|
+    there and the evaluation (dH/dz, f - gamma g) behind it.
+    """
+    rows = np.arange(len(Z))
     for _ in range(_NEWTON_ITERS):
-        H, J, _ = _homotopy(system, z, tau, gamma)
-        try:
-            dz = np.linalg.solve(J, H)
-        except np.linalg.LinAlgError:
-            return z, np.inf
-        z = z - dz
-        if not np.isfinite(z).all():
-            return z, np.inf
-    H = _homotopy(system, z, tau, gamma)[0]
-    return z, float(np.linalg.norm(H))
-
-
-def _polish(system: _System, z: np.ndarray) -> np.ndarray:
-    for _ in range(_ENDPOINT_ITERS):
-        f, _, J, _ = system.rows(z)
-        try:
-            dz = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
-            break
-        z_new = z - dz
-        if not np.isfinite(z_new).all():
-            break
-        z = z_new
-    return z
+        H, J, _ = _homotopy(system, Z, tau, gamma)
+        dz, ok = _solve_rows(J, H)
+        Z = Z - dz
+        ok &= np.isfinite(Z).all(axis=1)
+        if not ok.all():
+            rows, Z, tau = rows[ok], Z[ok], tau[ok]
+    H, J, rhs = _homotopy(system, Z, tau, gamma)
+    return rows, Z, np.linalg.norm(H, axis=1), J, rhs
 
 
 def certify_zero(polys: Sequence[AffinePoly], p: Sequence[complex]):

@@ -1,6 +1,9 @@
 """Scenario loading, task dispatch, report emission, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,3 +250,26 @@ def test_overlapping_balls_precondition(tmp_path):
     report = run_scenario(path)
     assert report.tasks[0].verdict == "precondition-failed"
     assert "overlapping" in report.tasks[0].results["error"]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_threads_unless_preset(tmp_path, preset, expected):
+    # the CLI pins BLAS to one thread before numpy is imported, keeps a count
+    # the environment already sets, and names it in the text report only
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = write_scenario(tmp_path, BASE_P1)
+    json_out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "residue_lab.cli", "verify", path, "--threads", "1", "--json-out", str(json_out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[0].endswith(f"blas_threads={expected}")
+    assert "blas" not in json_out.read_text()

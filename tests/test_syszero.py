@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from residue_lab import syszero
-from residue_lab.polycore import monomials_of_degree, parse_poly, HomogeneousPoly, AffinePoly
+from residue_lab.polycore import monomials_of_degree, parse_poly, HomogeneousPoly, AffinePoly, PolyKernel
 from residue_lab.syszero import (
     certify_zero,
     solve_square_system,
@@ -224,3 +224,136 @@ def test_homotopy_rows_match_scalar_evaluation(n, kind):
             assert _close(H, (1 - tau) * gamma * g + tau * f)
             assert _close(J, (1 - tau) * gamma * dg + tau * df)
             assert _close(rhs, f - gamma * g)
+
+
+# ------------------------------------------------------- batched tracking
+
+
+def _dense_system(rng, degrees):
+    """Random dense affine polynomials of the given degrees."""
+    n = len(degrees)
+    polys = []
+    for d in degrees:
+        terms = {}
+        for k in range(d + 1):
+            for e in monomials_of_degree(n, k):
+                terms[e] = complex(rng.normal(), rng.normal())
+        polys.append(AffinePoly(n, terms))
+    return polys
+
+
+_BATCH_CASES = [
+    ("dense", (2, 2), 0),
+    ("dense", (3, 3), 1),
+    ("dense", (3, 3), 2),
+    ("dense", (2, 2, 2), 3),
+    ("escaping", None, 4),
+]
+
+
+@pytest.mark.parametrize("kind, degrees, seed", _BATCH_CASES)
+def test_path_is_independent_of_its_batch(kind, degrees, seed):
+    # a path tracked alone (a batch of one) and inside the full batch gets the
+    # same status and, polished, the same endpoint to within 1e-12 relative;
+    # bitwise equality is not expected, since a kernel evaluation at one point
+    # and inside a matrix product over many points round differently
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        polys = _dense_system(rng, degrees)
+    else:
+        polys = [aff("z0*z1 - 1", 2), aff("z0 - 2", 2)]
+    system = syszero._System(polys)
+    gamma = complex(np.exp(2j * np.pi * rng.uniform()))
+    starts = syszero._start_roots(system.degrees)
+    Z, status = syszero._track(system, gamma, starts)
+    polished = syszero._refine_endpoints(system, Z)
+    if kind == "escaping":
+        assert sorted(status.tolist()) == [syszero._OK, syszero._ESCAPED]
+    for i in range(len(starts)):
+        z1, status1 = syszero._track(system, gamma, starts[i : i + 1])
+        assert status1[0] == status[i]
+        if status[i] == syszero._OK:
+            alone = syszero._refine_endpoints(system, z1)[0]
+            assert np.linalg.norm(alone - polished[i]) <= 1e-12 * np.linalg.norm(polished[i])
+
+
+def test_singular_matrix_fails_only_its_row():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    A[2, :, 1] = 0  # a zero column: exactly singular
+    b = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    x, ok = syszero._solve_rows(A, b)
+    assert ok.tolist() == [True, True, False, True]
+    for p in (0, 1, 3):
+        assert np.array_equal(x[p], np.linalg.solve(A[p], b[p]))
+
+
+def test_singular_jacobian_fails_or_rejects_only_its_path():
+    # g = z^2 - 1 has a singular Jacobian at z = 0, so a path started there
+    # fails in the predictor and a corrector started there is rejected, while
+    # the other paths of the batch go on as if it were absent
+    polys = [aff("z0^2 + z1 - 1", 2), aff("z1^2 - z0 - 2", 2)]
+    system = syszero._System(polys)
+    gamma = complex(np.exp(0.7j))
+    starts = syszero._start_roots(system.degrees)
+    with_singular = np.vstack([starts[:2], np.zeros((1, 2)), starts[2:]])
+    Z, status = syszero._track(system, gamma, with_singular)
+    Z_ref, status_ref = syszero._track(system, gamma, starts)
+    assert status[2] == syszero._FAILED
+    assert np.array_equal(np.delete(status, 2), status_ref)
+    kept = np.delete(Z, 2, axis=0)
+    assert np.max(np.abs(kept - Z_ref)) <= 1e-12 * np.max(np.abs(Z_ref))
+
+    rows, *_ = syszero._correct(system, gamma, np.zeros(3), with_singular[1:4])
+    assert rows.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("n, kind", _LAYOUT_CASES)
+def test_batched_homotopy_matches_single_points(n, kind):
+    # H, dH/dz and f - gamma g at (P, n) points, one tau per row, equal the
+    # single-point values row by row
+    rng = np.random.default_rng(2000 * n + len(kind))
+    system = syszero._System(_random_system(rng, n, kind))
+    gamma = complex(np.exp(2j * np.pi * rng.uniform()))
+    Z = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    tau = np.array([0.0, 0.2, 0.37, 0.5, 0.91, 1.0])
+    H, J, rhs = syszero._homotopy(system, Z, tau, gamma)
+    assert H.shape == (6, n) and J.shape == (6, n, n) and rhs.shape == (6, n)
+    for p in range(6):
+        H1, J1, rhs1 = syszero._homotopy(system, Z[p], tau[p], gamma)
+        assert _close(H[p], H1) and _close(J[p], J1) and _close(rhs[p], rhs1)
+
+
+def test_each_step_after_the_first_costs_newton_iters_plus_one_kernel_calls(monkeypatch):
+    # the predictor reuses the evaluation that ended the previous step
+    # (accepted) or that the step started from (rejected), so only the first
+    # step evaluates the homotopy for its predictor
+    rng = np.random.default_rng(0)
+    system = syszero._System(_dense_system(rng, (3, 3)))
+    gamma = complex(np.exp(0.6j * np.pi))
+    calls = []
+    steps = []
+    eval_batch = PolyKernel.eval_batch
+    correct = syszero._correct
+
+    def counted_eval(self, W):
+        calls.append(len(W))
+        return eval_batch(self, W)
+
+    def recorded_correct(system, gamma, tau, Z):
+        out = correct(system, gamma, tau, Z)
+        steps.append((float(tau[0]), len(out[0]) == len(Z)))
+        return out
+
+    monkeypatch.setattr(PolyKernel, "eval_batch", counted_eval)
+    monkeypatch.setattr(syszero, "_correct", recorded_correct)
+    starts = syszero._start_roots(system.degrees)
+    _, status = syszero._track(system, gamma, starts[:1])
+    assert status[0] == syszero._OK
+    assert all(survived for _, survived in steps)  # no corrector broke down
+    taus = [t for t, _ in steps]
+    rejected = sum(later < earlier for earlier, later in zip(taus, taus[1:]))
+    assert rejected >= 1  # a retry after a rejected step also reuses the evaluation
+    accepted = len(steps) - rejected
+    assert accepted >= 10
+    assert len(calls) == 1 + (syszero._NEWTON_ITERS + 1) * len(steps)
