@@ -11,9 +11,15 @@ numbers in the report, |a - b| / max(|a|, |b|), and the JSON path of the
 number where it occurs (e.g. ``tasks[0].results.max_residual``).  Complex
 numbers are stored as [re, im] pairs and compared as complex numbers, so the
 rounding noise of an imaginary part that is zero in exact arithmetic is
-measured against the modulus, not against itself.  It exits 0 only when every verdict is
-identical, every non-numeric field agrees and every number agrees within
-1e-12 relative.
+measured against the modulus, not against itself.
+
+Two differing numbers that are both at most ABS_FLOOR in modulus are
+rounding noise of quantities that are zero in exact arithmetic (residuals,
+vanishing ratios, ledger values of a cancelling sum): any reordering of the
+arithmetic moves them by an O(1) relative amount.  They are not counted in
+the deviation; each task lists their JSON paths on a line of its own.  It
+exits 0 only when every verdict is identical, every non-numeric field agrees
+and every number above the floor agrees within 1e-12 relative.
 """
 
 import argparse
@@ -21,6 +27,7 @@ import json
 from pathlib import Path
 
 RTOL = 1e-12
+ABS_FLOOR = 1e-14
 
 
 def _pairs(old: Path, new: Path):
@@ -45,22 +52,35 @@ def _as_number(x):
     return None
 
 
-def _deviation(a, b, where: str, mismatches: list):
+def _deviation(a, b, where: str, mismatches: list, floored: list):
     """(largest relative deviation between the numbers of two JSON values,
-    JSON path of that number); any other difference is recorded in
+    JSON path of that number); the paths of differing numbers under the
+    floor are recorded in ``floored``, any other difference in
     ``mismatches``."""
     za, zb = _as_number(a), _as_number(b)
     if za is not None and zb is not None:
-        return (0.0 if za == zb else abs(za - zb) / max(abs(za), abs(zb))), where
+        if za == zb:
+            return 0.0, where
+        if max(abs(za), abs(zb)) <= ABS_FLOOR:
+            floored.append(where)
+            return 0.0, where
+        return abs(za - zb) / max(abs(za), abs(zb)), where
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        parts = [_deviation(a[k], b[k], f"{where}.{k}", mismatches) for k in a]
+        parts = [_deviation(a[k], b[k], f"{where}.{k}", mismatches, floored) for k in a]
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        parts = [_deviation(x, y, f"{where}[{i}]", mismatches) for i, (x, y) in enumerate(zip(a, b))]
+        parts = [
+            _deviation(x, y, f"{where}[{i}]", mismatches, floored) for i, (x, y) in enumerate(zip(a, b))
+        ]
     else:
         if a != b:
             mismatches.append(f"{where}: {a!r} != {b!r}")
         parts = []
     return max(parts, key=lambda part: part[0], default=(0.0, where))
+
+
+def _print_floored(paths: list):
+    if paths:
+        print(f"    differ below {ABS_FLOOR:g} on both sides: {', '.join(paths)}")
 
 
 def main() -> int:
@@ -83,12 +103,17 @@ def main() -> int:
             continue
         mismatches: list = []
         header_old, header_new = ({k: v for k, v in doc.items() if k != "tasks"} for doc in (old, new))
-        _deviation(header_old, header_new, "report", mismatches)
+        floored: list = []
+        dev, _ = _deviation(header_old, header_new, "report", mismatches, floored)
+        ok = ok and dev <= RTOL
+        _print_floored(floored)
         for i, (a, b) in enumerate(zip(old["tasks"], new["tasks"])):
-            dev, at = _deviation(a, b, f"tasks[{i}]", mismatches)
+            floored = []
+            dev, at = _deviation(a, b, f"tasks[{i}]", mismatches, floored)
             same = a["verdict"] == b["verdict"]
             at = f" at {at}" if dev > 0 else ""
             print(f"{name} [{i}] {a['kind']:18s} {a['verdict']} -> {b['verdict']}  max rel dev {dev:.2e}{at}")
+            _print_floored(floored)
             ok = ok and same and dev <= RTOL
         for m in mismatches:
             print(f"    {m}")

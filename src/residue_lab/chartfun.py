@@ -11,10 +11,14 @@ conjugated or plain coordinate factor, which folds into B or A), so all
 derivatives needed for the superconnection one-form and the Chern curvature
 are exact -- no numerical differentiation in the production path.
 
-For evaluation a function compiles itself once (see :meth:`ChartFunction.eval_batch`)
-into one :class:`~residue_lab.polycore.PolyKernel` over all of its polynomial
-factors, so a batch costs one monomial table, one matrix product and a
-weighted sum however many terms there are.
+For evaluation, functions that are needed at the same points compile into
+one :class:`ChartGroup`: a single :class:`~residue_lab.polycore.PolyKernel`
+over the polynomial factors of all of them, so a block of points costs one
+monomial table and one matrix product however many functions and terms there
+are, and each distinct weight power is taken once per block.  Every function
+keeps its own term grouping and summation order, so a function evaluates to
+the same bits alone or inside any group; :meth:`ChartFunction.eval_batch` is
+a group of one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .polycore import AffinePoly, PolyKernel, row_blocks
 
-__all__ = ["ChartFunction"]
+__all__ = ["ChartFunction", "ChartGroup"]
 
 
 @dataclass(frozen=True)
@@ -151,54 +155,90 @@ class ChartFunction:
         w = np.asarray(w, dtype=np.complex128)
         return complex(self.eval_batch(w.reshape(1, -1))[0])
 
-    def _compile(self):
+    def _sums(self):
         """Sum coef * hol over the terms that share (weight, anti), so equal
-        terms merge and cancelling ones drop out.
-
-        Returns the kernel over [the sums..., the distinct anti factors...],
-        the kernel row of each sum's anti factor, and (weight, slice of the
-        sums) pairs.  Compiling is deterministic, so threads that race on
-        the first call store equal results."""
-        if self._compiled is None:
-            by_weight: dict = {}  # weight -> {anti: sum of coef * hol}
-            for t in self.terms:
-                sums = by_weight.setdefault(t.weight, {})
-                part = t.hol.scale(t.coef)
-                sums[t.anti] = sums[t.anti] + part if t.anti in sums else part
-            hols, antis, slices = [], [], []
-            for w, sums in by_weight.items():
-                start = len(hols)
-                for anti, hol in sums.items():
-                    if not hol.is_zero():
-                        hols.append(hol)
-                        antis.append(anti)
-                if len(hols) > start:
-                    slices.append((w, slice(start, len(hols))))
-            distinct = list(dict.fromkeys(antis))
-            kernel = PolyKernel(self.num_vars, hols + distinct)
-            anti_row = np.array([len(hols) + distinct.index(a) for a in antis], dtype=np.int64)
-            self._compiled = (kernel, anti_row, slices)
-        return self._compiled
+        terms merge and cancelling ones drop out: [(weight, [(anti, hol sum),
+        ...]), ...] in first-seen order, zero sums dropped."""
+        by_weight: dict = {}  # weight -> {anti: sum of coef * hol}
+        for t in self.terms:
+            sums = by_weight.setdefault(t.weight, {})
+            part = t.hol.scale(t.coef)
+            sums[t.anti] = sums[t.anti] + part if t.anti in sums else part
+        grouped = []
+        for w, sums in by_weight.items():
+            pairs = [(anti, hol) for anti, hol in sums.items() if not hol.is_zero()]
+            if pairs:
+                grouped.append((w, pairs))
+        return grouped
 
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of chart points, shape (N, num_vars) -> (N,)."""
-        W = np.asarray(W, dtype=np.complex128)
-        out = np.zeros(W.shape[0], dtype=np.complex128)
-        kernel, anti_row, slices = self._compile()
-        if not slices:
-            return out
-        for rows in row_blocks(W.shape[0]):
-            Wb = W[rows]
-            V = kernel.eval_batch(Wb)
-            prod = np.conjugate(V[anti_row])
-            prod *= V[: len(anti_row)]
-            # 1 + |w|^2; the row sum as a product with ones is far faster than
-            # a reduction over the short axis
-            weight_base = 1.0 + (Wb.real**2 + Wb.imag**2) @ np.ones(self.num_vars)
-            for w, group in slices:
-                part = prod[group].sum(axis=0)
-                out[rows] += part * weight_base ** float(w) if w else part
-        return out
+        """Evaluate at a batch of chart points, shape (N, num_vars) -> (N,).
+
+        Compiles on the first call; compiling is deterministic, so threads
+        that race on it store equal groups."""
+        if self._compiled is None:
+            self._compiled = ChartGroup(self.num_vars, [self])
+        return self._compiled.eval_batch(W)[0]
 
     def __repr__(self):
         return f"ChartFunction({self.num_vars} vars, {len(self.terms)} terms)"
+
+
+class ChartGroup:
+    """Chart functions compiled for evaluation at the same points.
+
+    The kernel's rows are the hol sums of every function (see
+    ``ChartFunction._sums``) followed by the distinct anti factors of the
+    whole group.  ``layout`` holds, per function, the kernel rows of its hol
+    sums, the kernel row of each sum's anti factor and (weight, slice of its
+    sums) pairs.
+    """
+
+    __slots__ = ("num_vars", "size", "kernel", "layout")
+
+    def __init__(self, num_vars: int, functions: List[ChartFunction]):
+        self.num_vars = num_vars
+        self.size = len(functions)
+        hols, antis, parts = [], [], []
+        for f in functions:
+            start, slices = len(hols), []
+            for w, pairs in f._sums():
+                first = len(hols) - start
+                for anti, hol in pairs:
+                    hols.append(hol)
+                    antis.append(anti)
+                slices.append((w, slice(first, len(hols) - start)))
+            parts.append((slice(start, len(hols)), slices))
+        distinct = {a: len(hols) + k for k, a in enumerate(dict.fromkeys(antis))}
+        self.kernel = PolyKernel(num_vars, hols + list(distinct))
+        anti_row = np.array([distinct[a] for a in antis], dtype=np.int64)
+        self.layout = [
+            (index, rows, anti_row[rows], slices)
+            for index, (rows, slices) in enumerate(parts)
+            if slices
+        ]
+
+    def eval_batch(self, W: np.ndarray) -> np.ndarray:
+        """Every function at a batch of chart points, (N, num_vars) -> (size, N)."""
+        W = np.asarray(W, dtype=np.complex128)
+        out = np.zeros((self.size, W.shape[0]), dtype=np.complex128)
+        if not self.layout:
+            return out
+        for rows in row_blocks(W.shape[0]):
+            Wb = W[rows]
+            V = self.kernel.eval_batch(Wb)
+            # 1 + |w|^2; the row sum as a product with ones is far faster than
+            # a reduction over the short axis
+            weight_base = 1.0 + (Wb.real**2 + Wb.imag**2) @ np.ones(self.num_vars)
+            powers = {}
+            for index, hol_rows, anti_rows, slices in self.layout:
+                prod = np.conjugate(V[anti_rows])
+                prod *= V[hol_rows]
+                for w, group in slices:
+                    part = prod[group].sum(axis=0)
+                    if w:
+                        if w not in powers:
+                            powers[w] = weight_base ** float(w)
+                        part = part * powers[w]
+                    out[index, rows] += part
+        return out

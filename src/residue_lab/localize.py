@@ -38,6 +38,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly
 from .projgeom import (
     Example22Geometry,
@@ -94,6 +95,7 @@ class FlatModel:
         self.s_aff = list(s_aff)
         self.psi_aff = psi_aff
         self.ds = [[s.partial(b) for b in range(self.n)] for s in self.s_aff]
+        self._density = None
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         total = np.zeros(W.shape[0])
@@ -113,6 +115,20 @@ class FlatModel:
     def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         return self.psi_aff.eval_batch(W)
 
+    def density_group(self, chart: int) -> ChartGroup:
+        """[|s|^2, conj(d_b s_p) for b, p in row order, P] as one group,
+        laid out as GeometryContext.density_group."""
+        if self._density is None:
+            n = self.n
+            s_norm2 = ChartFunction.zero(n)
+            for s in self.s_aff:
+                s_norm2 = s_norm2 + ChartFunction.from_parts(n, hol=s, anti=s)
+            functions = [s_norm2]
+            functions += [ChartFunction.from_parts(n, anti=self.ds[p][b]) for b in range(n) for p in range(n)]
+            functions.append(ChartFunction.from_parts(n, hol=self.psi_aff))
+            self._density = ChartGroup(n, functions)
+        return self._density
+
     def S_form(self, chart: int, w, t: float) -> SForm:
         """S/2t at one point (n,) or a batch (N, n); see GeometryContext.S_form."""
         W = np.asarray(w, dtype=complex)
@@ -125,21 +141,48 @@ class FlatModel:
         return SForm(self.n, scal, one)
 
 
+def _det(A: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices, (N, n, n) -> (N,).
+
+    Leibniz's formula for n <= 3, where LAPACK's per-matrix overhead would
+    dominate; np.linalg.det above that."""
+    n = A.shape[-1]
+    if n == 1:
+        return A[:, 0, 0]
+    if n == 2:
+        return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    if n == 3:
+        a = [[A[:, i, j] for j in range(3)] for i in range(3)]
+        return (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
+    return np.linalg.det(A)
+
+
 def _density_parts(ctx, chart: int, W: np.ndarray):
-    """The t-independent parts of the global density: |s|^2 and P det(Abar)."""
-    s2 = ctx.s_norm2_batch(chart, W)
-    return s2, ctx.psi_batch(chart, W) * np.linalg.det(ctx.sbar_matrix_batch(chart, W))
+    """The t-independent parts of the global density, |s|^2 and P det(Abar),
+    from one evaluation of the chart's density group."""
+    n = ctx.n
+    V = ctx.density_group(chart).eval_batch(W)
+    Abar = V[1:-1].T.reshape(len(W), n, n)
+    return V[0].real, V[-1] * _det(Abar)
 
 
-def _density(n: int, s2: np.ndarray, psi_det: np.ndarray, t: float) -> np.ndarray:
-    """g from its t-independent parts, with det(A) = det(-Abar/2t) = det(Abar) (-1/2t)^n."""
+def _density(n: int, s2: np.ndarray, psi_det: np.ndarray, ts: Sequence[float]) -> np.ndarray:
+    """g at every t of ``ts`` from its t-independent parts, shape (len(ts), N),
+    with det(A) = det(-Abar/2t) = det(Abar) (-1/2t)^n; the power is taken in
+    Python floats, one per t."""
     pref = (-1.0) ** (n * (n + 1) // 2) / math.pi**n
-    return pref * np.exp(-s2 / (2.0 * t)) * psi_det * (-1.0 / (2.0 * t)) ** n
+    t = np.array(ts, dtype=float)[:, None]
+    scale = np.array([(-1.0 / (2.0 * v)) ** n for v in ts])[:, None]
+    return pref * np.exp(-s2 / (2.0 * t)) * psi_det * scale
 
 
 def global_density(ctx, chart: int, W: np.ndarray, t: float) -> np.ndarray:
     """Real-measure density g of the prefactored (n,n) integrand (module doc)."""
-    return _density(ctx.n, *_density_parts(ctx, chart, W), t)
+    return _density(ctx.n, *_density_parts(ctx, chart, W), [t])[0]
 
 
 def global_density_tensor(ctx, chart: int, w, t: float):
@@ -234,14 +277,11 @@ def virtual_residue_sweep(
         charts = np.argmax(np.abs(Z), axis=1)
         out = np.zeros((len(ts), count), dtype=complex)
         for chart in range(n + 1):
-            mask = charts == chart
-            if not mask.any():
+            idx = np.flatnonzero(charts == chart)
+            if not idx.size:
                 continue
-            W = np.delete(Z[mask] / Z[mask, chart][:, None], chart, axis=1)
-            dens = fs_density(W, n)
-            s2, psi_det = _density_parts(ctx, chart, W)
-            for k, t in enumerate(ts):
-                out[k, mask] = _density(n, s2, psi_det, t) / dens
+            W = np.delete(Z[idx] / Z[idx, chart][:, None], chart, axis=1)
+            out[:, idx] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
         return out.T  # (count, len(ts)) so chunks concatenate on axis 0
 
     x = _run_chunks(worker, samples, threads)
@@ -488,12 +528,12 @@ def fiber_mass_quadrature(
         R = sigma_mult * width
         r = 0.5 * R * (nodes + 1.0)
         wr = 0.5 * R * weights
-        for theta in thetas:
-            zeta = r * cmath.exp(1j * theta)
-            if base == 0:
-                W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
-            else:
-                W = np.stack([root + zeta, np.full_like(zeta, u)], axis=1)
-            g = global_density(ctx, chart, W, t)
-            total += np.sum(g * r * wr) * wth
+        zeta = np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])
+        if base == 0:
+            W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
+        else:
+            W = np.stack([root + zeta, np.full_like(zeta, u)], axis=1)
+        g = global_density(ctx, chart, W, t).reshape(angular_nodes, radial_nodes)
+        for ray in g:  # summed ray by ray
+            total += np.sum(ray * r * wr) * wth
     return complex(total)

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chartfun import ChartFunction
+from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, HomogeneousPoly
 from .superalg import SForm
 
@@ -221,18 +221,50 @@ class _ChartData:
     dG: Optional[list] = None
     dbarG: Optional[list] = None
     d2G: Optional[list] = None
+    groups: dict = field(default_factory=dict)  # compiled ChartGroups, see matrix_group
+
+    def matrix_group(self, key: tuple, cols=None):
+        """(group, (rows, columns), shape): the nonzero entries of one square
+        matrix of chart functions compiled as one group, their positions, and
+        the shape of the matrix.
+
+        ``key`` names the matrix: ("H",), ("dG", a), ("d2G", a, b), ... for
+        ``self.H``, ``self.dG[a]``, ``self.d2G[a][b]``.  With ``cols``, only
+        those columns, numbered in that order.  Built on first use; threads
+        that race on it build equal groups."""
+        cols = None if cols is None else tuple(cols)
+        if (key, cols) not in self.groups:
+            mat = getattr(self, key[0])
+            for k in key[1:]:
+                mat = mat[k]
+            picked = range(len(mat)) if cols is None else cols
+            entries = [(i, k) for i in range(len(mat)) for k, j in enumerate(picked) if mat[i][j].terms]
+            group = ChartGroup(len(self.s_aff), [mat[i][picked[k]] for i, k in entries])
+            at = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+            self.groups[(key, cols)] = (group, (at[0], at[1]), (len(mat), len(picked)))
+        return self.groups[(key, cols)]
+
+    def density_group(self) -> ChartGroup:
+        """[|s|^2, Abar[b][p] for b, p in row order, P] as one group: the
+        t-independent parts of the global density at one set of points."""
+        if "density" not in self.groups:
+            if self.psi_aff is None:
+                raise GeometryError("this instance carries no psi")
+            n = len(self.s_aff)
+            functions = [self.s_norm2] + [f for row in self.Abar for f in row]
+            functions.append(ChartFunction.from_parts(n, hol=self.psi_aff))
+            self.groups["density"] = ChartGroup(n, functions)
+        return self.groups["density"]
 
 
-def _eval_matrix(mat: List[List[ChartFunction]], W: np.ndarray, cols=None) -> np.ndarray:
-    """A square matrix of chart functions at a batch of points, shape (N, n, n);
-    with ``cols``, only those columns, shape (N, n, len(cols))."""
-    n = len(mat)
-    cols = range(n) if cols is None else cols
-    out = np.zeros((W.shape[0], n, len(cols)), dtype=complex)
-    for i in range(n):
-        for k, j in enumerate(cols):
-            if mat[i][j].terms:
-                out[:, i, k] = mat[i][j].eval_batch(W)
+def _eval_matrix(data: _ChartData, key: tuple, W: np.ndarray, cols=None) -> np.ndarray:
+    """The square matrix of chart functions ``data.matrix_group`` names by
+    ``key`` at a batch of points, shape (N, n, n); with ``cols``, only those
+    columns, shape (N, n, len(cols))."""
+    group, (rows, at), shape = data.matrix_group(key, cols)
+    out = np.zeros((W.shape[0],) + shape, dtype=complex)
+    if group.size:
+        out[:, rows, at] = group.eval_batch(W).T
     return out
 
 
@@ -335,7 +367,9 @@ class GeometryContext:
 
     def _curvature_functions(self, chart: int):
         data = self.chart_data(chart)
-        if data.dG is None:
+        # d2G is assigned last: a thread that finds it set finds dG and dbarG
+        # set too, and threads that race on the build store equal lists
+        if data.d2G is None:
             n = self.n
             data.dG = [[[data.G[i][j].d(a) for j in range(n)] for i in range(n)] for a in range(n)]
             data.dbarG = [
@@ -354,7 +388,7 @@ class GeometryContext:
         return self.metric_matrix_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
 
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        return _eval_matrix(self.chart_data(chart).H, W)
+        return _eval_matrix(self.chart_data(chart), ("H",), W)
 
     def s_value_and_norm(self, chart: int, w: Sequence[complex]):
         """(s_i(w) in the chart frame, |s|^2(w))."""
@@ -395,10 +429,14 @@ class GeometryContext:
 
     def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Unscaled dbar<., s> as (N, n, n) with [b, p] = dbar_b xi_p."""
-        return _eval_matrix(self.chart_data(chart).Abar, W)
+        return _eval_matrix(self.chart_data(chart), ("Abar",), W)
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         return self.chart_data(chart).s_norm2.eval_batch(W).real
+
+    def density_group(self, chart: int) -> ChartGroup:
+        """[|s|^2, Abar[b][p] for b, p in row order, P] compiled as one group."""
+        return self.chart_data(chart).density_group()
 
     def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         data = self.chart_data(chart)
@@ -426,19 +464,19 @@ class GeometryContext:
         """
         data = self._curvature_functions(chart)
         n = self.n
-        Ginv = np.linalg.inv(_eval_matrix(data.G, W))
+        Ginv = np.linalg.inv(_eval_matrix(data, ("G",), W))
         if entry is None:
             rows, cols, a_values = Ginv, range(n), range(n)
         else:
             i, j, a = entry
             rows, cols, a_values = Ginv[:, i : i + 1, :], [j], [a]
         # (rows of) G^{-1} (dbar_b G) G^{-1}, once per b
-        left = [rows @ _eval_matrix(data.dbarG[b], W) @ Ginv for b in range(n)]
+        left = [rows @ _eval_matrix(data, ("dbarG", b), W) @ Ginv for b in range(n)]
         out = np.zeros((W.shape[0], rows.shape[1], len(cols), len(a_values), n), dtype=complex)
         for k, a in enumerate(a_values):
-            dGa = _eval_matrix(data.dG[a], W, cols)
+            dGa = _eval_matrix(data, ("dG", a), W, cols)
             for b in range(n):
-                d2 = _eval_matrix(data.d2G[a][b], W, cols)
+                d2 = _eval_matrix(data, ("d2G", a, b), W, cols)
                 out[:, :, :, k, b] = left[b] @ dGa - rows @ d2
         return out if entry is None else out[:, 0, 0, 0, :]
 

@@ -24,6 +24,7 @@ from .polycore import (
     AffinePoly,
     GaussianRational,
     HomogeneousPoly,
+    PolyKernel,
     monomials_of_degree,
 )
 from .syszero import jacobian_det, solve_square_system, zeros_at_infinity_check
@@ -131,8 +132,9 @@ def cb_vanishing_space(
     relative rank tolerance.
     """
     monos = monomials_of_degree(3, degree)
-    P = _normalize_rows(points)
-    M = np.array([[np.prod(p**np.array(e)) for e in monos] for p in P], dtype=complex)
+    # one unit polynomial per monomial: the kernel's rows are its monomial table
+    table = PolyKernel(3, [HomogeneousPoly(3, degree, {e: 1.0}) for e in monos])
+    M = table.eval_batch(_normalize_rows(points)).T
     _, sv, Vh = np.linalg.svd(M)
     rank = int(np.sum(sv > rank_tol * (sv[0] if len(sv) else 1.0)))
     basis = []

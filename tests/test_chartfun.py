@@ -1,11 +1,12 @@
 """Chart functions: compiled batch evaluation against a term-by-term reference,
-term merging, exact derivatives against finite differences."""
+groups against their members, term merging, exact derivatives against finite
+differences."""
 
 import numpy as np
 import pytest
 
 from residue_lab import polycore
-from residue_lab.chartfun import ChartFunction, _Term
+from residue_lab.chartfun import ChartFunction, ChartGroup, _Term
 from residue_lab.polycore import AffinePoly
 
 NV = 2
@@ -95,6 +96,23 @@ def test_blocks_of_rows_agree_with_one_block(monkeypatch):
     whole = fn.eval_batch(W)
     monkeypatch.setattr(polycore, "ROW_BLOCK", 7)
     assert close(fn.eval_batch(W), whole, rtol=1e-14)
+
+
+@pytest.mark.parametrize("rows", [0, 40, polycore.ROW_BLOCK + 37])
+def test_group_equals_each_member_bitwise(rows):
+    # members with mixed weights and shared anti factors, an empty function
+    # and one whose terms cancel; each member's own eval_batch is a group of one
+    rng = np.random.default_rng(300 + rows)
+    members = [random_function(rng) for _ in range(4)]
+    f = members[0]
+    members += [ChartFunction.zero(NV), f - f, f.conjugate(), ChartFunction.from_parts(NV, weight=-3)]
+    rng.shuffle(members)
+    W = points(rng, rows)
+    values = ChartGroup(NV, members).eval_batch(W)
+    assert values.shape == (len(members), rows)
+    for fn, row in zip(members, values):
+        assert np.array_equal(row, fn.eval_batch(W))
+    assert ChartGroup(NV, []).eval_batch(W).shape == (0, rows)
 
 
 def test_cancelling_terms_merge_to_zero():

@@ -26,6 +26,7 @@ from residue_lab.projgeom import (
 )
 from residue_lab.localize import (
     FlatModel,
+    _det,
     curve_integrand_tensor,
     curve_localized_term,
     det_N_inverse_term,
@@ -123,6 +124,46 @@ def test_batched_tensor_route_matches_fast_density_at_every_point(chart):
     for m in range(0, 300, 60):
         single = global_density_tensor(ctx, chart, W[m], t)
         assert abs(single - slow[m]) <= 1e-13 * max(1.0, abs(single))
+
+
+def test_flat_model_density_group_matches_batched_data():
+    model = FlatModel(
+        [AffinePoly(2, {(2, 0): 1.0, (0, 0): -1.0, (0, 1): 2j}), AffinePoly(2, {(1, 1): 0.5 - 1j, (0, 2): 1.0})],
+        AffinePoly(2, {(1, 0): 1.0, (0, 0): 0.25}),
+    )
+    rng = np.random.default_rng(80)
+    W = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    V = model.density_group(0).eval_batch(W)
+    s2 = model.s_norm2_batch(0, W)
+    assert np.all(np.abs(V[0] - s2) <= 1e-13 * s2)
+    A = model.sbar_matrix_batch(0, W)
+    for b in range(2):
+        for p in range(2):
+            assert np.all(np.abs(V[1 + 2 * b + p] - A[:, b, p]) <= 1e-14 * np.abs(A[:, b, p]))
+    psi = model.psi_batch(0, W)
+    assert np.all(np.abs(V[5] - psi) <= 1e-14 * np.abs(psi))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_det_matches_lapack(n):
+    rng = np.random.default_rng(90 + n)
+    A = rng.normal(size=(200, n, n)) + 1j * rng.normal(size=(200, n, n))
+    ref = np.linalg.det(A)
+    assert np.all(np.abs(_det(A) - ref) <= 1e-13 * np.abs(ref))
+    # singular: a zero row, or a zero column as for a section (f, 0)
+    A[:100, n - 1] = 0
+    A[100:, :, n - 1] = 0
+    if n <= 3:
+        assert np.all(_det(A) == 0)
+
+
+def test_sweep_equals_single_t_estimates():
+    ctx = p2_22_context()
+    ts = [0.05, 0.3, 0.5, 1.0, 2.0]
+    sweep = virtual_residue_sweep(ctx, ts, samples=20000, seed=5)
+    for t, est in zip(ts, sweep):
+        single = virtual_residue_mc(ctx, t, samples=20000, seed=5)
+        assert (est.value, est.std_error, est.t) == (single.value, single.std_error, single.t)
 
 
 def test_global_density_chart_invariance():

@@ -4,9 +4,12 @@ The finite-difference routines in this file are independent oracles for the
 exact chart-function derivatives used by the implementation.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from residue_lab.chartfun import ChartFunction
 from residue_lab.polycore import HomogeneousPoly, monomials_of_degree, parse_poly
 from residue_lab.projgeom import (
     BundleSpec,
@@ -189,7 +192,64 @@ def test_batched_sform_data_match_pointwise_eval(chart):
                 assert abs(A[m, b, p] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("chart", [0, 1, 2])
+def test_density_group_matches_batched_data(chart):
+    """The density group's rows against s_norm2_batch, sbar_matrix_batch and
+    psi_batch, entry by entry, the chart functions' rows bit for bit."""
+    ctx = example22_context()
+    rng = np.random.default_rng(70 + chart)
+    W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    V = ctx.density_group(chart).eval_batch(W)
+    assert V.shape == (6, 50)
+    assert np.array_equal(V[0].real, ctx.s_norm2_batch(chart, W))
+    A = ctx.sbar_matrix_batch(chart, W)
+    for b in range(2):
+        for p in range(2):
+            assert np.array_equal(V[1 + 2 * b + p], A[:, b, p])
+    # P alone is one polynomial, which the BLAS may sum in another order
+    psi = ctx.psi_batch(chart, W)
+    assert np.all(np.abs(V[5] - psi) <= 1e-14 * np.abs(psi))
+
+
 # ---------------------------------------------------------------- curvature
+
+
+def test_curvature_first_call_from_two_threads(monkeypatch):
+    """A thread that calls while another is halfway through building the
+    curvature functions (paused in its first dbar) gets the full curvature."""
+    ctx = example22_context()
+    ctx.chart_data(0)  # built here, so the first dbar is the curvature build's
+    W = np.array([[0.3 + 0.1j, 0.2 - 0.4j]] * 4)
+    paused, resumed = threading.Event(), threading.Event()
+    dbar = ChartFunction.dbar
+
+    def pausing_dbar(self, b):
+        if threading.current_thread().name == "first" and not paused.is_set():
+            paused.set()
+            resumed.wait(timeout=30)
+        return dbar(self, b)
+
+    monkeypatch.setattr(ChartFunction, "dbar", pausing_dbar)
+    results = {}
+
+    def call():
+        try:
+            results[threading.current_thread().name] = ctx.chern_curvature_batch(0, W)
+        except Exception as exc:  # reported by the assertion below
+            results[threading.current_thread().name] = exc
+        finally:
+            resumed.set()
+
+    first = threading.Thread(target=call, name="first")
+    first.start()
+    assert paused.wait(timeout=30)
+    second = threading.Thread(target=call, name="second")
+    second.start()
+    second.join(timeout=60)
+    first.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert isinstance(results["second"], np.ndarray), results["second"]
+    assert np.array_equal(results["first"], results["second"])
 
 
 def test_fs_curvature_p1_closed_form():
