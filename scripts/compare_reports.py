@@ -5,10 +5,12 @@ Usage: python3 scripts/compare_reports.py OLD NEW
 
 OLD and NEW are report files or directories of ``*.json`` reports (as written
 by ``residue-lab verify --json-out`` or ``scripts/run_scenarios.py
---json-dir``); directories are matched by file name.  For every task the
-script prints the verdict pair, the largest relative deviation over all
-numbers in the report, |a - b| / max(|a|, |b|), and the JSON path of the
-number where it occurs (e.g. ``tasks[0].results.max_residual``).  Complex
+--json-dir``); directories are matched by file name.  For every report the
+script first prints the largest relative deviation over the numbers of its
+header (every field but ``tasks``), |a - b| / max(|a|, |b|), and the JSON
+path where it occurs; then, for every task, the verdict pair and the same
+deviation over the task's numbers (e.g. at
+``tasks[0].results.max_residual``).  Complex
 numbers are stored as [re, im] pairs and compared as complex numbers, so the
 rounding noise of an imaginary part that is zero in exact arithmetic is
 measured against the modulus, not against itself.
@@ -17,7 +19,8 @@ Two differing numbers that are both at most ABS_FLOOR in modulus are
 rounding noise of quantities that are zero in exact arithmetic (residuals,
 vanishing ratios, ledger values of a cancelling sum): any reordering of the
 arithmetic moves them by an O(1) relative amount.  They are not counted in
-the deviation; each task lists their JSON paths on a line of its own.  It
+the deviation; the header and each task list their JSON paths on a line of
+their own.  It
 exits 0 only when every verdict is identical, every non-numeric field agrees
 and every number above the floor agrees within 1e-12 relative.
 """
@@ -104,9 +107,11 @@ def main() -> int:
         mismatches: list = []
         header_old, header_new = ({k: v for k, v in doc.items() if k != "tasks"} for doc in (old, new))
         floored: list = []
-        dev, _ = _deviation(header_old, header_new, "report", mismatches, floored)
-        ok = ok and dev <= RTOL
+        dev, at = _deviation(header_old, header_new, "report", mismatches, floored)
+        at = f" at {at}" if dev > 0 else ""
+        print(f"{name} report max rel dev {dev:.2e}{at}")
         _print_floored(floored)
+        ok = ok and dev <= RTOL
         for i, (a, b) in enumerate(zip(old["tasks"], new["tasks"])):
             floored = []
             dev, at = _deviation(a, b, f"tasks[{i}]", mismatches, floored)

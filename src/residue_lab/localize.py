@@ -144,20 +144,13 @@ class FlatModel:
 def _det(A: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices, (N, n, n) -> (N,).
 
-    Leibniz's formula for n <= 3, where LAPACK's per-matrix overhead would
+    The closed form for n <= 2, where LAPACK's per-matrix overhead would
     dominate; np.linalg.det above that."""
     n = A.shape[-1]
     if n == 1:
         return A[:, 0, 0]
     if n == 2:
         return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    if n == 3:
-        a = [[A[:, i, j] for j in range(3)] for i in range(3)]
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
     return np.linalg.det(A)
 
 

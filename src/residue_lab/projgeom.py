@@ -403,10 +403,10 @@ class GeometryContext:
         one-form -(1/2t) dbar <., s>.
 
         Evaluated point by point from the chart functions, not through the
-        ``s_norm2_batch``/``sbar_matrix_batch`` of the determinant path, so
-        the tensor route checks those independently.  w is one point of shape
-        (n,), giving scalar coefficients, or a batch of shape (N, n), giving
-        (N,)-array coefficients.
+        ``density_group`` of the determinant path, so the tensor route checks
+        that group independently.  w is one point of shape (n,), giving scalar
+        coefficients, or a batch of shape (N, n), giving (N,)-array
+        coefficients.
         """
         if t <= 0:
             raise GeometryError("t must be positive")

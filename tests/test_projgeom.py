@@ -173,8 +173,9 @@ def test_sform_dbar_finite_difference_crosscheck():
 
 @pytest.mark.parametrize("chart", [0, 1, 2])
 def test_batched_sform_data_match_pointwise_eval(chart):
-    """s_norm2_batch and sbar_matrix_batch (the determinant path's inputs)
-    against the chart functions evaluated one point at a time."""
+    """s_norm2_batch and sbar_matrix_batch (the reference values the density
+    group is tested against) against the chart functions evaluated one point
+    at a time."""
     ctx = example22_context()
     data = ctx.chart_data(chart)
     rng = np.random.default_rng(60 + chart)
