@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from residue_lab.harness import emit_report, run_scenario  # noqa: E402
+from residue_lab.harness import ScenarioError, emit_report, run_scenario  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -30,7 +30,11 @@ def main() -> int:
 
     failures = 0
     for path in sorted(SCENARIOS.glob("*.json")):
-        report = run_scenario(str(path), seed=args.seed, samples=args.samples, threads=1)
+        try:
+            report = run_scenario(str(path), seed=args.seed, samples=args.samples, threads=1)
+        except ScenarioError as exc:
+            print(f"scenario error: {exc}", file=sys.stderr)
+            return 2
         if args.json_dir is not None:
             (args.json_dir / path.name).write_bytes(emit_report(report, "json"))
         verdicts = ", ".join(f"{t.kind}={t.verdict}" for t in report.tasks)

@@ -422,8 +422,7 @@ def _run_cayley_bacharach(scenario, task, seed, samples, threads):
     tol = float(task.get("tol", 1e-8))
     if scenario.backend == "exact":
         return _run_cb_exact(scenario, task, tol)
-    f = parse_poly(scenario.section_text[0], 3)
-    g = parse_poly(scenario.section_text[1], 3)
+    (f, g), _ = scenario.parse_polys()
     rep = cayley_bacharach_verify(f, g, seed=seed)
     results = {
         "degrees": list(rep.degree_pair),

@@ -19,13 +19,16 @@ computes the same coefficient and the agreement is tested; it takes one point
 or a batch of points, and a batch runs the tensor algebra once with array
 coefficients.  The determinant form is the production path.
 
-Curve term.  For the split-section family on P^2 the localized integrand per
-sheet of Z = {f = 0} over the base coordinate is
+Curve term.  For the split-section family on P^2 the curve Z = {f = 0} is
+sampled in chart 0 with base coordinate w_1 and sheet coordinate w_2: over each
+base point w_1 = u the sheets are the roots w_2 of f(u, w_2) = 0.  The
+localized integrand per sheet is
 
     (phi . (-2 pi i)(1 - r))^{(1,1)} * prefactor = (phi_c r_c / pi) dx dy,
 
-with phi_c = psi / (df applied to the normal direction) and r_c the
-End(N)-scalar curvature term of :meth:`Example22Geometry.curvature_term`.
+with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds` and
+r_c the End(N)-scalar curvature term of
+:meth:`Example22Geometry.curvature_term`.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+# |df/dw_2| below this on a sheet: too near a branch point, where phi blows up
+_BRANCH_TOL = 1e-6
+# fiber quadrature disc radius in Gaussian widths: e^{-144} of the peak at its rim
+_SIGMA_MULT = 12.0
 
 
 @dataclass(frozen=True)
@@ -299,10 +306,9 @@ def local_mass(
     radius: float,
     samples: int,
     seed: int,
-    chart: int = 0,
     threads: int = 1,
 ) -> IntegralEstimate:
-    """Ball-restricted integral of the same integrand around one zero.
+    """Ball-restricted integral of the same integrand around one zero of chart 0.
 
     As t -> 0 the mass converges to the local residue at the center (for
     n = 1; in higher dimension an orientation factor (-1)^{n(n-1)/2} from the
@@ -322,7 +328,7 @@ def local_mass(
         radii = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
         offsets = direction[:, :n] + 1j * direction[:, n:]
         W = center[None, :] + radii[:, None] * offsets
-        return global_density(ctx, chart, W, t) * vol
+        return global_density(ctx, 0, W, t) * vol
 
     x = _run_chunks(worker, samples, threads)
     mean, se = _mean_and_stderr(x)
@@ -353,14 +359,13 @@ def curve_integrand_tensor(phi_c: complex, r_val: complex) -> complex:
     return complex(pref * conv * coeff)
 
 
-def _sheet_coefficients(f: AffinePoly, base: int):
-    """Coefficients of f as a polynomial in the normal variable: list of
-    univariate polynomials in the base variable, constant term first."""
-    normal = 1 - base
-    deg = max(e[normal] for e in f.terms)
+def _sheet_coefficients(f: AffinePoly):
+    """Coefficients of f as a polynomial in the sheet variable w_2: list of
+    univariate polynomials in the base variable w_1, constant term first."""
+    deg = max(e[1] for e in f.terms)
     coeff_polys = [dict() for _ in range(deg + 1)]
     for e, c in f.terms.items():
-        coeff_polys[e[normal]][(e[base],)] = c
+        coeff_polys[e[1]][(e[0],)] = c
     return [AffinePoly(1, terms) for terms in coeff_polys]
 
 
@@ -383,27 +388,20 @@ def curve_localized_term(
     geo: Example22Geometry,
     samples: int,
     seed: int,
-    chart: int = 0,
-    base: int = 0,
     threads: int = 1,
-    branch_tol: float = 1e-6,
 ) -> CurveTerm:
     """Sheeted Monte Carlo of the curve-localized integrand over Z = {f = 0}.
 
-    Base points are FS-uniform on the base coordinate line; each sample's
-    fiber roots are the sheets.  Samples too close to a branch point
-    (|df/dw_normal| < branch_tol) are rejected and redrawn; the count is
+    Base points w_1 are FS-uniform on the chart-0 line; each sample's roots
+    w_2 are the sheets.  Samples too close to a branch point
+    (|df/dw_2| < _BRANCH_TOL) are rejected and redrawn; the count is
     reported.  The vanishing of the total is the verified identity.
     """
-    ctx = geo.ctx
-    f = geo.f_aff(chart)
-    normal = 1 - base
-    coeff_polys = _sheet_coefficients(f, base)
-    data = ctx.chart_data(chart)
-    if data.psi_aff is None:
+    if geo.ctx.chart_data(0).psi_aff is None:
         raise GeometryError("instance carries no psi")
-    fb_poly = f.partial(base)
-    fn_poly = f.partial(normal)
+    f = geo.f_aff(0)
+    coeff_polys = _sheet_coefficients(f)
+    fn_poly = geo.df(0)[1]
 
     chunk_stats = {}  # start -> (rejections, pointwise max); filled per chunk
 
@@ -430,25 +428,22 @@ def curve_localized_term(
                 roots[lead_ok] = _solve_sheets(coeffs[lead_ok])
             with np.errstate(all="ignore"):
                 for _ in range(3):  # Newton polish on each sheet
-                    Wall = _sheet_points(u, roots, base)
+                    Wall = _sheet_points(u, roots)
                     fv = f.eval_batch(Wall).reshape(roots.shape)
                     fn = fn_poly.eval_batch(Wall).reshape(roots.shape)
                     roots = roots - fv / fn
-                Wall = _sheet_points(u, roots, base)
+                Wall = _sheet_points(u, roots)
                 fn = fn_poly.eval_batch(Wall).reshape(roots.shape)
-                ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
+                ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > _BRANCH_TOL).all(axis=1)
             rejected += int(len(pending) - ok.sum())
 
             if ok.any():
                 idx = pending[ok]
                 u_ok = u[ok]
                 roots_ok = roots[ok]
-                Wok = _sheet_points(u_ok, roots_ok, base)
-                fn_ok = fn_poly.eval_batch(Wok)
-                psi_v = data.psi_aff.eval_batch(Wok)
-                sign = 1.0 if (base, normal) == (0, 1) else -1.0
-                phi = sign * psi_v / fn_ok
-                r_c = geo.curvature_term_batch(chart, Wok, base)
+                Wok = _sheet_points(u_ok, roots_ok)
+                phi = geo.psi_over_det_ds_batch(0, Wok)
+                r_c = geo.curvature_term_batch(0, Wok)
                 dens_sheet = (phi * r_c / math.pi).reshape(roots_ok.shape)
                 if dens_sheet.size:
                     pmax = max(pmax, float(np.abs(dens_sheet).max()))
@@ -465,7 +460,7 @@ def curve_localized_term(
     return CurveTerm(
         value=mean,
         std_error=se,
-        component_id=f"curve(f), chart {chart}",
+        component_id="curve(f), chart 0",
         samples=samples,
         seed=seed,
         rejected=sum(v[0] for v in chunk_stats.values()),
@@ -474,59 +469,45 @@ def curve_localized_term(
     )
 
 
-def _sheet_points(u: np.ndarray, roots: np.ndarray, base: int) -> np.ndarray:
-    """Stack base values and sheet roots into (N*m, 2) chart points."""
-    m = roots.shape[1]
-    cols = np.repeat(u, m)
-    flat = roots.reshape(-1)
-    if base == 0:
-        return np.stack([cols, flat], axis=1)
-    return np.stack([flat, cols], axis=1)
+def _sheet_points(u: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Stack base values w_1 and sheet roots w_2 into (N*m, 2) chart points."""
+    return np.stack([np.repeat(u, roots.shape[1]), roots.reshape(-1)], axis=1)
 
 
 def fiber_mass_quadrature(
     geo: Example22Geometry,
     u: complex,
     t: float,
-    chart: int = 0,
-    base: int = 0,
     radial_nodes: int = 80,
     angular_nodes: int = 24,
-    sigma_mult: float = 12.0,
 ) -> complex:
-    """Quadrature of the global integrand over one fiber {w_base = u}.
+    """Quadrature of the global integrand over one fiber {w_1 = u} of chart 0.
 
     As t -> 0 this converges to the summed curve-localized density of the
     sheets over u, providing a pointwise oracle for every constant in the
     localization formula (diagnostic; used by the test suite).
     """
     ctx = geo.ctx
-    f = geo.f_aff(chart)
-    normal = 1 - base
-    coeff_polys = _sheet_coefficients(f, base)
-    coeffs = np.array([[cp.eval(np.array([u])) for cp in coeff_polys]])
+    coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(geo.f_aff(0))]])
     roots = _solve_sheets(coeffs)[0]
-    fn_poly = f.partial(normal)
+    fn_poly = geo.df(0)[1]
 
     nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     wth = 2.0 * math.pi / angular_nodes
     total = 0j
     for root in roots:
-        w0 = np.array([u, root]) if base == 0 else np.array([root, u])
+        w0 = np.array([u, root])
         fn = fn_poly.eval(list(w0))
-        Hm = ctx.metric_matrix(chart, w0)
+        Hm = ctx.metric_matrix(0, w0)
         h11 = float(Hm[geo.f_index, geo.f_index].real)
         width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
-        R = sigma_mult * width
+        R = _SIGMA_MULT * width
         r = 0.5 * R * (nodes + 1.0)
         wr = 0.5 * R * weights
         zeta = np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])
-        if base == 0:
-            W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
-        else:
-            W = np.stack([root + zeta, np.full_like(zeta, u)], axis=1)
-        g = global_density(ctx, chart, W, t).reshape(angular_nodes, radial_nodes)
+        W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
+        g = global_density(ctx, 0, W, t).reshape(angular_nodes, radial_nodes)
         for ray in g:  # summed ray by ray
             total += np.sum(ray * r * wr) * wth
     return complex(total)

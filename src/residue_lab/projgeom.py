@@ -46,6 +46,7 @@ __all__ = [
     "point_from_chart",
     "transition_jacobian",
     "fs_density",
+    "psi_chart_rep",
 ]
 
 
@@ -205,6 +206,15 @@ def fs_density(W: np.ndarray, n: int) -> np.ndarray:
     return math.factorial(n) / (np.pi**n * norm2 ** (n + 1))
 
 
+def psi_chart_rep(psi: HomogeneousPoly, chart: int) -> AffinePoly:
+    """Chart representative of the top-form coefficient.
+
+    The (-1)^chart is the canonical-bundle orientation: the coordinate
+    Jacobian from chart 0 to chart a is (-1)^a w_a^{-(n+1)}, and the plain
+    dehomogenization supplies only the w_a power."""
+    return psi.dehomogenize(chart).scale((-1.0) ** chart)
+
+
 # ------------------------------------------------------------------ context
 
 
@@ -322,12 +332,7 @@ class GeometryContext:
         n = self.n
         degs = self.bundle.degrees
         s_aff = [s.dehomogenize(chart) for s in self.section.components]
-        # the (-1)^chart is the canonical-bundle orientation: the coordinate
-        # Jacobian from chart 0 to chart a is (-1)^a w_a^{-(n+1)}, and the
-        # plain dehomogenization supplies only the w_a power
-        psi_aff = None
-        if self.psi is not None:
-            psi_aff = self.psi.H.dehomogenize(chart).scale((-1.0) ** chart)
+        psi_aff = None if self.psi is None else psi_chart_rep(self.psi.H, chart)
 
         H = [[ChartFunction.zero(n) for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -518,6 +523,9 @@ class GeometryContext:
 
 # ------------------------------------------------------------- Example 2.2
 
+# |d_chart F| below this at a common zero of F's other two partials: a singular point
+_SINGULAR_TOL = 1e-8
+
 
 class Example22Geometry:
     """The split-section instance on P^2: V = O(d) (+) O(k), s = (f, 0).
@@ -525,9 +533,13 @@ class Example22Geometry:
     The zero locus is the plane curve Z = {f = 0}; ds identifies the normal
     bundle with the f-summand L, and the complementary summand V_1 survives as
     the cokernel.  Supported at desk scale with rank-one L and V_1 only.
+
+    The curve is framed the same way in every chart: its base coordinate is
+    w_1 and its sheet coordinate w_2, so the sheet slope is dw_2/dw_1 and the
+    normal direction is d/dw_2.  The curve-localized sampler works on chart 0.
     """
 
-    def __init__(self, ctx: GeometryContext, tol: float = 1e-8):
+    def __init__(self, ctx: GeometryContext):
         if ctx.n != 2:
             raise GeometryError("the split-section family is supported on P^2 only")
         nonzero = [i for i, s in enumerate(ctx.section.components) if not s.is_zero()]
@@ -539,10 +551,18 @@ class Example22Geometry:
         self.f = ctx.section.components[self.f_index]
         if ctx.metric.kind == "perturbed" and ctx.metric.f_index != self.f_index:
             raise GeometryError("metric perturbation must vanish on the section curve")
-        self.tol = tol
+        self._df = {}
 
     def f_aff(self, chart: int) -> AffinePoly:
         return self.ctx.chart_data(chart).s_aff[self.f_index]
+
+    def df(self, chart: int) -> Tuple[AffinePoly, AffinePoly]:
+        """(df/dw_1, df/dw_2) on the chart, built once so each compiles its
+        batch kernel once; threads that race store equal pairs."""
+        if chart not in self._df:
+            f = self.f_aff(chart)
+            self._df[chart] = (f.partial(0), f.partial(1))
+        return self._df[chart]
 
     def certify_smooth_curve(self, solver) -> bool:
         """No common zero of the partial derivatives of f on any chart
@@ -561,67 +581,60 @@ class Example22Geometry:
             zs = solver(polys)
             third = parts[chart].dehomogenize(chart)
             for pt in zs:
-                if abs(third.eval(list(pt))) < self.tol:
+                if abs(third.eval(list(pt))) < _SINGULAR_TOL:
                     return False
         return True
 
-    def tangent(self, chart: int, w: Sequence[complex], base: int, normal: int) -> complex:
-        """Sheet slope kappa = dw_normal/dw_base = -f_base/f_normal on Z."""
-        f = self.f_aff(chart)
+    def tangent(self, chart: int, w: Sequence[complex]) -> complex:
+        """Sheet slope kappa = dw_2/dw_1 = -f_1/f_2 on Z."""
+        f1, f2 = self.df(chart)
         w = list(np.asarray(w, dtype=complex))
-        fn = f.partial(normal).eval(w)
+        fn = f2.eval(w)
         if abs(fn) < 1e-12:
             raise GeometryError("vanishing normal derivative (branch point)")
-        return -f.partial(base).eval(w) / fn
+        return -f1.eval(w) / fn
 
-    def psi_over_det_ds(self, chart: int, w: Sequence[complex], base: int = 0) -> complex:
-        """Coefficient of the curve form against dw_base (x) e_{V_1}:
-        psi / (df applied to the normal direction), restricted to Z."""
-        normal = 1 - base
-        data = self.ctx.chart_data(chart)
-        if data.psi_aff is None:
-            raise GeometryError("instance carries no psi")
-        w = list(np.asarray(w, dtype=complex))
-        fn = self.f_aff(chart).partial(normal).eval(w)
-        if abs(fn) < 1e-12:
+    def psi_over_det_ds(self, chart: int, w: Sequence[complex]) -> complex:
+        """Coefficient of the curve form against dw_1 (x) e_{V_1}:
+        psi / (df/dw_2), restricted to Z."""
+        return complex(
+            self.psi_over_det_ds_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
+        )
+
+    def psi_over_det_ds_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
+        psi = self.ctx.psi_batch(chart, W)
+        fn = self.df(chart)[1].eval_batch(W)
+        if np.any(np.abs(fn) < 1e-12):
             raise GeometryError("vanishing normal derivative (branch point)")
-        sign = 1.0 if (base, normal) == (0, 1) else -1.0
-        # dw_base ^ dw_normal = sign * dw_0 ^ dw_1; psi is attached to dw_0 ^ dw_1
-        return sign * data.psi_aff.eval(w) / fn
+        return psi / fn
 
-    def curvature_term(self, chart: int, w: Sequence[complex], base: int = 0) -> complex:
+    def curvature_term(self, chart: int, w: Sequence[complex]) -> complex:
         """The End(N)-scalar of the localized curvature contraction, as the
-        coefficient against dwbar_base (x) e*_{V_1}:
+        coefficient against dwbar_1 (x) e*_{V_1}:
 
             r = -R^{L<-V_1}(nu, taubar) / df(nu),
 
-        with nu the normal coordinate direction and tau the sheet tangent.
-        The first curvature slot takes the normal vector, the second the
-        conjugated tangent; feeding the first slot with a tangent vector
+        with nu = d/dw_2 the normal coordinate direction and tau the sheet
+        tangent.  The first curvature slot takes the normal vector, the second
+        the conjugated tangent; feeding the first slot with a tangent vector
         contributes nothing (well-definedness, tested separately).
         """
         return complex(
-            self.curvature_term_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1), base)[0]
+            self.curvature_term_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
         )
 
-    def curvature_term_batch(self, chart: int, W: np.ndarray, base: int = 0) -> np.ndarray:
-        normal = 1 - base
-        f = self.f_aff(chart)
-        fb = f.partial(base).eval_batch(W)
-        fn = f.partial(normal).eval_batch(W)
-        kappa = -fb / fn
-        # R(nu, taubar) = sum_b R[normal][b] conj(tau_b); tau_base = 1, tau_normal = kappa
-        block = self.ctx.chern_curvature_batch(chart, W, entry=(self.f_index, self.v_index, normal))
-        val = block[:, base] + block[:, normal] * np.conj(kappa)
+    def curvature_term_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
+        f1, f2 = self.df(chart)
+        fn = f2.eval_batch(W)
+        kappa = -f1.eval_batch(W) / fn
+        # R(nu, taubar) = sum_b R[1][b] conj(tau_b); tau = (1, kappa)
+        block = self.ctx.chern_curvature_batch(chart, W, entry=(self.f_index, self.v_index, 1))
+        val = block[:, 0] + block[:, 1] * np.conj(kappa)
         return -val / fn
 
-    def tangent_tangent_block(self, chart: int, w: Sequence[complex], base: int = 0) -> complex:
+    def tangent_tangent_block(self, chart: int, w: Sequence[complex]) -> complex:
         """Curvature block with tangent vectors in both slots; vanishes on Z."""
-        normal = 1 - base
         w_arr = np.asarray(w, dtype=complex).reshape(1, -1)
-        f = self.f_aff(chart)
-        kappa = self.tangent(chart, list(w), base, normal)
         R = self.ctx.chern_curvature_batch(chart, w_arr)[0, self.f_index, self.v_index]
-        tau = np.zeros(2, dtype=complex)
-        tau[base], tau[normal] = 1.0, kappa
+        tau = np.array([1.0, self.tangent(chart, w)], dtype=complex)
         return complex(tau @ R @ np.conj(tau))

@@ -27,7 +27,7 @@ from .polycore import (
     PolyKernel,
     monomials_of_degree,
 )
-from .syszero import jacobian_det, solve_square_system, zeros_at_infinity_check
+from .syszero import _DET_THRESHOLD, jacobian_det, solve_square_system, zeros_at_infinity_check
 
 __all__ = [
     "ResidueError",
@@ -48,6 +48,14 @@ class ResidueError(RuntimeError):
     """Residue preconditions violated (singular zero, zeros at infinity, ...)."""
 
 
+# singular values below this fraction of the largest span the null space
+_RANK_TOL = 1e-10
+# random rotations tried to move every intersection point into chart 0
+_COORDINATE_RETRIES = 4
+# a ledger point with |f| below this lies on the curve {f = 0}
+_CURVE_TOL = 1e-6
+
+
 @dataclass
 class ResidueLedger:
     entries: List[Tuple[Tuple[complex, ...], complex]]
@@ -65,21 +73,15 @@ class ResidueLedger:
         return ResidueLedger(list(entries), total, rel)
 
 
-def psi_chart_rep(psi: HomogeneousPoly, chart: int) -> AffinePoly:
-    """Chart representative of the top-form coefficient, including the
-    (-1)^chart orientation of the coordinate Jacobian."""
-    return psi.dehomogenize(chart).scale((-1.0) ** chart)
-
-
 def local_residue(
     p: Sequence[complex],
     section_aff: Sequence[AffinePoly],
     psi_aff: AffinePoly,
-    det_threshold: float = 1e-10,
 ) -> complex:
-    """H(p) / det(ds/dw)(p) in a fixed chart; requires a certified simple zero."""
+    """H(p) / det(ds/dw)(p) in a fixed chart; requires a simple zero, by the
+    solver's own test of one."""
     det = jacobian_det(section_aff, p)
-    if abs(det) < det_threshold:
+    if abs(det) < _DET_THRESHOLD:
         raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
     return complex(psi_aff.eval(list(p)) / det)
 
@@ -88,17 +90,16 @@ def global_residue_sum(
     section: Sequence[HomogeneousPoly],
     psi: HomogeneousPoly,
     seed: int = 0,
-    chart: int = 0,
 ) -> ResidueLedger:
-    """Ledger of local residues over all zeros of the square system s = 0.
+    """Ledger of local residues over all zeros of the square system s = 0 in chart 0.
 
-    Preconditions: no zeros at infinity of the chosen chart and all zeros
-    simple; violations raise :class:`ResidueError`.
+    Preconditions: no zeros on the hyperplane z_0 = 0 and all zeros simple;
+    violations raise :class:`ResidueError`.
     """
     if not zeros_at_infinity_check(section, seed=seed):
         raise ResidueError("zeros at infinity: the affine chart misses part of the zero set")
-    section_aff = [s.dehomogenize(chart) for s in section]
-    psi_aff = psi.dehomogenize(chart)
+    section_aff = [s.dehomogenize(0) for s in section]
+    psi_aff = psi.dehomogenize(0)
     zs = solve_square_system(section_aff, seed=seed)
     if zs.defective:
         raise ResidueError(f"{zs.defective} defective (non-simple) zeros")
@@ -124,7 +125,6 @@ def _normalize_rows(points: Sequence[Sequence[complex]]) -> np.ndarray:
 def cb_vanishing_space(
     points: Sequence[Sequence[complex]],
     degree: int,
-    rank_tol: float = 1e-10,
 ) -> List[HomogeneousPoly]:
     """Basis of degree-``degree`` forms on P^2 vanishing at all given points.
 
@@ -136,7 +136,7 @@ def cb_vanishing_space(
     table = PolyKernel(3, [HomogeneousPoly(3, degree, {e: 1.0}) for e in monos])
     M = table.eval_batch(_normalize_rows(points)).T
     _, sv, Vh = np.linalg.svd(M)
-    rank = int(np.sum(sv > rank_tol * (sv[0] if len(sv) else 1.0)))
+    rank = int(np.sum(sv > _RANK_TOL * (sv[0] if len(sv) else 1.0)))
     basis = []
     for row in Vh[rank:]:
         # null vectors are columns of V = Vh^H, i.e. conjugated rows of Vh
@@ -233,7 +233,6 @@ def cayley_bacharach_verify(
     f: HomogeneousPoly,
     g: HomogeneousPoly,
     seed: int = 0,
-    max_coordinate_retries: int = 4,
 ) -> CBReport:
     """For each intersection point of {f=0} and {g=0}: forms of degree
     d+e-3 through the other de-1 points, evaluated (normalized) at the
@@ -243,7 +242,7 @@ def cayley_bacharach_verify(
         raise ResidueError("degree pair too small: d + e >= 3 required")
     rng = np.random.default_rng(np.random.Philox(seed + 31))
     cur_f, cur_g = f, g
-    for _attempt in range(max_coordinate_retries):
+    for _attempt in range(_COORDINATE_RETRIES):
         if zeros_at_infinity_check([cur_f, cur_g], seed=seed):
             break
         # move the configuration into the affine chart by a random rotation
@@ -301,7 +300,6 @@ def generalized_cb_check(
     second: HomogeneousPoly,
     psi_cofactor: Optional[HomogeneousPoly] = None,
     seed: int = 0,
-    curve_tol: float = 1e-6,
 ) -> GeneralizedCBReport:
     """Mixed-family check with s = (f u, g), psi = f phi.
 
@@ -333,7 +331,7 @@ def generalized_cb_check(
     f_aff = f.dehomogenize(0)
     curve_entries, isolated_entries = [], []
     for point, val in ledger.entries:
-        if abs(f_aff.eval(list(point))) < curve_tol:
+        if abs(f_aff.eval(list(point))) < _CURVE_TOL:
             curve_entries.append((point, val))
         else:
             isolated_entries.append((point, val))

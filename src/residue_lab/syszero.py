@@ -80,6 +80,8 @@ _BLOWUP = 1e8
 _CLUSTER_RADIUS = 1e-6
 _DET_THRESHOLD = 1e-10
 _MAX_RETRIES = 3
+# |restricted form| / its coefficient norm at most this: a common zero at infinity
+_INFINITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -359,7 +361,6 @@ def jacobian_det(polys: Sequence[AffinePoly], p: Sequence[complex]) -> complex:
 def zeros_at_infinity_check(
     components: Sequence,  # HomogeneousPoly, in n+1 variables
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> bool:
     """True iff the leading-form system on the hyperplane z_0 = 0 has only the
     trivial common zero, i.e. the affine chart 0 contains the whole zero set.
@@ -389,7 +390,7 @@ def zeros_at_infinity_check(
         test = patched[1]
         scale = test.coeff_norm() or 1.0
         for r in roots:
-            if abs(test.eval([r])) <= tol * scale * max(1.0, abs(r)) ** max(test.degree(), 1):
+            if abs(test.eval([r])) <= _INFINITY_TOL * scale * max(1.0, abs(r)) ** max(test.degree(), 1):
                 return False
         # also the patch point at infinity of this chart: handled by rotation
         return True
@@ -398,7 +399,7 @@ def zeros_at_infinity_check(
     scale = test.coeff_norm() or 1.0
     for zp in zs.points:
         pt = list(zp.point)
-        if abs(test.eval(pt)) <= tol * scale * max(1.0, float(np.linalg.norm(pt))) ** max(test.degree(), 1):
+        if abs(test.eval(pt)) <= _INFINITY_TOL * scale * max(1.0, float(np.linalg.norm(pt))) ** max(test.degree(), 1):
             return False
     return True
 

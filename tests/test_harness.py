@@ -273,3 +273,14 @@ def test_cli_pins_blas_threads_unless_preset(tmp_path, preset, expected):
     )
     assert proc.stdout.splitlines()[0].endswith(f"blas_threads={expected}")
     assert "blas" not in json_out.read_text()
+
+
+def test_run_scenarios_script_reports_bad_samples_as_exit_2():
+    # a rejected --samples override is a scenario error, not a crash
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_scenarios.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--samples", "0"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "scenario error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

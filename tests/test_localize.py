@@ -346,13 +346,13 @@ def test_fiber_quadrature_matches_curve_density():
         # curve density summed over the sheets above u
         from residue_lab.localize import _sheet_coefficients, _solve_sheets
 
-        coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(f, 0)]])
+        coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(f)]])
         roots = _solve_sheets(coeffs)[0]
         dens = 0j
         for r in roots:
             w = np.array([u, r])
-            phi = geo.psi_over_det_ds(0, w, base=0)
-            rc = geo.curvature_term(0, w, base=0)
+            phi = geo.psi_over_det_ds(0, w)
+            rc = geo.curvature_term(0, w)
             dens += phi * rc / np.pi
         fiber = fiber_mass_quadrature(geo, u, t=5e-4)
         assert abs(fiber - dens) <= 3e-2 * max(abs(dens), 1e-6)
@@ -371,10 +371,10 @@ def test_curve_density_chart_invariance():
         z = np.array([1.0, u, w2])
         if min(abs(z[0]), abs(z[1])) < 0.4 or abs(w2) < 0.3:
             continue
-        rho0 = geo.psi_over_det_ds(0, w, base=0) * geo.curvature_term(0, w, base=0) / np.pi
+        rho0 = geo.psi_over_det_ds(0, w) * geo.curvature_term(0, w) / np.pi
         # chart 1 coordinates (z0/z1, z2/z1), base coordinate v0 = 1/u
         v = chart_coords(z, 1)
-        rho1 = geo.psi_over_det_ds(1, v, base=0) * geo.curvature_term(1, v, base=0) / np.pi
+        rho1 = geo.psi_over_det_ds(1, v) * geo.curvature_term(1, v) / np.pi
         dv_du = -1.0 / u**2
         assert abs(rho0 - rho1 * abs(dv_du) ** 2) <= 1e-9 * max(1.0, abs(rho0))
         checked += 1

@@ -423,7 +423,7 @@ def test_psi_over_det_ds_axis_curve():
     ctx = GeometryContext(bundle, s, MetricSpec(), psi)
     geo = Example22Geometry(ctx)
     for w1 in [0.3, -1.2 + 0.5j]:
-        val = geo.psi_over_det_ds(0, [w1, 0.0], base=0)
+        val = geo.psi_over_det_ds(0, [w1, 0.0])
         assert abs(val - (1.0 - w1)) < 1e-13
 
 
@@ -486,7 +486,7 @@ def test_curvature_term_matches_on_curve_closed_form():
     for _ in range(8):
         w1 = complex(rng.normal(), rng.normal()) * 0.6
         w = np.array([w1, w1 * w1])
-        kappa = geo.tangent(0, w, base=0, normal=1)
+        kappa = geo.tangent(0, w)
         # dbar along the conjugated tangent: FD along the sheet parameter
         up = np.array([w1 + h, (w1 + h) ** 2])
         dn = np.array([w1 - h, (w1 - h) ** 2])

@@ -47,7 +47,7 @@ def test_local_residue_half():
 
 def test_local_residue_chart_invariance():
     # zero of s at (1 : 1), visible in charts 0 and 1
-    from residue_lab.residue import psi_chart_rep
+    from residue_lab.projgeom import psi_chart_rep
 
     s = parse_poly("z1^2 - z0^2", 2)
     psi = parse_poly("2", 2)
