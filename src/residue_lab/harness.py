@@ -142,6 +142,7 @@ class Scenario:
     metric_cfg: Dict
     tasks: List[Dict]
     backend: str = "float"
+    _parsed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_dict(doc: Dict) -> "Scenario":
@@ -190,6 +191,10 @@ class Scenario:
     # ---------------------------------------------------------------- build
 
     def parse_polys(self):
+        """The section and psi, parsed and checked on the first call and kept
+        for the later ones."""
+        if self._parsed is not None:
+            return self._parsed
         nv = self.n + 1
         try:
             section = [parse_poly(s, nv) for s in self.section_text]
@@ -211,7 +216,8 @@ class Scenario:
                 raise ScenarioError(
                     f"psi degree must be sum(degrees)-n-1 = {D}, got {psi.degree}"
                 )
-        return section, psi
+        self._parsed = tuple(section), psi
+        return self._parsed
 
     def geometry(self) -> GeometryContext:
         section, psi = self.parse_polys()
@@ -445,6 +451,8 @@ def _run_cb_exact(scenario, task, tol):
         raise ScenarioError("exact cayley_bacharach needs lines_f and lines_g")
     lf = [parse_poly(s, 3, backend="exact") for s in lines_f]
     lg = [parse_poly(s, 3, backend="exact") for s in lines_g]
+    if any(line.is_zero() or line.degree != 1 for line in lf + lg):
+        raise ScenarioError("lines_f and lines_g must be nonzero linear forms")
     f = parse_poly(scenario.section_text[0], 3, backend="exact")
     g = parse_poly(scenario.section_text[1], 3, backend="exact")
     pf, pg = lf[0], lg[0]
@@ -473,9 +481,13 @@ def _run_cb_exact(scenario, task, tol):
                     a[0] * b[1] - a[1] * b[0],
                 )
             )
-    if any(not any(c for c in p) for p in pts):
-        raise ResidueError("parallel lines: intersection escapes the plane")
-    if len({tuple(str(c) for c in p) for p in pts}) != len(pts):
+    for k, p in enumerate(pts):
+        if not any(p):
+            i, j = divmod(k, len(lg))
+            raise ResidueError(
+                f"lines_f[{i}] and lines_g[{j}] are the same line: the curves share a component"
+            )
+    if len(set(map(_projective_key, pts))) != len(pts):
         raise ResidueError("non-transversal intersection: repeated points")
     m = f.degree + g.degree - 3
     worst_nonzero = 0
@@ -497,6 +509,13 @@ def _run_cb_exact(scenario, task, tol):
         "tol": tol,
     }
     return results, ("pass" if worst_nonzero == 0 else "fail")
+
+
+def _projective_key(p):
+    """The point p of P^2 scaled to first nonzero coordinate 1, as a key that
+    is the same for every multiple of p."""
+    lead = next(c for c in p if c)
+    return tuple(c / lead for c in p)
 
 
 def _run_generalized_cb(scenario, task, seed, samples, threads):

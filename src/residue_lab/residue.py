@@ -15,7 +15,9 @@ points are rational).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,47 +171,72 @@ def cb_vanishing_space_exact(
     degree: int,
     rows: Optional[Sequence[Sequence[GaussianRational]]] = None,
 ) -> List[HomogeneousPoly]:
-    """Exact null space over the Gaussian rationals (Gauss-Jordan elimination).
+    """Exact null space over the Gaussian rationals, by fraction-free
+    Gauss-Jordan elimination.
+
+    Each monomial row is scaled to Gaussian integers, which leaves the row
+    space unchanged, and the rows are reduced on (re, im) integer pairs: a row
+    with entry a in the pivot column becomes p row - a pivot_row, p the pivot,
+    divided by the gcd of its integers.  The null vector of a free column fc
+    takes -row_r[fc] / row_r[pc] at each pivot column pc; the reduced row
+    echelon form is unique, so this is its basis, term for term.
 
     ``rows`` are the points' monomial rows (``exact_monomial_rows``) when the
     caller has them already.
     """
     monos = monomials_of_degree(3, degree)
-    rows = list(exact_monomial_rows(points, degree) if rows is None else rows)
     ncols = len(monos)
+    # a row of Gaussian integers: re_0, im_0, re_1, im_1, ...
+    M = [_gaussian_integer_row(row) for row in (exact_monomial_rows(points, degree) if rows is None else rows)]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c]:
-                pivot = rr
-                break
+        r = len(pivots)
+        if r == len(M):
+            break
+        pivot = next((rr for rr in range(r, len(M)) if M[rr][2 * c] or M[rr][2 * c + 1]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c]:
-                fac = rows[rr][c]
-                rows[rr] = [x - fac * y if y else x for x, y in zip(rows[rr], rows[r])]
+        M[r], M[pivot] = M[pivot], M[r]
+        y = M[r]
+        pr, pi = y[2 * c], y[2 * c + 1]
+        for rr, x in enumerate(M):
+            ar, ai = x[2 * c], x[2 * c + 1]
+            if rr == r or not (ar or ai):
+                continue
+            new = []
+            for k in range(0, 2 * ncols, 2):
+                xr, xi, yr, yi = x[k], x[k + 1], y[k], y[k + 1]
+                new.append(pr * xr - pi * xi - ar * yr + ai * yi)
+                new.append(pr * xi + pi * xr - ar * yi - ai * yr)
+            g = math.gcd(*new)
+            M[rr] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    zero = GaussianRational.of(0)
     one = GaussianRational.of(1)
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for rr, pc in enumerate(pivots):
-            vec[pc] = -rows[rr][fc]
-        terms = {monos[c]: vec[c] for c in range(ncols) if vec[c]}
-        basis.append(HomogeneousPoly(3, degree, terms))
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        terms = {monos[fc]: one}
+        for row, pc in zip(M, pivots):
+            # -x / p = -x conj(p) / |p|^2
+            xr, xi, pr, pi = row[2 * fc], row[2 * fc + 1], row[2 * pc], row[2 * pc + 1]
+            if xr or xi:
+                den = pr * pr + pi * pi
+                terms[monos[pc]] = GaussianRational(
+                    Fraction(-(xr * pr + xi * pi), den), Fraction(xr * pi - xi * pr, den)
+                )
+        basis.append(HomogeneousPoly(3, degree, {e: terms[e] for e in monos if e in terms}))
     return basis
+
+
+def _gaussian_integer_row(row: Sequence[GaussianRational]) -> List[int]:
+    """The row times the lcm of its denominators, as re, im integer pairs."""
+    scale = math.lcm(*(d for x in row for d in (x.re.denominator, x.im.denominator)))
+    out = []
+    for x in row:
+        out.append(x.re.numerator * (scale // x.re.denominator))
+        out.append(x.im.numerator * (scale // x.im.denominator))
+    return out
 
 
 @dataclass

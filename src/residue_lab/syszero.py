@@ -2,22 +2,33 @@
 
 Tracks the Bezout count of paths of H(z, tau) = (1-tau) gamma g(z) + tau f(z)
 from the start system g_i = z_i^{d_i} - 1 (gamma a random unit complex), with
-a first-order predictor, Newton corrector and adaptive steps.
+a Hermite predictor, Newton corrector and adaptive steps.
 
-Each system is compiled once into one polycore.PolyKernel whose rows are f, g
-and the partials of both.  All Bezout paths of one gamma are tracked together
-as one (P, n) array of points: every predictor and every corrector iteration
-is one kernel call and one stacked linear solve for all active paths, each
-path with its own tau and step size, and a finished path leaves the batch.  A
-singular matrix makes the stacked solve fail as a whole; the rows are then
-solved one by one, so only the singular path is affected.  An accepted step
-ends with the evaluation of the homotopy at its new point and tau, which the
-next predictor reuses, and a rejected step reuses the evaluation it started
-from; a step after the first thus costs _NEWTON_ITERS + 1 kernel calls.  The
-same rows serve the endpoint polish and the certification step (residual |f|
-and det df/dz), both batched over the endpoints, and ``certify_zero`` and
-``jacobian_det`` at single points.  Step sizes, iteration counts and
-thresholds are module constants.
+Each system is compiled into one polycore.PolyKernel of f and its partials,
+which serves the endpoint polish and the certification step (residual |f| and
+det df/dz), both batched over the endpoints, and ``certify_zero`` and
+``jacobian_det`` at single points.  The homotopy has a kernel of its own per
+gamma, built when the gamma is first tracked and replaced on a retry: its rows
+are A = gamma (g, dg/dz) and B = (f, df/dz) - gamma (g, dg/dz), each a value
+row per equation followed by a full row-major n x n Jacobian block (zero off
+the diagonal for g), so that H and dH/dz at tau are A + tau B in one
+broadcast and f - gamma g, the tangent's right-hand side, is the head of B.
+
+All Bezout paths of one gamma are tracked together as one (P, n) array of
+points: every predictor and every corrector iteration is one kernel call and
+one stacked linear solve for all active paths, each path with its own tau and
+step size, and a finished path leaves the batch.  A singular matrix makes the
+stacked solve fail as a whole; the rows are then solved one by one, so only
+the singular path is affected.  An accepted step ends with the evaluation of
+the homotopy at its new point and tau, which the next predictor reuses, and a
+rejected step reuses the evaluation it started from; a step after the first
+thus costs _NEWTON_ITERS + 1 kernel calls.  The predictor extrapolates the
+cubic Hermite interpolant of a path's last two accepted points and the
+tangents there (Sommese-Wampler, The Numerical Solution of Systems of
+Polynomials, 2005, ch. 2); the earlier point and tangent are kept from the
+step that left it, so the cubic costs no kernel call and no solve.  A path's
+first step is an Euler step along its tangent.  Step sizes, iteration counts
+and thresholds are module constants.
 
 A step is accepted only when the corrector's residual is small *and* the
 corrector moved the predicted point by at most
@@ -103,8 +114,11 @@ class ZeroSet:
 
 
 class _System:
-    """A square system f and its start system g_i = z_i^{d_i} - 1 as the rows
-    of one PolyKernel: f_i, g_i, df_i/dz_k (row-major in i, k), dg_i/dz_i."""
+    """A square system f and its start system g_i = z_i^{d_i} - 1.
+
+    ``kernel`` holds the rows f_i and df_i/dz_k (row-major in i, k), which the
+    polish and the certification evaluate; ``homotopy_kernel`` compiles the
+    homotopy at one gamma and keeps it until another gamma is asked for."""
 
     def __init__(self, polys: Sequence[AffinePoly]):
         self.n = n = polys[0].num_vars
@@ -118,40 +132,48 @@ class _System:
             AffinePoly(n, {tuple(d if k == i else 0 for k in range(n)): 1.0 + 0j}) - one
             for i, d in enumerate(self.degrees)
         ]
-        rows = list(polys) + start
-        rows += [f.partial(k) for f in polys for k in range(n)]
-        rows += [g.partial(i) for i, g in enumerate(start)]
-        self.kernel = PolyKernel(n, rows)
+        zero = AffinePoly(n, {})
+        # (f, df) and (g, dg) in one row layout; dg is zero off the diagonal
+        self._target = list(polys) + [f.partial(k) for f in polys for k in range(n)]
+        self._start = start + [g.partial(k) if k == i else zero for i, g in enumerate(start) for k in range(n)]
+        self.kernel = PolyKernel(n, self._target)
+        self._gamma, self._gamma_kernel = None, None
 
     def rows(self, Z: np.ndarray):
-        """(f, g, df, dg) at a batch of points Z of shape (P, n): f and g are
-        (P, n), df the (P, n, n) Jacobians of f and dg the diagonals of the
-        Jacobians of g."""
+        """(f, df) at a batch of points Z of shape (P, n): f is (P, n) and df
+        the (P, n, n) Jacobians."""
         n, P = self.n, len(Z)
         v = self.kernel.eval_batch(Z).T
-        return v[:, :n], v[:, n : 2 * n], v[:, 2 * n : 2 * n + n * n].reshape(P, n, n), v[:, 2 * n + n * n :]
+        return v[:, :n], v[:, n:].reshape(P, n, n)
+
+    def homotopy_kernel(self, gamma: complex) -> PolyKernel:
+        """The rows A = gamma (g, dg) followed by B = (f, df) - gamma (g, dg):
+        H and dH/dz at tau are A + tau B, and f - gamma g is the head of B."""
+        if gamma != self._gamma:
+            a = [g.scale(gamma) for g in self._start]
+            b = [f - ga for f, ga in zip(self._target, a)]
+            self._gamma, self._gamma_kernel = gamma, PolyKernel(self.n, a + b)
+        return self._gamma_kernel
 
 
 def _homotopy(system: _System, z: np.ndarray, tau, gamma: complex):
     """H = (1 - tau) gamma g + tau f, dH/dz and f - gamma g at z: one point
     (n,) at a scalar tau, or a batch (P, n) with one tau per row."""
-    f, g, df, dg = system.rows(z if z.ndim == 2 else z[None])
-    t = np.asarray(tau, dtype=float).reshape(-1, 1)
-    s = 1 - t
-    gg = gamma * g
-    H = s * gg + t * f
-    J = t[:, :, None] * df
-    n = system.n
-    J.reshape(-1, n * n)[:, :: n + 1] += s * (gamma * dg)  # the diagonals
+    Z = z if z.ndim == 2 else z[None]
+    n, P = system.n, len(Z)
+    m = n + n * n
+    v = system.homotopy_kernel(gamma).eval_batch(Z).T
+    HJ = v[:, :m] + np.asarray(tau, dtype=float).reshape(-1, 1) * v[:, m:]
+    H, J, rhs = HJ[:, :n], HJ[:, n:].reshape(P, n, n), v[:, m : m + n]
     if z.ndim == 1:
-        return H[0], J[0], f[0] - gg[0]
-    return H, J, f - gg
+        return H[0], J[0], rhs[0]
+    return H, J, rhs
 
 
 def _certify(system: _System, z: np.ndarray):
     """The certification step at z: (residual |f|, det J, f, J) at one point
     (n,), or as arrays over a batch (P, n)."""
-    f, _, J, _ = system.rows(z if z.ndim == 2 else z[None])
+    f, J = system.rows(z if z.ndim == 2 else z[None])
     res, det = np.linalg.norm(f, axis=1), np.linalg.det(J)
     if z.ndim == 1:
         return float(res[0]), complex(det[0]), f[0], J[0]
@@ -244,7 +266,7 @@ def _refine_endpoints(system: _System, Z: np.ndarray) -> np.ndarray:
     for _ in range(_ENDPOINT_ITERS):
         if not live.size:
             break
-        f, _, J, _ = system.rows(Z[live])
+        f, J = system.rows(Z[live])
         dz, ok = _solve_rows(J, f)
         z_new = Z[live] - dz
         ok &= np.isfinite(z_new).all(axis=1)
@@ -276,27 +298,32 @@ def _track(system: _System, gamma: complex, starts: np.ndarray):
     P = len(starts)
     Z_out = starts.astype(complex)
     status = np.full(P, _ACTIVE)
-    # the active paths, compacted: their indices, points, tau, step sizes and
-    # the homotopy's dH/dz and f - gamma g at (z, tau)
+    # the active paths, compacted: their indices, points, tau, step sizes, the
+    # homotopy's dH/dz and f - gamma g at (z, tau), and the last accepted
+    # point, the tangent there and the step that left it (0 before the first)
     ids = np.arange(P)
     Z, tau, step = Z_out.copy(), np.zeros(P), np.full(P, _MAX_STEP)
     _, J, rhs = _homotopy(system, Z, tau, gamma)
+    Z0, dZ0, s0 = np.zeros_like(Z), np.zeros_like(Z), np.zeros(P)
 
     def leave(done, how):
-        nonlocal ids, Z, tau, step, J, rhs
+        nonlocal ids, Z, tau, step, J, rhs, Z0, dZ0, s0
         if done.any():
             Z_out[ids[done]] = Z[done]
             status[ids[done]] = how
             keep = ~done
-            ids, Z, tau, step, J, rhs = ids[keep], Z[keep], tau[keep], step[keep], J[keep], rhs[keep]
+            ids, Z, tau, step, J, rhs, Z0, dZ0, s0 = (
+                x[keep] for x in (ids, Z, tau, step, J, rhs, Z0, dZ0, s0)
+            )
 
     while ids.size:
         leave(np.linalg.norm(Z, axis=1) > _BLOWUP, _ESCAPED)
-        # first-order predictor: J_H dz/dtau = -(f - gamma g)
+        # the tangent: J_H dz/dtau = -(f - gamma g)
         dz, ok = _solve_rows(J, -rhs)
         leave(~ok, _FAILED)
+        dz = dz[ok]
         h = np.minimum(step, 1.0 - tau)
-        z_pred = Z + h[:, None] * dz[ok]
+        z_pred = _predict(Z, dz, h, Z0, dZ0, s0)
         rows, z_corr, res, J_corr, rhs_corr = _correct(system, gamma, tau + h, z_pred)
         z_pred = z_pred[rows]
         reach = _CORRECTOR_REACH * np.maximum(1.0, np.linalg.norm(z_pred, axis=1))
@@ -306,6 +333,7 @@ def _track(system: _System, gamma: complex, starts: np.ndarray):
         a = rows[good]
         accepted = np.zeros(len(ids), dtype=bool)
         accepted[a] = True
+        Z0[a], dZ0[a], s0[a] = Z[a], dz[a], h[a]
         tau[a] += h[a]
         Z[a] = z_corr[good]
         J[a] = J_corr[good]
@@ -316,6 +344,24 @@ def _track(system: _System, gamma: complex, starts: np.ndarray):
         leave(step < _MIN_STEP, _FAILED)
         leave(tau >= 1.0, _OK)
     return Z_out, status
+
+
+def _predict(Z, dz, h, Z0, dZ0, s0):
+    """The predicted points at tau + h of paths at Z with tangents dz.
+
+    A path whose last step s0 > 0 left the point Z0 with tangent dZ0 follows
+    the cubic Hermite interpolant of the two points and tangents,
+    Z + h dz + h^2 (c2 + h c3) with c3 = (2 (Z0 - Z) + s0 (dZ0 + dz)) / s0^3
+    and c2 = (dz - dZ0) / (2 s0) + 1.5 c3 s0, here in terms of r = h / s0; a
+    path on its first step (s0 = 0) follows its tangent (Euler).
+    """
+    first = s0 == 0
+    s = np.where(first, 1.0, s0)[:, None]
+    r = np.where(first, 0.0, h)[:, None] / s
+    d = Z0 - Z
+    b = d + s * dz  # h^2 c2 = r^2 (a + b), h^3 c3 = r^3 a
+    a = b + d + s * dZ0
+    return Z + h[:, None] * dz + r * r * (b + (1 + r) * a)
 
 
 def _correct(system: _System, gamma: complex, tau: np.ndarray, Z: np.ndarray):

@@ -284,3 +284,58 @@ def test_run_scenarios_script_reports_bad_samples_as_exit_2():
     assert proc.returncode == 2
     assert "scenario error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_scenario_texts_are_parsed_once(monkeypatch):
+    # p2_22 has three polynomial texts and two tasks; run_scenario, both
+    # runners and the geometry share one parse of each text
+    from residue_lab import harness
+
+    calls = []
+    parse = harness.parse_poly
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "parse_poly", counted)
+    report = run_scenario(str(SCENARIOS / "p2_22.json"), samples=2000)
+    assert [t.kind for t in report.tasks] == ["euler_jacobi", "virtual_residue"]
+    assert len(calls) == 3
+
+
+EXACT_CB = {
+    "n": 2,
+    "degrees": [2, 2],
+    "backend": "exact",
+    "tasks": [{"kind": "cayley_bacharach"}],
+}
+
+
+def _exact_cb(tmp_path, section, lines_f, lines_g):
+    doc = dict(EXACT_CB, section=section)
+    doc["tasks"] = [dict(EXACT_CB["tasks"][0], lines_f=lines_f, lines_g=lines_g)]
+    return run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+
+
+def test_exact_cb_projectively_repeated_point_is_precondition_failed(tmp_path):
+    # z0, z1 and z0 + z1 all pass through (0:0:1); the crossings come out as
+    # (0, 0, 1) and (0, 0, -1), one point of P^2
+    task = _exact_cb(
+        tmp_path, ["z0*z1", "z0*z2 - z0^2 + z1*z2 - z0*z1"], ["z0", "z1"], ["z0 + z1", "z2 - z0"]
+    )
+    assert task.verdict == "precondition-failed"
+    assert "repeated points" in task.results["error"]
+
+
+def test_exact_cb_shared_line_is_a_shared_component(tmp_path):
+    task = _exact_cb(tmp_path, ["z0*z1", "2*z1*z2"], ["z0", "z1"], ["2*z1", "z2"])
+    assert task.verdict == "precondition-failed"
+    assert task.results["error"] == "lines_f[1] and lines_g[0] are the same line: the curves share a component"
+
+
+def test_exact_cb_line_that_is_not_linear_is_schema_error(tmp_path):
+    doc = dict(EXACT_CB, section=["z0^2", "z1*z2"])
+    doc["tasks"] = [dict(EXACT_CB["tasks"][0], lines_f=["z0^2"], lines_g=["z1", "z2"])]
+    with pytest.raises(ScenarioError, match="nonzero linear forms"):
+        run_scenario(write_scenario(tmp_path, doc))

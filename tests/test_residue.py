@@ -1,5 +1,7 @@
 """Residue ledger, Euler-Jacobi vanishing, Cayley-Bacharach on both backends."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from residue_lab.residue import (
     cayley_bacharach_verify,
     cb_vanishing_space,
     cb_vanishing_space_exact,
+    exact_monomial_rows,
     generalized_cb_check,
     global_residue_sum,
     local_residue,
@@ -330,6 +333,72 @@ def test_cb_exact_vs_float_agreement():
 
     for form in basis_f:
         assert _normalized_eval(form, np.array(cpts[-1])) <= 1e-10
+
+
+def _fraction_gauss_jordan_null_space(points, degree):
+    """Reference: the exact null space by Gauss-Jordan elimination with
+    GaussianRational (Fraction) arithmetic, pivots normalized to 1."""
+    monos = monomials_of_degree(3, degree)
+    rows = exact_monomial_rows(points, degree)
+    ncols = len(monos)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((rr for rr in range(r, len(rows)) if rows[rr][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][c]:
+                fac = rows[rr][c]
+                rows[rr] = [x - fac * y for x, y in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [GaussianRational.of(0)] * ncols
+        vec[fc] = GaussianRational.of(1)
+        for rr, pc in enumerate(pivots):
+            vec[pc] = -rows[rr][fc]
+        basis.append(HomogeneousPoly(3, degree, {monos[c]: vec[c] for c in range(ncols) if vec[c]}))
+    return basis
+
+
+def _gaussian_rational(rng):
+    def part():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+
+    return GaussianRational(part(), part())
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_cb_exact_null_space_equals_fraction_gauss_jordan(degree):
+    # Gaussian-rational points with non-integer coordinates, some repeated,
+    # some multiples of others (dependent rows) and some on a common line, so
+    # the rows are dependent: the fraction-free basis equals the reference
+    # term for term
+    rng = np.random.default_rng(50 + degree)
+    for trial in range(6):
+        pts = [tuple(_gaussian_rational(rng) for _ in range(3)) for _ in range(int(rng.integers(2, 9)))]
+        pts.append(pts[0])
+        lam = _gaussian_rational(rng) or GaussianRational.of(3, 1)
+        pts.append(tuple(lam * c for c in pts[1]))
+        a, b = pts[0], pts[1]
+        pts.append(tuple(x + lam * y for x, y in zip(a, b)))
+        order = rng.permutation(len(pts))
+        pts = [pts[i] for i in order]
+        got = cb_vanishing_space_exact(pts, degree)
+        want = _fraction_gauss_jordan_null_space(pts, degree)
+        assert got == want
+        assert [list(f.terms) for f in got] == [list(f.terms) for f in want]
+        rows = exact_monomial_rows(pts, degree)
+        assert cb_vanishing_space_exact(pts, degree, rows=rows) == want
+        for form in got:
+            assert all(not form.eval(list(p)) for p in pts)
 
 
 # ---------------------------------------------------------------- mixed

@@ -357,3 +357,63 @@ def test_each_step_after_the_first_costs_newton_iters_plus_one_kernel_calls(monk
     accepted = len(steps) - rejected
     assert accepted >= 10
     assert len(calls) == 1 + (syszero._NEWTON_ITERS + 1) * len(steps)
+
+
+# ------------------------------------------------------- predictor and counts
+
+
+def test_hermite_predictor_reproduces_a_cubic_path():
+    # from two points of a cubic path and its tangents there, the predictor
+    # extrapolates the path exactly; a path on its first step (no previous
+    # point) takes the Euler step along its tangent
+    rng = np.random.default_rng(11)
+    P, n = 6, 3
+    coef = rng.normal(size=(4, P, n)) + 1j * rng.normal(size=(4, P, n))
+
+    def path(t):
+        t = t[:, None]
+        return coef[0] + t * (coef[1] + t * (coef[2] + t * coef[3]))
+
+    def tangent(t):
+        t = t[:, None]
+        return coef[1] + t * (2 * coef[2] + t * 3 * coef[3])
+
+    t0 = rng.uniform(0.0, 0.8, size=P)
+    s0 = rng.uniform(0.01, 0.1, size=P)
+    h = rng.uniform(0.01, 0.1, size=P)
+    t1 = t0 + s0
+    Z, dz = path(t1), tangent(t1)
+    pred = syszero._predict(Z, dz, h, path(t0), tangent(t0), s0)
+    want = path(t1 + h)
+    assert np.max(np.abs(pred - want) / np.abs(want)) <= 1e-13
+
+    first = s0.copy()
+    first[2] = 0.0
+    euler = syszero._predict(Z, dz, h, path(t0), tangent(t0), first)
+    assert np.array_equal(euler[2], Z[2] + h[2] * dz[2])
+    assert np.array_equal(np.delete(euler, 2, axis=0), np.delete(pred, 2, axis=0))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_dense_systems_account_for_every_path(seed):
+    # 40 random dense systems: every path is a simple zero or escaped, and
+    # none is defective
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        degrees = [int(d) for d in rng.integers(1, 4 if n < 3 else 3, size=n)]
+        zs = solve_square_system(_dense_system(rng, degrees), seed=seed)
+        assert len(zs.points) + zs.missing_paths + zs.defective == math.prod(degrees)
+        assert zs.defective == 0
+
+
+def test_homotopy_kernel_is_kept_for_its_gamma():
+    # one compiled homotopy per gamma: the same gamma reuses it, another
+    # gamma (a retry) builds a new one, and the system's own kernel holds
+    # only f and its partials
+    rng = np.random.default_rng(7)
+    system = syszero._System(_dense_system(rng, (2, 3)))
+    assert system.kernel.coeffs.shape[0] == 2 + 2 * 2
+    k1 = system.homotopy_kernel(0.6 + 0.8j)
+    assert system.homotopy_kernel(0.6 + 0.8j) is k1
+    assert system.homotopy_kernel(0.8 + 0.6j) is not k1
