@@ -48,7 +48,7 @@ from .residue import (
     generalized_cb_check,
     global_residue_sum,
 )
-from .syszero import SolveError, solve_square_system
+from .syszero import SolveError
 
 __all__ = [
     "ScenarioError",
@@ -642,8 +642,9 @@ def _run_local_mass(scenario, task, seed, samples, threads):
 def _run_curve_localization(scenario, task, seed, samples, threads):
     ctx = scenario.geometry()
     geo = Example22Geometry(ctx)
-    if not geo.certify_smooth_curve(lambda polys: [list(p.point) for p in solve_square_system(polys, seed=seed).points]):
-        raise GeometryError("singular curve: the section zero locus is not smooth")
+    defect = geo.smoothness_defect(seed)
+    if defect is not None:
+        raise GeometryError(f"curve not certified smooth: {defect}")
     n_samples = 30000 if samples is None else samples
     term = curve_localized_term(geo, n_samples, seed, threads=threads)
     sigma_l1 = float(task.get("sigma_l1_frac", 0.02))

@@ -30,7 +30,9 @@ import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, HomogeneousPoly
+from .residue import _normalized_eval
 from .superalg import SForm
+from .syszero import random_unitary, solve_square_system
 
 __all__ = [
     "BundleSpec",
@@ -523,7 +525,8 @@ class GeometryContext:
 
 # ------------------------------------------------------------- Example 2.2
 
-# |d_chart F| below this at a common zero of F's other two partials: a singular point
+# |d_0 G| at a common zero of d_1 G and d_2 G, relative to its coefficient norm
+# and max(1, |p|)^(d-1), at most this: a singular point
 _SINGULAR_TOL = 1e-8
 
 
@@ -564,26 +567,52 @@ class Example22Geometry:
             self._df[chart] = (f.partial(0), f.partial(1))
         return self._df[chart]
 
-    def certify_smooth_curve(self, solver) -> bool:
-        """No common zero of the partial derivatives of f on any chart
-        (with f itself, by the homogeneous Euler relation)."""
-        F = self.f
-        if F.degree == 1:
-            return True
-        parts = [F.partial(k) for k in range(3)]
-        for chart in range(3):
-            polys = [p.dehomogenize(chart) for k, p in enumerate(parts) if k != chart]
-            if any(p.is_zero() for p in polys):
-                # F misses a variable entirely; degree >= 2 makes the apex singular
-                return False
-            if any(p.degree() == 0 for p in polys):
-                continue  # nonvanishing constant partial: no common zero here
-            zs = solver(polys)
-            third = parts[chart].dehomogenize(chart)
-            for pt in zs:
-                if abs(third.eval(list(pt))) < _SINGULAR_TOL:
-                    return False
-        return True
+    def certify_smooth_curve(self, seed: int) -> bool:
+        """True when one homotopy solve certifies the curve {f = 0} smooth.
+
+        The partials of f span the net of polar curves; its base points are
+        the singular points of the curve (d f = sum_k z_k d_k f puts them on
+        it).  On a smooth curve of degree d the net has no base point, so by
+        Bertini's theorem two generic members meet in (d-1)^2 simple points
+        (Sommese-Wampler, The Numerical Solution of Systems of Polynomials,
+        2005, ch. 13).  In a seeded random unitary frame Q, G = f o Q, d_1 G
+        and d_2 G are such members with all their common zeros in chart 0.
+        The curve is certified when one solve returns all (d-1)^2 of them as
+        simple points and d_0 G vanishes at none.
+
+        "Not certified" means a singular point was found, or the solver did
+        not account for all (d-1)^2 paths as simple points: at a singular
+        point the polars meet with multiplicity > 1, so paths end escaped,
+        defective or missing there.  An escaped, defective or missing path is
+        never read as smooth.  ``smoothness_defect`` says which.
+        """
+        return self.smoothness_defect(seed) is None
+
+    def smoothness_defect(self, seed: int) -> Optional[str]:
+        """Why ``certify_smooth_curve`` refuses the curve, or None when it
+        certifies it.  A singular point is given in the section's own frame."""
+        d = self.f.degree
+        if d == 1:
+            return None
+        Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 53)), 3)
+        # the solver's residual and determinant thresholds are absolute, so
+        # it solves for f scaled to a unit coefficient vector
+        G = self.f.scale(1.0 / self.f.coeff_norm()).substitute_linear(Q)
+        zs = solve_square_system([G.partial(k).dehomogenize(0) for k in (1, 2)], seed=seed)
+        expected = (d - 1) ** 2
+        if zs.missing_paths or zs.defective or len(zs.points) != expected:
+            return (
+                f"the solver could not account for all {expected} paths of the polar system "
+                f"({len(zs.points)} found, {zs.missing_paths} escaped, {zs.defective} defective)"
+            )
+        d0 = G.partial(0)
+        for zp in zs.points:
+            p = np.concatenate(([1.0 + 0j], zp.point))
+            if _normalized_eval(d0, p) <= _SINGULAR_TOL:
+                z = Q @ p
+                coords = ", ".join(f"{c:g}" for c in np.round(z / z[np.argmax(np.abs(z))], 6) + 0.0)
+                return f"singular point at ({coords})"
+        return None
 
     def tangent(self, chart: int, w: Sequence[complex]) -> complex:
         """Sheet slope kappa = dw_2/dw_1 = -f_1/f_2 on Z."""

@@ -29,7 +29,7 @@ from .polycore import (
     PolyKernel,
     monomials_of_degree,
 )
-from .syszero import _DET_THRESHOLD, jacobian_det, solve_square_system, zeros_at_infinity_check
+from .syszero import _DET_THRESHOLD, _System, random_unitary, solve_square_system, zeros_at_infinity_check
 
 __all__ = [
     "ResidueError",
@@ -82,7 +82,12 @@ def local_residue(
 ) -> complex:
     """H(p) / det(ds/dw)(p) in a fixed chart; requires a simple zero, by the
     solver's own test of one."""
-    det = jacobian_det(section_aff, p)
+    return _local_residue(p, _System(section_aff), psi_aff)
+
+
+def _local_residue(p: Sequence[complex], system: _System, psi_aff: AffinePoly) -> complex:
+    """``local_residue`` with the section compiled once, for every zero of a ledger."""
+    det = system.jacobian_det(p)
     if abs(det) < _DET_THRESHOLD:
         raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
     return complex(psi_aff.eval(list(p)) / det)
@@ -109,11 +114,8 @@ def global_residue_sum(
         raise ResidueError("path accounting does not reconcile with the Bezout count")
     if zs.missing_paths:
         raise ResidueError("paths escaped to infinity despite the infinity check")
-    entries = []
-    for zp in zs.points:
-        val = local_residue(zp.point, section_aff, psi_aff)
-        entries.append((zp.point, val))
-    return ResidueLedger.from_entries(entries)
+    system = _System(section_aff)
+    return ResidueLedger.from_entries([(zp.point, _local_residue(zp.point, system, psi_aff)) for zp in zs.points])
 
 
 # ------------------------------------------------------------------ CB
@@ -256,6 +258,31 @@ def _normalized_eval(form: HomogeneousPoly, point: np.ndarray) -> float:
     return val / (form.coeff_norm() * max(1.0, float(np.linalg.norm(p))) ** form.degree)
 
 
+def _share_a_root_on_a_line(f: HomogeneousPoly, g: HomogeneousPoly, seed: int) -> bool:
+    """Whether f and g restricted to one seeded random line of P^2 have a
+    common root, which they have when the curves share a component: the
+    smallest singular value of the Sylvester matrix of the two restrictions,
+    each scaled to a unit coefficient vector, is at most _RANK_TOL of the
+    largest."""
+    Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 37)), 3)
+    # the line z = s Q e_0 + t Q e_1, on its chart s = 1
+    restricted = []
+    for h in (f, g):
+        c = np.zeros(h.degree + 1, dtype=complex)
+        for e, v in h.substitute_linear(Q).terms.items():
+            if e[2] == 0:
+                c[e[1]] = v
+        restricted.append(c[::-1] / np.linalg.norm(c))  # highest power first
+    (p, q), (d, e) = restricted, (f.degree, g.degree)
+    S = np.zeros((d + e, d + e), dtype=complex)
+    for i in range(e):
+        S[i, i : i + d + 1] = p
+    for i in range(d):
+        S[e + i, i : i + e + 1] = q
+    sv = np.linalg.svd(S, compute_uv=False)
+    return bool(sv[-1] <= _RANK_TOL * sv[0])
+
+
 def cayley_bacharach_verify(
     f: HomogeneousPoly,
     g: HomogeneousPoly,
@@ -273,10 +300,11 @@ def cayley_bacharach_verify(
         if zeros_at_infinity_check([cur_f, cur_g], seed=seed):
             break
         # move the configuration into the affine chart by a random rotation
-        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        Q, _ = np.linalg.qr(A)
+        Q = random_unitary(rng, 3)
         cur_f, cur_g = f.substitute_linear(Q), g.substitute_linear(Q)
     else:
+        if _share_a_root_on_a_line(f, g, seed):
+            raise ResidueError("the curves share a component: their intersection is not finite")
         raise ResidueError("could not move all intersection points into the chart")
 
     zs = solve_square_system([cur_f.dehomogenize(0), cur_g.dehomogenize(0)], seed=seed)

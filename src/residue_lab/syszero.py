@@ -70,7 +70,7 @@ import numpy as np
 
 from .polycore import AffinePoly, HomogeneousPoly, PolyKernel
 
-__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "jacobian_det", "zeros_at_infinity_check", "SolveError"]
+__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "jacobian_det", "zeros_at_infinity_check", "random_unitary", "SolveError"]
 
 
 class SolveError(RuntimeError):
@@ -154,6 +154,10 @@ class _System:
             b = [f - ga for f, ga in zip(self._target, a)]
             self._gamma, self._gamma_kernel = gamma, PolyKernel(self.n, a + b)
         return self._gamma_kernel
+
+    def jacobian_det(self, p: Sequence[complex]) -> complex:
+        """det(df/dz) at one point, from the certification step."""
+        return _certify(self, np.asarray(p, dtype=complex))[1]
 
 
 def _homotopy(system: _System, z: np.ndarray, tau, gamma: complex):
@@ -401,7 +405,14 @@ def certify_zero(polys: Sequence[AffinePoly], p: Sequence[complex]):
 
 def jacobian_det(polys: Sequence[AffinePoly], p: Sequence[complex]) -> complex:
     """det(d polys / dz) at a point, from the certification step."""
-    return _certify(_System(polys), np.asarray(p, dtype=complex))[1]
+    return _System(polys).jacobian_det(p)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n unitary matrix: the Q of a QR factorization of a complex
+    Gaussian matrix drawn from ``rng``."""
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(A)[0]
 
 
 def zeros_at_infinity_check(
@@ -423,10 +434,8 @@ def zeros_at_infinity_check(
         # P^0: the single point (0:1); nonzero restriction never vanishes there
         return True
 
-    rng = np.random.default_rng(np.random.Philox(seed + 101))
     # random unitary mixing makes patch degeneracies measure-zero
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, _ = np.linalg.qr(A)
+    Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 101)), n)
     rotated = [r.substitute_linear(Q) for r in restricted]
 
     # patch z_last = 1 of P^{n-1}: solve the first n-1 forms, test the last

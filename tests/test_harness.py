@@ -243,6 +243,24 @@ def test_singular_curve_precondition_failed(tmp_path):
     assert "singular" in report.tasks[0].results["error"]
 
 
+def test_cusp_curve_precondition_failed(tmp_path):
+    # a cusp was certified smooth while its escaped polar paths were ignored
+    doc = {
+        "n": 2,
+        "degrees": [3, 1],
+        "section": ["z0*z1^2 - z2^3", "0"],
+        "psi": "z0",
+        "metric": {"kind": "fubini_study"},
+        "backend": "float",
+        "tasks": [{"kind": "curve_localization", "samples": 2000}],
+    }
+    path = write_scenario(tmp_path, doc)
+    task = run_scenario(path).tasks[0]
+    assert task.verdict == "precondition-failed"
+    assert task.results["error"].startswith("curve not certified smooth: the solver could not account")
+    assert main(["verify", path]) == 1
+
+
 def test_overlapping_balls_precondition(tmp_path):
     doc = dict(BASE_P1)
     doc["tasks"] = [{"kind": "local_mass", "t": 0.01, "radius": 1.5, "samples": 2000}]
@@ -332,6 +350,13 @@ def test_exact_cb_shared_line_is_a_shared_component(tmp_path):
     task = _exact_cb(tmp_path, ["z0*z1", "2*z1*z2"], ["z0", "z1"], ["2*z1", "z2"])
     assert task.verdict == "precondition-failed"
     assert task.results["error"] == "lines_f[1] and lines_g[0] are the same line: the curves share a component"
+
+
+def test_float_cb_shared_line_is_a_shared_component(tmp_path):
+    doc = dict(EXACT_CB, section=["z0*z1", "2*z1*z2"], backend="float")
+    task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+    assert task.verdict == "precondition-failed"
+    assert task.results["error"] == "the curves share a component: their intersection is not finite"
 
 
 def test_exact_cb_line_that_is_not_linear_is_schema_error(tmp_path):

@@ -25,7 +25,6 @@ from residue_lab.projgeom import (
     point_from_chart,
     transition_jacobian,
 )
-from residue_lab.syszero import solve_square_system
 
 
 def p1_o2_context(metric=None):
@@ -537,11 +536,79 @@ def test_metric_pairing_transition():
 
 
 def test_smooth_curve_certification():
-    solver = lambda polys: [list(p.point) for p in solve_square_system(polys, seed=1).points]
     smooth = Example22Geometry(example22_context(eps=0))
-    assert smooth.certify_smooth_curve(solver) is True
+    assert smooth.certify_smooth_curve(1) is True
     # two crossing lines: singular at the node
     bundle = BundleSpec(2, (2, 2))
     s = SectionSpec((parse_poly("z1*z2", 3), HomogeneousPoly(3, 2, {})))
     nodal = Example22Geometry(GeometryContext(bundle, s, MetricSpec()))
-    assert nodal.certify_smooth_curve(solver) is False
+    assert nodal.certify_smooth_curve(1) is False
+
+
+def plane_curve(F):
+    """The split-section geometry of the plane curve {F = 0}."""
+    if isinstance(F, str):
+        F = parse_poly(F, 3)
+    s = SectionSpec((F, HomogeneousPoly(3, 1, {})))
+    return Example22Geometry(GeometryContext(BundleSpec(2, (F.degree, 1)), s, MetricSpec()))
+
+
+def counted_solves(monkeypatch):
+    from residue_lab import projgeom
+
+    calls = []
+    solve = projgeom.solve_square_system
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(projgeom, "solve_square_system", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, smooth",
+    [
+        ("z0*z1^2 - z2^3", False),  # cusp: its polar paths escape or go missing
+        ("z0^3 + z1^3 + z2^3", True),  # Fermat: partials non-generic in the given frame
+        ("z0^2*z2^2 - z1^4", False),  # tacnode
+        ("z0*z2^2 - z1^2*(z1 + z0)", False),  # nodal cubic
+        ("z1 + 2*z2", True),  # a line
+    ],
+)
+def test_certificate_verdicts(monkeypatch, text, smooth):
+    calls = counted_solves(monkeypatch)
+    for seed in (0, 7007):
+        assert plane_curve(text).certify_smooth_curve(seed) is smooth
+    assert len(calls) == (0 if text == "z1 + 2*z2" else 2)
+
+
+def test_random_dense_curves_are_certified_with_one_solve(monkeypatch):
+    calls = counted_solves(monkeypatch)
+    rng = np.random.default_rng(2024)
+    for k in range(12):
+        d = 2 + k % 2
+        F = HomogeneousPoly(
+            3, d, {e: complex(rng.standard_normal(), rng.standard_normal()) for e in monomials_of_degree(3, d)}
+        )
+        assert plane_curve(F).certify_smooth_curve(k) is True
+        assert len(calls) == k + 1
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+@pytest.mark.parametrize("text", ["z1^2 + z2^2 - z0^2", "z1*z2", "z0*z1^2 - z2^3"])
+def test_certificate_is_scale_free(text, scale):
+    F = parse_poly(text, 3)
+    assert plane_curve(F.scale(scale)).certify_smooth_curve(3) is plane_curve(F).certify_smooth_curve(3)
+
+
+def test_refusal_names_the_singular_point_or_the_path_count():
+    # the node of z1*z2 at (1:0:0), given in the section's own frame
+    assert plane_curve("z1*z2").smoothness_defect(0) == "singular point at (1+0j, 0+0j, 0+0j)"
+    # the cusp of z0 z1^2 = z2^3 meets the polar curves with multiplicity > 1
+    assert plane_curve("z0*z1^2 - z2^3").smoothness_defect(0) == (
+        "the solver could not account for all 4 paths of the polar system "
+        "(2 found, 2 escaped, 0 defective)"
+    )
+    assert plane_curve("z0^3 + z1^3 + z2^3").smoothness_defect(0) is None

@@ -168,6 +168,28 @@ def test_global_sum_rejects_double_root():
         global_residue_sum(section, psi, seed=1)
 
 
+def test_ledger_compiles_the_section_once(monkeypatch):
+    from residue_lab import residue, syszero
+
+    built = []
+
+    class Counted(syszero._System):
+        def __init__(self, polys):
+            built.append(1)
+            super().__init__(polys)
+
+    monkeypatch.setattr(residue, "_System", Counted)
+    rng = np.random.default_rng(41)
+    section = [random_form(3, 2, rng), random_form(3, 3, rng)]
+    psi = random_form(3, 2, rng)
+    ledger = global_residue_sum(section, psi, seed=2)
+    assert len(ledger.entries) == 6 and len(built) == 1
+    # each entry is the single-point local residue, bit for bit
+    section_aff = [s.dehomogenize(0) for s in section]
+    for p, v in ledger.entries:
+        assert v == local_residue(p, section_aff, psi.dehomogenize(0))
+
+
 def test_ledger_scaling_covariance():
     section = [parse_poly("z1^2 - z0^2", 2)]
     lam = 2.5 - 1.5j
@@ -261,6 +283,16 @@ def test_cb_negative_control():
 
     worst = max(_normalized_eval(b, pts[8]) for b in basis)
     assert worst > 1e-3
+
+
+def test_shared_component_test_on_a_line():
+    from residue_lab.residue import _share_a_root_on_a_line
+
+    rng = np.random.default_rng(23)
+    for k in range(12):
+        f, g, c = random_form(3, 1 + k % 3, rng), random_form(3, 1 + k % 2, rng), random_form(3, 1 + k % 2, rng)
+        assert not _share_a_root_on_a_line(f, g, seed=k)
+        assert _share_a_root_on_a_line(f * c, g * c, seed=k)
 
 
 def _split_line_instance(rng, d, e):
