@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .polycore import GaussianRational, HomogeneousPoly, PolyError, parse_poly
+from .polycore import GaussianRational, HomogeneousPoly, PolyError, monomials_of_degree, parse_poly
 from .projgeom import (
     BundleSpec,
     Example22Geometry,
@@ -497,8 +497,10 @@ def _run_cb_exact(scenario, task, tol):
         others = [i for i in range(len(pts)) if i != hold]
         basis = cb_vanishing_space_exact([pts[i] for i in others], m, rows=[rows[i] for i in others])
         dims.append(len(basis))
+        # a form at the held-out point: its coefficients against that point's monomial row
+        at_hold = dict(zip(monomials_of_degree(3, m), rows[hold]))
         for form in basis:
-            if form.eval(list(pts[hold])):
+            if sum(c * at_hold[e] for e, c in form.terms.items()):
                 worst_nonzero += 1
     results = {
         "degrees": [f.degree, g.degree],

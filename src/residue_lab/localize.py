@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
-# |df/dw_2| below this on a sheet: too near a branch point, where phi blows up
+# |df/dw_2| below this times f's coefficient norm: too near a branch point, where phi blows up
 _BRANCH_TOL = 1e-6
 # fiber quadrature disc radius in Gaussian widths: e^{-144} of the peak at its rim
 _SIGMA_MULT = 12.0
@@ -369,19 +369,57 @@ def _sheet_coefficients(f: AffinePoly):
     return [AffinePoly(1, terms) for terms in coeff_polys]
 
 
+def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b, and 0 where b is 0 (a finite there)."""
+    return a / np.where(b == 0, np.inf, b)
+
+
+def _quadratic_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Roots of x^2 + p x + q, (N, 2): the larger by the formula's sign that
+    does not cancel, the smaller as q over it."""
+    s = np.sqrt(p * p / 4 - q)
+    big = -(p / 2 + np.where((p.conj() * s).real < 0, -s, s))
+    return np.stack([big, _div(q, big)], axis=1)
+
+
 def _solve_sheets(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of monic-normalized polynomials, batched companion eigenvalues.
+    """Roots of a batch of polynomials in the sheet variable.
 
     coeffs: (N, m+1), constant term first, leading coefficients nonzero.
-    Returns (N, m) roots.
+    Returns (N, m) roots: in closed form for m <= 3, else as companion
+    eigenvalues.  Cardano's formula finds a cubic's root x of largest modulus
+    (polished by two Newton steps) but loses a small root to cancellation, so
+    the cubic is deflated (Kahan, "To solve a real cubic equation", 1986): the
+    other roots have product -c/x and sum (b - r2 r3)/x or -(a + x), whichever
+    does not cancel.  One Newton step then polishes all three.
     """
-    N, m1 = coeffs.shape
-    m = m1 - 1
-    monic = coeffs / coeffs[:, -1][:, None]
-    C = np.zeros((N, m, m), dtype=complex)
-    C[:, 1:, :-1] = np.eye(m - 1)
-    C[:, :, -1] = -monic[:, :-1]
-    return np.linalg.eigvals(C)
+    m = coeffs.shape[1] - 1
+    monic = coeffs[:, :-1] / coeffs[:, -1:]
+    if m == 1:
+        return -monic
+    if m == 2:
+        return _quadratic_roots(monic[:, 1], monic[:, 0])
+    if m > 3:
+        C = np.zeros((len(coeffs), m, m), dtype=complex)
+        C[:, 1:, :-1] = np.eye(m - 1)
+        C[:, :, -1] = -monic
+        return np.linalg.eigvals(C)
+    c, b, a = (v[:, None] for v in monic.T)  # x^3 + a x^2 + b x + c, as columns
+
+    def newton(x):
+        return x - _div(((x + a) * x + b) * x + c, (3 * x + 2 * a) * x + b)
+
+    with np.errstate(all="ignore"):
+        # x = y - a/3 gives y^3 + p y + q = 0, solved by y = u - p/(3u) with u^3
+        # the larger root of v^2 + q v - p^3/27
+        p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
+        u = _quadratic_roots(q[:, 0], -(p[:, 0] ** 3) / 27)[:, :1] ** (1 / 3)
+        u = u * np.exp(2j * np.pi / 3 * np.arange(3))  # the three cube roots
+        cand = u - _div(p, 3 * u) - a / 3
+        x = newton(newton(np.take_along_axis(cand, np.abs(cand).argmax(axis=1)[:, None], axis=1)))
+        prod = _div(-c, x)
+        total = np.where(np.abs(x) ** 2 > np.abs(b), _div(b - prod, x), -(a + x))
+        return newton(np.concatenate([x, _quadratic_roots(-total[:, 0], prod[:, 0])], axis=1))
 
 
 def curve_localized_term(
@@ -393,15 +431,16 @@ def curve_localized_term(
     """Sheeted Monte Carlo of the curve-localized integrand over Z = {f = 0}.
 
     Base points w_1 are FS-uniform on the chart-0 line; each sample's roots
-    w_2 are the sheets.  Samples too close to a branch point
-    (|df/dw_2| < _BRANCH_TOL) are rejected and redrawn; the count is
-    reported.  The vanishing of the total is the verified identity.
+    w_2 are the sheets.  Samples too close to a branch point (|df/dw_2| below
+    _BRANCH_TOL times f's coefficient norm) are rejected and redrawn; the count
+    is reported.  The vanishing of the total is the verified identity.
     """
     if geo.ctx.chart_data(0).psi_aff is None:
         raise GeometryError("instance carries no psi")
     f = geo.f_aff(0)
     coeff_polys = _sheet_coefficients(f)
     fn_poly = geo.df(0)[1]
+    branch_tol = _BRANCH_TOL * f.coeff_norm()
 
     chunk_stats = {}  # start -> (rejections, pointwise max); filled per chunk
 
@@ -434,7 +473,7 @@ def curve_localized_term(
                     roots = roots - fv / fn
                 Wall = _sheet_points(u, roots)
                 fn = fn_poly.eval_batch(Wall).reshape(roots.shape)
-                ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > _BRANCH_TOL).all(axis=1)
+                ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
             rejected += int(len(pending) - ok.sum())
 
             if ok.any():

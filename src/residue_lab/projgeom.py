@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
-from .polycore import AffinePoly, HomogeneousPoly
+from .polycore import AffinePoly, HomogeneousPoly, row_blocks
 from .residue import _normalized_eval
 from .superalg import SForm
 from .syszero import random_unitary, solve_square_system
@@ -235,26 +235,29 @@ class _ChartData:
     d2G: Optional[list] = None
     groups: dict = field(default_factory=dict)  # compiled ChartGroups, see matrix_group
 
-    def matrix_group(self, key: tuple, cols=None):
-        """(group, (rows, columns), shape): the nonzero entries of one square
-        matrix of chart functions compiled as one group, their positions, and
-        the shape of the matrix.
-
-        ``key`` names the matrix: ("H",), ("dG", a), ("d2G", a, b), ... for
-        ``self.H``, ``self.dG[a]``, ``self.d2G[a][b]``.  With ``cols``, only
-        those columns, numbered in that order.  Built on first use; threads
-        that race on it build equal groups."""
-        cols = None if cols is None else tuple(cols)
-        if (key, cols) not in self.groups:
-            mat = getattr(self, key[0])
-            for k in key[1:]:
-                mat = mat[k]
-            picked = range(len(mat)) if cols is None else cols
-            entries = [(i, k) for i in range(len(mat)) for k, j in enumerate(picked) if mat[i][j].terms]
-            group = ChartGroup(len(self.s_aff), [mat[i][picked[k]] for i, k in entries])
-            at = np.array(entries, dtype=np.int64).reshape(-1, 2).T
-            self.groups[(key, cols)] = (group, (at[0], at[1]), (len(mat), len(picked)))
-        return self.groups[(key, cols)]
+    def matrix_group(self, specs: tuple):
+        """(group, layout): the nonzero entries of the square matrices of chart
+        functions that ``specs`` names, compiled as one group, and per matrix
+        its slice of the group, the (rows, columns) of its entries and its
+        shape.  A spec is (key, cols): ``key`` names the matrix, ("H",),
+        ("dG", a), ("d2G", a, b), ... for ``self.H``, ``self.dG[a]``,
+        ``self.d2G[a][b]``; ``cols`` is a tuple of the columns wanted, numbered
+        in that order, or None for all.  Built on first use; threads that race
+        on it build equal groups."""
+        if specs not in self.groups:
+            functions, layout = [], []
+            for key, cols in specs:
+                mat = getattr(self, key[0])
+                for k in key[1:]:
+                    mat = mat[k]
+                picked = range(len(mat)) if cols is None else cols
+                entries = [(i, k) for i in range(len(mat)) for k, j in enumerate(picked) if mat[i][j].terms]
+                start = len(functions)
+                functions += [mat[i][picked[k]] for i, k in entries]
+                at = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+                layout.append((slice(start, len(functions)), (at[0], at[1]), (len(mat), len(picked))))
+            self.groups[specs] = (ChartGroup(len(self.s_aff), functions), layout)
+        return self.groups[specs]
 
     def density_group(self) -> ChartGroup:
         """[|s|^2, Abar[b][p] for b, p in row order, P] as one group: the
@@ -269,14 +272,15 @@ class _ChartData:
         return self.groups["density"]
 
 
-def _eval_matrix(data: _ChartData, key: tuple, W: np.ndarray, cols=None) -> np.ndarray:
-    """The square matrix of chart functions ``data.matrix_group`` names by
-    ``key`` at a batch of points, shape (N, n, n); with ``cols``, only those
-    columns, shape (N, n, len(cols))."""
-    group, (rows, at), shape = data.matrix_group(key, cols)
-    out = np.zeros((W.shape[0],) + shape, dtype=complex)
-    if group.size:
-        out[:, rows, at] = group.eval_batch(W).T
+def _eval_matrices(data: _ChartData, specs: tuple, W: np.ndarray) -> List[np.ndarray]:
+    """The matrices of chart functions ``data.matrix_group`` names by
+    ``specs`` at a batch of points, from one evaluation of their group: shape
+    (N, n, n) each, or (N, n, len(cols)) where only some columns are named."""
+    group, layout = data.matrix_group(specs)
+    V = group.eval_batch(W)
+    out = [np.zeros((W.shape[0],) + shape, dtype=complex) for *_, shape in layout]
+    for mat, (part, (rows, at), _) in zip(out, layout):
+        mat[:, rows, at] = V[part].T
     return out
 
 
@@ -395,7 +399,7 @@ class GeometryContext:
         return self.metric_matrix_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
 
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        return _eval_matrix(self.chart_data(chart), ("H",), W)
+        return _eval_matrices(self.chart_data(chart), ((("H",), None),), W)[0]
 
     def s_value_and_norm(self, chart: int, w: Sequence[complex]):
         """(s_i(w) in the chart frame, |s|^2(w))."""
@@ -436,7 +440,7 @@ class GeometryContext:
 
     def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Unscaled dbar<., s> as (N, n, n) with [b, p] = dbar_b xi_p."""
-        return _eval_matrix(self.chart_data(chart), ("Abar",), W)
+        return _eval_matrices(self.chart_data(chart), ((("Abar",), None),), W)[0]
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         return self.chart_data(chart).s_norm2.eval_batch(W).real
@@ -467,24 +471,29 @@ class GeometryContext:
 
         ``entry=(i, j, a)`` returns only out[:, i, j, a, :], shape (N, n).  It
         takes row i of G^{-1} against column j of d_a G and d_a dbar_b G, so
-        the other columns of those matrices are never evaluated.
+        their other columns are never evaluated.  All the matrices come from one
+        cached ChartGroup, evaluated ROW_BLOCK points at a time to bound memory.
         """
         data = self._curvature_functions(chart)
         n = self.n
-        Ginv = np.linalg.inv(_eval_matrix(data, ("G",), W))
         if entry is None:
-            rows, cols, a_values = Ginv, range(n), range(n)
+            i, cols, a_values, shape = slice(None), None, range(n), (n, n)
         else:
-            i, j, a = entry
-            rows, cols, a_values = Ginv[:, i : i + 1, :], [j], [a]
-        # (rows of) G^{-1} (dbar_b G) G^{-1}, once per b
-        left = [rows @ _eval_matrix(data, ("dbarG", b), W) @ Ginv for b in range(n)]
-        out = np.zeros((W.shape[0], rows.shape[1], len(cols), len(a_values), n), dtype=complex)
-        for k, a in enumerate(a_values):
-            dGa = _eval_matrix(data, ("dG", a), W, cols)
-            for b in range(n):
-                d2 = _eval_matrix(data, ("d2G", a, b), W, cols)
-                out[:, :, :, k, b] = left[b] @ dGa - rows @ d2
+            i, cols, a_values, shape = slice(entry[0], entry[0] + 1), (entry[1],), (entry[2],), (1, 1)
+        specs = ((("G",), None),) + tuple((("dbarG", b), None) for b in range(n))
+        for a in a_values:
+            specs += ((("dG", a), cols),) + tuple((("d2G", a, b), cols) for b in range(n))
+        out = np.zeros((W.shape[0],) + shape + (len(a_values), n), dtype=complex)
+        for block in row_blocks(W.shape[0]):
+            G, *mats = _eval_matrices(data, specs, W[block])
+            Ginv = np.linalg.inv(G)
+            rows = Ginv[:, i, :]
+            # (rows of) G^{-1} (dbar_b G) G^{-1}, once per b
+            left = [rows @ dbarG @ Ginv for dbarG in mats[:n]]
+            for k in range(len(a_values)):
+                dGa, *d2 = mats[n + k * (n + 1) : n + (k + 1) * (n + 1)]
+                for b in range(n):
+                    out[block, :, :, k, b] = left[b] @ dGa - rows @ d2[b]
         return out if entry is None else out[:, 0, 0, 0, :]
 
     def ds_matrix(self, chart: int, w: Sequence[complex]) -> np.ndarray:
@@ -619,7 +628,7 @@ class Example22Geometry:
         f1, f2 = self.df(chart)
         w = list(np.asarray(w, dtype=complex))
         fn = f2.eval(w)
-        if abs(fn) < 1e-12:
+        if abs(fn) < 1e-12 * self.f.coeff_norm():
             raise GeometryError("vanishing normal derivative (branch point)")
         return -f1.eval(w) / fn
 
@@ -633,7 +642,7 @@ class Example22Geometry:
     def psi_over_det_ds_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         psi = self.ctx.psi_batch(chart, W)
         fn = self.df(chart)[1].eval_batch(W)
-        if np.any(np.abs(fn) < 1e-12):
+        if np.any(np.abs(fn) < 1e-12 * self.f.coeff_norm()):
             raise GeometryError("vanishing normal derivative (branch point)")
         return psi / fn
 

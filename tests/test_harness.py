@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -364,3 +365,34 @@ def test_exact_cb_line_that_is_not_linear_is_schema_error(tmp_path):
     doc["tasks"] = [dict(EXACT_CB["tasks"][0], lines_f=["z0^2"], lines_g=["z1", "z2"])]
     with pytest.raises(ScenarioError, match="nonzero linear forms"):
         run_scenario(write_scenario(tmp_path, doc))
+
+
+@pytest.mark.parametrize("scale", ["1/10000000*", "10000000*"])
+def test_curve_task_verdict_is_scale_free(tmp_path, scale):
+    # the FS conic with f scaled far down or up passes as the unscaled one
+    # does, with the same rejections
+    base = run_scenario(str(SCENARIOS / "p2_example22_fs.json")).tasks[0]
+    doc = json.loads((SCENARIOS / "p2_example22_fs.json").read_text())
+    doc["section"] = [f"{scale}z1^2 + {scale}z2^2 - {scale}z0^2", "0"]
+    task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+    assert task.verdict == "pass", task.results
+    assert task.results["rejected_samples"] == base.results["rejected_samples"]
+
+
+def test_seed_sweep_script_smoke():
+    # two seeds of a cheap scenario; the sweep itself is a tier-2 tool
+    script = Path(__file__).resolve().parent.parent / "scripts" / "seed_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "p1_o2", "--seeds", "0:2"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "p1_o2.json, seeds 0:2"
+    cells = [re.split(r"\s{2,}", line.strip()) for line in lines[1:]]
+    assert cells[0] == ["estimate", "pass", "mean z^2", "max z", "z>3", "cv(sigma)", "sigma/L1 mean / max"]
+    rows = {row[0]: row[1:] for row in cells[1:]}
+    assert set(rows) == {f"[1] virtual_residue t={t}" for t in ("0.5", "1", "2")} | {"[2] local_mass total"}
+    for cols in rows.values():
+        assert cols[0] == "2/2" and cols[-1] == "-"
+    bad = subprocess.run([sys.executable, str(script), "p1_o2", "--seeds", "3:3"], capture_output=True, text=True)
+    assert bad.returncode == 2

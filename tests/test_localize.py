@@ -10,6 +10,8 @@ The two deepest oracles here:
   formula pointwise (not just its vanishing total).
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from residue_lab.projgeom import (
 from residue_lab.localize import (
     FlatModel,
     _det,
+    _solve_sheets,
     curve_integrand_tensor,
     curve_localized_term,
     det_N_inverse_term,
@@ -413,3 +416,105 @@ def test_global_vanishing_metric_independent():
     ctx22 = example22_context()
     est22 = virtual_residue_mc(ctx22, t=1.0, samples=60000, seed=72)
     assert abs(est22.value) <= 3 * est22.std_error
+
+
+# ---------------------------------------------------- closed-form sheet roots
+
+
+def _companion_roots(coeffs):
+    """Reference: eigenvalues of each row's companion matrix."""
+    m = coeffs.shape[1] - 1
+    C = np.zeros((len(coeffs), m, m), dtype=complex)
+    C[:, 1:, :-1] = np.eye(m - 1)
+    C[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+    return np.linalg.eigvals(C)
+
+
+def _backward_error(coeffs, roots):
+    """Largest |p(r)| / sum_k |a_k| |r|^k over the roots of every row."""
+    powers = roots[:, :, None] ** np.arange(coeffs.shape[1])
+    value = np.abs((coeffs[:, None, :] * powers).sum(axis=-1))
+    scale = (np.abs(coeffs)[:, None, :] * np.abs(powers)).sum(axis=-1)
+    return float((value / scale).max())
+
+
+@pytest.mark.parametrize("spread", [0, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_solve_sheets_backward_error_against_companion(m, spread):
+    # coefficients with magnitudes spread over 10^(+-spread); the closed forms
+    # (m <= 3) stay at rounding level where the companion matrix does not
+    rng = np.random.default_rng(200 + 10 * m + spread)
+    N = 20000
+    size = (N, m + 1)
+    coeffs = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-spread, spread, size)
+    roots = _solve_sheets(coeffs)
+    assert roots.shape == (N, m)
+    ref = _companion_roots(coeffs)
+    eps = np.finfo(float).eps
+    if m == 4:
+        assert np.array_equal(roots, ref)
+    else:
+        # the cubic's final Newton step takes it from about 3.3 eps to 1.8 eps
+        assert _backward_error(coeffs, roots) <= (2.5 if m == 3 else 4) * eps
+        assert _backward_error(coeffs, roots) <= max(_backward_error(coeffs, ref), eps)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_solve_sheets_finds_the_companion_roots(m):
+    rng = np.random.default_rng(300 + m)
+    coeffs = rng.normal(size=(2000, m + 1)) + 1j * rng.normal(size=(2000, m + 1))
+    roots, ref = _solve_sheets(coeffs), _companion_roots(coeffs)
+    gap = np.min([np.abs(roots[:, list(p)] - ref).max(axis=1) for p in permutations(range(m))], axis=0)
+    assert np.max(gap / np.maximum(1.0, np.abs(ref).max(axis=1))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "want",
+    [[-3], [0], [2, 2], [0, 0], [0, 5], [1, 1, 2], [1, 1, 1], [1 + 2j] * 3, [0, 0, 0], [0, 0, 3], [0, 1j, 3]],
+)
+def test_solve_sheets_multiple_and_zero_roots(want):
+    coeffs = (0.5 - 2j) * np.poly(want)[::-1].astype(complex)[None, :]
+    got = _solve_sheets(coeffs)[0]
+    want = np.array(want, dtype=complex)
+    gap = min(np.abs(got[list(p)] - want).max() for p in permutations(range(len(want))))
+    # a root of multiplicity k is determined to about eps^(1/k)
+    k = max(int(np.sum(want == w)) for w in want)
+    assert gap <= 10 * (1e-16 ** (1 / k)) * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_solve_sheets_empty_and_single_batches(m):
+    assert _solve_sheets(np.zeros((0, m + 1), dtype=complex)).shape == (0, m)
+    coeffs = np.poly(np.arange(1, m + 1))[::-1].astype(complex)[None, :]
+    assert np.allclose(np.sort_complex(_solve_sheets(coeffs)[0]), np.arange(1, m + 1), atol=1e-12)
+
+
+# ---------------------------------------------------- curvature per chunk
+
+
+def test_curvature_entered_once_per_chunk(monkeypatch):
+    # the curvature blocks its points inside one call: a chunk of samples
+    # reaches chern_curvature_batch once with all its sheets, so a tracer
+    # wrapping the public name counts every point once
+    from residue_lab import chartfun, localize, polycore
+
+    monkeypatch.setattr(localize, "_CHUNK", 1500)
+    monkeypatch.setattr(polycore, "ROW_BLOCK", 512)
+    calls, group_rows = [], []
+    curvature = GeometryContext.chern_curvature_batch
+    group_eval = chartfun.ChartGroup.eval_batch
+
+    def counted(self, chart, W, **kwargs):
+        calls.append(len(W))
+        return curvature(self, chart, W, **kwargs)
+
+    def rows_seen(self, W):
+        group_rows.append(len(W))
+        return group_eval(self, W)
+
+    monkeypatch.setattr(GeometryContext, "chern_curvature_batch", counted)
+    monkeypatch.setattr(chartfun.ChartGroup, "eval_batch", rows_seen)
+    term = curve_localized_term(Example22Geometry(example22_context()), samples=4000, seed=3)
+    assert term.rejected == 0
+    assert calls == [3000, 3000, 2000]  # two sheets per sample
+    assert max(group_rows) <= 512

@@ -612,3 +612,54 @@ def test_refusal_names_the_singular_point_or_the_path_count():
         "(2 found, 2 escaped, 0 defective)"
     )
     assert plane_curve("z0^3 + z1^3 + z2^3").smoothness_defect(0) is None
+
+
+# ---------------------------------------------------- one curvature group
+
+
+@pytest.mark.parametrize("entry", [None, (0, 1, 1)])
+def test_curvature_matrices_come_from_one_group(entry):
+    # one call builds one group, and each matrix it holds equals its chart
+    # functions evaluated on their own
+    from residue_lab.projgeom import _eval_matrices
+
+    ctx = example22_context()
+    data = ctx.chart_data(0)
+    before = set(data.groups)
+    rng = np.random.default_rng(21)
+    W = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+    ctx.chern_curvature_batch(0, W, entry=entry)
+    (specs,) = set(data.groups) - before
+    keys = [key for key, _ in specs]
+    a_values = range(2) if entry is None else [entry[2]]
+    assert keys == [("G",), ("dbarG", 0), ("dbarG", 1)] + [
+        k for a in a_values for k in [("dG", a), ("d2G", a, 0), ("d2G", a, 1)]
+    ]
+    for (key, cols), got in zip(specs, _eval_matrices(data, specs, W)):
+        if key[0] in ("G", "dbarG"):
+            assert cols is None
+        else:
+            assert cols == (None if entry is None else (entry[1],))
+        fns = getattr(data, key[0])
+        for k in key[1:]:
+            fns = fns[k]
+        picked = range(2) if cols is None else cols
+        want = np.zeros_like(got)
+        for i in range(2):
+            for c, j in enumerate(picked):
+                want[:, i, c] = fns[i][j].eval_batch(W)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("entry", [None, (0, 1, 1)])
+def test_curvature_blocks_are_independent(entry):
+    # ROW_BLOCK + 37 points give, bit for bit, the two blocks evaluated apart
+    from residue_lab.polycore import ROW_BLOCK
+
+    ctx = example22_context()
+    rng = np.random.default_rng(22)
+    W = rng.normal(size=(ROW_BLOCK + 37, 2)) + 1j * rng.normal(size=(ROW_BLOCK + 37, 2))
+    whole = ctx.chern_curvature_batch(0, W, entry=entry)
+    parts = [ctx.chern_curvature_batch(0, W[s], entry=entry) for s in (slice(0, ROW_BLOCK), slice(ROW_BLOCK, None))]
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert np.all(whole[-37:] != 0)

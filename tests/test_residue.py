@@ -476,3 +476,20 @@ def test_ledger_total_permutation_invariance():
     rng.shuffle(shuffled)
     re_total = ResidueLedger.from_entries(shuffled).total
     assert abs(re_total - ledger.total) <= 1e-12
+
+
+def test_exact_monomial_row_against_coefficients_is_eval():
+    # the exact CB route evaluates a form at a held-out point as its
+    # coefficients against that point's monomial row
+    rng = np.random.default_rng(31)
+
+    def gauss():
+        return GaussianRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))), Fraction(int(rng.integers(-9, 10))))
+
+    for m in (1, 2, 3):
+        monos = monomials_of_degree(3, m)
+        form = HomogeneousPoly(3, m, {e: gauss() for e in monos if rng.random() < 0.7})
+        p = [gauss() for _ in range(3)]
+        (row,) = exact_monomial_rows([p], m)
+        at = dict(zip(monos, row))
+        assert sum(c * at[e] for e, c in form.terms.items()) == form.eval(p)
