@@ -29,11 +29,18 @@ localized integrand per sheet is
 with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds` and
 r_c the End(N)-scalar curvature term of
 :meth:`Example22Geometry.curvature_term`.
+
+Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
+weights, run by :func:`_run_chunks` on the seeded Philox stream in fixed
+chunks, so results do not depend on the thread count.  A curve chunk is drawn
+once; a sample near a branch point weighs 0 and is counted as rejected.
+:class:`FlatModel` is a GeometryContext under the identity metric.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,16 +48,17 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .chartfun import ChartFunction, ChartGroup
+from .chartfun import ChartFunction
 from .polycore import AffinePoly
 from .projgeom import (
     Example22Geometry,
     GeometryContext,
     GeometryError,
+    _assemble_chart,
     fs_density,
     fs_uniform_points,
 )
-from .superalg import SForm, SuperTensor, contract, exp_S, top_pairing
+from .superalg import SuperTensor, contract, exp_S, top_pairing
 
 __all__ = [
     "IntegralEstimate",
@@ -93,59 +101,15 @@ class CurveTerm:
     l1_mass: float
 
 
-class FlatModel:
-    """Flat-metric model on C^n (h = identity); same batch interface as
-    GeometryContext, used by the normalization oracle and tests."""
+class FlatModel(GeometryContext):
+    """Flat-metric model on C^n (h = identity): a GeometryContext whose only
+    chart, 0, is assembled from s_aff and psi_aff; used by the normalization
+    oracle and tests."""
 
     def __init__(self, s_aff: Sequence[AffinePoly], psi_aff: AffinePoly):
-        self.n = s_aff[0].num_vars
-        self.s_aff = list(s_aff)
-        self.psi_aff = psi_aff
-        self.ds = [[s.partial(b) for b in range(self.n)] for s in self.s_aff]
-        self._density = None
-
-    def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        total = np.zeros(W.shape[0])
-        for s in self.s_aff:
-            total += np.abs(s.eval_batch(W)) ** 2
-        return total
-
-    def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        # xi_p = conj(s_p); dbar_b xi_p = conj(d_b s_p)
-        n = self.n
-        out = np.zeros((W.shape[0], n, n), dtype=complex)
-        for p, ds in enumerate(self.ds):
-            for b in range(n):
-                out[:, b, p] = np.conj(ds[b].eval_batch(W))
-        return out
-
-    def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        return self.psi_aff.eval_batch(W)
-
-    def density_group(self, chart: int) -> ChartGroup:
-        """[|s|^2, conj(d_b s_p) for b, p in row order, P] as one group,
-        laid out as GeometryContext.density_group."""
-        if self._density is None:
-            n = self.n
-            s_norm2 = ChartFunction.zero(n)
-            for s in self.s_aff:
-                s_norm2 = s_norm2 + ChartFunction.from_parts(n, hol=s, anti=s)
-            functions = [s_norm2]
-            functions += [ChartFunction.from_parts(n, anti=self.ds[p][b]) for b in range(n) for p in range(n)]
-            functions.append(ChartFunction.from_parts(n, hol=self.psi_aff))
-            self._density = ChartGroup(n, functions)
-        return self._density
-
-    def S_form(self, chart: int, w, t: float) -> SForm:
-        """S/2t at one point (n,) or a batch (N, n); see GeometryContext.S_form."""
-        W = np.asarray(w, dtype=complex)
-        single = W.ndim == 1
-        W = W.reshape(-1, self.n)
-        scal = -self.s_norm2_batch(chart, W) / (2.0 * t)
-        A = -self.sbar_matrix_batch(chart, W) / (2.0 * t)
-        scal, A = (scal[0], A[0]) if single else (scal, A.transpose(1, 2, 0))
-        one = {(b + 1, p + 1): A[b, p] for b in range(self.n) for p in range(self.n)}
-        return SForm(self.n, scal, one)
+        self.n = n = s_aff[0].num_vars
+        H = [[ChartFunction.constant(n, float(i == j)) for j in range(n)] for i in range(n)]
+        self._charts = {0: _assemble_chart(0, list(s_aff), psi_aff, H)}
 
 
 def _det(A: np.ndarray) -> np.ndarray:
@@ -212,16 +176,36 @@ def _mean_and_stderr(x: np.ndarray) -> Tuple[complex, float]:
     return mean, math.sqrt(var / (len(x) - 1))
 
 
-def _run_chunks(worker, count: int, threads: int) -> np.ndarray:
-    """Evaluate worker(start, stop) over fixed chunks; identical results for
-    any thread count because chunk boundaries and merge order are fixed."""
-    spans = [(s, min(s + _CHUNK, count)) for s in range(0, count, _CHUNK)]
-    if threads > 1 and len(spans) > 1:
+def _run_chunks(draw, count: int, seed: int, threads: int) -> np.ndarray:
+    """draw(rng, size) over fixed chunks of ``count`` samples, concatenated.
+    The chunk starting at sample ``start`` draws from the Philox stream of
+    ``seed`` at counter start << 64, so chunk boundaries, streams and merge
+    order, and with them the results, are the same for any thread count."""
+
+    def chunk(start: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
+        return draw(rng, min(_CHUNK, count - start))
+
+    starts = range(0, count, _CHUNK)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda sp: worker(*sp), spans))
-    else:
-        parts = [worker(*sp) for sp in spans]
-    return np.concatenate(parts)
+            return np.concatenate(list(pool.map(chunk, starts)))
+    return np.concatenate([chunk(start) for start in starts])
+
+
+# Gauss-Legendre nodes and weights on [-1, 1], computed once per node count (read only)
+_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _polar_disc(R: float, radial_nodes: int, angular_nodes: int):
+    """Polar quadrature of the disc |zeta| <= R: Gauss-Legendre radii r with
+    weights wr, and the points zeta = r e^{i theta} ray after ray, for
+    ``angular_nodes`` equally spaced angles of weight 2 pi / angular_nodes."""
+    nodes, weights = _leggauss(radial_nodes)
+    r = 0.5 * R * (nodes + 1.0)
+    wr = 0.5 * R * weights
+    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    return r, wr, np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])
 
 
 # ------------------------------------------------------------------ oracle
@@ -237,14 +221,9 @@ def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 3
     model = FlatModel(
         [AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j)
     )
-    R = 10.0 * math.sqrt(2.0 * t)
-    nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
-    r = 0.5 * R * (nodes + 1.0)
-    wr = 0.5 * R * weights
-    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    r, wr, zeta = _polar_disc(10.0 * math.sqrt(2.0 * t), radial_nodes, angular_nodes)
     wth = 2.0 * math.pi / angular_nodes
-    W = np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])[:, None]
-    dens = global_density_tensor(model, 0, W, t).reshape(angular_nodes, radial_nodes)
+    dens = global_density_tensor(model, 0, zeta[:, None], t).reshape(angular_nodes, radial_nodes)
     total = 0.0
     for ray in dens:  # summed angle by angle
         total += float(np.sum(ray.real * r * wr)) * wth
@@ -270,9 +249,7 @@ def virtual_residue_sweep(
             raise GeometryError("t must be positive")
     n = ctx.n
 
-    def worker(start: int, stop: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
-        count = stop - start
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         Z = fs_uniform_points(n, count, rng)
         charts = np.argmax(np.abs(Z), axis=1)
         out = np.zeros((len(ts), count), dtype=complex)
@@ -284,7 +261,7 @@ def virtual_residue_sweep(
             out[:, idx] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
         return out.T  # (count, len(ts)) so chunks concatenate on axis 0
 
-    x = _run_chunks(worker, samples, threads)
+    x = _run_chunks(draw, samples, seed, threads)
     results = []
     for k, t in enumerate(ts):
         mean, se = _mean_and_stderr(x[:, k])
@@ -320,9 +297,7 @@ def local_mass(
     center = np.asarray(center, dtype=complex)
     vol = math.pi**n * radius ** (2 * n) / math.factorial(n)
 
-    def worker(start: int, stop: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
-        count = stop - start
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         direction = rng.standard_normal((count, 2 * n))
         direction /= np.linalg.norm(direction, axis=1)[:, None]
         radii = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
@@ -330,7 +305,7 @@ def local_mass(
         W = center[None, :] + radii[:, None] * offsets
         return global_density(ctx, 0, W, t) * vol
 
-    x = _run_chunks(worker, samples, threads)
+    x = _run_chunks(draw, samples, seed, threads)
     mean, se = _mean_and_stderr(x)
     return IntegralEstimate(mean, se, samples, t, seed)
 
@@ -363,6 +338,8 @@ def _sheet_coefficients(f: AffinePoly):
     """Coefficients of f as a polynomial in the sheet variable w_2: list of
     univariate polynomials in the base variable w_1, constant term first."""
     deg = max(e[1] for e in f.terms)
+    if deg == 0:
+        raise GeometryError("the curve has no sheets over w_1: f does not involve w_2")
     coeff_polys = [dict() for _ in range(deg + 1)]
     for e, c in f.terms.items():
         coeff_polys[e[1]][(e[0],)] = c
@@ -431,9 +408,11 @@ def curve_localized_term(
     """Sheeted Monte Carlo of the curve-localized integrand over Z = {f = 0}.
 
     Base points w_1 are FS-uniform on the chart-0 line; each sample's roots
-    w_2 are the sheets.  Samples too close to a branch point (|df/dw_2| below
-    _BRANCH_TOL times f's coefficient norm) are rejected and redrawn; the count
-    is reported.  The vanishing of the total is the verified identity.
+    w_2 are the sheets.  A sample too close to a branch point (|df/dw_2| below
+    _BRANCH_TOL times f's coefficient norm at a sheet), or whose leading
+    coefficient vanishes or whose sheets are not finite, is rejected: it
+    weighs 0 and is counted.  The vanishing of the total is the verified
+    identity.
     """
     if geo.ctx.chart_data(0).psi_aff is None:
         raise GeometryError("instance carries no psi")
@@ -442,69 +421,41 @@ def curve_localized_term(
     fn_poly = geo.df(0)[1]
     branch_tol = _BRANCH_TOL * f.coeff_norm()
 
-    chunk_stats = {}  # start -> (rejections, pointwise max); filled per chunk
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        """Columns: value, L1 mass, largest |sheet density|, rejected flag."""
+        Z = fs_uniform_points(1, count, rng)
+        u = Z[:, 1] / Z[:, 0]
+        coeffs = np.stack([cp.eval_batch(u[:, None]) for cp in coeff_polys], axis=1)
+        lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * np.abs(coeffs).max(axis=1)
+        roots = np.full((count, len(coeff_polys) - 1), np.nan, dtype=complex)
+        roots[lead_ok] = _solve_sheets(coeffs[lead_ok])
+        with np.errstate(all="ignore"):
+            fn = fn_poly.eval_batch(_sheet_points(u, roots)).reshape(roots.shape)
+            ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
+        out = np.zeros((count, 4), dtype=complex)
+        out[:, 3] = ~ok
+        if ok.any():
+            W = _sheet_points(u[ok], roots[ok])
+            dens = (geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi).reshape(
+                -1, roots.shape[1]
+            )
+            p_base = fs_density(u[ok, None], 1)
+            out[ok, 0] = dens.sum(axis=1) / p_base
+            out[ok, 1] = np.abs(dens).sum(axis=1) / p_base
+            out[ok, 2] = np.abs(dens).max(axis=1)
+        return out
 
-    def worker(start: int, stop: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
-        count = stop - start
-        vals = np.zeros(count, dtype=complex)
-        l1 = np.zeros(count)
-        pending = np.arange(count)
-        rejected = 0
-        pmax = 0.0
-        guard = 0
-        while len(pending):
-            guard += 1
-            if guard > 100:
-                raise GeometryError("branch-point rejection did not terminate")
-            Z = fs_uniform_points(1, len(pending), rng)
-            u = (Z[:, 1] / Z[:, 0]).reshape(-1)
-            U = u[:, None]
-            coeffs = np.stack([cp.eval_batch(U) for cp in coeff_polys], axis=1)
-            lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * np.abs(coeffs).max(axis=1)
-            roots = np.full((len(pending), len(coeff_polys) - 1), np.nan, dtype=complex)
-            if lead_ok.any():
-                roots[lead_ok] = _solve_sheets(coeffs[lead_ok])
-            with np.errstate(all="ignore"):
-                for _ in range(3):  # Newton polish on each sheet
-                    Wall = _sheet_points(u, roots)
-                    fv = f.eval_batch(Wall).reshape(roots.shape)
-                    fn = fn_poly.eval_batch(Wall).reshape(roots.shape)
-                    roots = roots - fv / fn
-                Wall = _sheet_points(u, roots)
-                fn = fn_poly.eval_batch(Wall).reshape(roots.shape)
-                ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
-            rejected += int(len(pending) - ok.sum())
-
-            if ok.any():
-                idx = pending[ok]
-                u_ok = u[ok]
-                roots_ok = roots[ok]
-                Wok = _sheet_points(u_ok, roots_ok)
-                phi = geo.psi_over_det_ds_batch(0, Wok)
-                r_c = geo.curvature_term_batch(0, Wok)
-                dens_sheet = (phi * r_c / math.pi).reshape(roots_ok.shape)
-                if dens_sheet.size:
-                    pmax = max(pmax, float(np.abs(dens_sheet).max()))
-                p_base = fs_density(u_ok[:, None], 1)
-                vals[idx] = dens_sheet.sum(axis=1) / p_base
-                l1[idx] = np.abs(dens_sheet).sum(axis=1) / p_base
-            pending = pending[~ok]
-        chunk_stats[start] = (rejected, pmax)
-        return np.stack([vals, l1.astype(complex)], axis=1)
-
-    out = _run_chunks(worker, samples, threads)
+    out = _run_chunks(draw, samples, seed, threads)
     mean, se = _mean_and_stderr(out[:, 0])
-    l1_mass = float(out[:, 1].real.mean())
     return CurveTerm(
         value=mean,
         std_error=se,
         component_id="curve(f), chart 0",
         samples=samples,
         seed=seed,
-        rejected=sum(v[0] for v in chunk_stats.values()),
-        pointwise_max=max(v[1] for v in chunk_stats.values()),
-        l1_mass=l1_mass,
+        rejected=int(out[:, 3].real.sum()),
+        pointwise_max=float(out[:, 2].real.max()),
+        l1_mass=float(out[:, 1].real.mean()),
     )
 
 
@@ -531,8 +482,6 @@ def fiber_mass_quadrature(
     roots = _solve_sheets(coeffs)[0]
     fn_poly = geo.df(0)[1]
 
-    nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
-    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     wth = 2.0 * math.pi / angular_nodes
     total = 0j
     for root in roots:
@@ -541,10 +490,7 @@ def fiber_mass_quadrature(
         Hm = ctx.metric_matrix(0, w0)
         h11 = float(Hm[geo.f_index, geo.f_index].real)
         width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
-        R = _SIGMA_MULT * width
-        r = 0.5 * R * (nodes + 1.0)
-        wr = 0.5 * R * weights
-        zeta = np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])
+        r, wr, zeta = _polar_disc(_SIGMA_MULT * width, radial_nodes, angular_nodes)
         W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
         g = global_density(ctx, 0, W, t).reshape(angular_nodes, radial_nodes)
         for ray in g:  # summed ray by ray

@@ -272,6 +272,33 @@ class _ChartData:
         return self.groups["density"]
 
 
+def _assemble_chart(
+    chart: int, s_aff: List[AffinePoly], psi_aff: Optional[AffinePoly], H: List[List[ChartFunction]]
+) -> _ChartData:
+    """Chart data of a section s_aff and top-form coefficient psi_aff under the
+    metric entries H (pairing convention): xi_p = sum_q H_pq conj(s_q),
+    |s|^2 = sum_p xi_p s_p, Abar[b][p] = dbar_b xi_p and G = H^T."""
+    n = len(s_aff)
+    xi = []
+    for p in range(n):
+        acc = ChartFunction.zero(n)
+        for q_ in range(n):
+            if s_aff[q_].is_zero():
+                continue
+            acc = acc + H[p][q_].mul_anti(s_aff[q_])
+        xi.append(acc)
+    s_norm2 = ChartFunction.zero(n)
+    for p in range(n):
+        if s_aff[p].is_zero():
+            continue
+        s_norm2 = s_norm2 + xi[p].mul_hol(s_aff[p])
+    Abar = [[xi[p].dbar(bb) for p in range(n)] for bb in range(n)]
+
+    data = _ChartData(chart, s_aff, psi_aff, H, xi, s_norm2, Abar)
+    data.G = [[H[j][i] for j in range(n)] for i in range(n)]
+    return data
+
+
 def _eval_matrices(data: _ChartData, specs: tuple, W: np.ndarray) -> List[np.ndarray]:
     """The matrices of chart functions ``data.matrix_group`` names by
     ``specs`` at a batch of points, from one evaluation of their group: shape
@@ -315,6 +342,7 @@ class GeometryContext:
                 )
             if not (0 <= metric.f_index < bundle.n):
                 raise GeometryError("f_index out of range")
+        self.n = bundle.n
         self.bundle = bundle
         self.section = section
         self.metric = metric
@@ -324,10 +352,6 @@ class GeometryContext:
             self._certify_positive()
 
     # -------------------------------------------------------- chart assembly
-
-    @property
-    def n(self) -> int:
-        return self.bundle.n
 
     def chart_data(self, chart: int) -> _ChartData:
         if chart not in self._charts:
@@ -356,25 +380,7 @@ class GeometryContext:
             )
             H[a][b] = H[a][b] + off
             H[b][a] = H[b][a] + off.conjugate()
-
-        xi = []
-        for p in range(n):
-            acc = ChartFunction.zero(n)
-            for q_ in range(n):
-                if s_aff[q_].is_zero():
-                    continue
-                acc = acc + H[p][q_].mul_anti(s_aff[q_])
-            xi.append(acc)
-        s_norm2 = ChartFunction.zero(n)
-        for p in range(n):
-            if s_aff[p].is_zero():
-                continue
-            s_norm2 = s_norm2 + xi[p].mul_hol(s_aff[p])
-        Abar = [[xi[p].dbar(bb) for p in range(n)] for bb in range(n)]
-
-        data = _ChartData(chart, s_aff, psi_aff, H, xi, s_norm2, Abar)
-        data.G = [[H[j][i] for j in range(n)] for i in range(n)]
-        return data
+        return _assemble_chart(chart, s_aff, psi_aff, H)
 
     def _curvature_functions(self, chart: int):
         data = self.chart_data(chart)
@@ -413,7 +419,7 @@ class GeometryContext:
         """Superconnection datum scaled by 1/(2t): scalar -|s|^2/2t and
         one-form -(1/2t) dbar <., s>.
 
-        Evaluated point by point from the chart functions, not through the
+        Evaluated from each chart function on its own, not through the
         ``density_group`` of the determinant path, so the tensor route checks
         that group independently.  w is one point of shape (n,), giving scalar
         coefficients, or a batch of shape (N, n), giving (N,)-array
@@ -423,10 +429,9 @@ class GeometryContext:
             raise GeometryError("t must be positive")
         data = self.chart_data(chart)
         w = np.asarray(w, dtype=complex)
-        points = w.reshape(-1, self.n)
 
         def at(f: ChartFunction):
-            values = np.array([f.eval(p) for p in points])
+            values = f.eval_batch(w.reshape(-1, self.n))
             return values[0] if w.ndim == 1 else values
 
         scal = -at(data.s_norm2) / (2.0 * t)

@@ -7,7 +7,7 @@ a Hermite predictor, Newton corrector and adaptive steps.
 Each system is compiled into one polycore.PolyKernel of f and its partials,
 which serves the endpoint polish and the certification step (residual |f| and
 det df/dz), both batched over the endpoints, and ``certify_zero`` and
-``jacobian_det`` at single points.  The homotopy has a kernel of its own per
+the ledger's det J at single points.  The homotopy has a kernel of its own per
 gamma, built when the gamma is first tracked and replaced on a retry: its rows
 are A = gamma (g, dg/dz) and B = (f, df/dz) - gamma (g, dg/dz), each a value
 row per equation followed by a full row-major n x n Jacobian block (zero off
@@ -70,7 +70,7 @@ import numpy as np
 
 from .polycore import AffinePoly, HomogeneousPoly, PolyKernel
 
-__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "jacobian_det", "zeros_at_infinity_check", "random_unitary", "SolveError"]
+__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "zeros_at_infinity_check", "random_unitary", "SolveError"]
 
 
 class SolveError(RuntimeError):
@@ -401,11 +401,6 @@ def certify_zero(polys: Sequence[AffinePoly], p: Sequence[complex]):
         except np.linalg.LinAlgError:
             pass
     return res, det, contracts
-
-
-def jacobian_det(polys: Sequence[AffinePoly], p: Sequence[complex]) -> complex:
-    """det(d polys / dz) at a point, from the certification step."""
-    return _System(polys).jacobian_det(p)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -262,6 +262,24 @@ def test_cusp_curve_precondition_failed(tmp_path):
     assert main(["verify", path]) == 1
 
 
+def test_curve_without_sheets_precondition_failed(tmp_path):
+    # f = z1 - z0 does not involve z2, so no sheet lies over w_1
+    doc = {
+        "n": 2,
+        "degrees": [1, 2],
+        "section": ["z1 - z0", "0"],
+        "psi": "1",
+        "metric": {"kind": "fubini_study"},
+        "backend": "float",
+        "tasks": [{"kind": "curve_localization", "samples": 2000}],
+    }
+    path = write_scenario(tmp_path, doc)
+    task = run_scenario(path).tasks[0]
+    assert task.verdict == "precondition-failed"
+    assert task.results["error"] == "the curve has no sheets over w_1: f does not involve w_2"
+    assert main(["verify", path]) == 1
+
+
 def test_overlapping_balls_precondition(tmp_path):
     doc = dict(BASE_P1)
     doc["tasks"] = [{"kind": "local_mass", "t": 0.01, "radius": 1.5, "samples": 2000}]

@@ -518,3 +518,72 @@ def test_curvature_entered_once_per_chunk(monkeypatch):
     assert term.rejected == 0
     assert calls == [3000, 3000, 2000]  # two sheets per sample
     assert max(group_rows) <= 512
+
+
+# ---------------------------------------------------- rejected curve samples
+
+
+def test_branch_rejections_are_thread_invariant(monkeypatch):
+    from residue_lab import localize
+
+    monkeypatch.setattr(localize, "_BRANCH_TOL", 0.2)
+    geo = Example22Geometry(example22_context())
+    a = curve_localized_term(geo, samples=40000, seed=45, threads=1)
+    b = curve_localized_term(geo, samples=40000, seed=45, threads=4)
+    assert a.rejected == 8
+    assert (a.value, a.std_error, a.rejected, a.pointwise_max) == (b.value, b.std_error, b.rejected, b.pointwise_max)
+
+
+def test_rejected_sample_weighs_zero_and_the_others_are_unchanged(monkeypatch):
+    # each chunk is drawn once: a rejected sample keeps its place in the
+    # stream with columns (0, 0, 0, 1), and every other sample is the sample
+    # drawn at the default tolerance
+    from residue_lab import localize
+
+    run_chunks, columns = localize._run_chunks, []
+
+    def kept(*args):
+        columns.append(run_chunks(*args))
+        return columns[-1]
+
+    monkeypatch.setattr(localize, "_run_chunks", kept)
+    geo = Example22Geometry(example22_context())
+    curve_localized_term(geo, samples=20000, seed=45)
+    monkeypatch.setattr(localize, "_BRANCH_TOL", 0.2)
+    term = curve_localized_term(geo, samples=20000, seed=45)
+    base, cut = columns
+    rejected = cut[:, 3] == 1
+    assert base[:, 3].sum() == 0 and term.rejected == rejected.sum() > 0
+    assert np.all(cut[rejected] == [0, 0, 0, 1])
+    assert np.array_equal(cut[~rejected], base[~rejected])
+    assert term.value == cut[:, 0].mean()
+
+
+def test_every_sample_rejected(monkeypatch):
+    from residue_lab import localize
+
+    monkeypatch.setattr(localize, "_BRANCH_TOL", 1e9)
+    term = curve_localized_term(Example22Geometry(example22_context()), samples=3000, seed=45)
+    assert term.rejected == term.samples == 3000
+    assert term.value == 0 and term.l1_mass == 0 and term.pointwise_max == 0
+
+
+def test_one_seeded_stream_for_every_estimator():
+    import inspect
+
+    from residue_lab import localize
+
+    assert inspect.getsource(localize).count("np.random.Philox(") == 1
+    assert "np.random.Philox(key=seed, counter=start << 64)" in inspect.getsource(localize._run_chunks)
+
+
+def test_curve_without_sheets_is_a_geometry_error():
+    from residue_lab.projgeom import GeometryError
+
+    bundle = BundleSpec(2, (1, 2))
+    s = SectionSpec((parse_poly("z1 - z0", 3), HomogeneousPoly(3, 2, {})))
+    geo = Example22Geometry(GeometryContext(bundle, s, MetricSpec(), PsiSpec(parse_poly("1", 3))))
+    with pytest.raises(GeometryError, match="no sheets over w_1"):
+        curve_localized_term(geo, samples=2000, seed=1)
+    with pytest.raises(GeometryError, match="no sheets over w_1"):
+        fiber_mass_quadrature(geo, 0.3 + 0.1j, t=0.01)
