@@ -55,6 +55,7 @@ from .projgeom import (
     GeometryContext,
     GeometryError,
     _assemble_chart,
+    _det,
     fs_density,
     fs_uniform_points,
 )
@@ -110,19 +111,6 @@ class FlatModel(GeometryContext):
         self.n = n = s_aff[0].num_vars
         H = [[ChartFunction.constant(n, float(i == j)) for j in range(n)] for i in range(n)]
         self._charts = {0: _assemble_chart(0, list(s_aff), psi_aff, H)}
-
-
-def _det(A: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of square matrices, (N, n, n) -> (N,).
-
-    The closed form for n <= 2, where LAPACK's per-matrix overhead would
-    dominate; np.linalg.det above that."""
-    n = A.shape[-1]
-    if n == 1:
-        return A[:, 0, 0]
-    if n == 2:
-        return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    return np.linalg.det(A)
 
 
 def _density_parts(ctx, chart: int, W: np.ndarray):

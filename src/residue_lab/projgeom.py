@@ -193,10 +193,10 @@ def transition_jacobian(w_from: Sequence[complex], from_chart: int, to_chart: in
 
 
 def fs_uniform_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """FS-uniform sample of P^n as raw homogeneous Gaussian vectors (count, n+1)."""
-    re = rng.standard_normal((count, n + 1))
-    im = rng.standard_normal((count, n + 1))
-    return re + 1j * im
+    """FS-uniform sample of P^n as raw homogeneous Gaussian vectors (count, n+1), real parts first."""
+    Z = np.empty((count, n + 1), dtype=complex)
+    Z.real, Z.imag = rng.standard_normal(Z.shape), rng.standard_normal(Z.shape)
+    return Z
 
 
 def fs_density(W: np.ndarray, n: int) -> np.ndarray:
@@ -297,6 +297,36 @@ def _assemble_chart(
     data = _ChartData(chart, s_aff, psi_aff, H, xi, s_norm2, Abar)
     data.G = [[H[j][i] for j in range(n)] for i in range(n)]
     return data
+
+
+def _det(A: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices, (N, n, n) -> (N,): the closed
+    form for n <= 2, where LAPACK's per-matrix overhead would dominate."""
+    if A.shape[-1] > 2:
+        return np.linalg.det(A)
+    return A[:, 0, 0] if A.shape[-1] == 1 else A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+
+
+def _inv(A: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of square matrices, (N, n, n): the adjugate times 1/_det(A) for
+    n <= 2, np.linalg.inv above; an exactly zero determinant raises LinAlgError, as LAPACK does."""
+    if A.shape[-1] > 2:
+        return np.linalg.inv(A)
+    det = _det(A)
+    if np.any(det == 0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    r = 1.0 / det
+    if A.shape[-1] == 1:
+        return r[:, None, None]
+    out = np.empty_like(A)
+    out[:, 0, 0], out[:, 0, 1] = A[:, 1, 1] * r, A[:, 0, 1] * -r
+    out[:, 1, 0], out[:, 1, 1] = A[:, 1, 0] * -r, A[:, 0, 0] * r
+    return out
+
+
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked product (N, k, l) x (N, l, m) -> (N, k, m); einsum beats ``@`` on small operands."""
+    return np.einsum("pkl,plm->pkm", A, B)
 
 
 def _eval_matrices(data: _ChartData, specs: tuple, W: np.ndarray) -> List[np.ndarray]:
@@ -471,8 +501,9 @@ class GeometryContext:
         """Curvature of the Chern connection, shape (N, rank, rank, n, n):
         out[s, i, j, a, b] along dw_a ^ dwbar_b.
 
-        Computed from exact derivatives of G = H^T:
-        R[a][b] = G^{-1}(dbar_b G) G^{-1}(d_a G) - G^{-1}(d_a dbar_b G).
+        Computed from exact derivatives of G = H^T, with X_a = G^{-1} d_a G formed
+        once per a: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  G^{-1} is
+        :func:`_inv` (closed form for rank <= 2); every product is one :func:`_mm`.
 
         ``entry=(i, j, a)`` returns only out[:, i, j, a, :], shape (N, n).  It
         takes row i of G^{-1} against column j of d_a G and d_a dbar_b G, so
@@ -491,14 +522,13 @@ class GeometryContext:
         out = np.zeros((W.shape[0],) + shape + (len(a_values), n), dtype=complex)
         for block in row_blocks(W.shape[0]):
             G, *mats = _eval_matrices(data, specs, W[block])
-            Ginv = np.linalg.inv(G)
+            Ginv = _inv(G)
             rows = Ginv[:, i, :]
-            # (rows of) G^{-1} (dbar_b G) G^{-1}, once per b
-            left = [rows @ dbarG @ Ginv for dbarG in mats[:n]]
             for k in range(len(a_values)):
                 dGa, *d2 = mats[n + k * (n + 1) : n + (k + 1) * (n + 1)]
+                X = _mm(Ginv, dGa)
                 for b in range(n):
-                    out[block, :, :, k, b] = left[b] @ dGa - rows @ d2[b]
+                    out[block, :, :, k, b] = _mm(rows, _mm(mats[b], X) - d2[b])
         return out if entry is None else out[:, 0, 0, 0, :]
 
     def ds_matrix(self, chart: int, w: Sequence[complex]) -> np.ndarray:

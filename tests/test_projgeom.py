@@ -663,3 +663,96 @@ def test_curvature_blocks_are_independent(entry):
     parts = [ctx.chern_curvature_batch(0, W[s], entry=entry) for s in (slice(0, ROW_BLOCK), slice(ROW_BLOCK, None))]
     assert np.array_equal(whole, np.concatenate(parts))
     assert np.all(whole[-37:] != 0)
+
+
+# ------------------------------------- closed-form inverse and curvature
+
+
+def well_conditioned(n, count=500, seed=23):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return A + 3.0 * n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_inverse_matches_lapack(n):
+    from residue_lab.projgeom import _inv
+
+    A = well_conditioned(n)
+    ref = np.linalg.inv(A)
+    scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(_inv(A) - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_of_a_singular_matrix_raises(n):
+    from residue_lab.projgeom import _inv
+
+    A = well_conditioned(n, count=4)
+    A[2, -1] = 0.0  # a zero row: one exactly singular matrix in the stack
+    with pytest.raises(np.linalg.LinAlgError):
+        _inv(A)
+
+
+def _function_matrix(fns, W):
+    """The (N, n, n) matrix of a nested list of chart functions, entry by entry."""
+    return np.stack([np.stack([f.eval_batch(W) for f in row], axis=-1) for row in fns], axis=1)
+
+
+def reference_curvature(ctx, chart, W):
+    """R[a][b] = G^{-1}(dbar_b G) G^{-1}(d_a G) - G^{-1}(d_a dbar_b G) with
+    LAPACK's inverse and stacked @, every matrix evaluated entry by entry."""
+    data = ctx._curvature_functions(chart)
+    n = ctx.n
+    Ginv = np.linalg.inv(_function_matrix(data.G, W))
+    R = np.zeros((len(W), n, n, n, n), dtype=complex)
+    for a in range(n):
+        dGa = _function_matrix(data.dG[a], W)
+        for b in range(n):
+            left = Ginv @ _function_matrix(data.dbarG[b], W) @ Ginv
+            R[:, :, :, a, b] = left @ dGa - Ginv @ _function_matrix(data.d2G[a][b], W)
+    return R
+
+
+CURVATURE_CONTEXTS = {
+    "p2_fs": (lambda: example22_context(eps=0), (0, 1, 1)),
+    "p2_perturbed": (example22_context, (0, 1, 1)),
+    "p1": (p1_o2_context, (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_CONTEXTS))
+def test_curvature_matches_the_lapack_reference(name):
+    build, (i, j, a) = CURVATURE_CONTEXTS[name]
+    ctx = build()
+    rng = np.random.default_rng(24)
+    W = rng.normal(size=(400, ctx.n)) + 1j * rng.normal(size=(400, ctx.n))
+    ref = reference_curvature(ctx, 0, W)
+    scale = np.abs(ref).reshape(len(W), -1).max(axis=1)
+    full = ctx.chern_curvature_batch(0, W)
+    assert np.all(np.abs(full - ref) <= 1e-12 * scale[:, None, None, None, None])
+    entry = ctx.chern_curvature_batch(0, W, entry=(i, j, a))
+    assert np.all(np.abs(entry - ref[:, i, j, a, :]) <= 1e-12 * scale[:, None])
+
+
+@pytest.mark.parametrize("name", ["p2_fs", "p1"])
+@pytest.mark.parametrize("use_entry", [False, True])
+def test_curvature_blocks_are_independent_on_every_rank(name, use_entry):
+    # ROW_BLOCK + 37 points give, bit for bit, the two blocks evaluated apart
+    from residue_lab.polycore import ROW_BLOCK
+
+    build, entry = CURVATURE_CONTEXTS[name]
+    ctx, entry = build(), entry if use_entry else None
+    rng = np.random.default_rng(25)
+    W = rng.normal(size=(ROW_BLOCK + 37, ctx.n)) + 1j * rng.normal(size=(ROW_BLOCK + 37, ctx.n))
+    whole = ctx.chern_curvature_batch(0, W, entry=entry)
+    parts = [ctx.chern_curvature_batch(0, W[s], entry=entry) for s in (slice(0, ROW_BLOCK), slice(ROW_BLOCK, None))]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_fs_uniform_points_are_the_complex_sum_bit_for_bit():
+    Z = fs_uniform_points(2, 16384, np.random.default_rng(np.random.Philox(26)))
+    rng = np.random.default_rng(np.random.Philox(26))
+    re = rng.standard_normal((16384, 3))
+    im = rng.standard_normal((16384, 3))
+    assert Z.tobytes() == (re + 1j * im).tobytes()
