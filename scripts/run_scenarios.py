@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled scenario and print a one-line verdict summary.
 
-Usage: python3 scripts/run_scenarios.py [--samples N] [--seed N] [--threads N] [--json-dir DIR]
+Usage: python3 scripts/run_scenarios.py [--samples N] [--seed N] [--json-dir DIR]
 
-Scenarios run on ``--threads`` worker threads, one by default; the reports are
-the same for any count.  With ``--json-dir`` each scenario's canonical JSON
-report is also written to ``DIR/<scenario>.json``, ready for
-``scripts/compare_reports.py`` or ``cmp``.
+Scenarios run single-threaded.  With ``--json-dir`` each scenario's canonical
+JSON report is also written to ``DIR/<scenario>.json``, ready for
+``scripts/compare_reports.py``.
 """
 
 import argparse
@@ -24,18 +23,15 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads per scenario (default 1)")
     parser.add_argument("--json-dir", type=Path, default=None, help="write canonical JSON reports here")
     args = parser.parse_args()
-    if args.threads < 1:
-        parser.error(f"--threads must be at least 1, got {args.threads}")
     if args.json_dir is not None:
         args.json_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
     for path in sorted(SCENARIOS.glob("*.json")):
         try:
-            report = run_scenario(str(path), seed=args.seed, samples=args.samples, threads=args.threads)
+            report = run_scenario(str(path), seed=args.seed, samples=args.samples, threads=1)
         except ScenarioError as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2

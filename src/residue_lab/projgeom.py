@@ -309,15 +309,13 @@ def _det(A: np.ndarray) -> np.ndarray:
 
 def _inv(A: np.ndarray) -> np.ndarray:
     """Inverses of a stack of square matrices, (N, n, n): the adjugate times 1/_det(A) for
-    n <= 2, np.linalg.inv above; an exactly zero determinant raises LinAlgError, as LAPACK does."""
-    if A.shape[-1] > 2:
+    n = 2, np.linalg.inv otherwise; an exactly zero determinant raises LinAlgError, as LAPACK does."""
+    if A.shape[-1] != 2:
         return np.linalg.inv(A)
     det = _det(A)
     if np.any(det == 0):
         raise np.linalg.LinAlgError("Singular matrix")
     r = 1.0 / det
-    if A.shape[-1] == 1:
-        return r[:, None, None]
     out = np.empty_like(A)
     out[:, 0, 0], out[:, 0, 1] = A[:, 1, 1] * r, A[:, 0, 1] * -r
     out[:, 1, 0], out[:, 1, 1] = A[:, 1, 0] * -r, A[:, 0, 0] * r
@@ -503,7 +501,7 @@ class GeometryContext:
 
         Computed from exact derivatives of G = H^T, with X_a = G^{-1} d_a G formed
         once per a: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  G^{-1} is
-        :func:`_inv` (closed form for rank <= 2); every product is one :func:`_mm`.
+        :func:`_inv` (closed form for rank 2); every product is one :func:`_mm`.
 
         ``entry=(i, j, a)`` returns only out[:, i, j, a, :], shape (N, n).  It
         takes row i of G^{-1} against column j of d_a G and d_a dbar_b G, so

@@ -735,13 +735,13 @@ def test_curvature_matches_the_lapack_reference(name):
     assert np.all(np.abs(entry - ref[:, i, j, a, :]) <= 1e-12 * scale[:, None])
 
 
-@pytest.mark.parametrize("name", ["p2_fs", "p1"])
 @pytest.mark.parametrize("use_entry", [False, True])
-def test_curvature_blocks_are_independent_on_every_rank(name, use_entry):
-    # ROW_BLOCK + 37 points give, bit for bit, the two blocks evaluated apart
+def test_curvature_blocks_are_independent_on_p1(use_entry):
+    # ROW_BLOCK + 37 points give, bit for bit, the two blocks evaluated apart;
+    # test_curvature_blocks_are_independent covers the rank-2 case on P^2
     from residue_lab.polycore import ROW_BLOCK
 
-    build, entry = CURVATURE_CONTEXTS[name]
+    build, entry = CURVATURE_CONTEXTS["p1"]
     ctx, entry = build(), entry if use_entry else None
     rng = np.random.default_rng(25)
     W = rng.normal(size=(ROW_BLOCK + 37, ctx.n)) + 1j * rng.normal(size=(ROW_BLOCK + 37, ctx.n))
