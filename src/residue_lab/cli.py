@@ -54,9 +54,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        report = run_scenario(
-            args.scenario, seed=args.seed, samples=args.samples, threads=max(1, args.threads)
-        )
+        report = run_scenario(args.scenario, seed=args.seed, samples=args.samples, threads=args.threads)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -127,8 +127,8 @@ class ScenarioError(ValueError):
     """Scenario file violates the schema or its degree constraints."""
 
 
-def _check_samples(value, what: str) -> None:
-    """A sample count must be an int >= 1."""
+def _check_count(value, what: str) -> None:
+    """A sample or thread count must be an int >= 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ScenarioError(f"{what} must be an integer >= 1, got {value!r}")
 
@@ -185,7 +185,7 @@ class Scenario:
                     f"unknown key(s) {unknown} in {task['kind']} task; known keys: {sorted(known)}"
                 )
             if "samples" in task:
-                _check_samples(task["samples"], f"{task['kind']} task key 'samples'")
+                _check_count(task["samples"], f"{task['kind']} task key 'samples'")
         return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
 
     # ---------------------------------------------------------------- build
@@ -361,8 +361,9 @@ def run_scenario(
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
+    _check_count(threads, "the thread count")
     if samples is not None:
-        _check_samples(samples, "the samples override")
+        _check_count(samples, "the samples override")
     scenario = Scenario.from_dict(doc)
     scenario.parse_polys()  # fail fast on degree violations (exit 2)
     global_seed = seed if seed is not None else 0

@@ -25,6 +25,7 @@ or rational (``p/q``) components, whitespace insignificant.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -286,6 +287,20 @@ def row_blocks(count: int):
     return [slice(s, min(s + ROW_BLOCK, count)) for s in range(0, count, ROW_BLOCK)]
 
 
+# Per-thread scratch for PolyKernel._monomials: glibc returns large freed
+# arrays to the OS, so fresh power and monomial tables on every call would be
+# page-faulted in again each time.  Worker threads get buffers of their own.
+_workspace = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """This thread's flat complex128 workspace, at least ``size`` long."""
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size, dtype=np.complex128)
+    return buf
+
+
 class PolyKernel:
     """A list of affine polynomials compiled for batched evaluation.
 
@@ -295,6 +310,11 @@ class PolyKernel:
     product then evaluates every polynomial.  Arrays run along the batch in
     their last axis, so every step works on contiguous rows of points.
     Batches are processed in blocks of ROW_BLOCK points.
+
+    The power and monomial tables live in one workspace per thread, shared by
+    every kernel and grown only when a block needs more, so repeated calls do
+    not allocate (and fault in) fresh tables.  Arrays returned by
+    :meth:`eval_batch` are the caller's own and never alias the workspace.
     """
 
     __slots__ = ("num_vars", "degree", "factors", "coeffs")
@@ -313,21 +333,27 @@ class PolyKernel:
         ).reshape(len(polys), len(expos))
 
     def _monomials(self, W: np.ndarray) -> np.ndarray:
-        """Values of the monomials at one block of points, shape (M, N)."""
+        """Values of the monomials at one block of points, shape (M, N).
+
+        The result is a view into this thread's workspace: it is valid only
+        until the thread's next ``_monomials`` call, on any kernel, so the
+        caller must consume it at once."""
         N, n = W.shape
         if n != self.num_vars:
             raise PolyError(f"points have {n} coordinates, polynomials have {self.num_vars} variables")
         width = max(n, 1)  # a constant in no variables still reads the ones of row 0
-        table = np.empty((self.degree + 1, width, N), dtype=np.complex128)
+        powers, M = (self.degree + 1) * width, len(self.factors)
+        buf = _scratch((powers + M) * N)
+        table = buf[: powers * N].reshape(self.degree + 1, width, N)
         table[0] = 1.0
         if self.degree:
             table[1] = W.T
         for j in range(2, self.degree + 1):  # table[j, k] = W[:, k] ** j
             np.multiply(table[j - 1], table[1], out=table[j])
-        table = table.reshape((self.degree + 1) * width, N)
+        table = table.reshape(powers, N)
         # one monomial at a time: each product stays in cache, where gathering
         # whole (M, N) operands would not
-        monos = np.empty((len(self.factors), N), dtype=np.complex128)
+        monos = buf[powers * N : (powers + M) * N].reshape(M, N)
         for row, (first, *rest) in zip(monos, self.factors):
             if not rest:
                 row[:] = table[first]
@@ -344,7 +370,7 @@ class PolyKernel:
             return self.coeffs @ self._monomials(W)
         out = np.empty((self.coeffs.shape[0], W.shape[0]), dtype=np.complex128)
         for block in row_blocks(W.shape[0]):
-            out[:, block] = self.coeffs @ self._monomials(W[block])
+            np.matmul(self.coeffs, self._monomials(W[block]), out=out[:, block])
         return out
 
 

@@ -53,7 +53,7 @@ def test_degree_constraint_violation_is_schema_error(tmp_path):
     assert "sum(degrees)-n-1" in str(exc.value)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     doc = dict(BASE_P1)
     good = write_scenario(tmp_path, doc, "good.json")
     assert main(["verify", good]) == 0
@@ -61,6 +61,10 @@ def test_cli_exit_codes(tmp_path):
     bad["psi"] = "z0"
     bad_path = write_scenario(tmp_path, bad, "bad.json")
     assert main(["verify", bad_path]) == 2
+    for threads in ("0", "-3"):
+        capsys.readouterr()
+        assert main(["verify", good, "--threads", threads]) == 2
+        assert f"the thread count must be an integer >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_zero_at_infinity_gives_precondition_failed(tmp_path):

@@ -1,5 +1,7 @@
 """Polynomial core: parser, arithmetic, calculus, chart trivialization."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,14 @@ from residue_lab.polycore import (
     AffinePoly,
     GaussianRational,
     HomogeneousPoly,
+    ROW_BLOCK,
     InhomogeneousError,
     ParseError,
     PolyError,
+    PolyKernel,
     monomials_of_degree,
     parse_poly,
+    row_blocks,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -240,6 +245,74 @@ def test_affine_batch_eval_matches_scalar(case, rows):
     assert batch.shape == (rows,)
     singles = np.array([p.eval(list(w)) for w in W], dtype=complex)
     assert np.allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+
+def _kernel(num_vars, degree, count, seed):
+    rng = np.random.default_rng(seed)
+    polys = [random_hpoly(num_vars + 1, degree, rng, density=0.7).dehomogenize(0) for _ in range(count)]
+    return polys, PolyKernel(num_vars, polys)
+
+
+def _points(count, num_vars, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(count, num_vars)) + 1j * rng.normal(size=(count, num_vars))) * 0.7
+
+
+@pytest.mark.parametrize("rows", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def test_kernel_blocks_match_blocks_alone(rows):
+    polys, kernel = _kernel(2, 3, 3, seed=rows)
+    W = _points(rows, 2, seed=rows + 1)
+    batch = kernel.eval_batch(W)
+    alone = np.concatenate([kernel.eval_batch(W[block]) for block in row_blocks(rows)], axis=1)
+    assert batch.tobytes() == alone.tobytes()
+    singles = np.array([[p.eval(list(w)) for w in W] for p in polys], dtype=complex)
+    assert np.allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [40, ROW_BLOCK + 37])
+def test_kernel_results_do_not_alias_the_workspace(rows):
+    # a large kernel A, a small kernel B, then A again: the shared workspace
+    # is rewritten in between, the arrays handed out are not
+    _, big = _kernel(3, 6, 4, seed=1)
+    _, small = _kernel(2, 2, 2, seed=2)
+    W = _points(rows, 3, seed=3)
+    first = big.eval_batch(W)
+    kept = first.copy()
+    small.eval_batch(_points(rows, 2, seed=4))
+    assert first.tobytes() == kept.tobytes()
+    again = big.eval_batch(W)
+    assert not np.shares_memory(again, first)
+    assert first.tobytes() == kept.tobytes()
+    assert again.tobytes() == first.tobytes()
+
+
+def test_kernel_workspace_is_per_thread():
+    # two kernels, each evaluated 50 times by two threads at once (more
+    # threads than cores, switching often): every result is the serial one
+    kernels = [_kernel(2, 7, 5, seed=5)[1], _kernel(3, 4, 3, seed=6)[1]]
+    inputs = [[_points(300 + 97 * k, kernel.num_vars, seed=10 * j + k) for k in range(50)]
+              for j, kernel in enumerate(kernels)]
+    serial = [[kernel.eval_batch(W).tobytes() for W in Ws] for kernel, Ws in zip(kernels, inputs)]
+    threaded = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(i):
+        start.wait()
+        kernel, Ws = kernels[i % 2], inputs[i % 2]
+        threaded[i] = [kernel.eval_batch(W).tobytes() for W in Ws]
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert threaded == serial + serial
 
 
 def test_gaussian_rational_field_ops():
