@@ -151,10 +151,6 @@ class ChartFunction:
 
     # ------------------------------------------------------------ evaluation
 
-    def eval(self, w) -> complex:
-        w = np.asarray(w, dtype=np.complex128)
-        return complex(self.eval_batch(w.reshape(1, -1))[0])
-
     def _sums(self):
         """Sum coef * hol over the terms that share (weight, anti), so equal
         terms merge and cancelling ones drop out: [(weight, [(anti, hol sum),

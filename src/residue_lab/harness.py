@@ -21,6 +21,7 @@ are [re, im] pairs, and keys are sorted.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -76,22 +77,22 @@ SCENARIO_SCHEMA = {
     "psi": "polynomial string of degree sum(degrees)-n-1; required by tasks that integrate or sum residues",
     "metric": {
         "kind": "'fubini_study' | 'perturbed'",
-        "epsilon": "float > 0 (perturbed only)",
+        "epsilon": "float > 0 (perturbed only, required)",
         "pair": "[a, b] distinct 0-based summand indices (perturbed only)",
         "q": "polynomial string of degree degrees[b] (perturbed only)",
-        "f_index": "0-based summand whose section cuts the curve (perturbed only)",
+        "f_index": "0-based summand index whose section cuts the curve (perturbed only, default 0)",
     },
     "backend": "'float' | 'exact' (exact affects cayley_bacharach tasks with line factorizations)",
     "tasks": [
         {
             "kind": "one of %s" % (TASK_KINDS,),
-            "tol": "float tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
-            "t": "list of floats > 0 (virtual_residue), float (local_mass)",
+            "tol": "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
+            "t": "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
             "samples": "int >= 1 (Monte Carlo tasks)",
-            "seed": "int",
-            "radius": "float (local_mass)",
-            "rtol": "float, relative tolerance of each ball mass against its local residue (local_mass)",
-            "sigma_l1_frac": "float, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
+            "seed": "int, 0 <= seed < 2^64",
+            "radius": "float > 0 (local_mass)",
+            "rtol": "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
+            "sigma_l1_frac": "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
             "curve_factor": "polynomial string (generalized_cb)",
             "cofactor": "polynomial string (generalized_cb)",
             "psi_cofactor": "polynomial string (generalized_cb)",
@@ -100,25 +101,67 @@ SCENARIO_SCHEMA = {
         }
     ],
 }
-# the task kinds whose runner reads each task key (the kinds named in
-# SCENARIO_SCHEMA); a key that no runner of its task's kind reads is a schema error
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_float(v) -> bool:
+    """A JSON number (an int or a float, not a bool) that is a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _seed_ok(v) -> bool:
+    return _is_int(v) and 0 <= v < 2**64
+
+
+def _positive(v) -> bool:
+    return _is_float(v) and v > 0
+
+
+def _nonnegative(v) -> bool:
+    return _is_float(v) and v >= 0
+
+
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+# per task key: the task kinds whose runner reads it (the kinds named in
+# SCENARIO_SCHEMA), and check(value, kind), true when the value has the type
+# and range SCENARIO_SCHEMA states; a key that no runner of its task's kind
+# reads is a schema error
 TASK_KEY_KINDS = {
-    "kind": TASK_KINDS,
-    "seed": TASK_KINDS,
-    "tol": ("euler_jacobi", "cayley_bacharach", "generalized_cb"),
-    "t": ("virtual_residue", "local_mass"),
-    "samples": ("virtual_residue", "local_mass", "curve_localization"),
-    "radius": ("local_mass",),
-    "rtol": ("local_mass",),
-    "sigma_l1_frac": ("curve_localization",),
-    "curve_factor": ("generalized_cb",),
-    "cofactor": ("generalized_cb",),
-    "psi_cofactor": ("generalized_cb",),
-    "lines_f": ("cayley_bacharach",),
-    "lines_g": ("cayley_bacharach",),
+    "kind": (TASK_KINDS, lambda v, kind: v in TASK_KINDS),
+    "seed": (TASK_KINDS, lambda v, kind: _seed_ok(v)),
+    "tol": (("euler_jacobi", "cayley_bacharach", "generalized_cb"), lambda v, kind: _nonnegative(v)),
+    "t": (
+        ("virtual_residue", "local_mass"),
+        lambda v, kind: _positive(v)
+        if kind == "local_mass"
+        else isinstance(v, list) and len(v) > 0 and all(map(_positive, v)),
+    ),
+    "samples": (
+        ("virtual_residue", "local_mass", "curve_localization"),
+        lambda v, kind: _is_int(v) and v >= 1,
+    ),
+    "radius": (("local_mass",), lambda v, kind: _positive(v)),
+    "rtol": (("local_mass",), lambda v, kind: _nonnegative(v)),
+    "sigma_l1_frac": (("curve_localization",), lambda v, kind: _nonnegative(v)),
+    "curve_factor": (("generalized_cb",), lambda v, kind: isinstance(v, str)),
+    "cofactor": (("generalized_cb",), lambda v, kind: isinstance(v, str)),
+    "psi_cofactor": (("generalized_cb",), lambda v, kind: isinstance(v, str)),
+    "lines_f": (("cayley_bacharach",), lambda v, kind: _strings(v)),
+    "lines_g": (("cayley_bacharach",), lambda v, kind: _strings(v)),
 }
 KIND_KEYS = {
-    kind: frozenset(key for key, kinds in TASK_KEY_KINDS.items() if kind in kinds)
+    kind: frozenset(key for key, (kinds, _) in TASK_KEY_KINDS.items() if kind in kinds)
     for kind in TASK_KINDS
 }
 
@@ -129,8 +172,27 @@ class ScenarioError(ValueError):
 
 def _check_count(value, what: str) -> None:
     """A sample or thread count must be an int >= 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ScenarioError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def _check_perturbation(metric: Dict, n: int) -> None:
+    """The fields of a perturbed metric, against SCENARIO_SCHEMA["metric"]."""
+    pair = metric.get("pair")
+    f_index = metric.get("f_index", 0)
+    checks = {
+        "epsilon": _positive(metric.get("epsilon")),
+        "pair": isinstance(pair, list)
+        and len(pair) == 2
+        and all(_is_int(i) and 0 <= i < n for i in pair)
+        and pair[0] != pair[1],
+        "q": isinstance(metric.get("q"), str),
+        "f_index": _is_int(f_index) and 0 <= f_index < n,
+    }
+    for key, ok in checks.items():
+        if not ok:
+            got = f"got {metric[key]!r}" if key in metric else "it is missing"
+            raise ScenarioError(f"metric.{key} must be {SCENARIO_SCHEMA['metric'][key]}; {got}")
 
 
 @dataclass
@@ -143,6 +205,7 @@ class Scenario:
     tasks: List[Dict]
     backend: str = "float"
     _parsed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _geometry: Optional[GeometryContext] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_dict(doc: Dict) -> "Scenario":
@@ -155,10 +218,10 @@ class Scenario:
             return val
 
         n = need("n", int)
-        if not 1 <= n <= 4:
+        if not _is_int(n) or not 1 <= n <= 4:
             raise ScenarioError("n must be between 1 and 4")
         degrees = need("degrees", list)
-        if len(degrees) != n or not all(isinstance(d, int) and d >= 1 for d in degrees):
+        if len(degrees) != n or not all(_is_int(d) and d >= 1 for d in degrees):
             raise ScenarioError("degrees must be a list of n integers >= 1")
         section = need("section", list)
         if len(section) != n or not all(isinstance(s, str) for s in section):
@@ -169,6 +232,11 @@ class Scenario:
         metric = doc.get("metric", {"kind": "fubini_study"})
         if not isinstance(metric, dict) or metric.get("kind") not in ("fubini_study", "perturbed"):
             raise ScenarioError("metric.kind must be 'fubini_study' or 'perturbed'")
+        unknown = sorted(set(metric) - set(SCENARIO_SCHEMA["metric"]))
+        if unknown:
+            raise ScenarioError(f"unknown key(s) {unknown} in metric; known keys: {sorted(SCENARIO_SCHEMA['metric'])}")
+        if metric["kind"] == "perturbed":
+            _check_perturbation(metric, n)
         backend = doc.get("backend", "float")
         if backend not in ("float", "exact"):
             raise ScenarioError("backend must be 'float' or 'exact'")
@@ -184,8 +252,12 @@ class Scenario:
                 raise ScenarioError(
                     f"unknown key(s) {unknown} in {task['kind']} task; known keys: {sorted(known)}"
                 )
-            if "samples" in task:
-                _check_count(task["samples"], f"{task['kind']} task key 'samples'")
+            for key, value in task.items():
+                if not TASK_KEY_KINDS[key][1](value, task["kind"]):
+                    raise ScenarioError(
+                        f"{task['kind']} task key {key!r} must be "
+                        f"{SCENARIO_SCHEMA['tasks'][0][key]}; got {value!r}"
+                    )
         return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
 
     # ---------------------------------------------------------------- build
@@ -220,23 +292,27 @@ class Scenario:
         return self._parsed
 
     def geometry(self) -> GeometryContext:
+        """The instance's GeometryContext, built on the first call and kept
+        for the later ones, so every task shares its chart data."""
+        if self._geometry is None:
+            self._geometry = self._build_geometry()
+        return self._geometry
+
+    def _build_geometry(self) -> GeometryContext:
         section, psi = self.parse_polys()
         bundle = BundleSpec(self.n, tuple(self.degrees))
         m = self.metric_cfg
         if m.get("kind") == "perturbed":
             try:
                 q = parse_poly(m["q"], self.n + 1)
-            except (KeyError, PolyError) as exc:
+            except PolyError as exc:
                 raise ScenarioError(f"perturbed metric needs a valid q: {exc}") from exc
-            pair = m.get("pair")
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ScenarioError("perturbed metric needs pair [a, b]")
             ms = MetricSpec(
                 "perturbed",
-                epsilon=float(m.get("epsilon", 0.05)),
-                pair=(int(pair[0]), int(pair[1])),
+                epsilon=float(m["epsilon"]),
+                pair=tuple(m["pair"]),
                 q=q,
-                f_index=int(m.get("f_index", 0)),
+                f_index=m.get("f_index", 0),
             )
         else:
             ms = MetricSpec()
@@ -364,6 +440,8 @@ def run_scenario(
     _check_count(threads, "the thread count")
     if samples is not None:
         _check_count(samples, "the samples override")
+    if seed is not None and not _seed_ok(seed):
+        raise ScenarioError(f"the seed override must be {SCENARIO_SCHEMA['tasks'][0]['seed']}, got {seed!r}")
     scenario = Scenario.from_dict(doc)
     scenario.parse_polys()  # fail fast on degree violations (exit 2)
     global_seed = seed if seed is not None else 0
@@ -378,7 +456,7 @@ def run_scenario(
         kind = task["kind"]
         t0 = time.perf_counter()
         runner = _RUNNERS[kind]
-        task_seed = int(task.get("seed", global_seed)) if seed is None else global_seed
+        task_seed = task.get("seed", global_seed) if seed is None else global_seed
         task_samples = samples if samples is not None else task.get("samples")
         try:
             results, verdict = runner(scenario, task, task_seed, task_samples, threads)

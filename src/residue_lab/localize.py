@@ -26,9 +26,9 @@ localized integrand per sheet is
 
     (phi . (-2 pi i)(1 - r))^{(1,1)} * prefactor = (phi_c r_c / pi) dx dy,
 
-with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds` and
-r_c the End(N)-scalar curvature term of
-:meth:`Example22Geometry.curvature_term`.
+with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds_batch`
+and r_c the End(N)-scalar curvature term of
+:meth:`Example22Geometry.curvature_term_batch`.
 
 Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
 weights, run by :func:`_run_chunks` on the seeded Philox stream in fixed
@@ -66,7 +66,6 @@ __all__ = [
     "CurveTerm",
     "FlatModel",
     "flat_gaussian_mass",
-    "virtual_residue_mc",
     "virtual_residue_sweep",
     "local_mass",
     "det_N_inverse_term",
@@ -94,7 +93,6 @@ class IntegralEstimate:
 class CurveTerm:
     value: complex
     std_error: float
-    component_id: str
     samples: int
     seed: int
     rejected: int
@@ -255,13 +253,6 @@ def virtual_residue_sweep(
         mean, se = _mean_and_stderr(x[:, k])
         results.append(IntegralEstimate(mean, se, samples, float(t), seed))
     return results
-
-
-def virtual_residue_mc(
-    ctx: GeometryContext, t: float, samples: int, seed: int, threads: int = 1
-) -> IntegralEstimate:
-    """Monte Carlo estimate of the prefactored global residue integral."""
-    return virtual_residue_sweep(ctx, [t], samples, seed, threads)[0]
 
 
 def local_mass(
@@ -438,7 +429,6 @@ def curve_localized_term(
     return CurveTerm(
         value=mean,
         std_error=se,
-        component_id="curve(f), chart 0",
         samples=samples,
         seed=seed,
         rejected=int(out[:, 3].real.sum()),
@@ -475,7 +465,7 @@ def fiber_mass_quadrature(
     for root in roots:
         w0 = np.array([u, root])
         fn = fn_poly.eval(list(w0))
-        Hm = ctx.metric_matrix(0, w0)
+        Hm = ctx.metric_matrix_batch(0, w0[None])[0]
         h11 = float(Hm[geo.f_index, geo.f_index].real)
         width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
         r, wr, zeta = _polar_disc(_SIGMA_MULT * width, radial_nodes, angular_nodes)

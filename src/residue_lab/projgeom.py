@@ -39,7 +39,6 @@ __all__ = [
     "SectionSpec",
     "PsiSpec",
     "MetricSpec",
-    "ProjPoint",
     "GeometryContext",
     "Example22Geometry",
     "GeometryError",
@@ -127,28 +126,6 @@ class MetricSpec:
                 raise GeometryError("perturbation strength must be positive")
             if self.pair is None or self.q is None:
                 raise GeometryError("perturbed metric requires pair and q")
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """Point of P^n with preferred-chart bookkeeping (chart of maximal |z_a|)."""
-
-    z: Tuple[complex, ...]
-    chart: int
-
-    @staticmethod
-    def of(z: Sequence[complex]) -> "ProjPoint":
-        z = tuple(complex(v) for v in z)
-        if all(v == 0 for v in z):
-            raise GeometryError("projective point needs a nonzero coordinate")
-        chart = int(np.argmax([abs(v) for v in z]))
-        return ProjPoint(z, chart)
-
-    def affine(self, chart: Optional[int] = None) -> np.ndarray:
-        chart = self.chart if chart is None else chart
-        if self.z[chart] == 0:
-            raise GeometryError(f"point not visible in chart {chart}")
-        return chart_coords(np.asarray(self.z, dtype=complex), chart)
 
 
 # ------------------------------------------------------------------ charts
@@ -355,7 +332,6 @@ class GeometryContext:
         section: SectionSpec,
         metric: MetricSpec,
         psi: Optional[PsiSpec] = None,
-        certify: bool = True,
     ):
         section.validate(bundle)
         if psi is not None:
@@ -376,7 +352,7 @@ class GeometryContext:
         self.metric = metric
         self.psi = psi
         self._charts = {}
-        if metric.kind == "perturbed" and certify:
+        if metric.kind == "perturbed":
             self._certify_positive()
 
     # -------------------------------------------------------- chart assembly
@@ -428,20 +404,10 @@ class GeometryContext:
 
     # -------------------------------------------------------- evaluations
 
-    def metric_matrix(self, chart: int, w: Sequence[complex]) -> np.ndarray:
-        """Hermitian metric H(w) in the pairing convention of the module doc."""
-        return self.metric_matrix_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
-
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
+        """Hermitian metric H at a batch of points, (N, n) -> (N, n, n), in the
+        pairing convention of the module doc."""
         return _eval_matrices(self.chart_data(chart), ((("H",), None),), W)[0]
-
-    def s_value_and_norm(self, chart: int, w: Sequence[complex]):
-        """(s_i(w) in the chart frame, |s|^2(w))."""
-        data = self.chart_data(chart)
-        w = np.asarray(w, dtype=complex)
-        values = np.array([s.eval(list(w)) if not s.is_zero() else 0j for s in data.s_aff])
-        norm2 = data.s_norm2.eval(w)
-        return values, float(norm2.real)
 
     def S_form(self, chart: int, w, t: float) -> SForm:
         """Superconnection datum scaled by 1/(2t): scalar -|s|^2/2t and
@@ -488,11 +454,6 @@ class GeometryContext:
             raise GeometryError("this instance carries no psi")
         return data.psi_aff.eval_batch(W)
 
-    def chern_curvature(self, chart: int, w: Sequence[complex]) -> np.ndarray:
-        """Chern curvature at one point, shape (rank, rank, n, n): [i, j, a, b]
-        is the e_i (x) e*_j component along dw_a ^ dwbar_b in the chart."""
-        return self.chern_curvature_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
-
     def chern_curvature_batch(
         self, chart: int, W: np.ndarray, *, entry: Optional[Tuple[int, int, int]] = None
     ) -> np.ndarray:
@@ -528,19 +489,6 @@ class GeometryContext:
                 for b in range(n):
                     out[block, :, :, k, b] = _mm(rows, _mm(mats[b], X) - d2[b])
         return out if entry is None else out[:, 0, 0, 0, :]
-
-    def ds_matrix(self, chart: int, w: Sequence[complex]) -> np.ndarray:
-        """Jacobian d(s_aff)/dw, rows = components, columns = chart variables."""
-        data = self.chart_data(chart)
-        w = list(np.asarray(w, dtype=complex))
-        n = self.n
-        J = np.zeros((n, n), dtype=complex)
-        for i, s in enumerate(data.s_aff):
-            if s.is_zero():
-                continue
-            for k in range(n):
-                J[i, k] = s.partial(k).eval(w)
-        return J
 
     # -------------------------------------------------------- certification
 
@@ -609,8 +557,9 @@ class Example22Geometry:
             self._df[chart] = (f.partial(0), f.partial(1))
         return self._df[chart]
 
-    def certify_smooth_curve(self, seed: int) -> bool:
-        """True when one homotopy solve certifies the curve {f = 0} smooth.
+    def smoothness_defect(self, seed: int) -> Optional[str]:
+        """None when one homotopy solve certifies the curve {f = 0} smooth,
+        else why it does not.
 
         The partials of f span the net of polar curves; its base points are
         the singular points of the curve (d f = sum_k z_k d_k f puts them on
@@ -622,17 +571,12 @@ class Example22Geometry:
         The curve is certified when one solve returns all (d-1)^2 of them as
         simple points and d_0 G vanishes at none.
 
-        "Not certified" means a singular point was found, or the solver did
-        not account for all (d-1)^2 paths as simple points: at a singular
-        point the polars meet with multiplicity > 1, so paths end escaped,
-        defective or missing there.  An escaped, defective or missing path is
-        never read as smooth.  ``smoothness_defect`` says which.
+        Otherwise a singular point was found, or the solver did not account
+        for all (d-1)^2 paths as simple points: at a singular point the polars
+        meet with multiplicity > 1, so paths end escaped, defective or missing
+        there.  An escaped, defective or missing path is never read as smooth.
+        A singular point is given in the section's own frame.
         """
-        return self.smoothness_defect(seed) is None
-
-    def smoothness_defect(self, seed: int) -> Optional[str]:
-        """Why ``certify_smooth_curve`` refuses the curve, or None when it
-        certifies it.  A singular point is given in the section's own frame."""
         d = self.f.degree
         if d == 1:
             return None
@@ -656,32 +600,18 @@ class Example22Geometry:
                 return f"singular point at ({coords})"
         return None
 
-    def tangent(self, chart: int, w: Sequence[complex]) -> complex:
-        """Sheet slope kappa = dw_2/dw_1 = -f_1/f_2 on Z."""
-        f1, f2 = self.df(chart)
-        w = list(np.asarray(w, dtype=complex))
-        fn = f2.eval(w)
-        if abs(fn) < 1e-12 * self.f.coeff_norm():
-            raise GeometryError("vanishing normal derivative (branch point)")
-        return -f1.eval(w) / fn
-
-    def psi_over_det_ds(self, chart: int, w: Sequence[complex]) -> complex:
-        """Coefficient of the curve form against dw_1 (x) e_{V_1}:
-        psi / (df/dw_2), restricted to Z."""
-        return complex(
-            self.psi_over_det_ds_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
-        )
-
     def psi_over_det_ds_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
+        """Coefficient of the curve form against dw_1 (x) e_{V_1}:
+        psi / (df/dw_2), restricted to Z; shape (N, 2) -> (N,)."""
         psi = self.ctx.psi_batch(chart, W)
         fn = self.df(chart)[1].eval_batch(W)
         if np.any(np.abs(fn) < 1e-12 * self.f.coeff_norm()):
             raise GeometryError("vanishing normal derivative (branch point)")
         return psi / fn
 
-    def curvature_term(self, chart: int, w: Sequence[complex]) -> complex:
+    def curvature_term_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """The End(N)-scalar of the localized curvature contraction, as the
-        coefficient against dwbar_1 (x) e*_{V_1}:
+        coefficient against dwbar_1 (x) e*_{V_1}; shape (N, 2) -> (N,):
 
             r = -R^{L<-V_1}(nu, taubar) / df(nu),
 
@@ -690,11 +620,6 @@ class Example22Geometry:
         the conjugated tangent; feeding the first slot with a tangent vector
         contributes nothing (well-definedness, tested separately).
         """
-        return complex(
-            self.curvature_term_batch(chart, np.asarray(w, dtype=complex).reshape(1, -1))[0]
-        )
-
-    def curvature_term_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         f1, f2 = self.df(chart)
         fn = f2.eval_batch(W)
         kappa = -f1.eval_batch(W) / fn
@@ -702,10 +627,3 @@ class Example22Geometry:
         block = self.ctx.chern_curvature_batch(chart, W, entry=(self.f_index, self.v_index, 1))
         val = block[:, 0] + block[:, 1] * np.conj(kappa)
         return -val / fn
-
-    def tangent_tangent_block(self, chart: int, w: Sequence[complex]) -> complex:
-        """Curvature block with tangent vectors in both slots; vanishes on Z."""
-        w_arr = np.asarray(w, dtype=complex).reshape(1, -1)
-        R = self.ctx.chern_curvature_batch(chart, w_arr)[0, self.f_index, self.v_index]
-        tau = np.array([1.0, self.tangent(chart, w)], dtype=complex)
-        return complex(tau @ R @ np.conj(tau))

@@ -174,14 +174,107 @@ def test_nonpositive_samples_override_rejected(tmp_path, samples):
     assert main(["verify", path, "--samples", str(samples)]) == 2
 
 
-@pytest.mark.parametrize("samples", [0, -5, 2.5, True, "5000"])
-def test_invalid_task_samples_rejected(tmp_path, samples):
+VALID_TASKS = {
+    "euler_jacobi": {"kind": "euler_jacobi", "tol": 1e-8, "seed": 1},
+    "cayley_bacharach": {"kind": "cayley_bacharach", "lines_f": ["z0"], "lines_g": ["z1"]},
+    "generalized_cb": {"kind": "generalized_cb", "curve_factor": "z0", "cofactor": "z1"},
+    "virtual_residue": {"kind": "virtual_residue", "t": [1.0], "samples": 5000},
+    "local_mass": {"kind": "local_mass", "t": 0.01, "radius": 0.5, "rtol": 0.05, "samples": 5000},
+    "curve_localization": {"kind": "curve_localization", "samples": 5000, "sigma_l1_frac": 0.02},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [pytest.param("virtual_residue", "samples", v, id=str(v)) for v in (0, -5, 2.5, True, "5000")]
+    + [
+        pytest.param(kind, key, value, id=f"{kind}-{key}-{value}")
+        for kind, key, value in [
+            ("euler_jacobi", "seed", "abc"),
+            ("euler_jacobi", "seed", 1.5),
+            ("euler_jacobi", "seed", -1),
+            ("euler_jacobi", "seed", 2**64),
+            ("euler_jacobi", "tol", "x"),
+            ("euler_jacobi", "tol", -1e-8),
+            ("euler_jacobi", "tol", float("nan")),
+            ("virtual_residue", "t", "x"),
+            ("virtual_residue", "t", [-1.0]),
+            ("virtual_residue", "t", []),
+            ("virtual_residue", "t", 1.0),
+            ("local_mass", "t", [0.01]),
+            ("local_mass", "t", 0),
+            ("local_mass", "radius", 0),
+            ("local_mass", "rtol", "x"),
+            ("curve_localization", "sigma_l1_frac", None),
+            ("generalized_cb", "cofactor", 3),
+            ("cayley_bacharach", "lines_f", "z0"),
+        ]
+    ],
+)
+def test_invalid_task_samples_rejected(tmp_path, kind, key, value):
+    """A task value of the wrong type or outside the schema's range is a
+    schema error (exit 2): the sample count first, then every other key."""
     doc = dict(BASE_P1)
-    doc["tasks"] = [{"kind": "virtual_residue", "t": [1.0], "samples": samples}]
+    doc["tasks"] = [dict(VALID_TASKS[kind], **{key: value})]
     path = write_scenario(tmp_path, doc)
-    with pytest.raises(ScenarioError, match="samples"):
+    with pytest.raises(ScenarioError, match=key):
         run_scenario(path)
     assert main(["verify", path]) == 2
+
+
+def test_valid_tasks_accepted():
+    Scenario.from_dict(dict(BASE_P1, tasks=list(VALID_TASKS.values())))
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param(key, value, id=f"{key}-{'missing' if value is MISSING else value}")
+        for key, value in [
+            ("epsilon", "abc"),
+            ("epsilon", None),
+            ("epsilon", -1),
+            ("epsilon", 0),
+            ("epsilon", MISSING),
+            ("pair", ["a", 1]),
+            ("pair", [0, 0]),
+            ("pair", [0, 2]),
+            ("pair", [0]),
+            ("q", 3),
+            ("q", MISSING),
+            ("f_index", "x"),
+            ("f_index", 2),
+            ("f_index", True),
+            ("f_idx", 1),  # misspelled
+        ]
+    ],
+)
+def test_invalid_perturbed_metric_rejected(tmp_path, key, value):
+    doc = json.loads((SCENARIOS / "p2_example22_perturbed.json").read_text())
+    if value is MISSING:
+        del doc["metric"][key]
+    else:
+        doc["metric"][key] = value
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=key):
+        run_scenario(path)
+    assert main(["verify", path]) == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_out_of_range_rejected(tmp_path, seed):
+    path = write_scenario(tmp_path, BASE_P1)
+    with pytest.raises(ScenarioError, match="seed"):
+        run_scenario(path, seed=int(seed))
+    assert main(["verify", path, "--seed", seed]) == 2
+
+
+def test_geometry_built_once():
+    scenario = Scenario.from_dict(json.loads((SCENARIOS / "p2_example22_perturbed.json").read_text()))
+    assert scenario.geometry() is scenario.geometry()
 
 
 def test_malformed_json_is_schema_error(tmp_path):

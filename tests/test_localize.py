@@ -38,7 +38,6 @@ from residue_lab.localize import (
     global_density,
     global_density_tensor,
     local_mass,
-    virtual_residue_mc,
     virtual_residue_sweep,
 )
 from residue_lab.residue import global_residue_sum
@@ -165,7 +164,7 @@ def test_sweep_equals_single_t_estimates():
     ts = [0.05, 0.3, 0.5, 1.0, 2.0]
     sweep = virtual_residue_sweep(ctx, ts, samples=20000, seed=5)
     for t, est in zip(ts, sweep):
-        single = virtual_residue_mc(ctx, t, samples=20000, seed=5)
+        single = virtual_residue_sweep(ctx, [t], samples=20000, seed=5)[0]
         assert (est.value, est.std_error, est.t) == (single.value, single.std_error, single.t)
 
 
@@ -192,7 +191,7 @@ def test_global_density_chart_invariance():
 
 def test_virtual_residue_p1_vanishes():
     ctx = p1_o2_context()
-    est = virtual_residue_mc(ctx, t=1.0, samples=40000, seed=11)
+    est = virtual_residue_sweep(ctx, [1.0], samples=40000, seed=11)[0]
     assert abs(est.value) <= 3 * est.std_error
 
 
@@ -208,21 +207,21 @@ def test_virtual_residue_t_family_consistency():
 
 def test_virtual_residue_p2_vanishes():
     ctx = p2_22_context()
-    est = virtual_residue_mc(ctx, t=1.0, samples=60000, seed=13)
+    est = virtual_residue_sweep(ctx, [1.0], samples=60000, seed=13)[0]
     assert abs(est.value) <= 3 * est.std_error
 
 
 def test_virtual_residue_seed_determinism():
     ctx = p1_o2_context()
-    a = virtual_residue_mc(ctx, t=1.0, samples=5000, seed=7)
-    b = virtual_residue_mc(ctx, t=1.0, samples=5000, seed=7)
+    a = virtual_residue_sweep(ctx, [1.0], samples=5000, seed=7)[0]
+    b = virtual_residue_sweep(ctx, [1.0], samples=5000, seed=7)[0]
     assert a.value == b.value and a.std_error == b.std_error
 
 
 def test_virtual_residue_thread_count_invariance():
     ctx = p1_o2_context()
-    a = virtual_residue_mc(ctx, t=1.0, samples=40000, seed=7, threads=1)
-    b = virtual_residue_mc(ctx, t=1.0, samples=40000, seed=7, threads=4)
+    a = virtual_residue_sweep(ctx, [1.0], samples=40000, seed=7, threads=1)[0]
+    b = virtual_residue_sweep(ctx, [1.0], samples=40000, seed=7, threads=4)[0]
     assert a.value == b.value and a.std_error == b.std_error
 
 
@@ -232,7 +231,7 @@ def test_three_sigma_coverage_binomial():
     ctx = p1_o2_context()
     misses = 0
     for seed in range(20):
-        est = virtual_residue_mc(ctx, t=1.0, samples=8000, seed=seed)
+        est = virtual_residue_sweep(ctx, [1.0], samples=8000, seed=seed)[0]
         if abs(est.value) > 3 * est.std_error:
             misses += 1
     assert misses <= 1
@@ -243,7 +242,7 @@ def test_minimum_sample_count_enforced():
 
     ctx = p1_o2_context()
     with pytest.raises(GeometryError):
-        virtual_residue_mc(ctx, t=1.0, samples=10, seed=1)
+        virtual_residue_sweep(ctx, [1.0], samples=10, seed=1)[0]
 
 
 # ------------------------------------------------------------------ local mass
@@ -354,8 +353,8 @@ def test_fiber_quadrature_matches_curve_density():
         dens = 0j
         for r in roots:
             w = np.array([u, r])
-            phi = geo.psi_over_det_ds(0, w)
-            rc = geo.curvature_term(0, w)
+            phi = geo.psi_over_det_ds_batch(0, w[None])[0]
+            rc = geo.curvature_term_batch(0, w[None])[0]
             dens += phi * rc / np.pi
         fiber = fiber_mass_quadrature(geo, u, t=5e-4)
         assert abs(fiber - dens) <= 3e-2 * max(abs(dens), 1e-6)
@@ -374,10 +373,10 @@ def test_curve_density_chart_invariance():
         z = np.array([1.0, u, w2])
         if min(abs(z[0]), abs(z[1])) < 0.4 or abs(w2) < 0.3:
             continue
-        rho0 = geo.psi_over_det_ds(0, w) * geo.curvature_term(0, w) / np.pi
+        rho0 = geo.psi_over_det_ds_batch(0, w[None])[0] * geo.curvature_term_batch(0, w[None])[0] / np.pi
         # chart 1 coordinates (z0/z1, z2/z1), base coordinate v0 = 1/u
         v = chart_coords(z, 1)
-        rho1 = geo.psi_over_det_ds(1, v) * geo.curvature_term(1, v) / np.pi
+        rho1 = geo.psi_over_det_ds_batch(1, v[None])[0] * geo.curvature_term_batch(1, v[None])[0] / np.pi
         dv_du = -1.0 / u**2
         assert abs(rho0 - rho1 * abs(dv_du) ** 2) <= 1e-9 * max(1.0, abs(rho0))
         checked += 1
@@ -394,7 +393,7 @@ def test_local_masses_sum_to_global_estimate_p1():
     masses = [local_mass(ctx, list(p), t, radius, N, seed=60 + i) for i, (p, _) in enumerate(ledger.entries)]
     total = sum(m.value for m in masses)
     err = np.sqrt(sum(m.std_error**2 for m in masses))
-    glob = virtual_residue_mc(ctx, t=1.0, samples=30000, seed=61)
+    glob = virtual_residue_sweep(ctx, [1.0], samples=30000, seed=61)[0]
     combined = 3 * np.hypot(err, glob.std_error)
     assert abs(total - glob.value) <= combined
 
@@ -410,11 +409,11 @@ def test_global_vanishing_metric_independent():
         q=parse_poly("z0^2 - z1*z2", 3), f_index=0,
     )
     ctx = GeometryContext(bundle, s, ms, PsiSpec(parse_poly("z0", 3)))
-    est = virtual_residue_mc(ctx, t=1.0, samples=60000, seed=71)
+    est = virtual_residue_sweep(ctx, [1.0], samples=60000, seed=71)[0]
     assert abs(est.value) <= 3 * est.std_error
     # curve instance: the same global integrand, zero locus of dimension one
     ctx22 = example22_context()
-    est22 = virtual_residue_mc(ctx22, t=1.0, samples=60000, seed=72)
+    est22 = virtual_residue_sweep(ctx22, [1.0], samples=60000, seed=72)[0]
     assert abs(est22.value) <= 3 * est22.std_error
 
 

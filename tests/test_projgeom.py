@@ -17,7 +17,6 @@ from residue_lab.projgeom import (
     GeometryContext,
     GeometryError,
     MetricSpec,
-    ProjPoint,
     PsiSpec,
     SectionSpec,
     chart_coords,
@@ -51,7 +50,7 @@ def example22_context(eps=0.05, q_text="z0^2 + 2*z1*z2", f_text="z0*z2 - z1^2"):
 
 def test_fs_metric_p1_origin():
     ctx = p1_o2_context()
-    H = ctx.metric_matrix(0, [0.0])
+    H = ctx.metric_matrix_batch(0, np.array([[0.0j]]))[0]
     assert np.allclose(H, [[1.0]])
 
 
@@ -60,7 +59,7 @@ def test_fs_metric_p2_mixed_degrees():
     s = SectionSpec((parse_poly("z1", 3), parse_poly("z2^2", 3)))
     ctx = GeometryContext(bundle, s, MetricSpec())
     w = [1.0 / np.sqrt(2), 1.0 / np.sqrt(2) * 1j]  # |w|^2 = 1
-    H = ctx.metric_matrix(0, w)
+    H = ctx.metric_matrix_batch(0, np.array([w]))[0]
     assert np.allclose(H, np.diag([0.5, 0.25]))
 
 
@@ -69,9 +68,9 @@ def test_perturbed_offdiagonal_vanishes_on_curve():
     geo = Example22Geometry(ctx)
     # point of Z = {z0 z2 = z1^2} in chart 0: w = (w1, w1^2)
     w = [0.73 - 0.21j, (0.73 - 0.21j) ** 2]
-    H = ctx.metric_matrix(0, w)
+    H = ctx.metric_matrix_batch(0, np.array([w]))[0]
     assert abs(H[0, 1]) < 1e-14 and abs(H[1, 0]) < 1e-14
-    off = ctx.metric_matrix(0, [0.3, 0.4])[0, 1]
+    off = ctx.metric_matrix_batch(0, np.array([[0.3 + 0j, 0.4]]))[0, 0, 1]
     assert abs(off) > 1e-6  # but not off the curve
 
 
@@ -102,7 +101,7 @@ def test_psi_degree_validation():
 
 def test_s_norm_vanishes_on_zero():
     ctx = p1_o2_context()
-    _, n2 = ctx.s_value_and_norm(0, [1.0])
+    n2 = ctx.s_norm2_batch(0, np.array([[1.0 + 0j]]))[0]
     assert abs(n2) < 1e-15
 
 
@@ -114,7 +113,7 @@ def test_s_norm_p1_o2_closed_form():
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = complex(rng.normal(), rng.normal())
-        _, n2 = ctx.s_value_and_norm(0, [w])
+        n2 = ctx.s_norm2_batch(0, np.array([[w]]))[0]
         expected = abs(w) ** 2 / (1 + abs(w) ** 2) ** 2
         assert abs(n2 - expected) < 1e-13
 
@@ -126,8 +125,8 @@ def test_s_norm_chart_invariant():
     for z in Z:
         if min(abs(z[0]), abs(z[1])) < 0.2:
             continue
-        _, a = ctx.s_value_and_norm(0, chart_coords(z, 0))
-        _, b = ctx.s_value_and_norm(1, chart_coords(z, 1))
+        a = ctx.s_norm2_batch(0, chart_coords(z, 0)[None])[0]
+        b = ctx.s_norm2_batch(1, chart_coords(z, 1)[None])[0]
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -161,11 +160,12 @@ def test_sform_dbar_finite_difference_crosscheck():
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         for b in range(2):
             for p in range(2):
-                exact = data.Abar[b][p].eval(w)
+                exact = data.Abar[b][p].eval_batch(w[None])[0]
                 ex = np.zeros(2, complex)
                 ex[b] = h
-                fd_x = (data.xi[p].eval(w + ex) - data.xi[p].eval(w - ex)) / (2 * h)
-                fd_y = (data.xi[p].eval(w + 1j * ex) - data.xi[p].eval(w - 1j * ex)) / (2 * h)
+                xi = data.xi[p].eval_batch(np.array([w + ex, w - ex, w + 1j * ex, w - 1j * ex]))
+                fd_x = (xi[0] - xi[1]) / (2 * h)
+                fd_y = (xi[2] - xi[3]) / (2 * h)
                 fd = 0.5 * (fd_x + 1j * fd_y)  # d/dwbar
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
@@ -183,12 +183,12 @@ def test_batched_sform_data_match_pointwise_eval(chart):
     A = ctx.sbar_matrix_batch(chart, W)
     assert s2.shape == (50,) and A.shape == (50, 2, 2)
     for m, w in enumerate(W):
-        ref = data.s_norm2.eval(w)
+        ref = data.s_norm2.eval_batch(w[None])[0]
         assert abs(ref.imag) <= 1e-12 * max(1.0, abs(ref))
         assert abs(s2[m] - ref.real) <= 1e-13 * max(1.0, abs(ref))
         for b in range(2):
             for p in range(2):
-                ref = data.Abar[b][p].eval(w)
+                ref = data.Abar[b][p].eval_batch(w[None])[0]
                 assert abs(A[m, b, p] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
@@ -255,7 +255,7 @@ def test_curvature_first_call_from_two_threads(monkeypatch):
 def test_fs_curvature_p1_closed_form():
     ctx = p1_o2_context()
     for w in [0.0, 0.35 - 0.8j, 1.2 + 0.4j]:
-        R = ctx.chern_curvature(0, [w])
+        R = ctx.chern_curvature_batch(0, np.array([[w]], dtype=complex))[0]
         expected = 2.0 / (1 + abs(w) ** 2) ** 2  # degree d = 2
         assert abs(R[0, 0, 0, 0] - expected) < 1e-12
 
@@ -287,7 +287,7 @@ def _fd_curvature(ctx, chart, w, h=1e-4):
     """Nested Richardson central differences of G^{-1} dG; independent oracle."""
 
     def G(pt):
-        return ctx.metric_matrix(chart, pt).T
+        return ctx.metric_matrix_batch(chart, np.asarray(pt, dtype=complex)[None])[0].T
 
     def dG(pt, a, step):
         ex = np.zeros(ctx.n, complex)
@@ -321,7 +321,7 @@ def test_perturbed_curvature_matches_fd_oracle():
     rng = np.random.default_rng(6)
     for _ in range(5):
         w = rng.normal(size=2) * 0.7 + 1j * rng.normal(size=2) * 0.7
-        exact = ctx.chern_curvature(0, w)
+        exact = ctx.chern_curvature_batch(0, w[None])[0]
         fd = _fd_curvature(ctx, 0, w)
         assert np.abs(exact - fd).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
@@ -342,8 +342,8 @@ def test_curvature_metric_compatibility_pairing():
     rng = np.random.default_rng(8)
     for _ in range(20):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        G = ctx.metric_matrix(0, w).T
-        R = ctx.chern_curvature(0, w)
+        G = ctx.metric_matrix_batch(0, w[None])[0].T
+        R = ctx.chern_curvature_batch(0, w[None])[0]
         for a in range(2):
             for b in range(2):
                 M_ab = G @ R[:, :, a, b]
@@ -366,7 +366,7 @@ def test_curvature_offdiag_on_curve_closed_form():
         # place the point on the curve: w2 = w1^2 for f = z0 z2 - z1^2
         w = np.array([w1, w1 * w1])
         assert abs(f.eval(list(w))) < 1e-12
-        R = ctx.chern_curvature(0, w)[0, 1]  # output L, input V_1
+        R = ctx.chern_curvature_batch(0, w[None])[0, 0, 1]  # output L, input V_1
 
         def Qt_over_H11(pt):
             qv = np.conj(q.eval(list(pt)))
@@ -390,11 +390,17 @@ def test_curvature_offdiag_on_curve_closed_form():
 # ---------------------------------------------------------------- ds and psi
 
 
+def _ds(ctx, chart, w):
+    """Jacobian d(s_aff)/dw at one point: rows components, columns chart variables."""
+    s_aff = ctx.chart_data(chart).s_aff
+    return np.array([[s_aff[i].partial(k).eval(w) for k in range(ctx.n)] for i in range(ctx.n)])
+
+
 def test_ds_identity_section():
     bundle = BundleSpec(2, (1, 1))
     s = SectionSpec((parse_poly("z1", 3), parse_poly("z2", 3)))
     ctx = GeometryContext(bundle, s, MetricSpec())
-    J = ctx.ds_matrix(0, [0.0, 0.0])
+    J = _ds(ctx, 0, [0.0, 0.0])
     assert np.allclose(J, np.eye(2))
 
 
@@ -402,13 +408,13 @@ def test_ds_diag_section():
     bundle = BundleSpec(2, (2, 1))
     s = SectionSpec((parse_poly("z1^2 - z0^2", 3), parse_poly("z2", 3)))
     ctx = GeometryContext(bundle, s, MetricSpec())
-    J = ctx.ds_matrix(0, [1.0, 0.0])
+    J = _ds(ctx, 0, [1.0, 0.0])
     assert np.allclose(J, np.diag([2.0, 1.0]))
 
 
 def test_ds_split_section_rank_one():
     ctx = example22_context()
-    J = ctx.ds_matrix(0, [0.5, 0.25])
+    J = _ds(ctx, 0, [0.5, 0.25])
     assert np.allclose(J[1], 0)
     assert np.linalg.matrix_rank(J) == 1
 
@@ -422,7 +428,7 @@ def test_psi_over_det_ds_axis_curve():
     ctx = GeometryContext(bundle, s, MetricSpec(), psi)
     geo = Example22Geometry(ctx)
     for w1 in [0.3, -1.2 + 0.5j]:
-        val = geo.psi_over_det_ds(0, [w1, 0.0])
+        val = geo.psi_over_det_ds_batch(0, np.array([[w1, 0.0]], dtype=complex))[0]
         assert abs(val - (1.0 - w1)) < 1e-13
 
 
@@ -431,13 +437,14 @@ def test_psi_over_det_ds_linearity():
     bundle = ctx1.bundle
     s = ctx1.section
     psi2 = PsiSpec(parse_poly("z2 - 2*z1", 3))
-    ctx2 = GeometryContext(bundle, s, ctx1.metric, psi2, certify=False)
+    ctx2 = GeometryContext(bundle, s, ctx1.metric, psi2)
     psi_sum = PsiSpec(ctx1.psi.H + psi2.H)
-    ctx3 = GeometryContext(bundle, s, ctx1.metric, psi_sum, certify=False)
+    ctx3 = GeometryContext(bundle, s, ctx1.metric, psi_sum)
     g1, g2, g3 = (Example22Geometry(c) for c in (ctx1, ctx2, ctx3))
     w1 = 0.4 - 0.7j
-    w = [w1, w1 * w1]
-    assert abs(g1.psi_over_det_ds(0, w) + g2.psi_over_det_ds(0, w) - g3.psi_over_det_ds(0, w)) < 1e-13
+    W = np.array([[w1, w1 * w1]])
+    v1, v2, v3 = (g.psi_over_det_ds_batch(0, W)[0] for g in (g1, g2, g3))
+    assert abs(v1 + v2 - v3) < 1e-13
 
 
 # ---------------------------------------------------------------- R^{V_1}_s
@@ -447,24 +454,28 @@ def test_curvature_term_zero_for_fs():
     ctx = example22_context(eps=0)
     geo = Example22Geometry(ctx)
     w1 = 0.6 + 0.2j
-    assert abs(geo.curvature_term(0, [w1, w1 * w1])) < 1e-14
+    assert abs(geo.curvature_term_batch(0, np.array([[w1, w1 * w1]]))[0]) < 1e-14
 
 
 def test_curvature_term_nonzero_for_perturbed():
     ctx = example22_context()
     geo = Example22Geometry(ctx)
     w1 = 0.6 + 0.2j
-    assert abs(geo.curvature_term(0, [w1, w1 * w1])) > 1e-5
+    assert abs(geo.curvature_term_batch(0, np.array([[w1, w1 * w1]]))[0]) > 1e-5
 
 
 def test_curvature_term_well_definedness():
     """Feeding tangents in both slots contributes nothing on Z."""
     ctx = example22_context()
     geo = Example22Geometry(ctx)
+    f1, f2 = geo.df(0)
     rng = np.random.default_rng(10)
     for _ in range(10):
         w1 = complex(rng.normal(), rng.normal()) * 0.7
-        val = geo.tangent_tangent_block(0, [w1, w1 * w1])
+        w = [w1, w1 * w1]
+        tau = np.array([1.0, -f1.eval(w) / f2.eval(w)])
+        R = ctx.chern_curvature_batch(0, np.array([w]))[0, geo.f_index, geo.v_index]
+        val = tau @ R @ np.conj(tau)
         assert abs(val) < 1e-8
 
 
@@ -485,7 +496,6 @@ def test_curvature_term_matches_on_curve_closed_form():
     for _ in range(8):
         w1 = complex(rng.normal(), rng.normal()) * 0.6
         w = np.array([w1, w1 * w1])
-        kappa = geo.tangent(0, w)
         # dbar along the conjugated tangent: FD along the sheet parameter
         up = np.array([w1 + h, (w1 + h) ** 2])
         dn = np.array([w1 - h, (w1 - h) ** 2])
@@ -495,17 +505,11 @@ def test_curvature_term_matches_on_curve_closed_form():
         gy = (Qt_over_H11(upi) - Qt_over_H11(dni)) / (2 * h)
         dbar_tau = 0.5 * (gx + 1j * gy)
         expected = ctx.metric.epsilon * dbar_tau
-        got = geo.curvature_term(0, w)
+        got = geo.curvature_term_batch(0, w[None])[0]
         assert abs(got - expected) <= 1e-4 * max(1e-6, abs(expected))
 
 
 # ---------------------------------------------------------------- charts
-
-
-def test_proj_point_preferred_chart():
-    p = ProjPoint.of([1.0, 3.0j, -0.5])
-    assert p.chart == 1
-    assert np.allclose(p.affine(), [1.0 / 3.0j, -0.5 / 3.0j])
 
 
 def test_transition_jacobian_inverse_pair():
@@ -526,8 +530,8 @@ def test_metric_pairing_transition():
     rng = np.random.default_rng(13)
     for _ in range(20):
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        H0 = ctx.metric_matrix(0, chart_coords(z, 0))
-        H1 = ctx.metric_matrix(1, chart_coords(z, 1))
+        H0 = ctx.metric_matrix_batch(0, chart_coords(z, 0)[None])[0]
+        H1 = ctx.metric_matrix_batch(1, chart_coords(z, 1)[None])[0]
         r = z[1] / z[0]
         for i in range(2):
             for j in range(2):
@@ -537,12 +541,12 @@ def test_metric_pairing_transition():
 
 def test_smooth_curve_certification():
     smooth = Example22Geometry(example22_context(eps=0))
-    assert smooth.certify_smooth_curve(1) is True
+    assert smooth.smoothness_defect(1) is None
     # two crossing lines: singular at the node
     bundle = BundleSpec(2, (2, 2))
     s = SectionSpec((parse_poly("z1*z2", 3), HomogeneousPoly(3, 2, {})))
     nodal = Example22Geometry(GeometryContext(bundle, s, MetricSpec()))
-    assert nodal.certify_smooth_curve(1) is False
+    assert nodal.smoothness_defect(1) is not None
 
 
 def plane_curve(F):
@@ -580,7 +584,7 @@ def counted_solves(monkeypatch):
 def test_certificate_verdicts(monkeypatch, text, smooth):
     calls = counted_solves(monkeypatch)
     for seed in (0, 7007):
-        assert plane_curve(text).certify_smooth_curve(seed) is smooth
+        assert (plane_curve(text).smoothness_defect(seed) is None) is smooth
     assert len(calls) == (0 if text == "z1 + 2*z2" else 2)
 
 
@@ -592,7 +596,7 @@ def test_random_dense_curves_are_certified_with_one_solve(monkeypatch):
         F = HomogeneousPoly(
             3, d, {e: complex(rng.standard_normal(), rng.standard_normal()) for e in monomials_of_degree(3, d)}
         )
-        assert plane_curve(F).certify_smooth_curve(k) is True
+        assert plane_curve(F).smoothness_defect(k) is None
         assert len(calls) == k + 1
 
 
@@ -600,7 +604,7 @@ def test_random_dense_curves_are_certified_with_one_solve(monkeypatch):
 @pytest.mark.parametrize("text", ["z1^2 + z2^2 - z0^2", "z1*z2", "z0*z1^2 - z2^3"])
 def test_certificate_is_scale_free(text, scale):
     F = parse_poly(text, 3)
-    assert plane_curve(F.scale(scale)).certify_smooth_curve(3) is plane_curve(F).certify_smooth_curve(3)
+    assert (plane_curve(F.scale(scale)).smoothness_defect(3) is None) is (plane_curve(F).smoothness_defect(3) is None)
 
 
 def test_refusal_names_the_singular_point_or_the_path_count():
