@@ -577,12 +577,20 @@ class _Parser:
     def one(self):
         return GaussianRational.of(1) if self.exact else (1.0 + 0j)
 
-    def _number(self, spec) -> Coeff:
+    def _number(self, spec, position: int) -> Coeff:
+        """The coefficient of a NUMBER token at ``position``; a zero
+        denominator, and on the float backend a magnitude beyond the finite
+        doubles, is a ParseError there."""
         num, denom, imag = spec
+        if denom is not None and int(denom) == 0:
+            raise ParseError("zero denominator", position)
+        mag = Fraction(num) if denom is None else Fraction(num) / Fraction(int(denom))
         if self.exact:
-            mag = Fraction(num) if denom is None else Fraction(num) / Fraction(int(denom))
             return GaussianRational(Fraction(0), mag) if imag else GaussianRational(mag)
-        mag = float(Fraction(num)) if denom is None else float(Fraction(num) / Fraction(int(denom)))
+        try:
+            mag = float(mag)
+        except OverflowError:
+            raise ParseError("number too large for a double", position) from None
         return complex(0.0, mag) if imag else complex(mag, 0.0)
 
     def parse(self) -> dict:
@@ -644,7 +652,7 @@ class _Parser:
     def atom(self) -> dict:
         kind, val, p = self.next()
         if kind == _TOK_NUM:
-            c = self._number(val)
+            c = self._number(val, p)
             return {(0,) * self.num_vars: c} if c else {}
         if kind == _TOK_VAR:
             if val >= self.num_vars:

@@ -67,6 +67,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"the thread count must be an integer >= 1, got {threads}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["1/0", "1" + "0" * 400], ids=["zero-denominator", "beyond-doubles"])
+def test_bad_numeric_literal_exits_2(tmp_path, capsys, literal):
+    # a zero denominator, or a float-backend number beyond the finite doubles
+    doc = dict(BASE_P1, section=[f"z1^2 - {literal}*z0^2"])
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 2
+    assert "at position 7" in capsys.readouterr().err
+
+
 def test_zero_at_infinity_gives_precondition_failed(tmp_path):
     doc = dict(BASE_P1)
     doc["section"] = ["z0*z1"]
@@ -510,4 +518,20 @@ def test_seed_sweep_script_smoke():
     for cols in rows.values():
         assert cols[0] == "2/2" and cols[-1] == "-"
     bad = subprocess.run([sys.executable, str(script), "p1_o2", "--seeds", "3:3"], capture_output=True, text=True)
+    assert bad.returncode == 2
+
+
+def test_solver_steps_script_smoke():
+    # one seed of the algebraic workload; the counts themselves are a tier-2 figure
+    script = Path(__file__).resolve().parent.parent / "scripts" / "solver_steps.py"
+    proc = subprocess.run([sys.executable, str(script), "algebraic", "7007"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row, total = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()]
+    assert header == ["seed", "solves", "tracks", "paths", "batch steps", "path steps", "escaped", "failed", "gate fails"]
+    assert row[0] == "7007" and total == ["total"] + row[1:]
+    counts = dict(zip(header[1:], map(int, row[1:])))
+    assert counts["tracks"] >= 1 and counts["paths"] >= counts["tracks"]
+    assert counts["path steps"] >= counts["batch steps"] >= counts["tracks"]
+    assert counts["gate fails"] == 0
+    bad = subprocess.run([sys.executable, str(script), "nosuch", "1"], capture_output=True, text=True)
     assert bad.returncode == 2

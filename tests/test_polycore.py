@@ -90,6 +90,25 @@ def test_parse_print_roundtrip_exact():
     assert q.terms == p.terms
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("literal", ["1/0", "3/00i"])
+def test_zero_denominator_is_a_parse_error(backend, literal):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"z1^2 - {literal}*z0^2", 2, backend=backend)
+    assert exc.value.position == 7 and "zero denominator" in str(exc.value)
+
+
+def test_literal_beyond_the_doubles_is_a_parse_error_on_the_float_backend():
+    big = "1" + "0" * 400
+    for literal in (big, big + "i", big + ".5/3"):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(f"z1^2 - {literal}*z0^2", 2)
+        assert exc.value.position == 7
+    # the largest finite double still parses; the exact backend has no limit
+    assert parse_poly(f"{int(sys.float_info.max)}*z0", 1).terms[(1,)] == sys.float_info.max
+    assert parse_poly(f"{big}*z0", 1, backend="exact").terms[(1,)].re == 10**400
+
+
 # ---------------------------------------------------------------- evaluation
 
 

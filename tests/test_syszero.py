@@ -335,6 +335,7 @@ def test_each_step_after_the_first_costs_newton_iters_plus_one_kernel_calls(monk
     steps = []
     eval_batch = PolyKernel.eval_batch
     correct = syszero._correct
+    reach = syszero._CORRECTOR_REACH
 
     def counted_eval(self, W):
         calls.append(len(W))
@@ -343,6 +344,8 @@ def test_each_step_after_the_first_costs_newton_iters_plus_one_kernel_calls(monk
     def recorded_correct(system, gamma, tau, Z):
         out = correct(system, gamma, tau, Z)
         steps.append((float(tau[0]), len(out[0]) == len(Z)))
+        # a zero reach on the third corrector pass forces one rejection
+        monkeypatch.setattr(syszero, "_CORRECTOR_REACH", 0.0 if len(steps) == 3 else reach)
         return out
 
     monkeypatch.setattr(PolyKernel, "eval_batch", counted_eval)
@@ -357,6 +360,60 @@ def test_each_step_after_the_first_costs_newton_iters_plus_one_kernel_calls(monk
     accepted = len(steps) - rejected
     assert accepted >= 10
     assert len(calls) == 1 + (syszero._NEWTON_ITERS + 1) * len(steps)
+
+
+@pytest.mark.parametrize("texts", [("z0 - 3", "z1 + 2"), ("z0^2 - 1", "z1^2 - 4")])
+@pytest.mark.parametrize("degrees_of_gamma", [-90, -60, -30, 0, 30, 60, 90])
+def test_easy_paths_finish_in_fewer_than_ten_batch_steps(monkeypatch, texts, degrees_of_gamma):
+    # a path the predictor follows closely takes steps up to _MAX_STEP, not
+    # ten steps of at most 0.1; a gamma near -1 would steer the paths close
+    # to a pole of the homotopy, where many short steps are needed
+    system = syszero._System([aff(t, 2) for t in texts])
+    gamma = complex(np.exp(1j * np.radians(degrees_of_gamma)))
+    batch_steps = []
+    correct = syszero._correct
+
+    def counted_correct(*args):
+        batch_steps.append(None)
+        return correct(*args)
+
+    monkeypatch.setattr(syszero, "_correct", counted_correct)
+    _, status = syszero._track(system, gamma, syszero._start_roots(system.degrees))
+    assert (status == syszero._OK).all()
+    assert len(batch_steps) < 10
+
+
+def test_step_after_a_rejection_is_half_and_after_an_acceptance_follows_the_error(monkeypatch):
+    # a zero reach rejects the third step, which is retried at half its size
+    # from the same tau; an accepted step of size h is followed by one of at
+    # least h / 2 and at most min(2 h, _MAX_STEP)
+    rng = np.random.default_rng(0)
+    system = syszero._System(_dense_system(rng, (3, 3)))
+    gamma = complex(np.exp(0.6j * np.pi))
+    targets = []
+    correct = syszero._correct
+    reach = syszero._CORRECTOR_REACH
+
+    def recorded_correct(system, gamma, tau, Z):
+        targets.append(float(tau[0]))
+        monkeypatch.setattr(syszero, "_CORRECTOR_REACH", 0.0 if len(targets) == 3 else reach)
+        return correct(system, gamma, tau, Z)
+
+    monkeypatch.setattr(syszero, "_correct", recorded_correct)
+    _, status = syszero._track(system, gamma, syszero._start_roots(system.degrees)[:1])
+    assert status[0] == syszero._OK
+    start, rejected = targets[1], targets[2]
+    assert targets[3] == pytest.approx(start + (rejected - start) / 2, abs=1e-15)
+    # every other step is accepted: the two before the rejection, the retry
+    # and all after it, the last ending at tau = 1
+    before, after = [0.0] + targets[:2], [start] + targets[3:]
+    assert all(np.diff(before) > 0) and all(np.diff(after) > 0) and after[-1] == 1.0
+    sb, sa = np.diff(before), np.diff(after)
+    for h, h_next in [*zip(sb, sb[1:]), *zip(sa, sa[1:])]:
+        assert h_next <= min(2 * h, syszero._MAX_STEP) * (1 + 1e-12)
+    # tau = 1 may cut the last step short
+    for h, h_next in [*zip(sb, sb[1:]), *zip(sa, sa[1:-1])]:
+        assert h_next >= h / 2 * (1 - 1e-12)
 
 
 # ------------------------------------------------------- predictor and counts
