@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from residue_lab.localize import virtual_residue_sweep  # noqa: E402
+from residue_lab.localize import SWEEP_MIN_SAMPLES, virtual_residue_sweep  # noqa: E402
 from residue_lab.polycore import parse_poly  # noqa: E402
 from residue_lab.projgeom import (  # noqa: E402
     BundleSpec,
@@ -47,6 +47,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scenario", choices=("p1", "p2"), default="p1")
     args = parser.parse_args()
+    if args.samples < SWEEP_MIN_SAMPLES:
+        parser.error(f"--samples must be at least {SWEEP_MIN_SAMPLES}")
 
     ctx = build(args.scenario)
     ts = [0.2, 0.5, 1.0, 2.0, 5.0]

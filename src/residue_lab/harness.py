@@ -40,7 +40,7 @@ from .projgeom import (
     PsiSpec,
     SectionSpec,
 )
-from .localize import curve_localized_term, local_mass, virtual_residue_sweep
+from .localize import SWEEP_MIN_SAMPLES, curve_localized_term, local_mass, virtual_residue_sweep
 from .residue import (
     ResidueError,
     cayley_bacharach_verify,
@@ -88,7 +88,7 @@ SCENARIO_SCHEMA = {
             "kind": "one of %s" % (TASK_KINDS,),
             "tol": "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
             "t": "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
-            "samples": "int >= 1 (Monte Carlo tasks)",
+            "samples": f"int >= 1 (Monte Carlo tasks), >= {SWEEP_MIN_SAMPLES} for virtual_residue",
             "seed": "int, 0 <= seed < 2^64",
             "radius": "float > 0 (local_mass)",
             "rtol": "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
@@ -149,7 +149,7 @@ TASK_KEY_KINDS = {
     ),
     "samples": (
         ("virtual_residue", "local_mass", "curve_localization"),
-        lambda v, kind: _is_int(v) and v >= 1,
+        lambda v, kind: _is_int(v) and v >= (SWEEP_MIN_SAMPLES if kind == "virtual_residue" else 1),
     ),
     "radius": (("local_mass",), lambda v, kind: _positive(v)),
     "rtol": (("local_mass",), lambda v, kind: _nonnegative(v)),
@@ -443,6 +443,11 @@ def run_scenario(
     if seed is not None and not _seed_ok(seed):
         raise ScenarioError(f"the seed override must be {SCENARIO_SCHEMA['tasks'][0]['seed']}, got {seed!r}")
     scenario = Scenario.from_dict(doc)
+    sweeps = any(task["kind"] == "virtual_residue" for task in scenario.tasks)
+    if sweeps and samples is not None and samples < SWEEP_MIN_SAMPLES:
+        raise ScenarioError(
+            f"the samples override must be at least {SWEEP_MIN_SAMPLES} with a virtual_residue task, got {samples}"
+        )
     scenario.parse_polys()  # fail fast on degree violations (exit 2)
     global_seed = seed if seed is not None else 0
     report = VerificationReport(

@@ -31,10 +31,17 @@ and r_c the End(N)-scalar curvature term of
 :meth:`Example22Geometry.curvature_term_batch`.
 
 Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
-weights, run by :func:`_run_chunks` on the seeded Philox stream in fixed
-chunks, so results do not depend on the thread count.  A curve chunk is drawn
-once; a sample near a branch point weighs 0 and is counted as rejected.
-:class:`FlatModel` is a GeometryContext under the identity metric.
+values, one contiguous row per reported quantity, run by :func:`_run_chunks`
+on the seeded Philox stream in fixed chunks.  Each chunk is reduced at once to
+a :class:`_Summary` per row (count, sum, M2 = sum |x - mean|^2, and the curve's
+row maxima), and the summaries merge in chunk order by the pairwise update of
+Chan, Golub and LeVeque (The American Statistician 37, 1983).  So the working
+set does not grow with the sample count, and results do not depend on the
+thread count.  A curve chunk is drawn once; a sample near a branch point
+weighs 0 and is counted as rejected.  Its sheet roots and the density at its
+accepted sheet points are computed ROW_BLOCK rows at a time, the blocks that
+PolyKernel, ChartGroup and the Chern curvature use.  :class:`FlatModel` is a
+GeometryContext under the identity metric.
 """
 
 from __future__ import annotations
@@ -44,12 +51,12 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chartfun import ChartFunction
-from .polycore import AffinePoly
+from .polycore import AffinePoly, row_blocks
 from .projgeom import (
     Example22Geometry,
     GeometryContext,
@@ -74,6 +81,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+# fewest samples of a virtual residue sweep
+SWEEP_MIN_SAMPLES = 1000
 # |df/dw_2| below this times f's coefficient norm: too near a branch point, where phi blows up
 _BRANCH_TOL = 1e-6
 # fiber quadrature disc radius in Gaussian widths: e^{-144} of the peak at its rim
@@ -154,29 +163,59 @@ def global_density_tensor(ctx, chart: int, w, t: float):
     return complex(dens) if W.ndim == 1 else np.broadcast_to(dens, len(W)).astype(complex)
 
 
-def _mean_and_stderr(x: np.ndarray) -> Tuple[complex, float]:
-    mean = complex(x.mean())
-    if len(x) < 2:
+class _Summary(NamedTuple):
+    """Per-row reduction of samples in rows (estimates, count): the count,
+    the row sums, M2 = sum |x - row mean|^2 and, if asked for, the row maxima
+    of the real part."""
+
+    count: int
+    total: np.ndarray
+    m2: np.ndarray
+    top: Optional[np.ndarray]
+
+
+def _summarize(rows: np.ndarray, top: bool) -> _Summary:
+    """The summary of one chunk's rows, (estimates, count)."""
+    total = rows.sum(axis=1)
+    dev = (rows - (total / rows.shape[1])[:, None]).view(np.float64)
+    # squared in place and summed along each row: a row's M2 does not depend
+    # on the rows beside it
+    m2 = np.square(dev, out=dev).sum(axis=1)
+    return _Summary(rows.shape[1], total, m2, rows.real.max(axis=1) if top else None)
+
+
+def _merge(a: _Summary, b: _Summary) -> _Summary:
+    """The summary of a's samples followed by b's (Chan, Golub and LeVeque)."""
+    count = a.count + b.count
+    delta = b.total / b.count - a.total / a.count
+    m2 = a.m2 + b.m2 + (delta.real**2 + delta.imag**2) * (a.count * b.count / count)
+    return _Summary(count, a.total + b.total, m2, None if a.top is None else np.maximum(a.top, b.top))
+
+
+def _estimate(s: _Summary, row: int) -> Tuple[complex, float]:
+    """Mean of one row and its standard error sqrt(M2 / (n (n - 1)))."""
+    mean = complex(s.total[row] / s.count)
+    if s.count < 2:
         return mean, float("inf")
-    var = float(np.mean(np.abs(x - mean) ** 2))
-    return mean, math.sqrt(var / (len(x) - 1))
+    return mean, math.sqrt(float(s.m2[row]) / (s.count * (s.count - 1)))
 
 
-def _run_chunks(draw, count: int, seed: int, threads: int) -> np.ndarray:
-    """draw(rng, size) over fixed chunks of ``count`` samples, concatenated.
-    The chunk starting at sample ``start`` draws from the Philox stream of
-    ``seed`` at counter start << 64, so chunk boundaries, streams and merge
-    order, and with them the results, are the same for any thread count."""
+def _run_chunks(draw, count: int, seed: int, threads: int, top: bool = False) -> _Summary:
+    """draw(rng, size) over fixed chunks of ``count`` samples, each summarized
+    as soon as it is drawn and merged in chunk order.  The chunk starting at
+    sample ``start`` draws from the Philox stream of ``seed`` at counter
+    start << 64, so chunk boundaries, streams and merge order, and with them
+    the results, are the same for any thread count."""
 
-    def chunk(start: int) -> np.ndarray:
+    def chunk(start: int) -> _Summary:
         rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
-        return draw(rng, min(_CHUNK, count - start))
+        return _summarize(draw(rng, min(_CHUNK, count - start)), top)
 
     starts = range(0, count, _CHUNK)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(chunk, starts)))
-    return np.concatenate([chunk(start) for start in starts])
+            return functools.reduce(_merge, pool.map(chunk, starts))
+    return functools.reduce(_merge, map(chunk, starts))
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], computed once per node count (read only)
@@ -228,8 +267,8 @@ def virtual_residue_sweep(
 ) -> List[IntegralEstimate]:
     """FS-uniform Monte Carlo of the prefactored global integral for several
     values of t, reusing one sample set and one chart evaluation pass."""
-    if samples < 1000:
-        raise GeometryError("at least 1000 samples required")
+    if samples < SWEEP_MIN_SAMPLES:
+        raise GeometryError(f"at least {SWEEP_MIN_SAMPLES} samples required")
     for t in ts:
         if t <= 0:
             raise GeometryError("t must be positive")
@@ -245,14 +284,12 @@ def virtual_residue_sweep(
                 continue
             W = np.delete(Z[idx] / Z[idx, chart][:, None], chart, axis=1)
             out[:, idx] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
-        return out.T  # (count, len(ts)) so chunks concatenate on axis 0
+        return out
 
-    x = _run_chunks(draw, samples, seed, threads)
-    results = []
-    for k, t in enumerate(ts):
-        mean, se = _mean_and_stderr(x[:, k])
-        results.append(IntegralEstimate(mean, se, samples, float(t), seed))
-    return results
+    summary = _run_chunks(draw, samples, seed, threads)
+    return [
+        IntegralEstimate(*_estimate(summary, k), samples, float(t), seed) for k, t in enumerate(ts)
+    ]
 
 
 def local_mass(
@@ -282,11 +319,9 @@ def local_mass(
         radii = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
         offsets = direction[:, :n] + 1j * direction[:, n:]
         W = center[None, :] + radii[:, None] * offsets
-        return global_density(ctx, 0, W, t) * vol
+        return (global_density(ctx, 0, W, t) * vol)[None, :]
 
-    x = _run_chunks(draw, samples, seed, threads)
-    mean, se = _mean_and_stderr(x)
-    return IntegralEstimate(mean, se, samples, t, seed)
+    return IntegralEstimate(*_estimate(_run_chunks(draw, samples, seed, threads), 0), samples, t, seed)
 
 
 # ------------------------------------------------------------------ curve
@@ -400,40 +435,55 @@ def curve_localized_term(
     fn_poly = geo.df(0)[1]
     branch_tol = _BRANCH_TOL * f.coeff_norm()
 
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        """Columns: value, L1 mass, largest |sheet density|, rejected flag."""
+    def sheets(rng: np.random.Generator, count: int):
+        """A chunk's base values u, its sheet roots (count, m) and the mask of
+        its accepted samples.  A function of its own, so that its temporaries
+        are freed before the density is evaluated."""
         Z = fs_uniform_points(1, count, rng)
         u = Z[:, 1] / Z[:, 0]
         coeffs = np.stack([cp.eval_batch(u[:, None]) for cp in coeff_polys], axis=1)
         lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * np.abs(coeffs).max(axis=1)
         roots = np.full((count, len(coeff_polys) - 1), np.nan, dtype=complex)
-        roots[lead_ok] = _solve_sheets(coeffs[lead_ok])
+        solvable = np.flatnonzero(lead_ok)
+        for block in row_blocks(len(solvable)):  # bounds the closed forms' temporaries
+            roots[solvable[block]] = _solve_sheets(coeffs[solvable[block]])
         with np.errstate(all="ignore"):
             fn = fn_poly.eval_batch(_sheet_points(u, roots)).reshape(roots.shape)
             ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
-        out = np.zeros((count, 4), dtype=complex)
-        out[:, 3] = ~ok
-        if ok.any():
-            W = _sheet_points(u[ok], roots[ok])
-            dens = (geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi).reshape(
-                -1, roots.shape[1]
-            )
-            p_base = fs_density(u[ok, None], 1)
-            out[ok, 0] = dens.sum(axis=1) / p_base
-            out[ok, 1] = np.abs(dens).sum(axis=1) / p_base
-            out[ok, 2] = np.abs(dens).max(axis=1)
+        return u, roots, ok
+
+    def density(u: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """The density at every sheet, (N, m), ROW_BLOCK sheet points at a time."""
+        m = roots.shape[1]
+        dens = np.empty(roots.size, dtype=complex)
+        for block in row_blocks(roots.size):
+            W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
+            dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
+        return dens.reshape(-1, m)
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        """Rows: value, L1 mass, largest |sheet density|, rejected flag."""
+        u, roots, ok = sheets(rng, count)
+        u = u[ok]
+        dens = density(u, roots[ok])
+        size, p_base = np.abs(dens), fs_density(u[:, None], 1)
+        out = np.zeros((4, count), dtype=complex)
+        out[0, ok] = dens.sum(axis=1) / p_base
+        out[1, ok] = size.sum(axis=1) / p_base
+        out[2, ok] = size.max(axis=1)
+        out[3] = ~ok
         return out
 
-    out = _run_chunks(draw, samples, seed, threads)
-    mean, se = _mean_and_stderr(out[:, 0])
+    summary = _run_chunks(draw, samples, seed, threads, top=True)
+    value, se = _estimate(summary, 0)
     return CurveTerm(
-        value=mean,
+        value=value,
         std_error=se,
         samples=samples,
         seed=seed,
-        rejected=int(out[:, 3].real.sum()),
-        pointwise_max=float(out[:, 2].real.max()),
-        l1_mass=float(out[:, 1].real.mean()),
+        rejected=int(summary.total[3].real),
+        pointwise_max=float(summary.top[2]),
+        l1_mass=float(summary.total[1].real / summary.count),
     )
 
 

@@ -24,6 +24,7 @@ or rational (``p/q``) components, whitespace insignificant.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -593,6 +594,14 @@ class _Parser:
             raise ParseError("number too large for a double", position) from None
         return complex(0.0, mag) if imag else complex(mag, 0.0)
 
+    def _finite(self, terms: dict, position: int) -> dict:
+        """``terms``, the result of the operator at ``position``; on the float
+        backend a coefficient it took beyond the finite doubles is a
+        ParseError there."""
+        if not self.exact and not all(map(cmath.isfinite, terms.values())):
+            raise ParseError("coefficient beyond the finite doubles", position)
+        return terms
+
     def parse(self) -> dict:
         result = self.expr()
         kind, _, p = self.peek()
@@ -603,23 +612,23 @@ class _Parser:
     def expr(self) -> dict:
         acc = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, p = self.peek()
             if kind == _TOK_OP and val in "+-":
                 self.next()
                 rhs = self.term()
                 if val == "-":
                     rhs = {e: -c for e, c in rhs.items()}
-                acc = _add_terms(acc, rhs)
+                acc = self._finite(_add_terms(acc, rhs), p)
             else:
                 return acc
 
     def term(self) -> dict:
         acc = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, p = self.peek()
             if kind == _TOK_OP and val == "*":
                 self.next()
-                acc = _mul_terms(acc, self.unary())
+                acc = self._finite(_mul_terms(acc, self.unary()), p)
             else:
                 return acc
 
@@ -633,7 +642,7 @@ class _Parser:
 
     def power(self) -> dict:
         base = self.atom()
-        kind, val, p = self.peek()
+        kind, val, at = self.peek()
         if kind == _TOK_OP and val == "^":
             self.next()
             kind, val, p = self.next()
@@ -646,7 +655,7 @@ class _Parser:
             acc = {(0,) * self.num_vars: self.one()}
             for _ in range(expo):
                 acc = _mul_terms(acc, base)
-            return acc
+            return self._finite(acc, at)
         return base
 
     def atom(self) -> dict:

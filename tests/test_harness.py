@@ -75,6 +75,15 @@ def test_bad_numeric_literal_exits_2(tmp_path, capsys, literal):
     assert "at position 7" in capsys.readouterr().err
 
 
+def test_overflowing_coefficient_exits_2(tmp_path, capsys):
+    # finite literals whose product is beyond the doubles: bad input, not a
+    # solver failure on an infinite coefficient
+    big = "1" + "0" * 200
+    doc = dict(BASE_P1, section=[f"z1^2 - ({big})^2*z0^2"])
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 2
+    assert "coefficient beyond the finite doubles" in capsys.readouterr().err
+
+
 def test_zero_at_infinity_gives_precondition_failed(tmp_path):
     doc = dict(BASE_P1)
     doc["section"] = ["z0*z1"]
@@ -182,6 +191,19 @@ def test_nonpositive_samples_override_rejected(tmp_path, samples):
     assert main(["verify", path, "--samples", str(samples)]) == 2
 
 
+def test_samples_override_below_the_sweep_minimum_rejected(tmp_path):
+    # a virtual_residue task needs at least 1000 samples, from the file or
+    # the override; a scenario without one runs at fewer
+    doc = dict(BASE_P1, tasks=[{"kind": "virtual_residue", "t": [1.0], "samples": 5000}])
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match="at least 1000"):
+        run_scenario(path, samples=999)
+    assert main(["verify", path, "--samples", "999"]) == 2
+    lm = {"kind": "local_mass", "t": 0.01, "radius": 0.5, "rtol": 0.05}
+    task = run_scenario(write_scenario(tmp_path, dict(BASE_P1, tasks=[lm]), "lm.json"), samples=500).tasks[0]
+    assert task.results["samples"] == 500 and len(task.results["masses"]) == 2
+
+
 VALID_TASKS = {
     "euler_jacobi": {"kind": "euler_jacobi", "tol": 1e-8, "seed": 1},
     "cayley_bacharach": {"kind": "cayley_bacharach", "lines_f": ["z0"], "lines_g": ["z1"]},
@@ -194,7 +216,7 @@ VALID_TASKS = {
 
 @pytest.mark.parametrize(
     "kind, key, value",
-    [pytest.param("virtual_residue", "samples", v, id=str(v)) for v in (0, -5, 2.5, True, "5000")]
+    [pytest.param("virtual_residue", "samples", v, id=str(v)) for v in (0, -5, 2.5, True, "5000", 999)]
     + [
         pytest.param(kind, key, value, id=f"{kind}-{key}-{value}")
         for kind, key, value in [
@@ -535,3 +557,15 @@ def test_solver_steps_script_smoke():
     assert counts["gate fails"] == 0
     bad = subprocess.run([sys.executable, str(script), "nosuch", "1"], capture_output=True, text=True)
     assert bad.returncode == 2
+
+
+def test_mc_memory_script_smoke():
+    # one small count per estimator; the growth figures themselves are tier 2
+    script = Path(__file__).resolve().parent.parent / "scripts" / "mc_memory.py"
+    proc = subprocess.run([sys.executable, str(script), "--samples", "2000"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()]
+    assert header == ["estimator", "samples", "growth MB", "wall s"]
+    assert [row[0] for row in rows] == ["virtual_residue p2_22", "local_mass p1_o2", "curve p2_example22_perturbed"]
+    assert all(row[1] == "2000" and float(row[2]) >= 0 and float(row[3]) > 0 for row in rows)
+    assert subprocess.run([sys.executable, str(script), "--samples", "999"], capture_output=True).returncode == 2

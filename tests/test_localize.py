@@ -488,13 +488,13 @@ def test_solve_sheets_empty_and_single_batches(m):
     assert np.allclose(np.sort_complex(_solve_sheets(coeffs)[0]), np.arange(1, m + 1), atol=1e-12)
 
 
-# ---------------------------------------------------- curvature per chunk
+# ---------------------------------------------------- curvature per row block
 
 
-def test_curvature_entered_once_per_chunk(monkeypatch):
-    # the curvature blocks its points inside one call: a chunk of samples
-    # reaches chern_curvature_batch once with all its sheets, so a tracer
-    # wrapping the public name counts every point once
+def test_curvature_entered_once_per_row_block(monkeypatch):
+    # a chunk's accepted sheet points reach chern_curvature_batch one
+    # ROW_BLOCK at a time, in order, so a tracer wrapping the public name
+    # counts every point once: the calls sum to the chunks' sheet points
     from residue_lab import chartfun, localize, polycore
 
     monkeypatch.setattr(localize, "_CHUNK", 1500)
@@ -515,7 +515,8 @@ def test_curvature_entered_once_per_chunk(monkeypatch):
     monkeypatch.setattr(chartfun.ChartGroup, "eval_batch", rows_seen)
     term = curve_localized_term(Example22Geometry(example22_context()), samples=4000, seed=3)
     assert term.rejected == 0
-    assert calls == [3000, 3000, 2000]  # two sheets per sample
+    # two sheets per sample: chunks of 3000, 3000 and 2000 points
+    assert calls == [512] * 5 + [440] + [512] * 5 + [440] + [512] * 3 + [464]
     assert max(group_rows) <= 512
 
 
@@ -539,23 +540,25 @@ def test_rejected_sample_weighs_zero_and_the_others_are_unchanged(monkeypatch):
     # drawn at the default tolerance
     from residue_lab import localize
 
-    run_chunks, columns = localize._run_chunks, []
+    summarize, chunks = localize._summarize, []
 
-    def kept(*args):
-        columns.append(run_chunks(*args))
-        return columns[-1]
+    def kept(rows, top):
+        chunks.append(rows)
+        return summarize(rows, top)
 
-    monkeypatch.setattr(localize, "_run_chunks", kept)
+    monkeypatch.setattr(localize, "_summarize", kept)
     geo = Example22Geometry(example22_context())
     curve_localized_term(geo, samples=20000, seed=45)
+    first = len(chunks)
     monkeypatch.setattr(localize, "_BRANCH_TOL", 0.2)
     term = curve_localized_term(geo, samples=20000, seed=45)
-    base, cut = columns
+    base, cut = (np.concatenate(part, axis=1).T for part in (chunks[:first], chunks[first:]))
     rejected = cut[:, 3] == 1
     assert base[:, 3].sum() == 0 and term.rejected == rejected.sum() > 0
     assert np.all(cut[rejected] == [0, 0, 0, 1])
     assert np.array_equal(cut[~rejected], base[~rejected])
-    assert term.value == cut[:, 0].mean()
+    # the chunk-order merge of the value rows: their sums, added in order
+    assert term.value == sum(rows[0].sum() for rows in chunks[first:]) / 20000
 
 
 def test_every_sample_rejected(monkeypatch):
@@ -565,6 +568,35 @@ def test_every_sample_rejected(monkeypatch):
     term = curve_localized_term(Example22Geometry(example22_context()), samples=3000, seed=45)
     assert term.rejected == term.samples == 3000
     assert term.value == 0 and term.l1_mass == 0 and term.pointwise_max == 0
+
+
+def _traced_peak(run, samples):
+    """The tracemalloc peak of run(samples), counting only what it allocates."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run(samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimator_memory_does_not_grow_with_the_sample_count():
+    # each chunk is reduced to a summary as soon as it is drawn, so ten (or
+    # five) times the samples peak within 1 MB of the smaller run; a warm-up
+    # run first builds the caches that both runs share
+    vr, lm = p2_22_context(), p1_o2_context()
+    geo = Example22Geometry(example22_context())
+    cases = [
+        (lambda count: virtual_residue_sweep(vr, [0.05, 0.1, 0.5, 1.0, 2.0], count, seed=1), 200000),
+        (lambda count: local_mass(lm, [1.0], 0.01, 0.5, count, seed=1), 200000),
+        (lambda count: curve_localized_term(geo, count, seed=1), 100000),
+    ]
+    for run, large in cases:
+        run(1000)
+        small_peak, large_peak = (_traced_peak(run, count) for count in (20000, large))
+        assert large_peak - small_peak < 2**20
 
 
 def test_one_seeded_stream_for_every_estimator():

@@ -109,6 +109,18 @@ def test_literal_beyond_the_doubles_is_a_parse_error_on_the_float_backend():
     assert parse_poly(f"{big}*z0", 1, backend="exact").terms[(1,)].re == 10**400
 
 
+@pytest.mark.parametrize("shape", ["square", "product"])
+def test_coefficient_beyond_the_doubles_is_a_parse_error_on_the_float_backend(shape):
+    # every literal is a finite double, but the coefficient they make is not;
+    # the error sits at the operator that overflowed
+    big = "1" + "0" * 200
+    text = f"z1^2 - ({big})^2*z0^2" if shape == "square" else f"z1^2 - {big}*{big}*z0^2"
+    with pytest.raises(ParseError, match="beyond the finite doubles") as exc:
+        parse_poly(text, 2)
+    assert exc.value.position == (text.index(")^") + 1 if shape == "square" else text.index("*"))
+    assert parse_poly(text, 2, backend="exact").terms[(2, 0)].re == -(10**400)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
