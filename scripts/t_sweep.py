@@ -9,48 +9,31 @@ Usage: python3 scripts/t_sweep.py [--samples N] [--scenario p1|p2]
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
+from residue_lab.harness import Scenario  # noqa: E402
 from residue_lab.localize import SWEEP_MIN_SAMPLES, virtual_residue_sweep  # noqa: E402
-from residue_lab.polycore import parse_poly  # noqa: E402
-from residue_lab.projgeom import (  # noqa: E402
-    BundleSpec,
-    GeometryContext,
-    MetricSpec,
-    PsiSpec,
-    SectionSpec,
-)
 
-
-def build(name: str) -> GeometryContext:
-    if name == "p1":
-        return GeometryContext(
-            BundleSpec(1, (2,)),
-            SectionSpec((parse_poly("z1^2 - z0^2", 2),)),
-            MetricSpec(),
-            PsiSpec(parse_poly("1", 2)),
-        )
-    return GeometryContext(
-        BundleSpec(2, (2, 2)),
-        SectionSpec((parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3))),
-        MetricSpec(),
-        PsiSpec(parse_poly("z0", 3)),
-    )
+# the instance of each --scenario choice: its degrees, section and psi
+SCENARIO_FILES = {"p1": "p1_o2.json", "p2": "p2_22.json"}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--samples", type=int, default=100000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scenario", choices=("p1", "p2"), default="p1")
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_FILES), default="p1")
     args = parser.parse_args()
     if args.samples < SWEEP_MIN_SAMPLES:
         parser.error(f"--samples must be at least {SWEEP_MIN_SAMPLES}")
 
-    ctx = build(args.scenario)
+    with open(ROOT / "scenarios" / SCENARIO_FILES[args.scenario], encoding="utf-8") as fh:
+        ctx = Scenario.from_dict(json.load(fh)).geometry()
     ts = [0.2, 0.5, 1.0, 2.0, 5.0]
     print(f"scenario {args.scenario}, {args.samples} samples, seed {args.seed}")
     print(f"{'t':>6} {'Re value':>13} {'Im value':>13} {'sigma':>11} {'|z|':>6}")

@@ -31,15 +31,7 @@ import numpy as np
 
 from . import __version__
 from .polycore import GaussianRational, HomogeneousPoly, PolyError, monomials_of_degree, parse_poly
-from .projgeom import (
-    BundleSpec,
-    Example22Geometry,
-    GeometryContext,
-    GeometryError,
-    MetricSpec,
-    PsiSpec,
-    SectionSpec,
-)
+from .projgeom import Example22Geometry, GeometryContext, GeometryError, MetricSpec, check_instance
 from .localize import SWEEP_MIN_SAMPLES, curve_localized_term, local_mass, virtual_residue_sweep
 from .residue import (
     ResidueError,
@@ -70,11 +62,14 @@ TASK_KINDS = (
     "curve_localization",
 )
 
+# the task kinds that integrate or sum residues against psi
+PSI_KINDS = ("euler_jacobi", "virtual_residue", "local_mass", "curve_localization")
+
 SCENARIO_SCHEMA = {
     "n": "int, dimension of the projective space (1..4)",
     "degrees": "list of int >= 1, one per bundle summand; length n",
     "section": "list of n polynomial strings (variables z0..zn)",
-    "psi": "polynomial string of degree sum(degrees)-n-1; required by tasks that integrate or sum residues",
+    "psi": "polynomial string of degree sum(degrees)-n-1; required by %s tasks" % (PSI_KINDS,),
     "metric": {
         "kind": "'fubini_study' | 'perturbed'",
         "epsilon": "float > 0 (perturbed only, required)",
@@ -82,7 +77,7 @@ SCENARIO_SCHEMA = {
         "q": "polynomial string of degree degrees[b] (perturbed only)",
         "f_index": "0-based summand index whose section cuts the curve (perturbed only, default 0)",
     },
-    "backend": "'float' | 'exact' (exact affects cayley_bacharach tasks with line factorizations)",
+    "backend": "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
     "tasks": [
         {
             "kind": "one of %s" % (TASK_KINDS,),
@@ -93,11 +88,11 @@ SCENARIO_SCHEMA = {
             "radius": "float > 0 (local_mass)",
             "rtol": "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
             "sigma_l1_frac": "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
-            "curve_factor": "polynomial string (generalized_cb)",
-            "cofactor": "polynomial string (generalized_cb)",
+            "curve_factor": "polynomial string (generalized_cb, required)",
+            "cofactor": "polynomial string (generalized_cb, required)",
             "psi_cofactor": "polynomial string (generalized_cb)",
-            "lines_f": "list of linear strings (exact-backend cayley_bacharach)",
-            "lines_g": "list of linear strings (exact-backend cayley_bacharach)",
+            "lines_f": "non-empty list of linear strings (exact-backend cayley_bacharach, required)",
+            "lines_g": "non-empty list of linear strings (exact-backend cayley_bacharach, required)",
         }
     ],
 }
@@ -168,6 +163,22 @@ KIND_KEYS = {
 
 class ScenarioError(ValueError):
     """Scenario file violates the schema or its degree constraints."""
+
+
+def _check_requirements(task: Dict, n: int, psi: Optional[str], backend: str) -> None:
+    """What a task needs of its scenario beyond its own keys' types, checked
+    before any task runs."""
+    kind = task["kind"]
+    if kind in PSI_KINDS and psi is None:
+        raise ScenarioError(f"{kind} requires psi")
+    if kind in ("cayley_bacharach", "generalized_cb") and n != 2:
+        raise ScenarioError(f"{kind} runs on P^2 with two curve sections, got n = {n}")
+    required = {"generalized_cb": ("curve_factor", "cofactor")}.get(kind, ())
+    if kind == "cayley_bacharach" and backend == "exact":
+        required = ("lines_f", "lines_g")
+    for key in required:
+        if not task.get(key):
+            raise ScenarioError(f"{kind} task key {key!r} is required: {SCENARIO_SCHEMA['tasks'][0][key]}")
 
 
 def _check_count(value, what: str) -> None:
@@ -258,37 +269,31 @@ class Scenario:
                         f"{task['kind']} task key {key!r} must be "
                         f"{SCENARIO_SCHEMA['tasks'][0][key]}; got {value!r}"
                     )
+            _check_requirements(task, n, psi, backend)
         return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
 
     # ---------------------------------------------------------------- build
 
-    def parse_polys(self):
-        """The section and psi, parsed and checked on the first call and kept
-        for the later ones."""
-        if self._parsed is not None:
-            return self._parsed
-        nv = self.n + 1
+    def _parse(self, text: str, backend: str = "float") -> HomogeneousPoly:
+        """One polynomial string of the scenario in z0..zn; a text that does
+        not parse is a ScenarioError."""
         try:
-            section = [parse_poly(s, nv) for s in self.section_text]
-            psi = parse_poly(self.psi_text, nv) if self.psi_text is not None else None
+            return parse_poly(text, self.n + 1, backend=backend)
         except PolyError as exc:
             raise ScenarioError(f"polynomial parse error: {exc}") from exc
-        for s, d in zip(section, self.degrees):
-            if not s.is_zero() and s.degree != d:
-                raise ScenarioError(
-                    f"section component degree {s.degree} does not match bundle degree {d}"
-                )
-        D = sum(self.degrees) - self.n - 1
-        if psi is not None:
-            if D < 0:
-                raise ScenarioError(
-                    f"degrees {self.degrees} on P^{self.n} admit no psi (required degree {D} < 0)"
-                )
-            if not psi.is_zero() and psi.degree != D:
-                raise ScenarioError(
-                    f"psi degree must be sum(degrees)-n-1 = {D}, got {psi.degree}"
-                )
-        self._parsed = tuple(section), psi
+
+    def parse_polys(self):
+        """The section and psi, parsed and put through ``check_instance`` on
+        the first call and kept for the later ones."""
+        if self._parsed is not None:
+            return self._parsed
+        section = tuple(map(self._parse, self.section_text))
+        psi = self._parse(self.psi_text) if self.psi_text is not None else None
+        try:
+            check_instance(self.degrees, section, psi)
+        except GeometryError as exc:
+            raise ScenarioError(str(exc)) from exc
+        self._parsed = section, psi
         return self._parsed
 
     def geometry(self) -> GeometryContext:
@@ -300,29 +305,12 @@ class Scenario:
 
     def _build_geometry(self) -> GeometryContext:
         section, psi = self.parse_polys()
-        bundle = BundleSpec(self.n, tuple(self.degrees))
         m = self.metric_cfg
-        if m.get("kind") == "perturbed":
-            try:
-                q = parse_poly(m["q"], self.n + 1)
-            except PolyError as exc:
-                raise ScenarioError(f"perturbed metric needs a valid q: {exc}") from exc
-            ms = MetricSpec(
-                "perturbed",
-                epsilon=float(m["epsilon"]),
-                pair=tuple(m["pair"]),
-                q=q,
-                f_index=m.get("f_index", 0),
-            )
-        else:
-            ms = MetricSpec()
+        ms = MetricSpec()
+        if m["kind"] == "perturbed":
+            ms = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), self._parse(m["q"]), m.get("f_index", 0))
         try:
-            return GeometryContext(
-                bundle,
-                SectionSpec(tuple(section)),
-                ms,
-                PsiSpec(psi) if psi is not None else None,
-            )
+            return GeometryContext(self.degrees, section, ms, psi)
         except GeometryError as exc:
             raise ScenarioError(str(exc)) from exc
 
@@ -492,8 +480,6 @@ def _ledger_json(ledger):
 
 def _run_euler_jacobi(scenario, task, seed, samples, threads):
     section, psi = scenario.parse_polys()
-    if psi is None:
-        raise ScenarioError("euler_jacobi requires psi")
     tol = float(task.get("tol", 1e-8))
     ledger = global_residue_sum(section, psi, seed=seed)
     results = {
@@ -507,8 +493,6 @@ def _run_euler_jacobi(scenario, task, seed, samples, threads):
 
 
 def _run_cayley_bacharach(scenario, task, seed, samples, threads):
-    if scenario.n != 2 or len(scenario.section_text) != 2:
-        raise ScenarioError("cayley_bacharach runs on P^2 with two curve sections")
     tol = float(task.get("tol", 1e-8))
     if scenario.backend == "exact":
         return _run_cb_exact(scenario, task, tol)
@@ -529,16 +513,11 @@ def _run_cb_exact(scenario, task, tol):
     """Exact-backend route: the curves arrive as explicit line factorizations
     with Gaussian-rational coefficients, so the intersection points and the
     held-out evaluations are exact."""
-    lines_f = task.get("lines_f")
-    lines_g = task.get("lines_g")
-    if not lines_f or not lines_g:
-        raise ScenarioError("exact cayley_bacharach needs lines_f and lines_g")
-    lf = [parse_poly(s, 3, backend="exact") for s in lines_f]
-    lg = [parse_poly(s, 3, backend="exact") for s in lines_g]
+    lf = [scenario._parse(s, backend="exact") for s in task["lines_f"]]
+    lg = [scenario._parse(s, backend="exact") for s in task["lines_g"]]
     if any(line.is_zero() or line.degree != 1 for line in lf + lg):
         raise ScenarioError("lines_f and lines_g must be nonzero linear forms")
-    f = parse_poly(scenario.section_text[0], 3, backend="exact")
-    g = parse_poly(scenario.section_text[1], 3, backend="exact")
+    f, g = (scenario._parse(s, backend="exact") for s in scenario.section_text)
     pf, pg = lf[0], lg[0]
     for l in lf[1:]:
         pf = pf * l
@@ -606,16 +585,13 @@ def _projective_key(p):
 
 def _run_generalized_cb(scenario, task, seed, samples, threads):
     section, psi = scenario.parse_polys()
-    for key in ("curve_factor", "cofactor"):
-        if key not in task:
-            raise ScenarioError(f"generalized_cb requires {key!r}")
-    f = parse_poly(task["curve_factor"], 3)
-    u = parse_poly(task["cofactor"], 3)
+    f = scenario._parse(task["curve_factor"])
+    u = scenario._parse(task["cofactor"])
     if not _poly_close(f * u, section[0]):
         raise ScenarioError("curve_factor * cofactor does not reproduce section[0]")
     phi = None
     if "psi_cofactor" in task:
-        phi = parse_poly(task["psi_cofactor"], 3)
+        phi = scenario._parse(task["psi_cofactor"])
         if psi is not None and not _poly_close(f * phi, psi):
             raise ScenarioError("curve_factor * psi_cofactor does not reproduce psi")
     tol = float(task.get("tol", 1e-8))
@@ -675,9 +651,7 @@ def _run_virtual_residue(scenario, task, seed, samples, threads):
 
 def _run_local_mass(scenario, task, seed, samples, threads):
     ctx = scenario.geometry()
-    if ctx.psi is None:
-        raise ScenarioError("local_mass requires psi")
-    section, psi = ctx.section.components, ctx.psi.H
+    section, psi = ctx.section, ctx.psi
     t = float(task.get("t", 0.01))
     radius = float(task.get("radius", 0.5))
     rtol = float(task.get("rtol", 0.05))

@@ -35,13 +35,11 @@ from .superalg import SForm
 from .syszero import random_unitary, solve_square_system
 
 __all__ = [
-    "BundleSpec",
-    "SectionSpec",
-    "PsiSpec",
     "MetricSpec",
     "GeometryContext",
     "Example22Geometry",
     "GeometryError",
+    "check_instance",
     "fs_uniform_points",
     "chart_coords",
     "point_from_chart",
@@ -55,57 +53,31 @@ class GeometryError(ValueError):
     """Configuration violates a geometric precondition."""
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """V = O(d_1) (+) ... (+) O(d_n) on P^n with rank V = dim M = n."""
-
-    n: int
-    degrees: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.degrees) != self.n:
-            raise GeometryError("rank of V must equal dim M")
-        if any(d < 1 for d in self.degrees):
-            raise GeometryError("all summand degrees must be >= 1")
-
-    @property
-    def psi_degree(self) -> int:
-        return sum(self.degrees) - self.n - 1
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """Holomorphic section s = (s_1, ..., s_n), s_i of degree d_i."""
-
-    components: Tuple[HomogeneousPoly, ...]
-
-    def validate(self, bundle: BundleSpec):
-        if len(self.components) != bundle.n:
-            raise GeometryError("section must have one component per summand")
-        for s, d in zip(self.components, bundle.degrees):
-            if s.num_vars != bundle.n + 1:
-                raise GeometryError("section components must use n+1 homogeneous variables")
-            if not s.is_zero() and s.degree != d:
-                raise GeometryError(f"component degree {s.degree} != summand degree {d}")
-        if all(s.is_zero() for s in self.components):
-            raise GeometryError("section must not be identically zero")
-
-
-@dataclass(frozen=True)
-class PsiSpec:
-    """Top-form twist datum: H of degree D = sum d_i - n - 1."""
-
-    H: HomogeneousPoly
-
-    def validate(self, bundle: BundleSpec):
-        D = bundle.psi_degree
+def check_instance(
+    degrees: Sequence[int], section: Sequence[HomogeneousPoly], psi: Optional[HomogeneousPoly] = None
+) -> None:
+    """The paper's hypotheses on (V, s, psi): V = O(d_1) (+) ... (+) O(d_n) on
+    P^n with every d_i >= 1, s_i of degree d_i, s not identically zero, and
+    psi of degree D = sum d_i - n - 1 >= 0.  Raises GeometryError on the first
+    violation; a zero component or psi takes any degree."""
+    n = len(degrees)
+    if n < 1 or any(d < 1 for d in degrees):
+        raise GeometryError("the bundle needs at least one summand, each of degree >= 1")
+    if len(section) != n:
+        raise GeometryError("section must have one component per summand")
+    for s, d in zip(section, degrees):
+        if s.num_vars != n + 1:
+            raise GeometryError("section components must use n+1 homogeneous variables")
+        if not s.is_zero() and s.degree != d:
+            raise GeometryError(f"section component degree {s.degree} does not match bundle degree {d}")
+    if all(s.is_zero() for s in section):
+        raise GeometryError("section must not be identically zero")
+    if psi is not None:
+        D = sum(degrees) - n - 1
         if D < 0:
-            raise GeometryError(
-                f"sum of degrees {sum(bundle.degrees)} leaves no room for a top-form "
-                f"twist on P^{bundle.n} (required degree {D} < 0)"
-            )
-        if not self.H.is_zero() and self.H.degree != D:
-            raise GeometryError(f"psi degree {self.H.degree} != required {D}")
+            raise GeometryError(f"degrees {list(degrees)} on P^{n} admit no psi (required degree {D} < 0)")
+        if not psi.is_zero() and psi.degree != D:
+            raise GeometryError(f"psi degree must be sum(degrees)-n-1 = {D}, got {psi.degree}")
 
 
 @dataclass(frozen=True)
@@ -317,7 +289,7 @@ def _eval_matrices(data: _ChartData, specs: tuple, W: np.ndarray) -> List[np.nda
 
 
 class GeometryContext:
-    """All chart-level data for one (bundle, metric, section, psi) instance.
+    """All chart-level data for one (degrees, section, metric, psi) instance.
 
     Chart data is assembled lazily per chart and cached.  Every derivative
     used downstream is exact (see :mod:`residue_lab.chartfun`).
@@ -328,27 +300,24 @@ class GeometryContext:
 
     def __init__(
         self,
-        bundle: BundleSpec,
-        section: SectionSpec,
+        degrees: Sequence[int],
+        section: Sequence[HomogeneousPoly],
         metric: MetricSpec,
-        psi: Optional[PsiSpec] = None,
+        psi: Optional[HomogeneousPoly] = None,
     ):
-        section.validate(bundle)
-        if psi is not None:
-            psi.validate(bundle)
+        check_instance(degrees, section, psi)
+        n = len(degrees)
         if metric.kind == "perturbed":
             a, b = metric.pair
-            if not (0 <= a < bundle.n and 0 <= b < bundle.n and a != b):
+            if not (0 <= a < n and 0 <= b < n and a != b):
                 raise GeometryError("perturbation pair must be two distinct summands")
-            if metric.q.degree != bundle.degrees[b]:
-                raise GeometryError(
-                    f"perturbation q must have degree {bundle.degrees[b]} (got {metric.q.degree})"
-                )
-            if not (0 <= metric.f_index < bundle.n):
+            if metric.q.degree != degrees[b]:
+                raise GeometryError(f"perturbation q must have degree {degrees[b]} (got {metric.q.degree})")
+            if not (0 <= metric.f_index < n):
                 raise GeometryError("f_index out of range")
-        self.n = bundle.n
-        self.bundle = bundle
-        self.section = section
+        self.n = n
+        self.degrees = tuple(degrees)
+        self.section = tuple(section)
         self.metric = metric
         self.psi = psi
         self._charts = {}
@@ -364,16 +333,16 @@ class GeometryContext:
 
     def _build_chart(self, chart: int) -> _ChartData:
         n = self.n
-        degs = self.bundle.degrees
-        s_aff = [s.dehomogenize(chart) for s in self.section.components]
-        psi_aff = None if self.psi is None else psi_chart_rep(self.psi.H, chart)
+        degs = self.degrees
+        s_aff = [s.dehomogenize(chart) for s in self.section]
+        psi_aff = None if self.psi is None else psi_chart_rep(self.psi, chart)
 
         H = [[ChartFunction.zero(n) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             H[i][i] = ChartFunction.from_parts(n, weight=-degs[i])
         if self.metric.kind == "perturbed":
             a, b = self.metric.pair
-            f_aff = self.section.components[self.metric.f_index].dehomogenize(chart)
+            f_aff = self.section[self.metric.f_index].dehomogenize(chart)
             q_aff = self.metric.q.dehomogenize(chart)
             off = ChartFunction.from_parts(
                 n,
@@ -535,13 +504,13 @@ class Example22Geometry:
     def __init__(self, ctx: GeometryContext):
         if ctx.n != 2:
             raise GeometryError("the split-section family is supported on P^2 only")
-        nonzero = [i for i, s in enumerate(ctx.section.components) if not s.is_zero()]
+        nonzero = [i for i, s in enumerate(ctx.section) if not s.is_zero()]
         if len(nonzero) != 1:
             raise GeometryError("section must be (f, 0) up to summand order")
         self.ctx = ctx
         self.f_index = nonzero[0]
         self.v_index = 1 - self.f_index
-        self.f = ctx.section.components[self.f_index]
+        self.f = ctx.section[self.f_index]
         if ctx.metric.kind == "perturbed" and ctx.metric.f_index != self.f_index:
             raise GeometryError("metric perturbation must vanish on the section curve")
         self._df = {}

@@ -22,12 +22,9 @@ from residue_lab.localize import (
 )
 from residue_lab.polycore import GaussianRational, HomogeneousPoly, monomials_of_degree, parse_poly
 from residue_lab.projgeom import (
-    BundleSpec,
     Example22Geometry,
     GeometryContext,
     MetricSpec,
-    PsiSpec,
-    SectionSpec,
     chart_coords,
     transition_jacobian,
 )
@@ -61,26 +58,26 @@ def random_form(nv, deg, rng):
 
 def p1_o2_context():
     return GeometryContext(
-        BundleSpec(1, (2,)),
-        SectionSpec((parse_poly("z1^2 - z0^2", 2),)),
+        (2,),
+        (parse_poly("z1^2 - z0^2", 2),),
         MetricSpec(),
-        PsiSpec(parse_poly("1", 2)),
+        parse_poly("1", 2),
     )
 
 
 def p2_22_context():
     return GeometryContext(
-        BundleSpec(2, (2, 2)),
-        SectionSpec((parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3))),
+        (2, 2),
+        (parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3)),
         MetricSpec(),
-        PsiSpec(parse_poly("z0", 3)),
+        parse_poly("z0", 3),
     )
 
 
 def example22_context(eps):
     f = parse_poly("z1^2 + z2^2 - z0^2", 3)
-    section = SectionSpec((f, HomogeneousPoly(3, 2, {})))
-    psi = PsiSpec(parse_poly("z0 + 1/2*z1", 3))
+    section = (f, HomogeneousPoly(3, 2, {}))
+    psi = parse_poly("z0 + 1/2*z1", 3)
     if eps == 0:
         ms = MetricSpec()
     else:
@@ -88,7 +85,7 @@ def example22_context(eps):
             "perturbed", epsilon=eps, pair=(0, 1),
             q=parse_poly("z0^2 + 2*z1*z2 - z2^2", 3), f_index=0,
         )
-    return GeometryContext(BundleSpec(2, (2, 2)), section, ms, psi)
+    return GeometryContext((2, 2), section, ms, psi)
 
 
 # -------------------------------------------------------------- criterion 1

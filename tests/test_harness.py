@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from residue_lab import harness
 from residue_lab.cli import main
 from residue_lab.harness import (
     Scenario,
@@ -16,6 +17,8 @@ from residue_lab.harness import (
     emit_report,
     run_scenario,
 )
+from residue_lab.polycore import parse_poly
+from residue_lab.projgeom import GeometryContext, GeometryError, MetricSpec, check_instance
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -35,6 +38,8 @@ BASE_P1 = {
     "backend": "float",
     "tasks": [{"kind": "euler_jacobi", "tol": 1e-8}],
 }
+# p2_22's instance, on which every task kind may run
+BASE_P2 = dict(BASE_P1, n=2, degrees=[2, 2], section=["z1^2 - z0^2", "z2^2 - z0^2"], psi="z0")
 
 
 def test_bundled_p1_scenario_all_pass():
@@ -253,7 +258,93 @@ def test_invalid_task_samples_rejected(tmp_path, kind, key, value):
 
 
 def test_valid_tasks_accepted():
-    Scenario.from_dict(dict(BASE_P1, tasks=list(VALID_TASKS.values())))
+    Scenario.from_dict(dict(BASE_P2, tasks=list(VALID_TASKS.values())))
+
+
+@pytest.mark.parametrize(
+    "changes, task, message",
+    [
+        pytest.param({"psi": None}, VALID_TASKS[kind], f"{kind} requires psi", id=f"{kind}-without-psi")
+        for kind in ("euler_jacobi", "virtual_residue", "local_mass", "curve_localization")
+    ]
+    + [
+        pytest.param(BASE_P1, VALID_TASKS[kind], f"{kind} runs on P^2", id=f"{kind}-on-P1")
+        for kind in ("cayley_bacharach", "generalized_cb")
+    ]
+    + [
+        pytest.param(changes, dict(kind=kind, **keys), f"{missing!r} is required", id=name)
+        for name, changes, kind, keys, missing in [
+            ("no-cofactor", {}, "generalized_cb", {"curve_factor": "z0"}, "cofactor"),
+            ("no-curve-factor", {}, "generalized_cb", {"cofactor": "z1"}, "curve_factor"),
+            ("exact-no-lines-f", {"backend": "exact"}, "cayley_bacharach", {"lines_g": ["z1"]}, "lines_f"),
+            ("exact-empty-lines-g", {"backend": "exact"}, "cayley_bacharach", {"lines_f": ["z0"], "lines_g": []}, "lines_g"),
+        ]
+    ],
+)
+def test_task_requirements_checked_before_any_task(tmp_path, changes, task, message):
+    doc = {k: v for k, v in {**BASE_P2, **changes, "tasks": [task]}.items() if v is not None}
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        Scenario.from_dict(doc)
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 2
+
+
+def test_no_runner_entered_when_a_later_task_is_invalid(tmp_path, monkeypatch):
+    # a scenario without psi: the Cayley-Bacharach task could run, the
+    # Euler-Jacobi task after it could not
+    entered = []
+    for kind in harness.TASK_KINDS:
+        monkeypatch.setitem(harness._RUNNERS, kind, lambda *args, kind=kind: entered.append(kind))
+    doc = dict(BASE_P2, tasks=[{"kind": "cayley_bacharach"}, {"kind": "euler_jacobi"}])
+    del doc["psi"]
+    with pytest.raises(ScenarioError, match="euler_jacobi requires psi"):
+        run_scenario(write_scenario(tmp_path, doc))
+    assert entered == []
+
+
+@pytest.mark.parametrize(
+    "degrees, section, psi",
+    [
+        pytest.param([2], ["z1^3 - z0^3"], "1", id="section-degree"),
+        pytest.param([2], ["z1^2 - z0^2"], "z0", id="psi-degree"),
+        pytest.param([1], ["z1"], "1", id="psi-without-room"),
+        pytest.param([2, 2], ["0", "0"], "z0", id="zero-section"),
+    ],
+)
+def test_one_instance_check_for_library_and_harness(tmp_path, capsys, degrees, section, psi):
+    n = len(degrees)
+    polys, H = [parse_poly(s, n + 1) for s in section], parse_poly(psi, n + 1)
+    with pytest.raises(GeometryError) as checked:
+        check_instance(degrees, polys, H)
+    with pytest.raises(GeometryError) as built:
+        GeometryContext(degrees, polys, MetricSpec(), H)
+    assert str(built.value) == str(checked.value)
+    path = write_scenario(tmp_path, dict(BASE_P1, n=n, degrees=degrees, section=section, psi=psi))
+    with pytest.raises(ScenarioError) as scenario:
+        run_scenario(path)
+    assert str(scenario.value) == str(checked.value)
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err == f"scenario error: {checked.value}\n"
+
+
+@pytest.mark.parametrize("text", ["z0 +", "z0 + z1^2", "z0 + z3"], ids=["syntax", "inhomogeneous", "no-such-variable"])
+@pytest.mark.parametrize("file, key", [
+    ("p2_generalized_cb.json", "curve_factor"),
+    ("p2_generalized_cb.json", "cofactor"),
+    ("p2_generalized_cb.json", "psi_cofactor"),
+    ("p2_cb_exact.json", "lines_f"),
+])
+def test_malformed_task_polynomial_exits_2(tmp_path, capsys, file, key, text):
+    doc = json.loads((SCENARIOS / file).read_text())
+    task = doc["tasks"][0]
+    task[key] = [task[key][0], text] if key == "lines_f" else text
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match="polynomial parse error"):
+        run_scenario(path)
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: polynomial parse error") and "Traceback" not in err
 
 
 MISSING = object()
@@ -541,6 +632,19 @@ def test_seed_sweep_script_smoke():
         assert cols[0] == "2/2" and cols[-1] == "-"
     bad = subprocess.run([sys.executable, str(script), "p1_o2", "--seeds", "3:3"], capture_output=True, text=True)
     assert bad.returncode == 2
+
+
+def test_t_sweep_script_smoke():
+    # one small sweep of p1_o2's instance; the figures themselves are tier 2
+    script = Path(__file__).resolve().parent.parent / "scripts" / "t_sweep.py"
+    args = [sys.executable, str(script), "--samples", "2000", "--scenario", "p1"]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.splitlines()
+    assert title == "scenario p1, 2000 samples, seed 1"
+    assert header.split() == ["t", "Re", "value", "Im", "value", "sigma", "|z|"]
+    assert [float(row.split()[0]) for row in rows] == [0.2, 0.5, 1.0, 2.0, 5.0]
+    assert subprocess.run([sys.executable, str(script), "--samples", "500"], capture_output=True).returncode == 2
 
 
 def test_solver_steps_script_smoke():

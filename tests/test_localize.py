@@ -17,12 +17,9 @@ import pytest
 
 from residue_lab.polycore import AffinePoly, HomogeneousPoly, parse_poly
 from residue_lab.projgeom import (
-    BundleSpec,
     Example22Geometry,
     GeometryContext,
     MetricSpec,
-    PsiSpec,
-    SectionSpec,
     chart_coords,
     transition_jacobian,
 )
@@ -45,24 +42,24 @@ from residue_lab.superalg import SuperTensor, wedge
 
 
 def p1_o2_context():
-    bundle = BundleSpec(1, (2,))
-    s = SectionSpec((parse_poly("z1^2 - z0^2", 2),))
-    psi = PsiSpec(parse_poly("1", 2))
+    bundle = (2,)
+    s = (parse_poly("z1^2 - z0^2", 2),)
+    psi = parse_poly("1", 2)
     return GeometryContext(bundle, s, MetricSpec(), psi)
 
 
 def p2_22_context():
-    bundle = BundleSpec(2, (2, 2))
-    s = SectionSpec((parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3)))
-    psi = PsiSpec(parse_poly("z0", 3))
+    bundle = (2, 2)
+    s = (parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3))
+    psi = parse_poly("z0", 3)
     return GeometryContext(bundle, s, MetricSpec(), psi)
 
 
 def example22_context(eps=0.05, f_text="z1^2 + z2^2 - z0^2"):
-    bundle = BundleSpec(2, (2, 2))
+    bundle = (2, 2)
     f = parse_poly(f_text, 3)
-    s = SectionSpec((f, HomogeneousPoly(3, 2, {})))
-    psi = PsiSpec(parse_poly("z0 + 1/2*z1", 3))
+    s = (f, HomogeneousPoly(3, 2, {}))
+    psi = parse_poly("z0 + 1/2*z1", 3)
     if eps == 0:
         ms = MetricSpec()
     else:
@@ -402,13 +399,13 @@ def test_global_vanishing_metric_independent():
     """The vanishing holds for any Hermitian metric, not just Fubini-Study:
     run the global estimator on perturbed-metric instances."""
     # points instance with a perturbation vanishing on {s_1 = 0}
-    bundle = BundleSpec(2, (2, 2))
-    s = SectionSpec((parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3)))
+    bundle = (2, 2)
+    s = (parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3))
     ms = MetricSpec(
         "perturbed", epsilon=0.05, pair=(0, 1),
         q=parse_poly("z0^2 - z1*z2", 3), f_index=0,
     )
-    ctx = GeometryContext(bundle, s, ms, PsiSpec(parse_poly("z0", 3)))
+    ctx = GeometryContext(bundle, s, ms, parse_poly("z0", 3))
     est = virtual_residue_sweep(ctx, [1.0], samples=60000, seed=71)[0]
     assert abs(est.value) <= 3 * est.std_error
     # curve instance: the same global integrand, zero locus of dimension one
@@ -611,9 +608,9 @@ def test_one_seeded_stream_for_every_estimator():
 def test_curve_without_sheets_is_a_geometry_error():
     from residue_lab.projgeom import GeometryError
 
-    bundle = BundleSpec(2, (1, 2))
-    s = SectionSpec((parse_poly("z1 - z0", 3), HomogeneousPoly(3, 2, {})))
-    geo = Example22Geometry(GeometryContext(bundle, s, MetricSpec(), PsiSpec(parse_poly("1", 3))))
+    bundle = (1, 2)
+    s = (parse_poly("z1 - z0", 3), HomogeneousPoly(3, 2, {}))
+    geo = Example22Geometry(GeometryContext(bundle, s, MetricSpec(), parse_poly("1", 3)))
     with pytest.raises(GeometryError, match="no sheets over w_1"):
         curve_localized_term(geo, samples=2000, seed=1)
     with pytest.raises(GeometryError, match="no sheets over w_1"):

@@ -12,13 +12,10 @@ import pytest
 from residue_lab.chartfun import ChartFunction
 from residue_lab.polycore import HomogeneousPoly, monomials_of_degree, parse_poly
 from residue_lab.projgeom import (
-    BundleSpec,
     Example22Geometry,
     GeometryContext,
     GeometryError,
     MetricSpec,
-    PsiSpec,
-    SectionSpec,
     chart_coords,
     fs_uniform_points,
     point_from_chart,
@@ -27,17 +24,17 @@ from residue_lab.projgeom import (
 
 
 def p1_o2_context(metric=None):
-    bundle = BundleSpec(1, (2,))
-    s = SectionSpec((parse_poly("z1^2 - z0^2", 2),))
-    psi = PsiSpec(parse_poly("1", 2))
+    bundle = (2,)
+    s = (parse_poly("z1^2 - z0^2", 2),)
+    psi = parse_poly("1", 2)
     return GeometryContext(bundle, s, metric or MetricSpec(), psi)
 
 
 def example22_context(eps=0.05, q_text="z0^2 + 2*z1*z2", f_text="z0*z2 - z1^2"):
-    bundle = BundleSpec(2, (2, 2))
+    bundle = (2, 2)
     f = parse_poly(f_text, 3)
-    s = SectionSpec((f, HomogeneousPoly(3, 2, {})))
-    psi = PsiSpec(parse_poly("z0 + 1/2*z1", 3))
+    s = (f, HomogeneousPoly(3, 2, {}))
+    psi = parse_poly("z0 + 1/2*z1", 3)
     if eps == 0:
         ms = MetricSpec()
     else:
@@ -55,8 +52,8 @@ def test_fs_metric_p1_origin():
 
 
 def test_fs_metric_p2_mixed_degrees():
-    bundle = BundleSpec(2, (1, 2))
-    s = SectionSpec((parse_poly("z1", 3), parse_poly("z2^2", 3)))
+    bundle = (1, 2)
+    s = (parse_poly("z1", 3), parse_poly("z2^2", 3))
     ctx = GeometryContext(bundle, s, MetricSpec())
     w = [1.0 / np.sqrt(2), 1.0 / np.sqrt(2) * 1j]  # |w|^2 = 1
     H = ctx.metric_matrix_batch(0, np.array([w]))[0]
@@ -90,10 +87,10 @@ def test_oversized_perturbation_rejected():
 
 
 def test_psi_degree_validation():
-    bundle = BundleSpec(1, (1,))  # D = 1 - 1 - 1 < 0
-    s = SectionSpec((parse_poly("z1", 2),))
+    bundle = (1,)  # D = 1 - 1 - 1 < 0
+    s = (parse_poly("z1", 2),)
     with pytest.raises(GeometryError):
-        GeometryContext(bundle, s, MetricSpec(), PsiSpec(HomogeneousPoly(2, 0, {})))
+        GeometryContext(bundle, s, MetricSpec(), HomogeneousPoly(2, 0, {}))
 
 
 # ---------------------------------------------------------------- section
@@ -107,8 +104,8 @@ def test_s_norm_vanishes_on_zero():
 
 def test_s_norm_p1_o2_closed_form():
     # V = O(2), s = z0 z1: |s|^2 = |w|^2 / (1+|w|^2)^2 on chart 0
-    bundle = BundleSpec(1, (2,))
-    s = SectionSpec((parse_poly("z0*z1", 2),))
+    bundle = (2,)
+    s = (parse_poly("z0*z1", 2),)
     ctx = GeometryContext(bundle, s, MetricSpec())
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -356,7 +353,7 @@ def test_curvature_offdiag_on_curve_closed_form():
     Qt = conj(q) (1+|w|^2)^{-(d+k)}; derived by hand, pins the analytic path."""
     ctx = example22_context()
     geo = Example22Geometry(ctx)
-    d_sum = sum(ctx.bundle.degrees)
+    d_sum = sum(ctx.degrees)
     q = ctx.metric.q.dehomogenize(0)
     f = geo.f_aff(0)
     rng = np.random.default_rng(9)
@@ -397,16 +394,16 @@ def _ds(ctx, chart, w):
 
 
 def test_ds_identity_section():
-    bundle = BundleSpec(2, (1, 1))
-    s = SectionSpec((parse_poly("z1", 3), parse_poly("z2", 3)))
+    bundle = (1, 1)
+    s = (parse_poly("z1", 3), parse_poly("z2", 3))
     ctx = GeometryContext(bundle, s, MetricSpec())
     J = _ds(ctx, 0, [0.0, 0.0])
     assert np.allclose(J, np.eye(2))
 
 
 def test_ds_diag_section():
-    bundle = BundleSpec(2, (2, 1))
-    s = SectionSpec((parse_poly("z1^2 - z0^2", 3), parse_poly("z2", 3)))
+    bundle = (2, 1)
+    s = (parse_poly("z1^2 - z0^2", 3), parse_poly("z2", 3))
     ctx = GeometryContext(bundle, s, MetricSpec())
     J = _ds(ctx, 0, [1.0, 0.0])
     assert np.allclose(J, np.diag([2.0, 1.0]))
@@ -421,10 +418,10 @@ def test_ds_split_section_rank_one():
 
 def test_psi_over_det_ds_axis_curve():
     # f = z2 (chart 0: w_2), Z is the w_1 axis; psi/df = psi(w1, 0) dw_1 (x) e_2
-    bundle = BundleSpec(2, (1, 3))
+    bundle = (1, 3)
     f = parse_poly("z2", 3)
-    s = SectionSpec((f, HomogeneousPoly(3, 3, {})))
-    psi = PsiSpec(parse_poly("z0 - z1", 3))
+    s = (f, HomogeneousPoly(3, 3, {}))
+    psi = parse_poly("z0 - z1", 3)
     ctx = GeometryContext(bundle, s, MetricSpec(), psi)
     geo = Example22Geometry(ctx)
     for w1 in [0.3, -1.2 + 0.5j]:
@@ -434,11 +431,11 @@ def test_psi_over_det_ds_axis_curve():
 
 def test_psi_over_det_ds_linearity():
     ctx1 = example22_context()
-    bundle = ctx1.bundle
+    bundle = ctx1.degrees
     s = ctx1.section
-    psi2 = PsiSpec(parse_poly("z2 - 2*z1", 3))
+    psi2 = parse_poly("z2 - 2*z1", 3)
     ctx2 = GeometryContext(bundle, s, ctx1.metric, psi2)
-    psi_sum = PsiSpec(ctx1.psi.H + psi2.H)
+    psi_sum = ctx1.psi + psi2
     ctx3 = GeometryContext(bundle, s, ctx1.metric, psi_sum)
     g1, g2, g3 = (Example22Geometry(c) for c in (ctx1, ctx2, ctx3))
     w1 = 0.4 - 0.7j
@@ -483,7 +480,7 @@ def test_curvature_term_matches_on_curve_closed_form():
     """r = eps dbar_taubar(Qt/H11) along the sheet, by the hand derivation."""
     ctx = example22_context()
     geo = Example22Geometry(ctx)
-    d_sum = sum(ctx.bundle.degrees)
+    d_sum = sum(ctx.degrees)
     q = ctx.metric.q.dehomogenize(0)
     h = 1e-6
 
@@ -526,7 +523,7 @@ def test_transition_jacobian_inverse_pair():
 def test_metric_pairing_transition():
     """H^(a) = H^(0) (z_a/z_0)^{d_i} conj(z_a/z_0)^{d_j} entrywise."""
     ctx = example22_context()
-    degs = ctx.bundle.degrees
+    degs = ctx.degrees
     rng = np.random.default_rng(13)
     for _ in range(20):
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -543,8 +540,8 @@ def test_smooth_curve_certification():
     smooth = Example22Geometry(example22_context(eps=0))
     assert smooth.smoothness_defect(1) is None
     # two crossing lines: singular at the node
-    bundle = BundleSpec(2, (2, 2))
-    s = SectionSpec((parse_poly("z1*z2", 3), HomogeneousPoly(3, 2, {})))
+    bundle = (2, 2)
+    s = (parse_poly("z1*z2", 3), HomogeneousPoly(3, 2, {}))
     nodal = Example22Geometry(GeometryContext(bundle, s, MetricSpec()))
     assert nodal.smoothness_defect(1) is not None
 
@@ -553,8 +550,8 @@ def plane_curve(F):
     """The split-section geometry of the plane curve {F = 0}."""
     if isinstance(F, str):
         F = parse_poly(F, 3)
-    s = SectionSpec((F, HomogeneousPoly(3, 1, {})))
-    return Example22Geometry(GeometryContext(BundleSpec(2, (F.degree, 1)), s, MetricSpec()))
+    s = (F, HomogeneousPoly(3, 1, {}))
+    return Example22Geometry(GeometryContext((F.degree, 1), s, MetricSpec()))
 
 
 def counted_solves(monkeypatch):
