@@ -15,7 +15,9 @@ Under ``sys.setprofile`` and ``threading.setprofile`` this runs:
 It then prints every function or method (nested ones included) that was
 never entered, with its line count, and the total per module.  A function
 inside a never-entered one is counted with it, not again on its own.  The
-tests' own calls do not count: a function only they call is listed.
+tests' own calls do not count: a function only they call is listed.  The
+last line is the package's whole line count, as
+``cat src/residue_lab/*.py | wc -l`` gives it.
 """
 
 import ast
@@ -108,6 +110,8 @@ def main() -> int:
     for module, lines in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"{module:10s} {lines:5d}")
     print(f"{'total':10s} {sum(totals.values()):5d}")
+    src_lines = sum(path.read_text(encoding="utf-8").count("\n") for path in PACKAGE.glob("*.py"))
+    print(f"{'src lines':10s} {src_lines:5d}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 A scenario is a JSON document (see :data:`SCENARIO_SCHEMA`) naming the
 instance (dimension, summand degrees, section and twist polynomials, metric)
-and a list of verification tasks.  Tasks run in file order; each produces a
+and a list of tasks, each of a kind in :data:`KINDS`.  Every input is checked
+before the first task runs; tasks run in file order, each producing a
 :class:`TaskResult` with a verdict derived solely from its stated tolerances:
 
 * ``pass`` / ``fail`` -- the check ran and met / missed its tolerance;
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import reduce
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,50 +55,6 @@ __all__ = [
     "emit_report",
     "SCENARIO_SCHEMA",
 ]
-
-TASK_KINDS = (
-    "euler_jacobi",
-    "cayley_bacharach",
-    "generalized_cb",
-    "virtual_residue",
-    "local_mass",
-    "curve_localization",
-)
-
-# the task kinds that integrate or sum residues against psi
-PSI_KINDS = ("euler_jacobi", "virtual_residue", "local_mass", "curve_localization")
-
-SCENARIO_SCHEMA = {
-    "n": "int, dimension of the projective space (1..4)",
-    "degrees": "list of int >= 1, one per bundle summand; length n",
-    "section": "list of n polynomial strings (variables z0..zn)",
-    "psi": "polynomial string of degree sum(degrees)-n-1; required by %s tasks" % (PSI_KINDS,),
-    "metric": {
-        "kind": "'fubini_study' | 'perturbed'",
-        "epsilon": "float > 0 (perturbed only, required)",
-        "pair": "[a, b] distinct 0-based summand indices (perturbed only)",
-        "q": "polynomial string of degree degrees[b] (perturbed only)",
-        "f_index": "0-based summand index whose section cuts the curve (perturbed only, default 0)",
-    },
-    "backend": "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
-    "tasks": [
-        {
-            "kind": "one of %s" % (TASK_KINDS,),
-            "tol": "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
-            "t": "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
-            "samples": f"int >= 1 (Monte Carlo tasks), >= {SWEEP_MIN_SAMPLES} for virtual_residue",
-            "seed": "int, 0 <= seed < 2^64",
-            "radius": "float > 0 (local_mass)",
-            "rtol": "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
-            "sigma_l1_frac": "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
-            "curve_factor": "polynomial string (generalized_cb, required)",
-            "cofactor": "polynomial string (generalized_cb, required)",
-            "psi_cofactor": "polynomial string (generalized_cb)",
-            "lines_f": "non-empty list of linear strings (exact-backend cayley_bacharach, required)",
-            "lines_g": "non-empty list of linear strings (exact-backend cayley_bacharach, required)",
-        }
-    ],
-}
 
 
 def _is_int(v) -> bool:
@@ -128,57 +87,48 @@ def _strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
-# per task key: the task kinds whose runner reads it (the kinds named in
-# SCENARIO_SCHEMA), and check(value, kind), true when the value has the type
-# and range SCENARIO_SCHEMA states; a key that no runner of its task's kind
-# reads is a schema error
-TASK_KEY_KINDS = {
-    "kind": (TASK_KINDS, lambda v, kind: v in TASK_KINDS),
-    "seed": (TASK_KINDS, lambda v, kind: _seed_ok(v)),
-    "tol": (("euler_jacobi", "cayley_bacharach", "generalized_cb"), lambda v, kind: _nonnegative(v)),
+# per task key: its SCENARIO_SCHEMA text and check(value, kind), true when the
+# value has the type and range that text states; the kinds that accept a key
+# are those whose KINDS record lists it
+TASK_KEYS = {
+    "tol": (
+        "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
+        lambda v, kind: _nonnegative(v),
+    ),
     "t": (
-        ("virtual_residue", "local_mass"),
+        "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
         lambda v, kind: _positive(v)
         if kind == "local_mass"
         else isinstance(v, list) and len(v) > 0 and all(map(_positive, v)),
     ),
     "samples": (
-        ("virtual_residue", "local_mass", "curve_localization"),
+        f"int >= 1 (Monte Carlo tasks), >= {SWEEP_MIN_SAMPLES} for virtual_residue",
         lambda v, kind: _is_int(v) and v >= (SWEEP_MIN_SAMPLES if kind == "virtual_residue" else 1),
     ),
-    "radius": (("local_mass",), lambda v, kind: _positive(v)),
-    "rtol": (("local_mass",), lambda v, kind: _nonnegative(v)),
-    "sigma_l1_frac": (("curve_localization",), lambda v, kind: _nonnegative(v)),
-    "curve_factor": (("generalized_cb",), lambda v, kind: isinstance(v, str)),
-    "cofactor": (("generalized_cb",), lambda v, kind: isinstance(v, str)),
-    "psi_cofactor": (("generalized_cb",), lambda v, kind: isinstance(v, str)),
-    "lines_f": (("cayley_bacharach",), lambda v, kind: _strings(v)),
-    "lines_g": (("cayley_bacharach",), lambda v, kind: _strings(v)),
-}
-KIND_KEYS = {
-    kind: frozenset(key for key, (kinds, _) in TASK_KEY_KINDS.items() if kind in kinds)
-    for kind in TASK_KINDS
+    "seed": ("int, 0 <= seed < 2^64", lambda v, kind: _seed_ok(v)),
+    "radius": ("float > 0 (local_mass)", lambda v, kind: _positive(v)),
+    "rtol": (
+        "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
+        lambda v, kind: _nonnegative(v),
+    ),
+    "sigma_l1_frac": (
+        "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
+        lambda v, kind: _nonnegative(v),
+    ),
+    **dict.fromkeys(
+        ("curve_factor", "cofactor"),
+        ("polynomial string (generalized_cb, required)", lambda v, kind: isinstance(v, str)),
+    ),
+    "psi_cofactor": ("polynomial string (generalized_cb)", lambda v, kind: isinstance(v, str)),
+    **dict.fromkeys(
+        ("lines_f", "lines_g"),
+        ("non-empty list of linear strings (exact-backend cayley_bacharach, required)", lambda v, kind: _strings(v)),
+    ),
 }
 
 
 class ScenarioError(ValueError):
     """Scenario file violates the schema or its degree constraints."""
-
-
-def _check_requirements(task: Dict, n: int, psi: Optional[str], backend: str) -> None:
-    """What a task needs of its scenario beyond its own keys' types, checked
-    before any task runs."""
-    kind = task["kind"]
-    if kind in PSI_KINDS and psi is None:
-        raise ScenarioError(f"{kind} requires psi")
-    if kind in ("cayley_bacharach", "generalized_cb") and n != 2:
-        raise ScenarioError(f"{kind} runs on P^2 with two curve sections, got n = {n}")
-    required = {"generalized_cb": ("curve_factor", "cofactor")}.get(kind, ())
-    if kind == "cayley_bacharach" and backend == "exact":
-        required = ("lines_f", "lines_g")
-    for key in required:
-        if not task.get(key):
-            raise ScenarioError(f"{kind} task key {key!r} is required: {SCENARIO_SCHEMA['tasks'][0][key]}")
 
 
 def _check_count(value, what: str) -> None:
@@ -187,18 +137,15 @@ def _check_count(value, what: str) -> None:
         raise ScenarioError(f"{what} must be an integer >= 1, got {value!r}")
 
 
-def _check_perturbation(metric: Dict, n: int) -> None:
-    """The fields of a perturbed metric, against SCENARIO_SCHEMA["metric"]."""
+def _check_perturbation(metric: Dict) -> None:
+    """The JSON types of a perturbed metric's fields; their ranges are the
+    instance's hypotheses, checked by ``check_instance``."""
     pair = metric.get("pair")
-    f_index = metric.get("f_index", 0)
     checks = {
-        "epsilon": _positive(metric.get("epsilon")),
-        "pair": isinstance(pair, list)
-        and len(pair) == 2
-        and all(_is_int(i) and 0 <= i < n for i in pair)
-        and pair[0] != pair[1],
+        "epsilon": _is_float(metric.get("epsilon")),
+        "pair": isinstance(pair, list) and all(map(_is_int, pair)),
         "q": isinstance(metric.get("q"), str),
-        "f_index": _is_int(f_index) and 0 <= f_index < n,
+        "f_index": _is_int(metric.get("f_index", 0)),
     }
     for key, ok in checks.items():
         if not ok:
@@ -247,29 +194,33 @@ class Scenario:
         if unknown:
             raise ScenarioError(f"unknown key(s) {unknown} in metric; known keys: {sorted(SCENARIO_SCHEMA['metric'])}")
         if metric["kind"] == "perturbed":
-            _check_perturbation(metric, n)
+            _check_perturbation(metric)
+        elif len(metric) > 1:
+            raise ScenarioError(f"metric key(s) {sorted(set(metric) - {'kind'})} apply to a perturbed metric only")
         backend = doc.get("backend", "float")
         if backend not in ("float", "exact"):
             raise ScenarioError("backend must be 'float' or 'exact'")
         tasks = need("tasks", list)
         for task in tasks:
-            if not isinstance(task, dict) or task.get("kind") not in TASK_KINDS:
-                raise ScenarioError(
-                    f"every task needs a kind from {TASK_KINDS}; got {task!r}"
-                )
-            known = KIND_KEYS[task["kind"]]
+            kind = task.get("kind") if isinstance(task, dict) else None
+            if not isinstance(kind, str) or kind not in KINDS:
+                raise ScenarioError(f"every task needs a kind from {tuple(KINDS)}; got {task!r}")
+            spec = KINDS[kind]
+            known = {"kind", "seed", *spec.keys}
             unknown = sorted(set(task) - known)
             if unknown:
-                raise ScenarioError(
-                    f"unknown key(s) {unknown} in {task['kind']} task; known keys: {sorted(known)}"
-                )
+                raise ScenarioError(f"unknown key(s) {unknown} in {kind} task; known keys: {sorted(known)}")
             for key, value in task.items():
-                if not TASK_KEY_KINDS[key][1](value, task["kind"]):
-                    raise ScenarioError(
-                        f"{task['kind']} task key {key!r} must be "
-                        f"{SCENARIO_SCHEMA['tasks'][0][key]}; got {value!r}"
-                    )
-            _check_requirements(task, n, psi, backend)
+                if key != "kind" and not TASK_KEYS[key][1](value, kind):
+                    raise ScenarioError(f"{kind} task key {key!r} must be {TASK_KEYS[key][0]}; got {value!r}")
+            # what the kind needs of its scenario, checked before any task runs
+            if spec.psi and psi is None:
+                raise ScenarioError(f"{kind} requires psi")
+            if spec.p2 and n != 2:
+                raise ScenarioError(f"{kind} runs on P^2 with two curve sections, got n = {n}")
+            for key in spec.required + (spec.exact_required if backend == "exact" else ()):
+                if not task.get(key):
+                    raise ScenarioError(f"{kind} task key {key!r} is required: {TASK_KEYS[key][0]}")
         return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
 
     # ---------------------------------------------------------------- build
@@ -283,36 +234,33 @@ class Scenario:
             raise ScenarioError(f"polynomial parse error: {exc}") from exc
 
     def parse_polys(self):
-        """The section and psi, parsed and put through ``check_instance`` on
-        the first call and kept for the later ones."""
+        """The section, psi and metric, parsed and put through
+        ``check_instance`` on the first call and kept for the later ones."""
         if self._parsed is not None:
             return self._parsed
         section = tuple(map(self._parse, self.section_text))
         psi = self._parse(self.psi_text) if self.psi_text is not None else None
+        m = self.metric_cfg
+        metric = MetricSpec()
+        if m["kind"] == "perturbed":
+            metric = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), self._parse(m["q"]), m.get("f_index", 0))
         try:
-            check_instance(self.degrees, section, psi)
+            check_instance(self.degrees, section, psi, metric)
         except GeometryError as exc:
             raise ScenarioError(str(exc)) from exc
-        self._parsed = section, psi
+        self._parsed = section, psi, metric
         return self._parsed
 
     def geometry(self) -> GeometryContext:
         """The instance's GeometryContext, built on the first call and kept
         for the later ones, so every task shares its chart data."""
         if self._geometry is None:
-            self._geometry = self._build_geometry()
+            section, psi, metric = self.parse_polys()
+            try:
+                self._geometry = GeometryContext(self.degrees, section, metric, psi)
+            except GeometryError as exc:
+                raise ScenarioError(str(exc)) from exc
         return self._geometry
-
-    def _build_geometry(self) -> GeometryContext:
-        section, psi = self.parse_polys()
-        m = self.metric_cfg
-        ms = MetricSpec()
-        if m["kind"] == "perturbed":
-            ms = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), self._parse(m["q"]), m.get("f_index", 0))
-        try:
-            return GeometryContext(self.degrees, section, ms, psi)
-        except GeometryError as exc:
-            raise ScenarioError(str(exc)) from exc
 
 
 @dataclass
@@ -419,7 +367,9 @@ def run_scenario(
     samples: Optional[int] = None,
     threads: int = 1,
 ) -> VerificationReport:
-    """Execute every task of a scenario file, in order."""
+    """Execute every task of a scenario file, in order.  Every input is
+    checked before the first task runs: the overrides, the schema, the
+    instance with its metric, and each task's own polynomials."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -429,40 +379,37 @@ def run_scenario(
     if samples is not None:
         _check_count(samples, "the samples override")
     if seed is not None and not _seed_ok(seed):
-        raise ScenarioError(f"the seed override must be {SCENARIO_SCHEMA['tasks'][0]['seed']}, got {seed!r}")
+        raise ScenarioError(f"the seed override must be {TASK_KEYS['seed'][0]}, got {seed!r}")
     scenario = Scenario.from_dict(doc)
     sweeps = any(task["kind"] == "virtual_residue" for task in scenario.tasks)
     if sweeps and samples is not None and samples < SWEEP_MIN_SAMPLES:
         raise ScenarioError(
             f"the samples override must be at least {SWEEP_MIN_SAMPLES} with a virtual_residue task, got {samples}"
         )
-    scenario.parse_polys()  # fail fast on degree violations (exit 2)
-    global_seed = seed if seed is not None else 0
+    scenario.parse_polys()
+    specs = [KINDS[task["kind"]] for task in scenario.tasks]
+    own = [spec.parse(scenario, task) if spec.parse else {} for spec, task in zip(specs, scenario.tasks)]
+    overrides = {key: v for key, v in (("seed", seed), ("samples", samples)) if v is not None}
     report = VerificationReport(
         tool_version=__version__,
-        seed=global_seed,
+        seed=0 if seed is None else seed,
         backend=scenario.backend,
         threads=threads,
         scenario=doc,
     )
-    for task in scenario.tasks:
-        kind = task["kind"]
+    for spec, task, polys in zip(specs, scenario.tasks, own):
         t0 = time.perf_counter()
-        runner = _RUNNERS[kind]
-        task_seed = task.get("seed", global_seed) if seed is None else global_seed
-        task_samples = samples if samples is not None else task.get("samples")
+        opts = {"seed": 0, **spec.keys, **task, **overrides, **polys}
         try:
-            results, verdict = runner(scenario, task, task_seed, task_samples, threads)
+            results, verdict = spec.run(scenario, opts, threads)
         except (ResidueError, GeometryError) as exc:
             results, verdict = {"error": str(exc)}, "precondition-failed"
         except SolveError as exc:  # a numerical failure, not a broken hypothesis
             results, verdict = {"error": str(exc)}, "fail"
         report.tasks.append(
             TaskResult(
-                kind=kind,
-                inputs={
-                    k: v for k, v in task.items() if k != "kind"
-                },
+                kind=task["kind"],
+                inputs={k: v for k, v in task.items() if k != "kind"},
                 results=results,
                 verdict=verdict,
                 wall_time_s=time.perf_counter() - t0,
@@ -478,10 +425,10 @@ def _ledger_json(ledger):
     ]
 
 
-def _run_euler_jacobi(scenario, task, seed, samples, threads):
-    section, psi = scenario.parse_polys()
-    tol = float(task.get("tol", 1e-8))
-    ledger = global_residue_sum(section, psi, seed=seed)
+def _run_euler_jacobi(scenario, opts, threads):
+    section, psi, _ = scenario.parse_polys()
+    tol = float(opts["tol"])
+    ledger = global_residue_sum(section, psi, seed=opts["seed"])
     results = {
         "zeros": len(ledger.entries),
         "total": complex(ledger.total),
@@ -492,12 +439,12 @@ def _run_euler_jacobi(scenario, task, seed, samples, threads):
     return results, ("pass" if ledger.relative_vanishing <= tol else "fail")
 
 
-def _run_cayley_bacharach(scenario, task, seed, samples, threads):
-    tol = float(task.get("tol", 1e-8))
+def _run_cayley_bacharach(scenario, opts, threads):
+    tol = float(opts["tol"])
     if scenario.backend == "exact":
-        return _run_cb_exact(scenario, task, tol)
-    (f, g), _ = scenario.parse_polys()
-    rep = cayley_bacharach_verify(f, g, seed=seed)
+        return _run_cb_exact(opts["lines_f"], opts["lines_g"], tol)
+    (f, g), _, _ = scenario.parse_polys()
+    rep = cayley_bacharach_verify(f, g, seed=opts["seed"])
     results = {
         "degrees": list(rep.degree_pair),
         "points": rep.num_points,
@@ -509,22 +456,24 @@ def _run_cayley_bacharach(scenario, task, seed, samples, threads):
     return results, ("pass" if rep.max_residual <= tol else "fail")
 
 
-def _run_cb_exact(scenario, task, tol):
+def _parse_lines(scenario, task):
+    """On the exact backend, lines_f and lines_g over the Gaussian rationals:
+    nonzero linear forms whose products are the two section curves."""
+    if scenario.backend != "exact":
+        return {}
+    lines = {key: [scenario._parse(s, backend="exact") for s in task[key]] for key in ("lines_f", "lines_g")}
+    if any(line.is_zero() or line.degree != 1 for line in lines["lines_f"] + lines["lines_g"]):
+        raise ScenarioError("lines_f and lines_g must be nonzero linear forms")
+    for factors, text in zip(lines.values(), scenario.section_text):
+        if reduce(operator.mul, factors).terms != scenario._parse(text, backend="exact").terms:
+            raise ScenarioError("line factorizations do not multiply to the section curves")
+    return lines
+
+
+def _run_cb_exact(lf, lg, tol):
     """Exact-backend route: the curves arrive as explicit line factorizations
     with Gaussian-rational coefficients, so the intersection points and the
     held-out evaluations are exact."""
-    lf = [scenario._parse(s, backend="exact") for s in task["lines_f"]]
-    lg = [scenario._parse(s, backend="exact") for s in task["lines_g"]]
-    if any(line.is_zero() or line.degree != 1 for line in lf + lg):
-        raise ScenarioError("lines_f and lines_g must be nonzero linear forms")
-    f, g = (scenario._parse(s, backend="exact") for s in scenario.section_text)
-    pf, pg = lf[0], lg[0]
-    for l in lf[1:]:
-        pf = pf * l
-    for l in lg[1:]:
-        pg = pg * l
-    if pf.terms != f.terms or pg.terms != g.terms:
-        raise ScenarioError("line factorizations do not multiply to the section curves")
 
     def coeffs(line):
         out = []
@@ -552,7 +501,8 @@ def _run_cb_exact(scenario, task, tol):
             )
     if len(set(map(_projective_key, pts))) != len(pts):
         raise ResidueError("non-transversal intersection: repeated points")
-    m = f.degree + g.degree - 3
+    # the curves' degrees are their numbers of lines
+    m = len(lf) + len(lg) - 3
     worst_nonzero = 0
     dims = []
     rows = exact_monomial_rows(pts, m)
@@ -566,7 +516,7 @@ def _run_cb_exact(scenario, task, tol):
             if sum(c * at_hold[e] for e, c in form.terms.items()):
                 worst_nonzero += 1
     results = {
-        "degrees": [f.degree, g.degree],
+        "degrees": [len(lf), len(lg)],
         "points": len(pts),
         "space_dimension": dims[0] if dims else 0,
         "nonzero_held_out_evaluations": worst_nonzero,
@@ -583,8 +533,10 @@ def _projective_key(p):
     return tuple(c / lead for c in p)
 
 
-def _run_generalized_cb(scenario, task, seed, samples, threads):
-    section, psi = scenario.parse_polys()
+def _parse_factors(scenario, task):
+    """curve_factor f, cofactor u and psi_cofactor phi, with f u = section[0]
+    and, where both are given, f phi = psi."""
+    section, psi, _ = scenario.parse_polys()
     f = scenario._parse(task["curve_factor"])
     u = scenario._parse(task["cofactor"])
     if not _poly_close(f * u, section[0]):
@@ -594,8 +546,15 @@ def _run_generalized_cb(scenario, task, seed, samples, threads):
         phi = scenario._parse(task["psi_cofactor"])
         if psi is not None and not _poly_close(f * phi, psi):
             raise ScenarioError("curve_factor * psi_cofactor does not reproduce psi")
-    tol = float(task.get("tol", 1e-8))
-    rep = generalized_cb_check(f, u, section[1], psi_cofactor=phi, seed=seed)
+    return {"curve_factor": f, "cofactor": u, "psi_cofactor": phi}
+
+
+def _run_generalized_cb(scenario, opts, threads):
+    section, _, _ = scenario.parse_polys()
+    tol = float(opts["tol"])
+    rep = generalized_cb_check(
+        opts["curve_factor"], opts["cofactor"], section[1], psi_cofactor=opts["psi_cofactor"], seed=opts["seed"]
+    )
     ok = (
         rep.curve_entry_max <= tol
         and rep.isolated_relative_vanishing <= tol
@@ -623,11 +582,10 @@ def _poly_close(a: HomogeneousPoly, b: HomogeneousPoly, tol: float = 1e-12) -> b
     )
 
 
-def _run_virtual_residue(scenario, task, seed, samples, threads):
-    ctx = scenario.geometry()
-    ts = [float(x) for x in task.get("t", [1.0])]
-    n_samples = 50000 if samples is None else samples
-    ests = virtual_residue_sweep(ctx, ts, n_samples, seed, threads)
+def _run_virtual_residue(scenario, opts, threads):
+    ts = [float(x) for x in opts["t"]]
+    n_samples = opts["samples"]
+    ests = virtual_residue_sweep(scenario.geometry(), ts, n_samples, opts["seed"], threads)
     entries = []
     ok = True
     for est in ests:
@@ -649,13 +607,11 @@ def _run_virtual_residue(scenario, task, seed, samples, threads):
     return results, ("pass" if ok else "fail")
 
 
-def _run_local_mass(scenario, task, seed, samples, threads):
+def _run_local_mass(scenario, opts, threads):
     ctx = scenario.geometry()
     section, psi = ctx.section, ctx.psi
-    t = float(task.get("t", 0.01))
-    radius = float(task.get("radius", 0.5))
-    rtol = float(task.get("rtol", 0.05))
-    n_samples = 50000 if samples is None else samples
+    t, radius, rtol = float(opts["t"]), float(opts["radius"]), float(opts["rtol"])
+    n_samples, seed = opts["samples"], opts["seed"]
     ledger = global_residue_sum(section, psi, seed=seed)
     pts = [np.array(p) for p, _ in ledger.entries]
     for i in range(len(pts)):
@@ -699,15 +655,13 @@ def _run_local_mass(scenario, task, seed, samples, threads):
     return results, ("pass" if ok else "fail")
 
 
-def _run_curve_localization(scenario, task, seed, samples, threads):
-    ctx = scenario.geometry()
-    geo = Example22Geometry(ctx)
-    defect = geo.smoothness_defect(seed)
+def _run_curve_localization(scenario, opts, threads):
+    geo = Example22Geometry(scenario.geometry())
+    defect = geo.smoothness_defect(opts["seed"])
     if defect is not None:
         raise GeometryError(f"curve not certified smooth: {defect}")
-    n_samples = 30000 if samples is None else samples
-    term = curve_localized_term(geo, n_samples, seed, threads=threads)
-    sigma_l1 = float(task.get("sigma_l1_frac", 0.02))
+    n_samples = opts["samples"]
+    term = curve_localized_term(geo, n_samples, opts["seed"], threads=threads)
     results = {
         "samples": n_samples,
         "value": complex(term.value),
@@ -722,17 +676,60 @@ def _run_curve_localization(scenario, task, seed, samples, threads):
         results["pointwise_tol"] = 1e-12
     else:
         ok = abs(term.value) <= 3 * term.std_error
+        sigma_l1 = float(opts["sigma_l1_frac"])
         precision_ok = term.std_error <= sigma_l1 * term.l1_mass if term.l1_mass > 0 else True
         results["sigma_vs_l1_ok"] = precision_ok
         ok = ok and precision_ok
     return results, ("pass" if ok else "fail")
 
 
-_RUNNERS = {
-    "euler_jacobi": _run_euler_jacobi,
-    "cayley_bacharach": _run_cayley_bacharach,
-    "generalized_cb": _run_generalized_cb,
-    "virtual_residue": _run_virtual_residue,
-    "local_mass": _run_local_mass,
-    "curve_localization": _run_curve_localization,
+@dataclass(frozen=True)
+class TaskKind:
+    """One task kind: ``run(scenario, opts, threads)`` gives (results,
+    verdict), ``opts`` being ``keys`` (each key the kind reads besides ``kind``
+    and ``seed``, with its default; None: none) under the task, the seed and
+    samples overrides, and what ``parse(scenario, task)`` returns: the task's
+    own polynomials, parsed and checked before the first task runs.  ``psi``,
+    ``p2``, ``required`` and, on the exact backend, ``exact_required`` are what
+    a task needs of its scenario and its file."""
+
+    run: Callable
+    keys: Dict[str, object]
+    psi: bool = False
+    p2: bool = False
+    required: Tuple[str, ...] = ()
+    exact_required: Tuple[str, ...] = ()
+    parse: Optional[Callable] = None
+
+
+KINDS = {
+    "euler_jacobi": TaskKind(_run_euler_jacobi, {"tol": 1e-8}, psi=True),
+    "cayley_bacharach": TaskKind(
+        _run_cayley_bacharach, {"tol": 1e-8, "lines_f": None, "lines_g": None}, p2=True,
+        exact_required=("lines_f", "lines_g"), parse=_parse_lines,
+    ),
+    "generalized_cb": TaskKind(
+        _run_generalized_cb, {"tol": 1e-8, "curve_factor": None, "cofactor": None, "psi_cofactor": None}, p2=True,
+        required=("curve_factor", "cofactor"), parse=_parse_factors,
+    ),
+    "virtual_residue": TaskKind(_run_virtual_residue, {"t": [1.0], "samples": 50000}, psi=True),
+    "local_mass": TaskKind(_run_local_mass, {"t": 0.01, "radius": 0.5, "rtol": 0.05, "samples": 50000}, psi=True),
+    "curve_localization": TaskKind(_run_curve_localization, {"samples": 30000, "sigma_l1_frac": 0.02}, psi=True),
+}
+
+SCENARIO_SCHEMA = {
+    "n": "int, dimension of the projective space (1..4)",
+    "degrees": "list of int >= 1, one per bundle summand; length n",
+    "section": "list of n polynomial strings (variables z0..zn)",
+    "psi": "polynomial string of degree sum(degrees)-n-1; required by %s tasks"
+    % (tuple(kind for kind, spec in KINDS.items() if spec.psi),),
+    "metric": {
+        "kind": "'fubini_study' | 'perturbed'",
+        "epsilon": "float > 0 (perturbed only, required)",
+        "pair": "[a, b] distinct 0-based summand indices (perturbed only)",
+        "q": "polynomial string of degree degrees[b] (perturbed only)",
+        "f_index": "0-based summand index whose section cuts the curve (perturbed only, default 0)",
+    },
+    "backend": "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
+    "tasks": [{"kind": "one of %s" % (tuple(KINDS),), **{key: text for key, (text, _) in TASK_KEYS.items()}}],
 }

@@ -53,13 +53,30 @@ class GeometryError(ValueError):
     """Configuration violates a geometric precondition."""
 
 
+@dataclass(frozen=True)
+class MetricSpec:
+    """Hermitian metric family on V: Fubini-Study or rank-two perturbation;
+    ``check_instance`` states what a perturbation must satisfy."""
+
+    kind: str = "fubini_study"
+    epsilon: float = 0.0
+    pair: Optional[Tuple[int, int]] = None
+    q: Optional[HomogeneousPoly] = None
+    f_index: int = 0
+
+
 def check_instance(
-    degrees: Sequence[int], section: Sequence[HomogeneousPoly], psi: Optional[HomogeneousPoly] = None
+    degrees: Sequence[int],
+    section: Sequence[HomogeneousPoly],
+    psi: Optional[HomogeneousPoly] = None,
+    metric: MetricSpec = MetricSpec(),
 ) -> None:
-    """The paper's hypotheses on (V, s, psi): V = O(d_1) (+) ... (+) O(d_n) on
-    P^n with every d_i >= 1, s_i of degree d_i, s not identically zero, and
-    psi of degree D = sum d_i - n - 1 >= 0.  Raises GeometryError on the first
-    violation; a zero component or psi takes any degree."""
+    """The paper's hypotheses on (V, s, psi, h): V = O(d_1) (+) ... (+) O(d_n)
+    on P^n with every d_i >= 1, s_i of degree d_i, s not identically zero,
+    psi of degree D = sum d_i - n - 1 >= 0, and a perturbed h with epsilon > 0,
+    pair (a, b) two distinct summands, deg q = d_b and f_index a summand.
+    Raises GeometryError on the first violation, naming the metric field it
+    concerns; a zero component or psi takes any degree."""
     n = len(degrees)
     if n < 1 or any(d < 1 for d in degrees):
         raise GeometryError("the bundle needs at least one summand, each of degree >= 1")
@@ -78,26 +95,20 @@ def check_instance(
             raise GeometryError(f"degrees {list(degrees)} on P^{n} admit no psi (required degree {D} < 0)")
         if not psi.is_zero() and psi.degree != D:
             raise GeometryError(f"psi degree must be sum(degrees)-n-1 = {D}, got {psi.degree}")
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Hermitian metric family on V: Fubini-Study or rank-two perturbation."""
-
-    kind: str = "fubini_study"
-    epsilon: float = 0.0
-    pair: Optional[Tuple[int, int]] = None
-    q: Optional[HomogeneousPoly] = None
-    f_index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("fubini_study", "perturbed"):
-            raise GeometryError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "perturbed":
-            if self.epsilon <= 0:
-                raise GeometryError("perturbation strength must be positive")
-            if self.pair is None or self.q is None:
-                raise GeometryError("perturbed metric requires pair and q")
+    if metric.kind not in ("fubini_study", "perturbed"):
+        raise GeometryError(f"unknown metric kind {metric.kind!r}")
+    if metric.kind == "fubini_study":
+        return
+    if not metric.epsilon > 0:
+        raise GeometryError(f"metric epsilon must be > 0, got {metric.epsilon!r}")
+    pair = metric.pair
+    if pair is None or len(pair) != 2 or pair[0] == pair[1] or not all(0 <= i < n for i in pair):
+        raise GeometryError(f"metric pair must be two distinct summand indices in 0..{n - 1}, got {pair!r}")
+    q_degree = None if metric.q is None else metric.q.degree
+    if q_degree != degrees[pair[1]]:
+        raise GeometryError(f"metric q must have degree degrees[{pair[1]}] = {degrees[pair[1]]}, got {q_degree}")
+    if not 0 <= metric.f_index < n:
+        raise GeometryError(f"metric f_index must be a summand index in 0..{n - 1}, got {metric.f_index!r}")
 
 
 # ------------------------------------------------------------------ charts
@@ -305,17 +316,8 @@ class GeometryContext:
         metric: MetricSpec,
         psi: Optional[HomogeneousPoly] = None,
     ):
-        check_instance(degrees, section, psi)
-        n = len(degrees)
-        if metric.kind == "perturbed":
-            a, b = metric.pair
-            if not (0 <= a < n and 0 <= b < n and a != b):
-                raise GeometryError("perturbation pair must be two distinct summands")
-            if metric.q.degree != degrees[b]:
-                raise GeometryError(f"perturbation q must have degree {degrees[b]} (got {metric.q.degree})")
-            if not (0 <= metric.f_index < n):
-                raise GeometryError("f_index out of range")
-        self.n = n
+        check_instance(degrees, section, psi, metric)
+        self.n = len(degrees)
         self.degrees = tuple(degrees)
         self.section = tuple(section)
         self.metric = metric

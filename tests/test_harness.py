@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,6 +159,94 @@ def test_schema_subcommand(capsys):
     assert "tasks" in doc and "metric" in doc
 
 
+# the document `residue-lab schema` prints; scenario files written against it
+# must keep their meaning
+SCHEMA = {
+    "backend": "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
+    "degrees": "list of int >= 1, one per bundle summand; length n",
+    "metric": {
+        "epsilon": "float > 0 (perturbed only, required)",
+        "f_index": "0-based summand index whose section cuts the curve (perturbed only, default 0)",
+        "kind": "'fubini_study' | 'perturbed'",
+        "pair": "[a, b] distinct 0-based summand indices (perturbed only)",
+        "q": "polynomial string of degree degrees[b] (perturbed only)",
+    },
+    "n": "int, dimension of the projective space (1..4)",
+    "psi": "polynomial string of degree sum(degrees)-n-1; required by ('euler_jacobi', 'virtual_residue', 'local_mass', 'curve_localization') tasks",
+    "section": "list of n polynomial strings (variables z0..zn)",
+    "tasks": [{
+        "cofactor": "polynomial string (generalized_cb, required)",
+        "curve_factor": "polynomial string (generalized_cb, required)",
+        "kind": "one of ('euler_jacobi', 'cayley_bacharach', 'generalized_cb', 'virtual_residue', 'local_mass', 'curve_localization')",
+        "lines_f": "non-empty list of linear strings (exact-backend cayley_bacharach, required)",
+        "lines_g": "non-empty list of linear strings (exact-backend cayley_bacharach, required)",
+        "psi_cofactor": "polynomial string (generalized_cb)",
+        "radius": "float > 0 (local_mass)",
+        "rtol": "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
+        "samples": "int >= 1 (Monte Carlo tasks), >= 1000 for virtual_residue",
+        "seed": "int, 0 <= seed < 2^64",
+        "sigma_l1_frac": "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
+        "t": "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
+        "tol": "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
+    }],
+}
+
+
+def test_schema_document_unchanged(capsys):
+    assert main(["schema"]) == 0
+    assert capsys.readouterr().out == json.dumps(SCHEMA, indent=2, sort_keys=True) + "\n"
+
+
+def test_task_defaults(tmp_path, monkeypatch):
+    """Every default a task kind fills in, seen in its results or in the
+    arguments of the library calls it makes."""
+    calls = {}
+
+    def run(doc):
+        return run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+
+    for base, kind in ((BASE_P1, "euler_jacobi"), (BASE_P2, "cayley_bacharach")):
+        assert run(dict(base, tasks=[{"kind": kind}])).results["tol"] == 1e-8
+    gcb = json.loads((SCENARIOS / "p2_generalized_cb.json").read_text())
+    del gcb["tasks"][0]["tol"]
+    assert run(gcb).results["tol"] == 1e-8
+
+    def sweep(ctx, ts, n, seed, threads):
+        calls["virtual_residue_sweep"] = (ts, n)
+        return []
+
+    monkeypatch.setattr(harness, "virtual_residue_sweep", sweep)
+    assert run(dict(BASE_P1, tasks=[{"kind": "virtual_residue"}])).results == {"samples": 50000, "estimates": []}
+    assert calls["virtual_residue_sweep"] == ([1.0], 50000)
+
+    # ball i is sampled at seed i; a mass 4.9% off its residue matches, 5.1% off does not
+    ledger = SimpleNamespace(entries=[((-1 + 0j,), 0.5 + 0j), ((1 + 0j,), -0.5 + 0j)])
+    monkeypatch.setattr(harness, "global_residue_sum", lambda *args, **kwargs: ledger)
+    for off, matches in ((0.049, True), (0.051, False)):
+
+        def mass(ctx, point, t, radius, n, seed, threads):
+            calls["local_mass"] = (t, radius, n)
+            return SimpleNamespace(value=ledger.entries[seed][1] * (1 + off), std_error=0.0)
+
+        monkeypatch.setattr(harness, "local_mass", mass)
+        task = run(dict(BASE_P1, tasks=[{"kind": "local_mass"}]))
+        assert calls["local_mass"] == (0.01, 0.5, 50000)
+        assert [m["matches"] for m in task.results["masses"]] == [matches, matches]
+
+    # a standard error of 1.99% of the L1 mass is precise enough, 2.01% is not
+    perturbed = json.loads((SCENARIOS / "p2_example22_perturbed.json").read_text())
+    perturbed["tasks"] = [{"kind": "curve_localization"}]
+    for std_error, precise in ((0.0199, True), (0.0201, False)):
+
+        def term(geo, n, seed, threads):
+            calls["curve_localized_term"] = n
+            return SimpleNamespace(value=0.0, std_error=std_error, rejected=0, pointwise_max=0.0, l1_mass=1.0)
+
+        monkeypatch.setattr(harness, "curve_localized_term", term)
+        assert run(perturbed).results["sigma_vs_l1_ok"] is precise
+        assert calls["curve_localized_term"] == 30000
+
+
 def test_unknown_task_kind_rejected(tmp_path):
     doc = dict(BASE_P1)
     doc["tasks"] = [{"kind": "warp_drive"}]
@@ -292,8 +382,8 @@ def test_no_runner_entered_when_a_later_task_is_invalid(tmp_path, monkeypatch):
     # a scenario without psi: the Cayley-Bacharach task could run, the
     # Euler-Jacobi task after it could not
     entered = []
-    for kind in harness.TASK_KINDS:
-        monkeypatch.setitem(harness._RUNNERS, kind, lambda *args, kind=kind: entered.append(kind))
+    for kind, spec in harness.KINDS.items():
+        monkeypatch.setitem(harness.KINDS, kind, replace(spec, run=lambda *args, kind=kind: entered.append(kind)))
     doc = dict(BASE_P2, tasks=[{"kind": "cayley_bacharach"}, {"kind": "euler_jacobi"}])
     del doc["psi"]
     with pytest.raises(ScenarioError, match="euler_jacobi requires psi"):
@@ -345,6 +435,88 @@ def test_malformed_task_polynomial_exits_2(tmp_path, capsys, file, key, text):
     assert main(["verify", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario error: polynomial parse error") and "Traceback" not in err
+
+
+def _no_runner(monkeypatch):
+    """Replace every kind's runner by one that records its kind; returns the record."""
+    entered = []
+    for kind, spec in harness.KINDS.items():
+        monkeypatch.setitem(harness.KINDS, kind, replace(spec, run=lambda *args, kind=kind: entered.append(kind)))
+    return entered
+
+
+@pytest.mark.parametrize(
+    "file, key, text, message",
+    [
+        pytest.param(file, key, text, "polynomial parse error", id=f"{key}-{name}")
+        for file, key in [
+            ("p2_generalized_cb.json", "curve_factor"),
+            ("p2_generalized_cb.json", "cofactor"),
+            ("p2_generalized_cb.json", "psi_cofactor"),
+            ("p2_cb_exact.json", "lines_f"),
+        ]
+        for text, name in [("z0 +", "syntax"), ("z0 + z1^2", "inhomogeneous"), ("z0 + z3", "no-such-variable")]
+    ]
+    + [
+        pytest.param(
+            "p2_generalized_cb.json", "cofactor", "2*z1^2 - 2*z0*z2 + 2*z0^2", "does not reproduce section[0]",
+            id="cofactor-doubled",
+        ),
+        pytest.param(
+            "p2_generalized_cb.json", "psi_cofactor", "2*z0^2 - 2*z1*z2 + 4*z1^2", "does not reproduce psi",
+            id="psi-cofactor-doubled",
+        ),
+        pytest.param("p2_cb_exact.json", "lines_f", "2*z0 + 2*z1", "do not multiply", id="lines-product"),
+    ],
+)
+def test_task_polynomials_checked_before_any_task(tmp_path, monkeypatch, file, key, text, message):
+    # the bundled task runs first; its copy with one bad polynomial comes second
+    entered = _no_runner(monkeypatch)
+    doc = json.loads((SCENARIOS / file).read_text())
+    task = doc["tasks"][0]
+    bad = dict(task, **{key: [task[key][0], text] if key == "lines_f" else text})
+    doc["tasks"] = [task, bad]
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(path)
+    assert main(["verify", path]) == 2
+    assert entered == []
+
+
+@pytest.mark.parametrize(
+    "key, value", [("q", "z0 +"), ("q", "z0^5"), ("epsilon", -1.0), ("pair", [0, 0]), ("f_index", 2)]
+)
+def test_perturbed_metric_checked_before_any_task(tmp_path, monkeypatch, capsys, key, value):
+    # an Euler-Jacobi task, which builds no metric, before the curve task
+    entered = _no_runner(monkeypatch)
+    doc = json.loads((SCENARIOS / "p2_example22_perturbed.json").read_text())
+    doc["metric"][key] = value
+    doc["tasks"].insert(0, {"kind": "euler_jacobi"})
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError) as scenario:
+        run_scenario(path)
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    assert entered == []
+    if value == "z0 +":
+        assert str(scenario.value).startswith("polynomial parse error")
+        return
+    # the library states the same rule in the same words
+    m = dict(doc["metric"], q=parse_poly(doc["metric"]["q"], 3), pair=tuple(doc["metric"]["pair"]))
+    section = [parse_poly(s, 3) for s in doc["section"]]
+    with pytest.raises(GeometryError) as built:
+        GeometryContext(doc["degrees"], section, MetricSpec(**m), parse_poly(doc["psi"], 3))
+    assert key in str(built.value) and str(scenario.value) == str(built.value)
+    assert capsys.readouterr().err == f"scenario error: {built.value}\n"
+
+
+@pytest.mark.parametrize("key, value", [("epsilon", 0.05), ("pair", [0, 1]), ("q", "z0^2"), ("f_index", 0)])
+def test_perturbed_only_metric_key_rejected_on_fubini_study(tmp_path, key, value):
+    doc = dict(BASE_P2, metric={"kind": "fubini_study", key: value})
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=key):
+        run_scenario(path)
+    assert main(["verify", path]) == 2
 
 
 MISSING = object()
