@@ -7,10 +7,10 @@ OLD and NEW are report files or directories of ``*.json`` reports (as written
 by ``residue-lab verify --json-out`` or ``scripts/run_scenarios.py
 --json-dir``); directories are matched by file name.  For every report the
 script first prints the largest relative deviation over the numbers of its
-header (every field but ``tasks``), |a - b| / max(|a|, |b|), and the JSON
-path where it occurs; then, for every task, the verdict pair and the same
-deviation over the task's numbers (e.g. at
-``tasks[0].results.max_residual``).  Complex
+header (every field but ``tasks``), |a - b| / max(|a|, |b|), the JSON
+path where it occurs and whether the two files are byte-identical; then,
+for every task, the verdict pair and the same deviation over the task's
+numbers (e.g. at ``tasks[0].results.max_residual``).  Complex
 numbers are stored as [re, im] pairs and compared as complex numbers, so the
 rounding noise of an imaginary part that is zero in exact arithmetic is
 measured against the modulus, not against itself.
@@ -20,8 +20,8 @@ rounding noise of quantities that are zero in exact arithmetic (residuals,
 vanishing ratios, ledger values of a cancelling sum): any reordering of the
 arithmetic moves them by an O(1) relative amount.  They are not counted in
 the deviation; the header and each task list their JSON paths on a line of
-their own.  It
-exits 0 only when every verdict is identical, every non-numeric field agrees
+their own.  A line before the verdict counts the byte-identical reports.
+It exits 0 only when every verdict is identical, every non-numeric field agrees
 and every number above the floor agrees within 1e-12 relative.
 """
 
@@ -92,12 +92,14 @@ def main() -> int:
     parser.add_argument("new", type=Path)
     args = parser.parse_args()
 
-    ok = True
-    for name, old_path, new_path in _pairs(args.old, args.new):
+    ok, pairs, identical = True, _pairs(args.old, args.new), 0
+    for name, old_path, new_path in pairs:
         if not (old_path.exists() and new_path.exists()):
             print(f"{name}: missing on one side")
             ok = False
             continue
+        same_bytes = old_path.read_bytes() == new_path.read_bytes()
+        identical += same_bytes
         old = json.loads(old_path.read_text())
         new = json.loads(new_path.read_text())
         if len(old["tasks"]) != len(new["tasks"]):
@@ -109,7 +111,7 @@ def main() -> int:
         floored: list = []
         dev, at = _deviation(header_old, header_new, "report", mismatches, floored)
         at = f" at {at}" if dev > 0 else ""
-        print(f"{name} report max rel dev {dev:.2e}{at}")
+        print(f"{name} report max rel dev {dev:.2e}{at}, {'byte-identical' if same_bytes else 'bytes differ'}")
         _print_floored(floored)
         ok = ok and dev <= RTOL
         for i, (a, b) in enumerate(zip(old["tasks"], new["tasks"])):
@@ -123,6 +125,7 @@ def main() -> int:
         for m in mismatches:
             print(f"    {m}")
         ok = ok and not mismatches
+    print(f"{identical} of {len(pairs)} reports byte-identical")
     print("OK" if ok else "DIFFER")
     return 0 if ok else 1
 

@@ -225,25 +225,26 @@ class Scenario:
 
     # ---------------------------------------------------------------- build
 
-    def _parse(self, text: str, backend: str = "float") -> HomogeneousPoly:
-        """One polynomial string of the scenario in z0..zn; a text that does
-        not parse is a ScenarioError."""
+    def _parse(self, key: str, text: str, backend: str = "float") -> HomogeneousPoly:
+        """The polynomial string of the scenario at ``key`` in z0..zn; a text
+        that does not parse is a ScenarioError naming the key and the text."""
         try:
             return parse_poly(text, self.n + 1, backend=backend)
         except PolyError as exc:
-            raise ScenarioError(f"polynomial parse error: {exc}") from exc
+            raise ScenarioError(f'polynomial parse error in {key} "{text}": {exc}') from exc
 
     def parse_polys(self):
         """The section, psi and metric, parsed and put through
         ``check_instance`` on the first call and kept for the later ones."""
         if self._parsed is not None:
             return self._parsed
-        section = tuple(map(self._parse, self.section_text))
-        psi = self._parse(self.psi_text) if self.psi_text is not None else None
+        section = tuple(self._parse(f"section[{k}]", text) for k, text in enumerate(self.section_text))
+        psi = self._parse("psi", self.psi_text) if self.psi_text is not None else None
         m = self.metric_cfg
         metric = MetricSpec()
         if m["kind"] == "perturbed":
-            metric = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), self._parse(m["q"]), m.get("f_index", 0))
+            q = self._parse("metric.q", m["q"])
+            metric = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), q, m.get("f_index", 0))
         try:
             check_instance(self.degrees, section, psi, metric)
         except GeometryError as exc:
@@ -461,11 +462,14 @@ def _parse_lines(scenario, task):
     nonzero linear forms whose products are the two section curves."""
     if scenario.backend != "exact":
         return {}
-    lines = {key: [scenario._parse(s, backend="exact") for s in task[key]] for key in ("lines_f", "lines_g")}
+    lines = {
+        key: [scenario._parse(f"{key}[{i}]", s, backend="exact") for i, s in enumerate(task[key])]
+        for key in ("lines_f", "lines_g")
+    }
     if any(line.is_zero() or line.degree != 1 for line in lines["lines_f"] + lines["lines_g"]):
         raise ScenarioError("lines_f and lines_g must be nonzero linear forms")
-    for factors, text in zip(lines.values(), scenario.section_text):
-        if reduce(operator.mul, factors).terms != scenario._parse(text, backend="exact").terms:
+    for k, (factors, text) in enumerate(zip(lines.values(), scenario.section_text)):
+        if reduce(operator.mul, factors).terms != scenario._parse(f"section[{k}]", text, backend="exact").terms:
             raise ScenarioError("line factorizations do not multiply to the section curves")
     return lines
 
@@ -537,13 +541,13 @@ def _parse_factors(scenario, task):
     """curve_factor f, cofactor u and psi_cofactor phi, with f u = section[0]
     and, where both are given, f phi = psi."""
     section, psi, _ = scenario.parse_polys()
-    f = scenario._parse(task["curve_factor"])
-    u = scenario._parse(task["cofactor"])
+    f = scenario._parse("curve_factor", task["curve_factor"])
+    u = scenario._parse("cofactor", task["cofactor"])
     if not _poly_close(f * u, section[0]):
         raise ScenarioError("curve_factor * cofactor does not reproduce section[0]")
     phi = None
     if "psi_cofactor" in task:
-        phi = scenario._parse(task["psi_cofactor"])
+        phi = scenario._parse("psi_cofactor", task["psi_cofactor"])
         if psi is not None and not _poly_close(f * phi, psi):
             raise ScenarioError("curve_factor * psi_cofactor does not reproduce psi")
     return {"curve_factor": f, "cofactor": u, "psi_cofactor": phi}

@@ -63,6 +63,7 @@ from .projgeom import (
     GeometryError,
     _assemble_chart,
     _det,
+    by_chart,
     fs_density,
     fs_uniform_points,
 )
@@ -275,15 +276,9 @@ def virtual_residue_sweep(
     n = ctx.n
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        Z = fs_uniform_points(n, count, rng)
-        charts = np.argmax(np.abs(Z), axis=1)
         out = np.zeros((len(ts), count), dtype=complex)
-        for chart in range(n + 1):
-            idx = np.flatnonzero(charts == chart)
-            if not idx.size:
-                continue
-            W = np.delete(Z[idx] / Z[idx, chart][:, None], chart, axis=1)
-            out[:, idx] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
+        for chart, rows, W in by_chart(fs_uniform_points(n, count, rng)):
+            out[:, rows] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
         return out
 
     summary = _run_chunks(draw, samples, seed, threads)

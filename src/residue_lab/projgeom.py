@@ -41,6 +41,7 @@ __all__ = [
     "GeometryError",
     "check_instance",
     "fs_uniform_points",
+    "by_chart",
     "chart_coords",
     "point_from_chart",
     "transition_jacobian",
@@ -159,6 +160,17 @@ def fs_uniform_points(n: int, count: int, rng: np.random.Generator) -> np.ndarra
     return Z
 
 
+def by_chart(Z: np.ndarray):
+    """(chart, rows, W) for each chart that holds a point of Z, shape (count,
+    n+1): a point goes to the chart of its largest coordinate; rows are the
+    indices in Z of that chart's points and W their affine coordinates."""
+    charts = np.argmax(np.abs(Z), axis=1)
+    for chart in range(Z.shape[1]):
+        rows = np.flatnonzero(charts == chart)
+        if rows.size:
+            yield chart, rows, np.delete(Z[rows] / Z[rows, chart][:, None], chart, axis=1)
+
+
 def fs_density(W: np.ndarray, n: int) -> np.ndarray:
     """Density of the FS-uniform law against Lebesgue in any affine chart:
     n! / (pi^n (1+|w|^2)^{n+1}).  Shape (N, n) -> (N,)."""
@@ -190,46 +202,19 @@ class _ChartData:
     s_norm2: ChartFunction
     Abar: List[List[ChartFunction]]  # Abar[b][p] = dbar_b xi_p (unscaled)
     G: List[List[ChartFunction]] = field(default_factory=list)  # H^T for curvature
-    dG: Optional[list] = None
-    dbarG: Optional[list] = None
-    d2G: Optional[list] = None
-    groups: dict = field(default_factory=dict)  # compiled ChartGroups, see matrix_group
+    groups: dict = field(default_factory=dict)  # compiled ChartGroups, see group
 
-    def matrix_group(self, specs: tuple):
-        """(group, layout): the nonzero entries of the square matrices of chart
-        functions that ``specs`` names, compiled as one group, and per matrix
-        its slice of the group, the (rows, columns) of its entries and its
-        shape.  A spec is (key, cols): ``key`` names the matrix, ("H",),
-        ("dG", a), ("d2G", a, b), ... for ``self.H``, ``self.dG[a]``,
-        ``self.d2G[a][b]``; ``cols`` is a tuple of the columns wanted, numbered
-        in that order, or None for all.  Built on first use; threads that race
-        on it build equal groups."""
-        if specs not in self.groups:
-            functions, layout = [], []
-            for key, cols in specs:
-                mat = getattr(self, key[0])
-                for k in key[1:]:
-                    mat = mat[k]
-                picked = range(len(mat)) if cols is None else cols
-                entries = [(i, k) for i in range(len(mat)) for k, j in enumerate(picked) if mat[i][j].terms]
-                start = len(functions)
-                functions += [mat[i][picked[k]] for i, k in entries]
-                at = np.array(entries, dtype=np.int64).reshape(-1, 2).T
-                layout.append((slice(start, len(functions)), (at[0], at[1]), (len(mat), len(picked))))
-            self.groups[specs] = (ChartGroup(len(self.s_aff), functions), layout)
-        return self.groups[specs]
-
-    def density_group(self) -> ChartGroup:
-        """[|s|^2, Abar[b][p] for b, p in row order, P] as one group: the
-        t-independent parts of the global density at one set of points."""
-        if "density" not in self.groups:
-            if self.psi_aff is None:
-                raise GeometryError("this instance carries no psi")
-            n = len(self.s_aff)
-            functions = [self.s_norm2] + [f for row in self.Abar for f in row]
-            functions.append(ChartFunction.from_parts(n, hol=self.psi_aff))
-            self.groups["density"] = ChartGroup(n, functions)
-        return self.groups["density"]
+    def group(self, key, build) -> Tuple[ChartGroup, List[Tuple[int, int]]]:
+        """(group, shapes): the matrices of chart functions that ``build()``
+        returns as nested lists, their entries compiled in row order as one
+        ChartGroup on the first call under ``key``, and each matrix's shape.
+        Threads that race on it build equal groups."""
+        if key not in self.groups:
+            matrices = build()
+            functions = [f for m in matrices for row in m for f in row]
+            shapes = [(len(m), len(m[0])) for m in matrices]
+            self.groups[key] = (ChartGroup(len(self.s_aff), functions), shapes)
+        return self.groups[key]
 
 
 def _assemble_chart(
@@ -287,15 +272,15 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("pkl,plm->pkm", A, B)
 
 
-def _eval_matrices(data: _ChartData, specs: tuple, W: np.ndarray) -> List[np.ndarray]:
-    """The matrices of chart functions ``data.matrix_group`` names by
-    ``specs`` at a batch of points, from one evaluation of their group: shape
-    (N, n, n) each, or (N, n, len(cols)) where only some columns are named."""
-    group, layout = data.matrix_group(specs)
-    V = group.eval_batch(W)
-    out = [np.zeros((W.shape[0],) + shape, dtype=complex) for *_, shape in layout]
-    for mat, (part, (rows, at), _) in zip(out, layout):
-        mat[:, rows, at] = V[part].T
+def _eval_matrices(group: Tuple[ChartGroup, list], W: np.ndarray) -> List[np.ndarray]:
+    """The matrices of a ``_ChartData.group`` at a batch of points, (N, rows,
+    columns) each, from one evaluation of the group."""
+    chart_group, shapes = group
+    V = chart_group.eval_batch(W)
+    out, start = [], 0
+    for rows, cols in shapes:
+        out.append(V[start : start + rows * cols].T.reshape(W.shape[0], rows, cols))
+        start += rows * cols
     return out
 
 
@@ -357,28 +342,13 @@ class GeometryContext:
             H[b][a] = H[b][a] + off.conjugate()
         return _assemble_chart(chart, s_aff, psi_aff, H)
 
-    def _curvature_functions(self, chart: int):
-        data = self.chart_data(chart)
-        # d2G is assigned last: a thread that finds it set finds dG and dbarG
-        # set too, and threads that race on the build store equal lists
-        if data.d2G is None:
-            n = self.n
-            data.dG = [[[data.G[i][j].d(a) for j in range(n)] for i in range(n)] for a in range(n)]
-            data.dbarG = [
-                [[data.G[i][j].dbar(b) for j in range(n)] for i in range(n)] for b in range(n)
-            ]
-            data.d2G = [
-                [[[data.dG[a][i][j].dbar(b) for j in range(n)] for i in range(n)] for b in range(n)]
-                for a in range(n)
-            ]
-        return data
-
     # -------------------------------------------------------- evaluations
 
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Hermitian metric H at a batch of points, (N, n) -> (N, n, n), in the
         pairing convention of the module doc."""
-        return _eval_matrices(self.chart_data(chart), ((("H",), None),), W)[0]
+        data = self.chart_data(chart)
+        return _eval_matrices(data.group("H", lambda: [data.H]), W)[0]
 
     def S_form(self, chart: int, w, t: float) -> SForm:
         """Superconnection datum scaled by 1/(2t): scalar -|s|^2/2t and
@@ -410,14 +380,23 @@ class GeometryContext:
 
     def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Unscaled dbar<., s> as (N, n, n) with [b, p] = dbar_b xi_p."""
-        return _eval_matrices(self.chart_data(chart), ((("Abar",), None),), W)[0]
+        data = self.chart_data(chart)
+        return _eval_matrices(data.group("Abar", lambda: [data.Abar]), W)[0]
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         return self.chart_data(chart).s_norm2.eval_batch(W).real
 
     def density_group(self, chart: int) -> ChartGroup:
-        """[|s|^2, Abar[b][p] for b, p in row order, P] compiled as one group."""
-        return self.chart_data(chart).density_group()
+        """[|s|^2, Abar[b][p] for b, p in row order, P] compiled as one group:
+        the t-independent parts of the global density at one set of points."""
+        data = self.chart_data(chart)
+        if data.psi_aff is None:
+            raise GeometryError("this instance carries no psi")
+
+        def build():
+            return [[[data.s_norm2]], data.Abar, [[ChartFunction.from_parts(self.n, hol=data.psi_aff)]]]
+
+        return data.group("density", build)[0]
 
     def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         data = self.chart_data(chart)
@@ -425,54 +404,43 @@ class GeometryContext:
             raise GeometryError("this instance carries no psi")
         return data.psi_aff.eval_batch(W)
 
-    def chern_curvature_batch(
-        self, chart: int, W: np.ndarray, *, entry: Optional[Tuple[int, int, int]] = None
-    ) -> np.ndarray:
-        """Curvature of the Chern connection, shape (N, rank, rank, n, n):
-        out[s, i, j, a, b] along dw_a ^ dwbar_b.
+    def chern_curvature_batch(self, chart: int, W: np.ndarray, *, entry: Tuple[int, int, int]) -> np.ndarray:
+        """Entry (i, j, a) of the curvature of the Chern connection along
+        dw_a ^ dwbar_b for every b, shape (N, n): out[:, b] = R[i, j, a, b].
 
-        Computed from exact derivatives of G = H^T, with X_a = G^{-1} d_a G formed
-        once per a: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  G^{-1} is
-        :func:`_inv` (closed form for rank 2); every product is one :func:`_mm`.
-
-        ``entry=(i, j, a)`` returns only out[:, i, j, a, :], shape (N, n).  It
-        takes row i of G^{-1} against column j of d_a G and d_a dbar_b G, so
-        their other columns are never evaluated.  All the matrices come from one
-        cached ChartGroup, evaluated ROW_BLOCK points at a time to bound memory.
+        Computed from exact derivatives of G = H^T, with X_a = G^{-1} d_a G:
+        R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of G^{-1} meets
+        column j of d_a G and of d_a dbar_b G, so only those columns are built;
+        G^{-1} is :func:`_inv` (closed form for rank 2) and every product one
+        :func:`_mm`.  The matrices come from one cached ChartGroup per entry,
+        evaluated ROW_BLOCK points at a time to bound memory.
         """
-        data = self._curvature_functions(chart)
+        data = self.chart_data(chart)
         n = self.n
-        if entry is None:
-            i, cols, a_values, shape = slice(None), None, range(n), (n, n)
-        else:
-            i, cols, a_values, shape = slice(entry[0], entry[0] + 1), (entry[1],), (entry[2],), (1, 1)
-        specs = ((("G",), None),) + tuple((("dbarG", b), None) for b in range(n))
-        for a in a_values:
-            specs += ((("dG", a), cols),) + tuple((("d2G", a, b), cols) for b in range(n))
-        out = np.zeros((W.shape[0],) + shape + (len(a_values), n), dtype=complex)
+        i, j, a = entry
+
+        def build():
+            dGa = [[row[j].d(a)] for row in data.G]
+            dbarG = [[[g.dbar(b) for g in row] for row in data.G] for b in range(n)]
+            return [data.G, *dbarG, dGa] + [[[f.dbar(b) for f in row] for row in dGa] for b in range(n)]
+
+        group = data.group(("curvature", entry), build)
+        out = np.zeros((W.shape[0], n), dtype=complex)
         for block in row_blocks(W.shape[0]):
-            G, *mats = _eval_matrices(data, specs, W[block])
+            G, *mats = _eval_matrices(group, W[block])
+            dbarG, dGa, d2G = mats[:n], mats[n], mats[n + 1 :]
             Ginv = _inv(G)
-            rows = Ginv[:, i, :]
-            for k in range(len(a_values)):
-                dGa, *d2 = mats[n + k * (n + 1) : n + (k + 1) * (n + 1)]
-                X = _mm(Ginv, dGa)
-                for b in range(n):
-                    out[block, :, :, k, b] = _mm(rows, _mm(mats[b], X) - d2[b])
-        return out if entry is None else out[:, 0, 0, 0, :]
+            X = _mm(Ginv, dGa)
+            for b in range(n):
+                out[block, b] = _mm(Ginv[:, i : i + 1, :], _mm(dbarG[b], X) - d2G[b])[:, 0, 0]
+        return out
 
     # -------------------------------------------------------- certification
 
     def _certify_positive(self):
         rng = np.random.default_rng(np.random.Philox(self._PD_SEED))
-        Z = fs_uniform_points(self.n, self.PD_SAMPLES, rng)
-        charts = np.argmax(np.abs(Z), axis=1)
         worst = np.inf
-        for chart in range(self.n + 1):
-            mask = charts == chart
-            if not mask.any():
-                continue
-            W = np.delete(Z[mask] / Z[mask, chart][:, None], chart, axis=1)
+        for chart, _, W in by_chart(fs_uniform_points(self.n, self.PD_SAMPLES, rng)):
             H = self.metric_matrix_batch(chart, W)
             eigs = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
             worst = min(worst, float(eigs.min()))

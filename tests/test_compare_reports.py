@@ -26,6 +26,10 @@ def compare(tmp_path, new, old=REPORT, names=("case.json", "case.json")):
     for side, doc, name in (("old", old, names[0]), ("new", new, names[1])):
         (tmp_path / side).mkdir()
         (tmp_path / side / name).write_text(json.dumps(doc))
+    return run_script(tmp_path)
+
+
+def run_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), str(tmp_path / "old"), str(tmp_path / "new")],
         capture_output=True,
@@ -69,3 +73,19 @@ def test_verdict_flip_differs(tmp_path):
 def test_missing_report_differs(tmp_path):
     code, out = compare(tmp_path, REPORT, names=("case.json", "other.json"))
     assert code == 1 and "missing on one side" in out and out.splitlines()[-1] == "DIFFER"
+
+
+def test_byte_identity_is_reported_and_counted(tmp_path):
+    # two identical reports and one whose residual differs in one digit, a
+    # number under the floor: the exit code is still 0
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+        for name in ("a.json", "b.json"):
+            (tmp_path / side / name).write_text(json.dumps(REPORT))
+    (tmp_path / "old" / "c.json").write_text(json.dumps(REPORT))
+    (tmp_path / "new" / "c.json").write_text(json.dumps(changed("residual", 2.8e-16)))
+    code, out = run_script(tmp_path)
+    lines = out.splitlines()
+    assert code == 0 and lines[-2:] == ["2 of 3 reports byte-identical", "OK"]
+    reports = [line for line in lines if " report max rel dev " in line]
+    assert [line.split(", ")[-1] for line in reports] == ["byte-identical", "byte-identical", "bytes differ"]

@@ -437,6 +437,37 @@ def test_malformed_task_polynomial_exits_2(tmp_path, capsys, file, key, text):
     assert err.startswith("scenario error: polynomial parse error") and "Traceback" not in err
 
 
+PARSED_KEYS = {
+    "section[1]": ("p2_22.json", ("section", 1)),
+    "psi": ("p1_o2.json", ("psi",)),
+    "metric.q": ("p2_example22_perturbed.json", ("metric", "q")),
+    "curve_factor": ("p2_generalized_cb.json", ("tasks", 0, "curve_factor")),
+    "cofactor": ("p2_generalized_cb.json", ("tasks", 0, "cofactor")),
+    "psi_cofactor": ("p2_generalized_cb.json", ("tasks", 0, "psi_cofactor")),
+    "lines_f[1]": ("p2_cb_exact.json", ("tasks", 0, "lines_f", 1)),
+    "lines_g[2]": ("p2_cb_exact.json", ("tasks", 0, "lines_g", 2)),
+}
+
+
+@pytest.mark.parametrize("key", PARSED_KEYS)
+def test_parse_error_names_the_key_and_the_text(tmp_path, capsys, key):
+    file, path = PARSED_KEYS[key]
+    doc = json.loads((SCENARIOS / file).read_text())
+    *parents, last = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    holder[last] = "z0 +"
+    scenario = write_scenario(tmp_path, doc)
+    message = f'polynomial parse error in {key} "z0 +": '
+    with pytest.raises(ScenarioError) as raised:
+        run_scenario(scenario)
+    assert str(raised.value).startswith(message)
+    capsys.readouterr()
+    assert main(["verify", scenario]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario error: {message}")
+
+
 def _no_runner(monkeypatch):
     """Replace every kind's runner by one that records its kind; returns the record."""
     entered = []

@@ -4,6 +4,7 @@ The finite-difference routines in this file are independent oracles for the
 exact chart-function derivatives used by the implementation.
 """
 
+import itertools
 import threading
 
 import numpy as np
@@ -21,6 +22,16 @@ from residue_lab.projgeom import (
     point_from_chart,
     transition_jacobian,
 )
+
+
+def full_curvature(ctx, chart, W):
+    """The whole Chern curvature, (N, rank, rank, n, n) with [:, i, j, a, b]
+    along dw_a ^ dwbar_b, stacked from its entries."""
+    n = ctx.n
+    R = np.zeros((len(W), n, n, n, n), dtype=complex)
+    for i, j, a in itertools.product(range(n), repeat=3):
+        R[:, i, j, a, :] = ctx.chern_curvature_batch(chart, W, entry=(i, j, a))
+    return R
 
 
 def p1_o2_context(metric=None):
@@ -212,8 +223,8 @@ def test_density_group_matches_batched_data(chart):
 
 
 def test_curvature_first_call_from_two_threads(monkeypatch):
-    """A thread that calls while another is halfway through building the
-    curvature functions (paused in its first dbar) gets the full curvature."""
+    """A thread that calls while another is halfway through building an
+    entry's curvature functions (paused in its first dbar) gets the entry."""
     ctx = example22_context()
     ctx.chart_data(0)  # built here, so the first dbar is the curvature build's
     W = np.array([[0.3 + 0.1j, 0.2 - 0.4j]] * 4)
@@ -231,7 +242,7 @@ def test_curvature_first_call_from_two_threads(monkeypatch):
 
     def call():
         try:
-            results[threading.current_thread().name] = ctx.chern_curvature_batch(0, W)
+            results[threading.current_thread().name] = ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
         except Exception as exc:  # reported by the assertion below
             results[threading.current_thread().name] = exc
         finally:
@@ -252,16 +263,16 @@ def test_curvature_first_call_from_two_threads(monkeypatch):
 def test_fs_curvature_p1_closed_form():
     ctx = p1_o2_context()
     for w in [0.0, 0.35 - 0.8j, 1.2 + 0.4j]:
-        R = ctx.chern_curvature_batch(0, np.array([[w]], dtype=complex))[0]
+        R = ctx.chern_curvature_batch(0, np.array([[w]], dtype=complex), entry=(0, 0, 0))[0]
         expected = 2.0 / (1 + abs(w) ** 2) ** 2  # degree d = 2
-        assert abs(R[0, 0, 0, 0] - expected) < 1e-12
+        assert abs(R[0] - expected) < 1e-12
 
 
 def test_fs_curvature_off_diagonal_zero():
     ctx = example22_context(eps=0)
     rng = np.random.default_rng(5)
     W = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
-    R = ctx.chern_curvature_batch(0, W)
+    R = full_curvature(ctx, 0, W)
     assert np.abs(R[:, 0, 1]).max() < 1e-14
     assert np.abs(R[:, 1, 0]).max() < 1e-14
 
@@ -274,7 +285,7 @@ def test_curvature_entry_matches_full_tensor(chart, base):
     normal = 1 - base
     rng = np.random.default_rng(10 + chart)
     W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
-    full = ctx.chern_curvature_batch(chart, W)[:, geo.f_index, geo.v_index, normal, :]
+    full = reference_curvature(ctx, chart, W)[:, geo.f_index, geo.v_index, normal, :]
     entry = ctx.chern_curvature_batch(chart, W, entry=(geo.f_index, geo.v_index, normal))
     assert entry.shape == full.shape
     assert np.all(np.abs(entry - full) <= 1e-13 * np.abs(full))
@@ -318,7 +329,7 @@ def test_perturbed_curvature_matches_fd_oracle():
     rng = np.random.default_rng(6)
     for _ in range(5):
         w = rng.normal(size=2) * 0.7 + 1j * rng.normal(size=2) * 0.7
-        exact = ctx.chern_curvature_batch(0, w[None])[0]
+        exact = full_curvature(ctx, 0, w[None])[0]
         fd = _fd_curvature(ctx, 0, w)
         assert np.abs(exact - fd).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
@@ -328,8 +339,8 @@ def test_perturbed_curvature_continuous_at_zero_eps():
     tiny = example22_context(eps=1e-9)
     rng = np.random.default_rng(7)
     W = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
-    Rf = fs.chern_curvature_batch(0, W)
-    Rt = tiny.chern_curvature_batch(0, W)
+    Rf = full_curvature(fs, 0, W)
+    Rt = full_curvature(tiny, 0, W)
     assert np.abs(Rf - Rt).max() < 1e-7
 
 
@@ -340,7 +351,7 @@ def test_curvature_metric_compatibility_pairing():
     for _ in range(20):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         G = ctx.metric_matrix_batch(0, w[None])[0].T
-        R = ctx.chern_curvature_batch(0, w[None])[0]
+        R = full_curvature(ctx, 0, w[None])[0]
         for a in range(2):
             for b in range(2):
                 M_ab = G @ R[:, :, a, b]
@@ -363,7 +374,7 @@ def test_curvature_offdiag_on_curve_closed_form():
         # place the point on the curve: w2 = w1^2 for f = z0 z2 - z1^2
         w = np.array([w1, w1 * w1])
         assert abs(f.eval(list(w))) < 1e-12
-        R = ctx.chern_curvature_batch(0, w[None])[0, 0, 1]  # output L, input V_1
+        R = full_curvature(ctx, 0, w[None])[0, 0, 1]  # output L, input V_1
 
         def Qt_over_H11(pt):
             qv = np.conj(q.eval(list(pt)))
@@ -471,7 +482,7 @@ def test_curvature_term_well_definedness():
         w1 = complex(rng.normal(), rng.normal()) * 0.7
         w = [w1, w1 * w1]
         tau = np.array([1.0, -f1.eval(w) / f2.eval(w)])
-        R = ctx.chern_curvature_batch(0, np.array([w]))[0, geo.f_index, geo.v_index]
+        R = full_curvature(ctx, 0, np.array([w]))[0, geo.f_index, geo.v_index]
         val = tau @ R @ np.conj(tau)
         assert abs(val) < 1e-8
 
@@ -618,10 +629,11 @@ def test_refusal_names_the_singular_point_or_the_path_count():
 # ---------------------------------------------------- one curvature group
 
 
-@pytest.mark.parametrize("entry", [None, (0, 1, 1)])
+@pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 1)])
 def test_curvature_matrices_come_from_one_group(entry):
     # one call builds one group, and each matrix it holds equals its chart
-    # functions evaluated on their own
+    # functions evaluated on their own: G, dbar_b G, column j of d_a G and
+    # column j of d_a dbar_b G
     from residue_lab.projgeom import _eval_matrices
 
     ctx = example22_context()
@@ -630,29 +642,40 @@ def test_curvature_matrices_come_from_one_group(entry):
     rng = np.random.default_rng(21)
     W = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
     ctx.chern_curvature_batch(0, W, entry=entry)
-    (specs,) = set(data.groups) - before
-    keys = [key for key, _ in specs]
-    a_values = range(2) if entry is None else [entry[2]]
-    assert keys == [("G",), ("dbarG", 0), ("dbarG", 1)] + [
-        k for a in a_values for k in [("dG", a), ("d2G", a, 0), ("d2G", a, 1)]
-    ]
-    for (key, cols), got in zip(specs, _eval_matrices(data, specs, W)):
-        if key[0] in ("G", "dbarG"):
-            assert cols is None
-        else:
-            assert cols == (None if entry is None else (entry[1],))
-        fns = getattr(data, key[0])
-        for k in key[1:]:
-            fns = fns[k]
-        picked = range(2) if cols is None else cols
-        want = np.zeros_like(got)
-        for i in range(2):
-            for c, j in enumerate(picked):
-                want[:, i, c] = fns[i][j].eval_batch(W)
-        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    (key,) = set(data.groups) - before
+    _, j, a = entry
+    dGa = [[row[j].d(a)] for row in data.G]
+    want = [data.G] + [[[g.dbar(b) for g in row] for row in data.G] for b in range(2)] + [dGa]
+    want += [[[f.dbar(b) for f in row] for row in dGa] for b in range(2)]
+    got = _eval_matrices(data.groups[key], W)
+    assert [m.shape for m in got] == [(300, 2, 2)] * 3 + [(300, 2, 1)] * 3
+    for mat, fns in zip(got, want):
+        ref = _function_matrix(fns, W)
+        assert np.abs(mat - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("entry", [None, (0, 1, 1)])
+def test_an_entry_builds_only_its_own_derivatives(monkeypatch):
+    # the curve's entry on P^2 builds column j of d_a G (2 d), dbar_b G and
+    # dbar_b of that column (8 + 4 dbar), and a second call builds none
+    ctx = example22_context()
+    geo = Example22Geometry(ctx)
+    ctx.chart_data(0)
+    counts = {"d": 0, "dbar": 0}
+    for name in counts:
+
+        def counted(self, a, name=name, derivative=getattr(ChartFunction, name)):
+            counts[name] += 1
+            return derivative(self, a)
+
+        monkeypatch.setattr(ChartFunction, name, counted)
+    W = np.array([[0.3 + 0.1j, 0.09 + 0.06j]])
+    geo.curvature_term_batch(0, W)
+    assert counts == {"d": 2, "dbar": 12}
+    geo.curvature_term_batch(0, W)
+    assert counts == {"d": 2, "dbar": 12}
+
+
+@pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 1)])
 def test_curvature_blocks_are_independent(entry):
     # ROW_BLOCK + 37 points give, bit for bit, the two blocks evaluated apart
     from residue_lab.polycore import ROW_BLOCK
@@ -702,16 +725,18 @@ def _function_matrix(fns, W):
 
 def reference_curvature(ctx, chart, W):
     """R[a][b] = G^{-1}(dbar_b G) G^{-1}(d_a G) - G^{-1}(d_a dbar_b G) with
-    LAPACK's inverse and stacked @, every matrix evaluated entry by entry."""
-    data = ctx._curvature_functions(chart)
+    LAPACK's inverse and stacked @, every matrix evaluated entry by entry from
+    derivatives of G taken here."""
+    G = ctx.chart_data(chart).G
     n = ctx.n
-    Ginv = np.linalg.inv(_function_matrix(data.G, W))
+    Ginv = np.linalg.inv(_function_matrix(G, W))
     R = np.zeros((len(W), n, n, n, n), dtype=complex)
     for a in range(n):
-        dGa = _function_matrix(data.dG[a], W)
+        dGa = [[g.d(a) for g in row] for row in G]
         for b in range(n):
-            left = Ginv @ _function_matrix(data.dbarG[b], W) @ Ginv
-            R[:, :, :, a, b] = left @ dGa - Ginv @ _function_matrix(data.d2G[a][b], W)
+            left = Ginv @ _function_matrix([[g.dbar(b) for g in row] for row in G], W) @ Ginv
+            d2G = _function_matrix([[f.dbar(b) for f in row] for row in dGa], W)
+            R[:, :, :, a, b] = left @ _function_matrix(dGa, W) - Ginv @ d2G
     return R
 
 
@@ -730,24 +755,24 @@ def test_curvature_matches_the_lapack_reference(name):
     W = rng.normal(size=(400, ctx.n)) + 1j * rng.normal(size=(400, ctx.n))
     ref = reference_curvature(ctx, 0, W)
     scale = np.abs(ref).reshape(len(W), -1).max(axis=1)
-    full = ctx.chern_curvature_batch(0, W)
+    full = full_curvature(ctx, 0, W)
     assert np.all(np.abs(full - ref) <= 1e-12 * scale[:, None, None, None, None])
     entry = ctx.chern_curvature_batch(0, W, entry=(i, j, a))
     assert np.all(np.abs(entry - ref[:, i, j, a, :]) <= 1e-12 * scale[:, None])
 
 
-@pytest.mark.parametrize("use_entry", [False, True])
-def test_curvature_blocks_are_independent_on_p1(use_entry):
+@pytest.mark.parametrize("chart", [0, 1])
+def test_curvature_blocks_are_independent_on_p1(chart):
     # ROW_BLOCK + 37 points give, bit for bit, the two blocks evaluated apart;
     # test_curvature_blocks_are_independent covers the rank-2 case on P^2
     from residue_lab.polycore import ROW_BLOCK
 
     build, entry = CURVATURE_CONTEXTS["p1"]
-    ctx, entry = build(), entry if use_entry else None
+    ctx = build()
     rng = np.random.default_rng(25)
     W = rng.normal(size=(ROW_BLOCK + 37, ctx.n)) + 1j * rng.normal(size=(ROW_BLOCK + 37, ctx.n))
-    whole = ctx.chern_curvature_batch(0, W, entry=entry)
-    parts = [ctx.chern_curvature_batch(0, W[s], entry=entry) for s in (slice(0, ROW_BLOCK), slice(ROW_BLOCK, None))]
+    whole = ctx.chern_curvature_batch(chart, W, entry=entry)
+    parts = [ctx.chern_curvature_batch(chart, W[s], entry=entry) for s in (slice(0, ROW_BLOCK), slice(ROW_BLOCK, None))]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
