@@ -13,13 +13,17 @@ prints one row:
     paths         paths tracked, retries included
     batch steps   steps of a batch (_correct calls): one predictor and one
                   corrector pass for every active path of the batch
+    all accepted  batch steps in which every active path was accepted
     path steps    steps of single paths, summed over the batch steps
     escaped       paths that ended as escaped to infinity
     failed        paths that failed to track (each forces a full retry)
     gate fails    operations the benchmark's correctness gate rejects
+    small blocks  PolyKernel blocks of at most SMALL_BATCH points (one-step
+                  gather), over the whole workload, not only the solver
+    table blocks  larger PolyKernel blocks (workspace power tables)
 
 and a total row over the seeds.  Nothing under ``perfbench/`` is modified;
-the solver's functions are wrapped only for the duration of the run.
+the library's functions are wrapped only for the duration of the run.
 """
 
 import argparse
@@ -39,14 +43,20 @@ import gate  # noqa: E402
 import run as bench  # noqa: E402  (pins BLAS to one thread before numpy loads)
 import workloads  # noqa: E402
 
-COLUMNS = ("solves", "tracks", "paths", "batch steps", "path steps", "escaped", "failed", "gate fails")
+COLUMNS = (
+    "solves", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed", "gate fails",
+    "small blocks", "table blocks",
+)
 
 
 @contextlib.contextmanager
-def counted(syszero, counts):
-    """Wrap solve_square_system (in every module that imported it), _track
-    and _correct so that they add to ``counts``."""
+def counted(lib, counts):
+    """Wrap solve_square_system (in every module that imported it), _track,
+    _correct, PolyKernel._monomials and its small route PolyKernel._gathered
+    so that they add to ``counts``."""
+    syszero, kernel = lib.syszero, lib.polycore.PolyKernel
     solve, track, correct = syszero.solve_square_system, syszero._track, syszero._correct
+    monomials, gathered = kernel._monomials, kernel._gathered
 
     def counted_solve(*args, **kwargs):
         counts["solves"] += 1
@@ -63,11 +73,24 @@ def counted(syszero, counts):
     def counted_correct(system, gamma, tau, Z):
         counts["batch steps"] += 1
         counts["path steps"] += len(Z)
-        return correct(system, gamma, tau, Z)
+        out = correct(system, gamma, tau, Z)
+        rows, z_corr, res = out[:3]
+        counts["all accepted"] += rows.size == len(Z) and bool(syszero._accepted(Z, z_corr, res)[0].all())
+        return out
+
+    def counted_monomials(self, W):
+        counts["table blocks"] += 1  # taken back below if the block is small
+        return monomials(self, W)
+
+    def counted_gathered(self, W):
+        counts["small blocks"] += 1
+        counts["table blocks"] -= 1
+        return gathered(self, W)
 
     holders = [m for name, m in sorted(sys.modules.items()) if name.startswith("residue_lab") and m is not None]
     patched = [(m, "solve_square_system", counted_solve) for m in holders if getattr(m, "solve_square_system", None) is solve]
     patched += [(syszero, "_track", counted_track), (syszero, "_correct", counted_correct)]
+    patched += [(kernel, "_monomials", counted_monomials), (kernel, "_gathered", counted_gathered)]
     originals = [(m, attr, getattr(m, attr)) for m, attr, _ in patched]
     try:
         for m, attr, fn in patched:
@@ -83,7 +106,7 @@ def count_seed(workload: str, seed: int, seconds: float, tmp: Path):
     args = SimpleNamespace(workload=workload, seed=seed, seconds=seconds)
     with contextlib.redirect_stdout(io.StringIO()):
         lib, prepared, _ = bench.set_up(args, tmp / f"{workload}-{seed}")
-        with counted(lib.syszero, counts):
+        with counted(lib, counts):
             for p in prepared:
                 try:
                     out, err = p.run(), None
@@ -99,15 +122,15 @@ def main(argv=None) -> int:
     parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    print(f"{'seed':>8} " + " ".join(f"{c:>12}" for c in COLUMNS))
+    print(f"{'seed':>8} " + " ".join(f"{c:>13}" for c in COLUMNS))
     total = dict.fromkeys(COLUMNS, 0)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             counts = count_seed(args.workload, seed, seconds, Path(tmp))
-            print(f"{seed:>8} " + " ".join(f"{counts[c]:>12}" for c in COLUMNS), flush=True)
+            print(f"{seed:>8} " + " ".join(f"{counts[c]:>13}" for c in COLUMNS), flush=True)
             for c in COLUMNS:
                 total[c] += counts[c]
-    print(f"{'total':>8} " + " ".join(f"{total[c]:>12}" for c in COLUMNS))
+    print(f"{'total':>8} " + " ".join(f"{total[c]:>13}" for c in COLUMNS))
     return 0
 
 

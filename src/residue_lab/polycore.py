@@ -281,6 +281,7 @@ class AffinePoly(_PolyBase):
 
 
 ROW_BLOCK = 1 << 12  # points per monomial table: bounds its memory and keeps it in cache
+SMALL_BATCH = 64  # blocks of at most this many points gather their monomials in one step
 
 
 def row_blocks(count: int):
@@ -306,29 +307,33 @@ class PolyKernel:
     """A list of affine polynomials compiled for batched evaluation.
 
     The polynomials become the rows of one coefficient matrix over their shared
-    monomials.  The monomial values at a batch of points are products of
-    per-variable power tables, filled by repeated multiplication; one matrix
-    product then evaluates every polynomial.  Arrays run along the batch in
-    their last axis, so every step works on contiguous rows of points.
-    Batches are processed in blocks of ROW_BLOCK points.
-
-    The power and monomial tables live in one workspace per thread, shared by
-    every kernel and grown only when a block needs more, so repeated calls do
-    not allocate (and fault in) fresh tables.  Arrays returned by
+    monomials; one matrix product with the monomial values evaluates them all.
+    Arrays run along the batch in their last axis, so every step works on
+    contiguous rows of points.  Batches are processed in blocks of ROW_BLOCK
+    points, and each block's row count picks its monomial route: up to
+    SMALL_BATCH points, where a numpy call's fixed cost outweighs the
+    arithmetic, one gather of an index table into the rows [1, w_0, ...,
+    w_{n-1}] and one product; above it, per-variable power tables filled by
+    repeated multiplication, then one monomial at a time.  The two routes
+    round differently; on either, a monomial's value does not depend on the
+    kernel.  The power and monomial tables live in one workspace per thread,
+    shared by every kernel and grown only when a block needs more, so repeated
+    calls do not allocate (and fault in) fresh tables.  Arrays returned by
     :meth:`eval_batch` are the caller's own and never alias the workspace.
     """
 
-    __slots__ = ("num_vars", "degree", "factors", "coeffs")
+    __slots__ = ("num_vars", "degree", "expos", "factors", "gather", "coeffs")
 
     def __init__(self, num_vars: int, polys):
         self.num_vars = int(num_vars)
-        expos = sorted(set().union(*(p.terms for p in polys)))
+        self.expos = expos = sorted(set().union(*(p.terms for p in polys)))
         self.degree = max((max(e) for e in expos if e), default=0)
         # factors[m]: the rows of the flattened (degree + 1, num_vars) power
         # table whose product is monomial m; row 0 holds ones
         self.factors = [
             tuple(j * self.num_vars + k for k, j in enumerate(e) if j) or (0,) for e in expos
         ]
+        self.gather = None  # built by the first block of at most SMALL_BATCH points
         self.coeffs = np.array(
             [[_to_c(p.terms.get(e, 0)) for e in expos] for p in polys], dtype=np.complex128
         ).reshape(len(polys), len(expos))
@@ -336,12 +341,14 @@ class PolyKernel:
     def _monomials(self, W: np.ndarray) -> np.ndarray:
         """Values of the monomials at one block of points, shape (M, N).
 
-        The result is a view into this thread's workspace: it is valid only
-        until the thread's next ``_monomials`` call, on any kernel, so the
-        caller must consume it at once."""
+        A block of more than SMALL_BATCH points gets a view into this thread's
+        workspace: it is valid only until the thread's next ``_monomials``
+        call, on any kernel, so the caller must consume it at once."""
         N, n = W.shape
         if n != self.num_vars:
             raise PolyError(f"points have {n} coordinates, polynomials have {self.num_vars} variables")
+        if N <= SMALL_BATCH:
+            return self._gathered(W)
         width = max(n, 1)  # a constant in no variables still reads the ones of row 0
         powers, M = (self.degree + 1) * width, len(self.factors)
         buf = _scratch((powers + M) * N)
@@ -363,6 +370,19 @@ class PolyKernel:
             for k in rest[1:]:
                 row *= table[k]
         return monos
+
+    def _gathered(self, W: np.ndarray) -> np.ndarray:
+        """The monomials at a block of at most SMALL_BATCH points, a fresh array."""
+        if self.gather is None:  # two threads may both build it, to equal tables
+            # gather[:, m]: the rows of [1, w_0, ..., w_{n-1}] whose product is
+            # monomial m, one per unit of its total degree, padded in front with 0
+            width = max(map(sum, self.expos), default=0)
+            table = [[0] * (width - sum(e)) + [k + 1 for k, j in enumerate(e) for _ in range(j)] for e in self.expos]
+            self.gather = np.array(table, dtype=np.intp).reshape(len(table), width).T
+        rows = np.empty((self.num_vars + 1, W.shape[0]), dtype=np.complex128)
+        rows[0] = 1.0
+        rows[1:] = W.T
+        return np.multiply.reduce(rows[self.gather], axis=0)
 
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
         """Every polynomial at a batch of points, (N, num_vars) -> (P, N)."""

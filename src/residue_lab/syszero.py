@@ -44,10 +44,15 @@ _MAX_STEP; a rejected step is retried at half its size, and the first step
 is _FIRST_STEP.  The corrector's tolerance only decides whether the tracker
 is still on its path; it is not the certificate: endpoints are polished and
 certified on f itself (below, at residual <= 1e-8), so a looser tolerance
-along the path costs no accuracy at the roots.  Each step ends with one status pass over the batch: a path whose
-accepted point left the ball of radius _BLOWUP, or whose step underflows
-_MIN_STEP near tau = 1, has escaped to infinity; one whose step underflows
-earlier has failed; one at tau = 1 is done, and this last takes precedence.
+along the path costs no accuracy at the roots.  A step in which every
+active path survives the corrector and is accepted takes the corrector's
+arrays as the batch's new state; one that rejects some path writes the
+accepted rows into the state by index.
+A path whose accepted point left the ball of radius _BLOWUP, or whose step
+underflows _MIN_STEP near tau = 1, has escaped to infinity; one whose step
+underflows earlier has failed; one at tau = 1 is done, and this last takes
+precedence.  Only a step after which some path leaves makes this status pass
+over the batch.
 
 Endpoints are polished by Newton iteration and certified by residual and
 Jacobian determinant; an endpoint failing either is ``defective``.  Two paths
@@ -345,32 +350,46 @@ def _track(system: _System, gamma: complex, starts: np.ndarray):
         h = np.minimum(step, 1.0 - tau)
         z_pred = _predict(Z, dz, h, Z0, dZ0, s0)
         rows, z_corr, res, J_corr, rhs_corr, first = _correct(system, gamma, tau + h, z_pred)
-        z_pred = z_pred[rows]
-        scale = np.maximum(1.0, np.linalg.norm(z_corr, axis=1))
-        reach = _CORRECTOR_REACH * np.maximum(1.0, np.linalg.norm(z_pred, axis=1))
-        good = (res < _CORRECTOR_TOL * scale) & (np.linalg.norm(z_corr - z_pred, axis=1) <= reach)
-        a = rows[good]
-        Z0[a], dZ0[a], s0[a] = Z[a], dz[a], h[a]
-        tau[a] += h[a]
-        Z[a] = z_corr[good]
-        J[a] = J_corr[good]
-        rhs[a] = rhs_corr[good]
+        everyone = rows.size == ids.size
+        good, scale = _accepted(z_pred if everyone else z_pred[rows], z_corr, res)
         # a rejected step is retried at half its size; an accepted one sizes
         # the next from its first Newton correction, the predictor's error
-        step = 0.5 * h
         with np.errstate(divide="ignore"):
-            growth = 0.8 * (_STEP_TARGET * scale[good] / first[good]) ** 0.25
-        step[a] = np.minimum(_MAX_STEP, h[a] * np.clip(growth, 0.5, 2.0))
-        # one status pass: blown up, then a step underflow (escaped near
-        # tau = 1, failed before), then arrived, each overriding the last
-        how = np.full(len(ids), _ACTIVE)
-        how[a[scale[good] > _BLOWUP]] = _ESCAPED
-        under = step < _MIN_STEP
-        how[under] = np.where(tau[under] > 0.99, _ESCAPED, _FAILED)
-        how[tau >= 1.0] = _OK
-        if (how != _ACTIVE).any():
+            growth = np.clip(0.8 * (_STEP_TARGET * scale / first) ** 0.25, 0.5, 2.0)
+        if everyone and good.all():  # the corrector's arrays become the state
+            Z0, dZ0, s0, tau = Z, dz, h, tau + h
+            Z, J, rhs = z_corr, J_corr, rhs_corr
+            step = np.minimum(_MAX_STEP, h * growth)
+            blown = scale > _BLOWUP
+        else:
+            a = rows[good]
+            Z0[a], dZ0[a], s0[a] = Z[a], dz[a], h[a]
+            tau[a] += h[a]
+            Z[a] = z_corr[good]
+            J[a] = J_corr[good]
+            rhs[a] = rhs_corr[good]
+            step = 0.5 * h
+            step[a] = np.minimum(_MAX_STEP, h[a] * growth[good])
+            blown = np.zeros(ids.size, dtype=bool)
+            blown[a] = scale[good] > _BLOWUP
+        under, arrived = step < _MIN_STEP, tau >= 1.0
+        if blown.any() or under.any() or arrived.any():
+            # one status pass: blown up, then a step underflow (escaped near
+            # tau = 1, failed before), then arrived, each overriding the last
+            how = np.full(ids.size, _ACTIVE)
+            how[blown] = _ESCAPED
+            how[under] = np.where(tau[under] > 0.99, _ESCAPED, _FAILED)
+            how[arrived] = _OK
             leave(how)
     return Z_out, status
+
+
+def _accepted(z_pred, z_corr, res):
+    """The acceptance test of corrected points z_corr, predicted at z_pred with
+    residual res: a mask of the accepted rows, and max(1, |z_corr|) per row."""
+    scale = np.maximum(1.0, np.linalg.norm(z_corr, axis=1))
+    reach = _CORRECTOR_REACH * np.maximum(1.0, np.linalg.norm(z_pred, axis=1))
+    return (res < _CORRECTOR_TOL * scale) & (np.linalg.norm(z_corr - z_pred, axis=1) <= reach), scale
 
 
 def _predict(Z, dz, h, Z0, dZ0, s0):

@@ -856,11 +856,16 @@ def test_solver_steps_script_smoke():
     proc = subprocess.run([sys.executable, str(script), "algebraic", "7007"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     header, row, total = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()]
-    assert header == ["seed", "solves", "tracks", "paths", "batch steps", "path steps", "escaped", "failed", "gate fails"]
+    assert header == [
+        "seed", "solves", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed",
+        "gate fails", "small blocks", "table blocks",
+    ]
     assert row[0] == "7007" and total == ["total"] + row[1:]
     counts = dict(zip(header[1:], map(int, row[1:])))
     assert counts["tracks"] >= 1 and counts["paths"] >= counts["tracks"]
     assert counts["path steps"] >= counts["batch steps"] >= counts["tracks"]
+    assert 0 < counts["all accepted"] < counts["batch steps"]
+    assert counts["small blocks"] >= counts["batch steps"]
     assert counts["gate fails"] == 0
     bad = subprocess.run([sys.executable, str(script), "nosuch", "1"], capture_output=True, text=True)
     assert bad.returncode == 2

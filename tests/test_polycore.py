@@ -17,6 +17,7 @@ from residue_lab.polycore import (
     ParseError,
     PolyError,
     PolyKernel,
+    SMALL_BATCH,
     monomials_of_degree,
     parse_poly,
     row_blocks,
@@ -344,6 +345,42 @@ def test_kernel_workspace_is_per_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert threaded == serial + serial
+
+
+def _route_case(case):
+    """(num_vars, polys) of a named kernel for the two table routes."""
+    rng = np.random.default_rng(len(case))
+    if case == "constant":
+        return 3, [AffinePoly.constant(3, 2.5 - 1j), AffinePoly.constant(3, -0.5j)]
+    if case == "unused variable":  # w_1 appears in no monomial
+        polys = [random_hpoly(4, 4, rng).dehomogenize(0) for _ in range(3)]
+        return 3, [AffinePoly(3, {e: c for e, c in p.terms.items() if e[1] == 0}) for p in polys]
+    num_vars, degree = case
+    return num_vars, [random_hpoly(num_vars + 1, degree, rng, density=0.7).dehomogenize(0) for _ in range(3)]
+
+
+_ROUTE_CASES = [(1, 0), (1, 1), (1, 6), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), (4, 6), "constant", "unused variable"]
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES, ids=str)
+def test_small_blocks_agree_with_the_workspace_tables(case):
+    # SMALL_BATCH + 1 points take the power tables, k <= SMALL_BATCH points
+    # the one-step gather: the values agree to within 1e-13 relative
+    num_vars, polys = _route_case(case)
+    kernel = PolyKernel(num_vars, polys)
+    W = _points(SMALL_BATCH + 1, num_vars, seed=7)
+    tabled = kernel.eval_batch(W)
+    scale = np.abs(tabled).max(axis=1, keepdims=True)
+    for k in (1, SMALL_BATCH):
+        small = kernel.eval_batch(W[:k])
+        assert small.shape == (len(polys), k)
+        assert (np.abs(small - tabled[:, :k]) <= 1e-13 * scale).all()
+    errors = []
+    for rows in (1, SMALL_BATCH + 1):
+        with pytest.raises(PolyError) as err:
+            kernel.eval_batch(_points(rows, num_vars + 1, seed=8))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 def test_gaussian_rational_field_ops():

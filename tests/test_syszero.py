@@ -416,6 +416,46 @@ def test_step_after_a_rejection_is_half_and_after_an_acceptance_follows_the_erro
         assert h_next >= h / 2 * (1 - 1e-12)
 
 
+def test_a_step_that_accepts_some_paths_moves_only_those(monkeypatch):
+    # an infinite residual reported for one path on the third batch step
+    # rejects that path alone: it retries from its own tau at half its step
+    # while the others advance, and every path ends as in the untouched run
+    rng = np.random.default_rng(0)
+    system = syszero._System(_dense_system(rng, (3, 3)))
+    gamma = complex(np.exp(0.6j * np.pi))
+    starts = syszero._start_roots(system.degrees)
+    Z_ref, status_ref = syszero._track(system, gamma, starts)
+    forced = 4
+    targets = []
+    correct = syszero._correct
+
+    def forcing_correct(system, gamma, tau, Z):
+        targets.append(tau.copy())
+        rows, Z, res, J, rhs, first = correct(system, gamma, tau, Z)
+        if len(targets) == 3:
+            assert rows.tolist() == list(range(len(starts)))
+            res = res.copy()
+            res[forced] = np.inf
+        return rows, Z, res, J, rhs, first
+
+    monkeypatch.setattr(syszero, "_correct", forcing_correct)
+    Z, status = syszero._track(system, gamma, starts)
+    before, rejected, retry = targets[1:4]
+    assert len(retry) == len(starts)  # no path has left the batch yet
+    assert (rejected > before).all()  # every path accepted the step before
+    others = np.arange(len(starts)) != forced
+    assert (retry[others] > rejected[others]).all()
+    half = before[forced] + (rejected[forced] - before[forced]) / 2
+    assert retry[forced] == pytest.approx(half, abs=1e-15)
+
+    assert status.tolist() == status_ref.tolist()
+    done = status == syszero._OK
+    assert done.sum() == len(starts)
+    polished, polished_ref = (syszero._refine_endpoints(system, z[done]) for z in (Z, Z_ref))
+    for z, ref in zip(polished, polished_ref):
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 # ------------------------------------------------------- predictor and counts
 
 
