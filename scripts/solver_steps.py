@@ -9,6 +9,7 @@ operation once, single-threaded, checks each output with ``gate.check`` and
 prints one row:
 
     solves        calls of solve_square_system (infinity checks included)
+    systems       systems compiled (syszero._System builds), by any caller
     tracks        batches of paths tracked (_track calls; retries included)
     paths         paths tracked, retries included
     batch steps   steps of a batch (_correct calls): one predictor and one
@@ -44,23 +45,28 @@ import run as bench  # noqa: E402  (pins BLAS to one thread before numpy loads)
 import workloads  # noqa: E402
 
 COLUMNS = (
-    "solves", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed", "gate fails",
+    "solves", "systems", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed", "gate fails",
     "small blocks", "table blocks",
 )
 
 
 @contextlib.contextmanager
 def counted(lib, counts):
-    """Wrap solve_square_system (in every module that imported it), _track,
-    _correct, PolyKernel._monomials and its small route PolyKernel._gathered
-    so that they add to ``counts``."""
+    """Wrap solve_square_system and syszero._System (in every module that
+    imported them), _track, _correct, PolyKernel._monomials and its small
+    route PolyKernel._gathered so that they add to ``counts``."""
     syszero, kernel = lib.syszero, lib.polycore.PolyKernel
-    solve, track, correct = syszero.solve_square_system, syszero._track, syszero._correct
+    solve, system, track, correct = syszero.solve_square_system, syszero._System, syszero._track, syszero._correct
     monomials, gathered = kernel._monomials, kernel._gathered
 
     def counted_solve(*args, **kwargs):
         counts["solves"] += 1
         return solve(*args, **kwargs)
+
+    class CountedSystem(system):
+        def __init__(self, polys):
+            counts["systems"] += 1
+            super().__init__(polys)
 
     def counted_track(system, gamma, starts):
         Z, status = track(system, gamma, starts)
@@ -89,6 +95,7 @@ def counted(lib, counts):
 
     holders = [m for name, m in sorted(sys.modules.items()) if name.startswith("residue_lab") and m is not None]
     patched = [(m, "solve_square_system", counted_solve) for m in holders if getattr(m, "solve_square_system", None) is solve]
+    patched += [(m, "_System", CountedSystem) for m in holders if getattr(m, "_System", None) is system]
     patched += [(syszero, "_track", counted_track), (syszero, "_correct", counted_correct)]
     patched += [(kernel, "_monomials", counted_monomials), (kernel, "_gathered", counted_gathered)]
     originals = [(m, attr, getattr(m, attr)) for m, attr, _ in patched]

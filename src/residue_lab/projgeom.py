@@ -30,9 +30,8 @@ import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, HomogeneousPoly, row_blocks
-from .residue import _normalized_eval
 from .superalg import SForm
-from .syszero import random_unitary, solve_square_system
+from .syszero import _normalized_eval, random_unitary, solve_square_system
 
 __all__ = [
     "MetricSpec",

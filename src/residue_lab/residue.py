@@ -5,7 +5,9 @@ H_chart(p) / det(ds_chart/dw)(p); the chart factors of the two
 dehomogenizations cancel, so the value is chart independent (tested).  Summed
 over all zeros of a degree-compatible numerator the invariants cancel exactly;
 the ledger records the entries, the exact floating total in a fixed order, and
-the relative vanishing |total| / sum |entries|.
+the relative vanishing |total| / sum |entries|.  Its denominators are the
+solver's signed det J at each zero (``ZeroPoint.det_j``, from the batched
+certification), so a ledger compiles the section once.
 
 The Cayley-Bacharach verifier runs on both coefficient backends: floating
 point (SVD null spaces, homotopy intersections) and exact Gaussian rationals
@@ -29,7 +31,17 @@ from .polycore import (
     PolyKernel,
     monomials_of_degree,
 )
-from .syszero import _DET_THRESHOLD, _System, random_unitary, solve_square_system, zeros_at_infinity_check
+from .syszero import (
+    _DET_THRESHOLD,
+    _certify,
+    _normalized_eval,
+    _restrict_to_infinity,
+    _share_a_root,
+    _System,
+    random_unitary,
+    solve_square_system,
+    zeros_at_infinity_check,
+)
 
 __all__ = [
     "ResidueError",
@@ -54,7 +66,7 @@ class ResidueError(RuntimeError):
 _RANK_TOL = 1e-10
 # random rotations tried to move every intersection point into chart 0
 _COORDINATE_RETRIES = 4
-# a ledger point with |f| below this lies on the curve {f = 0}
+# a ledger point where _normalized_eval(f) is below this lies on the curve {f = 0}
 _CURVE_TOL = 1e-6
 
 
@@ -82,12 +94,7 @@ def local_residue(
 ) -> complex:
     """H(p) / det(ds/dw)(p) in a fixed chart; requires a simple zero, by the
     solver's own test of one."""
-    return _local_residue(p, _System(section_aff), psi_aff)
-
-
-def _local_residue(p: Sequence[complex], system: _System, psi_aff: AffinePoly) -> complex:
-    """``local_residue`` with the section compiled once, for every zero of a ledger."""
-    det = system.jacobian_det(p)
+    det = _certify(_System(section_aff), np.array([p], dtype=complex))[1][0]
     if abs(det) < _DET_THRESHOLD:
         raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
     return complex(psi_aff.eval(list(p)) / det)
@@ -110,12 +117,9 @@ def global_residue_sum(
     zs = solve_square_system(section_aff, seed=seed)
     if zs.defective:
         raise ResidueError(f"{zs.defective} defective (non-simple) zeros")
-    if len(zs.points) + zs.missing_paths != zs.bezout_count:
-        raise ResidueError("path accounting does not reconcile with the Bezout count")
     if zs.missing_paths:
         raise ResidueError("paths escaped to infinity despite the infinity check")
-    system = _System(section_aff)
-    return ResidueLedger.from_entries([(zp.point, _local_residue(zp.point, system, psi_aff)) for zp in zs.points])
+    return ResidueLedger.from_entries([(zp.point, psi_aff.eval(list(zp.point)) / zp.det_j) for zp in zs.points])
 
 
 # ------------------------------------------------------------------ CB
@@ -251,36 +255,12 @@ class CBReport:
     vacuous: bool
 
 
-def _normalized_eval(form: HomogeneousPoly, point: np.ndarray) -> float:
-    """|form(p)| / (||coeffs||_2 max(1, ||p||)^deg); scale-free residual."""
-    p = np.asarray(point, dtype=complex)
-    val = abs(complex(form.eval(list(p))))
-    return val / (form.coeff_norm() * max(1.0, float(np.linalg.norm(p))) ** form.degree)
-
-
 def _share_a_root_on_a_line(f: HomogeneousPoly, g: HomogeneousPoly, seed: int) -> bool:
     """Whether f and g restricted to one seeded random line of P^2 have a
-    common root, which they have when the curves share a component: the
-    smallest singular value of the Sylvester matrix of the two restrictions,
-    each scaled to a unit coefficient vector, is at most _RANK_TOL of the
-    largest."""
+    common root, which they have when the curves share a component."""
     Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 37)), 3)
-    # the line z = s Q e_0 + t Q e_1, on its chart s = 1
-    restricted = []
-    for h in (f, g):
-        c = np.zeros(h.degree + 1, dtype=complex)
-        for e, v in h.substitute_linear(Q).terms.items():
-            if e[2] == 0:
-                c[e[1]] = v
-        restricted.append(c[::-1] / np.linalg.norm(c))  # highest power first
-    (p, q), (d, e) = restricted, (f.degree, g.degree)
-    S = np.zeros((d + e, d + e), dtype=complex)
-    for i in range(e):
-        S[i, i : i + d + 1] = p
-    for i in range(d):
-        S[e + i, i : i + e + 1] = q
-    sv = np.linalg.svd(S, compute_uv=False)
-    return bool(sv[-1] <= _RANK_TOL * sv[0])
+    # in the frame Q[:, (2, 0, 1)] the line z = s Q e_0 + t Q e_1 is z_0 = 0
+    return _share_a_root(*(_restrict_to_infinity(h.substitute_linear(Q[:, [2, 0, 1]])) for h in (f, g)))
 
 
 def cayley_bacharach_verify(
@@ -383,10 +363,9 @@ def generalized_cb_check(
     psi = f * psi_cofactor
 
     ledger = global_residue_sum([s1, g], psi, seed=seed)
-    f_aff = f.dehomogenize(0)
     curve_entries, isolated_entries = [], []
     for point, val in ledger.entries:
-        if abs(f_aff.eval(list(point))) < _CURVE_TOL:
+        if _normalized_eval(f, (1, *point)) < _CURVE_TOL:
             curve_entries.append((point, val))
         else:
             isolated_entries.append((point, val))

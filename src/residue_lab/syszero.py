@@ -6,13 +6,15 @@ a Hermite predictor, Newton corrector and adaptive steps.
 
 Each system is compiled into one polycore.PolyKernel of f and its partials,
 which serves the endpoint polish and the certification step (residual |f| and
-det df/dz), both batched over the endpoints, and ``certify_zero`` and
-the ledger's det J at single points.  The homotopy has a kernel of its own per
-gamma, built when the gamma is first tracked and replaced on a retry: its rows
-are A = gamma (g, dg/dz) and B = (f, df/dz) - gamma (g, dg/dz), each a value
-row per equation followed by a full row-major n x n Jacobian block (zero off
-the diagonal for g), so that H and dH/dz at tau are A + tau B in one
-broadcast and f - gamma g, the tangent's right-hand side, is the head of B.
+det df/dz), both batched over the endpoints (``certify_zero`` and
+``residue.local_residue`` pass it one row); a certified zero keeps its signed
+det df/dz as ``ZeroPoint.det_j``, the denominator of its local residue.  The
+homotopy has a kernel of its own per gamma, built when the gamma is first
+tracked and replaced on a retry: its rows are A = gamma (g, dg/dz) and
+B = (f, df/dz) - gamma (g, dg/dz), each a value row per equation followed by
+a full row-major n x n Jacobian block (zero off the diagonal for g), so that
+H and dH/dz at tau are A + tau B in one broadcast and f - gamma g, the
+tangent's right-hand side, is the head of B.
 
 All Bezout paths of one gamma are tracked together as one (P, n) array of
 points: every predictor and every corrector iteration is one kernel call and
@@ -62,8 +64,12 @@ away with a fresh gamma, a multiple root does not: the solve is retried with
 a fresh gamma, and a duplicate still there on the last retry is counted as
 ``defective``.  A path that fails to track triggers the same retry and raises
 ``SolveError`` once the retries run out.  Paths escaping to infinity are
-counted, not returned, so finite zeros + escaped paths reconciles with the
-Bezout number on regular instances.
+counted, not returned, so finite zeros + escaped + defective paths is the
+Bezout number.
+
+Two questions on forms are answered here and nowhere else: whether two
+binary forms share a root (``_share_a_root``, the resultant test) and how
+nearly a form vanishes at a point, scale-free (``_normalized_eval``).
 
 Determinism: all randomness derives from the seed, and results are merged in
 start-root index order, so a solve is bitwise reproducible.  Every rule reads
@@ -112,15 +118,17 @@ _BLOWUP = 1e8
 _CLUSTER_RADIUS = 1e-6
 _DET_THRESHOLD = 1e-10
 _MAX_RETRIES = 3
-# |restricted form| / its coefficient norm at most this: a common zero at infinity
+# _normalized_eval of the last restricted form at most this: a common zero at infinity
 _INFINITY_TOL = 1e-8
+# smallest / largest singular value of a Sylvester matrix at most this: a common root
+_SYLVESTER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ZeroPoint:
     point: Tuple[complex, ...]
     residual: float
-    abs_det_j: float
+    det_j: complex  # det(df/dz) at the point, from the certification step
 
 
 @dataclass
@@ -176,10 +184,6 @@ class _System:
             self._gamma, self._gamma_kernel = gamma, PolyKernel(self.n, a + b)
         return self._gamma_kernel
 
-    def jacobian_det(self, p: Sequence[complex]) -> complex:
-        """det(df/dz) at one point, from the certification step."""
-        return _certify(self, np.asarray(p, dtype=complex))[1]
-
 
 def _homotopy(system: _System, z: np.ndarray, tau, gamma: complex):
     """H = (1 - tau) gamma g + tau f, dH/dz and f - gamma g at z: one point
@@ -195,14 +199,11 @@ def _homotopy(system: _System, z: np.ndarray, tau, gamma: complex):
     return H, J, rhs
 
 
-def _certify(system: _System, z: np.ndarray):
-    """The certification step at z: (residual |f|, det J, f, J) at one point
-    (n,), or as arrays over a batch (P, n)."""
-    f, J = system.rows(z if z.ndim == 2 else z[None])
-    res, det = np.linalg.norm(f, axis=1), np.linalg.det(J)
-    if z.ndim == 1:
-        return float(res[0]), complex(det[0]), f[0], J[0]
-    return res, det, f, J
+def _certify(system: _System, Z: np.ndarray):
+    """The certification step at a batch of points Z (P, n): residual |f|,
+    det J, f and J, one row per point."""
+    f, J = system.rows(Z)
+    return np.linalg.norm(f, axis=1), np.linalg.det(J), f, J
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray):
@@ -269,8 +270,7 @@ def _finish(system: _System, raw: np.ndarray):
     blown = np.linalg.norm(Z, axis=1) > _BLOWUP
     Z = Z[~blown]
     res, det = _certify(system, Z)[:2]
-    det = np.abs(det)
-    good = (res <= 1e-8) & (det >= _DET_THRESHOLD)
+    good = (res <= 1e-8) & (np.abs(det) >= _DET_THRESHOLD)
     Z, res, det = Z[good], res[good], det[good]
 
     # the first certified path to reach a root keeps it
@@ -279,7 +279,7 @@ def _finish(system: _System, raw: np.ndarray):
     for i in range(len(Z)):
         if not (dist[i, kept] < _CLUSTER_RADIUS).any():
             kept.append(i)
-    points = [ZeroPoint(tuple(Z[i].tolist()), float(res[i]), float(det[i])) for i in kept]
+    points = [ZeroPoint(tuple(Z[i].tolist()), float(res[i]), complex(det[i])) for i in kept]
     return points, int(blown.sum()), int((~good).sum()), len(Z) - len(kept)
 
 
@@ -436,16 +436,16 @@ def certify_zero(polys: Sequence[AffinePoly], p: Sequence[complex]):
     """(residual, |det J|, Newton-contraction flag) at a candidate zero."""
     system = _System(polys)
     z = np.asarray(p, dtype=complex)
-    res, det, f, J = _certify(system, z)
+    res, det, f, J = (x[0] for x in _certify(system, z[None]))
     det = abs(det)
     contracts = False
     if det > 0:
         try:
-            res1 = _certify(system, z - np.linalg.solve(J, f))[0]
+            res1 = _certify(system, (z - np.linalg.solve(J, f))[None])[0][0]
             contracts = res1 <= res / 10.0 or res1 < 1e-14
         except np.linalg.LinAlgError:
             pass
-    return res, det, contracts
+    return float(res), float(det), contracts
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -462,9 +462,10 @@ def zeros_at_infinity_check(
     """True iff the leading-form system on the hyperplane z_0 = 0 has only the
     trivial common zero, i.e. the affine chart 0 contains the whole zero set.
 
-    The restricted forms live on P^{n-1}; a common projective zero is searched
-    by solving the first n-1 restrictions on a random-unitary-rotated patch
-    and evaluating the remaining one.
+    The restricted forms live on P^{n-1}.  On P^1 the resultant test decides;
+    on larger spaces the first n-1, scaled to unit coefficient norm, are solved
+    on the patch z_last = 1 of a random unitary frame (which makes patch
+    degeneracies measure-zero) and the last is evaluated at their zeros.
     """
     n = len(components)
     restricted = [_restrict_to_infinity(s) for s in components]
@@ -473,30 +474,13 @@ def zeros_at_infinity_check(
     if n == 1:
         # P^0: the single point (0:1); nonzero restriction never vanishes there
         return True
-
-    # random unitary mixing makes patch degeneracies measure-zero
-    Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 101)), n)
-    rotated = [r.substitute_linear(Q) for r in restricted]
-
-    # patch z_last = 1 of P^{n-1}: solve the first n-1 forms, test the last
-    patched = [r.dehomogenize(n - 1) for r in rotated]
     if n == 2:
-        roots = _univariate_roots(patched[0])
-        test = patched[1]
-        scale = test.coeff_norm() or 1.0
-        for r in roots:
-            if abs(test.eval([r])) <= _INFINITY_TOL * scale * max(1.0, abs(r)) ** max(test.degree(), 1):
-                return False
-        # also the patch point at infinity of this chart: handled by rotation
-        return True
-    zs = solve_square_system(patched[:-1], seed=seed + 7)
-    test = patched[-1]
-    scale = test.coeff_norm() or 1.0
-    for zp in zs.points:
-        pt = list(zp.point)
-        if abs(test.eval(pt)) <= _INFINITY_TOL * scale * max(1.0, float(np.linalg.norm(pt))) ** max(test.degree(), 1):
-            return False
-    return True
+        return not _share_a_root(*restricted)
+    # the solver's thresholds are absolute, so it solves unit-norm forms
+    Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 101)), n)
+    rotated = [r.scale(1.0 / r.coeff_norm()).substitute_linear(Q) for r in restricted]
+    zs = solve_square_system([r.dehomogenize(n - 1) for r in rotated[:-1]], seed=seed + 7)
+    return all(_normalized_eval(rotated[-1], (*zp.point, 1)) > _INFINITY_TOL for zp in zs.points)
 
 
 def _restrict_to_infinity(poly: HomogeneousPoly) -> HomogeneousPoly:
@@ -505,11 +489,28 @@ def _restrict_to_infinity(poly: HomogeneousPoly) -> HomogeneousPoly:
     return HomogeneousPoly(poly.num_vars - 1, poly.degree, terms)
 
 
-def _univariate_roots(p: AffinePoly) -> np.ndarray:
-    deg = p.degree()
-    if deg == 0:
-        return np.array([], dtype=complex)
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for e, c in p.terms.items():
-        coeffs[e[0]] = complex(c)
-    return np.roots(coeffs[::-1])
+def _share_a_root(f: HomogeneousPoly, g: HomogeneousPoly) -> bool:
+    """Whether the binary forms f and g have a common root on P^1, by the
+    resultant test (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 3):
+    the smallest singular value of their Sylvester matrix, each form scaled to
+    a unit coefficient vector, is at most _SYLVESTER_TOL of the largest."""
+    unit = []
+    for h in (f, g):
+        c = np.zeros(h.degree + 1, dtype=complex)  # c[k]: the coefficient of x^(deg - k) y^k
+        for k, v in h.terms.items():
+            c[k[1]] = v
+        unit.append(c / np.linalg.norm(c))
+    (p, q), (d, e) = unit, (f.degree, g.degree)
+    S = np.zeros((d + e, d + e), dtype=complex)
+    for i in range(e):
+        S[i, i : i + d + 1] = p
+    for i in range(d):
+        S[e + i, i : i + e + 1] = q
+    sv = np.linalg.svd(S, compute_uv=False)
+    return bool(sv.size) and bool(sv[-1] <= _SYLVESTER_TOL * sv[0])
+
+
+def _normalized_eval(form: HomogeneousPoly, point) -> float:
+    """|form(p)| / (||coeffs||_2 max(1, ||p||)^deg); scale-free residual."""
+    p = np.asarray(point, dtype=complex)
+    return abs(complex(form.eval(list(p)))) / (form.coeff_norm() * max(1.0, float(np.linalg.norm(p))) ** form.degree)

@@ -101,6 +101,22 @@ def test_zero_at_infinity_gives_precondition_failed(tmp_path):
     assert main(["verify", path]) == 1
 
 
+@pytest.mark.parametrize("curve_scale, cofactor_scale", [("1/1000000000", "1000000000"), ("1000000000000", "1/1000000000000")])
+def test_generalized_cb_is_independent_of_how_a_scalar_is_split(tmp_path, curve_scale, cofactor_scale):
+    # curve_factor x c and both cofactors / c give the same section and psi,
+    # so every ledger point must stay on its side of the curve
+    doc = json.loads((SCENARIOS / "p2_generalized_cb.json").read_text())
+    shipped = run_scenario(write_scenario(tmp_path, doc, "shipped.json")).tasks[0]
+    task = doc["tasks"][0]
+    task["curve_factor"] = f"{curve_scale}*({task['curve_factor']})"
+    for key in ("cofactor", "psi_cofactor"):
+        task[key] = f"{cofactor_scale}*({task[key]})"
+    split = run_scenario(write_scenario(tmp_path, doc, "split.json")).tasks[0]
+    assert shipped.verdict == split.verdict == "assumed-hypotheses"
+    for key in ("curve_points", "isolated_points"):
+        assert shipped.results[key] == split.results[key] == 6
+
+
 def test_solver_failure_is_fail_not_precondition(tmp_path, monkeypatch):
     from residue_lab import residue
     from residue_lab.syszero import SolveError
@@ -857,7 +873,7 @@ def test_solver_steps_script_smoke():
     assert proc.returncode == 0, proc.stderr
     header, row, total = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()]
     assert header == [
-        "seed", "solves", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed",
+        "seed", "solves", "systems", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed",
         "gate fails", "small blocks", "table blocks",
     ]
     assert row[0] == "7007" and total == ["total"] + row[1:]
@@ -867,6 +883,7 @@ def test_solver_steps_script_smoke():
     assert 0 < counts["all accepted"] < counts["batch steps"]
     assert counts["small blocks"] >= counts["batch steps"]
     assert counts["gate fails"] == 0
+    assert counts["systems"] == counts["solves"]
     bad = subprocess.run([sys.executable, str(script), "nosuch", "1"], capture_output=True, text=True)
     assert bad.returncode == 2
 

@@ -178,16 +178,18 @@ def test_ledger_compiles_the_section_once(monkeypatch):
             built.append(1)
             super().__init__(polys)
 
-    monkeypatch.setattr(residue, "_System", Counted)
+    monkeypatch.setattr(syszero, "_System", Counted)
     rng = np.random.default_rng(41)
     section = [random_form(3, 2, rng), random_form(3, 3, rng)]
     psi = random_form(3, 2, rng)
     ledger = global_residue_sum(section, psi, seed=2)
     assert len(ledger.entries) == 6 and len(built) == 1
-    # each entry is the single-point local residue, bit for bit
+    # each entry is the single-point local residue; the ledger's det J comes
+    # from the solver's batched certification, which rounds differently
     section_aff = [s.dehomogenize(0) for s in section]
     for p, v in ledger.entries:
-        assert v == local_residue(p, section_aff, psi.dehomogenize(0))
+        ref = local_residue(p, section_aff, psi.dehomogenize(0))
+        assert abs(v - ref) <= 1e-14 * abs(ref)
 
 
 def test_ledger_scaling_covariance():

@@ -514,3 +514,83 @@ def test_homotopy_kernel_is_kept_for_its_gamma():
     k1 = system.homotopy_kernel(0.6 + 0.8j)
     assert system.homotopy_kernel(0.6 + 0.8j) is k1
     assert system.homotopy_kernel(0.8 + 0.6j) is not k1
+
+
+# ------------------------------------------- path accounting and det J
+
+
+@pytest.mark.parametrize("case", ["dense", "escaping", "double_root"])
+@pytest.mark.parametrize("seed", range(5))
+def test_points_missing_and_defective_add_up_to_the_bezout_count(case, seed):
+    if case == "dense":
+        polys = _dense_system(np.random.default_rng(300 + seed), (2, 3))
+    elif case == "escaping":
+        polys = [aff("z0*z1 - 1", 2), aff("z0 - 2", 2)]
+    else:
+        polys = [aff("z1 - z0^2", 2), aff("z1", 2)]
+    zs = solve_square_system(polys, seed=seed)
+    assert len(zs.points) + zs.missing_paths + zs.defective == zs.bezout_count
+
+
+def test_zero_points_keep_the_signed_jacobian_determinant():
+    # w0^2 - 1: det J = 2 w0 at w0 = +-1; (w0 - w1^2, w0 + w1 - 2) at (1, 1)
+    # and (4, -2): det J = 1 + 2 w1, i.e. 3 and -3
+    for polys, det_j in (
+        ([aff("z0^2 - 1", 1)], lambda w: 2 * w[0]),
+        ([aff("z0 - z1^2", 2), aff("z0 + z1 - 2", 2)], lambda w: 1 + 2 * w[1]),
+    ):
+        zs = solve_square_system(polys, seed=3)
+        assert len(zs.points) == 2
+        for zp in zs.points:
+            assert abs(zp.det_j - det_j(zp.point)) < 1e-12
+            assert abs(abs(zp.det_j) - certify_zero(polys, zp.point)[1]) < 1e-12
+
+
+# --------------------------------------------- infinity checks, scale-free
+
+
+def _form(rng, nv, d):
+    return HomogeneousPoly(nv, d, {e: complex(rng.normal(), rng.normal()) for e in monomials_of_degree(nv, d)})
+
+
+def _p2_pair(rng, d, e, plant):
+    """Two forms on P^2 of degrees d and e whose restrictions to z0 = 0 share
+    the root (0:1:b) ("line", b random), the root (0:0:1) ("corner"), or
+    neither ("none")."""
+    if plant == "none":
+        return [_form(rng, 3, d), _form(rng, 3, e)]
+    b = complex(rng.normal(), rng.normal())
+    through = {"line": {(0, 0, 1): 1.0, (0, 1, 0): -b}, "corner": {(0, 1, 0): 1.0}}[plant]
+    lin, z0 = HomogeneousPoly(3, 1, through), HomogeneousPoly(3, 1, {(1, 0, 0): 1.0})
+    return [lin * _form(rng, 3, k - 1) + z0 * _form(rng, 3, k - 1) for k in (d, e)]
+
+
+@pytest.mark.parametrize("plant", ["line", "corner", "none"])
+def test_p2_infinity_check_finds_planted_zeros_at_every_scale(plant):
+    rng = np.random.default_rng({"line": 11, "corner": 12, "none": 13}[plant])
+    for d in range(1, 5):
+        for e in range(1, 5):
+            for _ in range(5):
+                pair = _p2_pair(rng, d, e, plant)
+                for scale in (1.0, 1e-9, 1e9):
+                    scaled = [f.scale(scale) for f in pair]
+                    assert zeros_at_infinity_check(scaled) is (plant == "none"), (d, e, scale)
+
+
+def _p3_triple(rng, planted):
+    """Forms on P^3 of degrees 2, 2 and 3; with ``planted`` their
+    restrictions to z0 = 0 share a random point (0:p1:p2:p3)."""
+    forms = [_form(rng, 4, d) for d in (2, 2, 3)]
+    if not planted:
+        return forms
+    p = [0j] + [complex(rng.normal(), rng.normal()) for _ in range(3)]
+    return [f - HomogeneousPoly(4, f.degree, {(0, f.degree, 0, 0): f.eval(p) / p[1] ** f.degree}) for f in forms]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+def test_p3_infinity_check_is_scale_free(planted, scale):
+    rng = np.random.default_rng(500 + planted)
+    for k in range(20):
+        triple = [f.scale(scale) for f in _p3_triple(rng, planted)]
+        assert zeros_at_infinity_check(triple, seed=k) is not planted, k
