@@ -8,7 +8,7 @@ own ``set_up`` (run length ``run_seconds`` of ``BENCHMARK.json``), runs every
 operation once, single-threaded, checks each output with ``gate.check`` and
 prints one row:
 
-    solves        calls of solve_square_system (infinity checks included)
+    solves        calls of solve_square_system (infinity checks make none)
     systems       systems compiled (syszero._System builds), by any caller
     tracks        batches of paths tracked (_track calls; retries included)
     paths         paths tracked, retries included

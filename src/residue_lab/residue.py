@@ -34,9 +34,9 @@ from .polycore import (
 from .syszero import (
     _DET_THRESHOLD,
     _certify,
+    _common_root,
     _normalized_eval,
     _restrict_to_infinity,
-    _share_a_root,
     _System,
     random_unitary,
     solve_square_system,
@@ -110,7 +110,7 @@ def global_residue_sum(
     Preconditions: no zeros on the hyperplane z_0 = 0 and all zeros simple;
     violations raise :class:`ResidueError`.
     """
-    if not zeros_at_infinity_check(section, seed=seed):
+    if not zeros_at_infinity_check(section):
         raise ResidueError("zeros at infinity: the affine chart misses part of the zero set")
     section_aff = [s.dehomogenize(0) for s in section]
     psi_aff = psi.dehomogenize(0)
@@ -260,7 +260,7 @@ def _share_a_root_on_a_line(f: HomogeneousPoly, g: HomogeneousPoly, seed: int) -
     common root, which they have when the curves share a component."""
     Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 37)), 3)
     # in the frame Q[:, (2, 0, 1)] the line z = s Q e_0 + t Q e_1 is z_0 = 0
-    return _share_a_root(*(_restrict_to_infinity(h.substitute_linear(Q[:, [2, 0, 1]])) for h in (f, g)))
+    return _common_root([_restrict_to_infinity(h.substitute_linear(Q[:, [2, 0, 1]])) for h in (f, g)])
 
 
 def cayley_bacharach_verify(
@@ -277,7 +277,7 @@ def cayley_bacharach_verify(
     rng = np.random.default_rng(np.random.Philox(seed + 31))
     cur_f, cur_g = f, g
     for _attempt in range(_COORDINATE_RETRIES):
-        if zeros_at_infinity_check([cur_f, cur_g], seed=seed):
+        if zeros_at_infinity_check([cur_f, cur_g]):
             break
         # move the configuration into the affine chart by a random rotation
         Q = random_unitary(rng, 3)
@@ -287,7 +287,9 @@ def cayley_bacharach_verify(
             raise ResidueError("the curves share a component: their intersection is not finite")
         raise ResidueError("could not move all intersection points into the chart")
 
-    zs = solve_square_system([cur_f.dehomogenize(0), cur_g.dehomogenize(0)], seed=seed)
+    # the solver's residual and determinant thresholds are absolute, so it
+    # solves for the forms scaled to unit coefficient vectors
+    zs = solve_square_system([h.scale(1.0 / h.coeff_norm()).dehomogenize(0) for h in (cur_f, cur_g)], seed=seed)
     if zs.defective or zs.missing_paths or len(zs.points) != d * e:
         raise ResidueError(
             f"non-transversal intersection: {len(zs.points)} of {d * e} points found"

@@ -67,8 +67,9 @@ a fresh gamma, and a duplicate still there on the last retry is counted as
 counted, not returned, so finite zeros + escaped + defective paths is the
 Bezout number.
 
-Two questions on forms are answered here and nowhere else: whether two
-binary forms share a root (``_share_a_root``, the resultant test) and how
+Two questions on forms are answered here and nowhere else: whether n forms
+in n variables share a root (``_common_root``, the resultant test, which also
+decides whether a system has zeros at infinity; it makes no solve) and how
 nearly a form vanishes at a point, scale-free (``_normalized_eval``).
 
 Determinism: all randomness derives from the seed, and results are merged in
@@ -90,7 +91,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .polycore import AffinePoly, HomogeneousPoly, PolyKernel
+from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, monomials_of_degree
 
 __all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "zeros_at_infinity_check", "random_unitary", "SolveError"]
 
@@ -118,10 +119,8 @@ _BLOWUP = 1e8
 _CLUSTER_RADIUS = 1e-6
 _DET_THRESHOLD = 1e-10
 _MAX_RETRIES = 3
-# _normalized_eval of the last restricted form at most this: a common zero at infinity
-_INFINITY_TOL = 1e-8
-# smallest / largest singular value of a Sylvester matrix at most this: a common root
-_SYLVESTER_TOL = 1e-10
+# smallest / largest singular value of a Macaulay matrix at most this: a common root
+_RESULTANT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -455,32 +454,17 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.linalg.qr(A)[0]
 
 
-def zeros_at_infinity_check(
-    components: Sequence,  # HomogeneousPoly, in n+1 variables
-    seed: int = 0,
-) -> bool:
+def zeros_at_infinity_check(components: Sequence) -> bool:  # HomogeneousPoly, in n+1 variables
     """True iff the leading-form system on the hyperplane z_0 = 0 has only the
     trivial common zero, i.e. the affine chart 0 contains the whole zero set.
 
-    The restricted forms live on P^{n-1}.  On P^1 the resultant test decides;
-    on larger spaces the first n-1, scaled to unit coefficient norm, are solved
-    on the patch z_last = 1 of a random unitary frame (which makes patch
-    degeneracies measure-zero) and the last is evaluated at their zeros.
-    """
-    n = len(components)
+    The n restricted forms live on P^{n-1}; one that vanishes identically is a
+    zero at infinity, a single nonzero one on P^0 never vanishes, and
+    otherwise the resultant test decides."""
     restricted = [_restrict_to_infinity(s) for s in components]
     if any(r.is_zero() for r in restricted):
-        return False  # a component vanishes identically at infinity
-    if n == 1:
-        # P^0: the single point (0:1); nonzero restriction never vanishes there
-        return True
-    if n == 2:
-        return not _share_a_root(*restricted)
-    # the solver's thresholds are absolute, so it solves unit-norm forms
-    Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 101)), n)
-    rotated = [r.scale(1.0 / r.coeff_norm()).substitute_linear(Q) for r in restricted]
-    zs = solve_square_system([r.dehomogenize(n - 1) for r in rotated[:-1]], seed=seed + 7)
-    return all(_normalized_eval(rotated[-1], (*zp.point, 1)) > _INFINITY_TOL for zp in zs.points)
+        return False
+    return len(restricted) == 1 or not _common_root(restricted)
 
 
 def _restrict_to_infinity(poly: HomogeneousPoly) -> HomogeneousPoly:
@@ -489,25 +473,30 @@ def _restrict_to_infinity(poly: HomogeneousPoly) -> HomogeneousPoly:
     return HomogeneousPoly(poly.num_vars - 1, poly.degree, terms)
 
 
-def _share_a_root(f: HomogeneousPoly, g: HomogeneousPoly) -> bool:
-    """Whether the binary forms f and g have a common root on P^1, by the
-    resultant test (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 3):
-    the smallest singular value of their Sylvester matrix, each form scaled to
-    a unit coefficient vector, is at most _SYLVESTER_TOL of the largest."""
-    unit = []
-    for h in (f, g):
-        c = np.zeros(h.degree + 1, dtype=complex)  # c[k]: the coefficient of x^(deg - k) y^k
-        for k, v in h.terms.items():
-            c[k[1]] = v
-        unit.append(c / np.linalg.norm(c))
-    (p, q), (d, e) = unit, (f.degree, g.degree)
-    S = np.zeros((d + e, d + e), dtype=complex)
-    for i in range(e):
-        S[i, i : i + d + 1] = p
-    for i in range(d):
-        S[e + i, i : i + e + 1] = q
-    sv = np.linalg.svd(S, compute_uv=False)
-    return bool(sv.size) and bool(sv[-1] <= _SYLVESTER_TOL * sv[0])
+def _common_root(forms: Sequence[HomogeneousPoly]) -> bool:
+    """Whether n forms in n variables have a common root on P^{n-1}, by the
+    resultant test (Macaulay, Proc. LMS 35, 1902; Cox, Little and O'Shea,
+    Using Algebraic Geometry, ch. 3).  The Macaulay matrix in degree
+    D = sum(d_i - 1) + 1 has a row for each form times each monomial of
+    degree D - d_i (the first form's rows first), each form scaled to a unit
+    coefficient vector, and a column for each monomial of degree D; it has
+    full column rank iff the forms share no root, and a common root is read
+    as a smallest singular value at most _RESULTANT_TOL of the largest.  For
+    two binary forms it is their Sylvester matrix."""
+    n = len(forms)
+    D = 1 + sum(f.degree - 1 for f in forms)
+    column = {e: j for j, e in enumerate(monomials_of_degree(n, D))}
+    rows = []
+    for f in forms:
+        monos = monomials_of_degree(n, f.degree)
+        c = np.array([f.terms.get(e, 0) for e in monos], dtype=complex)
+        c = c / np.linalg.norm(c)
+        for shift in monomials_of_degree(n, D - f.degree):
+            row = np.zeros(len(column), dtype=complex)
+            row[[column[tuple(a + b for a, b in zip(e, shift))] for e in monos]] = c
+            rows.append(row)
+    sv = np.linalg.svd(np.array(rows).reshape(len(rows), len(column)), compute_uv=False)
+    return bool(sv.size) and bool(sv[-1] <= _RESULTANT_TOL * sv[0])
 
 
 def _normalized_eval(form: HomogeneousPoly, point) -> float:

@@ -256,6 +256,17 @@ def test_cb_cubics_float_path():
     assert rep.max_residual <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+def test_cb_is_scale_free(scale):
+    # the solver's thresholds are absolute: the verifier must solve unit-norm forms
+    rng = np.random.default_rng(24)
+    for k in range(10):
+        f, g = random_form(3, 3, rng), random_form(3, 3, rng)
+        rep = cayley_bacharach_verify(f.scale(scale), g.scale(scale), seed=k)
+        assert (rep.num_points, rep.space_dimension) == (9, 2), k
+        assert rep.max_residual <= 1e-8, k
+
+
 @pytest.mark.parametrize("d, e", [(2, 3), (3, 3)])
 def test_cb_rotates_common_point_at_infinity_into_chart(d, e):
     # both curves pass through (0:1:0), so chart 0 misses an intersection
@@ -264,7 +275,7 @@ def test_cb_rotates_common_point_at_infinity_into_chart(d, e):
     f, g = random_form(3, d, rng), random_form(3, e, rng)
     f = HomogeneousPoly(3, d, {k: c for k, c in f.terms.items() if k != (0, d, 0)})
     g = HomogeneousPoly(3, e, {k: c for k, c in g.terms.items() if k != (0, e, 0)})
-    assert not zeros_at_infinity_check([f, g], seed=4)
+    assert not zeros_at_infinity_check([f, g])
     rep = cayley_bacharach_verify(f, g, seed=4)
     assert rep.num_points == d * e
     assert rep.space_dimension == d + e - 4

@@ -577,20 +577,32 @@ def test_p2_infinity_check_finds_planted_zeros_at_every_scale(plant):
                     assert zeros_at_infinity_check(scaled) is (plant == "none"), (d, e, scale)
 
 
-def _p3_triple(rng, planted):
-    """Forms on P^3 of degrees 2, 2 and 3; with ``planted`` their
-    restrictions to z0 = 0 share a random point (0:p1:p2:p3)."""
-    forms = [_form(rng, 4, d) for d in (2, 2, 3)]
+def _planted_forms(rng, degrees, planted):
+    """Forms on P^n of the given n degrees; with ``planted`` their
+    restrictions to z0 = 0 share a random point (0:p1:...:pn)."""
+    nv = len(degrees) + 1
+    forms = [_form(rng, nv, d) for d in degrees]
     if not planted:
         return forms
-    p = [0j] + [complex(rng.normal(), rng.normal()) for _ in range(3)]
-    return [f - HomogeneousPoly(4, f.degree, {(0, f.degree, 0, 0): f.eval(p) / p[1] ** f.degree}) for f in forms]
+    p = [0j] + [complex(rng.normal(), rng.normal()) for _ in range(nv - 1)]
+    return [
+        f - HomogeneousPoly(nv, f.degree, {(0, f.degree) + (0,) * (nv - 2): f.eval(p) / p[1] ** f.degree})
+        for f in forms
+    ]
 
 
 @pytest.mark.parametrize("planted", [False, True])
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
-def test_p3_infinity_check_is_scale_free(planted, scale):
-    rng = np.random.default_rng(500 + planted)
-    for k in range(20):
-        triple = [f.scale(scale) for f in _p3_triple(rng, planted)]
-        assert zeros_at_infinity_check(triple, seed=k) is not planted, k
+def test_p3_infinity_check_is_scale_free(planted, scale, monkeypatch):
+    """On P^3 and P^4 the check finds a planted common zero at infinity at
+    every scale, by the resultant test alone: it makes no homotopy solve."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the infinity check made a homotopy solve")
+
+    monkeypatch.setattr(syszero, "solve_square_system", no_solve)
+    for degrees, count in (((2, 2, 3), 20), ((2, 2, 2, 2), 5), ((3, 2, 2, 2), 5)):
+        rng = np.random.default_rng(500 + planted + 10 * (len(degrees) - 3))
+        for k in range(count):
+            forms = [f.scale(scale) for f in _planted_forms(rng, degrees, planted)]
+            assert zeros_at_infinity_check(forms) is not planted, (degrees, k)
