@@ -7,8 +7,9 @@ before the first task runs; tasks run in file order, each producing a
 :class:`TaskResult` with a verdict derived solely from its stated tolerances:
 
 * ``pass`` / ``fail`` -- the check ran and met / missed its tolerance;
-  a zero solve that runs out of retries (``SolveError``) is also ``fail``,
-  with the error in the results;
+  a zero solve that finds no finite zero set of the right size
+  (``SolveError``, a numerical failure) is also ``fail``, with the error in
+  the results;
 * ``precondition-failed`` -- a geometric hypothesis did not hold
   (zeros at infinity, non-simple zeros, singular curve);
 * ``assumed-hypotheses`` -- the check passed but rests on splitting

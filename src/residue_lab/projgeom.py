@@ -31,7 +31,7 @@ import numpy as np
 from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, HomogeneousPoly, row_blocks
 from .superalg import SForm
-from .syszero import _normalized_eval, random_unitary, solve_square_system
+from .syszero import SolveError, _normalized_eval, _point_text, random_unitary, solve_square_system
 
 __all__ = [
     "MetricSpec",
@@ -496,8 +496,8 @@ class Example22Geometry:
         return self._df[chart]
 
     def smoothness_defect(self, seed: int) -> Optional[str]:
-        """None when one homotopy solve certifies the curve {f = 0} smooth,
-        else why it does not.
+        """None when one solve certifies the curve {f = 0} smooth, else why it
+        does not.
 
         The partials of f span the net of polar curves; its base points are
         the singular points of the curve (d f = sum_k z_k d_k f puts them on
@@ -509,33 +509,33 @@ class Example22Geometry:
         The curve is certified when one solve returns all (d-1)^2 of them as
         simple points and d_0 G vanishes at none.
 
-        Otherwise a singular point was found, or the solver did not account
-        for all (d-1)^2 paths as simple points: at a singular point the polars
-        meet with multiplicity > 1, so paths end escaped, defective or missing
-        there.  An escaped, defective or missing path is never read as smooth.
-        A singular point is given in the section's own frame.
+        Otherwise the curve is refused: a simple common zero where d_0 G
+        vanishes is a singular point, given in the section's own frame; at a
+        worse singular point the polars meet with multiplicity > 1, which the
+        solver counts as defective; and on a non-reduced curve they share a
+        component, so the solver finds no finite zero set (``SolveError``).
         """
         d = self.f.degree
         if d == 1:
             return None
         Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 53)), 3)
-        # the solver's residual and determinant thresholds are absolute, so
-        # it solves for f scaled to a unit coefficient vector
-        G = self.f.scale(1.0 / self.f.coeff_norm()).substitute_linear(Q)
-        zs = solve_square_system([G.partial(k).dehomogenize(0) for k in (1, 2)], seed=seed)
+        G = self.f.substitute_linear(Q)
+        try:
+            zs = solve_square_system([G.partial(k).dehomogenize(0) for k in (1, 2)], seed=seed)
+        except SolveError as exc:
+            return f"the polar system has no finite zero set ({exc})"
         expected = (d - 1) ** 2
         if zs.missing_paths or zs.defective or len(zs.points) != expected:
             return (
-                f"the solver could not account for all {expected} paths of the polar system "
-                f"({len(zs.points)} found, {zs.missing_paths} escaped, {zs.defective} defective)"
+                f"the solver could not account for all {expected} zeros of the polar system "
+                f"({len(zs.points)} simple, {zs.missing_paths} at infinity, {zs.defective} defective)"
             )
         d0 = G.partial(0)
         for zp in zs.points:
             p = np.concatenate(([1.0 + 0j], zp.point))
             if _normalized_eval(d0, p) <= _SINGULAR_TOL:
                 z = Q @ p
-                coords = ", ".join(f"{c:g}" for c in np.round(z / z[np.argmax(np.abs(z))], 6) + 0.0)
-                return f"singular point at ({coords})"
+                return f"singular point at {_point_text(z / z[np.argmax(np.abs(z))])}"
         return None
 
     def psi_over_det_ds_batch(self, chart: int, W: np.ndarray) -> np.ndarray:

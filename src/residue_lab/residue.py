@@ -10,9 +10,9 @@ solver's signed det J at each zero (``ZeroPoint.det_j``, from the batched
 certification), so a ledger compiles the section once.
 
 The Cayley-Bacharach verifier runs on both coefficient backends: floating
-point (SVD null spaces, homotopy intersections) and exact Gaussian rationals
-(fraction-free elimination on split-line instances where the intersection
-points are rational).
+point (SVD null spaces, Macaulay-eigenvalue intersections) and exact
+Gaussian rationals (fraction-free elimination on split-line instances where
+the intersection points are rational).
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .polycore import (
     monomials_of_degree,
 )
 from .syszero import (
-    _DET_THRESHOLD,
     _certify,
     _common_root,
     _normalized_eval,
+    _point_text,
     _restrict_to_infinity,
     _System,
     random_unitary,
@@ -93,9 +93,9 @@ def local_residue(
     psi_aff: AffinePoly,
 ) -> complex:
     """H(p) / det(ds/dw)(p) in a fixed chart; requires a simple zero, by the
-    solver's own test of one."""
-    det = _certify(_System(section_aff), np.array([p], dtype=complex))[1][0]
-    if abs(det) < _DET_THRESHOLD:
+    solver's own relative Jacobian test."""
+    _, det, regular = (x[0] for x in _certify(_System(section_aff), np.array([p], dtype=complex))[:3])
+    if not regular:
         raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
     return complex(psi_aff.eval(list(p)) / det)
 
@@ -108,7 +108,7 @@ def global_residue_sum(
     """Ledger of local residues over all zeros of the square system s = 0 in chart 0.
 
     Preconditions: no zeros on the hyperplane z_0 = 0 and all zeros simple;
-    violations raise :class:`ResidueError`.
+    violations raise :class:`ResidueError`, which names a multiple zero.
     """
     if not zeros_at_infinity_check(section):
         raise ResidueError("zeros at infinity: the affine chart misses part of the zero set")
@@ -116,9 +116,10 @@ def global_residue_sum(
     psi_aff = psi.dehomogenize(0)
     zs = solve_square_system(section_aff, seed=seed)
     if zs.defective:
-        raise ResidueError(f"{zs.defective} defective (non-simple) zeros")
+        named = "; ".join(f"zero of multiplicity {m} at {_point_text(p)}" for p, m in zs.multiple)
+        raise ResidueError(f"{zs.defective} defective (non-simple) zeros" + (f": {named}" if named else ""))
     if zs.missing_paths:
-        raise ResidueError("paths escaped to infinity despite the infinity check")
+        raise ResidueError("zeros at infinity despite the infinity check")
     return ResidueLedger.from_entries([(zp.point, psi_aff.eval(list(zp.point)) / zp.det_j) for zp in zs.points])
 
 
@@ -287,9 +288,7 @@ def cayley_bacharach_verify(
             raise ResidueError("the curves share a component: their intersection is not finite")
         raise ResidueError("could not move all intersection points into the chart")
 
-    # the solver's residual and determinant thresholds are absolute, so it
-    # solves for the forms scaled to unit coefficient vectors
-    zs = solve_square_system([h.scale(1.0 / h.coeff_norm()).dehomogenize(0) for h in (cur_f, cur_g)], seed=seed)
+    zs = solve_square_system([h.dehomogenize(0) for h in (cur_f, cur_g)], seed=seed)
     if zs.defective or zs.missing_paths or len(zs.points) != d * e:
         raise ResidueError(
             f"non-transversal intersection: {len(zs.points)} of {d * e} points found"

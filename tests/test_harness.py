@@ -866,28 +866,6 @@ def test_t_sweep_script_smoke():
     assert subprocess.run([sys.executable, str(script), "--samples", "500"], capture_output=True).returncode == 2
 
 
-def test_solver_steps_script_smoke():
-    # one seed of the algebraic workload; the counts themselves are a tier-2 figure
-    script = Path(__file__).resolve().parent.parent / "scripts" / "solver_steps.py"
-    proc = subprocess.run([sys.executable, str(script), "algebraic", "7007"], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    header, row, total = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()]
-    assert header == [
-        "seed", "solves", "systems", "tracks", "paths", "batch steps", "all accepted", "path steps", "escaped", "failed",
-        "gate fails", "small blocks", "table blocks",
-    ]
-    assert row[0] == "7007" and total == ["total"] + row[1:]
-    counts = dict(zip(header[1:], map(int, row[1:])))
-    assert counts["tracks"] >= 1 and counts["paths"] >= counts["tracks"]
-    assert counts["path steps"] >= counts["batch steps"] >= counts["tracks"]
-    assert 0 < counts["all accepted"] < counts["batch steps"]
-    assert counts["small blocks"] >= counts["batch steps"]
-    assert counts["gate fails"] == 0
-    assert counts["systems"] == counts["solves"]
-    bad = subprocess.run([sys.executable, str(script), "nosuch", "1"], capture_output=True, text=True)
-    assert bad.returncode == 2
-
-
 def test_mc_memory_script_smoke():
     # one small count per estimator; the growth figures themselves are tier 2
     script = Path(__file__).resolve().parent.parent / "scripts" / "mc_memory.py"

@@ -582,11 +582,14 @@ def counted_solves(monkeypatch):
 @pytest.mark.parametrize(
     "text, smooth",
     [
-        ("z0*z1^2 - z2^3", False),  # cusp: its polar paths escape or go missing
+        ("z0*z1^2 - z2^3", False),  # cusp: its polars meet with multiplicity 2
         ("z0^3 + z1^3 + z2^3", True),  # Fermat: partials non-generic in the given frame
         ("z0^2*z2^2 - z1^4", False),  # tacnode
         ("z0*z2^2 - z1^2*(z1 + z0)", False),  # nodal cubic
         ("z1 + 2*z2", True),  # a line
+        ("(z1 + 2*z2)^2", False),  # non-reduced: the polars share a component
+        ("z0*z1^2 + z1^3", False),
+        ("(z0 + z1 + z2)^3", False),
     ],
 )
 def test_certificate_verdicts(monkeypatch, text, smooth):
@@ -618,10 +621,10 @@ def test_certificate_is_scale_free(text, scale):
 def test_refusal_names_the_singular_point_or_the_path_count():
     # the node of z1*z2 at (1:0:0), given in the section's own frame
     assert plane_curve("z1*z2").smoothness_defect(0) == "singular point at (1+0j, 0+0j, 0+0j)"
-    # the cusp of z0 z1^2 = z2^3 meets the polar curves with multiplicity > 1
+    # the cusp of z0 z1^2 = z2^3 meets the polar curves with multiplicity 2
     assert plane_curve("z0*z1^2 - z2^3").smoothness_defect(0) == (
-        "the solver could not account for all 4 paths of the polar system "
-        "(2 found, 2 escaped, 0 defective)"
+        "the solver could not account for all 4 zeros of the polar system "
+        "(2 simple, 0 at infinity, 2 defective)"
     )
     assert plane_curve("z0^3 + z1^3 + z2^3").smoothness_defect(0) is None
 

@@ -168,6 +168,23 @@ def test_global_sum_rejects_double_root():
         global_residue_sum(section, psi, seed=1)
 
 
+@pytest.mark.parametrize(
+    "texts, named",
+    [
+        (("z0*z2 - z1^2", "z2"), "zero of multiplicity 2 at (0+0j, 0+0j)"),
+        (("z1^2", "z2^2"), "zero of multiplicity 4 at (0+0j, 0+0j)"),
+        (("(z1 - z0)^2", "z2 - z0"), "zero of multiplicity 2 at (1+0j, 1+0j)"),
+    ],
+)
+def test_global_sum_names_a_multiple_zero(texts, named):
+    # the solver counts a multiple zero as defective; the ledger names it
+    section = [parse_poly(t, 3) for t in texts]
+    psi = random_form(3, sum(s.degree for s in section) - 3, np.random.default_rng(3))
+    with pytest.raises(ResidueError) as err:
+        global_residue_sum(section, psi, seed=4)
+    assert str(err.value).endswith(named)
+
+
 def test_ledger_compiles_the_section_once(monkeypatch):
     from residue_lab import residue, syszero
 
