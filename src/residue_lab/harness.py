@@ -662,7 +662,7 @@ def _run_local_mass(scenario, opts, threads):
 
 def _run_curve_localization(scenario, opts, threads):
     geo = Example22Geometry(scenario.geometry())
-    defect = geo.smoothness_defect(opts["seed"])
+    defect = geo.smoothness_defect()
     if defect is not None:
         raise GeometryError(f"curve not certified smooth: {defect}")
     n_samples = opts["samples"]

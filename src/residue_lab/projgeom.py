@@ -31,7 +31,7 @@ import numpy as np
 from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, HomogeneousPoly, row_blocks
 from .superalg import SForm
-from .syszero import SolveError, _normalized_eval, _point_text, random_unitary, solve_square_system
+from .syszero import SolveError, _common_root, _eigen_zeros, _null_space, _point_text
 
 __all__ = [
     "MetricSpec",
@@ -453,11 +453,6 @@ class GeometryContext:
 
 # ------------------------------------------------------------- Example 2.2
 
-# |d_0 G| at a common zero of d_1 G and d_2 G, relative to its coefficient norm
-# and max(1, |p|)^(d-1), at most this: a singular point
-_SINGULAR_TOL = 1e-8
-
-
 class Example22Geometry:
     """The split-section instance on P^2: V = O(d) (+) O(k), s = (f, 0).
 
@@ -495,48 +490,41 @@ class Example22Geometry:
             self._df[chart] = (f.partial(0), f.partial(1))
         return self._df[chart]
 
-    def smoothness_defect(self, seed: int) -> Optional[str]:
-        """None when one solve certifies the curve {f = 0} smooth, else why it
-        does not.
+    def smoothness_defect(self) -> Optional[str]:
+        """None when the curve {f = 0} is smooth, else why it is not, read in
+        the section's own frame with no solve and no seed.
 
-        The partials of f span the net of polar curves; its base points are
-        the singular points of the curve (d f = sum_k z_k d_k f puts them on
-        it).  On a smooth curve of degree d the net has no base point, so by
-        Bertini's theorem two generic members meet in (d-1)^2 simple points
-        (Sommese-Wampler, The Numerical Solution of Systems of Polynomials,
-        2005, ch. 13).  In a seeded random unitary frame Q, G = f o Q, d_1 G
-        and d_2 G are such members with all their common zeros in chart 0.
-        The curve is certified when one solve returns all (d-1)^2 of them as
-        simple points and d_0 G vanishes at none.
+        The singular points are the common zeros of the partials d_k f on P^2
+        (d f = sum_k z_k d_k f puts them on the curve), so the curve is smooth
+        iff the three forms of degree d - 1 share no root: the resultant test
+        (``_common_root``) alone gives the verdict.
 
-        Otherwise the curve is refused: a simple common zero where d_0 G
-        vanishes is a singular point, given in the section's own frame; at a
-        worse singular point the polars meet with multiplicity > 1, which the
-        solver counts as defective; and on a non-reduced curve they share a
-        component, so the solver finds no finite zero set (``SolveError``).
+        A singular point is then named from the null space of the partials'
+        Macaulay matrix in degree D = 3(d - 2) + 1, the resultant's degree.
+        On a reduced curve the singular points are finitely many and the null
+        space has the dimension tau, their total Tjurina number, in every
+        degree from 3(d - 2) on (Dimca, Syzygies of Jacobian ideals and
+        defects of linear systems, 2013).  Degrees D and D - 1 are both
+        there, so the solver's quotient-algebra eigenvalues (``_eigen_zeros``)
+        read the points off it.  On a curve with a multiple component the
+        singular locus is that component, and the dimension grows from D to
+        D + 1.
         """
         d = self.f.degree
         if d == 1:
             return None
-        Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 53)), 3)
-        G = self.f.substitute_linear(Q)
+        partials = [self.f.partial(k) for k in range(3)]
+        if not _common_root(partials):
+            return None
+        D = 3 * (d - 2) + 1
         try:
-            zs = solve_square_system([G.partial(k).dehomogenize(0) for k in (1, 2)], seed=seed)
+            N, index = _null_space(partials, D)
+            if _null_space(partials, D + 1)[0].shape[1] != N.shape[1]:
+                return "the singular locus is not finite: the curve has a multiple component"
         except SolveError as exc:
-            return f"the polar system has no finite zero set ({exc})"
-        expected = (d - 1) ** 2
-        if zs.missing_paths or zs.defective or len(zs.points) != expected:
-            return (
-                f"the solver could not account for all {expected} zeros of the polar system "
-                f"({len(zs.points)} simple, {zs.missing_paths} at infinity, {zs.defective} defective)"
-            )
-        d0 = G.partial(0)
-        for zp in zs.points:
-            p = np.concatenate(([1.0 + 0j], zp.point))
-            if _normalized_eval(d0, p) <= _SINGULAR_TOL:
-                z = Q @ p
-                return f"singular point at {_point_text(z / z[np.argmax(np.abs(z))])}"
-        return None
+            return f"the curve is singular, but its singular points could not be located ({exc})"
+        z = _eigen_zeros(N, index, 2, D, 0)[0][0]
+        return f"singular point at {_point_text(z / z[np.argmax(np.abs(z))])}"
 
     def psi_over_det_ds_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Coefficient of the curve form against dw_1 (x) e_{V_1}:

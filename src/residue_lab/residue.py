@@ -32,11 +32,10 @@ from .polycore import (
     monomials_of_degree,
 )
 from .syszero import (
+    _RANK_TOL,
     _certify,
-    _common_root,
     _normalized_eval,
     _point_text,
-    _restrict_to_infinity,
     _System,
     random_unitary,
     solve_square_system,
@@ -62,10 +61,6 @@ class ResidueError(RuntimeError):
     """Residue preconditions violated (singular zero, zeros at infinity, ...)."""
 
 
-# singular values below this fraction of the largest span the null space
-_RANK_TOL = 1e-10
-# random rotations tried to move every intersection point into chart 0
-_COORDINATE_RETRIES = 4
 # a ledger point where _normalized_eval(f) is below this lies on the curve {f = 0}
 _CURVE_TOL = 1e-6
 
@@ -94,7 +89,7 @@ def local_residue(
 ) -> complex:
     """H(p) / det(ds/dw)(p) in a fixed chart; requires a simple zero, by the
     solver's own relative Jacobian test."""
-    _, det, regular = (x[0] for x in _certify(_System(section_aff), np.array([p], dtype=complex))[:3])
+    _, det, regular = (x[0] for x in _certify(_System(section_aff), np.array([p], dtype=complex)))
     if not regular:
         raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
     return complex(psi_aff.eval(list(p)) / det)
@@ -256,14 +251,6 @@ class CBReport:
     vacuous: bool
 
 
-def _share_a_root_on_a_line(f: HomogeneousPoly, g: HomogeneousPoly, seed: int) -> bool:
-    """Whether f and g restricted to one seeded random line of P^2 have a
-    common root, which they have when the curves share a component."""
-    Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 37)), 3)
-    # in the frame Q[:, (2, 0, 1)] the line z = s Q e_0 + t Q e_1 is z_0 = 0
-    return _common_root([_restrict_to_infinity(h.substitute_linear(Q[:, [2, 0, 1]])) for h in (f, g)])
-
-
 def cayley_bacharach_verify(
     f: HomogeneousPoly,
     g: HomogeneousPoly,
@@ -275,23 +262,24 @@ def cayley_bacharach_verify(
     d, e = f.degree, g.degree
     if d + e < 3:
         raise ResidueError("degree pair too small: d + e >= 3 required")
-    rng = np.random.default_rng(np.random.Philox(seed + 31))
-    cur_f, cur_g = f, g
-    for _attempt in range(_COORDINATE_RETRIES):
-        if zeros_at_infinity_check([cur_f, cur_g]):
-            break
-        # move the configuration into the affine chart by a random rotation
-        Q = random_unitary(rng, 3)
+    Q, cur_f, cur_g = np.eye(3), f, g
+    if not zeros_at_infinity_check([f, g]):
+        # one random rotation moves a finite intersection off the line z_0 = 0;
+        # a shared component meets every line
+        Q = random_unitary(np.random.default_rng(np.random.Philox(seed + 31)), 3)
         cur_f, cur_g = f.substitute_linear(Q), g.substitute_linear(Q)
-    else:
-        if _share_a_root_on_a_line(f, g, seed):
+        if not zeros_at_infinity_check([cur_f, cur_g]):
             raise ResidueError("the curves share a component: their intersection is not finite")
-        raise ResidueError("could not move all intersection points into the chart")
 
     zs = solve_square_system([h.dehomogenize(0) for h in (cur_f, cur_g)], seed=seed)
     if zs.defective or zs.missing_paths or len(zs.points) != d * e:
+        named = []
+        for p, m in zs.multiple:  # in the section's own frame
+            z = Q @ np.concatenate(([1.0 + 0j], p))
+            named.append(f"zero of multiplicity {m} at {_point_text(z / z[np.argmax(np.abs(z))])}")
         raise ResidueError(
             f"non-transversal intersection: {len(zs.points)} of {d * e} points found"
+            + (": " + "; ".join(named) if named else "")
         )
     pts = [np.concatenate(([1.0 + 0j], np.array(zp.point))) for zp in zs.points]
     m = d + e - 3

@@ -32,8 +32,12 @@ cost, so the desk-scale bound is on its column count, C(rho + n, n) <=
 MAX_COLUMNS.  All randomness derives from the seed: a solve is reproducible.
 
 The same matrix for n forms in n variables is the resultant test of whether
-they share a root (``_common_root``), which decides every infinity check;
-``_normalized_eval`` is how nearly a form vanishes at a point, scale-free.
+they share a root (``_common_root``), which decides every infinity check and
+whether a plane curve is smooth.  ``_null_space`` and ``_eigen_zeros`` serve
+that second caller too: the null space of a singular curve's three partials,
+with no expected dimension, gives its singular points as eigenvalues
+(``Example22Geometry.smoothness_defect``).  ``_normalized_eval`` is how nearly
+a form vanishes at a point, scale-free.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, _to_c, monomials_of_degree
 
-__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "certify_zero", "zeros_at_infinity_check", "random_unitary", "SolveError"]
+__all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "zeros_at_infinity_check", "random_unitary", "SolveError"]
 
 
 class SolveError(RuntimeError):
@@ -82,9 +86,6 @@ class ZeroSet:
     # the multiple zeros: (unpolished point, multiplicity)
     multiple: List[Tuple[Tuple[complex, ...], int]] = field(default_factory=list)
 
-    def coordinates(self) -> np.ndarray:
-        return np.array([p.point for p in self.points], dtype=complex)
-
 
 class _System:
     """A square system f compiled into one PolyKernel of the rows f_i and
@@ -110,12 +111,12 @@ class _System:
 
 def _certify(system: _System, Z: np.ndarray):
     """The certificate at a batch of points Z (P, n), one row per point: the
-    scale-free residual, det J, the relative Jacobian test, f and J."""
+    scale-free residual, det J and the relative Jacobian test."""
     f, J = system.rows(Z)
     scale = system.norms * np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None] ** np.array(system.degrees)
     det = np.linalg.det(J)
     regular = np.abs(det) > _JACOBIAN_TOL * np.prod(np.linalg.norm(J, axis=2), axis=1)
-    return np.max(np.abs(f) / scale, axis=1, initial=0.0), det, regular, f, J
+    return np.max(np.abs(f) / scale, axis=1, initial=0.0), det, regular
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray):
@@ -147,17 +148,10 @@ def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
         raise ValueError(f"Macaulay matrix of {columns} columns exceeds the desk-scale bound {MAX_COLUMNS}")
     rho = 1 + sum(d - 1 for d in degrees)
     homogenized = [{(d - sum(e),) + e: c for e, c in p.terms.items()} for p, d in zip(polys, degrees)]
-    M, index = _macaulay([HomogeneousPoly(n + 1, d, t) for d, t in zip(degrees, homogenized)], rho)
-    _, sv, Vh = np.linalg.svd(M, full_matrices=len(M) < columns)
-    sv = np.pad(sv, (0, columns - len(sv))) / sv[0]
-    null = int(np.count_nonzero(sv <= _RANK_TOL))
-    if null != bezout:
-        raise SolveError(f"the Macaulay null space has dimension {null}, not the Bezout number {bezout}")
-    if sv[-null - 1] < _GAP_TOL:
-        raise SolveError(f"no clear gap above the Macaulay null space ({sv[-null - 1]:.1e} of the largest)")
+    N, index = _null_space([HomogeneousPoly(n + 1, d, t) for d, t in zip(degrees, homogenized)], rho, bezout)
 
     finite, missing, multiple = [], 0, []
-    for z, m in _eigen_zeros(Vh[-null:].conj().T, index, n, rho, seed):
+    for z, m in _eigen_zeros(N, index, n, rho, seed):
         if abs(z[0]) <= _INFINITY_TOL * np.linalg.norm(z):
             missing += m
         elif m > 1:
@@ -165,10 +159,26 @@ def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
         else:
             finite.append(z[1:] / z[0])
     W = _refine_endpoints(system, np.array(finite).reshape(len(finite), n))
-    res, det, regular = _certify(system, W)[:3]
+    res, det, regular = _certify(system, W)
     good = (res <= _RESIDUAL_TOL) & regular
     points = [ZeroPoint(tuple(w.tolist()), float(r), complex(d)) for w, r, d in zip(W[good], res[good], det[good])]
     return ZeroSet(points, bezout, missing, sum(m for _, m in multiple) + int((~good).sum()), multiple)
+
+
+def _null_space(forms: Sequence[HomogeneousPoly], D: int, expected=None):
+    """The null space N (columns) of the forms' Macaulay matrix in degree D
+    and its column lookup.  Raises ``SolveError`` when its dimension is not
+    ``expected`` (if given) or no clear singular-value gap sets it apart."""
+    M, index = _macaulay(forms, D)
+    columns = M.shape[1]
+    _, sv, Vh = np.linalg.svd(M, full_matrices=len(M) < columns)
+    sv = np.pad(sv, (0, columns - len(sv))) / sv[0]
+    null = int(np.count_nonzero(sv <= _RANK_TOL))
+    if expected is not None and null != expected:
+        raise SolveError(f"the Macaulay null space has dimension {null}, not the Bezout number {expected}")
+    if sv[-null - 1] < _GAP_TOL:
+        raise SolveError(f"no clear gap above the Macaulay null space ({sv[-null - 1]:.1e} of the largest)")
+    return Vh[columns - null :].conj().T, index
 
 
 def _eigen_zeros(N: np.ndarray, index, n: int, rho: int, seed: int):
@@ -212,18 +222,6 @@ def _refine_endpoints(system: _System, Z: np.ndarray) -> np.ndarray:
         live = live[ok]
         Z[live] = z_new[ok]
     return Z
-
-
-def certify_zero(polys: Sequence[AffinePoly], p: Sequence[complex]):
-    """(scale-free residual, |det J|, Newton-contraction flag) at a candidate zero."""
-    system = _System(polys)
-    z = np.asarray(p, dtype=complex)
-    res, det, regular, f, J = (x[0] for x in _certify(system, z[None]))
-    contracts = False
-    if regular:  # J passes the relative Jacobian test, so the Newton step exists
-        res1 = _certify(system, (z - np.linalg.solve(J, f))[None])[0][0]
-        contracts = res1 <= res / 10.0 or res1 < 1e-14
-    return float(res), float(abs(det)), contracts
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

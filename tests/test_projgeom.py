@@ -22,6 +22,7 @@ from residue_lab.projgeom import (
     point_from_chart,
     transition_jacobian,
 )
+from residue_lab.syszero import _normalized_eval, _point_text
 
 
 def full_curvature(ctx, chart, W):
@@ -549,12 +550,12 @@ def test_metric_pairing_transition():
 
 def test_smooth_curve_certification():
     smooth = Example22Geometry(example22_context(eps=0))
-    assert smooth.smoothness_defect(1) is None
+    assert smooth.smoothness_defect() is None
     # two crossing lines: singular at the node
     bundle = (2, 2)
     s = (parse_poly("z1*z2", 3), HomogeneousPoly(3, 2, {}))
     nodal = Example22Geometry(GeometryContext(bundle, s, MetricSpec()))
-    assert nodal.smoothness_defect(1) is not None
+    assert nodal.smoothness_defect() is not None
 
 
 def plane_curve(F):
@@ -565,41 +566,64 @@ def plane_curve(F):
     return Example22Geometry(GeometryContext((F.degree, 1), s, MetricSpec()))
 
 
-def counted_solves(monkeypatch):
-    from residue_lab import projgeom
+def counted(monkeypatch, name):
+    """The results of each call of syszero's function ``name``, wherever the
+    curve check looks it up."""
+    from residue_lab import projgeom, syszero
 
     calls = []
-    solve = projgeom.solve_square_system
+    original = getattr(syszero, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def wrapped(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
-    monkeypatch.setattr(projgeom, "solve_square_system", counted)
+    for module in (syszero, projgeom):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, wrapped)
     return calls
+
+
+def counted_solves(monkeypatch):
+    return counted(monkeypatch, "solve_square_system")
 
 
 @pytest.mark.parametrize(
     "text, smooth",
     [
-        ("z0*z1^2 - z2^3", False),  # cusp: its polars meet with multiplicity 2
-        ("z0^3 + z1^3 + z2^3", True),  # Fermat: partials non-generic in the given frame
-        ("z0^2*z2^2 - z1^4", False),  # tacnode
+        ("z0*z1^2 - z2^3", False),  # cusp, tau = 2
+        ("z0^3 + z1^3 + z2^3", True),  # Fermat
+        ("z0^2*z2^2 - z1^4", False),  # two tacnodes
         ("z0*z2^2 - z1^2*(z1 + z0)", False),  # nodal cubic
         ("z1 + 2*z2", True),  # a line
-        ("(z1 + 2*z2)^2", False),  # non-reduced: the polars share a component
+        ("(z1 + 2*z2)^2", False),  # non-reduced: the singular locus is a line
         ("z0*z1^2 + z1^3", False),
         ("(z0 + z1 + z2)^3", False),
+        ("z0*z1*z2", False),  # three nodes
+        ("(z0^2 + z1^2 + z2^2)*(z0 + z1 - z2)", False),  # two nodes
+        ("z2*z0^3 - z1^4", False),  # an E6 point, tau = 6
+        ("z1^2*(z0^2 + z1^2 + z2^2)", False),  # a double line: null dimension 10 at D = 7, 11 at 8
     ],
 )
 def test_certificate_verdicts(monkeypatch, text, smooth):
-    calls = counted_solves(monkeypatch)
-    for seed in (0, 7007):
-        assert (plane_curve(text).smoothness_defect(seed) is None) is smooth
-    assert len(calls) == (0 if text == "z1 + 2*z2" else 2)
+    solves, eigen = counted_solves(monkeypatch), counted(monkeypatch, "_eigen_zeros")
+    F = parse_poly(text, 3)
+    defect = plane_curve(F).smoothness_defect()
+    assert (defect is None) is smooth
+    assert len(solves) == 0
+    reduced = text not in ("(z1 + 2*z2)^2", "z0*z1^2 + z1^3", "(z0 + z1 + z2)^3", "z1^2*(z0^2 + z1^2 + z2^2)")
+    assert len(eigen) == int(reduced and not smooth)
+    if not reduced:
+        assert defect == "the singular locus is not finite: the curve has a multiple component"
+    elif not smooth:
+        # the named point is the first eigenvalue zero, and every partial vanishes there
+        z = eigen[0][0][0]
+        z = z / z[np.argmax(np.abs(z))]
+        assert defect == f"singular point at {_point_text(z)}"
+        assert max(_normalized_eval(F.partial(k), z) for k in range(3)) <= 1e-8
 
 
-def test_random_dense_curves_are_certified_with_one_solve(monkeypatch):
+def test_random_dense_curves_are_certified_with_no_solve(monkeypatch):
     calls = counted_solves(monkeypatch)
     rng = np.random.default_rng(2024)
     for k in range(12):
@@ -607,26 +631,23 @@ def test_random_dense_curves_are_certified_with_one_solve(monkeypatch):
         F = HomogeneousPoly(
             3, d, {e: complex(rng.standard_normal(), rng.standard_normal()) for e in monomials_of_degree(3, d)}
         )
-        assert plane_curve(F).smoothness_defect(k) is None
-        assert len(calls) == k + 1
+        assert plane_curve(F).smoothness_defect() is None
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e9])
 @pytest.mark.parametrize("text", ["z1^2 + z2^2 - z0^2", "z1*z2", "z0*z1^2 - z2^3"])
 def test_certificate_is_scale_free(text, scale):
     F = parse_poly(text, 3)
-    assert (plane_curve(F.scale(scale)).smoothness_defect(3) is None) is (plane_curve(F).smoothness_defect(3) is None)
+    assert (plane_curve(F.scale(scale)).smoothness_defect() is None) is (plane_curve(F).smoothness_defect() is None)
 
 
 def test_refusal_names_the_singular_point_or_the_path_count():
     # the node of z1*z2 at (1:0:0), given in the section's own frame
-    assert plane_curve("z1*z2").smoothness_defect(0) == "singular point at (1+0j, 0+0j, 0+0j)"
-    # the cusp of z0 z1^2 = z2^3 meets the polar curves with multiplicity 2
-    assert plane_curve("z0*z1^2 - z2^3").smoothness_defect(0) == (
-        "the solver could not account for all 4 zeros of the polar system "
-        "(2 simple, 0 at infinity, 2 defective)"
-    )
-    assert plane_curve("z0^3 + z1^3 + z2^3").smoothness_defect(0) is None
+    assert plane_curve("z1*z2").smoothness_defect() == "singular point at (1+0j, 0+0j, 0+0j)"
+    # the cusp of z0 z1^2 = z2^3 at (1:0:0)
+    assert plane_curve("z0*z1^2 - z2^3").smoothness_defect() == "singular point at (1+0j, 0+0j, 0+0j)"
+    assert plane_curve("z0^3 + z1^3 + z2^3").smoothness_defect() is None
 
 
 # ---------------------------------------------------- one curvature group

@@ -316,13 +316,29 @@ def test_cb_negative_control():
 
 
 def test_shared_component_test_on_a_line():
-    from residue_lab.residue import _share_a_root_on_a_line
-
+    # a shared component meets the line z_0 = 0 in the one rotated frame too
     rng = np.random.default_rng(23)
     for k in range(12):
         f, g, c = random_form(3, 1 + k % 3, rng), random_form(3, 1 + k % 2, rng), random_form(3, 1 + k % 2, rng)
-        assert not _share_a_root_on_a_line(f, g, seed=k)
-        assert _share_a_root_on_a_line(f * c, g * c, seed=k)
+        if f.degree + g.degree >= 3:
+            assert cayley_bacharach_verify(f, g, seed=k).num_points == f.degree * g.degree
+        with pytest.raises(ResidueError, match="^the curves share a component: their intersection is not finite$"):
+            cayley_bacharach_verify(f * c, g * c, seed=k)
+
+
+@pytest.mark.parametrize(
+    "f, g, named",
+    [
+        ("z0*z2 - z1^2", "z2", "0 of 2 points found: zero of multiplicity 2 at (1+0j, 0+0j, 0+0j)"),
+        ("z1^2*z0 - z2^3", "z1", "0 of 3 points found: zero of multiplicity 3 at (1+0j, 0+0j, 0+0j)"),
+        # tangent at (0:0:1), on the line z_0 = 0: named after the rotation back
+        ("z0*z2 - z1^2", "z0", "0 of 2 points found: zero of multiplicity 2 at (0+0j, 0+0j, 1+0j)"),
+    ],
+)
+def test_float_cb_names_its_tangency(f, g, named):
+    with pytest.raises(ResidueError) as err:
+        cayley_bacharach_verify(parse_poly(f, 3), parse_poly(g, 3), seed=3)
+    assert str(err.value) == f"non-transversal intersection: {named}"
 
 
 def _split_line_instance(rng, d, e):
