@@ -34,14 +34,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .polycore import GaussianRational, HomogeneousPoly, PolyError, monomials_of_degree, parse_poly
+from .polycore import GaussianRational, HomogeneousPoly, PolyError, parse_poly
 from .projgeom import Example22Geometry, GeometryContext, GeometryError, MetricSpec, check_instance
 from .localize import SWEEP_MIN_SAMPLES, curve_localized_term, local_mass, virtual_residue_sweep
 from .residue import (
     ResidueError,
     cayley_bacharach_verify,
-    cb_vanishing_space_exact,
-    exact_monomial_rows,
+    cb_failures_exact,
     generalized_cb_check,
     global_residue_sum,
 )
@@ -477,8 +476,9 @@ def _parse_lines(scenario, task):
 
 def _run_cb_exact(lf, lg, tol):
     """Exact-backend route: the curves arrive as explicit line factorizations
-    with Gaussian-rational coefficients, so the intersection points and the
-    held-out evaluations are exact."""
+    with Gaussian-rational coefficients, so the points are exact, and one
+    elimination counts those where Cayley-Bacharach fails (held out, a form
+    through the others is nonzero there): ``nonzero_held_out_evaluations``."""
 
     def coeffs(line):
         out = []
@@ -507,28 +507,16 @@ def _run_cb_exact(lf, lg, tol):
     if len(set(map(_projective_key, pts))) != len(pts):
         raise ResidueError("non-transversal intersection: repeated points")
     # the curves' degrees are their numbers of lines
-    m = len(lf) + len(lg) - 3
-    worst_nonzero = 0
-    dims = []
-    rows = exact_monomial_rows(pts, m)
-    for hold in range(len(pts)):
-        others = [i for i in range(len(pts)) if i != hold]
-        basis = cb_vanishing_space_exact([pts[i] for i in others], m, rows=[rows[i] for i in others])
-        dims.append(len(basis))
-        # a form at the held-out point: its coefficients against that point's monomial row
-        at_hold = dict(zip(monomials_of_degree(3, m), rows[hold]))
-        for form in basis:
-            if sum(c * at_hold[e] for e, c in form.terms.items()):
-                worst_nonzero += 1
+    failed, dim = cb_failures_exact(pts, len(lf) + len(lg) - 3)
     results = {
         "degrees": [len(lf), len(lg)],
         "points": len(pts),
-        "space_dimension": dims[0] if dims else 0,
-        "nonzero_held_out_evaluations": worst_nonzero,
+        "space_dimension": dim,
+        "nonzero_held_out_evaluations": len(failed),
         "exact": True,
         "tol": tol,
     }
-    return results, ("pass" if worst_nonzero == 0 else "fail")
+    return results, ("pass" if not failed else "fail")
 
 
 def _projective_key(p):

@@ -541,7 +541,7 @@ def _tokenize(text: str):
             while i < n and (text[i].isdigit() or text[i] == "."):
                 i += 1
             num = text[start:i]
-            if num.count(".") > 1:
+            if num.count(".") > 1 or num == ".":
                 raise ParseError(f"malformed number {num!r}", start)
             denom = None
             if i < n and text[i] == "/":
@@ -605,11 +605,13 @@ class _Parser:
         num, denom, imag = spec
         if denom is not None and int(denom) == 0:
             raise ParseError("zero denominator", position)
-        mag = Fraction(num) if denom is None else Fraction(num) / Fraction(int(denom))
         if self.exact:
+            mag = Fraction(num) if denom is None else Fraction(num) / Fraction(int(denom))
             return GaussianRational(Fraction(0), mag) if imag else GaussianRational(mag)
         try:
-            mag = float(mag)
+            # int true division rounds correctly, as float(Fraction) does
+            whole, _, frac = num.partition(".")
+            mag = int(whole + frac) / (10 ** len(frac) * int(denom or 1))
         except OverflowError:
             raise ParseError("number too large for a double", position) from None
         return complex(0.0, mag) if imag else complex(mag, 0.0)

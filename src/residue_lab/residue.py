@@ -11,8 +11,9 @@ certification), so a ledger compiles the section once.
 
 The Cayley-Bacharach verifier runs on both coefficient backends: floating
 point (SVD null spaces, Macaulay-eigenvalue intersections) and exact
-Gaussian rationals (fraction-free elimination on split-line instances where
-the intersection points are rational).
+Gaussian rationals on split-line instances, whose intersection points are
+rational: one fraction-free elimination finds the left null space of the
+points' monomial rows, where the residue functional 1 / J(p) lives.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "global_residue_sum",
     "cb_vanishing_space",
     "cb_vanishing_space_exact",
-    "exact_monomial_rows",
+    "cb_failures_exact",
     "cayley_bacharach_verify",
     "generalized_cb_check",
     "CBReport",
@@ -149,48 +150,49 @@ def cb_vanishing_space(
     return basis
 
 
-def exact_monomial_rows(
+def _integer_monomial_rows(
     points: Sequence[Sequence[GaussianRational]],
     degree: int,
-) -> List[List[GaussianRational]]:
-    """The degree-``degree`` monomials of P^2 at each point, exactly."""
+) -> List[List[int]]:
+    """The degree-``degree`` monomials of P^2 at each point, as re, im integer
+    pairs, after scaling the point to Gaussian-integer coordinates by the lcm
+    of its denominators: scaling a point scales its row, so no span changes."""
     monos = monomials_of_degree(3, degree)
     rows = []
     for p in points:
+        scale = math.lcm(*(x.denominator for c in p for x in (c.re, c.im)))
+        powers = []  # powers[k][j]: coordinate k to the j
+        for c in p:
+            a, b = c.re.numerator * (scale // c.re.denominator), c.im.numerator * (scale // c.im.denominator)
+            pw = [(1, 0)]
+            for _ in range(degree):
+                r, i = pw[-1]
+                pw.append((r * a - i * b, r * b + i * a))
+            powers.append(pw)
         row = []
-        for e in monos:
-            v = GaussianRational.of(1)
-            for coord, k in zip(p, e):
-                for _ in range(k):
-                    v = v * coord
-            row.append(v)
+        for e0, e1, e2 in monos:
+            (ar, ai), (br, bi), (cr, ci) = powers[0][e0], powers[1][e1], powers[2][e2]
+            r, i = ar * br - ai * bi, ar * bi + ai * br
+            row += (r * cr - i * ci, r * ci + i * cr)
         rows.append(row)
     return rows
 
 
-def cb_vanishing_space_exact(
-    points: Sequence[Sequence[GaussianRational]],
-    degree: int,
-    rows: Optional[Sequence[Sequence[GaussianRational]]] = None,
-) -> List[HomogeneousPoly]:
-    """Exact null space over the Gaussian rationals, by fraction-free
-    Gauss-Jordan elimination.
+def _fraction_free_rref(M: List[List[int]], ncols: int) -> List[int]:
+    """Reduce the rows ``M`` of Gaussian integers (re_0, im_0, re_1, ...) in
+    place to reduced row echelon form on their first ``ncols`` columns, fraction
+    free; returns the pivot columns, whose rows come first.
 
-    Each monomial row is scaled to Gaussian integers, which leaves the row
-    space unchanged, and the rows are reduced on (re, im) integer pairs: a row
-    with entry a in the pivot column becomes p row - a pivot_row, p the pivot,
-    divided by the gcd of its integers.  The null vector of a free column fc
-    takes -row_r[fc] / row_r[pc] at each pivot column pc; the reduced row
-    echelon form is unique, so this is its basis, term for term.
-
-    ``rows`` are the points' monomial rows (``exact_monomial_rows``) when the
-    caller has them already.
+    Bareiss's one-step Gauss-Jordan: with pivot p and previous pivot q, every
+    other row x becomes (p x - a y) / q, y the pivot row and a the entry of x
+    in the pivot column.  The division is exact: every entry is a minor of the
+    input, so the integers grow polynomially, not by a factor p per step.  The
+    update runs over the whole row, so columns past ``ncols`` record the row
+    operations.
     """
-    monos = monomials_of_degree(3, degree)
-    ncols = len(monos)
-    # a row of Gaussian integers: re_0, im_0, re_1, im_1, ...
-    M = [_gaussian_integer_row(row) for row in (exact_monomial_rows(points, degree) if rows is None else rows)]
+    width = len(M[0]) if M else 0
     pivots = []
+    qr, qi = 1, 0
     for c in range(ncols):
         r = len(pivots)
         if r == len(M):
@@ -201,21 +203,44 @@ def cb_vanishing_space_exact(
         M[r], M[pivot] = M[pivot], M[r]
         y = M[r]
         pr, pi = y[2 * c], y[2 * c + 1]
+        n = qr * qr + qi * qi
         for rr, x in enumerate(M):
-            ar, ai = x[2 * c], x[2 * c + 1]
-            if rr == r or not (ar or ai):
+            if rr == r:
                 continue
+            ar, ai = x[2 * c], x[2 * c + 1]
             new = []
-            for k in range(0, 2 * ncols, 2):
+            for k in range(0, width, 2):
                 xr, xi, yr, yi = x[k], x[k + 1], y[k], y[k + 1]
                 new.append(pr * xr - pi * xi - ar * yr + ai * yi)
                 new.append(pr * xi + pi * xr - ar * yi - ai * yr)
-            g = math.gcd(*new)
-            M[rr] = [v // g for v in new] if g > 1 else new
+            if qi:  # divided by q: times conj(q), then by |q|^2
+                pairs = zip(new[::2], new[1::2])
+                M[rr] = [v // n for sr, si in pairs for v in (sr * qr + si * qi, si * qr - sr * qi)]
+            else:
+                M[rr] = [v // qr for v in new]
+        qr, qi = pr, pi
         pivots.append(c)
+    return pivots
+
+
+def cb_vanishing_space_exact(
+    points: Sequence[Sequence[GaussianRational]],
+    degree: int,
+) -> List[HomogeneousPoly]:
+    """Exact null space over the Gaussian rationals, by fraction-free
+    Gauss-Jordan elimination (``_fraction_free_rref``) of the points' integer
+    monomial rows.
+
+    The null vector of a free column fc takes -row_r[fc] / row_r[pc] at each
+    pivot column pc; the reduced row echelon form is unique, so this is its
+    basis, term for term.
+    """
+    monos = monomials_of_degree(3, degree)
+    M = _integer_monomial_rows(points, degree)
+    pivots = _fraction_free_rref(M, len(monos))
     basis = []
     one = GaussianRational.of(1)
-    for fc in range(ncols):
+    for fc in range(len(monos)):
         if fc in pivots:
             continue
         terms = {monos[fc]: one}
@@ -231,14 +256,28 @@ def cb_vanishing_space_exact(
     return basis
 
 
-def _gaussian_integer_row(row: Sequence[GaussianRational]) -> List[int]:
-    """The row times the lcm of its denominators, as re, im integer pairs."""
-    scale = math.lcm(*(d for x in row for d in (x.re.denominator, x.im.denominator)))
-    out = []
-    for x in row:
-        out.append(x.re.numerator * (scale // x.re.denominator))
-        out.append(x.im.numerator * (scale // x.im.denominator))
-    return out
+def cb_failures_exact(
+    points: Sequence[Sequence[GaussianRational]],
+    degree: int,
+) -> Tuple[List[int], int]:
+    """Cayley-Bacharach at every point at once, exactly: the indices of the
+    points where some degree-``degree`` form through all the others does not
+    vanish, and the dimension of the forms through all points but the first.
+
+    Point i passes iff its monomial row lies in the span of the others, iff
+    some left null vector y of the rows R has y_i != 0: one elimination of
+    [R | I] finds them all, as its rows that vanish on R's columns.  Through
+    the d e points of curves of degrees d, e, at degree d + e - 3, the residue
+    theorem gives y_p = 1 / J(p), with no zero entry.
+    """
+    ncols, k = len(monomials_of_degree(3, degree)), len(points)
+    M = [row + [0] * (2 * k) for row in _integer_monomial_rows(points, degree)]
+    for i, row in enumerate(M):
+        row[2 * (ncols + i)] = 1
+    rank = len(_fraction_free_rref(M, ncols))
+    null = M[rank:]
+    failed = [i for i in range(k) if not any(row[2 * (ncols + i)] or row[2 * (ncols + i) + 1] for row in null)]
+    return failed, ncols - rank + (0 in failed)
 
 
 @dataclass

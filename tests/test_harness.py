@@ -1,17 +1,20 @@
 """Scenario loading, task dispatch, report emission, CLI exit codes."""
 
 import json
+import operator
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from residue_lab import harness
+from residue_lab import harness, residue
 from residue_lab.cli import main
 from residue_lab.harness import (
     Scenario,
@@ -74,9 +77,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"the thread count must be an integer >= 1, got {threads}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["1/0", "1" + "0" * 400], ids=["zero-denominator", "beyond-doubles"])
+@pytest.mark.parametrize(
+    "literal",
+    ["1/0", "1" + "0" * 400, ".", ".i"],
+    ids=["zero-denominator", "beyond-doubles", "lone-point", "lone-point-imaginary"],
+)
 def test_bad_numeric_literal_exits_2(tmp_path, capsys, literal):
-    # a zero denominator, or a float-backend number beyond the finite doubles
+    # a zero denominator, a float-backend number beyond the finite doubles, or
+    # a point with no digits
     doc = dict(BASE_P1, section=[f"z1^2 - {literal}*z0^2"])
     assert main(["verify", write_scenario(tmp_path, doc)]) == 2
     assert "at position 7" in capsys.readouterr().err
@@ -813,6 +821,54 @@ def test_float_cb_shared_line_is_a_shared_component(tmp_path):
     task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
     assert task.verdict == "precondition-failed"
     assert task.results["error"] == "the curves share a component: their intersection is not finite"
+
+
+def test_exact_cb_is_one_elimination_per_task(monkeypatch):
+    calls = []
+    eliminate = residue._fraction_free_rref
+
+    def counted(M, ncols):
+        calls.append(len(M))
+        return eliminate(M, ncols)
+
+    monkeypatch.setattr(residue, "_fraction_free_rref", counted)
+    task = run_scenario(str(SCENARIOS / "p2_cb_exact.json")).tasks[0]
+    assert task.verdict == "pass" and calls == [6]
+
+
+def _line_text(a, b, c):
+    return f"{a}*z0 + {b}*z1 + {c}*z2".replace("+ -", "- ")
+
+
+def test_exact_cb_5_5_within_budget(tmp_path, monkeypatch):
+    # the lines z1 = a z0 and z2 = b^2 z0 + (2b - 1) z1 for a, b in 1..5 cross
+    # where z2 = b (b + 2a - 1) z0: 25 distinct points.  Only the elimination
+    # is timed, best of three, so that a loaded machine does not fail the test.
+    calls = []
+
+    def recorded(points, degree):
+        calls.append((points, degree))
+        return residue.cb_failures_exact(points, degree)
+
+    monkeypatch.setattr(harness, "cb_failures_exact", recorded)
+    lines_f = [_line_text(a, -1, 0) for a in range(1, 6)]
+    lines_g = [_line_text(b * b, 2 * b - 1, -1) for b in range(1, 6)]
+    section = [
+        reduce(operator.mul, (parse_poly(t, 3, backend="exact") for t in lines)).to_text()
+        for lines in (lines_f, lines_g)
+    ]
+    doc = dict(EXACT_CB, degrees=[5, 5], section=section)
+    doc["tasks"] = [dict(EXACT_CB["tasks"][0], lines_f=lines_f, lines_g=lines_g)]
+    task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+    assert task.verdict == "pass"
+    assert task.results["points"] == 25 and task.results["space_dimension"] == 12
+    [(points, degree)] = calls
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        residue.cb_failures_exact(points, degree)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.5
 
 
 def test_exact_cb_line_that_is_not_linear_is_schema_error(tmp_path):

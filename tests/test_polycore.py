@@ -99,6 +99,23 @@ def test_zero_denominator_is_a_parse_error(backend, literal):
     assert exc.value.position == 7 and "zero denominator" in str(exc.value)
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("literal", [".", ".i"])
+def test_lone_point_is_a_malformed_number(backend, literal):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"z1^2 - {literal}*z0^2", 2, backend=backend)
+    assert exc.value.position == 7 and "malformed number '.'" in str(exc.value)
+
+
+def test_float_literals_round_as_their_exact_values():
+    # integer literals divide as ints, decimals go through Fraction; both are
+    # the correctly rounded double of the exact value
+    for literal in ["1/3", "2/7i", "123456789012345678901/10", "9007199254740993", "0.1", "3.25/7", "1" + "0" * 308]:
+        (coeff,) = parse_poly(f"{literal}*z0", 1).terms.values()
+        exact = parse_poly(f"{literal}*z0", 1, backend="exact").terms[(1,)]
+        assert coeff == complex(float(exact.re), float(exact.im))
+
+
 def test_literal_beyond_the_doubles_is_a_parse_error_on_the_float_backend():
     big = "1" + "0" * 400
     for literal in (big, big + "i", big + ".5/3"):

@@ -1,5 +1,6 @@
 """Residue ledger, Euler-Jacobi vanishing, Cayley-Bacharach on both backends."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,11 @@ from residue_lab.polycore import (
 from residue_lab.residue import (
     ResidueError,
     ResidueLedger,
+    _integer_monomial_rows,
     cayley_bacharach_verify,
+    cb_failures_exact,
     cb_vanishing_space,
     cb_vanishing_space_exact,
-    exact_monomial_rows,
     generalized_cb_check,
     global_residue_sum,
     local_residue,
@@ -413,11 +415,26 @@ def test_cb_exact_vs_float_agreement():
         assert _normalized_eval(form, np.array(cpts[-1])) <= 1e-10
 
 
+def _gaussian_rational_monomial_rows(points, degree):
+    """Reference: the degree-``degree`` monomials at each point, unscaled."""
+    rows = []
+    for p in points:
+        row = []
+        for e in monomials_of_degree(3, degree):
+            v = GaussianRational.of(1)
+            for coord, k in zip(p, e):
+                for _ in range(k):
+                    v = v * coord
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
 def _fraction_gauss_jordan_null_space(points, degree):
     """Reference: the exact null space by Gauss-Jordan elimination with
     GaussianRational (Fraction) arithmetic, pivots normalized to 1."""
     monos = monomials_of_degree(3, degree)
-    rows = exact_monomial_rows(points, degree)
+    rows = _gaussian_rational_monomial_rows(points, degree)
     ncols = len(monos)
     pivots = []
     r = 0
@@ -473,10 +490,78 @@ def test_cb_exact_null_space_equals_fraction_gauss_jordan(degree):
         want = _fraction_gauss_jordan_null_space(pts, degree)
         assert got == want
         assert [list(f.terms) for f in got] == [list(f.terms) for f in want]
-        rows = exact_monomial_rows(pts, degree)
-        assert cb_vanishing_space_exact(pts, degree, rows=rows) == want
         for form in got:
             assert all(not form.eval(list(p)) for p in pts)
+
+
+def _coefficient(rng, kind):
+    """A random coefficient, possibly zero: an integer, a rational or a
+    Gaussian rational."""
+
+    def part():
+        return Fraction(int(rng.integers(-4, 5)), 1 if kind == "integer" else int(rng.integers(1, 4)))
+
+    return GaussianRational(part(), part() if kind == "gaussian" else Fraction(0))
+
+
+def _line_crossings(rng, d, e, kind):
+    """The d e crossings of d and e random lines, distinct in P^2."""
+    while True:
+        f_lines = [[_coefficient(rng, kind) for _ in range(3)] for _ in range(d)]
+        g_lines = [[_coefficient(rng, kind) for _ in range(3)] for _ in range(e)]
+        pts = [
+            (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+            for a in f_lines
+            for b in g_lines
+        ]
+        if all(any(p) for p in pts):
+            keys = {tuple(c / next(x for x in p if x) for c in p) for p in pts}
+            if len(keys) == len(pts):
+                return pts
+
+
+def _per_point_cb(points, degree):
+    """Reference: one null space per held-out point, evaluated there."""
+    failed, dims = [], []
+    for i, held in enumerate(points):
+        basis = cb_vanishing_space_exact(points[:i] + points[i + 1 :], degree)
+        dims.append(len(basis))
+        if any(form.eval(list(held)) for form in basis):
+            failed.append(i)
+    return failed, dims[0]
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+def test_cb_failures_exact_equals_per_point_null_spaces(kind):
+    # every crossing set passes; with one crossing moved off its lines the
+    # set is no complete intersection, and the verdicts must still agree.  At
+    # (5,5) the per-point reference takes seconds beyond integer lines, so the
+    # dimension there is the theorem's: the 36 degree-7 monomials less the 24
+    # independent conditions of the other points
+    rng = np.random.default_rng({"integer": 60, "rational": 61, "gaussian": 62}[kind])
+    moved_failures = 0
+    for d, e in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 5)]:
+        pts = _line_crossings(rng, d, e, kind)
+        m = d + e - 3
+        want = ([], 36 - 24) if d == 5 and kind != "integer" else _per_point_cb(pts, m)
+        assert want[0] == []
+        assert cb_failures_exact(pts, m) == want
+        if d * e < 10:
+            moved = list(pts)
+            point = tuple(_coefficient(rng, kind) for _ in range(3))
+            moved[int(rng.integers(len(pts)))] = point if any(point) else (GaussianRational.of(1),) * 3
+            want = _per_point_cb(moved, m)
+            moved_failures += len(want[0])
+            assert cb_failures_exact(moved, m) == want
+    assert moved_failures > 0
+
+
+def test_cb_failures_exact_negative_control():
+    # the lines through (1:0:0), (0:1:0), (1:1:0) are multiples of z2, which
+    # is 1 at (0:0:1); through any other three of the four there is none
+    pts = [tuple(map(GaussianRational.of, p)) for p in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]]
+    assert cb_failures_exact(pts, 1) == ([3], 0)
+    assert _per_point_cb(pts, 1) == ([3], 0)
 
 
 # ---------------------------------------------------------------- mixed
@@ -525,8 +610,8 @@ def test_ledger_total_permutation_invariance():
 
 
 def test_exact_monomial_row_against_coefficients_is_eval():
-    # the exact CB route evaluates a form at a held-out point as its
-    # coefficients against that point's monomial row
+    # a point's integer monomial row, against a form's coefficients, is the
+    # form at the point scaled to Gaussian-integer coordinates
     rng = np.random.default_rng(31)
 
     def gauss():
@@ -536,6 +621,8 @@ def test_exact_monomial_row_against_coefficients_is_eval():
         monos = monomials_of_degree(3, m)
         form = HomogeneousPoly(3, m, {e: gauss() for e in monos if rng.random() < 0.7})
         p = [gauss() for _ in range(3)]
-        (row,) = exact_monomial_rows([p], m)
-        at = dict(zip(monos, row))
-        assert sum(c * at[e] for e, c in form.terms.items()) == form.eval(p)
+        (row,) = _integer_monomial_rows([p], m)
+        assert all(isinstance(v, int) for v in row)
+        at = {e: GaussianRational.of(row[2 * k], row[2 * k + 1]) for k, e in enumerate(monos)}
+        scale = math.lcm(*(x.denominator for c in p for x in (c.re, c.im)))
+        assert sum(c * at[e] for e, c in form.terms.items()) == form.eval(p) * scale**m
