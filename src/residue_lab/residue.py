@@ -9,11 +9,10 @@ the relative vanishing |total| / sum |entries|.  Its denominators are the
 solver's signed det J at each zero (``ZeroPoint.det_j``, from the batched
 certification), so a ledger compiles the section once.
 
-The Cayley-Bacharach verifier runs on both coefficient backends: floating
-point (SVD null spaces, Macaulay-eigenvalue intersections) and exact
-Gaussian rationals on split-line instances, whose intersection points are
-rational: one fraction-free elimination finds the left null space of the
-points' monomial rows, where the residue functional 1 / J(p) lives.
+The Cayley-Bacharach verifier runs on both coefficient backends, each deciding
+every held-out point from one factorization of the points' monomial rows, by
+their left null space, where the residue functional 1 / J(p) lives: an SVD in
+floating point, a fraction-free elimination over the Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ __all__ = [
     "global_residue_sum",
     "cb_vanishing_space",
     "cb_vanishing_space_exact",
+    "cb_held_out",
     "cb_failures_exact",
     "cayley_bacharach_verify",
     "generalized_cb_check",
@@ -122,25 +122,23 @@ def global_residue_sum(
 # ------------------------------------------------------------------ CB
 
 
-def _normalize_rows(points: Sequence[Sequence[complex]]) -> np.ndarray:
+def _monomial_rows(points: Sequence[Sequence[complex]], degree: int) -> np.ndarray:
+    """The degree-``degree`` monomials of P^2 at each point, scaled to unit norm."""
     P = np.array(points, dtype=complex)
-    return P / np.linalg.norm(P, axis=1)[:, None]
+    # one unit polynomial per monomial: the kernel's rows are its monomial table
+    table = PolyKernel(3, [HomogeneousPoly(3, degree, {e: 1.0}) for e in monomials_of_degree(3, degree)])
+    return table.eval_batch(P / np.linalg.norm(P, axis=1)[:, None]).T
 
 
 def cb_vanishing_space(
     points: Sequence[Sequence[complex]],
     degree: int,
 ) -> List[HomogeneousPoly]:
-    """Basis of degree-``degree`` forms on P^2 vanishing at all given points.
-
-    Null space of the (points x monomials) evaluation matrix by SVD with a
-    relative rank tolerance.
-    """
+    """Basis of degree-``degree`` forms on P^2 vanishing at all given points,
+    the SVD null space of their monomial rows at a relative rank tolerance:
+    the tests' reference for ``cb_held_out``, which no production path needs."""
     monos = monomials_of_degree(3, degree)
-    # one unit polynomial per monomial: the kernel's rows are its monomial table
-    table = PolyKernel(3, [HomogeneousPoly(3, degree, {e: 1.0}) for e in monos])
-    M = table.eval_batch(_normalize_rows(points)).T
-    _, sv, Vh = np.linalg.svd(M)
+    _, sv, Vh = np.linalg.svd(_monomial_rows(points, degree))
     rank = int(np.sum(sv > _RANK_TOL * (sv[0] if len(sv) else 1.0)))
     basis = []
     for row in Vh[rank:]:
@@ -256,6 +254,25 @@ def cb_vanishing_space_exact(
     return basis
 
 
+def cb_held_out(
+    points: Sequence[Sequence[complex]],
+    degree: int,
+) -> Tuple[List[float], List[int]]:
+    """The float twin of ``cb_failures_exact``: at each point, the largest value
+    of a unit degree-``degree`` form through the others and their dimension.
+    The value is the distance of its row of R = U S V^H from the others' span,
+    1 / ||S^-1 U^H e_i||; a zero of S (padded) counts where |U| > _RANK_TOL,
+    past the roundoff a rotated frame leaves in U."""
+    R = _monomial_rows(points, degree)
+    U, sv, _ = np.linalg.svd(R)
+    s = np.pad(sv, (0, len(R) - len(sv)))
+    scaled = np.divide(np.abs(U), s, out=np.where(np.abs(U) > _RANK_TOL, np.inf, 0.0), where=s > 0)
+    residuals = 1.0 / np.linalg.norm(scaled, axis=1)
+    tol = _RANK_TOL * sv[0]
+    nullity = R.shape[1] - int(np.sum(sv > tol))
+    return residuals.tolist(), [nullity + int(r > tol) for r in residuals]
+
+
 def cb_failures_exact(
     points: Sequence[Sequence[GaussianRational]],
     degree: int,
@@ -285,8 +302,8 @@ class CBReport:
     degree_pair: Tuple[int, int]
     num_points: int
     space_dimension: int
-    held_out_residuals: List[float]
-    max_residual: float
+    held_out_residuals: List[float]  # per point: the largest value of a unit form through the others
+    max_residual: float  # the largest of them
     vacuous: bool
 
 
@@ -295,9 +312,8 @@ def cayley_bacharach_verify(
     g: HomogeneousPoly,
     seed: int = 0,
 ) -> CBReport:
-    """For each intersection point of {f=0} and {g=0}: forms of degree
-    d+e-3 through the other de-1 points, evaluated (normalized) at the
-    held-out point."""
+    """For each intersection point of {f=0} and {g=0}, the largest value there
+    of a unit form of degree d+e-3 through the other de-1 (``cb_held_out``)."""
     d, e = f.degree, g.degree
     if d + e < 3:
         raise ResidueError("degree pair too small: d + e >= 3 required")
@@ -321,25 +337,14 @@ def cayley_bacharach_verify(
             + (": " + "; ".join(named) if named else "")
         )
     pts = [np.concatenate(([1.0 + 0j], np.array(zp.point))) for zp in zs.points]
-    m = d + e - 3
-    residuals = []
-    dims = []
-    for hold in range(len(pts)):
-        others = [pts[i] for i in range(len(pts)) if i != hold]
-        basis = cb_vanishing_space(others, m)
-        dims.append(len(basis))
-        worst = 0.0
-        for form in basis:
-            worst = max(worst, _normalized_eval(form, pts[hold]))
-        residuals.append(worst)
-    dim = dims[0] if dims else 0
+    residuals, dims = cb_held_out(pts, d + e - 3)
     return CBReport(
         degree_pair=(d, e),
         num_points=len(pts),
-        space_dimension=dim,
+        space_dimension=dims[0],
         held_out_residuals=residuals,
-        max_residual=max(residuals) if residuals else 0.0,
-        vacuous=all(x == 0 for x in dims),
+        max_residual=max(residuals),
+        vacuous=not any(dims),
     )
 
 
@@ -352,7 +357,7 @@ class GeneralizedCBReport:
     isolated_points: int
     curve_entry_max: float
     isolated_relative_vanishing: float
-    forcing_residuals: List[float]
+    forcing_residuals: List[float]  # per isolated point: the largest value of a unit phi through the others
     hypotheses: str  # "assumed" for the mixed-family run
     ledger: ResidueLedger = field(repr=False, default=None)
 
@@ -368,10 +373,10 @@ def generalized_cb_check(
 
     Residues supported on the curve {f = 0} are suppressed identically because
     the numerator is divisible by f, so the ledger restricted to the isolated
-    points {u = g = 0} must cancel on its own; imposing phi = 0 at all but one
-    isolated point then forces the value at the last one.  The splitting
-    hypotheses of the curve component are assumed, not certified, and the
-    report is labeled accordingly.
+    points {u = g = 0} must cancel on its own, and phi = 0 at all isolated
+    points but one forces phi = 0 at that one, for each (``cb_held_out``).
+    The curve component's splitting hypotheses are assumed, not certified,
+    as the report's ``hypotheses`` says.
     """
     f, u, g = curve_factor, cofactor, second
     s1 = f * u
@@ -400,15 +405,10 @@ def generalized_cb_check(
     iso = ResidueLedger.from_entries(isolated_entries)
     curve_max = max((abs(v) for _, v in curve_entries), default=0.0)
 
-    # forcing demonstration: phi' vanishing at all but the last isolated point
     forcing = []
     iso_points = [np.concatenate(([1.0 + 0j], np.array(p))) for p, _ in isolated_entries]
     if len(iso_points) >= 2 and phi_degree >= 1:
-        hold = len(iso_points) - 1
-        others = [iso_points[i] for i in range(len(iso_points)) if i != hold]
-        basis = cb_vanishing_space(others, phi_degree)
-        for phi_b in basis:
-            forcing.append(_normalized_eval(phi_b, iso_points[hold]))
+        forcing = cb_held_out(iso_points, phi_degree)[0]
     return GeneralizedCBReport(
         curve_points=len(curve_entries),
         isolated_points=len(isolated_entries),

@@ -2,10 +2,13 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from residue_lab import residue
+from residue_lab.harness import run_scenario
 from residue_lab.polycore import (
     GaussianRational,
     HomogeneousPoly,
@@ -16,15 +19,19 @@ from residue_lab.residue import (
     ResidueError,
     ResidueLedger,
     _integer_monomial_rows,
+    _normalized_eval,
     cayley_bacharach_verify,
     cb_failures_exact,
+    cb_held_out,
     cb_vanishing_space,
     cb_vanishing_space_exact,
     generalized_cb_check,
     global_residue_sum,
     local_residue,
 )
-from residue_lab.syszero import zeros_at_infinity_check
+from residue_lab.syszero import random_unitary, solve_square_system, zeros_at_infinity_check
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_form(nv, deg, rng, scale=1.0):
@@ -311,10 +318,100 @@ def test_cb_negative_control():
     # replace one constraint point by a random one
     pts[3] = np.array([1.0, rng.standard_normal() + 0j, rng.standard_normal() + 0j])
     basis = cb_vanishing_space(pts[:8], 3)
-    from residue_lab.residue import _normalized_eval
-
     worst = max(_normalized_eval(b, pts[8]) for b in basis)
     assert worst > 1e-3
+    # the nine points are no complete intersection of cubics any more: at
+    # each, a cubic through the other eight is far from zero
+    assert min(cb_held_out(pts, 3)[0]) > 1e-3
+
+
+def _per_point_cb_float(points, degree):
+    """Reference: one null space per held-out point, its largest normalized
+    value there over the SVD's orthonormal basis, and its dimension."""
+    residuals, dims = [], []
+    for i, held in enumerate(points):
+        basis = cb_vanishing_space(points[:i] + points[i + 1 :], degree)
+        dims.append(len(basis))
+        residuals.append(max((_normalized_eval(form, held) for form in basis), default=0.0))
+    return residuals, dims
+
+
+def _seeded_cb_point_sets(rounds=3):
+    """(points, d + e - 3) for the d e intersection points of seeded random
+    curves of degrees (1,2) to (3,5), as solved and again with one point moved
+    by 0.3(1+i) in both affine coordinates."""
+    pairs = [(d, e) for d in (1, 2, 3) for e in range(max(d, 2), 6)]
+    sets = []
+    for k in range(rounds * len(pairs)):
+        rng = np.random.default_rng(700 + k)
+        d, e = pairs[k % len(pairs)]
+        f, g = random_form(3, d, rng), random_form(3, e, rng)
+        zs = solve_square_system([f.dehomogenize(0), g.dehomogenize(0)], seed=k)
+        assert len(zs.points) == d * e
+        pts = [np.concatenate(([1.0 + 0j], np.array(p.point))) for p in zs.points]
+        moved = list(pts)
+        j = int(rng.integers(len(pts)))
+        moved[j] = moved[j] + np.array([0, 0.3 + 0.3j, 0.3 + 0.3j])
+        sets += [(pts, d + e - 3), (moved, d + e - 3)]
+    return sets
+
+
+def test_cb_held_out_matches_per_point_null_spaces():
+    # the reference's max over one orthonormal basis of the null space lies
+    # between |P r| / sqrt(dim) and |P r|, the largest value of a unit form,
+    # P the projection onto the null space and r the held-out row.  The slack
+    # is roundoff: 1e-14 absolute (the floor of quantities zero in exact
+    # arithmetic) and 1e-12 relative
+    failures = 0
+    for pts, m in _seeded_cb_point_sets():
+        residuals, dims = cb_held_out(pts, m)
+        want, want_dims = _per_point_cb_float(pts, m)
+        assert dims == want_dims
+        for r, w, dim in zip(residuals, want, dims):
+            assert (r <= 1e-8) == (w <= 1e-8)
+            slack = 1e-14 + 1e-12 * w
+            assert w - slack <= r <= math.sqrt(dim) * w + slack
+            failures += r > 1e-8
+    assert failures > 0
+
+
+def test_cb_held_out_follows_a_permutation_of_the_points():
+    rng = np.random.default_rng(64)
+    for pts, m in _seeded_cb_point_sets():
+        residuals, dims = cb_held_out(pts, m)
+        order = rng.permutation(len(pts))
+        permuted, permuted_dims = cb_held_out([pts[i] for i in order], m)
+        assert permuted_dims == [dims[i] for i in order]
+        for a, b in zip([residuals[i] for i in order], permuted):
+            if max(a, b) > 1e-14:
+                assert abs(a - b) <= 1e-12 * max(a, b)
+
+
+def test_cb_held_out_negative_control():
+    # the exact control's points: the lines through (1:0:0), (0:1:0), (1:1:0)
+    # are multiples of z2, at distance 1 from (0:0:1).  In their own frame the
+    # left null vector in U and its padded zero of S are both zero at the last
+    # point (0 / 0); a rotated frame leaves roundoff in U there instead
+    pts = np.array([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], dtype=complex)
+    for k in range(6):
+        frame = pts if k == 0 else pts @ random_unitary(np.random.default_rng(k), 3).T
+        residuals, dims = cb_held_out(list(frame), 1)
+        assert all(math.isfinite(r) for r in residuals)
+        assert [r > 1e-8 for r in residuals] == [False, False, False, True]
+        assert abs(residuals[3] - 1.0) <= 1e-12
+        assert dims == [0, 0, 0, 1]
+
+
+def test_no_production_path_builds_a_per_point_null_space(monkeypatch):
+    def refuse(points, degree):
+        raise AssertionError("a per-point null space was built")
+
+    monkeypatch.setattr(residue, "cb_vanishing_space", refuse)
+    rng = np.random.default_rng(21)
+    rep = cayley_bacharach_verify(random_form(3, 3, rng), random_form(3, 3, rng), seed=9)
+    assert rep.space_dimension == 2 and rep.max_residual <= 1e-8
+    report = run_scenario(str(SCENARIOS / "p2_generalized_cb.json"))
+    assert report.tasks[0].verdict == "assumed-hypotheses" and report.all_ok()
 
 
 def test_shared_component_test_on_a_line():
