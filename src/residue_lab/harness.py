@@ -163,6 +163,7 @@ class Scenario:
     tasks: List[Dict]
     backend: str = "float"
     _parsed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    exact_section: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _geometry: Optional[GeometryContext] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -233,12 +234,18 @@ class Scenario:
         except PolyError as exc:
             raise ScenarioError(f'polynomial parse error in {key} "{text}": {exc}') from exc
 
+    def _section(self, backend: str) -> tuple:
+        return tuple(self._parse(f"section[{k}]", text, backend) for k, text in enumerate(self.section_text))
+
     def parse_polys(self):
         """The section, psi and metric, parsed and put through
-        ``check_instance`` on the first call and kept for the later ones."""
+        ``check_instance`` on the first call and kept for the later ones.  On
+        the exact backend the check sees the section parsed exactly, kept as
+        ``exact_section``, and the float section returned is parsed only when
+        some task takes a float route (None otherwise)."""
         if self._parsed is not None:
             return self._parsed
-        section = tuple(self._parse(f"section[{k}]", text) for k, text in enumerate(self.section_text))
+        section = self._section(self.backend)
         psi = self._parse("psi", self.psi_text) if self.psi_text is not None else None
         m = self.metric_cfg
         metric = MetricSpec()
@@ -249,6 +256,10 @@ class Scenario:
             check_instance(self.degrees, section, psi, metric)
         except GeometryError as exc:
             raise ScenarioError(str(exc)) from exc
+        if self.backend == "exact":
+            self.exact_section = section
+            floats = any(not KINDS[task["kind"]].exact_required for task in self.tasks)
+            section = self._section("float") if floats else None
         self._parsed = section, psi, metric
         return self._parsed
 
@@ -258,7 +269,7 @@ class Scenario:
         if self._geometry is None:
             section, psi, metric = self.parse_polys()
             try:
-                self._geometry = GeometryContext(self.degrees, section, metric, psi)
+                self._geometry = GeometryContext(self.degrees, section or self._section("float"), metric, psi)
             except GeometryError as exc:
                 raise ScenarioError(str(exc)) from exc
         return self._geometry
@@ -468,8 +479,8 @@ def _parse_lines(scenario, task):
     }
     if any(line.is_zero() or line.degree != 1 for line in lines["lines_f"] + lines["lines_g"]):
         raise ScenarioError("lines_f and lines_g must be nonzero linear forms")
-    for k, (factors, text) in enumerate(zip(lines.values(), scenario.section_text)):
-        if reduce(operator.mul, factors).terms != scenario._parse(f"section[{k}]", text, backend="exact").terms:
+    for factors, curve in zip(lines.values(), scenario.exact_section):
+        if reduce(operator.mul, factors).terms != curve.terms:
             raise ScenarioError("line factorizations do not multiply to the section curves")
     return lines
 
@@ -684,7 +695,8 @@ class TaskKind:
     samples overrides, and what ``parse(scenario, task)`` returns: the task's
     own polynomials, parsed and checked before the first task runs.  ``psi``,
     ``p2``, ``required`` and, on the exact backend, ``exact_required`` are what
-    a task needs of its scenario and its file."""
+    a task needs of its scenario and its file; a kind with ``exact_required``
+    keys takes its exact route there, and no float section."""
 
     run: Callable
     keys: Dict[str, object]

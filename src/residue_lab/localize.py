@@ -49,7 +49,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -214,6 +213,7 @@ def _run_chunks(draw, count: int, seed: int, threads: int, top: bool = False) ->
 
     starts = range(0, count, _CHUNK)
     if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here: importing the package does not load it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return functools.reduce(_merge, pool.map(chunk, starts))
     return functools.reduce(_merge, map(chunk, starts))

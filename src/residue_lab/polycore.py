@@ -19,13 +19,16 @@ monomial table, goes through :class:`PolyKernel`.
 
 The input grammar (see :func:`parse_poly`): variables ``z0``..``z9``, operators
 ``+ - * ^``, parentheses, complex literals ``a``, ``bi``, ``a+bi`` with decimal
-or rational (``p/q``) components, whitespace insignificant.
+or rational (``p/q``) components, whitespace insignificant.  A term scanner
+reads flat sums ``[coefficient *] z_k[^n] * ... + ...``, one regex match per
+term; recursive descent reads the rest and reports every syntax error.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -700,6 +703,59 @@ class _Parser:
         raise ParseError("expected number, variable or '('", p)
 
 
+_NUMBER = r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:/([0-9]+))?(i)?"  # one NUMBER token
+_VAR = r"z[0-9](?:\s*\^\s*[0-9]+)?"
+# groups: 0 the sign; 1 the coefficient, 2-4 a number or a literal: 5 its '-', 6-9 a
+# number or i, 10 '+' or '-', 11-14 a number or i; 15 the variable factors
+_TERM = re.compile(
+    rf"\s*([+-])?\s*(?P<c>{_NUMBER}|\(\s*(-)?\s*(?:{_NUMBER}|(i))\s*(?:([+-])\s*(?:{_NUMBER}|(i))\s*)?\))?"
+    rf"((?(c)(?:\s*\*\s*{_VAR})*|{_VAR}(?:\s*\*\s*{_VAR})*))\s*"
+)
+_FACTOR = re.compile(r"z([0-9])(?:\s*\^\s*([0-9]+))?")
+_I = ("1", None, True)  # the NUMBER token of a bare i
+
+
+def _scan(text: str, num_vars: int, exact: bool):
+    """One regex match per term: the term map ``_Parser`` builds from a flat sum ``[coefficient *] z_k[^n] * ...``,
+    by the same backend operations in the same order; None for any other text, and where ``_Parser`` would raise.  A
+    zero drops out where ``_Parser`` drops it, so the terms are summed into one dict in place with its key order: a
+    key whose sum is zero is removed, and re-added at the end."""
+    parser = _Parser((), num_vars, exact)
+    number, one = parser._number, parser.one()
+    terms, pos = {}, 0
+    try:
+        while pos < len(text) or not pos:
+            m = _TERM.match(text, pos)
+            g = m and m.groups()
+            if not m or (g[0] is None if pos else g[0] == "+"):
+                return None
+            factors = _FACTOR.findall(g[15])
+            c = one if g[1] is None else number(g[2:5] if g[2] else g[6:9] if g[6] else _I, 0)
+            c = -c if g[5] else c
+            y = g[10] and number(g[11:14] if g[11] else _I, 0)
+            if y:  # a literal's second part, added as expr adds it
+                y = -y if g[10] == "-" else y
+                c = c + y if c else y
+            c = -c if g[0] == "-" and not pos else c  # a leading '-' negates the first factor
+            e = [0] * num_vars
+            for k, power in factors:
+                e[int(k)] += int(power or 1)
+            for _ in range(len(factors) - (g[1] is None)):  # each variable factor after the first factor
+                c = c * one
+            c = -c if g[0] == "-" and pos else c  # a later '-' negates the whole term
+            if c:
+                key = tuple(e)
+                terms[key] = s = terms[key] + c if key in terms else c
+                if not s:
+                    del terms[key]
+            pos = m.end()
+    except (ParseError, IndexError):  # a zero denominator, a number beyond the doubles, a variable out of range
+        return None
+    if not exact and not all(map(cmath.isfinite, terms.values())):
+        return None  # a non-finite value never returns to zero, so _Parser met it on its way
+    return terms
+
+
 def parse_poly(text: str, num_vars: int, backend: str = "float") -> HomogeneousPoly:
     """Parse a homogeneous polynomial from the grammar.
 
@@ -712,8 +768,10 @@ def parse_poly(text: str, num_vars: int, backend: str = "float") -> HomogeneousP
         raise PolyError(f"unknown backend {backend!r}")
     if not 1 <= num_vars <= 10:
         raise PolyError("num_vars must be between 1 and 10")
-    tokens = _tokenize(text)
-    terms = _Parser(tokens, num_vars, exact=(backend == "exact")).parse()
+    exact = backend == "exact"
+    terms = _scan(text, num_vars, exact)
+    if terms is None:
+        terms = _Parser(_tokenize(text), num_vars, exact).parse()
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         raise InhomogeneousError(

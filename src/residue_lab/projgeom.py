@@ -196,7 +196,6 @@ class _ChartData:
     chart: int
     s_aff: List[AffinePoly]
     psi_aff: Optional[AffinePoly]
-    H: List[List[ChartFunction]]  # metric entries, pairing convention
     xi: List[ChartFunction]  # <., s> components: xi_p = sum_q H_pq conj(s_q)
     s_norm2: ChartFunction
     Abar: List[List[ChartFunction]]  # Abar[b][p] = dbar_b xi_p (unscaled)
@@ -238,7 +237,7 @@ def _assemble_chart(
         s_norm2 = s_norm2 + xi[p].mul_hol(s_aff[p])
     Abar = [[xi[p].dbar(bb) for p in range(n)] for bb in range(n)]
 
-    data = _ChartData(chart, s_aff, psi_aff, H, xi, s_norm2, Abar)
+    data = _ChartData(chart, s_aff, psi_aff, xi, s_norm2, Abar)
     data.G = [[H[j][i] for j in range(n)] for i in range(n)]
     return data
 
@@ -264,6 +263,17 @@ def _inv(A: np.ndarray) -> np.ndarray:
     out[:, 0, 0], out[:, 0, 1] = A[:, 1, 1] * r, A[:, 0, 1] * -r
     out[:, 1, 0], out[:, 1, 1] = A[:, 1, 0] * -r, A[:, 0, 0] * r
     return out
+
+
+def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part A of each matrix in a stack, (N, n, n) -> (N,): for n <= 2 the
+    closed form, as in _det, (a + d)/2 - hypot((a - d)/2, |b|) with A = [[a, b], [conj b, d]]; eigvalsh otherwise."""
+    A = 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
+    if A.shape[-1] > 2:
+        return np.linalg.eigvalsh(A)[:, 0]
+    a, d = A[:, 0, 0].real, A[:, -1, -1].real  # d = a when n = 1
+    b = np.abs(A[:, 0, 1]) if A.shape[-1] == 2 else 0.0
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
 
 
 def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -307,6 +317,7 @@ class GeometryContext:
         self.metric = metric
         self.psi = psi
         self._charts = {}
+        self._metric_groups = {}  # chart -> H compiled, see metric_matrix_batch
         if metric.kind == "perturbed":
             self._certify_positive()
 
@@ -318,11 +329,14 @@ class GeometryContext:
         return self._charts[chart]
 
     def _build_chart(self, chart: int) -> _ChartData:
-        n = self.n
-        degs = self.degrees
         s_aff = [s.dehomogenize(chart) for s in self.section]
         psi_aff = None if self.psi is None else psi_chart_rep(self.psi, chart)
+        return _assemble_chart(chart, s_aff, psi_aff, self._metric(chart))
 
+    def _metric(self, chart: int) -> List[List[ChartFunction]]:
+        """The metric entries H on the chart, in the pairing convention."""
+        n = self.n
+        degs = self.degrees
         H = [[ChartFunction.zero(n) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             H[i][i] = ChartFunction.from_parts(n, weight=-degs[i])
@@ -339,15 +353,18 @@ class GeometryContext:
             )
             H[a][b] = H[a][b] + off
             H[b][a] = H[b][a] + off.conjugate()
-        return _assemble_chart(chart, s_aff, psi_aff, H)
+        return H
 
     # -------------------------------------------------------- evaluations
 
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Hermitian metric H at a batch of points, (N, n) -> (N, n, n), in the
-        pairing convention of the module doc."""
-        data = self.chart_data(chart)
-        return _eval_matrices(data.group("H", lambda: [data.H]), W)[0]
+        pairing convention of the module doc, from one ChartGroup per chart and
+        no other chart data: the certificate compiles it, fiber oracles reuse it."""
+        if chart not in self._metric_groups:
+            entries = [f for row in self._metric(chart) for f in row]
+            self._metric_groups[chart] = (ChartGroup(self.n, entries), [(self.n, self.n)])
+        return _eval_matrices(self._metric_groups[chart], W)[0]
 
     def S_form(self, chart: int, w, t: float) -> SForm:
         """Superconnection datum scaled by 1/(2t): scalar -|s|^2/2t and
@@ -440,9 +457,7 @@ class GeometryContext:
         rng = np.random.default_rng(np.random.Philox(self._PD_SEED))
         worst = np.inf
         for chart, _, W in by_chart(fs_uniform_points(self.n, self.PD_SAMPLES, rng)):
-            H = self.metric_matrix_batch(chart, W)
-            eigs = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
-            worst = min(worst, float(eigs.min()))
+            worst = min(worst, float(_min_eigenvalue(self.metric_matrix_batch(chart, W)).min()))
         if worst <= 0:
             raise GeometryError(
                 f"perturbed metric is not positive definite (min eigenvalue {worst:.3e}); "

@@ -836,6 +836,64 @@ def test_exact_cb_is_one_elimination_per_task(monkeypatch):
     assert task.verdict == "pass" and calls == [6]
 
 
+def _scaled_exact_cb():
+    # p2_cb_exact with both lines_f scaled by 10^200 and section[0] by 10^400
+    # to match: the coefficients lie beyond the doubles
+    doc = json.loads((SCENARIOS / "p2_cb_exact.json").read_text())
+    e200, e400 = "1" + "0" * 200, "1" + "0" * 400
+    doc["tasks"][0]["lines_f"] = [f"{e200}*z0 + {e200}*z1", f"{e200}*z0 - {e200}*z1 + {e200}*z2"]
+    doc["section"][0] = f"{e400}*z0^2 + {e400}*z0*z2 - {e400}*z1^2 + {e400}*z1*z2"
+    return doc
+
+
+def test_exact_section_beyond_the_doubles_is_parsed_exactly_once(tmp_path, monkeypatch):
+    parses = []
+
+    def recorded(text, num_vars, backend="float"):
+        parses.append((text, backend))
+        return parse_poly(text, num_vars, backend)
+
+    monkeypatch.setattr(harness, "parse_poly", recorded)
+    doc = _scaled_exact_cb()
+    report = run_scenario(write_scenario(tmp_path, doc))
+    assert report.all_ok() and report.tasks[0].results["nonzero_held_out_evaluations"] == 0
+    assert [p for p in parses if p[0] in doc["section"]] == [(text, "exact") for text in doc["section"]]
+    # a task on a float route needs the float section, so the same file with
+    # one is refused before the first task runs
+    doc["psi"] = "z0^2"
+    doc["tasks"].append({"kind": "euler_jacobi"})
+    with pytest.raises(ScenarioError, match=r"section\[0\].*number too large for a double"):
+        run_scenario(write_scenario(tmp_path, doc))
+
+
+def test_exact_scenario_keeps_the_float_route_of_its_other_tasks(tmp_path):
+    # the lines z1 = a z0 (a = 1, 2) and z2 = b z0 (b = 1, 2, 3) cross at
+    # (1 : a : b), six points off the line at infinity
+    doc = dict(
+        EXACT_CB,
+        degrees=[2, 3],
+        section=["z1^2 - 3*z0*z1 + 2*z0^2", "z2^3 - 6*z0*z2^2 + 11*z0^2*z2 - 6*z0^3"],
+        psi="z0^2 - (1/2)*z1*z2",
+        tasks=[
+            {"kind": "cayley_bacharach", "lines_f": ["z1 - z0", "z1 - 2*z0"], "lines_g": ["z2 - z0", "z2 - 2*z0", "z2 - 3*z0"]},
+            {"kind": "euler_jacobi", "seed": 3},
+        ],
+    )
+    exact = run_scenario(write_scenario(tmp_path, doc, "exact.json"))
+    floats = run_scenario(write_scenario(tmp_path, dict(doc, backend="float", tasks=doc["tasks"][1:]), "float.json"))
+    assert [t.verdict for t in exact.tasks] == ["pass", "pass"]
+    assert exact.tasks[1].results == floats.tasks[0].results
+
+
+def test_importing_the_harness_loads_no_thread_pool():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, residue_lab.harness; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def _line_text(a, b, c):
     return f"{a}*z0 + {b}*z1 + {c}*z2".replace("+ -", "- ")
 

@@ -1,12 +1,14 @@
 """Polynomial core: parser, arithmetic, calculus, chart trivialization."""
 
+import json
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from residue_lab.polycore import (
     AffinePoly,
@@ -18,6 +20,9 @@ from residue_lab.polycore import (
     PolyError,
     PolyKernel,
     SMALL_BATCH,
+    _Parser,
+    _scan,
+    _tokenize,
     monomials_of_degree,
     parse_poly,
     row_blocks,
@@ -436,3 +441,127 @@ def test_parse_print_roundtrip_exact_random(seed):
 def test_parser_rejects_malformed_input(text):
     with pytest.raises(ParseError):
         parse_poly(text, 2)
+
+
+# ---------------------------------------------------------------- term scanner
+
+
+def _bits(terms, backend):
+    """A term map as comparable data, keys in order: a float coefficient by
+    the bits of both parts, so signed zeros count."""
+    if backend == "exact":
+        return [(e, c.re, c.im) for e, c in terms.items()]
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in terms.items()]
+
+
+def _outcome(parse, backend):
+    try:
+        return _bits(parse(), backend)
+    except PolyError as exc:
+        return type(exc), str(exc)
+
+
+def _recursive_descent(text, num_vars, backend):
+    return _Parser(_tokenize(text), num_vars, backend == "exact").parse()
+
+
+def _assert_scanned_as_parsed(text, num_vars):
+    for backend in ("float", "exact"):
+        assert _scan(text, num_vars, backend == "exact") is not None, text
+        got = parse_poly(text, num_vars, backend).terms
+        assert _bits(got, backend) == _bits(_recursive_descent(text, num_vars, backend), backend), (text, backend)
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+_NUMBER = st.one_of(
+    st.integers(0, 30).map(str),
+    st.tuples(st.integers(0, 30), st.integers(0, 999)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.tuples(st.integers(0, 30), st.integers(1, 12)).map(lambda p: f"{p[0]}/{p[1]}"),
+    st.sampled_from(["0.0", "0", ".5", "2.", "1.25/3"]),
+)
+
+
+@st.composite
+def _coefficients(draw):
+    kind = draw(st.sampled_from(["number", "imaginary", "literal", "literal", "signed zero"]))
+    if kind == "number":
+        return draw(_NUMBER)
+    if kind == "imaginary":
+        return draw(_NUMBER) + "i"
+    if kind == "signed zero":
+        return draw(st.sampled_from(["(-0.0+1i)", "(0-1i)", "(-0+0i)", "(0.0-0i)", "(-0.0)", "(-0i)"]))
+    sp = [draw(_SPACE) for _ in range(5)]
+    real = draw(st.one_of(_NUMBER, _NUMBER.map(lambda x: x + "i"), st.just("i")))
+    inner = f"{sp[0]}{draw(st.sampled_from(['', '-']))}{sp[1]}{real}"
+    if draw(st.booleans()):
+        imag = draw(st.one_of(_NUMBER.map(lambda x: x + "i"), st.just("i")))
+        inner += f"{sp[2]}{draw(st.sampled_from('+-'))}{sp[3]}{imag}"
+    return f"({inner}{sp[4]})"
+
+
+@st.composite
+def _flat_sums(draw):
+    """(text, num_vars): a flat sum of terms of one degree."""
+    num_vars = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 3))
+    terms = []
+    for index in range(draw(st.integers(1, 6))):
+        factors = [draw(_coefficients())] if draw(st.booleans()) or degree == 0 else []
+        left = degree
+        while left:  # a variable may repeat, and its power may be 0
+            k = draw(st.integers(0, num_vars - 1))
+            power = draw(st.integers(0, left))
+            sp = draw(_SPACE)
+            factors.append(f"z{k}" if power == 1 and draw(st.booleans()) else f"z{k}{sp}^{sp}{power}")
+            left -= power
+        term = f"{draw(_SPACE)}*{draw(_SPACE)}".join(factors)
+        sign = draw(st.sampled_from(["", "-", "- "] if index == 0 else ["+", "-", " + ", " - ", "+ "]))
+        terms.append((sign, term))
+    if draw(st.booleans()):  # a term that cancels, then comes back at the end
+        sign, term = terms[draw(st.integers(0, len(terms) - 1))]
+        terms += [("-" if sign.strip() in ("", "+") else "+", term), ("+" if sign.strip() in ("", "+") else "-", term)]
+    text = draw(_SPACE).join(f"{sign}{draw(_SPACE)}{term}" for sign, term in terms)
+    return draw(_SPACE) + text + draw(_SPACE), num_vars
+
+
+@settings(max_examples=100, deadline=None)
+@given(_flat_sums())
+# the order of the operations shows in the signs of zero parts: a leading
+# '-' before the products with one, a later '-' after them
+@example(("-2i*z0 - (3i)*z1*z0^0", 2))
+@example(("-(0-1i)*z0^2 + (-0.0+1i)*z1^2 - (0-1i)*z0*z1", 2))
+@example(("z0*z1 - z1*z0 + (2-i)*z0^2 + (2-i)*z0*z1", 2))
+@example(("-z0*z0 - z0^2 - (-0.0)*z0^2 + 0*z0^2", 1))
+def test_scanner_builds_the_parsers_term_map(case):
+    _assert_scanned_as_parsed(*case)
+
+
+def test_scanner_builds_the_parsers_term_map_for_every_bundled_scenario():
+    keys = ("section", "psi", "q", "lines_f", "lines_g", "curve_factor", "cofactor", "psi_cofactor")
+
+    def texts(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key in keys:
+                    yield from [value] if isinstance(value, str) else value
+                else:
+                    yield from texts(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from texts(value)
+
+    count = 0
+    for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")):
+        doc = json.loads(path.read_text())
+        for text in texts(doc):
+            _assert_scanned_as_parsed(text, doc["n"] + 1)
+            count += 1
+    assert count >= 27
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("text", ["(z0+z1)^2", "2*3*z0", "z0*2", "i*z0", "1/0*z0", "z0 + -z1", "+z0", "z3"])
+def test_scanner_hands_the_rest_of_the_grammar_to_the_parser(text, backend):
+    assert _scan(text, 3, backend == "exact") is None
+    expected = _outcome(lambda: _recursive_descent(text, 3, backend), backend)
+    assert _outcome(lambda: parse_poly(text, 3, backend).terms, backend) == expected

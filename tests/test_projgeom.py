@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from residue_lab import projgeom
 from residue_lab.chartfun import ChartFunction
 from residue_lab.polycore import HomogeneousPoly, monomials_of_degree, parse_poly
 from residue_lab.projgeom import (
@@ -17,6 +18,7 @@ from residue_lab.projgeom import (
     GeometryContext,
     GeometryError,
     MetricSpec,
+    _min_eigenvalue,
     chart_coords,
     fs_uniform_points,
     point_from_chart,
@@ -91,6 +93,46 @@ def test_perturbed_metric_hermitian_and_pd():
     assert np.allclose(H, np.conj(np.swapaxes(H, 1, 2)))
     assert np.linalg.eigvalsh(H).min() > 0
     assert ctx.pd_margin > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_min_eigenvalue_closed_form_matches_eigvalsh(n):
+    # seeded Hermitian stacks, half of them made near-singular by moving the
+    # spectrum so that its smallest eigenvalue is 1e-13 of its largest
+    rng = np.random.default_rng(20 + n)
+    A = rng.normal(size=(400, n, n)) + 1j * rng.normal(size=(400, n, n))
+    H = A @ np.conj(np.swapaxes(A, 1, 2))
+    eigs = np.linalg.eigvalsh(H)
+    H[::2] -= (eigs[::2, 0] - 1e-13 * eigs[::2, -1])[:, None, None] * np.eye(n)
+    H += 0.3j * (A - np.conj(np.swapaxes(A, 1, 2)))  # an anti-Hermitian part, which the form ignores
+    reference = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
+    got = _min_eigenvalue(H)
+    assert np.all(np.abs(got - reference[:, 0]) <= 1e-12 * np.abs(reference).max(axis=1))
+
+
+def test_certificate_compiles_the_metric_alone(monkeypatch):
+    # the certificate evaluates H on every chart without assembling the
+    # density functions (xi, |s|^2, Abar, G) of any chart, and a later H
+    # evaluation reuses the group it compiled
+    assembled, compiled = [], []
+    assemble, group = projgeom._assemble_chart, projgeom.ChartGroup
+
+    def counted_assembly(*args):
+        assembled.append(args[0])
+        return assemble(*args)
+
+    def counted_group(*args):
+        compiled.append(len(args[1]))
+        return group(*args)
+
+    monkeypatch.setattr(projgeom, "_assemble_chart", counted_assembly)
+    monkeypatch.setattr(projgeom, "ChartGroup", counted_group)
+    ctx = example22_context()
+    assert ctx.pd_margin > 0 and assembled == [] and compiled == [4, 4, 4]
+    ctx.metric_matrix_batch(0, np.array([[0.3 + 0j, 0.4]]))
+    assert assembled == [] and compiled == [4, 4, 4]
+    ctx.chart_data(0)
+    assert assembled == [0]
 
 
 def test_oversized_perturbation_rejected():
