@@ -187,10 +187,11 @@ class ChartGroup:
     ``ChartFunction._sums``) followed by the distinct anti factors of the
     whole group.  ``layout`` holds, per function, the kernel rows of its hol
     sums, the kernel row of each sum's anti factor and (weight, slice of its
-    sums) pairs.
+    sums) pairs.  Each row block conjugates the anti rows, the kernel's last
+    rows, once in place for every function; a one-row slice is its row.
     """
 
-    __slots__ = ("num_vars", "size", "kernel", "layout")
+    __slots__ = ("num_vars", "size", "kernel", "antis", "layout")
 
     def __init__(self, num_vars: int, functions: List[ChartFunction]):
         self.num_vars = num_vars
@@ -207,6 +208,7 @@ class ChartGroup:
             parts.append((slice(start, len(hols)), slices))
         distinct = {a: len(hols) + k for k, a in enumerate(dict.fromkeys(antis))}
         self.kernel = PolyKernel(num_vars, hols + list(distinct))
+        self.antis = slice(len(hols), None)
         anti_row = np.array([distinct[a] for a in antis], dtype=np.int64)
         self.layout = [
             (index, rows, anti_row[rows], slices)
@@ -226,12 +228,13 @@ class ChartGroup:
             # 1 + |w|^2; the row sum as a product with ones is far faster than
             # a reduction over the short axis
             weight_base = 1.0 + (Wb.real**2 + Wb.imag**2) @ np.ones(self.num_vars)
+            np.conjugate(V[self.antis], out=V[self.antis])  # once for every function
             powers = {}
             for index, hol_rows, anti_rows, slices in self.layout:
-                prod = np.conjugate(V[anti_rows])
+                prod = V[anti_rows]
                 prod *= V[hol_rows]
                 for w, group in slices:
-                    part = prod[group].sum(axis=0)
+                    part = prod[group].sum(axis=0) if group.stop - group.start > 1 else prod[group.start]
                     if w:
                         if w not in powers:
                             powers[w] = weight_base ** float(w)

@@ -37,7 +37,9 @@ a :class:`_Summary` per row (count, sum, M2 = sum |x - mean|^2, and the curve's
 row maxima), and the summaries merge in chunk order by the pairwise update of
 Chan, Golub and LeVeque (The American Statistician 37, 1983).  So the working
 set does not grow with the sample count, and results do not depend on the
-thread count.  A curve chunk is drawn once; a sample near a branch point
+thread count.  Each chart of a sweep chunk scatters only the density's t-free
+values (|s|^2, P det(Abar), the FS density), and one density pass over the
+chunk gives every t.  A curve chunk is drawn once; a sample near a branch point
 weighs 0 and is counted as rejected.  Its sheet roots and the density at its
 accepted sheet points are computed ROW_BLOCK rows at a time, the blocks that
 PolyKernel, ChartGroup and the Chern curvature use.  :class:`FlatModel` is a
@@ -267,7 +269,8 @@ def virtual_residue_sweep(
     threads: int = 1,
 ) -> List[IntegralEstimate]:
     """FS-uniform Monte Carlo of the prefactored global integral for several
-    values of t, reusing one sample set and one chart evaluation pass."""
+    values of t, reusing one sample set and one chart evaluation pass: each
+    chart scatters its t-free values, then one density pass gives every t."""
     if samples < SWEEP_MIN_SAMPLES:
         raise GeometryError(f"at least {SWEEP_MIN_SAMPLES} samples required")
     for t in ts:
@@ -276,10 +279,13 @@ def virtual_residue_sweep(
     n = ctx.n
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.zeros((len(ts), count), dtype=complex)
+        s2, psi_det, p = np.empty(count), np.empty(count, dtype=complex), np.empty(count)
         for chart, rows, W in by_chart(fs_uniform_points(n, count, rng)):
-            out[:, rows] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
-        return out
+            s2[rows], psi_det[rows] = _density_parts(ctx, chart, W)
+            p[rows] = fs_density(W, n)
+        del rows, W  # the last chart's: freed before the chunk's largest array is allocated
+        out = _density(n, s2, psi_det, ts)
+        return np.divide(out, p, out=out)  # in place: a chunk holds one (len(ts), count) result
 
     summary = _run_chunks(draw, samples, seed, threads)
     return [

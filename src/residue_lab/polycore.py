@@ -337,9 +337,11 @@ class PolyKernel:
             tuple(j * self.num_vars + k for k, j in enumerate(e) if j) or (0,) for e in expos
         ]
         self.gather = None  # built by the first block of at most SMALL_BATCH points
-        self.coeffs = np.array(
-            [[_to_c(p.terms.get(e, 0)) for e in expos] for p in polys], dtype=np.complex128
-        ).reshape(len(polys), len(expos))
+        column = {e: k for k, e in enumerate(expos)}
+        self.coeffs = np.zeros((len(polys), len(expos)), dtype=np.complex128)
+        for row, p in zip(self.coeffs, polys):
+            for e, c in p.terms.items():
+                row[column[e]] = _to_c(c)
 
     def _monomials(self, W: np.ndarray) -> np.ndarray:
         """Values of the monomials at one block of points, shape (M, N).
@@ -493,11 +495,16 @@ def _coeff_text(c) -> str:
         return f"({c})"
     c = complex(c)
     if c.imag == 0:
-        return f"({c.real!r})"
+        return f"({_float_text(c.real)})"
     if c.real == 0:
-        return f"({c.imag!r}i)"
+        return f"({_float_text(c.imag)}i)"
     sign = "+" if c.imag >= 0 else "-"
-    return f"({c.real!r}{sign}{abs(c.imag)!r}i)"
+    return f"({_float_text(c.real)}{sign}{_float_text(abs(c.imag))}i)"
+
+
+def _float_text(x: float) -> str:
+    """repr(x), written positionally where repr has an exponent (not in the grammar)."""
+    return np.format_float_positional(x, unique=True, trim="-") if "e" in repr(x) else repr(x)
 
 
 def monomials_of_degree(num_vars: int, degree: int) -> list:

@@ -23,6 +23,7 @@ tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -167,14 +168,12 @@ def by_chart(Z: np.ndarray):
     for chart in range(Z.shape[1]):
         rows = np.flatnonzero(charts == chart)
         if rows.size:
-            yield chart, rows, np.delete(Z[rows] / Z[rows, chart][:, None], chart, axis=1)
+            yield chart, rows, Z[np.ix_(rows, np.arange(Z.shape[1]) != chart)] / Z[rows, chart, None]
 
 
 def fs_density(W: np.ndarray, n: int) -> np.ndarray:
     """Density of the FS-uniform law against Lebesgue in any affine chart:
     n! / (pi^n (1+|w|^2)^{n+1}).  Shape (N, n) -> (N,)."""
-    import math
-
     norm2 = 1.0 + np.sum(W.real**2 + W.imag**2, axis=1)
     return math.factorial(n) / (np.pi**n * norm2 ** (n + 1))
 

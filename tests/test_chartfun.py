@@ -64,6 +64,12 @@ def points(rng, count):
     return (rng.normal(size=(count, NV)) + 1j * rng.normal(size=(count, NV))) * 0.8
 
 
+def same_bits(a, b):
+    """Equal float bits, part by part, signed zeros included."""
+    a, b = a.view(np.float64), b.view(np.float64)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def close(a, b, rtol=1e-12):
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     return np.abs(a - b).max(initial=0.0) <= rtol * scale
@@ -113,6 +119,68 @@ def test_group_equals_each_member_bitwise(rows):
     for fn, row in zip(members, values):
         assert np.array_equal(row, fn.eval_batch(W))
     assert ChartGroup(NV, []).eval_batch(W).shape == (0, rows)
+
+
+def _group_eval_reference(group, W):
+    """ChartGroup.eval_batch as it read before the anti rows were conjugated
+    once per block: each function conjugates its own gathered copy, and
+    every slice, one row or more, is summed with .sum(axis=0)."""
+    W = np.asarray(W, dtype=np.complex128)
+    out = np.zeros((group.size, W.shape[0]), dtype=np.complex128)
+    if not group.layout:
+        return out
+    for rows in polycore.row_blocks(W.shape[0]):
+        Wb = W[rows]
+        V = group.kernel.eval_batch(Wb)
+        weight_base = 1.0 + (Wb.real**2 + Wb.imag**2) @ np.ones(group.num_vars)
+        powers = {}
+        for index, hol_rows, anti_rows, slices in group.layout:
+            prod = np.conjugate(V[anti_rows])
+            prod *= V[hol_rows]
+            for w, part_rows in slices:
+                part = prod[part_rows].sum(axis=0)
+                if w:
+                    if w not in powers:
+                        powers[w] = weight_base ** float(w)
+                    part = part * powers[w]
+                out[index, rows] += part
+    return out
+
+
+def _sum_of_parts(rng, weight, count):
+    """count terms of one weight with distinct anti factors: one slice of
+    count kernel rows."""
+    f = ChartFunction.zero(NV)
+    for k in range(count):
+        anti = AffinePoly(NV, {(k + 1, 0): 1.0 + 0j, (0, 1): complex(rng.normal(), rng.normal())})
+        f = f + ChartFunction.from_parts(NV, random_poly(rng), anti, weight, complex(rng.normal(), rng.normal()))
+    return f
+
+
+@pytest.mark.parametrize("rows", [0, 1, 40, polycore.ROW_BLOCK + 37])
+def test_group_matches_the_per_function_conjugation_bitwise(rows):
+    # one-row and multi-row slices at weight 0 and beside weight powers,
+    # functions whose terms cancel in part or whole, and an empty function
+    rng = np.random.default_rng(500 + rows)
+    f, g = random_function(rng), random_function(rng)
+    members = [
+        _sum_of_parts(rng, 0, 1),
+        _sum_of_parts(rng, 0, 3),
+        _sum_of_parts(rng, -2, 5) + _sum_of_parts(rng, 1, 1),
+        _sum_of_parts(rng, 2, 4) + _sum_of_parts(rng, 0, 2),
+        f - f,
+        g + f - f,
+        ChartFunction.zero(NV),
+        f,
+        f.conjugate(),
+    ]
+    group = ChartGroup(NV, members)
+    sizes = {s.stop - s.start for *_, slices in group.layout for _, s in slices}
+    assert 1 in sizes and max(sizes) >= 3
+    W = points(rng, rows)
+    W[: min(rows, 3)] = 0  # the origin, where every weight base is 1
+    values = group.eval_batch(W)
+    assert same_bits(values, _group_eval_reference(group, W))
 
 
 def test_cancelling_terms_merge_to_zero():

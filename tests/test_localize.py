@@ -15,16 +15,22 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from residue_lab.polycore import AffinePoly, HomogeneousPoly, parse_poly
+from residue_lab import localize
+from residue_lab.polycore import ROW_BLOCK, AffinePoly, HomogeneousPoly, parse_poly
 from residue_lab.projgeom import (
     Example22Geometry,
     GeometryContext,
     MetricSpec,
+    by_chart,
     chart_coords,
+    fs_density,
+    fs_uniform_points,
     transition_jacobian,
 )
 from residue_lab.localize import (
     FlatModel,
+    _density,
+    _density_parts,
     _det,
     _solve_sheets,
     curve_integrand_tensor,
@@ -163,6 +169,44 @@ def test_sweep_equals_single_t_estimates():
     for t, est in zip(ts, sweep):
         single = virtual_residue_sweep(ctx, [t], samples=20000, seed=5)[0]
         assert (est.value, est.std_error, est.t) == (single.value, single.std_error, single.t)
+
+
+def _sweep_draw_reference(ctx, ts):
+    """virtual_residue_sweep's draw as it read before the t-free scatter:
+    every chart's (len(ts), rows) density block divided and scattered."""
+    n = ctx.n
+
+    def draw(rng, count):
+        out = np.zeros((len(ts), count), dtype=complex)
+        for chart, rows, W in by_chart(fs_uniform_points(n, count, rng)):
+            out[:, rows] = _density(n, *_density_parts(ctx, chart, W), ts) / fs_density(W, n)
+        return out
+
+    return draw
+
+
+@pytest.mark.parametrize(
+    "context", [p1_o2_context, p2_22_context, lambda: example22_context(eps=0), example22_context],
+    ids=["p1_fs", "p2_fs", "p2_curve_fs", "p2_curve_perturbed"],
+)
+def test_sweep_draws_match_the_per_chart_scatter_bitwise(context, monkeypatch):
+    # chunks of a length no multiple of ROW_BLOCK, the last one shorter
+    ctx, ts, samples = context(), [0.05, 0.3, 1.0, 2.0], 2 * (ROW_BLOCK + 37) + 500
+    monkeypatch.setattr(localize, "_CHUNK", ROW_BLOCK + 37)
+    chunks, summarize = [], localize._summarize
+
+    def record(rows, top):
+        chunks.append(rows.copy())
+        return summarize(rows, top)
+
+    monkeypatch.setattr(localize, "_summarize", record)
+    virtual_residue_sweep(ctx, ts, samples, seed=31)
+    got, chunks[:] = chunks[:], []
+    localize._run_chunks(_sweep_draw_reference(ctx, ts), samples, 31, 1)
+    assert [c.shape for c in got] == [c.shape for c in chunks] == [(4, ROW_BLOCK + 37)] * 2 + [(4, 500)]
+    for a, b in zip(got, chunks):
+        a, b = a.view(np.float64), b.view(np.float64)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_global_density_chart_invariance():

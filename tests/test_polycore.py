@@ -405,6 +405,71 @@ def test_small_blocks_agree_with_the_workspace_tables(case):
     assert errors[0] == errors[1]
 
 
+def same_bits(a, b):
+    """Equal float bits, part by part, signed zeros included."""
+    a, b = a.view(np.float64), b.view(np.float64)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _coeffs_reference(polys, expos):
+    """PolyKernel's coefficient matrix as it was filled before: one lookup
+    per (polynomial, monomial) pair, 0 for a monomial the polynomial lacks."""
+    to_c = lambda c: c.to_complex() if isinstance(c, GaussianRational) else complex(c)  # noqa: E731
+    return np.array(
+        [[to_c(p.terms.get(e, 0)) for e in expos] for p in polys], dtype=np.complex128
+    ).reshape(len(polys), len(expos))
+
+
+def test_kernel_coefficients_match_the_pairwise_fill_bitwise():
+    rng = np.random.default_rng(41)
+    exact = {
+        (2, 0): GaussianRational.of(Fraction(1, 3), Fraction(-2, 7)),
+        (0, 1): GaussianRational.of(Fraction(-5, 2)),
+        (0, 0): GaussianRational.of(0, Fraction(1, 10)),
+    }
+    polys = [
+        AffinePoly(2, exact),
+        AffinePoly(2, {}),  # the zero polynomial: a row of zeros
+        random_hpoly(3, 3, rng, density=0.6).dehomogenize(1),
+        AffinePoly(2, {(1, 1): complex(-0.0, 2.5), (0, 0): complex(1.5, -0.0), (3, 0): 1e-300 + 0j}),
+        AffinePoly(2, {}),
+    ]
+    kernel = PolyKernel(2, polys)
+    assert kernel.coeffs.shape == (len(polys), len(kernel.expos))
+    assert same_bits(kernel.coeffs, _coeffs_reference(polys, kernel.expos))
+    assert not kernel.coeffs[1].any() and not kernel.coeffs[4].any()
+    alone = PolyKernel(2, [AffinePoly(2, {})])
+    assert alone.coeffs.shape == (1, 0)
+    assert not alone.eval_batch(_points(SMALL_BATCH + 5, 2, seed=42)).any()
+
+
+_EXPONENT_VALUES = [1e-05, 3.3e-05, 2e16, 1.2345678901234568e20, 5e-324, sys.float_info.max]
+
+
+@pytest.mark.parametrize("value", _EXPONENT_VALUES + [-v for v in _EXPONENT_VALUES])
+def test_print_parse_roundtrip_of_exponent_floats(value):
+    # repr writes these with an exponent, which the grammar does not read;
+    # to_text writes the same shortest digits positionally
+    for c in (complex(value, 0.0), complex(0.0, value), complex(value, 1.5), complex(-2.0, value), complex(value, value)):
+        p = HomogeneousPoly(2, 1, {(1, 0): c, (0, 1): 1.0 + 0j})
+        text = p.to_text()
+        assert "e" not in text
+        q = parse_poly(text, 2)
+        assert list(q.terms) == list(p.terms)
+        for e, want in p.terms.items():
+            # every nonzero part bit for bit (the parser signs a zero part as it
+            # reads it, whatever the text)
+            got = q.terms[e]
+            assert got == want
+            for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                assert not b or a.hex() == b.hex()
+
+
+def test_to_text_keeps_repr_without_an_exponent():
+    p = HomogeneousPoly(2, 1, {(1, 0): 0.0001 + 0j, (0, 1): 1e15 - 0.1j})
+    assert p.to_text() == "(0.0001)*z0 + (1000000000000000.0-0.1i)*z1"
+
+
 def test_gaussian_rational_field_ops():
     a = GaussianRational.of(Fraction(1, 3), Fraction(-2, 5))
     b = GaussianRational.of(Fraction(7, 2), Fraction(1, 4))

@@ -19,6 +19,7 @@ from residue_lab.projgeom import (
     GeometryError,
     MetricSpec,
     _min_eigenvalue,
+    by_chart,
     chart_coords,
     fs_uniform_points,
     point_from_chart,
@@ -848,3 +849,33 @@ def test_fs_uniform_points_are_the_complex_sum_bit_for_bit():
     re = rng.standard_normal((16384, 3))
     im = rng.standard_normal((16384, 3))
     assert Z.tobytes() == (re + 1j * im).tobytes()
+
+
+def _by_chart_reference(Z):
+    """by_chart as it read before: every column divided by the chart's, then
+    the chart's own column deleted."""
+    charts = np.argmax(np.abs(Z), axis=1)
+    for chart in range(Z.shape[1]):
+        rows = np.flatnonzero(charts == chart)
+        if rows.size:
+            yield chart, rows, np.delete(Z[rows] / Z[rows, chart][:, None], chart, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_by_chart_divides_only_the_other_columns_bitwise(n):
+    rng = np.random.default_rng(np.random.Philox(60 + n))
+    Z = fs_uniform_points(n, 500, rng)
+    # exact magnitude ties (the first largest coordinate wins), zero and
+    # signed-zero coordinates, and a point on a coordinate axis
+    Z[0] = [1.0, -1.0j, 0.6 + 0.8j, 1.0j][: n + 1]
+    Z[1, 1:] = 0.0
+    Z[2, :n] = complex(-0.0, 0.0)
+    Z[3] = [0.5, -0.3 + 0.4j, 0.5j, -0.5][: n + 1]
+    Z[4, 0] = complex(0.0, -0.0)
+    got, want = list(by_chart(Z)), list(_by_chart_reference(Z))
+    assert len(got) == len(want) == n + 1
+    for (chart, rows, W), (chart_ref, rows_ref, W_ref) in zip(got, want):
+        assert chart == chart_ref and np.array_equal(rows, rows_ref)
+        assert W.shape == (rows.size, n) and W.flags.c_contiguous  # the layout the charts read
+        a, b = W.view(np.float64), W_ref.view(np.float64)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
