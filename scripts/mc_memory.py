@@ -5,9 +5,13 @@ Usage: python3 scripts/mc_memory.py [--samples N [N ...]]
 
 For each estimator and each sample count (default 10^4, 10^5 and 10^6) this
 starts a fresh interpreter, builds the estimator's GeometryContext from a
-bundled scenario, runs the estimator once on one chunk of samples to warm
+bundled scenario, runs the estimator once on two chunks of samples to warm
 its caches, reads ``ru_maxrss``, runs it at the sample count (seed 1,
-single-threaded) and reads ``ru_maxrss`` again.  It prints one row per run:
+single-threaded) and reads ``ru_maxrss`` again.  The warm-up takes two
+chunks, not one: glibc raises its mmap threshold when the first chunk frees
+its large arrays, so only from the second chunk on are they taken from the
+heap as in every later chunk, and the growth measures the working set
+rather than where the heap happened to fragment.  It prints one row per run:
 
     estimator   the estimator and its scenario
     samples     the sample count
@@ -57,7 +61,7 @@ def measure(estimator: str, samples: int) -> None:
     else:
         geo = Example22Geometry(ctx)
         run = lambda count: localize.curve_localized_term(geo, count, seed=1)  # noqa: E731
-    run(localize._CHUNK)
+    run(2 * localize._CHUNK)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     run(samples)

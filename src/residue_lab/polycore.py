@@ -30,7 +30,6 @@ import cmath
 import math
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -65,25 +64,41 @@ class InhomogeneousError(PolyError):
     """Monomials of differing total degree in a homogeneous context."""
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number a + b*i with rational a, b.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    Stored as one integer triple (a + b i) / d in lowest terms: d > 0 and
+    gcd(a, b, d) = 1, so equal numbers have equal triples and zero is (0, 0, 1).
+    Each result takes one ``math.gcd`` of its three integers; ``re`` and ``im``
+    are read-only ``Fraction`` views."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re, im=0):
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)  # lowest terms already
+        self._a, self._b, self._d = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        o = _as_gauss(other)
+        return _reduced(self._a * o._d + o._a * self._d, self._b * o._d + o._b * self._d, self._d * o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-_as_gauss(other))
@@ -92,47 +107,68 @@ class GaussianRational:
         return _as_gauss(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        o = _as_gauss(other)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gauss(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        # x / y = x conj(y) d_y / (d_x |y d_y|^2)
+        o = _as_gauss(other)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        return _reduced((a * c + b * e) * o._d, (b * c - a * e) * o._d, self._d * n)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+    def __complex__(self) -> complex:
+        return complex(self._a / self._d, self._b / self._d)
+
+    to_complex = __complex__
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im >= 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d > 0, in lowest terms."""
+    g = math.gcd(a, b, d)
+    out = object.__new__(GaussianRational)
+    out._a, out._b, out._d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return out
 
 
 def _as_gauss(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x))
+    if isinstance(x, int):
+        return _reduced(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _reduced(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
@@ -341,7 +377,7 @@ class PolyKernel:
         self.coeffs = np.zeros((len(polys), len(expos)), dtype=np.complex128)
         for row, p in zip(self.coeffs, polys):
             for e, c in p.terms.items():
-                row[column[e]] = _to_c(c)
+                row[column[e]] = complex(c)
 
     def _monomials(self, W: np.ndarray) -> np.ndarray:
         """Values of the monomials at one block of points, shape (M, N).
@@ -398,10 +434,6 @@ class PolyKernel:
         for block in row_blocks(W.shape[0]):
             np.matmul(self.coeffs, self._monomials(W[block]), out=out[:, block])
         return out
-
-
-def _to_c(c) -> complex:
-    return c.to_complex() if isinstance(c, GaussianRational) else complex(c)
 
 
 class HomogeneousPoly(_PolyBase):

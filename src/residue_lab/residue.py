@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .polycore import (
     GaussianRational,
     HomogeneousPoly,
     PolyKernel,
+    _reduced,
     monomials_of_degree,
 )
 from .syszero import (
@@ -158,10 +158,10 @@ def _integer_monomial_rows(
     monos = monomials_of_degree(3, degree)
     rows = []
     for p in points:
-        scale = math.lcm(*(x.denominator for c in p for x in (c.re, c.im)))
+        scale = math.lcm(*(c._d for c in p))
         powers = []  # powers[k][j]: coordinate k to the j
         for c in p:
-            a, b = c.re.numerator * (scale // c.re.denominator), c.im.numerator * (scale // c.im.denominator)
+            a, b = c._a * (scale // c._d), c._b * (scale // c._d)
             pw = [(1, 0)]
             for _ in range(degree):
                 r, i = pw[-1]
@@ -246,10 +246,7 @@ def cb_vanishing_space_exact(
             # -x / p = -x conj(p) / |p|^2
             xr, xi, pr, pi = row[2 * fc], row[2 * fc + 1], row[2 * pc], row[2 * pc + 1]
             if xr or xi:
-                den = pr * pr + pi * pi
-                terms[monos[pc]] = GaussianRational(
-                    Fraction(-(xr * pr + xi * pi), den), Fraction(xr * pi - xi * pr, den)
-                )
+                terms[monos[pc]] = _reduced(-(xr * pr + xi * pi), xr * pi - xi * pr, pr * pr + pi * pi)
         basis.append(HomogeneousPoly(3, degree, {e: terms[e] for e in monos if e in terms}))
     return basis
 

@@ -21,10 +21,13 @@ mean eigenvalue of each M_k on the span of its eigenvectors (a trace, which
 stays accurate where single eigenvectors of a multiple zero do not); it adds
 k to ``defective``, is listed in ``multiple`` and is not returned.  A zero
 with |z_0| <= _INFINITY_TOL |z| is at infinity, counted in ``missing_paths``.
-Simple finite zeros are polished by batched Newton iteration and certified
-scale-free: the residual max_i |f_i| / (||f_i|| max(1, |w|)^d_i), ||f_i|| the
-coefficient norm, and the relative Jacobian test |det J| > _JACOBIAN_TOL
-prod_i |row i of J|.  A zero failing either is ``defective``; a certified one
+Simple finite zeros are polished by batched Newton iteration, each row until
+a step of at most _STEP_TOL max(1, |z|_inf): the eigenvalue of a simple zero
+is at the rounding floor and takes one step; near a multiple zero Newton
+converges only linearly, and a row takes up to _ENDPOINT_ITERS.  They are
+certified scale-free: the residual max_i |f_i| / (||f_i|| max(1, |w|)^d_i),
+||f_i|| the coefficient norm, and the relative Jacobian test |det J| >
+_JACOBIAN_TOL prod_i |row i of J|.  A zero failing either is ``defective``; a certified one
 keeps its signed det J (``ZeroPoint.det_j``), the denominator of its local
 residue.  Zeros come in eigenvalue order, and points + missing_paths +
 defective is the Bezout number.  The SVD of the Macaulay matrix dominates the
@@ -42,13 +45,14 @@ a form vanishes at a point, scale-free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, _to_c, monomials_of_degree
+from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, monomials_of_degree
 
 __all__ = ["ZeroPoint", "ZeroSet", "solve_square_system", "zeros_at_infinity_check", "random_unitary", "SolveError"]
 
@@ -66,6 +70,7 @@ _GAP_TOL = 1e-6
 _INFINITY_TOL = 1e-6
 _CLUSTER_RADIUS = 1e-4
 _ENDPOINT_ITERS = 10
+_STEP_TOL = 1e-12  # a Newton step at most this, relative to max(1, |z|_inf), ends a row's polish
 _RESIDUAL_TOL = 1e-8
 _JACOBIAN_TOL = 1e-10
 
@@ -186,7 +191,7 @@ def _eigen_zeros(N: np.ndarray, index, n: int, rho: int, seed: int):
     one per cluster of eigenvalues, in eigenvalue order, with the cluster's size."""
     rng = np.random.default_rng(np.random.Philox(seed))
     h, c = rng.standard_normal((2, n + 1)) + 1j * rng.standard_normal((2, n + 1))
-    SN = N[index(np.array(monomials_of_degree(n + 1, rho - 1)) + np.eye(n + 1, dtype=int)[:, None])]
+    SN = N[index(_exponents(n + 1, rho - 1) + np.eye(n + 1, dtype=int)[:, None])]
     ShN = np.tensordot(h, SN, 1)
     U = np.linalg.svd(ShN, full_matrices=False)[0].conj().T
     Mk = np.linalg.solve(U @ ShN, U @ SN)  # multiplication by z_k / h
@@ -209,8 +214,13 @@ def _eigen_zeros(N: np.ndarray, index, n: int, rho: int, seed: int):
 
 
 def _refine_endpoints(system: _System, Z: np.ndarray) -> np.ndarray:
-    """Newton's method on f from every row of Z, in place, all rows in one batch.
-    A row stops where its Jacobian is singular or its next iterate is not finite."""
+    """Newton's method on f from every row of Z, in place, all rows in one batch,
+    for at most _ENDPOINT_ITERS steps.  A row stops after a step of at most
+    _STEP_TOL max(1, |z|_inf), the rounding floor of a simple zero (where an
+    eigenvalue zero already is), and where its Jacobian is singular or its next
+    iterate is not finite.  Near a multiple zero Newton converges only
+    linearly: such a row takes every step, unless f rounds to about zero on
+    the way."""
     live = np.arange(len(Z))
     for _ in range(_ENDPOINT_ITERS):
         if not live.size:
@@ -219,8 +229,9 @@ def _refine_endpoints(system: _System, Z: np.ndarray) -> np.ndarray:
         dz, ok = _solve_rows(J, f)
         z_new = Z[live] - dz
         ok &= np.isfinite(z_new).all(axis=1)
-        live = live[ok]
-        Z[live] = z_new[ok]
+        Z[live[ok]] = z_new[ok]
+        small = np.abs(dz).max(axis=1) <= _STEP_TOL * np.maximum(1.0, np.abs(z_new).max(axis=1))
+        live = live[ok & ~small]
     return Z
 
 
@@ -250,6 +261,14 @@ def _restrict_to_infinity(poly: HomogeneousPoly) -> HomogeneousPoly:
     return HomogeneousPoly(poly.num_vars - 1, poly.degree, terms)
 
 
+@functools.lru_cache(maxsize=None)
+def _exponents(num_vars: int, degree: int) -> np.ndarray:
+    """``monomials_of_degree`` as a read-only (count, num_vars) array, built once."""
+    E = np.array(monomials_of_degree(num_vars, degree))
+    E.flags.writeable = False
+    return E
+
+
 def _macaulay(forms: Sequence[HomogeneousPoly], D: int):
     """The Macaulay matrix of the forms in degree D: a row for each form times
     each monomial of degree D - d_i (the first form's rows first), the form
@@ -258,7 +277,7 @@ def _macaulay(forms: Sequence[HomogeneousPoly], D: int):
     (..., num_vars) to its columns."""
     nv = forms[0].num_vars
     base = (D + 1) ** np.arange(nv)
-    keys = np.array(monomials_of_degree(nv, D)) @ base
+    keys = _exponents(nv, D) @ base
     order = np.argsort(keys)
 
     def index(E: np.ndarray) -> np.ndarray:
@@ -266,10 +285,10 @@ def _macaulay(forms: Sequence[HomogeneousPoly], D: int):
 
     blocks = []
     for f in forms:
-        shifts = np.array(monomials_of_degree(nv, D - f.degree))
+        shifts = _exponents(nv, D - f.degree)
         block = np.zeros((len(shifts), len(keys)), dtype=complex)
         if f.terms:
-            c = np.array([_to_c(v) for v in f.terms.values()])
+            c = np.array([complex(v) for v in f.terms.values()])
             columns = index(shifts[:, None] + np.array(list(f.terms)))
             block[np.arange(len(shifts))[:, None], columns] = c / np.linalg.norm(c)
         blocks.append(block)

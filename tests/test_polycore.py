@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -476,6 +477,138 @@ def test_gaussian_rational_field_ops():
     assert (a * b) / b == a
     assert a + (-a) == GaussianRational.of(0)
     assert a.conjugate().conjugate() == a
+
+
+@dataclass(frozen=True)
+class _FractionPair:
+    """The reference: a Gaussian rational as a frozen pair of Fractions."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def _of(x):
+        return x if isinstance(x, _FractionPair) else _FractionPair(Fraction(x))
+
+    def __add__(self, other):
+        other = self._of(other)
+        return _FractionPair(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionPair(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-self._of(other))
+
+    def __rsub__(self, other):
+        return self._of(other) + (-self)
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return _FractionPair(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        den = other.re * other.re + other.im * other.im
+        if den == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return _FractionPair(
+            (self.re * other.re + self.im * other.im) / den, (self.im * other.re - self.re * other.im) / den
+        )
+
+    def conjugate(self):
+        return _FractionPair(self.re, -self.im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def to_complex(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def _fraction_pairs(rng):
+    """Seeded rationals: zero, small signed ones, and magnitudes near 10^±400."""
+    parts = [Fraction(0), Fraction(-1), Fraction(1, 3), Fraction(-(10**400)), Fraction(7, 10**400), Fraction(10**400 + 1, 3)]
+    for _ in range(10):
+        parts.append(Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 30))))
+    return [(parts[int(i)], parts[int(j)]) for i, j in rng.integers(0, len(parts), size=(24, 2))] + [
+        (Fraction(0), Fraction(0)),
+        (Fraction(-2, 3), Fraction(0)),
+        (Fraction(0), Fraction(-5, 7)),
+    ]
+
+
+def _complex_bits(fn):
+    """fn()'s real and imaginary parts bit for bit, or the type of its error."""
+    try:
+        z = fn()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return np.array([z.real, z.imag]).tobytes()
+
+
+def _same(new, ref):
+    """``new`` (a GaussianRational, or an error type) holds the value of ``ref``."""
+    if isinstance(ref, type):
+        return new is ref
+    return isinstance(new, GaussianRational) and (new.re, new.im) == (ref.re, ref.im)
+
+
+def _apply(op, x, y):
+    try:
+        return op(x, y)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gaussian_rational_matches_the_fraction_pair_reference(seed):
+    # every operation gives the same rational, text and complex bits as a
+    # pair of Fractions, for zero, negatives and 10^400 magnitudes alike
+    import operator
+
+    values = _fraction_pairs(np.random.default_rng(70 + seed))
+    for re, im in values:
+        new, ref = GaussianRational(re, im), _FractionPair(re, im)
+        assert (new.re, new.im) == (re, im) and GaussianRational.of(re, im) == new
+        assert _same(-new, -ref) and _same(new.conjugate(), ref.conjugate())
+        assert str(new) == str(ref)
+        assert repr(new) == repr(ref).replace("_FractionPair", "GaussianRational")
+        assert bool(new) is bool(ref)
+        assert _complex_bits(new.to_complex) == _complex_bits(ref.to_complex) == _complex_bits(lambda: complex(new))
+        assert hash(new) == hash(ref)
+        for other in (0, -3, Fraction(5, -4)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                assert _same(_apply(op, new, other), _apply(op, ref, other))
+            for op in (operator.add, operator.sub, operator.mul):
+                assert _same(op(other, new), op(other, ref))
+        for re2, im2 in values:
+            new2, ref2 = GaussianRational(re2, im2), _FractionPair(re2, im2)
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                assert _same(_apply(op, new, new2), _apply(op, ref, ref2))
+            assert (new == new2) is ((re, im) == (re2, im2))
+            assert new != new2 or hash(new) == hash(new2)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational.of(1) / GaussianRational.of(0)
+
+
+def test_exact_coefficients_convert_to_complex():
+    text = "(1/2)*z0 + (1-2i)*z1"
+    p = parse_poly(text, 2, backend="exact")
+    assert [complex(c) for c in p.terms.values()] == [0.5, 1 - 2j]
+    assert p.coeff_norm() == parse_poly(text, 2).coeff_norm()
 
 
 def test_monomials_of_degree_count():

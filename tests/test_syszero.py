@@ -340,3 +340,71 @@ def test_p3_infinity_check_is_scale_free(planted, scale, monkeypatch):
         for k in range(count):
             forms = [f.scale(scale) for f in _planted_forms(rng, degrees, planted)]
             assert zeros_at_infinity_check(forms) is not planted, (degrees, k)
+
+
+# ------------------------------------------------------- Newton polish
+
+
+def _ten_step_polish(system, Z):
+    """The reference polish: ten Newton steps on every row, stopping a row only
+    where its Jacobian is singular or its next iterate is not finite."""
+    live = np.arange(len(Z))
+    for _ in range(10):
+        if not live.size:
+            break
+        f, J = system.rows(Z[live])
+        dz, ok = syszero._solve_rows(J, f)
+        z_new = Z[live] - dz
+        ok &= np.isfinite(z_new).all(axis=1)
+        live = live[ok]
+        Z[live] = z_new[ok]
+    return Z
+
+
+@pytest.mark.parametrize("degrees", [(2, 3), (3, 3), (2, 2, 2)])
+def test_polish_makes_one_batch_call_on_generic_systems(degrees, monkeypatch):
+    # eigenvalue zeros of a generic system are at the rounding floor, so the
+    # first Newton step is tiny and retires every row: one batch call for the
+    # polish and one for the certification
+    calls = []
+    rows = _System.rows
+    monkeypatch.setattr(_System, "rows", lambda self, Z: calls.append(len(Z)) or rows(self, Z))
+    for seed in range(5):
+        calls.clear()
+        zs = solve_square_system(_dense_system(np.random.default_rng(600 + seed), degrees), seed=seed)
+        assert len(zs.points) == math.prod(degrees)
+        assert calls == [math.prod(degrees)] * 2, (degrees, seed)
+
+
+def _powers_of_lines(rng):
+    """(l1^4, l2) for two random affine lines in two variables, and their zero."""
+    c = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    l1, l2 = (AffinePoly(2, {(0, 0): a, (1, 0): b, (0, 1): e}) for a, b, e in c)
+    return [l1 * l1 * l1 * l1, l2], np.linalg.solve(c[:, 1:], -c[:, 0])
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["z0^5; z1", "z0^3; z1^3", "(z0 - 1)^3; (z1 + 2)^3", "lines", "z0^2 - 1/1000000000; z1", "z0^2 - 10000000*z0; z1"],
+)
+def test_polish_stop_rule_matches_ten_steps(family, monkeypatch):
+    # multiple zeros (whose eigenvalues pass as simple zeros and converge only
+    # linearly), a close pair 6.3e-5 apart and a zero at 1e7: the same counts
+    # as ten fixed steps, and points within 1e-9.  Inside the rounding ball of
+    # the 4-fold zero of (l1^4, l2) f rounds to about zero, and the iterates
+    # follow the last bits of each evaluation (a step can round to 1e-17 and
+    # end the polish there), so those points are only checked to lie in it.
+    rng = np.random.default_rng(700)
+    for seed in range(20):
+        polys, zero = _powers_of_lines(rng) if family == "lines" else ([aff(t, 2) for t in family.split("; ")], None)
+        zs = solve_square_system(polys, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(syszero, "_refine_endpoints", _ten_step_polish)
+            ref = solve_square_system(polys, seed=seed)
+        counts = (len(zs.points), zs.missing_paths, zs.defective, [k for _, k in zs.multiple])
+        assert counts == (len(ref.points), ref.missing_paths, ref.defective, [k for _, k in ref.multiple]), seed
+        for a, b in zip(zs.points, ref.points):
+            if zero is None:
+                assert np.linalg.norm(np.subtract(a.point, b.point)) <= 1e-9 * max(1.0, np.linalg.norm(b.point))
+            else:
+                assert max(np.linalg.norm(a.point - zero), np.linalg.norm(b.point - zero)) <= 0.05, seed
