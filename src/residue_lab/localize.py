@@ -30,6 +30,10 @@ with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds_batch`
 and r_c the End(N)-scalar curvature term of
 :meth:`Example22Geometry.curvature_term_batch`.
 
+Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
+:func:`fiber_mass_quadrature`, integrate over polar discs whose rays are each
+summed in one row reduction of the (angles, radii) grid and added in order.
+
 Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
 values, one contiguous row per reported quantity, run by :func:`_run_chunks`
 on the seeded Philox stream in fixed chunks.  Each chunk is reduced at once to
@@ -48,7 +52,6 @@ GeometryContext under the identity metric.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -228,12 +231,20 @@ _leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 def _polar_disc(R: float, radial_nodes: int, angular_nodes: int):
     """Polar quadrature of the disc |zeta| <= R: Gauss-Legendre radii r with
     weights wr, and the points zeta = r e^{i theta} ray after ray, for
-    ``angular_nodes`` equally spaced angles of weight 2 pi / angular_nodes."""
+    ``angular_nodes`` equally spaced angles of weight 2 pi / angular_nodes,
+    built in one broadcast.  Reshaped to (angles, radii), each ray is one row:
+    a quadrature sums every row in one reduction and adds the rays in order."""
     nodes, weights = _leggauss(radial_nodes)
     r = 0.5 * R * (nodes + 1.0)
     wr = 0.5 * R * weights
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    return r, wr, np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])
+    return r, wr, (r * np.exp(1j * thetas)[:, None]).reshape(-1)
+
+
+def _check_t(t: float) -> None:
+    """Refuse a t the integrals cannot take: zero, negative, infinite or NaN."""
+    if not 0 < t < math.inf:
+        raise GeometryError("t must be positive")
 
 
 # ------------------------------------------------------------------ oracle
@@ -244,8 +255,11 @@ def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 3
 
     Integrates the pipeline integrand over C by polar quadrature; the exact
     value is 1 for every t > 0, which pins every sign and constant convention
-    at once.
+    at once.  The real part of the density times r wr is summed along each ray
+    in one row reduction, and the rays are added in order.  A t that is not
+    positive and finite is refused with GeometryError.
     """
+    _check_t(t)
     model = FlatModel(
         [AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j)
     )
@@ -253,8 +267,9 @@ def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 3
     wth = 2.0 * math.pi / angular_nodes
     dens = global_density_tensor(model, 0, zeta[:, None], t).reshape(angular_nodes, radial_nodes)
     total = 0.0
-    for ray in dens:  # summed angle by angle
-        total += float(np.sum(ray.real * r * wr)) * wth
+    # one reduction per ray, the rays added in order: the bits of a sum per ray
+    for ray_sum in (dens.real * r * wr).sum(axis=1):
+        total += float(ray_sum) * wth
     return total
 
 
@@ -274,8 +289,7 @@ def virtual_residue_sweep(
     if samples < SWEEP_MIN_SAMPLES:
         raise GeometryError(f"at least {SWEEP_MIN_SAMPLES} samples required")
     for t in ts:
-        if t <= 0:
-            raise GeometryError("t must be positive")
+        _check_t(t)
     n = ctx.n
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -308,8 +322,7 @@ def local_mass(
     n = 1; in higher dimension an orientation factor (-1)^{n(n-1)/2} from the
     pairing convention multiplies it, invisible to the vanishing statements).
     """
-    if t <= 0:
-        raise GeometryError("t must be positive")
+    _check_t(t)
     n = ctx.n
     center = np.asarray(center, dtype=complex)
     vol = math.pi**n * radius ** (2 * n) / math.factorial(n)
@@ -504,24 +517,39 @@ def fiber_mass_quadrature(
 
     As t -> 0 this converges to the summed curve-localized density of the
     sheets over u, providing a pointwise oracle for every constant in the
-    localization formula (diagnostic; used by the test suite).
+    localization formula (diagnostic; used by the test suite).  Each sheet
+    gets a polar disc; the density times r wr is summed along each ray in one
+    row reduction, and the rays are added in order, sheet after sheet.
+
+    Refused with GeometryError: a t that is not positive and finite, a fiber
+    whose leading coefficient in w_2 is below 1e-12 of its largest one (the
+    curve sampler's rule), and a sheet where |df/dw_2| is below 1e-12 times
+    f's coefficient norm (the rule of ``psi_over_det_ds_batch``): there the
+    sheets meet or run off to infinity, and the disc has no finite width.
     """
+    _check_t(t)
     ctx = geo.ctx
     coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(geo.f_aff(0))]])
+    if not abs(coeffs[0, -1]) > 1e-12 * np.abs(coeffs).max():
+        raise GeometryError("vanishing leading coefficient: a sheet over u is at infinity")
     roots = _solve_sheets(coeffs)[0]
     fn_poly = geo.df(0)[1]
+    branch_tol = 1e-12 * geo.f.coeff_norm()
 
     wth = 2.0 * math.pi / angular_nodes
     total = 0j
     for root in roots:
         w0 = np.array([u, root])
         fn = fn_poly.eval(list(w0))
+        if not abs(fn) >= branch_tol:
+            raise GeometryError("vanishing normal derivative (branch point)")
         Hm = ctx.metric_matrix_batch(0, w0[None])[0]
         h11 = float(Hm[geo.f_index, geo.f_index].real)
         width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
         r, wr, zeta = _polar_disc(_SIGMA_MULT * width, radial_nodes, angular_nodes)
         W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
         g = global_density(ctx, 0, W, t).reshape(angular_nodes, radial_nodes)
-        for ray in g:  # summed ray by ray
-            total += np.sum(ray * r * wr) * wth
+        # one reduction per ray, the rays added in order: the bits of a sum per ray
+        for ray_sum in (g * r * wr).sum(axis=1):
+            total += ray_sum * wth
     return complex(total)

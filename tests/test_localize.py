@@ -10,6 +10,8 @@ The two deepest oracles here:
   formula pointwise (not just its vanishing total).
 """
 
+import cmath
+import math
 from itertools import permutations
 
 import numpy as np
@@ -659,3 +661,130 @@ def test_curve_without_sheets_is_a_geometry_error():
         curve_localized_term(geo, samples=2000, seed=1)
     with pytest.raises(GeometryError, match="no sheets over w_1"):
         fiber_mass_quadrature(geo, 0.3 + 0.1j, t=0.01)
+
+
+# ------------------------------------------------------------------ quadrature bits
+
+
+def _parent_polar_disc(R, radial_nodes, angular_nodes):
+    """The disc as built before the broadcast: one cmath.exp product per ray."""
+    nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
+    r = 0.5 * R * (nodes + 1.0)
+    wr = 0.5 * R * weights
+    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    return r, wr, np.concatenate([r * cmath.exp(1j * theta) for theta in thetas])
+
+
+def _parent_flat_mass(t, radial_nodes, angular_nodes):
+    """flat_gaussian_mass with one np.sum per ray."""
+    model = FlatModel([AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j))
+    r, wr, zeta = _parent_polar_disc(10.0 * math.sqrt(2.0 * t), radial_nodes, angular_nodes)
+    wth = 2.0 * math.pi / angular_nodes
+    dens = global_density_tensor(model, 0, zeta[:, None], t).reshape(angular_nodes, radial_nodes)
+    total = 0.0
+    for ray in dens:
+        total += float(np.sum(ray.real * r * wr)) * wth
+    return total
+
+
+def _parent_fiber_mass(geo, u, t, radial_nodes=80, angular_nodes=24):
+    """fiber_mass_quadrature with one np.sum per ray."""
+    ctx = geo.ctx
+    coeffs = np.array([[cp.eval(np.array([u])) for cp in localize._sheet_coefficients(geo.f_aff(0))]])
+    roots = _solve_sheets(coeffs)[0]
+    fn_poly = geo.df(0)[1]
+    wth = 2.0 * math.pi / angular_nodes
+    total = 0j
+    for root in roots:
+        w0 = np.array([u, root])
+        fn = fn_poly.eval(list(w0))
+        Hm = ctx.metric_matrix_batch(0, w0[None])[0]
+        h11 = float(Hm[geo.f_index, geo.f_index].real)
+        width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
+        r, wr, zeta = _parent_polar_disc(localize._SIGMA_MULT * width, radial_nodes, angular_nodes)
+        W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
+        g = global_density(ctx, 0, W, t).reshape(angular_nodes, radial_nodes)
+        for ray in g:
+            total += np.sum(ray * r * wr) * wth
+    return complex(total)
+
+
+def _bits(z):
+    """Both parts of a number as float.hex, sign bits included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _fiber_family(d, perturbed):
+    """A section (f, 0) of O(d) + O(2) on P^2 with complex coefficients, as
+    in the oracle workload: Fubini-Study or perturbed metric, conic or cubic.
+    Under Fubini-Study the density vanishes identically (the metric is
+    diagonal and s_2 = 0, so det(Abar) = 0), and those fibers give 0j."""
+    f_text = {
+        2: "z1^2 + (1+2i)*z1*z2 + (3/4)*z2^2 - z0^2 + (1/3-1/2i)*z0*z2",
+        3: "z1^3 + (2-1i)*z1*z2^2 + z2^3 - (1/2)*z0^3 + (1+1i)*z0^2*z1 + (1/5)*z0*z2^2",
+    }[d]
+    psi = parse_poly({2: "z0 + (1/2)*z1", 3: "z0^2 - (1/3+1i)*z1*z2"}[d], 3)
+    ms = MetricSpec()
+    if perturbed:
+        q = parse_poly("z0^2 + 2*z1*z2 - z2^2", 3)
+        ms = MetricSpec("perturbed", epsilon=0.05, pair=(0, 1), q=q, f_index=0)
+    s = (parse_poly(f_text, 3), HomogeneousPoly(3, 2, {}))
+    return Example22Geometry(GeometryContext((d, 2), s, ms, psi))
+
+
+def test_polar_disc_is_the_parent_disc_bit_for_bit():
+    for R, radial, angular in ((1.0, 80, 24), (0.0173, 120, 32), (28.3, 7, 5)):
+        new, old = localize._polar_disc(R, radial, angular), _parent_polar_disc(R, radial, angular)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("nodes", [(120, 32), (41, 7)])
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 2.0])
+def test_flat_mass_row_reduction_is_the_per_ray_sum_bit_for_bit(t, nodes):
+    assert _bits(flat_gaussian_mass(t, *nodes)) == _bits(_parent_flat_mass(t, *nodes))
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["fs", "perturbed"])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_fiber_mass_row_reduction_is_the_per_ray_sum_bit_for_bit(d, perturbed):
+    geo = _fiber_family(d, perturbed)
+    for u in (0.3 + 0.2j, -0.71 + 0.55j, 0.05 - 0.9j):
+        assert _bits(fiber_mass_quadrature(geo, u, 1e-3)) == _bits(_parent_fiber_mass(geo, u, 1e-3))
+
+
+# ------------------------------------------------------------------ refusals
+
+
+@pytest.mark.parametrize("t", [-0.5, 0.0, float("nan"), float("inf")])
+def test_every_entry_point_refuses_a_t_that_is_not_positive(t):
+    from residue_lab.projgeom import GeometryError
+
+    with pytest.raises(GeometryError, match="t must be positive"):
+        flat_gaussian_mass(t)
+    with pytest.raises(GeometryError, match="t must be positive"):
+        fiber_mass_quadrature(Example22Geometry(example22_context()), 0.4 + 0.3j, t)
+    with pytest.raises(GeometryError, match="t must be positive"):
+        virtual_residue_sweep(p1_o2_context(), [0.5, t], samples=1000, seed=1)
+    with pytest.raises(GeometryError, match="t must be positive"):
+        local_mass(p1_o2_context(), [1.0], t, radius=0.5, samples=1000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "f_text, u, match",
+    [
+        ("z1*z2 + z2^2 - z0^2", 2j, "branch point"),  # the two sheets meet at w_2 = -i
+        ("z1*z2 + z1^2 - z0^2", 0j, "leading coefficient"),  # the w_2 coefficient w_1 vanishes
+    ],
+    ids=["branch-point", "sheet-at-infinity"],
+)
+def test_fiber_quadrature_refuses_an_unintegrable_fiber(f_text, u, match):
+    from residue_lab.projgeom import GeometryError
+
+    s = (parse_poly(f_text, 3), HomogeneousPoly(3, 2, {}))
+    geo = Example22Geometry(GeometryContext((2, 2), s, MetricSpec(), parse_poly("z0", 3)))
+    with np.errstate(all="raise"):  # refused before any arithmetic on the bad fiber
+        with pytest.raises(GeometryError, match=match):
+            fiber_mass_quadrature(geo, u, 1e-3)
