@@ -28,7 +28,8 @@ localized integrand per sheet is
 
 with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds_batch`
 and r_c the End(N)-scalar curvature term of
-:meth:`Example22Geometry.curvature_term_batch`.
+:meth:`Example22Geometry.curvature_term_batch`.  On a split metric such as
+Fubini-Study, r_c is identically 0, and so is the curve integrand.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`fiber_mass_quadrature`, integrate over polar discs whose rays are each
@@ -66,6 +67,7 @@ from .projgeom import (
     GeometryContext,
     GeometryError,
     _assemble_chart,
+    _check_t,
     _det,
     by_chart,
     fs_density,
@@ -239,12 +241,6 @@ def _polar_disc(R: float, radial_nodes: int, angular_nodes: int):
     wr = 0.5 * R * weights
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     return r, wr, (r * np.exp(1j * thetas)[:, None]).reshape(-1)
-
-
-def _check_t(t: float) -> None:
-    """Refuse a t the integrals cannot take: zero, negative, infinite or NaN."""
-    if not 0 < t < math.inf:
-        raise GeometryError("t must be positive")
 
 
 # ------------------------------------------------------------------ oracle

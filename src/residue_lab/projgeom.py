@@ -54,6 +54,12 @@ class GeometryError(ValueError):
     """Configuration violates a geometric precondition."""
 
 
+def _check_t(t: float) -> None:
+    """Refuse a t the integrals cannot take: zero, negative, infinite or NaN."""
+    if not 0 < t < math.inf:
+        raise GeometryError("t must be positive")
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """Hermitian metric family on V: Fubini-Study or rank-two perturbation;
@@ -373,10 +379,10 @@ class GeometryContext:
         ``density_group`` of the determinant path, so the tensor route checks
         that group independently.  w is one point of shape (n,), giving scalar
         coefficients, or a batch of shape (N, n), giving (N,)-array
-        coefficients.
+        coefficients.  A t that is not positive and finite is refused with
+        GeometryError, as by every integral of :mod:`residue_lab.localize`.
         """
-        if t <= 0:
-            raise GeometryError("t must be positive")
+        _check_t(t)
         data = self.chart_data(chart)
         w = np.asarray(w, dtype=complex)
 
@@ -429,10 +435,19 @@ class GeometryContext:
         G^{-1} is :func:`_inv` (closed form for rank 2) and every product one
         :func:`_mm`.  The matrices come from one cached ChartGroup per entry,
         evaluated ROW_BLOCK points at a time to bound memory.
+
+        An off-diagonal entry (i != j) of a G whose off-diagonal chart
+        functions have no terms is zero by structure and returned as zeros with
+        nothing compiled: G, G^{-1} and every derivative of G are then diagonal,
+        and so is every R[a][b], as the Chern connection of an orthogonal direct
+        sum is the sum of the summands' (Griffiths and Harris, Principles of
+        Algebraic Geometry, 1978, ch. 0 sec. 5).
         """
         data = self.chart_data(chart)
         n = self.n
         i, j, a = entry
+        if i != j and not any(data.G[r][c].terms for r in range(n) for c in range(n) if r != c):
+            return np.zeros((W.shape[0], n), dtype=complex)
 
         def build():
             dGa = [[row[j].d(a)] for row in data.G]
@@ -558,7 +573,8 @@ class Example22Geometry:
         with nu = d/dw_2 the normal coordinate direction and tau the sheet
         tangent.  The first curvature slot takes the normal vector, the second
         the conjugated tangent; feeding the first slot with a tangent vector
-        contributes nothing (well-definedness, tested separately).
+        contributes nothing (well-definedness, tested separately).  On a split
+        metric such as Fubini-Study, r is identically 0 (chern_curvature_batch).
         """
         f1, f2 = self.df(chart)
         fn = f2.eval_batch(W)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from residue_lab import localize
-from residue_lab.polycore import ROW_BLOCK, AffinePoly, HomogeneousPoly, parse_poly
+from residue_lab.polycore import ROW_BLOCK, AffinePoly, HomogeneousPoly, monomials_of_degree, parse_poly, row_blocks
 from residue_lab.projgeom import (
     Example22Geometry,
     GeometryContext,
@@ -770,6 +770,13 @@ def test_every_entry_point_refuses_a_t_that_is_not_positive(t):
         virtual_residue_sweep(p1_o2_context(), [0.5, t], samples=1000, seed=1)
     with pytest.raises(GeometryError, match="t must be positive"):
         local_mass(p1_o2_context(), [1.0], t, radius=0.5, samples=1000, seed=1)
+    # S_form shares the rule: a NaN t once gave nan and an infinite one 0j
+    model = FlatModel([AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j))
+    with np.errstate(all="raise"):  # refused before any arithmetic
+        with pytest.raises(GeometryError, match="t must be positive"):
+            model.S_form(0, [0.3 + 0.1j], t)
+        with pytest.raises(GeometryError, match="t must be positive"):
+            global_density_tensor(model, 0, [0.3 + 0.1j], t)
 
 
 @pytest.mark.parametrize(
@@ -788,3 +795,76 @@ def test_fiber_quadrature_refuses_an_unintegrable_fiber(f_text, u, match):
     with np.errstate(all="raise"):  # refused before any arithmetic on the bad fiber
         with pytest.raises(GeometryError, match=match):
             fiber_mass_quadrature(geo, u, 1e-3)
+
+
+# ------------------------------------------ structural zeros of a split metric
+
+
+def test_flat_model_curvature_is_zero_by_structure():
+    # FlatModel has no metric label: its G is the identity, whose off-diagonal
+    # functions have no terms, so an off-diagonal entry compiles nothing; a
+    # diagonal one still takes the generic route to the flat connection's 0
+    model = FlatModel(
+        [AffinePoly.coordinate(2, 0), AffinePoly.coordinate(2, 1)], AffinePoly.constant(2, 1.0 + 0j)
+    )
+    data = model.chart_data(0)
+    rng = np.random.default_rng(30)
+    W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    for entry in [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]:
+        assert not model.chern_curvature_batch(0, W, entry=entry).any()
+    assert not any(key[0] == "curvature" for key in data.groups)
+    assert not model.chern_curvature_batch(0, W, entry=(0, 0, 1)).any()
+    assert ("curvature", (0, 0, 1)) in data.groups
+
+
+def _generic_chern_curvature_batch(self, chart, W, *, entry):
+    """GeometryContext.chern_curvature_batch with every entry computed through
+    G^{-1} and the derivatives of G, structural zeros included."""
+    from residue_lab.projgeom import _eval_matrices, _inv, _mm
+
+    data = self.chart_data(chart)
+    n = self.n
+    i, j, a = entry
+
+    def build():
+        dGa = [[row[j].d(a)] for row in data.G]
+        dbarG = [[[g.dbar(b) for g in row] for row in data.G] for b in range(n)]
+        return [data.G, *dbarG, dGa] + [[[f.dbar(b) for f in row] for row in dGa] for b in range(n)]
+
+    group = data.group(("curvature", entry), build)
+    out = np.zeros((W.shape[0], n), dtype=complex)
+    for block in row_blocks(W.shape[0]):
+        G, *mats = _eval_matrices(group, W[block])
+        dbarG, dGa, d2G = mats[:n], mats[n], mats[n + 1 :]
+        Ginv = _inv(G)
+        X = _mm(Ginv, dGa)
+        for b in range(n):
+            out[block, b] = _mm(Ginv[:, i : i + 1, :], _mm(dbarG[b], X) - d2G[b])[:, 0, 0]
+    return out
+
+
+def _random_fs_curve(d, seed):
+    """Example 2.2 on a smooth curve f = 0 of degree d with random complex
+    coefficients, under Fubini-Study."""
+    rng = np.random.default_rng(seed)
+
+    def poly(degree):
+        monomials = monomials_of_degree(3, degree)
+        values = rng.normal(size=len(monomials)) + 1j * rng.normal(size=len(monomials))
+        return HomogeneousPoly(3, degree, dict(zip(monomials, values)))
+
+    f, psi = poly(d), poly(d - 1)
+    geo = Example22Geometry(GeometryContext((d, 2), (f, HomogeneousPoly(3, 2, {})), MetricSpec(), psi))
+    assert geo.smoothness_defect() is None
+    return geo
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_fs_curve_term_is_the_generic_route_bit_for_bit(monkeypatch, d, seed):
+    def fields(term):
+        return (_bits(term.value), term.std_error.hex(), term.pointwise_max.hex(), term.l1_mass.hex(), term.rejected)
+
+    got = fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
+    monkeypatch.setattr(GeometryContext, "chern_curvature_batch", _generic_chern_curvature_batch)
+    assert got == fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))

@@ -843,6 +843,58 @@ def test_curvature_blocks_are_independent_on_p1(chart):
     assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
+# ------------------------------------------ structural zeros of a split metric
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)])
+def test_fs_off_diagonal_entry_is_zero_with_nothing_compiled(monkeypatch, entry):
+    # G is diagonal under Fubini-Study: the entry is exact zeros, with no
+    # group compiled, no derivative taken and no inverse or product formed
+    ctx = example22_context(eps=0)
+    data = ctx.chart_data(0)
+    before = set(data.groups)
+    counts = {"d": 0, "dbar": 0}
+    for name in counts:
+
+        def counted(self, a, name=name, derivative=getattr(ChartFunction, name)):
+            counts[name] += 1
+            return derivative(self, a)
+
+        monkeypatch.setattr(ChartFunction, name, counted)
+
+    def refused(*args):
+        raise AssertionError("a structural zero needs no matrix algebra")
+
+    monkeypatch.setattr(projgeom, "_inv", refused)
+    monkeypatch.setattr(projgeom, "_mm", refused)
+    rng = np.random.default_rng(27)
+    W = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+    R = ctx.chern_curvature_batch(0, W, entry=entry)
+    assert R.shape == (300, 2) and R.dtype == complex and not R.any()
+    assert counts == {"d": 0, "dbar": 0}
+    assert set(data.groups) == before
+
+
+@pytest.mark.parametrize("cancelling", [None, (0, 1), (1, 0)], ids=["perturbed", "fs_cancel_01", "fs_cancel_10"])
+def test_off_diagonal_terms_keep_the_generic_route(cancelling):
+    # the rule reads whether any off-diagonal function of G has terms, not the
+    # metric's label: an FS context with one off-diagonal entry of terms that
+    # cancel, like a perturbed one, compiles its group and matches the reference
+    ctx = example22_context(eps=0.05 if cancelling is None else 0)
+    data = ctx.chart_data(0)
+    if cancelling is not None:
+        r, c = cancelling
+        data.G[r][c] = data.G[0][0] - data.G[0][0]
+    before = set(data.groups)
+    rng = np.random.default_rng(29)
+    W = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+    R = ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
+    assert set(data.groups) - before == {("curvature", (0, 1, 1))}
+    ref = reference_curvature(ctx, 0, W)
+    scale = np.abs(ref).reshape(len(W), -1).max(axis=1)
+    assert np.all(np.abs(R - ref[:, 0, 1, 1, :]) <= 1e-12 * scale[:, None])
+
+
 def test_fs_uniform_points_are_the_complex_sum_bit_for_bit():
     Z = fs_uniform_points(2, 16384, np.random.default_rng(np.random.Philox(26)))
     rng = np.random.default_rng(np.random.Philox(26))
