@@ -29,11 +29,13 @@ localized integrand per sheet is
 with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds_batch`
 and r_c the End(N)-scalar curvature term of
 :meth:`Example22Geometry.curvature_term_batch`.  On a split metric such as
-Fubini-Study, r_c is identically 0, and so is the curve integrand.
+Fubini-Study, r_c is identically 0, and so is the curve integrand: the sampler
+still draws and rejects sheets, but evaluates no density there.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`fiber_mass_quadrature`, integrate over polar discs whose rays are each
-summed in one row reduction of the (angles, radii) grid and added in order.
+summed in one row reduction of the (angles, radii) grid and added in order.  A
+fiber whose det(Abar) is zero by structure is 0j with no disc built.
 
 Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
 values, one contiguous row per reported quantity, run by :func:`_run_chunks`
@@ -462,20 +464,11 @@ def curve_localized_term(
             ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
         return u, roots, ok
 
-    def density(u: np.ndarray, roots: np.ndarray) -> np.ndarray:
-        """The density at every sheet, (N, m), ROW_BLOCK sheet points at a time."""
-        m = roots.shape[1]
-        dens = np.empty(roots.size, dtype=complex)
-        for block in row_blocks(roots.size):
-            W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
-            dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
-        return dens.reshape(-1, m)
-
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         """Rows: value, L1 mass, largest |sheet density|, rejected flag."""
         u, roots, ok = sheets(rng, count)
         u = u[ok]
-        dens = density(u, roots[ok])
+        dens = _sheet_density(geo, u, roots[ok])
         size, p_base = np.abs(dens), fs_density(u[:, None], 1)
         out = np.zeros((4, count), dtype=complex)
         out[0, ok] = dens.sum(axis=1) / p_base
@@ -495,6 +488,20 @@ def curve_localized_term(
         pointwise_max=float(summary.top[2]),
         l1_mass=float(summary.total[1].real / summary.count),
     )
+
+
+def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """phi_c r_c / pi at every sheet point (u, root) of chart 0, (N, m),
+    ROW_BLOCK sheet points at a time; zeros, with nothing evaluated, when the
+    metric is split and r_c is zero by structure (chern_curvature_batch)."""
+    if geo.ctx.chart_data(0).metric_is_split():
+        return np.zeros(roots.shape, dtype=complex)
+    m = roots.shape[1]
+    dens = np.empty(roots.size, dtype=complex)
+    for block in row_blocks(roots.size):
+        W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
+        dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
+    return dens.reshape(-1, m)
 
 
 def _sheet_points(u: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -517,29 +524,41 @@ def fiber_mass_quadrature(
     gets a polar disc; the density times r wr is summed along each ray in one
     row reduction, and the rays are added in order, sheet after sheet.
 
-    Refused with GeometryError: a t that is not positive and finite, a fiber
-    whose leading coefficient in w_2 is below 1e-12 of its largest one (the
-    curve sampler's rule), and a sheet where |df/dw_2| is below 1e-12 times
-    f's coefficient norm (the rule of ``psi_over_det_ds_batch``): there the
-    sheets meet or run off to infinity, and the disc has no finite width.
+    Every refusal comes first, with GeometryError: a t that is not positive
+    and finite, a u that is not finite, a fiber whose leading coefficient in
+    w_2 is below 1e-12 of its largest one (the curve sampler's rule; a huge u
+    overflows to one), and a sheet where |df/dw_2| is below 1e-12 times f's
+    coefficient norm (the rule of ``psi_over_det_ds_batch``): there the sheets
+    meet or run off to infinity, and the disc has no finite width.
+
+    Then a row or column of chart 0's Abar with no terms makes det(Abar) zero
+    by structure (under a split metric, xi of the zero summand of s = (f, 0)
+    is such a column), and 0j is returned with nothing evaluated: the sum
+    would start at +0 and add only signed zeros, which give +0.  Any other
+    fiber evaluates the metric at all its sheet centres in one call.
     """
     _check_t(t)
+    if not np.isfinite(u):
+        raise GeometryError("u must be finite")
     ctx = geo.ctx
-    coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(geo.f_aff(0))]])
+    with np.errstate(all="ignore"):
+        coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(geo.f_aff(0))]])
     if not abs(coeffs[0, -1]) > 1e-12 * np.abs(coeffs).max():
         raise GeometryError("vanishing leading coefficient: a sheet over u is at infinity")
     roots = _solve_sheets(coeffs)[0]
-    fn_poly = geo.df(0)[1]
-    branch_tol = 1e-12 * geo.f.coeff_norm()
+    centres = np.stack([np.full(len(roots), u, dtype=complex), roots], axis=1)
+    fns = [geo.df(0)[1].eval(list(w0)) for w0 in centres]
+    if not np.abs(fns).min() >= 1e-12 * geo.f.coeff_norm():  # NaN refused too
+        raise GeometryError("vanishing normal derivative (branch point)")
+    data = ctx.chart_data(0)
+    empty = [not any(f.terms for f in line) for line in [*data.Abar, *zip(*data.Abar)]]
+    if any(empty) and data.psi_aff is not None:  # without psi, global_density refuses below
+        return 0j
 
+    H = ctx.metric_matrix_batch(0, centres)
     wth = 2.0 * math.pi / angular_nodes
     total = 0j
-    for root in roots:
-        w0 = np.array([u, root])
-        fn = fn_poly.eval(list(w0))
-        if not abs(fn) >= branch_tol:
-            raise GeometryError("vanishing normal derivative (branch point)")
-        Hm = ctx.metric_matrix_batch(0, w0[None])[0]
+    for root, fn, Hm in zip(roots, fns, H):
         h11 = float(Hm[geo.f_index, geo.f_index].real)
         width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
         r, wr, zeta = _polar_disc(_SIGMA_MULT * width, radial_nodes, angular_nodes)

@@ -219,6 +219,11 @@ class _ChartData:
             self.groups[key] = (ChartGroup(len(self.s_aff), functions), shapes)
         return self.groups[key]
 
+    def metric_is_split(self) -> bool:
+        """Whether no off-diagonal chart function of G has a term: then every
+        off-diagonal curvature entry is zero by structure (chern_curvature_batch)."""
+        return not any(g.terms for r, row in enumerate(self.G) for c, g in enumerate(row) if r != c)
+
 
 def _assemble_chart(
     chart: int, s_aff: List[AffinePoly], psi_aff: Optional[AffinePoly], H: List[List[ChartFunction]]
@@ -446,7 +451,7 @@ class GeometryContext:
         data = self.chart_data(chart)
         n = self.n
         i, j, a = entry
-        if i != j and not any(data.G[r][c].terms for r in range(n) for c in range(n) if r != c):
+        if i != j and data.metric_is_split():
             return np.zeros((W.shape[0], n), dtype=complex)
 
         def build():

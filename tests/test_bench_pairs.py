@@ -75,3 +75,44 @@ def test_a_run_that_is_not_correct_stops_the_pairs(monkeypatch, capsys):
     code = bench_pairs.main(["old", "new", "--workload", "curve", "--seed", "1", "--pairs", "3"])
     assert code == 1 and runs == ["old", "new", "new"]
     assert "the change run of pair 2" in capsys.readouterr().err
+
+
+_REPORT = """residue-lab benchmark  workload=oracle seed=7007
+  wall_s                            0.169 s
+  task_tail_s is the p95.0 of 80 tasks; work_per_s counts quadrature points
+  fiber_2_fubini_study      8 tasks, median 0.0011 s, total 0.01 s
+  fiber_3_perturbed        48 tasks, median 0.0023 s, total 0.11 s
+  flat_gaussian            16 tasks, median 0.0008 s, total 0.01 s
+info {"tasks": 80}
+{"correct": true}
+"""
+
+
+def test_label_medians_read_the_per_label_lines_only():
+    assert bench_pairs.label_medians(_REPORT) == {
+        "fiber_2_fubini_study": 0.0011, "fiber_3_perturbed": 0.0023, "flat_gaussian": 0.0008,
+    }
+    assert bench_pairs.label_medians("no report here\n") == {}
+
+
+def test_label_lines_take_the_median_of_medians_and_count_pairs_won():
+    parent = [{"a": 0.004, "b": 0.001}, {"a": 0.006, "b": 0.001}, {"a": 0.005, "b": 0.002}]
+    change = [{"a": 0.002, "c": 0.3}, {"a": 0.007}, {"a": 0.004, "b": 0.002}]
+    a, b, c = bench_pairs.label_lines(parent, change)
+    assert a.split() == ["a", "parent", "0.0050", "s", "change", "0.0040", "s", "-20.0%", "won", "2/3"]
+    # b ran in every parent run but one change run, c only in one change run
+    assert b.split() == ["b", "parent", "0.0010", "s", "change", "0.0020", "s", "+100.0%", "won", "0/1"]
+    assert c.split() == ["c", "parent", "n/a", "change", "0.3000", "s", "n/a", "won", "0/0"]
+
+
+def test_the_summary_ends_with_the_per_label_medians(monkeypatch, capsys):
+    def fake(checkout, workload, seed, seconds):
+        medians = {"old": "0.0020", "new": "0.0015"}[checkout.name]
+        metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "task_p50_s", "task_tail_s", "work_per_s", "peak_rss_mb")}
+        stdout = f"  fiber_3_perturbed        48 tasks, median {medians} s, total 0.10 s\n"
+        return {"correct": True, "failed": 0, "metrics": metrics, "stdout": stdout}
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", fake)
+    assert bench_pairs.main(["old", "new", "--workload", "oracle", "--seed", "1", "--pairs", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.split() == ["fiber_3_perturbed", "parent", "0.0020", "s", "change", "0.0015", "s", "-25.0%", "won", "2/2"]

@@ -868,3 +868,203 @@ def test_fs_curve_term_is_the_generic_route_bit_for_bit(monkeypatch, d, seed):
     got = fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
     monkeypatch.setattr(GeometryContext, "chern_curvature_batch", _generic_chern_curvature_batch)
     assert got == fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
+
+
+# ------------------------------------------ structurally zero densities
+
+_ZERO = ("0x0.0p+0", "0x0.0p+0")
+_FIBERS = (0.3 + 0.2j, -0.71 + 0.55j, 0.05 - 0.9j, 1.7)
+
+
+def _evaluating(*args, **kwargs):
+    raise AssertionError("a chart group or the metric was evaluated")
+
+
+def _forbid_evaluation(monkeypatch):
+    from residue_lab.chartfun import ChartGroup
+
+    monkeypatch.setattr(ChartGroup, "eval_batch", _evaluating)
+    monkeypatch.setattr(GeometryContext, "metric_matrix_batch", _evaluating)
+
+
+class _CoupledUnderFSLabel(GeometryContext):
+    """Labelled Fubini-Study, with the coupling of ``_fiber_family``'s
+    perturbed metric added to its entries: xi of the zero summand has terms."""
+
+    def _metric(self, chart):
+        from residue_lab.chartfun import ChartFunction
+
+        H = super()._metric(chart)
+        q = parse_poly("z0^2 + 2*z1*z2 - z2^2", 3).dehomogenize(chart)
+        f = self.section[0].dehomogenize(chart)
+        off = ChartFunction.from_parts(2, hol=q, anti=f, weight=-(self.degrees[0] + 2), coef=0.05)
+        H[0][1] = H[0][1] + off
+        H[1][0] = H[1][0] + off.conjugate()
+        return H
+
+
+# labelled perturbed, but with q = 0 the metric is split by structure
+_Q0 = MetricSpec("perturbed", epsilon=0.05, pair=(0, 1), q=HomogeneousPoly(3, 2, {}), f_index=0)
+
+
+def _relabelled(geo, cls=GeometryContext, metric=MetricSpec()):
+    ctx = geo.ctx
+    return Example22Geometry(cls(ctx.degrees, ctx.section, metric, ctx.psi))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_zero_density_fiber_is_the_per_sheet_loop_bit_for_bit(d, t):
+    # under Fubini-Study xi of the zero summand has no terms, so a column of
+    # Abar is empty; the per-sheet loop adds signed zeros to +0 and gives +0
+    for geo in (_fiber_family(d, False), _random_fs_curve(d, 31)):
+        for u in _FIBERS:
+            assert _bits(fiber_mass_quadrature(geo, u, t)) == _bits(_parent_fiber_mass(geo, u, t)) == _ZERO
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_zero_density_fiber_evaluates_nothing(monkeypatch, d):
+    geos = [_fiber_family(d, False), _relabelled(_fiber_family(d, False), metric=_Q0)]
+    _forbid_evaluation(monkeypatch)
+    for geo in geos:
+        for u in _FIBERS:
+            assert _bits(fiber_mass_quadrature(geo, u, 1e-3)) == _ZERO
+
+
+@pytest.mark.parametrize(
+    "f_text, u, t, match",
+    [
+        ("z1^2 + z2^2 - z0^2", 0.4 + 0.3j, 0.0, "t must be positive"),
+        ("z1^2 + z2^2 - z0^2", complex(0.0, math.inf), 1e-3, "u must be finite"),
+        ("z1*z2 + z1^2 - z0^2", 0j, 1e-3, "vanishing leading coefficient: a sheet over u is at infinity"),
+        ("z1*z2 + z2^2 - z0^2", 2j, 1e-3, r"vanishing normal derivative \(branch point\)"),
+    ],
+    ids=["t", "u", "sheet-at-infinity", "branch-point"],
+)
+def test_a_zero_density_fiber_is_refused_before_it_is_zero(monkeypatch, f_text, u, t, match):
+    from residue_lab.projgeom import GeometryError
+
+    s = (parse_poly(f_text, 3), HomogeneousPoly(3, 2, {}))
+    geo = Example22Geometry(GeometryContext((2, 2), s, MetricSpec(), parse_poly("z0", 3)))
+    _forbid_evaluation(monkeypatch)
+    with pytest.raises(GeometryError, match=match):
+        fiber_mass_quadrature(geo, u, t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [math.nan, math.inf, complex(0.0, math.inf), complex(math.nan, 1.0)])
+def test_fiber_quadrature_refuses_a_u_that_is_not_finite(u):
+    from residue_lab.projgeom import GeometryError
+
+    for geo in (_fiber_family(2, False), _fiber_family(3, True)):
+        with pytest.raises(GeometryError, match="u must be finite"):
+            fiber_mass_quadrature(geo, u, 1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [1e200, complex(-1e200, 3e180)])
+def test_a_huge_finite_u_is_a_sheet_at_infinity_without_a_warning(u):
+    from residue_lab.projgeom import GeometryError
+
+    for geo in (_fiber_family(2, False), _fiber_family(3, True)):
+        with pytest.raises(GeometryError, match="vanishing leading coefficient"):
+            fiber_mass_quadrature(geo, u, 1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_a_perturbed_fiber_makes_one_metric_call(monkeypatch, d):
+    geo = _fiber_family(d, True)
+    calls = []
+    metric = GeometryContext.metric_matrix_batch
+
+    def counted(self, chart, W):
+        calls.append(len(W))
+        return metric(self, chart, W)
+
+    monkeypatch.setattr(GeometryContext, "metric_matrix_batch", counted)
+    for u in _FIBERS:
+        calls.clear()
+        got = fiber_mass_quadrature(geo, u, 1e-3)
+        assert calls == [d]
+        calls.clear()
+        assert _bits(got) == _bits(_parent_fiber_mass(geo, u, 1e-3)) != _ZERO
+        assert calls == [1] * d  # the reference makes one call per sheet
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["fs", "perturbed"])
+def test_the_metric_diagonal_does_not_depend_on_the_batch(perturbed):
+    # h_11 is a constant kernel row times (1 + |w|^2)^(-d): its bits are the
+    # same in a batch of sheet centres as in a call of its own
+    ctx = _fiber_family(3, perturbed).ctx
+    rng = np.random.default_rng(35)
+    W = (rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))) * np.logspace(-3, 2, 60)[:, None]
+    alone = np.concatenate([ctx.metric_matrix_batch(0, w[None]) for w in W])
+    for size in (2, 3, 60):
+        batched = np.concatenate([ctx.metric_matrix_batch(0, W[k : k + size]) for k in range(0, 60, size)])
+        for i in range(2):
+            assert [z.hex() for z in batched[:, i, i].real] == [z.hex() for z in alone[:, i, i].real]
+            assert not batched[:, i, i].imag.any() and not alone[:, i, i].imag.any()
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_zero_density_is_read_from_structure_not_from_the_label(d):
+    # labelled Fubini-Study, coupled as the perturbed family is: the quadrature runs
+    coupled = _relabelled(_fiber_family(d, False), cls=_CoupledUnderFSLabel)
+    assert coupled.ctx.metric.kind == "fubini_study"
+    perturbed = _fiber_family(d, True)
+    for u in _FIBERS:
+        got = fiber_mass_quadrature(coupled, u, 1e-3)
+        assert _bits(got) == _bits(fiber_mass_quadrature(perturbed, u, 1e-3)) != _ZERO
+
+
+def _parent_sheet_density(geo, u, roots):
+    """The curve term's density as evaluated before the split-metric rule:
+    phi_c r_c / pi at every sheet point, ROW_BLOCK points at a time."""
+    m = roots.shape[1]
+    dens = np.empty(roots.size, dtype=complex)
+    for block in row_blocks(roots.size):
+        W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
+        dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
+    return dens.reshape(-1, m)
+
+
+def _curve_fields(term):
+    return (_bits(term.value), term.std_error.hex(), term.pointwise_max.hex(), term.l1_mass.hex(), term.rejected)
+
+
+@pytest.mark.parametrize("branch_tol", [localize._BRANCH_TOL, 0.2, 0.5], ids=["default", "0.2", "0.5"])
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_split_curve_term_is_the_evaluated_density_bit_for_bit(monkeypatch, d, seed, branch_tol):
+    monkeypatch.setattr(localize, "_BRANCH_TOL", branch_tol)
+    got = _curve_fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
+    monkeypatch.setattr(localize, "_sheet_density", _parent_sheet_density)
+    assert got == _curve_fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
+    # a raised tolerance rejects samples: 0.2 at 5 of these 6 curves, 0.5 at all
+    assert got[-1] > 0 or branch_tol < 0.5
+
+
+def test_split_curve_term_evaluates_no_density(monkeypatch):
+    fs = _random_fs_curve(3, 31)
+    geos = [fs, _relabelled(fs, metric=_Q0)]
+    _forbid_evaluation(monkeypatch)
+    monkeypatch.setattr(GeometryContext, "chern_curvature_batch", _evaluating)
+    for geo in geos:
+        term = curve_localized_term(geo, samples=3000, seed=31)
+        assert term.value == 0 and term.pointwise_max == term.l1_mass == 0.0
+
+
+def test_curve_term_is_read_from_structure_not_from_the_label():
+    coupled = _relabelled(_fiber_family(2, False), cls=_CoupledUnderFSLabel)
+    got = _curve_fields(curve_localized_term(coupled, samples=2000, seed=35))
+    assert got == _curve_fields(curve_localized_term(_fiber_family(2, True), samples=2000, seed=35))
+    assert got[0] != _ZERO
+
+
+def test_a_split_fiber_without_psi_is_still_refused():
+    from residue_lab.projgeom import GeometryError
+
+    ctx = _fiber_family(2, False).ctx
+    geo = Example22Geometry(GeometryContext(ctx.degrees, ctx.section, MetricSpec()))
+    with pytest.raises(GeometryError, match="carries no psi"):
+        fiber_mass_quadrature(geo, 0.3 + 0.2j, 1e-3)
