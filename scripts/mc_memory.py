@@ -16,7 +16,7 @@ rather than where the heap happened to fragment.  It prints one row per run:
     estimator   the estimator and its scenario
     samples     the sample count
     growth MB   peak RSS after the run minus peak RSS before it
-    wall s      wall time of the run
+    wall s      wall time of the run, to three significant digits
 
 The estimators are ``virtual_residue_sweep`` on ``p2_22`` at the five t of
 the benchmark's sweep, ``local_mass`` on ``p1_o2`` (the ball of radius 0.5
@@ -67,7 +67,7 @@ def measure(estimator: str, samples: int) -> None:
     run(samples)
     wall = time.perf_counter() - start
     growth = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024  # kB on Linux
-    print(f"{growth:.1f} {wall:.3f}")
+    print(f"{growth:.1f} {wall!r}")
 
 
 def main() -> int:
@@ -92,7 +92,7 @@ def main() -> int:
                 sys.stderr.write(proc.stderr)
                 return 1
             growth, wall = proc.stdout.split()
-            print(f"{estimator:<30}  {samples:>9}  {float(growth):>9.1f}  {float(wall):>7.3f}")
+            print(f"{estimator:<30}  {samples:>9}  {float(growth):>9.1f}  {float(wall):>7.3g}")
     return 0
 
 

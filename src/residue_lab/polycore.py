@@ -19,9 +19,9 @@ monomial table, goes through :class:`PolyKernel`.
 
 The input grammar (see :func:`parse_poly`): variables ``z0``..``z9``, operators
 ``+ - * ^``, parentheses, complex literals ``a``, ``bi``, ``a+bi`` with decimal
-or rational (``p/q``) components, whitespace insignificant.  A term scanner
-reads flat sums ``[coefficient *] z_k[^n] * ... + ...``, one regex match per
-term; recursive descent reads the rest and reports every syntax error.
+or rational (``p/q``) components, whitespace insignificant.  One recursive
+descent reads it and raises every error with its position; a term of a flat
+sum, ``[coefficient *] z_k[^n] * ...``, takes one regex match.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ def _as_gauss(x) -> GaussianRational:
 
 
 Coeff = Union[complex, GaussianRational]
-Expo = tuple
 
 
 def _canonical(terms: Mapping) -> dict:
@@ -267,14 +266,7 @@ class _PolyBase:
                 for _ in range(k):
                     v = v * zi
             total = v if total is None else total + v
-        if total is None:
-            return 0j if not isinstance(self._sample_coeff(), GaussianRational) else GaussianRational.of(0)
-        return total
-
-    def _sample_coeff(self):
-        for c in self.terms.values():
-            return c
-        return 0j
+        return 0j if total is None else total
 
     def __eq__(self, other):
         return (
@@ -478,12 +470,8 @@ class HomogeneousPoly(_PolyBase):
         """Chart trivialization: Q(w) = P(z)/z_chart^degree under w_j = z_j/z_chart."""
         if not 0 <= chart < self.num_vars:
             raise PolyError(f"chart index {chart} out of range")
-        out: dict = {}
-        for e, c in self.terms.items():
-            ne = tuple(v for i, v in enumerate(e) if i != chart)
-            s = out.get(ne)
-            out[ne] = c if s is None else s + c
-        return AffinePoly(self.num_vars - 1, out)
+        # dropping e[chart] loses nothing: it is the degree less the other entries
+        return AffinePoly(self.num_vars - 1, {e[:chart] + e[chart + 1 :]: c for e, c in self.terms.items()})
 
     def substitute_linear(self, Q) -> "HomogeneousPoly":
         """The form z -> self(Q z) for a square matrix Q, expanded term by term
@@ -550,249 +538,194 @@ def monomials_of_degree(num_vars: int, degree: int) -> list:
     return out
 
 
-# --------------------------------------------------------------------------
-# Parser: tokenizer + recursive descent over the grammar in the module doc.
-# --------------------------------------------------------------------------
+_NUMBER = r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:/([0-9]+))?(i)?"  # one NUMBER token
+_VAR = r"z[0-9](?:\s*\^\s*[0-9]+)?"
+# a whole term of a flat sum, up to the '+', '-' or ')' after it; groups: 0 the sign; 1 the coefficient,
+# 2-4 a number or a literal: 5 its '-', 6-9 a number or i, 10 '+' or '-', 11-14 a number or i; 15 the variables
+_TERM = re.compile(
+    rf"\s*([+-])?\s*(?P<c>{_NUMBER}|\(\s*(-)?\s*(?:{_NUMBER}|(i))\s*(?:([+-])\s*(?:{_NUMBER}|(i))\s*)?\))?"
+    rf"((?(c)(?:\s*\*\s*{_VAR})*|{_VAR}(?:\s*\*\s*{_VAR})*))\s*(?=[-+)]|\Z)"
+)
+_FACTOR = re.compile(r"z([0-9])(?:\s*\^\s*([0-9]+))?")
+_I = ("1", None, True)  # the NUMBER of a bare i
 
-_TOK_NUM = "num"
-_TOK_VAR = "var"
-_TOK_OP = "op"
-_TOK_END = "end"
 
-
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((_TOK_OP, ch, i))
-            i += 1
-            continue
-        if ch == "z":
-            if i + 1 < n and text[i + 1].isdigit():
-                tokens.append((_TOK_VAR, int(text[i + 1]), i))
-                i += 2
-                continue
+def _token(text: str, i: int):
+    """The token at or after position ``i`` as (value, start, end): an
+    operator character, "" at the end, a variable's index, or a NUMBER as
+    (digits, denominator or None, imaginary); where none starts, a ParseError."""
+    while text[i : i + 1].isspace():
+        i += 1
+    ch, j = text[i : i + 1], i + 1
+    if ch in "+-*^()" or ch == "i":  # "" at the end
+        return _I if ch == "i" else ch, i, i + len(ch)
+    if ch == "z":
+        if not text[j : j + 1].isdigit():
             raise ParseError("variable must be z followed by a single digit", i)
-        if ch.isdigit() or ch == ".":
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            num = text[start:i]
-            if num.count(".") > 1 or num == ".":
-                raise ParseError(f"malformed number {num!r}", start)
-            denom = None
-            if i < n and text[i] == "/":
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                denom = text[dstart:i]
-                if not denom:
-                    raise ParseError("missing denominator after '/'", dstart)
-            imag = False
-            if i < n and text[i] == "i":
-                imag = True
-                i += 1
-            tokens.append((_TOK_NUM, (num, denom, imag), start))
-            continue
-        if ch == "i":
-            tokens.append((_TOK_NUM, ("1", None, True), i))
-            i += 1
-            continue
+        return int(text[j]), i, j + 1
+    if not (ch.isdigit() or ch == "."):
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append((_TOK_END, None, n))
-    return tokens
+    while text[j : j + 1].isdigit() or text[j : j + 1] == ".":
+        j += 1
+    num, denom = text[i:j], None
+    if num.count(".") > 1 or num == ".":
+        raise ParseError(f"malformed number {num!r}", i)
+    if text[j : j + 1] == "/":
+        k = j = j + 1
+        while text[j : j + 1].isdigit():
+            j += 1
+        if j == k:
+            raise ParseError("missing denominator after '/'", k)
+        denom = text[k:j]
+    imag = text[j : j + 1] == "i"
+    return (num, denom, imag), i, j + imag
 
 
-class _Parser:
+class _Reader:
     """Recursive descent over: expr := term (('+'|'-') term)*,
     term := unary ('*' unary)*, unary := '-' unary | atom ('^' INT)?,
-    atom := NUMBER | VAR | '(' expr ')'.
+    atom := NUMBER | VAR | '(' expr ')', one token at a time, to term maps
+    that may be inhomogeneous.  On the float backend every operator's result
+    is checked for the finite doubles."""
 
-    Produces intermediate (num_vars+1)-variable maps carrying inhomogeneous
-    sums; homogeneity is checked at the top level.
-    """
+    def __init__(self, text: str, num_vars: int, exact: bool):
+        self.text, self.pos, self.num_vars, self.exact = text, 0, num_vars, exact
+        self.one = GaussianRational.of(1) if exact else (1.0 + 0j)
 
-    def __init__(self, tokens, num_vars: int, exact: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.num_vars = num_vars
-        self.exact = exact
+    def take(self, *ops):
+        """The position of the next token if it is one of the operators ``ops``, consumed; else None."""
+        value, start, end = _token(self.text, self.pos)
+        if value in ops:
+            self.pos = end
+            return start
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str):
-        kind, val, p = self.next()
-        if kind != _TOK_OP or val != op:
-            raise ParseError(f"expected {op!r}", p)
-
-    def one(self):
-        return GaussianRational.of(1) if self.exact else (1.0 + 0j)
-
-    def _number(self, spec, position: int) -> Coeff:
-        """The coefficient of a NUMBER token at ``position``; a zero
-        denominator, and on the float backend a magnitude beyond the finite
-        doubles, is a ParseError there."""
+    def number(self, spec, position: int) -> Coeff:
+        """The coefficient of a NUMBER at ``position``; a zero denominator, and
+        on the float backend a magnitude beyond the finite doubles, is a
+        ParseError there."""
         num, denom, imag = spec
         if denom is not None and int(denom) == 0:
             raise ParseError("zero denominator", position)
+        whole, _, frac = num.partition(".")
+        top, bottom = int(whole + frac), 10 ** len(frac) * int(denom or 1)
         if self.exact:
-            mag = Fraction(num) if denom is None else Fraction(num) / Fraction(int(denom))
-            return GaussianRational(Fraction(0), mag) if imag else GaussianRational(mag)
+            return GaussianRational(0, Fraction(top, bottom)) if imag else GaussianRational(Fraction(top, bottom))
         try:
-            # int true division rounds correctly, as float(Fraction) does
-            whole, _, frac = num.partition(".")
-            mag = int(whole + frac) / (10 ** len(frac) * int(denom or 1))
+            mag = top / bottom  # int true division rounds correctly, as float(Fraction) does
         except OverflowError:
             raise ParseError("number too large for a double", position) from None
         return complex(0.0, mag) if imag else complex(mag, 0.0)
 
-    def _finite(self, terms: dict, position: int) -> dict:
+    def finite(self, terms: dict, position: int) -> dict:
         """``terms``, the result of the operator at ``position``; on the float
-        backend a coefficient it took beyond the finite doubles is a
-        ParseError there."""
+        backend a coefficient beyond the finite doubles is a ParseError there."""
         if not self.exact and not all(map(cmath.isfinite, terms.values())):
             raise ParseError("coefficient beyond the finite doubles", position)
         return terms
 
-    def parse(self) -> dict:
-        result = self.expr()
-        kind, _, p = self.peek()
-        if kind != _TOK_END:
-            raise ParseError("trailing input", p)
-        return result
-
     def expr(self) -> dict:
-        acc = self.term()
-        while True:
-            kind, val, p = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                if val == "-":
-                    rhs = {e: -c for e, c in rhs.items()}
-                acc = self._finite(_add_terms(acc, rhs), p)
+        """A sum.  A term that one ``_TERM`` match reads takes the operations
+        ``term`` would take, in the same order, and is added in place as
+        ``_add_terms`` adds it: a key whose sum is zero is removed, and re-added
+        at the end.  Any other term, or one whose reading meets an error, is
+        read by ``term``, which raises the error at its position."""
+        text, exact, one, number, num_vars, isfinite = self.text, self.exact, self.one, self.number, self.num_vars, cmath.isfinite
+        terms, start, pos = {}, self.pos, self.pos
+        while pos < len(text) or pos == start:
+            m = _TERM.match(text, pos)
+            g = m and m.groups()
+            if m and (g[0] is None) is (pos == start):  # a leading sign is read by term
+                try:
+                    c = one if g[1] is None else number(g[2:5] if g[2] else g[6:9] if g[6] else _I, pos)
+                    c = -c if g[5] else c
+                    y = g[10] and number(g[11:14] if g[11] else _I, pos)
+                    if y:  # a literal's second part, added as expr adds it
+                        y = -y if g[10] == "-" else y
+                        c = c + y if c else y
+                    e, factors = [0] * num_vars, _FACTOR.findall(g[15])
+                    for k, power in factors:
+                        e[int(k)] += int(power or 1)
+                    for _ in range(len(factors) - (g[1] is None)):  # each variable factor after the first factor
+                        c = c * one
+                    c = -c if g[0] == "-" else c  # a '-' before a term negates the whole term
+                    key = tuple(e)
+                    s = terms[key] + c if c and key in terms else c
+                except (ParseError, IndexError):  # a zero denominator, a number beyond the doubles, a variable out of range
+                    s = None
+                # only a literal's sum and a key's sum can leave the doubles, and s then stays outside them
+                if s is not None and (exact or isfinite(s)):
+                    if s:
+                        terms[key] = s
+                    elif c:
+                        del terms[key]
+                    pos = m.end()
+                    continue
+            self.pos = pos
+            if pos == start:
+                terms = self.term()
+            elif (at := self.take("+", "-")) is None:
+                return terms
             else:
-                return acc
+                rhs = self.term()
+                rhs = rhs if text[at] == "+" else {e: -c for e, c in rhs.items()}
+                terms = self.finite(_add_terms(terms, rhs), at)
+            pos = self.pos
+        self.pos = pos
+        return terms
 
     def term(self) -> dict:
         acc = self.unary()
-        while True:
-            kind, val, p = self.peek()
-            if kind == _TOK_OP and val == "*":
-                self.next()
-                acc = self._finite(_mul_terms(acc, self.unary()), p)
-            else:
-                return acc
+        while (at := self.take("*")) is not None:
+            acc = self.finite(_mul_terms(acc, self.unary()), at)
+        return acc
 
     def unary(self) -> dict:
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "-":
-            self.next()
-            inner = self.unary()
-            return {e: -c for e, c in inner.items()}
-        return self.power()
-
-    def power(self) -> dict:
+        if self.take("-") is not None:
+            return {e: -c for e, c in self.unary().items()}
         base = self.atom()
-        kind, val, at = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.next()
-            kind, val, p = self.next()
-            if kind != _TOK_NUM or val[1] is not None or val[2]:
-                raise ParseError("exponent must be a nonnegative integer", p)
-            try:
-                expo = int(val[0])
-            except ValueError:
-                raise ParseError("exponent must be a nonnegative integer", p) from None
-            acc = {(0,) * self.num_vars: self.one()}
-            for _ in range(expo):
-                acc = _mul_terms(acc, base)
-            return self._finite(acc, at)
-        return base
+        if (at := self.take("^")) is None:
+            return base
+        value, start, self.pos = _token(self.text, self.pos)
+        if type(value) is not tuple or value[1] is not None or value[2] or not value[0].isdecimal():
+            raise ParseError("exponent must be a nonnegative integer", start)
+        acc = {(0,) * self.num_vars: self.one}
+        for _ in range(int(value[0])):
+            acc = _mul_terms(acc, base)
+        return self.finite(acc, at)
 
     def atom(self) -> dict:
-        kind, val, p = self.next()
-        if kind == _TOK_NUM:
-            c = self._number(val, p)
+        value, start, self.pos = _token(self.text, self.pos)
+        if type(value) is tuple:
+            c = self.number(value, start)
             return {(0,) * self.num_vars: c} if c else {}
-        if kind == _TOK_VAR:
-            if val >= self.num_vars:
-                raise ParseError(
-                    f"variable z{val} out of range for {self.num_vars} variables", p
-                )
-            e = [0] * self.num_vars
-            e[val] = 1
-            return {tuple(e): self.one()}
-        if kind == _TOK_OP and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected number, variable or '('", p)
+        if type(value) is int:
+            if value >= self.num_vars:
+                raise ParseError(f"variable z{value} out of range for {self.num_vars} variables", start)
+            return {tuple(int(k == value) for k in range(self.num_vars)): self.one}
+        if value != "(":
+            raise ParseError("expected number, variable or '('", start)
+        inner = self.expr()
+        if self.take(")") is None:
+            raise ParseError("expected ')'", _token(self.text, self.pos)[1])
+        return inner
 
 
-_NUMBER = r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:/([0-9]+))?(i)?"  # one NUMBER token
-_VAR = r"z[0-9](?:\s*\^\s*[0-9]+)?"
-# groups: 0 the sign; 1 the coefficient, 2-4 a number or a literal: 5 its '-', 6-9 a
-# number or i, 10 '+' or '-', 11-14 a number or i; 15 the variable factors
-_TERM = re.compile(
-    rf"\s*([+-])?\s*(?P<c>{_NUMBER}|\(\s*(-)?\s*(?:{_NUMBER}|(i))\s*(?:([+-])\s*(?:{_NUMBER}|(i))\s*)?\))?"
-    rf"((?(c)(?:\s*\*\s*{_VAR})*|{_VAR}(?:\s*\*\s*{_VAR})*))\s*"
-)
-_FACTOR = re.compile(r"z([0-9])(?:\s*\^\s*([0-9]+))?")
-_I = ("1", None, True)  # the NUMBER token of a bare i
-
-
-def _scan(text: str, num_vars: int, exact: bool):
-    """One regex match per term: the term map ``_Parser`` builds from a flat sum ``[coefficient *] z_k[^n] * ...``,
-    by the same backend operations in the same order; None for any other text, and where ``_Parser`` would raise.  A
-    zero drops out where ``_Parser`` drops it, so the terms are summed into one dict in place with its key order: a
-    key whose sum is zero is removed, and re-added at the end."""
-    parser = _Parser((), num_vars, exact)
-    number, one = parser._number, parser.one()
-    terms, pos = {}, 0
+def _parse_terms(text: str, num_vars: int, exact: bool) -> dict:
+    """The term map of ``text`` in ``num_vars`` variables, homogeneous or not.
+    Its ParseError is the first that a tokenizer reading the whole text
+    before the parser would meet: a lexical error anywhere, else the parser's."""
+    reader = _Reader(text, num_vars, exact)
     try:
-        while pos < len(text) or not pos:
-            m = _TERM.match(text, pos)
-            g = m and m.groups()
-            if not m or (g[0] is None if pos else g[0] == "+"):
-                return None
-            factors = _FACTOR.findall(g[15])
-            c = one if g[1] is None else number(g[2:5] if g[2] else g[6:9] if g[6] else _I, 0)
-            c = -c if g[5] else c
-            y = g[10] and number(g[11:14] if g[11] else _I, 0)
-            if y:  # a literal's second part, added as expr adds it
-                y = -y if g[10] == "-" else y
-                c = c + y if c else y
-            c = -c if g[0] == "-" and not pos else c  # a leading '-' negates the first factor
-            e = [0] * num_vars
-            for k, power in factors:
-                e[int(k)] += int(power or 1)
-            for _ in range(len(factors) - (g[1] is None)):  # each variable factor after the first factor
-                c = c * one
-            c = -c if g[0] == "-" and pos else c  # a later '-' negates the whole term
-            if c:
-                key = tuple(e)
-                terms[key] = s = terms[key] + c if key in terms else c
-                if not s:
-                    del terms[key]
-            pos = m.end()
-    except (ParseError, IndexError):  # a zero denominator, a number beyond the doubles, a variable out of range
-        return None
-    if not exact and not all(map(cmath.isfinite, terms.values())):
-        return None  # a non-finite value never returns to zero, so _Parser met it on its way
-    return terms
+        terms = reader.expr()
+        if reader.pos < len(text) and (tail := _token(text, reader.pos))[0] != "":
+            raise ParseError("trailing input", tail[1])
+        return terms
+    except ParseError as error:
+        failure = error
+    i = 0
+    while i < len(text):  # raises the first lexical error, if there is one
+        i = _token(text, i)[2]
+    raise failure
 
 
 def parse_poly(text: str, num_vars: int, backend: str = "float") -> HomogeneousPoly:
@@ -807,10 +740,7 @@ def parse_poly(text: str, num_vars: int, backend: str = "float") -> HomogeneousP
         raise PolyError(f"unknown backend {backend!r}")
     if not 1 <= num_vars <= 10:
         raise PolyError("num_vars must be between 1 and 10")
-    exact = backend == "exact"
-    terms = _scan(text, num_vars, exact)
-    if terms is None:
-        terms = _Parser(_tokenize(text), num_vars, exact).parse()
+    terms = _parse_terms(text, num_vars, backend == "exact")
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         raise InhomogeneousError(

@@ -271,6 +271,59 @@ def test_task_defaults(tmp_path, monkeypatch):
         assert calls["curve_localized_term"] == 30000
 
 
+# ---------------------------------------------------------------- gates driven to fail
+# Each Monte Carlo gate with its estimator replaced: a bad value must read
+# fail and a good one pass, so a gate that passes everything shows here.
+
+
+def _gate_task(tmp_path, task):
+    return run_scenario(write_scenario(tmp_path, dict(BASE_P1, tasks=[task]))).tasks[0]
+
+
+def _sweep_of(values, std_error=1e-3):
+    return lambda ctx, ts, n, seed, threads: [
+        SimpleNamespace(t=t, value=complex(v), std_error=std_error) for t, v in zip(ts, values)
+    ]
+
+
+def test_virtual_residue_gate_fails_at_five_sigma(tmp_path, monkeypatch):
+    for value, verdict in ((5e-3, "fail"), (-5e-3j, "fail"), (1e-3, "pass")):
+        monkeypatch.setattr(harness, "virtual_residue_sweep", _sweep_of([value]))
+        task = _gate_task(tmp_path, {"kind": "virtual_residue"})
+        assert task.verdict == verdict
+        assert task.results["estimates"][0]["within_3_sigma"] is (verdict == "pass")
+
+
+def test_virtual_residue_t_consistency_gate_fails_on_values_apart(tmp_path, monkeypatch):
+    # both values inside their own 3 sigma, 4.1 combined sigma apart: only the
+    # consistency of the two t fails (5 combined sigma cannot be reached with
+    # both inside 3 sigma: the widest gap that keeps them there is 3 sqrt 2)
+    for values, verdict in (([2.9e-3, -2.9e-3], "fail"), ([1e-3, -1e-3], "pass")):
+        monkeypatch.setattr(harness, "virtual_residue_sweep", _sweep_of(values))
+        task = _gate_task(tmp_path, {"kind": "virtual_residue", "t": [0.5, 1.0]})
+        assert [e["within_3_sigma"] for e in task.results["estimates"]] == [True, True]
+        assert task.verdict == verdict
+
+
+def test_local_mass_cancellation_gate_fails_on_masses_that_do_not_cancel(tmp_path, monkeypatch):
+    # residues +-1/2; each mass within 5% of its residue, so both match, but
+    # 1.04 * 1/2 - 0.96 * 1/2 = 0.04 is 28 of their combined sigma from zero
+    ledger = SimpleNamespace(entries=[((-1 + 0j,), 0.5 + 0j), ((1 + 0j,), -0.5 + 0j)])
+    monkeypatch.setattr(harness, "global_residue_sum", lambda *args, **kwargs: ledger)
+    for scales, verdict in (((1.04, 0.96), "fail"), ((1.0, 1.0), "pass")):
+        monkeypatch.setattr(
+            harness,
+            "local_mass",
+            lambda ctx, point, t, radius, n, seed, threads: SimpleNamespace(
+                value=ledger.entries[seed][1] * scales[seed], std_error=1e-3
+            ),
+        )
+        task = _gate_task(tmp_path, {"kind": "local_mass"})
+        assert [m["matches"] for m in task.results["masses"]] == [True, True]
+        assert bool(task.results["cancellation"]) is (verdict == "pass")
+        assert task.verdict == verdict
+
+
 def test_unknown_task_kind_rejected(tmp_path):
     doc = dict(BASE_P1)
     doc["tasks"] = [{"kind": "warp_drive"}]

@@ -862,12 +862,16 @@ def _random_fs_curve(d, seed):
 @pytest.mark.parametrize("seed", [31, 32, 33])
 @pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
 def test_fs_curve_term_is_the_generic_route_bit_for_bit(monkeypatch, d, seed):
-    def fields(term):
-        return (_bits(term.value), term.std_error.hex(), term.pointwise_max.hex(), term.l1_mass.hex(), term.rejected)
-
-    got = fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
+    # the curve term against the generic route, which evaluates the density at
+    # every sheet point and every curvature entry through G^{-1}: a random FS
+    # curve, whose density is zero by structure, and the coupled metric of the
+    # oracle's perturbed fibers, whose density is not
+    geos = (lambda: _random_fs_curve(d, seed), lambda: _fiber_family(d, True))
+    got = [_curve_fields(curve_localized_term(geo(), samples=3000, seed=seed)) for geo in geos]
+    monkeypatch.setattr(localize, "_sheet_density", _parent_sheet_density)
     monkeypatch.setattr(GeometryContext, "chern_curvature_batch", _generic_chern_curvature_batch)
-    assert got == fields(curve_localized_term(_random_fs_curve(d, seed), samples=3000, seed=seed))
+    assert got == [_curve_fields(curve_localized_term(geo(), samples=3000, seed=seed)) for geo in geos]
+    assert got[0][0] == _ZERO != got[1][0]
 
 
 # ------------------------------------------ structurally zero densities

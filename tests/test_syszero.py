@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from residue_lab import syszero
-from residue_lab.polycore import monomials_of_degree, parse_poly, HomogeneousPoly, AffinePoly
+from residue_lab.polycore import monomials_of_degree, parse_poly, HomogeneousPoly, AffinePoly, _parse_terms
 from residue_lab.syszero import (
     _certify,
     _System,
@@ -17,14 +17,8 @@ from residue_lab.syszero import (
 
 
 def aff(text, nv):
-    """Affine polynomial from a homogeneous-style string with z0.. as chart vars."""
-    # reuse the homogeneous parser by padding with a slack variable of the
-    # complementary degree; simpler: parse monomial-wise
-    from residue_lab.polycore import _tokenize, _Parser  # test-local shortcut
-
-    toks = _tokenize(text)
-    terms = _Parser(toks, nv, exact=False).parse()
-    return AffinePoly(nv, terms)
+    """Affine polynomial from a string in the parser's grammar, z0.. as the chart variables."""
+    return AffinePoly(nv, _parse_terms(text, nv, exact=False))
 
 
 def test_single_quadratic():
