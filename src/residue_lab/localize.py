@@ -493,7 +493,7 @@ def curve_localized_term(
 def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """phi_c r_c / pi at every sheet point (u, root) of chart 0, (N, m),
     ROW_BLOCK sheet points at a time; zeros, with nothing evaluated, when the
-    metric is split and r_c is zero by structure (chern_curvature_batch)."""
+    metric is split and r_c is zero by structure (_ChartData.metric_is_split)."""
     if geo.ctx.chart_data(0).metric_is_split():
         return np.zeros(roots.shape, dtype=complex)
     m = roots.shape[1]

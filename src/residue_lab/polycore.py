@@ -312,7 +312,6 @@ class AffinePoly(_PolyBase):
 
 
 ROW_BLOCK = 1 << 12  # points per monomial table: bounds its memory and keeps it in cache
-SMALL_BATCH = 64  # blocks of at most this many points gather their monomials in one step
 
 
 def row_blocks(count: int):
@@ -341,19 +340,17 @@ class PolyKernel:
     monomials; one matrix product with the monomial values evaluates them all.
     Arrays run along the batch in their last axis, so every step works on
     contiguous rows of points.  Batches are processed in blocks of ROW_BLOCK
-    points, and each block's row count picks its monomial route: up to
-    SMALL_BATCH points, where a numpy call's fixed cost outweighs the
-    arithmetic, one gather of an index table into the rows [1, w_0, ...,
-    w_{n-1}] and one product; above it, per-variable power tables filled by
-    repeated multiplication, then one monomial at a time.  The two routes
-    round differently; on either, a monomial's value does not depend on the
-    kernel.  The power and monomial tables live in one workspace per thread,
-    shared by every kernel and grown only when a block needs more, so repeated
-    calls do not allocate (and fault in) fresh tables.  Arrays returned by
-    :meth:`eval_batch` are the caller's own and never alias the workspace.
+    points; each block fills per-variable power tables by repeated
+    multiplication, then its monomials one at a time, every product out of
+    place, so a monomial's value at a point depends on neither the kernel nor
+    the rest of the batch.  The power and monomial tables live in one
+    workspace per thread, shared by every kernel and grown only when a block
+    needs more, so repeated calls do not allocate (and fault in) fresh
+    tables.  Arrays returned by :meth:`eval_batch` are the caller's own and
+    never alias the workspace.
     """
 
-    __slots__ = ("num_vars", "degree", "expos", "factors", "gather", "coeffs")
+    __slots__ = ("num_vars", "degree", "expos", "factors", "coeffs")
 
     def __init__(self, num_vars: int, polys):
         self.num_vars = int(num_vars)
@@ -364,7 +361,6 @@ class PolyKernel:
         self.factors = [
             tuple(j * self.num_vars + k for k, j in enumerate(e) if j) or (0,) for e in expos
         ]
-        self.gather = None  # built by the first block of at most SMALL_BATCH points
         column = {e: k for k, e in enumerate(expos)}
         self.coeffs = np.zeros((len(polys), len(expos)), dtype=np.complex128)
         for row, p in zip(self.coeffs, polys):
@@ -372,16 +368,12 @@ class PolyKernel:
                 row[column[e]] = complex(c)
 
     def _monomials(self, W: np.ndarray) -> np.ndarray:
-        """Values of the monomials at one block of points, shape (M, N).
-
-        A block of more than SMALL_BATCH points gets a view into this thread's
-        workspace: it is valid only until the thread's next ``_monomials``
-        call, on any kernel, so the caller must consume it at once."""
+        """Values of the monomials at one block of points, shape (M, N): a
+        view into this thread's workspace, valid only until the thread's next
+        ``_monomials`` call, on any kernel, so the caller must consume it at once."""
         N, n = W.shape
         if n != self.num_vars:
             raise PolyError(f"points have {n} coordinates, polynomials have {self.num_vars} variables")
-        if N <= SMALL_BATCH:
-            return self._gathered(W)
         width = max(n, 1)  # a constant in no variables still reads the ones of row 0
         powers, M = (self.degree + 1) * width, len(self.factors)
         buf = _scratch((powers + M) * N)
@@ -400,22 +392,9 @@ class PolyKernel:
                 row[:] = table[first]
                 continue
             np.multiply(table[first], table[rest[0]], out=row)
-            for k in rest[1:]:
-                row *= table[k]
+            for k in rest[1:]:  # out of place: numpy's in-place product rounds by position
+                row[:] = row * table[k]
         return monos
-
-    def _gathered(self, W: np.ndarray) -> np.ndarray:
-        """The monomials at a block of at most SMALL_BATCH points, a fresh array."""
-        if self.gather is None:  # two threads may both build it, to equal tables
-            # gather[:, m]: the rows of [1, w_0, ..., w_{n-1}] whose product is
-            # monomial m, one per unit of its total degree, padded in front with 0
-            width = max(map(sum, self.expos), default=0)
-            table = [[0] * (width - sum(e)) + [k + 1 for k, j in enumerate(e) for _ in range(j)] for e in self.expos]
-            self.gather = np.array(table, dtype=np.intp).reshape(len(table), width).T
-        rows = np.empty((self.num_vars + 1, W.shape[0]), dtype=np.complex128)
-        rows[0] = 1.0
-        rows[1:] = W.T
-        return np.multiply.reduce(rows[self.gather], axis=0)
 
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
         """Every polynomial at a batch of points, (N, num_vars) -> (P, N)."""
@@ -548,6 +527,7 @@ _TERM = re.compile(
 )
 _FACTOR = re.compile(r"z([0-9])(?:\s*\^\s*([0-9]+))?")
 _I = ("1", None, True)  # the NUMBER of a bare i
+_DIGITS = frozenset("0123456789")  # _TERM's [0-9]; str.isdigit also takes '²', which int() refuses
 
 
 def _token(text: str, i: int):
@@ -560,19 +540,19 @@ def _token(text: str, i: int):
     if ch in "+-*^()" or ch == "i":  # "" at the end
         return _I if ch == "i" else ch, i, i + len(ch)
     if ch == "z":
-        if not text[j : j + 1].isdigit():
+        if text[j : j + 1] not in _DIGITS:
             raise ParseError("variable must be z followed by a single digit", i)
         return int(text[j]), i, j + 1
-    if not (ch.isdigit() or ch == "."):
+    if not (ch in _DIGITS or ch == "."):
         raise ParseError(f"unexpected character {ch!r}", i)
-    while text[j : j + 1].isdigit() or text[j : j + 1] == ".":
+    while text[j : j + 1] in _DIGITS or text[j : j + 1] == ".":
         j += 1
     num, denom = text[i:j], None
     if num.count(".") > 1 or num == ".":
         raise ParseError(f"malformed number {num!r}", i)
     if text[j : j + 1] == "/":
         k = j = j + 1
-        while text[j : j + 1].isdigit():
+        while text[j : j + 1] in _DIGITS:
             j += 1
         if j == k:
             raise ParseError("missing denominator after '/'", k)
@@ -686,7 +666,7 @@ class _Reader:
         if (at := self.take("^")) is None:
             return base
         value, start, self.pos = _token(self.text, self.pos)
-        if type(value) is not tuple or value[1] is not None or value[2] or not value[0].isdecimal():
+        if type(value) is not tuple or value[1] is not None or value[2] or "." in value[0]:
             raise ParseError("exponent must be a nonnegative integer", start)
         acc = {(0,) * self.num_vars: self.one}
         for _ in range(int(value[0])):

@@ -220,8 +220,11 @@ class _ChartData:
         return self.groups[key]
 
     def metric_is_split(self) -> bool:
-        """Whether no off-diagonal chart function of G has a term: then every
-        off-diagonal curvature entry is zero by structure (chern_curvature_batch)."""
+        """Whether no off-diagonal chart function of G has a term: then G,
+        G^{-1} and every derivative of G are diagonal, and so is the Chern
+        curvature, as the Chern connection of an orthogonal direct sum is the
+        sum of the summands' (Griffiths and Harris, Principles of Algebraic
+        Geometry, 1978, ch. 0 sec. 5)."""
         return not any(g.terms for r, row in enumerate(self.G) for c, g in enumerate(row) if r != c)
 
 
@@ -440,19 +443,10 @@ class GeometryContext:
         G^{-1} is :func:`_inv` (closed form for rank 2) and every product one
         :func:`_mm`.  The matrices come from one cached ChartGroup per entry,
         evaluated ROW_BLOCK points at a time to bound memory.
-
-        An off-diagonal entry (i != j) of a G whose off-diagonal chart
-        functions have no terms is zero by structure and returned as zeros with
-        nothing compiled: G, G^{-1} and every derivative of G are then diagonal,
-        and so is every R[a][b], as the Chern connection of an orthogonal direct
-        sum is the sum of the summands' (Griffiths and Harris, Principles of
-        Algebraic Geometry, 1978, ch. 0 sec. 5).
         """
         data = self.chart_data(chart)
         n = self.n
         i, j, a = entry
-        if i != j and data.metric_is_split():
-            return np.zeros((W.shape[0], n), dtype=complex)
 
         def build():
             dGa = [[row[j].d(a)] for row in data.G]

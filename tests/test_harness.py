@@ -90,6 +90,15 @@ def test_bad_numeric_literal_exits_2(tmp_path, capsys, literal):
     assert "at position 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["²*z1^2 - z0^2", "z² + z0"])
+def test_non_ascii_digit_exits_2(tmp_path, capsys, section):
+    # a bad-input error at the character, not a traceback from int()
+    doc = dict(BASE_P1, section=[section])
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "at position 0" in err and "Traceback" not in err
+
+
 def test_overflowing_coefficient_exits_2(tmp_path, capsys):
     # finite literals whose product is beyond the doubles: bad input, not a
     # solver failure on an infinite coefficient

@@ -388,17 +388,9 @@ def test_fiber_quadrature_matches_curve_density():
     geo = Example22Geometry(ctx)
     f = geo.f_aff(0)
     for u in (0.4 + 0.3j, -0.8 + 0.2j):
-        # curve density summed over the sheets above u
-        from residue_lab.localize import _sheet_coefficients, _solve_sheets
-
-        coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(f)]])
-        roots = _solve_sheets(coeffs)[0]
-        dens = 0j
-        for r in roots:
-            w = np.array([u, r])
-            phi = geo.psi_over_det_ds_batch(0, w[None])[0]
-            rc = geo.curvature_term_batch(0, w[None])[0]
-            dens += phi * rc / np.pi
+        # the curve sampler's density summed over the sheets above u
+        coeffs = np.array([[cp.eval(np.array([u])) for cp in localize._sheet_coefficients(f)]])
+        dens = localize._sheet_density(geo, np.array([u]), _solve_sheets(coeffs)).sum()
         fiber = fiber_mass_quadrature(geo, u, t=5e-4)
         assert abs(fiber - dens) <= 3e-2 * max(abs(dens), 1e-6)
 
@@ -802,45 +794,15 @@ def test_fiber_quadrature_refuses_an_unintegrable_fiber(f_text, u, match):
 
 def test_flat_model_curvature_is_zero_by_structure():
     # FlatModel has no metric label: its G is the identity, whose off-diagonal
-    # functions have no terms, so an off-diagonal entry compiles nothing; a
-    # diagonal one still takes the generic route to the flat connection's 0
+    # functions have no terms, and every entry is the flat connection's 0
     model = FlatModel(
         [AffinePoly.coordinate(2, 0), AffinePoly.coordinate(2, 1)], AffinePoly.constant(2, 1.0 + 0j)
     )
-    data = model.chart_data(0)
     rng = np.random.default_rng(30)
     W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
     for entry in [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]:
         assert not model.chern_curvature_batch(0, W, entry=entry).any()
-    assert not any(key[0] == "curvature" for key in data.groups)
     assert not model.chern_curvature_batch(0, W, entry=(0, 0, 1)).any()
-    assert ("curvature", (0, 0, 1)) in data.groups
-
-
-def _generic_chern_curvature_batch(self, chart, W, *, entry):
-    """GeometryContext.chern_curvature_batch with every entry computed through
-    G^{-1} and the derivatives of G, structural zeros included."""
-    from residue_lab.projgeom import _eval_matrices, _inv, _mm
-
-    data = self.chart_data(chart)
-    n = self.n
-    i, j, a = entry
-
-    def build():
-        dGa = [[row[j].d(a)] for row in data.G]
-        dbarG = [[[g.dbar(b) for g in row] for row in data.G] for b in range(n)]
-        return [data.G, *dbarG, dGa] + [[[f.dbar(b) for f in row] for row in dGa] for b in range(n)]
-
-    group = data.group(("curvature", entry), build)
-    out = np.zeros((W.shape[0], n), dtype=complex)
-    for block in row_blocks(W.shape[0]):
-        G, *mats = _eval_matrices(group, W[block])
-        dbarG, dGa, d2G = mats[:n], mats[n], mats[n + 1 :]
-        Ginv = _inv(G)
-        X = _mm(Ginv, dGa)
-        for b in range(n):
-            out[block, b] = _mm(Ginv[:, i : i + 1, :], _mm(dbarG[b], X) - d2G[b])[:, 0, 0]
-    return out
 
 
 def _random_fs_curve(d, seed):
@@ -863,13 +825,12 @@ def _random_fs_curve(d, seed):
 @pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
 def test_fs_curve_term_is_the_generic_route_bit_for_bit(monkeypatch, d, seed):
     # the curve term against the generic route, which evaluates the density at
-    # every sheet point and every curvature entry through G^{-1}: a random FS
-    # curve, whose density is zero by structure, and the coupled metric of the
-    # oracle's perturbed fibers, whose density is not
+    # every sheet point: a random FS curve, whose density is zero by
+    # structure, and the coupled metric of the oracle's perturbed fibers,
+    # whose density is not
     geos = (lambda: _random_fs_curve(d, seed), lambda: _fiber_family(d, True))
     got = [_curve_fields(curve_localized_term(geo(), samples=3000, seed=seed)) for geo in geos]
     monkeypatch.setattr(localize, "_sheet_density", _parent_sheet_density)
-    monkeypatch.setattr(GeometryContext, "chern_curvature_batch", _generic_chern_curvature_batch)
     assert got == [_curve_fields(curve_localized_term(geo(), samples=3000, seed=seed)) for geo in geos]
     assert got[0][0] == _ZERO != got[1][0]
 

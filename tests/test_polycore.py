@@ -23,7 +23,6 @@ from residue_lab.polycore import (
     ParseError,
     PolyError,
     PolyKernel,
-    SMALL_BATCH,
     _add_terms,
     _mul_terms,
     _parse_terms,
@@ -114,6 +113,21 @@ def test_lone_point_is_a_malformed_number(backend, literal):
     with pytest.raises(ParseError) as exc:
         parse_poly(f"z1^2 - {literal}*z0^2", 2, backend=backend)
     assert exc.value.position == 7 and "malformed number '.'" in str(exc.value)
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("text, message, position", [
+    ("²*z1^2 - z0^2", "unexpected character '²'", 0),
+    ("z² + z0", "variable must be z followed by a single digit", 0),
+    ("٣*z0", "unexpected character '٣'", 0),
+    ("z0^² + z1^2", "unexpected character '²'", 3),
+])
+def test_digits_are_ascii(backend, text, message, position):
+    # str.isdigit takes '²' and '٣', which int() refuses or reads as 3; only
+    # 0-9 are digits, and any other character is an error at its position
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, 2, backend=backend)
+    assert exc.value.position == position and message in str(exc.value)
 
 
 def test_float_literals_round_as_their_exact_values():
@@ -374,7 +388,7 @@ def test_kernel_workspace_is_per_thread():
 
 
 def _route_case(case):
-    """(num_vars, polys) of a named kernel for the two table routes."""
+    """(num_vars, polys) of a named kernel, edge cases included."""
     rng = np.random.default_rng(len(case))
     if case == "constant":
         return 3, [AffinePoly.constant(3, 2.5 - 1j), AffinePoly.constant(3, -0.5j)]
@@ -390,23 +404,37 @@ _ROUTE_CASES = [(1, 0), (1, 1), (1, 6), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), 
 
 @pytest.mark.parametrize("case", _ROUTE_CASES, ids=str)
 def test_small_blocks_agree_with_the_workspace_tables(case):
-    # SMALL_BATCH + 1 points take the power tables, k <= SMALL_BATCH points
-    # the one-step gather: the values agree to within 1e-13 relative
+    # blocks of 1 and 65 points agree with the scalar eval to within 1e-13 of
+    # each row's scale, and refuse a wrong point width with one message
     num_vars, polys = _route_case(case)
     kernel = PolyKernel(num_vars, polys)
-    W = _points(SMALL_BATCH + 1, num_vars, seed=7)
-    tabled = kernel.eval_batch(W)
-    scale = np.abs(tabled).max(axis=1, keepdims=True)
-    for k in (1, SMALL_BATCH):
+    W = _points(65, num_vars, seed=7)
+    scalar = np.array([[p.eval(list(w)) for w in W] for p in polys], dtype=complex)
+    scale = np.abs(scalar).max(axis=1, keepdims=True)
+    for k in (1, 65):
         small = kernel.eval_batch(W[:k])
         assert small.shape == (len(polys), k)
-        assert (np.abs(small - tabled[:, :k]) <= 1e-13 * scale).all()
+        assert (np.abs(small - scalar[:, :k]) <= 1e-13 * scale).all()
     errors = []
-    for rows in (1, SMALL_BATCH + 1):
+    for rows in (1, 65):
         with pytest.raises(PolyError) as err:
             kernel.eval_batch(_points(rows, num_vars + 1, seed=8))
         errors.append(str(err.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+def test_a_points_monomials_do_not_depend_on_its_batch(num_vars):
+    # every point's monomial table, monomials of up to four factors included,
+    # has the same bits in sub-batches of any size as in the whole batch
+    rng = np.random.default_rng(50 + num_vars)
+    kernel = PolyKernel(num_vars, [random_hpoly(num_vars + 1, 4, rng, density=0.3).dehomogenize(0) for _ in range(2)])
+    assert max(len(f) for f in kernel.factors) == num_vars
+    W = _points(ROW_BLOCK + 1, num_vars, seed=60 + num_vars)
+    whole = kernel._monomials(W).copy()
+    for size in (1, 2, 3, 64, 65, ROW_BLOCK + 1):
+        parts = [kernel._monomials(W[s : s + size]).copy() for s in range(0, len(W), size)]
+        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes(), size
 
 
 def same_bits(a, b):
@@ -444,7 +472,7 @@ def test_kernel_coefficients_match_the_pairwise_fill_bitwise():
     assert not kernel.coeffs[1].any() and not kernel.coeffs[4].any()
     alone = PolyKernel(2, [AffinePoly(2, {})])
     assert alone.coeffs.shape == (1, 0)
-    assert not alone.eval_batch(_points(SMALL_BATCH + 5, 2, seed=42)).any()
+    assert not alone.eval_batch(_points(69, 2, seed=42)).any()
 
 
 _EXPONENT_VALUES = [1e-05, 3.3e-05, 2e16, 1.2345678901234568e20, 5e-324, sys.float_info.max]
