@@ -1,8 +1,9 @@
 """Scenario files, task dispatch, verification reports.
 
-A scenario is a JSON document (see :data:`SCENARIO_SCHEMA`) naming the
-instance (dimension, summand degrees, section and twist polynomials, metric)
-and a list of tasks, each of a kind in :data:`KINDS`.  Every input is checked
+A scenario is a JSON document naming the instance (dimension, summand
+degrees, section and twist polynomials, metric) and a list of tasks, each of
+a kind in :data:`KINDS`.  Each level has one key table, whose texts make
+:data:`SCENARIO_SCHEMA`; an unknown key is refused.  Every input is checked
 before the first task runs; tasks run in file order, each producing a
 :class:`TaskResult` with a verdict derived solely from its stated tolerances:
 
@@ -71,10 +72,6 @@ def _is_float(v) -> bool:
         return False
 
 
-def _seed_ok(v) -> bool:
-    return _is_int(v) and 0 <= v < 2**64
-
-
 def _positive(v) -> bool:
     return _is_float(v) and v > 0
 
@@ -87,70 +84,29 @@ def _strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
-# per task key: its SCENARIO_SCHEMA text and check(value, kind), true when the
-# value has the type and range that text states; the kinds that accept a key
-# are those whose KINDS record lists it
-TASK_KEYS = {
-    "tol": (
-        "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
-        lambda v, kind: _nonnegative(v),
-    ),
-    "t": (
-        "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
-        lambda v, kind: _positive(v)
-        if kind == "local_mass"
-        else isinstance(v, list) and len(v) > 0 and all(map(_positive, v)),
-    ),
-    "samples": (
-        f"int >= 1 (Monte Carlo tasks), >= {SWEEP_MIN_SAMPLES} for virtual_residue",
-        lambda v, kind: _is_int(v) and v >= (SWEEP_MIN_SAMPLES if kind == "virtual_residue" else 1),
-    ),
-    "seed": ("int, 0 <= seed < 2^64", lambda v, kind: _seed_ok(v)),
-    "radius": ("float > 0 (local_mass)", lambda v, kind: _positive(v)),
-    "rtol": (
-        "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
-        lambda v, kind: _nonnegative(v),
-    ),
-    "sigma_l1_frac": (
-        "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
-        lambda v, kind: _nonnegative(v),
-    ),
-    **dict.fromkeys(
-        ("curve_factor", "cofactor"),
-        ("polynomial string (generalized_cb, required)", lambda v, kind: isinstance(v, str)),
-    ),
-    "psi_cofactor": ("polynomial string (generalized_cb)", lambda v, kind: isinstance(v, str)),
-    **dict.fromkeys(
-        ("lines_f", "lines_g"),
-        ("non-empty list of linear strings (exact-backend cayley_bacharach, required)", lambda v, kind: _strings(v)),
-    ),
-}
-
-
 class ScenarioError(ValueError):
     """Scenario file violates the schema or its degree constraints."""
+
+
+def _check_keys(doc: Dict, table: Dict, where: str, required: Tuple[str, ...] = ()) -> None:
+    """Check ``doc`` against ``table`` (key -> (schema text, check(value,
+    doc)), in checking order): a key the table lacks is refused, then, key by
+    key, a ``required`` key that is missing and a value its check refuses.
+    ``where`` names ``doc`` in the messages."""
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} in {where}; known keys: {sorted(table)}")
+    for key, (text, check) in table.items():
+        if key in doc and not check(doc[key], doc):
+            raise ScenarioError(f"{where} key {key!r} must be {text}; got {doc[key]!r}")
+        if key not in doc and key in required:
+            raise ScenarioError(f"{where} key {key!r} must be {text}; it is missing")
 
 
 def _check_count(value, what: str) -> None:
     """A sample or thread count must be an int >= 1."""
     if not _is_int(value) or value < 1:
         raise ScenarioError(f"{what} must be an integer >= 1, got {value!r}")
-
-
-def _check_perturbation(metric: Dict) -> None:
-    """The JSON types of a perturbed metric's fields; their ranges are the
-    instance's hypotheses, checked by ``check_instance``."""
-    pair = metric.get("pair")
-    checks = {
-        "epsilon": _is_float(metric.get("epsilon")),
-        "pair": isinstance(pair, list) and all(map(_is_int, pair)),
-        "q": isinstance(metric.get("q"), str),
-        "f_index": _is_int(metric.get("f_index", 0)),
-    }
-    for key, ok in checks.items():
-        if not ok:
-            got = f"got {metric[key]!r}" if key in metric else "it is missing"
-            raise ScenarioError(f"metric.{key} must be {SCENARIO_SCHEMA['metric'][key]}; {got}")
 
 
 @dataclass
@@ -168,61 +124,29 @@ class Scenario:
 
     @staticmethod
     def from_dict(doc: Dict) -> "Scenario":
-        def need(key, typ):
-            if key not in doc:
-                raise ScenarioError(f"missing required key {key!r}")
-            val = doc[key]
-            if not isinstance(val, typ):
-                raise ScenarioError(f"key {key!r} must be {typ.__name__}")
-            return val
-
-        n = need("n", int)
-        if not _is_int(n) or not 1 <= n <= 4:
-            raise ScenarioError("n must be between 1 and 4")
-        degrees = need("degrees", list)
-        if len(degrees) != n or not all(_is_int(d) and d >= 1 for d in degrees):
-            raise ScenarioError("degrees must be a list of n integers >= 1")
-        section = need("section", list)
-        if len(section) != n or not all(isinstance(s, str) for s in section):
-            raise ScenarioError("section must be a list of n polynomial strings")
-        psi = doc.get("psi")
-        if psi is not None and not isinstance(psi, str):
-            raise ScenarioError("psi must be a polynomial string")
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"a scenario must be a JSON object; got {doc!r}")
+        _check_keys(doc, DOC_KEYS, "scenario", ("n", "degrees", "section", "tasks"))
         metric = doc.get("metric", {"kind": "fubini_study"})
-        if not isinstance(metric, dict) or metric.get("kind") not in ("fubini_study", "perturbed"):
-            raise ScenarioError("metric.kind must be 'fubini_study' or 'perturbed'")
-        unknown = sorted(set(metric) - set(SCENARIO_SCHEMA["metric"]))
-        if unknown:
-            raise ScenarioError(f"unknown key(s) {unknown} in metric; known keys: {sorted(SCENARIO_SCHEMA['metric'])}")
-        if metric["kind"] == "perturbed":
-            _check_perturbation(metric)
-        elif len(metric) > 1:
-            raise ScenarioError(f"metric key(s) {sorted(set(metric) - {'kind'})} apply to a perturbed metric only")
-        backend = doc.get("backend", "float")
-        if backend not in ("float", "exact"):
-            raise ScenarioError("backend must be 'float' or 'exact'")
-        tasks = need("tasks", list)
-        for task in tasks:
+        table = {"kind": METRIC_KEYS["kind"]} if metric.get("kind") == "fubini_study" else METRIC_KEYS
+        _check_keys(metric, table, "metric", ("kind", "epsilon", "pair", "q"))
+        psi, backend = doc.get("psi"), doc.get("backend", "float")
+        for task in doc["tasks"]:
             kind = task.get("kind") if isinstance(task, dict) else None
             if not isinstance(kind, str) or kind not in KINDS:
                 raise ScenarioError(f"every task needs a kind from {tuple(KINDS)}; got {task!r}")
             spec = KINDS[kind]
-            known = {"kind", "seed", *spec.keys}
-            unknown = sorted(set(task) - known)
-            if unknown:
-                raise ScenarioError(f"unknown key(s) {unknown} in {kind} task; known keys: {sorted(known)}")
-            for key, value in task.items():
-                if key != "kind" and not TASK_KEYS[key][1](value, kind):
-                    raise ScenarioError(f"{kind} task key {key!r} must be {TASK_KEYS[key][0]}; got {value!r}")
+            _check_keys(task, {key: TASK_KEYS[key] for key in ("kind", "seed", *spec.keys)}, f"{kind} task")
             # what the kind needs of its scenario, checked before any task runs
             if spec.psi and psi is None:
                 raise ScenarioError(f"{kind} requires psi")
-            if spec.p2 and n != 2:
-                raise ScenarioError(f"{kind} runs on P^2 with two curve sections, got n = {n}")
+            if spec.p2 and doc["n"] != 2:
+                raise ScenarioError(f"{kind} runs on P^2 with two curve sections, got n = {doc['n']}")
             for key in spec.required + (spec.exact_required if backend == "exact" else ()):
                 if not task.get(key):
                     raise ScenarioError(f"{kind} task key {key!r} is required: {TASK_KEYS[key][0]}")
-        return Scenario(n, list(degrees), list(section), psi, dict(metric), list(tasks), backend)
+        degrees, section, tasks = (list(doc[key]) for key in ("degrees", "section", "tasks"))
+        return Scenario(doc["n"], degrees, section, psi, dict(metric), tasks, backend)
 
     # ---------------------------------------------------------------- build
 
@@ -390,7 +314,7 @@ def run_scenario(
     _check_count(threads, "the thread count")
     if samples is not None:
         _check_count(samples, "the samples override")
-    if seed is not None and not _seed_ok(seed):
+    if seed is not None and not TASK_KEYS["seed"][1](seed, None):
         raise ScenarioError(f"the seed override must be {TASK_KEYS['seed'][0]}, got {seed!r}")
     scenario = Scenario.from_dict(doc)
     sweeps = any(task["kind"] == "virtual_residue" for task in scenario.tasks)
@@ -722,19 +646,80 @@ KINDS = {
     "curve_localization": TaskKind(_run_curve_localization, {"samples": 30000, "sigma_l1_frac": 0.02}, psi=True),
 }
 
-SCENARIO_SCHEMA = {
-    "n": "int, dimension of the projective space (1..4)",
-    "degrees": "list of int >= 1, one per bundle summand; length n",
-    "section": "list of n polynomial strings (variables z0..zn)",
-    "psi": "polynomial string of degree sum(degrees)-n-1; required by %s tasks"
-    % (tuple(kind for kind, spec in KINDS.items() if spec.psi),),
-    "metric": {
-        "kind": "'fubini_study' | 'perturbed'",
-        "epsilon": "float > 0 (perturbed only, required)",
-        "pair": "[a, b] distinct 0-based summand indices (perturbed only)",
-        "q": "polynomial string of degree degrees[b] (perturbed only)",
-        "f_index": "0-based summand index whose section cuts the curve (perturbed only, default 0)",
-    },
-    "backend": "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
-    "tasks": [{"kind": "one of %s" % (tuple(KINDS),), **{key: text for key, (text, _) in TASK_KEYS.items()}}],
+def _texts(table: Dict) -> Dict:
+    return {key: text for key, (text, _) in table.items()}
+
+
+# each table maps a key to its SCENARIO_SCHEMA text and check(value, doc), doc
+# being the object that holds the key; a check is true when the value has the
+# type and range the text states (the instance's ranges are check_instance's)
+TASK_KEYS = {
+    "kind": ("one of %s" % (tuple(KINDS),), lambda v, task: v in KINDS),
+    "tol": ("float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)", lambda v, task: _nonnegative(v)),
+    "t": (
+        "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
+        lambda v, task: _positive(v)
+        if task["kind"] == "local_mass"
+        else isinstance(v, list) and len(v) > 0 and all(map(_positive, v)),
+    ),
+    "samples": (
+        f"int >= 1 (Monte Carlo tasks), >= {SWEEP_MIN_SAMPLES} for virtual_residue",
+        lambda v, task: _is_int(v) and v >= (SWEEP_MIN_SAMPLES if task["kind"] == "virtual_residue" else 1),
+    ),
+    "seed": ("int, 0 <= seed < 2^64", lambda v, task: _is_int(v) and 0 <= v < 2**64),
+    "radius": ("float > 0 (local_mass)", lambda v, task: _positive(v)),
+    "rtol": (
+        "float >= 0, relative tolerance of each ball mass against its local residue (local_mass)",
+        lambda v, task: _nonnegative(v),
+    ),
+    "sigma_l1_frac": (
+        "float >= 0, largest std_error / L1 mass accepted (curve_localization, perturbed metric)",
+        lambda v, task: _nonnegative(v),
+    ),
+    **dict.fromkeys(
+        ("curve_factor", "cofactor"),
+        ("polynomial string (generalized_cb, required)", lambda v, task: isinstance(v, str)),
+    ),
+    "psi_cofactor": ("polynomial string (generalized_cb)", lambda v, task: isinstance(v, str)),
+    **dict.fromkeys(
+        ("lines_f", "lines_g"),
+        ("non-empty list of linear strings (exact-backend cayley_bacharach, required)", lambda v, task: _strings(v)),
+    ),
 }
+
+# a Fubini-Study metric takes "kind" alone
+METRIC_KEYS = {
+    "kind": ("'fubini_study' | 'perturbed'", lambda v, metric: v in ("fubini_study", "perturbed")),
+    "epsilon": ("float > 0 (perturbed only, required)", lambda v, metric: _is_float(v)),
+    "pair": (
+        "[a, b] distinct 0-based summand indices (perturbed only)",
+        lambda v, metric: isinstance(v, list) and all(map(_is_int, v)),
+    ),
+    "q": ("polynomial string of degree degrees[b] (perturbed only)", lambda v, metric: isinstance(v, str)),
+    "f_index": (
+        "0-based summand index whose section cuts the curve (perturbed only, default 0)",
+        lambda v, metric: _is_int(v),
+    ),
+}
+
+DOC_KEYS = {
+    "n": ("int, dimension of the projective space (1..4)", lambda v, doc: _is_int(v) and 1 <= v <= 4),
+    "degrees": (
+        "list of int >= 1, one per bundle summand; length n",
+        lambda v, doc: isinstance(v, list) and len(v) == doc["n"] and all(_is_int(d) and d >= 1 for d in v),
+    ),
+    "section": ("list of n polynomial strings (variables z0..zn)", lambda v, doc: _strings(v) and len(v) == doc["n"]),
+    "psi": (
+        "polynomial string of degree sum(degrees)-n-1; required by %s tasks"
+        % (tuple(kind for kind, spec in KINDS.items() if spec.psi),),
+        lambda v, doc: v is None or isinstance(v, str),
+    ),
+    "metric": (_texts(METRIC_KEYS), lambda v, doc: isinstance(v, dict)),
+    "backend": (
+        "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
+        lambda v, doc: v in ("float", "exact"),
+    ),
+    "tasks": ([_texts(TASK_KEYS)], lambda v, doc: isinstance(v, list)),
+}
+
+SCENARIO_SCHEMA = _texts(DOC_KEYS)

@@ -254,7 +254,7 @@ class _PolyBase:
         return math.sqrt(sum(abs(complex(c)) ** 2 for c in self.terms.values()))
 
     def eval(self, z) -> Coeff:
-        """Evaluate at a point (sequence of scalars, one per variable)."""
+        """Evaluate at a point (one scalar per variable); no terms give 0, the zero of both backends."""
         if len(z) != self.num_vars:
             raise PolyError(
                 f"point has {len(z)} coordinates, polynomial has {self.num_vars} variables"
@@ -266,7 +266,7 @@ class _PolyBase:
                 for _ in range(k):
                     v = v * zi
             total = v if total is None else total + v
-        return 0j if total is None else total
+        return 0 if total is None else total
 
     def __eq__(self, other):
         return (

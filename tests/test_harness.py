@@ -54,6 +54,19 @@ def test_bundled_p1_scenario_all_pass():
     assert kinds == ["euler_jacobi", "virtual_residue", "local_mass"]
 
 
+def test_p2_local_masses_carry_the_volume_and_orientation_factors(tmp_path):
+    """On P^2 each ball's mass is -1 times its local residue, +-1/4 (the
+    orientation factor (-1)^{n(n-1)/2}), with the ball volume pi^n r^2n / n!;
+    on P^1 both factors are 1.  At t = 0.003 the finite-t bias is below 2%."""
+    doc = json.loads((SCENARIOS / "p2_22.json").read_text())
+    doc["tasks"] = [{"kind": "local_mass", "t": 0.003, "samples": 400000}]
+    task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+    assert task.verdict == "pass" and len(task.results["masses"]) == 4
+    for ball in task.results["masses"]:
+        assert abs(abs(ball["local_residue"]) - 0.25) <= 1e-12
+        assert abs(ball["mass"] + ball["local_residue"]) <= 0.03 * 0.25
+
+
 def test_degree_constraint_violation_is_schema_error(tmp_path):
     doc = dict(BASE_P1)
     doc["psi"] = "z0"  # degree 1; required degree is 0
@@ -331,6 +344,49 @@ def test_local_mass_cancellation_gate_fails_on_masses_that_do_not_cancel(tmp_pat
         assert [m["matches"] for m in task.results["masses"]] == [True, True]
         assert bool(task.results["cancellation"]) is (verdict == "pass")
         assert task.verdict == verdict
+
+
+def test_float_cayley_bacharach_gate_fails_above_its_tol(tmp_path, monkeypatch):
+    # the default tol is 1e-8
+    for residual, verdict in ((1e-6, "fail"), (1e-9, "pass")):
+        report = SimpleNamespace(degree_pair=(2, 2), num_points=4, space_dimension=1, max_residual=residual, vacuous=False)
+        monkeypatch.setattr(harness, "cayley_bacharach_verify", lambda *args, **kwargs: report)
+        task = run_scenario(write_scenario(tmp_path, dict(BASE_P2, tasks=[{"kind": "cayley_bacharach"}]))).tasks[0]
+        assert task.results["max_residual"] == residual
+        assert task.verdict == verdict
+
+
+@pytest.mark.parametrize(
+    "key, bad, good",
+    [
+        ("curve_entry_max", 1e-6, 1e-9),
+        ("isolated_relative_vanishing", 1e-6, 1e-9),
+        # the last of several: every forcing residual is gated, not the first
+        ("forcing_residuals", [1e-9, 1e-9, 1e-6], [1e-9, 1e-9, 1e-9]),
+    ],
+)
+def test_generalized_cb_gates_fail_above_their_tol(tmp_path, monkeypatch, key, bad, good):
+    doc = json.loads((SCENARIOS / "p2_generalized_cb.json").read_text())  # tol 1e-8
+    path = write_scenario(tmp_path, doc)
+    for value, verdict in ((bad, "fail"), (good, "assumed-hypotheses")):
+        report = SimpleNamespace(
+            curve_points=6, isolated_points=6, curve_entry_max=1e-9, isolated_relative_vanishing=1e-9,
+            forcing_residuals=[1e-9], hypotheses="assumed", ledger=SimpleNamespace(entries=[]),
+        )
+        setattr(report, key, value)
+        monkeypatch.setattr(harness, "generalized_cb_check", lambda *args, **kwargs: report)
+        assert run_scenario(path).tasks[0].verdict == verdict
+
+
+def test_fubini_study_curve_gate_fails_on_a_nonzero_term(tmp_path, monkeypatch):
+    # a Fubini-Study term vanishes pointwise: a pointwise maximum or a value of
+    # 1e-6 fails, however small its standard error
+    path = str(SCENARIOS / "p2_example22_fs.json")
+    for pointwise_max, value, verdict in ((1e-6, 0.0, "fail"), (0.0, 1e-6, "fail"), (0.0, 0.0, "pass")):
+        term = SimpleNamespace(value=value, std_error=1.0, rejected=0, pointwise_max=pointwise_max, l1_mass=1.0)
+        monkeypatch.setattr(harness, "curve_localized_term", lambda *args, **kwargs: term)
+        task = run_scenario(path).tasks[0]
+        assert task.results["metric"] == "fubini_study" and task.verdict == verdict
 
 
 def test_unknown_task_kind_rejected(tmp_path):
@@ -672,6 +728,91 @@ def test_invalid_perturbed_metric_rejected(tmp_path, key, value):
     with pytest.raises(ScenarioError, match=key):
         run_scenario(path)
     assert main(["verify", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "file, key, misspelled",
+    [("p2_example22_perturbed.json", "metric", "metrc"), ("p2_cb_exact.json", "backend", "backnd")],
+)
+def test_misspelled_document_key_exits_2(tmp_path, capsys, file, key, misspelled):
+    # read as its default, the misspelled key would run the curve task under
+    # Fubini-Study, or the exact task on the float route, and both would pass
+    doc = json.loads((SCENARIOS / file).read_text())
+    doc[misspelled] = doc.pop(key)
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=re.escape(f"unknown key(s) ['{misspelled}'] in scenario")):
+        run_scenario(path)
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    assert misspelled in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param(key, value, id=f"{key}-{'missing' if value is MISSING else value}")
+        for key, value in [
+            ("n", MISSING),
+            ("n", 5),
+            ("n", 0),
+            ("n", 2.0),
+            ("n", True),
+            ("degrees", MISSING),
+            ("degrees", [2]),
+            ("degrees", [2, 0]),
+            ("degrees", [2, 2.0]),
+            ("degrees", "2, 2"),
+            ("section", MISSING),
+            ("section", ["z1^2 - z0^2"]),
+            ("section", ["z1^2 - z0^2", 0]),
+            ("psi", 1),
+            ("metric", "fubini_study"),
+            ("backend", "Exact"),
+            ("backend", None),
+            ("tasks", MISSING),
+            ("tasks", {"kind": "euler_jacobi"}),
+        ]
+    ],
+)
+def test_invalid_document_key_rejected_with_its_schema_text(tmp_path, capsys, key, value):
+    doc = dict(BASE_P2)
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = write_scenario(tmp_path, doc)
+    got = "it is missing" if value is MISSING else f"got {value!r}"
+    message = f"scenario key {key!r} must be {harness.SCENARIO_SCHEMA[key]}; {got}"
+    with pytest.raises(ScenarioError) as raised:
+        run_scenario(path)
+    assert str(raised.value) == message
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        ({"kind": "perturbd", "epsilon": 0.05}, "metric key 'kind' must be 'fubini_study' | 'perturbed'; got 'perturbd'"),
+        ({"epsilon": 0.05}, "metric key 'kind' must be 'fubini_study' | 'perturbed'; it is missing"),
+        ({"kind": "fubini_study", "epsilon": 0.05}, "unknown key(s) ['epsilon'] in metric; known keys: ['kind']"),
+    ],
+    ids=["misspelled-kind", "no-kind", "fubini-study-with-epsilon"],
+)
+def test_metric_kind_chooses_the_metric_table(tmp_path, metric, message):
+    # a Fubini-Study metric's table holds kind alone; any other kind is
+    # checked against the whole table, kind first
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        Scenario.from_dict(dict(BASE_P2, metric=metric))
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"n"', "null"])
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "case.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: a scenario must be a JSON object")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -725,6 +725,19 @@ def _fiber_family(d, perturbed):
     return Example22Geometry(GeometryContext((d, 2), s, ms, psi))
 
 
+def test_fiber_disc_holds_the_fiber_mass(monkeypatch):
+    """The default disc of _SIGMA_MULT widths against one of 16 widths with
+    twice the radial nodes: what lies outside the default disc is below
+    1e-10 of the mass (a disc of 3 widths misses about e^-9 of it)."""
+    geo = _fiber_family(2, True)
+    for u in (0.3 + 0.2j, -0.71 + 0.55j):
+        default = fiber_mass_quadrature(geo, u, 1e-3)
+        monkeypatch.setattr(localize, "_SIGMA_MULT", 16.0)
+        wide = fiber_mass_quadrature(geo, u, 1e-3, radial_nodes=160)
+        monkeypatch.undo()
+        assert abs(default - wide) <= 1e-10 * abs(wide)
+
+
 def test_polar_disc_is_the_parent_disc_bit_for_bit():
     for R, radial, angular in ((1.0, 80, 24), (0.0173, 120, 32), (28.3, 7, 5)):
         new, old = localize._polar_disc(R, radial, angular), _parent_polar_disc(R, radial, angular)

@@ -187,6 +187,20 @@ def test_eval_homogeneity(nv, deg, seed):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_zero_polynomial_evaluates_to_a_zero_of_its_backend(backend):
+    # no terms give the integer 0: an exact value takes it without a coercion
+    # error, and a float value takes it with the bits of 0j
+    one = GaussianRational.of(1) if backend == "exact" else 1.5 - 2j
+    for zero in (parse_poly("z0 - z0", 2, backend), parse_poly("z0 - z0", 2, backend).dehomogenize(0)):
+        value = zero.eval([one] * zero.num_vars)
+        assert value == 0 and not value
+        for result in (value + one, one + value, value * one, one - value):
+            assert type(result) is type(one)
+        assert value + one == one and one - value == one and value * one == one * 0
+        assert str(complex(value)) == str(0j)
+
+
 def test_eval_dimension_mismatch():
     with pytest.raises(PolyError):
         parse_poly("z0", 2).eval([1.0])
