@@ -23,6 +23,7 @@ are [re, im] pairs, and keys are sorted.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -128,9 +129,12 @@ class Scenario:
             raise ScenarioError(f"a scenario must be a JSON object; got {doc!r}")
         _check_keys(doc, DOC_KEYS, "scenario", ("n", "degrees", "section", "tasks"))
         metric = doc.get("metric", {"kind": "fubini_study"})
-        table = {"kind": METRIC_KEYS["kind"]} if metric.get("kind") == "fubini_study" else METRIC_KEYS
-        _check_keys(metric, table, "metric", ("kind", "epsilon", "pair", "q"))
-        psi, backend = doc.get("psi"), doc.get("backend", "float")
+        fs = metric.get("kind") == "fubini_study"
+        table = {"kind": METRIC_KEYS["kind"]} if fs else METRIC_KEYS
+        where = "a fubini_study metric (the other metric keys apply to a perturbed metric only)" if fs else "metric"
+        _check_keys(metric, table, where, ("kind", "epsilon", "pair", "q"))
+        psi = doc.get("psi")
+        backend = doc.get("backend", "float")
         for task in doc["tasks"]:
             kind = task.get("kind") if isinstance(task, dict) else None
             if not isinstance(kind, str) or kind not in KINDS:
@@ -225,9 +229,7 @@ class VerificationReport:
 
 
 def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
+    if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -416,12 +418,7 @@ def _run_cb_exact(lf, lg, tol):
     through the others is nonzero there): ``nonzero_held_out_evaluations``."""
 
     def coeffs(line):
-        out = []
-        for k in range(3):
-            e = [0, 0, 0]
-            e[k] = 1
-            out.append(line.terms.get(tuple(e), GaussianRational.of(0)))
-        return out
+        return [line.terms.get(e, GaussianRational.of(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
     pts = []
     for a in map(coeffs, lf):
@@ -528,9 +525,7 @@ def _run_virtual_residue(scenario, opts, threads):
             }
         )
     for a, b in zip(ests, ests[1:]):
-        tol = 3 * float(np.hypot(a.std_error, b.std_error))
-        if abs(a.value - b.value) > tol:
-            ok = False
+        ok = ok and abs(a.value - b.value) <= 3 * float(np.hypot(a.std_error, b.std_error))
     results = {"samples": n_samples, "estimates": entries}
     return results, ("pass" if ok else "fail")
 
@@ -542,10 +537,8 @@ def _run_local_mass(scenario, opts, threads):
     n_samples, seed = opts["samples"], opts["seed"]
     ledger = global_residue_sum(section, psi, seed=seed)
     pts = [np.array(p) for p, _ in ledger.entries]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[j]) <= 2 * radius:
-                raise ResidueError("overlapping balls: zeros closer than twice the radius")
+    if any(np.linalg.norm(p - q) <= 2 * radius for p, q in itertools.combinations(pts, 2)):
+        raise ResidueError("overlapping balls: zeros closer than twice the radius")
     masses = []
     ok = True
     # the ball mass reproduces the local residue up to the orientation factor
@@ -646,6 +639,7 @@ KINDS = {
     "curve_localization": TaskKind(_run_curve_localization, {"samples": 30000, "sigma_l1_frac": 0.02}, psi=True),
 }
 
+
 def _texts(table: Dict) -> Dict:
     return {key: text for key, (text, _) in table.items()}
 
@@ -655,7 +649,10 @@ def _texts(table: Dict) -> Dict:
 # type and range the text states (the instance's ranges are check_instance's)
 TASK_KEYS = {
     "kind": ("one of %s" % (tuple(KINDS),), lambda v, task: v in KINDS),
-    "tol": ("float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)", lambda v, task: _nonnegative(v)),
+    "tol": (
+        "float >= 0, tolerance (euler_jacobi, cayley_bacharach, generalized_cb)",
+        lambda v, task: _nonnegative(v),
+    ),
     "t": (
         "non-empty list of floats > 0 (virtual_residue), float > 0 (local_mass)",
         lambda v, task: _positive(v)
@@ -714,12 +711,13 @@ DOC_KEYS = {
         % (tuple(kind for kind, spec in KINDS.items() if spec.psi),),
         lambda v, doc: v is None or isinstance(v, str),
     ),
-    "metric": (_texts(METRIC_KEYS), lambda v, doc: isinstance(v, dict)),
+    "metric": ("object of the metric keys", lambda v, doc: isinstance(v, dict)),
     "backend": (
         "'float' | 'exact' (exact runs cayley_bacharach tasks on their line factorizations)",
         lambda v, doc: v in ("float", "exact"),
     ),
-    "tasks": ([_texts(TASK_KEYS)], lambda v, doc: isinstance(v, list)),
+    "tasks": ("list of task objects", lambda v, doc: isinstance(v, list)),
 }
 
-SCENARIO_SCHEMA = _texts(DOC_KEYS)
+# the metric and tasks entries show the keys of their own tables
+SCENARIO_SCHEMA = {**_texts(DOC_KEYS), "metric": _texts(METRIC_KEYS), "tasks": [_texts(TASK_KEYS)]}

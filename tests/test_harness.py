@@ -782,7 +782,7 @@ def test_invalid_document_key_rejected_with_its_schema_text(tmp_path, capsys, ke
         doc[key] = value
     path = write_scenario(tmp_path, doc)
     got = "it is missing" if value is MISSING else f"got {value!r}"
-    message = f"scenario key {key!r} must be {harness.SCENARIO_SCHEMA[key]}; {got}"
+    message = f"scenario key {key!r} must be {harness.DOC_KEYS[key][0]}; {got}"
     with pytest.raises(ScenarioError) as raised:
         run_scenario(path)
     assert str(raised.value) == message
@@ -796,7 +796,11 @@ def test_invalid_document_key_rejected_with_its_schema_text(tmp_path, capsys, ke
     [
         ({"kind": "perturbd", "epsilon": 0.05}, "metric key 'kind' must be 'fubini_study' | 'perturbed'; got 'perturbd'"),
         ({"epsilon": 0.05}, "metric key 'kind' must be 'fubini_study' | 'perturbed'; it is missing"),
-        ({"kind": "fubini_study", "epsilon": 0.05}, "unknown key(s) ['epsilon'] in metric; known keys: ['kind']"),
+        (
+            {"kind": "fubini_study", "epsilon": 0.05},
+            "unknown key(s) ['epsilon'] in a fubini_study metric (the other metric keys apply to a perturbed metric "
+            "only); known keys: ['kind']",
+        ),
     ],
     ids=["misspelled-kind", "no-kind", "fubini-study-with-epsilon"],
 )
