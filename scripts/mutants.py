@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS, LOCALIZE = "src/residue_lab/harness.py", "src/residue_lab/localize.py"
+SUPERALG = "src/residue_lab/superalg.py"
 TIMEOUT = 600  # seconds per tier-1 run
 
 MUTANTS = [
@@ -65,6 +66,16 @@ MUTANTS = [
      "a required key that is missing"),
     ("zero-poly-complex", "src/residue_lab/polycore.py", "return 0 if total is None else total",
      "return 0j if total is None else total", "a polynomial with no terms evaluates to a float zero"),
+    ("curve-tol-1e-1", "src/residue_lab/residue.py", "_CURVE_TOL = 1e-6", "_CURVE_TOL = 1e-1",
+     "isolated zeros near the curve counted on it"),
+    ("shuffle-sign-ignored", SUPERALG, "return tuple(merged), sign", "return tuple(merged), 1",
+     "the shuffle helper's product of merge signs"),
+    ("wedge-cross-sign-dropped", SUPERALG, "sign * (-1) ** cross * ca * cb", "sign * ca * cb",
+     "wedge's sign for b's families passing a's later ones"),
+    ("dual-pair-cross-sign-dropped", SUPERALG, "sign * (-1) ** cross * cu * ct", "sign * cu * ct",
+     "dual_pair's sign for It passing Ju"),
+    ("contract-l-sign-dropped", SUPERALG, " + l * (l - 1) // 2", "",
+     "the l(l-1)/2 term of the adjunction sign"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")

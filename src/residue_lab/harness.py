@@ -140,7 +140,8 @@ class Scenario:
             if not isinstance(kind, str) or kind not in KINDS:
                 raise ScenarioError(f"every task needs a kind from {tuple(KINDS)}; got {task!r}")
             spec = KINDS[kind]
-            _check_keys(task, {key: TASK_KEYS[key] for key in ("kind", "seed", *spec.keys)}, f"{kind} task")
+            keys = [key for key in spec.keys if backend == "exact" or key not in spec.exact_required]
+            _check_keys(task, {key: TASK_KEYS[key] for key in ("kind", "seed", *keys)}, f"{kind} task")
             # what the kind needs of its scenario, checked before any task runs
             if spec.psi and psi is None:
                 raise ScenarioError(f"{kind} requires psi")
@@ -613,7 +614,8 @@ class TaskKind:
     own polynomials, parsed and checked before the first task runs.  ``psi``,
     ``p2``, ``required`` and, on the exact backend, ``exact_required`` are what
     a task needs of its scenario and its file; a kind with ``exact_required``
-    keys takes its exact route there, and no float section."""
+    keys takes its exact route there, and no float section; off the exact
+    backend those keys are unknown."""
 
     run: Callable
     keys: Dict[str, object]

@@ -153,23 +153,20 @@ def global_density(ctx, chart: int, W: np.ndarray, t: float) -> np.ndarray:
     return _density(ctx.n, *_density_parts(ctx, chart, W), [t])[0]
 
 
-def global_density_tensor(ctx, chart: int, w, t: float):
-    """Same density through the tensor-algebra route; reference path.
-
-    w is one point of shape (n,), giving a complex, or a batch of shape
-    (N, n), giving an (N,) array from one pass of the tensor algebra.
-    """
+def global_density_tensor(ctx, chart: int, W: np.ndarray, t: float) -> np.ndarray:
+    """Same density through the tensor-algebra route at a batch of points W
+    of shape (N, n), as an (N,) array from one pass of the tensor algebra;
+    reference path."""
     n = ctx.n
     full = tuple(range(1, n + 1))
-    W = np.asarray(w, dtype=complex)
-    psi_c = ctx.psi_batch(chart, W.reshape(-1, n))
-    psi = SuperTensor.monomial(n, I=full, K=full, c=psi_c[0] if W.ndim == 1 else psi_c)
-    coeff = top_pairing(psi, exp_S(ctx.S_form(chart, W, t)))
+    S = ctx.S_form(chart, W, t)  # refuses a t that is not positive first
+    psi = SuperTensor.monomial(n, I=full, K=full, c=ctx.psi_batch(chart, W))
+    coeff = top_pairing(psi, exp_S(S))
     # (n,n)-basis to Lebesgue: interleave sign and (-2i)^n, then prefactor
     conv = (-1.0) ** (n * (n - 1) // 2) * (-2j) ** n
     pref = (-1.0) ** n / (2j * math.pi) ** n
     dens = pref * conv * coeff
-    return complex(dens) if W.ndim == 1 else np.broadcast_to(dens, len(W)).astype(complex)
+    return np.broadcast_to(dens, len(W)).astype(complex)
 
 
 class _Summary(NamedTuple):

@@ -379,32 +379,24 @@ class GeometryContext:
             self._metric_groups[chart] = (ChartGroup(self.n, entries), [(self.n, self.n)])
         return _eval_matrices(self._metric_groups[chart], W)[0]
 
-    def S_form(self, chart: int, w, t: float) -> SForm:
-        """Superconnection datum scaled by 1/(2t): scalar -|s|^2/2t and
-        one-form -(1/2t) dbar <., s>.
+    def S_form(self, chart: int, W: np.ndarray, t: float) -> SForm:
+        """Superconnection datum scaled by 1/(2t) at a batch of points W of
+        shape (N, n): scalar -|s|^2/2t and one-form -(1/2t) dbar <., s>, each
+        an (N,) array.
 
         Evaluated from each chart function on its own, not through the
         ``density_group`` of the determinant path, so the tensor route checks
-        that group independently.  w is one point of shape (n,), giving scalar
-        coefficients, or a batch of shape (N, n), giving (N,)-array
-        coefficients.  A t that is not positive and finite is refused with
-        GeometryError, as by every integral of :mod:`residue_lab.localize`.
+        that group independently.  A t that is not positive and finite is
+        refused with GeometryError, as by every integral of
+        :mod:`residue_lab.localize`.
         """
         _check_t(t)
         data = self.chart_data(chart)
-        w = np.asarray(w, dtype=complex)
-
-        def at(f: ChartFunction):
-            values = f.eval_batch(w.reshape(-1, self.n))
-            return values[0] if w.ndim == 1 else values
-
-        scal = -at(data.s_norm2) / (2.0 * t)
+        scal = -data.s_norm2.eval_batch(W) / (2.0 * t)
         one = {}
         for b in range(self.n):
             for p in range(self.n):
-                c = at(data.Abar[b][p])
-                if np.any(c != 0):
-                    one[(b + 1, p + 1)] = -c / (2.0 * t)
+                one[(b + 1, p + 1)] = -data.Abar[b][p].eval_batch(W) / (2.0 * t)
         return SForm(self.n, scal, one)
 
     def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:

@@ -49,27 +49,19 @@ class DegreeError(ValueError):
     """Slot-degree precondition violated (dimension or grading mismatch)."""
 
 
-def _merge(a: Idx, b: Idx):
-    """Merge two strictly increasing tuples; returns (merged, sign) or None
-    on index collision.  Sign is the parity of the interleaving shuffle."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
+def _shuffle(pairs: list[tuple[Idx, Idx]]):
+    """Merge each (a, b) pair of strictly increasing slot tuples; returns the
+    tuple of merged tuples and the product of the pairs' shuffle signs, or
+    None when a pair shares an index.  A pair's sign is the parity of the
+    shuffle that sorts a + b: each element of b passes the larger ones of a."""
+    merged, sign = [], 1
+    for a, b in pairs:
+        if not set(a).isdisjoint(b):
             return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i elements of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
+        merged.append(tuple(sorted(a + b)))
+        if sum(x > y for x in a for y in b) % 2:
+            sign = -sign
+    return tuple(merged), sign
 
 
 def _coef(v) -> Coef:
@@ -155,27 +147,13 @@ def wedge(a: SuperTensor, b: SuperTensor) -> SuperTensor:
         pa_tail_K = len(Ka) + len(La)
         pa_tail_L = len(La)
         for (Ib, Jb, Kb, Lb), cb in b.data.items():
+            m = _shuffle([(Ia, Ib), (Ja, Jb), (Ka, Kb), (La, Lb)])
+            if m is None:
+                continue
+            key, sign = m
             # cross sign: each slot family of b passes a's later families
             cross = len(Ib) * pa_tail_J + len(Jb) * pa_tail_K + len(Kb) * pa_tail_L
-            m = _merge(Ia, Ib)
-            if m is None:
-                continue
-            I, s1 = m
-            m = _merge(Ja, Jb)
-            if m is None:
-                continue
-            J, s2 = m
-            m = _merge(Ka, Kb)
-            if m is None:
-                continue
-            K, s3 = m
-            m = _merge(La, Lb)
-            if m is None:
-                continue
-            L, s4 = m
-            sign = s1 * s2 * s3 * s4 * (-1 if cross % 2 else 1)
-            key = (I, J, K, L)
-            out[key] = out.get(key, 0j) + sign * ca * cb
+            out[key] = out.get(key, 0j) + sign * (-1) ** cross * ca * cb
     return SuperTensor(a.n, out)
 
 
@@ -197,19 +175,14 @@ def dual_pair(u: SuperTensor, t: SuperTensor) -> SuperTensor:
                 raise DegreeError("second pairing argument must carry no V slots")
             if Ku != Lt:
                 continue
+            m = _shuffle([(Iu, It), (Ju, Jt)])
+            if m is None:
+                continue
+            (I, J), sign = m
             # (dw_Iu dwbar_Ju) ^ (dw_It dwbar_Jt): It passes Ju
             cross = len(It) * len(Ju)
-            m = _merge(Iu, It)
-            if m is None:
-                continue
-            I, s1 = m
-            m = _merge(Ju, Jt)
-            if m is None:
-                continue
-            J, s2 = m
-            sign = s1 * s2 * (-1 if cross % 2 else 1)
             key = (I, J, (), ())
-            out[key] = out.get(key, 0j) + sign * cu * ct
+            out[key] = out.get(key, 0j) + sign * (-1) ** cross * cu * ct
     return SuperTensor(u.n, out)
 
 
@@ -240,26 +213,15 @@ def contract(u: SuperTensor, theta: SuperTensor) -> SuperTensor:
             if not set(Lt) <= set(Ku):
                 continue
             M = tuple(x for x in Ku if x not in Lt)
-            # sigma1: theta ^ e*_M appends M to theta's L slots
-            m = _merge(Lt, M)
+            # sigma1: theta ^ e*_M appends M to theta's L slots; sigma2: form
+            # wedge of u's factors with theta's, where It passes Ju
+            m = _shuffle([(Lt, M), (Iu, It), (Ju, Jt)])
             if m is None:
                 continue
-            _, s_append = m
-            # sigma2: form wedge of u's factors with theta's
-            cross = p * j
-            m = _merge(Iu, It)
-            if m is None:
-                continue
-            I, s1 = m
-            m = _merge(Ju, Jt)
-            if m is None:
-                continue
-            J, s2 = m
+            (_, I, J), sign = m
             exp_adj = (i + j) * l + (p + q) * sharp_u + l * (l - 1) // 2
-            sign = s_append * s1 * s2
-            sign *= -1 if (cross + exp_adj) % 2 else 1
             key = (I, J, M, ())
-            out[key] = out.get(key, 0j) + sign * cu * ct
+            out[key] = out.get(key, 0j) + sign * (-1) ** (p * j + exp_adj) * cu * ct
     return SuperTensor(u.n, out)
 
 

@@ -443,7 +443,7 @@ def test_samples_override_below_the_sweep_minimum_rejected(tmp_path):
 
 VALID_TASKS = {
     "euler_jacobi": {"kind": "euler_jacobi", "tol": 1e-8, "seed": 1},
-    "cayley_bacharach": {"kind": "cayley_bacharach", "lines_f": ["z0"], "lines_g": ["z1"]},
+    "cayley_bacharach": {"kind": "cayley_bacharach"},
     "generalized_cb": {"kind": "generalized_cb", "curve_factor": "z0", "cofactor": "z1"},
     "virtual_residue": {"kind": "virtual_residue", "t": [1.0], "samples": 5000},
     "local_mass": {"kind": "local_mass", "t": 0.01, "radius": 0.5, "rtol": 0.05, "samples": 5000},
@@ -480,8 +480,9 @@ VALID_TASKS = {
 )
 def test_invalid_task_samples_rejected(tmp_path, kind, key, value):
     """A task value of the wrong type or outside the schema's range is a
-    schema error (exit 2): the sample count first, then every other key."""
-    doc = dict(BASE_P1)
+    schema error (exit 2): the sample count first, then every other key.
+    The lines of a Cayley-Bacharach task are read on the exact backend only."""
+    doc = dict(BASE_P2, backend="exact") if key == "lines_f" else dict(BASE_P1)
     doc["tasks"] = [dict(VALID_TASKS[kind], **{key: value})]
     path = write_scenario(tmp_path, doc)
     with pytest.raises(ScenarioError, match=key):
@@ -491,6 +492,17 @@ def test_invalid_task_samples_rejected(tmp_path, kind, key, value):
 
 def test_valid_tasks_accepted():
     Scenario.from_dict(dict(BASE_P2, tasks=list(VALID_TASKS.values())))
+
+
+def test_lines_on_the_float_backend_are_unknown_keys(tmp_path):
+    # the float route reads no lines; accepted, they would pass unread
+    doc = json.loads((SCENARIOS / "p2_cb_exact.json").read_text())
+    doc["backend"] = "float"
+    doc["tasks"][0].update(lines_f=["z0"], lines_g=[])
+    path = write_scenario(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\) \['lines_f'"):
+        run_scenario(path)
+    assert main(["verify", path]) == 2
 
 
 @pytest.mark.parametrize(
@@ -863,6 +875,31 @@ def test_bundled_generalized_cb_scenario():
     res = rep.tasks[0].results
     assert res["curve_entry_max"] <= 1e-8
     assert res["isolated_relative_vanishing"] <= 1e-8
+
+
+def test_generalized_cb_splits_points_near_the_curve_at_curve_tol(tmp_path):
+    # s = (z1 (z1 - z0/1000), z2^2 - z0^2): two zeros (1 : 0 : +-1) on the
+    # curve {z1 = 0} and two isolated ones (1 : 1/1000 : +-1) off it by a
+    # normalized value of about 7e-4, far above the curve tolerance 1e-6; a
+    # tolerance above 7e-4 would put them on the curve and fail the task
+    doc = dict(
+        BASE_P2,
+        section=["z1^2 - 1/1000*z0*z1", "z2^2 - z0^2"],
+        psi="3*z1",
+        tasks=[
+            {
+                "kind": "generalized_cb",
+                "tol": 1e-8,
+                "seed": 3,
+                "curve_factor": "z1",
+                "cofactor": "z1 - 1/1000*z0",
+                "psi_cofactor": "3",
+            }
+        ],
+    )
+    task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+    assert task.verdict == "assumed-hypotheses"
+    assert (task.results["curve_points"], task.results["isolated_points"]) == (2, 2)
 
 
 def test_bundled_curve_scenario_fs():

@@ -101,9 +101,9 @@ def test_flat_model_s_form_coefficients():
     # s = w with flat metric: scalar -|w|^2/2t, one-form -(1/2t) dwbar (x) e*_1
     model = FlatModel([AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j))
     t = 0.4
-    S = model.S_form(0, [0.3 + 0.5j], t)
-    assert abs(S.scalar_part + abs(0.3 + 0.5j) ** 2 / (2 * t)) < 1e-15
-    assert abs(S.one_form[(1, 1)] + 1.0 / (2 * t)) < 1e-15
+    S = model.S_form(0, [[0.3 + 0.5j]], t)
+    assert abs(S.scalar_part[0] + abs(0.3 + 0.5j) ** 2 / (2 * t)) < 1e-15
+    assert abs(S.one_form[(1, 1)][0] + 1.0 / (2 * t)) < 1e-15
 
 
 def test_fast_density_matches_tensor_route():
@@ -114,7 +114,7 @@ def test_fast_density_matches_tensor_route():
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         t = float(rng.uniform(0.3, 2.0))
         fast = global_density(ctx, chart, w.reshape(1, -1), t)[0]
-        slow = global_density_tensor(ctx, chart, w, t)
+        slow = global_density_tensor(ctx, chart, w.reshape(1, -1), t)[0]
         assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
@@ -128,9 +128,6 @@ def test_batched_tensor_route_matches_fast_density_at_every_point(chart):
     fast = global_density(ctx, chart, W, t)
     assert slow.shape == (300,)
     assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
-    for m in range(0, 300, 60):
-        single = global_density_tensor(ctx, chart, W[m], t)
-        assert abs(single - slow[m]) <= 1e-13 * max(1.0, abs(single))
 
 
 def test_flat_model_density_group_matches_batched_data():
@@ -779,9 +776,9 @@ def test_every_entry_point_refuses_a_t_that_is_not_positive(t):
     model = FlatModel([AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j))
     with np.errstate(all="raise"):  # refused before any arithmetic
         with pytest.raises(GeometryError, match="t must be positive"):
-            model.S_form(0, [0.3 + 0.1j], t)
+            model.S_form(0, [[0.3 + 0.1j]], t)
         with pytest.raises(GeometryError, match="t must be positive"):
-            global_density_tensor(model, 0, [0.3 + 0.1j], t)
+            global_density_tensor(model, 0, [[0.3 + 0.1j]], t)
 
 
 @pytest.mark.parametrize(

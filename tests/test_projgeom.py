@@ -191,17 +191,17 @@ def test_sform_at_zero_fs_metric():
     # at a zero of s only h_i conj(df_i) survives in the one-form part
     ctx = p1_o2_context()
     t = 0.7
-    S = ctx.S_form(0, [1.0], t)
-    assert abs(S.scalar_part) < 1e-14
+    S = ctx.S_form(0, [[1.0]], t)
+    assert abs(S.scalar_part[0]) < 1e-14
     h = (1 + 1.0) ** -2
     expected = -h * np.conj(2.0) / (2 * t)  # f = w^2 - 1, df = 2w at w=1
-    assert abs(S.one_form[(1, 1)] - expected) < 1e-13
+    assert abs(S.one_form[(1, 1)][0] - expected) < 1e-13
 
 
 def test_sform_t_validation():
     ctx = p1_o2_context()
     with pytest.raises(GeometryError):
-        ctx.S_form(0, [0.5], 0.0)
+        ctx.S_form(0, [[0.5]], 0.0)
 
 
 def test_sform_dbar_finite_difference_crosscheck():

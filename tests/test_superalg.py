@@ -6,6 +6,7 @@ tensors for every basis covector, with the sign exponent evaluated directly.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from residue_lab.superalg import (
     DegreeError,
     SForm,
     SuperTensor,
+    _shuffle,
     contract,
     dual_pair,
     exp_S,
@@ -175,6 +177,38 @@ def test_contract_adjunction_property(seed):
         lhs = dual_pair(res, nu)
         rhs = dual_pair(u, wedge(th, nu)).scale(sgn)
         assert lhs.add(rhs.scale(-1)).norm() <= 1e-12 * max(1.0, rhs.norm(), u.norm() * th.norm())
+
+
+def permutation_sign(seq):
+    """Sign of the permutation that sorts seq (distinct entries), from its
+    cycles: a cycle of length c is c - 1 transpositions."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    seen, sign = set(), 1
+    for start in range(len(seq)):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start = order[start]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+increasing = st.sets(st.integers(1, 6)).map(lambda s: tuple(sorted(s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(increasing, increasing), max_size=4))
+def test_shuffle_sign_is_the_parity_of_sorting_each_pair(pairs):
+    # independent of dual_pair, which shares the helper with the products
+    got = _shuffle(pairs)
+    if any(set(a) & set(b) for a, b in pairs):
+        assert got is None
+        return
+    merged, sign = got
+    assert merged == tuple(tuple(sorted(a + b)) for a, b in pairs)
+    assert sign == math.prod(permutation_sign(a + b) for a, b in pairs)
 
 
 def test_contract_output_block_signature():
