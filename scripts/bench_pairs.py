@@ -2,7 +2,7 @@
 """Alternating benchmark pairs of a parent checkout and a changed one.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-           --seed S [--pairs 10]
+           --seed S [--pairs 10] [--json PATH]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds SEC
 --trace 0``, with SEC the ``run_seconds`` of ``BENCHMARK.json``, under this
@@ -20,10 +20,21 @@ than the parent's interquartile range.  Then, from each run's own
 label both sides' median of the runs' medians, the change's relative to the
 parent's and the pairs the change won (lower is better): the view that shows
 which operations a shift of ``task_p50_s`` comes from.
+
+With ``--json PATH`` the same summary is also written to PATH as one JSON
+object (``bench_record``): the workload, seed, pairs and run length; the
+machine's ``nproc`` and the Python and numpy versions; per metric its unit,
+direction, both sides' quartiles and per-pair values, the relative change,
+the pairs won and the gain rule; and per label both sides' medians, the
+relative change and the pairs won.
 """
 
 import argparse
+import importlib.metadata
 import json
+import math
+import os
+import platform
 import re
 import statistics
 import subprocess
@@ -78,23 +89,79 @@ def label_medians(stdout: str) -> dict:
     return {m[1]: float(m[2]) for m in _LABEL_LINE.finditer(stdout)}
 
 
-def label_lines(parent_runs, change_runs):
+def label_summary(parent_runs, change_runs):
     """Pure per-label summary of paired runs: parent_runs[k] and
-    change_runs[k] are pair k's ``label_medians``.  One line per label, in
-    label order: each side's median of its runs' medians (n/a on a side that
-    never ran the label), the relative change and the pairs won by the change
-    among the pairs where both sides ran it."""
-    lines = []
+    change_runs[k] are pair k's ``label_medians``.  {label: summary}, in
+    label order: each side's median of its runs' medians (None on a side that
+    never ran the label), the relative change (None unless both sides ran it)
+    and the pairs won by the change among the pairs where both sides ran it."""
+    out = {}
     for label in sorted({label for run in parent_runs + change_runs for label in run}):
         p = [run[label] for run in parent_runs if label in run]
         c = [run[label] for run in change_runs if label in run]
         both = [(a[label], b[label]) for a, b in zip(parent_runs, change_runs) if label in a and label in b]
-        pm = f"{statistics.median(p):.4f} s" if p else "n/a"
-        cm = f"{statistics.median(c):.4f} s" if c else "n/a"
-        rel = f"{100 * (statistics.median(c) / statistics.median(p) - 1):+.1f}%" if p and c else "n/a"
-        wins = sum(b < a for a, b in both)
-        lines.append(f"{label:<22} parent {pm:>10}  change {cm:>10}  {rel:>7}  won {wins}/{len(both)}")
+        pm = statistics.median(p) if p else None
+        cm = statistics.median(c) if c else None
+        out[label] = {
+            "parent": pm,
+            "change": cm,
+            "relative": cm / pm - 1 if p and c else None,
+            "wins": sum(b < a for a, b in both),
+            "pairs": len(both),
+        }
+    return out
+
+
+def label_lines(parent_runs, change_runs):
+    """``label_summary`` as one printed line per label (n/a where it has None)."""
+    lines = []
+    for label, s in label_summary(parent_runs, change_runs).items():
+        pm = "n/a" if s["parent"] is None else f"{s['parent']:.4f} s"
+        cm = "n/a" if s["change"] is None else f"{s['change']:.4f} s"
+        rel = "n/a" if s["relative"] is None else f"{100 * s['relative']:+.1f}%"
+        lines.append(f"{label:<22} parent {pm:>10}  change {cm:>10}  {rel:>7}  won {s['wins']}/{s['pairs']}")
     return lines
+
+
+def bench_record(workload, seed, seconds, metrics, values, labels, environment):
+    """Pure JSON record of a finished set of pairs: ``metrics`` are
+    BENCHMARK.json's end-to-end entries, ``values[side][name]`` the per-pair
+    values, ``labels[side]`` the per-pair ``label_medians`` and
+    ``environment`` the machine and versions it ran on.  A relative change
+    that is not a number (a parent median of 0) is written as null."""
+    summaries = {}
+    for m in metrics:
+        parent, change = values["parent"][m["name"]], values["change"][m["name"]]
+        s = summarize(parent, change, m["better"])
+        summaries[m["name"]] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent": {"quartiles": list(s["parent"]), "values": list(parent)},
+            "change": {"quartiles": list(s["change"]), "values": list(change)},
+            "relative": None if math.isnan(s["relative"]) else s["relative"],
+            "wins": s["wins"],
+            "pairs": s["pairs"],
+            "gain_holds": s["gain_holds"],
+        }
+    return {
+        "workload": workload,
+        "seed": seed,
+        "pairs": len(labels["parent"]),
+        "run_seconds": seconds,
+        **environment,
+        "metrics": summaries,
+        "labels": label_summary(labels["parent"], labels["change"]),
+    }
+
+
+def environment():
+    """The processors this process may run on (``nproc``) and the Python and
+    numpy versions."""
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+    }
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -118,6 +185,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path, help="also write the summary to this JSON file")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
@@ -143,6 +211,9 @@ def main(argv=None) -> int:
     print("per label: median of the runs' task medians")
     for line in label_lines(labels["parent"], labels["change"]):
         print(line)
+    if args.json:
+        record = bench_record(args.workload, args.seed, seconds, metrics, values, labels, environment())
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -76,6 +76,9 @@ MUTANTS = [
      "dual_pair's sign for It passing Ju"),
     ("contract-l-sign-dropped", SUPERALG, " + l * (l - 1) // 2", "",
      "the l(l-1)/2 term of the adjunction sign"),
+    ("sheet-derivative-factor-dropped", LOCALIZE, "[ri - rj for", "[1 for",
+     "df/dw_2 at a sheet read as the leading coefficient alone"),
+    ("cube-root-as-sqrt", LOCALIZE, "np.cbrt(", "np.sqrt(", "Cardano's cube root taken as a square root"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")
@@ -131,13 +134,13 @@ def main(argv=None) -> int:
         for name, file, old, _, reason in chosen:
             count = (ROOT / file).read_text(encoding="utf-8").count(old)
             moved = "" if count == 1 else f"  [text occurs {count} times, not once]"
-            print(f"{name:28} {file:32} {reason}{moved}")
+            print(f"{name:32} {file:32} {reason}{moved}")
         return 0
     survived = 0
     for mutant in chosen:
         caught, detail = run(mutant)
         survived += not caught
-        print(f"{'CAUGHT' if caught else 'SURVIVED':9} {mutant[0]:28} {detail}", flush=True)
+        print(f"{'CAUGHT' if caught else 'SURVIVED':9} {mutant[0]:32} {detail}", flush=True)
     print(f"{len(chosen) - survived} caught, {survived} survived")
     return 1 if survived else 0
 

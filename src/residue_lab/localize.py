@@ -382,16 +382,23 @@ def _quadratic_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([big, _div(q, big)], axis=1)
 
 
+def _cube_root(z: np.ndarray) -> np.ndarray:
+    """The principal cube root, the branch of z ** (1/3), in polar form:
+    cbrt(|z|) exp(i arg z / 3), without the complex power's log and exp."""
+    return np.cbrt(np.abs(z)) * np.exp(1j * np.angle(z) / 3)
+
+
 def _solve_sheets(coeffs: np.ndarray) -> np.ndarray:
     """Roots of a batch of polynomials in the sheet variable.
 
     coeffs: (N, m+1), constant term first, leading coefficients nonzero.
     Returns (N, m) roots: in closed form for m <= 3, else as companion
-    eigenvalues.  Cardano's formula finds a cubic's root x of largest modulus
-    (polished by two Newton steps) but loses a small root to cancellation, so
-    the cubic is deflated (Kahan, "To solve a real cubic equation", 1986): the
-    other roots have product -c/x and sum (b - r2 r3)/x or -(a + x), whichever
-    does not cancel.  One Newton step then polishes all three.
+    eigenvalues.  Cardano's formula (its cube root in polar form) finds a
+    cubic's root x of largest modulus (polished by two Newton steps) but loses
+    a small root to cancellation, so the cubic is deflated (Kahan, "To solve a
+    real cubic equation", 1986): the other roots have product -c/x and sum
+    (b - r2 r3)/x or -(a + x), whichever does not cancel.  One Newton step
+    then polishes all three.
     """
     m = coeffs.shape[1] - 1
     monic = coeffs[:, :-1] / coeffs[:, -1:]
@@ -413,13 +420,21 @@ def _solve_sheets(coeffs: np.ndarray) -> np.ndarray:
         # x = y - a/3 gives y^3 + p y + q = 0, solved by y = u - p/(3u) with u^3
         # the larger root of v^2 + q v - p^3/27
         p, q = b - a * a / 3, (2 * a * a / 27 - b / 3) * a + c
-        u = _quadratic_roots(q[:, 0], -(p[:, 0] ** 3) / 27)[:, :1] ** (1 / 3)
+        u = _cube_root(_quadratic_roots(q[:, 0], -(p[:, 0] ** 3) / 27)[:, :1])
         u = u * np.exp(2j * np.pi / 3 * np.arange(3))  # the three cube roots
         cand = u - _div(p, 3 * u) - a / 3
         x = newton(newton(np.take_along_axis(cand, np.abs(cand).argmax(axis=1)[:, None], axis=1)))
         prod = _div(-c, x)
         total = np.where(np.abs(x) ** 2 > np.abs(b), _div(b - prod, x), -(a + x))
         return newton(np.concatenate([x, _quadratic_roots(-total[:, 0], prod[:, 0])], axis=1))
+
+
+def _sheet_slopes(lead: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """df/dw_2 at every sheet, (N, m), read off the roots with f not evaluated:
+    f = c_m prod_j (w_2 - r_j) gives c_m prod_{j != i} (r_i - r_j) at r_i."""
+    cols = list(roots.T)
+    factors = [[ri - rj for j, rj in enumerate(cols) if j != i] for i, ri in enumerate(cols)]
+    return np.stack([functools.reduce(np.multiply, f, lead) for f in factors], axis=1)
 
 
 def curve_localized_term(
@@ -434,14 +449,14 @@ def curve_localized_term(
     w_2 are the sheets.  A sample too close to a branch point (|df/dw_2| below
     _BRANCH_TOL times f's coefficient norm at a sheet), or whose leading
     coefficient vanishes or whose sheets are not finite, is rejected: it
-    weighs 0 and is counted.  The vanishing of the total is the verified
-    identity.
+    weighs 0 and is counted.  df/dw_2 is read off the roots (_sheet_slopes),
+    so f is evaluated once per chunk, for its coefficients in w_2.  The
+    vanishing of the total is the verified identity.
     """
     if geo.ctx.chart_data(0).psi_aff is None:
         raise GeometryError("instance carries no psi")
     f = geo.f_aff(0)
     coeff_polys = _sheet_coefficients(f)
-    fn_poly = geo.df(0)[1]
     branch_tol = _BRANCH_TOL * f.coeff_norm()
 
     def sheets(rng: np.random.Generator, count: int):
@@ -451,14 +466,15 @@ def curve_localized_term(
         Z = fs_uniform_points(1, count, rng)
         u = Z[:, 1] / Z[:, 0]
         coeffs = np.stack([cp.eval_batch(u[:, None]) for cp in coeff_polys], axis=1)
-        lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * np.abs(coeffs).max(axis=1)
+        lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * functools.reduce(np.maximum, np.abs(coeffs).T)
         roots = np.full((count, len(coeff_polys) - 1), np.nan, dtype=complex)
         solvable = np.flatnonzero(lead_ok)
         for block in row_blocks(len(solvable)):  # bounds the closed forms' temporaries
             roots[solvable[block]] = _solve_sheets(coeffs[solvable[block]])
         with np.errstate(all="ignore"):
-            fn = fn_poly.eval_batch(_sheet_points(u, roots)).reshape(roots.shape)
-            ok = lead_ok & np.isfinite(roots).all(axis=1) & (np.abs(fn) > branch_tol).all(axis=1)
+            clear = np.abs(_sheet_slopes(coeffs[:, -1], roots)) > branch_tol
+            # over the m sheets by whole-column operations (here and in draw), not a per-row axis=1 loop
+            ok = lead_ok & functools.reduce(np.logical_and, np.isfinite(roots).T & clear.T)
         return u, roots, ok
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -468,9 +484,10 @@ def curve_localized_term(
         dens = _sheet_density(geo, u, roots[ok])
         size, p_base = np.abs(dens), fs_density(u[:, None], 1)
         out = np.zeros((4, count), dtype=complex)
-        out[0, ok] = dens.sum(axis=1) / p_base
-        out[1, ok] = size.sum(axis=1) / p_base
-        out[2, ok] = size.max(axis=1)
+        # sheet after sheet, in order: the bits of sum(axis=1) for m <= 3
+        out[0, ok] = functools.reduce(np.add, dens.T) / p_base
+        out[1, ok] = functools.reduce(np.add, size.T) / p_base
+        out[2, ok] = functools.reduce(np.maximum, size.T)
         out[3] = ~ok
         return out
 
@@ -499,11 +516,6 @@ def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> 
         W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
         dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
     return dens.reshape(-1, m)
-
-
-def _sheet_points(u: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Stack base values w_1 and sheet roots w_2 into (N*m, 2) chart points."""
-    return np.stack([np.repeat(u, roots.shape[1]), roots.reshape(-1)], axis=1)
 
 
 def fiber_mass_quadrature(

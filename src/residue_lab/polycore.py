@@ -126,12 +126,14 @@ class GaussianRational:
         return _reduced(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        if not isinstance(other, GaussianRational):
+        try:
+            o = _as_gauss(other)  # an int or a Fraction compares as the real number it is
+        except TypeError:
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)

@@ -116,3 +116,57 @@ def test_the_summary_ends_with_the_per_label_medians(monkeypatch, capsys):
     assert bench_pairs.main(["old", "new", "--workload", "oracle", "--seed", "1", "--pairs", "2"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.split() == ["fiber_3_perturbed", "parent", "0.0020", "s", "change", "0.0015", "s", "-25.0%", "won", "2/2"]
+
+
+_METRICS = [
+    {"name": "task_p50_s", "unit": "s", "better": "lower"},
+    {"name": "work_per_s", "unit": "1/s", "better": "higher"},
+]
+_ENV = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
+
+
+def test_label_summary_keeps_missing_sides_as_none():
+    s = bench_pairs.label_summary([{"a": 0.004}, {"a": 0.006}], [{"a": 0.003, "c": 0.3}, {"a": 0.004}])
+    assert list(s) == ["a", "c"]
+    assert s["a"] == {"parent": 0.005, "change": 0.0035, "relative": pytest.approx(-0.3), "wins": 2, "pairs": 2}
+    assert s["c"] == {"parent": None, "change": 0.3, "relative": None, "wins": 0, "pairs": 0}
+
+
+def test_bench_record_holds_the_printed_summary():
+    values = {
+        "parent": {"task_p50_s": [4.0, 1.0, 3.0, 2.0, 5.0], "work_per_s": [0.0] * 5},
+        "change": {"task_p50_s": [3.0, 0.5, 2.0, 1.0, 4.0], "work_per_s": [1.0, 0.0, 0.0, 0.0, 0.0]},
+    }
+    labels = {"parent": [{"x": 0.002}] * 5, "change": [{"x": 0.001}] * 5}
+    record = bench_pairs.bench_record("curve", 7007, 15, _METRICS, values, labels, _ENV)
+    assert json.loads(json.dumps(record)) == record  # plain JSON, no NaN
+    assert {k: record[k] for k in ("workload", "seed", "pairs", "run_seconds")} == {
+        "workload": "curve", "seed": 7007, "pairs": 5, "run_seconds": 15,
+    }
+    assert {k: record[k] for k in _ENV} == _ENV
+    p50 = record["metrics"]["task_p50_s"]
+    assert p50["parent"] == {"quartiles": [2.0, 3.0, 4.0], "values": [4.0, 1.0, 3.0, 2.0, 5.0]}
+    assert p50["change"]["quartiles"] == [1.0, 2.0, 3.0]
+    assert (p50["unit"], p50["better"], p50["wins"], p50["pairs"]) == ("s", "lower", 5, 5)
+    assert p50["relative"] == pytest.approx(-1 / 3) and not p50["gain_holds"]  # gap 1 is not above the IQR 2
+    # a parent median of 0 has no relative change
+    assert record["metrics"]["work_per_s"]["relative"] is None
+    assert record["metrics"]["work_per_s"]["wins"] == 1
+    assert record["labels"] == {"x": {"parent": 0.002, "change": 0.001, "relative": -0.5, "wins": 5, "pairs": 5}}
+
+
+def test_the_json_option_writes_the_record(monkeypatch, tmp_path):
+    def fake(checkout, workload, seed, seconds):
+        value = {"old": 2.0, "new": 1.0}[checkout.name]
+        names = ("setup_s", "wall_s", "task_p50_s", "task_tail_s", "work_per_s", "peak_rss_mb")
+        metrics = {m: {"value": value} for m in names}
+        return {"correct": True, "failed": 0, "metrics": metrics, "stdout": ""}
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", fake)
+    out = tmp_path / "BENCH.json"
+    argv = ["old", "new", "--workload", "curve", "--seed", "3", "--pairs", "2", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert (record["workload"], record["seed"], record["pairs"]) == ("curve", 3, 2)
+    assert set(record) >= {"nproc", "python", "numpy", "metrics", "labels"}
+    assert record["metrics"]["task_p50_s"]["relative"] == -0.5 and record["metrics"]["work_per_s"]["wins"] == 0

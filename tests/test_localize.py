@@ -520,6 +520,117 @@ def test_solve_sheets_empty_and_single_batches(m):
     assert np.allclose(np.sort_complex(_solve_sheets(coeffs)[0]), np.arange(1, m + 1), atol=1e-12)
 
 
+def _random_affine_curve(d, rng, branch):
+    """A random affine curve f(w_1, w_2) of degree d with w_2^d present; with
+    ``branch``, also a base point u0 over which f has a double sheet r0 (f and
+    df/dw_2 both vanish at (u0, r0)), else None."""
+    terms = {(a, b): complex(*rng.normal(size=2)) for a in range(d + 1) for b in range(d + 1 - a)}
+    f = AffinePoly(2, terms)
+    if not branch:
+        return f, None
+    u0, r0 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+    value, slope = f.eval([u0, r0]), f.partial(1).eval([u0, r0])
+    # f - value - slope (w_2 - r0) keeps f's degree and w_2^d
+    return f - AffinePoly(2, {(0, 0): value - slope * r0, (0, 1): slope}), u0
+
+
+@pytest.mark.parametrize(
+    "d, branch", [(1, False), (2, False), (2, True), (3, False), (3, True)],
+    ids=["line", "conic", "conic-near-branch", "cubic", "cubic-near-branch"],
+)
+def test_sheet_slopes_are_df_dw2_at_every_sheet(d, branch):
+    # c_m prod_{j != i} (r_i - r_j) against the scalar evaluation of df/dw_2
+    # at each sheet, within 1e-12 of sum_k |c_k| |r|^k, the size of f's terms
+    # there.  Near a branch point two sheets meet and df/dw_2 is small; a
+    # slope is read off the other sheets, so it carries their conditioning,
+    # the largest size over |df/dw_2| among the row's sheets (a cubic's third
+    # sheet at 1e-11 from the branch point was measured 2e-11 of its size
+    # off, at most 4e-14 of its size times that conditioning)
+    rng = np.random.default_rng(60 + 2 * d + branch)
+    for _ in range(20):
+        f, u0 = _random_affine_curve(d, rng, branch)
+        offsets = 10.0 ** -rng.uniform(3, 10, 30) * np.exp(2j * np.pi * rng.uniform(size=30))
+        u = u0 + offsets if branch else rng.normal(size=30) + 1j * rng.normal(size=30)
+        coeffs = np.stack([cp.eval_batch(u[:, None]) for cp in localize._sheet_coefficients(f)], axis=1)
+        roots = _solve_sheets(coeffs)
+        slopes = localize._sheet_slopes(coeffs[:, -1], roots)
+        assert slopes.shape == roots.shape == (30, d)
+        fn = f.partial(1)
+        for row in range(30):
+            want = [fn.eval([u[row], r]) for r in roots[row]]
+            scales = [sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs[row])) for r in roots[row]]
+            conditioning = max(1.0, max(s / abs(w) for s, w in zip(scales, want)))
+            for slope, w, scale in zip(slopes[row], want, scales):
+                assert abs(slope - w) <= 1e-12 * scale * conditioning
+        if branch:
+            # the base points close in on a double sheet: its slope is tiny
+            assert np.abs(slopes).min() <= 1e-3 * np.abs(coeffs).max()
+
+
+def _scalar_rejections(geo, samples, seed):
+    """The rejected count of one curve chunk, each sheet's df/dw_2 evaluated
+    by the scalar _PolyBase.eval of geo.df(0)[1] at (u, root)."""
+    rng = np.random.default_rng(np.random.Philox(key=seed, counter=0))
+    Z = fs_uniform_points(1, samples, rng)
+    u = Z[:, 1] / Z[:, 0]
+    f = geo.f_aff(0)
+    coeffs = np.array([[cp.eval([w]) for cp in localize._sheet_coefficients(f)] for w in u])
+    tol, fn = localize._BRANCH_TOL * f.coeff_norm(), geo.df(0)[1]
+    rejected = 0
+    for w, row in zip(u, coeffs):
+        if not abs(row[-1]) > 1e-12 * np.abs(row).max():
+            rejected += 1
+            continue
+        roots = _solve_sheets(row[None, :])[0]
+        rejected += not all(np.isfinite(r) and abs(fn.eval([w, r])) > tol for r in roots)
+    return rejected
+
+
+@pytest.mark.parametrize("branch_tol", [localize._BRANCH_TOL, 0.2, 0.5], ids=["default", "0.2", "0.5"])
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_branch_rejections_match_the_scalar_derivative(monkeypatch, d, seed, branch_tol):
+    # one chunk: the sampler's rejected count against the rule applied with
+    # the scalar df/dw_2 at each sheet
+    monkeypatch.setattr(localize, "_BRANCH_TOL", branch_tol)
+    geo = _random_fs_curve(d, seed)
+    term = curve_localized_term(geo, samples=2000, seed=seed)
+    assert term.rejected == _scalar_rejections(geo, 2000, seed)
+    assert term.rejected > 0 or branch_tol < 0.5
+
+
+def _ulps(got, want):
+    """|got - want| in units of the spacing of floats at |want|."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_cube_root_is_the_principal_branch_within_4_ulps():
+    rng = np.random.default_rng(65)
+    random = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+    wide = 10.0 ** rng.uniform(-300, 300, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+    negative = -(10.0 ** rng.uniform(-300, 300, 500))
+    for z in (random, wide, negative + 0j, (negative + 0j).conj()):
+        got = localize._cube_root(z)
+        # the branch of z ** (1/3), arg in (-pi/3, pi/3]; at |z| near 1 within 4 ulps of it
+        assert np.all(np.abs(got - z ** (1 / 3)) <= 1e-12 * np.abs(got))
+        assert _ulps(got, z ** (1 / 3))[np.abs(np.log10(np.abs(z))) <= 1].max() <= 4
+    # the negative real axis: arg z = +-pi by the sign of the zero imaginary
+    # part, so -x - 0i has the conjugate root
+    got = localize._cube_root(np.array([-8 + 0j, complex(-8, -0.0)]))
+    assert np.allclose(got, [1 + 3**0.5 * 1j, 1 - 3**0.5 * 1j], rtol=0, atol=4e-16)
+    assert np.array_equal(localize._cube_root((negative + 0j).conj()), localize._cube_root(negative + 0j).conj())
+    zeros = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
+    assert np.all(localize._cube_root(zeros) == 0) and np.all(zeros ** (1 / 3) == 0)
+    mpmath = pytest.importorskip("mpmath")
+    for z in (random[:500], wide, negative + 0j):
+        # within 4 ulps of the cube root itself at every modulus (mpmath has
+        # no signed zero); z ** (1/3) goes through log z and drifts to about
+        # 300 ulps at 1e+-300
+        with mpmath.workprec(200):
+            want = np.array([complex(mpmath.cbrt(mpmath.mpc(w.real, w.imag))) for w in z])
+        assert _ulps(localize._cube_root(z), want).max() <= 4
+
+
 # ---------------------------------------------------- curvature per row block
 
 

@@ -524,6 +524,18 @@ def test_gaussian_rational_field_ops():
     assert a.conjugate().conjugate() == a
 
 
+def test_gaussian_rational_equals_an_equal_int_or_fraction():
+    assert GaussianRational.of(1) == 1 and 1 == GaussianRational.of(1)
+    assert GaussianRational.of(1, 2) != 1 and GaussianRational.of(2) != 1
+    assert GaussianRational.of(Fraction(1, 2)) == Fraction(1, 2) == GaussianRational.of(1, 0) / 2
+    assert hash(GaussianRational.of(3)) == hash(3)
+    assert hash(GaussianRational.of(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert {GaussianRational.of(3): "three"}[3] == "three"
+    # any other type is not coerced: a float or a complex is never equal
+    assert GaussianRational.of(1) != 1.0 and GaussianRational.of(1) != 1 + 0j
+    assert GaussianRational.of(1).__eq__("1") is NotImplemented
+
+
 @dataclass(frozen=True)
 class _FractionPair:
     """The reference: a Gaussian rational as a frozen pair of Fractions."""
@@ -633,7 +645,8 @@ def test_gaussian_rational_matches_the_fraction_pair_reference(seed):
         assert repr(new) == repr(ref).replace("_FractionPair", "GaussianRational")
         assert bool(new) is bool(ref)
         assert _complex_bits(new.to_complex) == _complex_bits(ref.to_complex) == _complex_bits(lambda: complex(new))
-        assert hash(new) == hash(ref)
+        # a real one hashes as the Fraction it equals, any other as the pair
+        assert hash(new) == hash(ref if im else re)
         for other in (0, -3, Fraction(5, -4)):
             for op in (operator.add, operator.sub, operator.mul, operator.truediv):
                 assert _same(_apply(op, new, other), _apply(op, ref, other))
