@@ -30,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS, LOCALIZE = "src/residue_lab/harness.py", "src/residue_lab/localize.py"
-SUPERALG = "src/residue_lab/superalg.py"
+PROJGEOM, SUPERALG = "src/residue_lab/projgeom.py", "src/residue_lab/superalg.py"
 TIMEOUT = 600  # seconds per tier-1 run
 
 MUTANTS = [
@@ -43,7 +43,11 @@ MUTANTS = [
      "the local mass's orientation factor, invisible on P^1"),
     ("curve-density-2pi", LOCALIZE, "geo.curvature_term_batch(0, W) / math.pi",
      "geo.curvature_term_batch(0, W) / (2 * math.pi)", "the curve density's constant"),
-    ("fs-density-scaled", "src/residue_lab/projgeom.py", "return math.factorial(n) / (np.pi**n",
+    ("curve-term-tangent-unconjugated", PROJGEOM, "dK1 + dK2 * np.conj(kappa)", "dK1 + dK2 * kappa",
+     "the curve term's sheet tangent entering unconjugated"),
+    ("curve-term-weight-unshifted", PROJGEOM, "weight=t.weight - g.weight", "weight=t.weight",
+     "K / G_ff keeping the weight of G_fv"),
+    ("fs-density-scaled", PROJGEOM, "return math.factorial(n) / (np.pi**n",
      "return 1.05 * math.factorial(n) / (np.pi**n", "the Fubini-Study sampling density's scale"),
     ("vr-6-sigma", HARNESS, "hit = abs(est.value) <= 3 * est.std_error", "hit = abs(est.value) <= 6 * est.std_error",
      "the virtual-residue 3 sigma gate widened"),

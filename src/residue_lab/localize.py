@@ -27,10 +27,12 @@ localized integrand per sheet is
     (phi . (-2 pi i)(1 - r))^{(1,1)} * prefactor = (phi_c r_c / pi) dx dy,
 
 with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds_batch`
-and r_c the End(N)-scalar curvature term of
-:meth:`Example22Geometry.curvature_term_batch`.  On a split metric such as
-Fubini-Study, r_c is identically 0, and so is the curve integrand: the sampler
-still draws and rejects sheets, but evaluates no density there.
+and r_c = sum_b conj(tau_b) dbar_b(K / G_ff), tau the sheet tangent and G_fv =
+f K + conj(f) L the coupling: the closed form on the curve of
+:meth:`Example22Geometry.curvature_term_batch`, which builds no Chern curvature.
+Where K has no terms (Fubini-Study, or a perturbation with pair = (v, f)), r_c
+and the curve integrand are identically 0: the sampler still draws and rejects
+sheets, but evaluates no density there.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`fiber_mass_quadrature`, integrate over polar discs whose rays are each
@@ -49,7 +51,7 @@ values (|s|^2, P det(Abar), the FS density), and one density pass over the
 chunk gives every t.  A curve chunk is drawn once; a sample near a branch point
 weighs 0 and is counted as rejected.  Its sheet roots and the density at its
 accepted sheet points are computed ROW_BLOCK rows at a time, the blocks that
-PolyKernel, ChartGroup and the Chern curvature use.  :class:`FlatModel` is a
+PolyKernel and ChartGroup use.  :class:`FlatModel` is a
 GeometryContext under the identity metric.
 """
 
@@ -506,9 +508,9 @@ def curve_localized_term(
 
 def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """phi_c r_c / pi at every sheet point (u, root) of chart 0, (N, m),
-    ROW_BLOCK sheet points at a time; zeros, with nothing evaluated, when the
-    metric is split and r_c is zero by structure (_ChartData.metric_is_split)."""
-    if geo.ctx.chart_data(0).metric_is_split():
+    ROW_BLOCK sheet points at a time; zeros, with nothing evaluated, when
+    K / G_ff has no terms and r_c is zero by structure (Example22Geometry.coupling)."""
+    if not geo.coupling(0).terms:
         return np.zeros(roots.shape, dtype=complex)
     m = roots.shape[1]
     dens = np.empty(roots.size, dtype=complex)

@@ -219,14 +219,6 @@ class _ChartData:
             self.groups[key] = (ChartGroup(len(self.s_aff), functions), shapes)
         return self.groups[key]
 
-    def metric_is_split(self) -> bool:
-        """Whether no off-diagonal chart function of G has a term: then G,
-        G^{-1} and every derivative of G are diagonal, and so is the Chern
-        curvature, as the Chern connection of an orthogonal direct sum is the
-        sum of the summands' (Griffiths and Harris, Principles of Algebraic
-        Geometry, 1978, ch. 0 sec. 5)."""
-        return not any(g.terms for r, row in enumerate(self.G) for c, g in enumerate(row) if r != c)
-
 
 def _assemble_chart(
     chart: int, s_aff: List[AffinePoly], psi_aff: Optional[AffinePoly], H: List[List[ChartFunction]]
@@ -429,12 +421,13 @@ class GeometryContext:
         """Entry (i, j, a) of the curvature of the Chern connection along
         dw_a ^ dwbar_b for every b, shape (N, n): out[:, b] = R[i, j, a, b].
 
-        Computed from exact derivatives of G = H^T, with X_a = G^{-1} d_a G:
-        R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of G^{-1} meets
-        column j of d_a G and of d_a dbar_b G, so only those columns are built;
-        G^{-1} is :func:`_inv` (closed form for rank 2) and every product one
-        :func:`_mm`.  The matrices come from one cached ChartGroup per entry,
-        evaluated ROW_BLOCK points at a time to bound memory.
+        The tests' reference for Example22Geometry.curvature_term_batch; no
+        sampler calls it.  From exact derivatives of G = H^T, with X_a = G^{-1}
+        d_a G: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of G^{-1}
+        meets column j of d_a G and of d_a dbar_b G, so only those columns are
+        built; G^{-1} is :func:`_inv` (closed form for rank 2) and every product
+        one :func:`_mm`.  The matrices come from one cached ChartGroup per
+        entry, evaluated ROW_BLOCK points at a time to bound memory.
         """
         data = self.chart_data(chart)
         n = self.n
@@ -498,6 +491,7 @@ class Example22Geometry:
         if ctx.metric.kind == "perturbed" and ctx.metric.f_index != self.f_index:
             raise GeometryError("metric perturbation must vanish on the section curve")
         self._df = {}
+        self._coupling = {}
 
     def f_aff(self, chart: int) -> AffinePoly:
         return self.ctx.chart_data(chart).s_aff[self.f_index]
@@ -555,22 +549,46 @@ class Example22Geometry:
             raise GeometryError("vanishing normal derivative (branch point)")
         return psi / fn
 
+    def coupling(self, chart: int) -> ChartFunction:
+        """K / G_ff on the chart, read off G = H^T, not off the metric's label:
+        the terms of the coupling G_fv = f K + conj(f) L whose hol factor is f,
+        each over G_ff, which must be one weight term.  r_c does not see the
+        conj(f) L terms (curvature_term_batch); a term that carries f neither
+        way is refused with GeometryError.  No terms: r_c is zero by structure."""
+        if chart not in self._coupling:
+            n, G, f, v = self.ctx.n, self.ctx.chart_data(chart).G, self.f_index, self.v_index
+            g, K = (G[f][f].terms[0] if len(G[f][f].terms) == 1 else None), ChartFunction.zero(n)
+            if g is None or not g.hol == g.anti == AffinePoly.constant(n, 1.0 + 0j):
+                raise GeometryError("the curve term needs G_ff to be one weight term c (1+|w|^2)^p")
+            for t in G[f][v].terms:
+                if t.hol == self.f_aff(chart):
+                    K = K + ChartFunction.from_parts(n, anti=t.anti, weight=t.weight - g.weight, coef=t.coef / g.coef)
+                elif t.anti != self.f_aff(chart):
+                    raise GeometryError("every term of the coupling G_fv must carry the curve's f")
+            self._coupling[chart] = K
+        return self._coupling[chart]
+
     def curvature_term_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """The End(N)-scalar of the localized curvature contraction, as the
         coefficient against dwbar_1 (x) e*_{V_1}; shape (N, 2) -> (N,):
 
-            r = -R^{L<-V_1}(nu, taubar) / df(nu),
+            r = -R^{L<-V_1}(nu, taubar) / df(nu) = sum_b conj(tau_b) dbar_b(K / G_ff),
 
-        with nu = d/dw_2 the normal coordinate direction and tau the sheet
-        tangent.  The first curvature slot takes the normal vector, the second
-        the conjugated tangent; feeding the first slot with a tangent vector
-        contributes nothing (well-definedness, tested separately).  On a split
-        metric such as Fubini-Study, r is identically 0 (chern_curvature_batch).
+        nu = d/dw_2 the normal direction, tau = (1, kappa) the sheet tangent and
+        G_fv = f K + conj(f) L (:meth:`coupling`).  On Z = {f = 0}, G is diagonal
+        and dbar_b(f K) = 0, so entry (f, v) of the Chern curvature R[a][b] =
+        G^{-1}((dbar_b G) X_a - d_a dbar_b G), X_a = G^{-1} d_a G (Griffiths and
+        Harris, Principles of Algebraic Geometry, 1978, ch. 0 sec. 5), is
+        -(d_a f) dbar_b(K / G_ff) plus a multiple of conj(d_b f), which the
+        conjugated tangent annihilates.  For pair = (f, v), K / G_ff = eps
+        conj(q) (1+|w|^2)^{-d_v}; for pair = (v, f) and split metrics, r = 0.
+        One cached ChartGroup per chart gives dbar_b(K / G_ff) and d_b f.
         """
-        f1, f2 = self.df(chart)
-        fn = f2.eval_batch(W)
-        kappa = -f1.eval_batch(W) / fn
-        # R(nu, taubar) = sum_b R[1][b] conj(tau_b); tau = (1, kappa)
-        block = self.ctx.chern_curvature_batch(chart, W, entry=(self.f_index, self.v_index, 1))
-        val = block[:, 0] + block[:, 1] * np.conj(kappa)
-        return -val / fn
+
+        def build():
+            K = self.coupling(chart)
+            return [[[K.dbar(0), K.dbar(1), *(ChartFunction.from_parts(self.ctx.n, hol=p) for p in self.df(chart))]]]
+
+        dK1, dK2, f1, f2 = self.ctx.chart_data(chart).group("curve term", build)[0].eval_batch(W)
+        kappa = -f1 / f2
+        return dK1 + dK2 * np.conj(kappa)

@@ -13,6 +13,7 @@ The two deepest oracles here:
 import cmath
 import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -635,7 +636,7 @@ def test_cube_root_is_the_principal_branch_within_4_ulps():
 
 
 def test_curvature_entered_once_per_row_block(monkeypatch):
-    # a chunk's accepted sheet points reach chern_curvature_batch one
+    # a chunk's accepted sheet points reach curvature_term_batch one
     # ROW_BLOCK at a time, in order, so a tracer wrapping the public name
     # counts every point once: the calls sum to the chunks' sheet points
     from residue_lab import chartfun, localize, polycore
@@ -643,18 +644,18 @@ def test_curvature_entered_once_per_row_block(monkeypatch):
     monkeypatch.setattr(localize, "_CHUNK", 1500)
     monkeypatch.setattr(polycore, "ROW_BLOCK", 512)
     calls, group_rows = [], []
-    curvature = GeometryContext.chern_curvature_batch
+    curvature = Example22Geometry.curvature_term_batch
     group_eval = chartfun.ChartGroup.eval_batch
 
-    def counted(self, chart, W, **kwargs):
+    def counted(self, chart, W):
         calls.append(len(W))
-        return curvature(self, chart, W, **kwargs)
+        return curvature(self, chart, W)
 
     def rows_seen(self, W):
         group_rows.append(len(W))
         return group_eval(self, W)
 
-    monkeypatch.setattr(GeometryContext, "chern_curvature_batch", counted)
+    monkeypatch.setattr(Example22Geometry, "curvature_term_batch", counted)
     monkeypatch.setattr(chartfun.ChartGroup, "eval_batch", rows_seen)
     term = curve_localized_term(Example22Geometry(example22_context()), samples=4000, seed=3)
     assert term.rejected == 0
@@ -1138,6 +1139,32 @@ def test_split_curve_term_evaluates_no_density(monkeypatch):
     for geo in geos:
         term = curve_localized_term(geo, samples=3000, seed=31)
         assert term.value == 0 and term.pointwise_max == term.l1_mass == 0.0
+
+
+def test_reversed_pair_curve_term_evaluates_no_density(monkeypatch, tmp_path):
+    """The bundled perturbed scenario with pair = (v, f): its coupling G_fv
+    carries f conjugated, so K / G_ff has no terms and r_c is zero by
+    structure.  On Z the conj(f) coupling enters entry (f, v) of the Chern
+    curvature only through conj(d_b f), which the conjugated sheet tangent
+    annihilates; a split metric is the case of no coupling at all, its Chern
+    connection being the sum of the summands' (Griffiths and Harris,
+    Principles of Algebraic Geometry, 1978, ch. 0 sec. 5).  So the task reads
+    exactly 0 with no density evaluated, where the Chern contraction left
+    rounding noise of about 1e-19 whose sigma / L1 test passed by chance."""
+    import json
+
+    from residue_lab.harness import run_scenario
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "p2_example22_perturbed.json").read_text())
+    doc["metric"]["pair"] = [1, 0]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(Example22Geometry, "curvature_term_batch", _evaluating)
+    monkeypatch.setattr(Example22Geometry, "psi_over_det_ds_batch", _evaluating)
+    (task,) = run_scenario(str(path)).tasks
+    assert task.verdict == "pass"
+    assert _bits(task.results["value"]) == _ZERO
+    assert task.results["std_error"] == task.results["l1_mass"] == task.results["pointwise_max"] == 0.0
 
 
 def test_curve_term_is_read_from_structure_not_from_the_label():

@@ -563,6 +563,148 @@ def test_curvature_term_matches_on_curve_closed_form():
         assert abs(got - expected) <= 1e-4 * max(1e-6, abs(expected))
 
 
+def _random_poly(rng, degree):
+    monomials = monomials_of_degree(3, degree)
+    values = rng.normal(size=len(monomials)) + 1j * rng.normal(size=len(monomials))
+    return HomogeneousPoly(3, degree, dict(zip(monomials, values)))
+
+
+def _random_perturbed_curve(d, seed, f_index=0, d_v=2, reversed_pair=False, q=None):
+    """Example 2.2 on a random curve f = 0 of degree d in summand f_index of
+    O(d) + O(d_v) (in that order for f_index 0), perturbed at pair (f, v), or
+    (v, f) when reversed_pair."""
+    rng = np.random.default_rng(seed)
+    f, psi = _random_poly(rng, d), _random_poly(rng, d + d_v - 3)
+    v_index = 1 - f_index
+    degrees, section = [0, 0], [None, None]
+    degrees[f_index], degrees[v_index] = d, d_v
+    section[f_index], section[v_index] = f, HomogeneousPoly(3, d_v, {})
+    pair = (v_index, f_index) if reversed_pair else (f_index, v_index)
+    q = q or _random_poly(rng, degrees[pair[1]])
+    ms = MetricSpec("perturbed", epsilon=0.02, pair=pair, q=q, f_index=f_index)
+    return Example22Geometry(GeometryContext(degrees, section, ms, psi))
+
+
+def _sheet_points(geo, chart, bases):
+    """Every sheet point (u, w_2) of the chart over the base values u, from
+    numpy's companion roots of f(u, .) and one Newton step."""
+    f, f2 = geo.f_aff(chart), geo.df(chart)[1]
+    m = max(e[1] for e in f.terms)
+    points = []
+    for u in bases:
+        coeffs = np.zeros(m + 1, dtype=complex)
+        for e, c in f.terms.items():
+            coeffs[m - e[1]] += c * u ** e[0]
+        for r in np.roots(coeffs):
+            r -= f.eval([u, r]) / f2.eval([u, r])
+            points.append([u, r])
+    return np.array(points, dtype=complex)
+
+
+def _branch_point(geo, chart, rng):
+    """A point of the chart where f and df/dw_2 both vanish, by Newton's
+    method from random starts."""
+    f, (f1, f2) = geo.f_aff(chart), geo.df(chart)
+    rows = [(f, f1, f2), (f2, f2.partial(0), f2.partial(1))]
+    for _ in range(100):
+        w = rng.normal(size=2) + 1j * rng.normal(size=2)
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                F = np.array([p.eval(list(w)) for p, _, _ in rows])
+                J = np.array([[a.eval(list(w)), b.eval(list(w))] for _, a, b in rows])
+                w = w - np.linalg.solve(J, F)
+        if np.all(np.isfinite(w)) and np.abs([p.eval(list(w)) for p, _, _ in rows]).max() < 1e-12:
+            return w
+    raise AssertionError("Newton's method found no branch point")
+
+
+def _chern_reference(geo, chart, W):
+    """r = -(R[f, v, 1, 0] + R[f, v, 1, 1] conj(kappa)) / (df/dw_2) from the
+    full Chern curvature, kappa = -(df/dw_1) / (df/dw_2) the sheet slope."""
+    f1, f2 = (p.eval_batch(W) for p in geo.df(chart))
+    R = geo.ctx.chern_curvature_batch(chart, W, entry=(geo.f_index, geo.v_index, 1))
+    return -(R[:, 0] + R[:, 1] * np.conj(-f1 / f2)) / f2
+
+
+@pytest.mark.parametrize("f_index", [0, 1])
+@pytest.mark.parametrize("seed", [71, 72, 73])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_curve_term_matches_the_chern_reference(d, seed, f_index):
+    # the closed form against the Chern contraction.  Over random bases, within
+    # 1e-12 of the largest |r|.  Near a branch point, where |df/dw_2| comes down
+    # to the sampler's 1e-6 |f|, r grows like 1/(df/dw_2), and the reference
+    # rounds df/dw_2 inside the derivatives of G apart from the closed form's
+    # slope: each point within 1e-12 of |r| times the condition number of
+    # df/dw_2 there, sum |c_e| |w^e| / |df/dw_2| (measured up to 2.9e-14)
+    geo = _random_perturbed_curve(d, seed, f_index)
+    rng = np.random.default_rng(seed)
+    tol = 1e-6 * geo.f.coeff_norm()
+    for chart in (0, 1):
+        f2 = geo.df(chart)[1]
+        generic = _sheet_points(geo, chart, rng.normal(size=40) + 1j * rng.normal(size=40))
+        got = geo.curvature_term_batch(chart, generic)
+        assert np.abs(got - _chern_reference(geo, chart, generic)).max() <= 1e-12 * np.abs(got).max()
+        u0 = _branch_point(geo, chart, rng)[0]
+        near = _sheet_points(geo, chart, u0 + np.exp(1j * rng.uniform(0, 2 * np.pi, 11)) * np.logspace(-2, -12, 11))
+        fn = np.abs(f2.eval_batch(near))
+        near, fn = near[fn >= tol], fn[fn >= tol]
+        assert fn.min() < 10 * tol
+        size = sum(abs(c) * np.prod(np.abs(near) ** e, axis=1) for e, c in f2.terms.items())
+        got = geo.curvature_term_batch(chart, near)
+        assert np.all(np.abs(got - _chern_reference(geo, chart, near)) <= 1e-12 * size / fn * np.abs(got))
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_reversed_pair_curve_term_is_exactly_zero(d):
+    # with pair = (v, f) the coupling carries f conjugated: K has no terms and
+    # r is 0j exactly, where the Chern contraction leaves rounding noise (up
+    # to 1.1e-14 of the pair = (f, v) scale measured on random sheet points)
+    rng = np.random.default_rng(74)
+    q = _random_poly(rng, d)
+    forward = _random_perturbed_curve(d, 75, d_v=d, q=q)
+    reverse = _random_perturbed_curve(d, 75, d_v=d, q=q, reversed_pair=True)
+    assert not reverse.coupling(0).terms
+    for chart in (0, 1):
+        W = _sheet_points(reverse, chart, rng.normal(size=40) + 1j * rng.normal(size=40))
+        got = reverse.curvature_term_batch(chart, W)
+        assert got.dtype == complex and not got.any()
+        scale = np.abs(forward.curvature_term_batch(chart, W)).max()
+        assert np.abs(_chern_reference(reverse, chart, W)).max() <= 1e-13 * scale
+
+
+class _ExtraTerm(GeometryContext):
+    """Fubini-Study with the perturbed coupling added to G_fv, and one more
+    term q conj(q), which carries f neither as hol nor as anti factor, added
+    to H at ``entry`` (and its conjugate at the transposed entry)."""
+
+    entry = (0, 1)
+
+    def _metric(self, chart):
+        H = super()._metric(chart)
+        f = self.section[0].dehomogenize(chart)
+        q = parse_poly("z0^2 + 2*z1*z2 - z2^2", 3).dehomogenize(chart)
+        off = ChartFunction.from_parts(2, hol=q, anti=f, weight=-4, coef=0.05)
+        H[0][1], H[1][0] = H[0][1] + off, H[1][0] + off.conjugate()
+        i, j = self.entry
+        extra = ChartFunction.from_parts(2, hol=q, anti=q, weight=-4, coef=0.01)
+        H[i][j], H[j][i] = H[i][j] + extra, H[j][i] + extra.conjugate()
+        return H
+
+
+@pytest.mark.parametrize(
+    "entry, match", [((0, 1), "must carry the curve's f"), ((0, 0), "one weight term")], ids=["coupling", "G_ff"]
+)
+def test_a_term_the_closed_form_cannot_read_is_refused(monkeypatch, entry, match):
+    # a coupling term without f, or a G_ff of more than one weight term, is
+    # refused, not dropped from K
+    monkeypatch.setattr(_ExtraTerm, "entry", entry)
+    ctx = example22_context(eps=0)
+    geo = Example22Geometry(_ExtraTerm(ctx.degrees, ctx.section, ctx.metric, ctx.psi))
+    for chart in (0, 1):
+        with pytest.raises(GeometryError, match=match):
+            geo.curvature_term_batch(chart, np.array([[0.6 + 0.2j, 0.32 + 0.24j]]))
+
+
 # ---------------------------------------------------------------- charts
 
 
@@ -727,7 +869,6 @@ def test_an_entry_builds_only_its_own_derivatives(monkeypatch):
     # the curve's entry on P^2 builds column j of d_a G (2 d), dbar_b G and
     # dbar_b of that column (8 + 4 dbar), and a second call builds none
     ctx = example22_context()
-    geo = Example22Geometry(ctx)
     ctx.chart_data(0)
     counts = {"d": 0, "dbar": 0}
     for name in counts:
@@ -738,9 +879,9 @@ def test_an_entry_builds_only_its_own_derivatives(monkeypatch):
 
         monkeypatch.setattr(ChartFunction, name, counted)
     W = np.array([[0.3 + 0.1j, 0.09 + 0.06j]])
-    geo.curvature_term_batch(0, W)
+    ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
     assert counts == {"d": 2, "dbar": 12}
-    geo.curvature_term_batch(0, W)
+    ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
     assert counts == {"d": 2, "dbar": 12}
 
 
