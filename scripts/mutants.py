@@ -41,10 +41,13 @@ MUTANTS = [
      "the ball volume without 1/n!, invisible on P^1"),
     ("orientation-dropped", HARNESS, "orient = (-1.0) ** (scenario.n * (scenario.n - 1) // 2)", "orient = 1.0",
      "the local mass's orientation factor, invisible on P^1"),
-    ("curve-density-2pi", LOCALIZE, "geo.curvature_term_batch(0, W) / math.pi",
-     "geo.curvature_term_batch(0, W) / (2 * math.pi)", "the curve density's constant"),
+    ("curve-density-2pi", LOCALIZE, "phi * r / math.pi", "phi * r / (2 * math.pi)", "the curve density's constant"),
     ("curve-term-tangent-unconjugated", PROJGEOM, "dK1 + dK2 * np.conj(kappa)", "dK1 + dK2 * kappa",
      "the curve term's sheet tangent entering unconjugated"),
+    ("curve-phi-base-slope", PROJGEOM, "return psi / f2,", "return psi / f1,",
+     "phi_c divided by df/dw_1 in place of df/dw_2"),
+    ("curve-split-shortcut-dropped", LOCALIZE, "if not geo.coupling(0).terms:", "if False:",
+     "the curve density evaluated where r_c is zero by structure"),
     ("curve-term-weight-unshifted", PROJGEOM, "weight=t.weight - g.weight", "weight=t.weight",
      "K / G_ff keeping the weight of G_fv"),
     ("fs-density-scaled", PROJGEOM, "return math.factorial(n) / (np.pi**n",

@@ -15,9 +15,9 @@ prefactor leaves the real-measure density
 
 which the flat one-dimensional Gaussian oracle pins to unit local mass.  The
 tensor-algebra route (superalg.top_pairing, in :func:`global_density_tensor`)
-computes the same coefficient and the agreement is tested; it takes one point
-or a batch of points, and a batch runs the tensor algebra once with array
-coefficients.  The determinant form is the production path.
+computes the same coefficient and the agreement is tested; it takes a batch of
+points and runs the tensor algebra once with array coefficients.  The
+determinant form is the production path.
 
 Curve term.  For the split-section family on P^2 the curve Z = {f = 0} is
 sampled in chart 0 with base coordinate w_1 and sheet coordinate w_2: over each
@@ -26,10 +26,10 @@ localized integrand per sheet is
 
     (phi . (-2 pi i)(1 - r))^{(1,1)} * prefactor = (phi_c r_c / pi) dx dy,
 
-with phi_c = psi / (df/dw_2) of :meth:`Example22Geometry.psi_over_det_ds_batch`
-and r_c = sum_b conj(tau_b) dbar_b(K / G_ff), tau the sheet tangent and G_fv =
-f K + conj(f) L the coupling: the closed form on the curve of
-:meth:`Example22Geometry.curvature_term_batch`, which builds no Chern curvature.
+with phi_c = psi / (df/dw_2) and r_c = sum_b conj(tau_b) dbar_b(K / G_ff), tau
+the sheet tangent and G_fv = f K + conj(f) L the coupling: the closed form on
+the curve, which builds no Chern curvature.  Both come from one evaluation of
+:meth:`Example22Geometry.sheet_terms_batch`.
 Where K has no terms (Fubini-Study, or a perturbation with pair = (v, f)), r_c
 and the curve integrand are identically 0: the sampler still draws and rejects
 sheets, but evaluates no density there.
@@ -516,7 +516,8 @@ def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> 
     dens = np.empty(roots.size, dtype=complex)
     for block in row_blocks(roots.size):
         W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
-        dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
+        phi, r = geo.sheet_terms_batch(0, W)
+        dens[block] = phi * r / math.pi
     return dens.reshape(-1, m)
 
 
@@ -539,8 +540,9 @@ def fiber_mass_quadrature(
     and finite, a u that is not finite, a fiber whose leading coefficient in
     w_2 is below 1e-12 of its largest one (the curve sampler's rule; a huge u
     overflows to one), and a sheet where |df/dw_2| is below 1e-12 times f's
-    coefficient norm (the rule of ``psi_over_det_ds_batch``): there the sheets
-    meet or run off to infinity, and the disc has no finite width.
+    coefficient norm (the rule of ``Example22Geometry.sheet_terms_batch``):
+    there the sheets meet or run off to infinity, and the disc has no finite
+    width.
 
     Then a row or column of chart 0's Abar with no terms makes det(Abar) zero
     by structure (under a split metric, xi of the zero summand of s = (f, 0)
@@ -558,7 +560,8 @@ def fiber_mass_quadrature(
         raise GeometryError("vanishing leading coefficient: a sheet over u is at infinity")
     roots = _solve_sheets(coeffs)[0]
     centres = np.stack([np.full(len(roots), u, dtype=complex), roots], axis=1)
-    fns = [geo.df(0)[1].eval(list(w0)) for w0 in centres]
+    fn_poly = geo.f_aff(0).partial(1)
+    fns = [fn_poly.eval(list(w0)) for w0 in centres]
     if not np.abs(fns).min() >= 1e-12 * geo.f.coeff_norm():  # NaN refused too
         raise GeometryError("vanishing normal derivative (branch point)")
     data = ctx.chart_data(0)

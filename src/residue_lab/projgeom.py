@@ -255,21 +255,6 @@ def _det(A: np.ndarray) -> np.ndarray:
     return A[:, 0, 0] if A.shape[-1] == 1 else A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
 
 
-def _inv(A: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of square matrices, (N, n, n): the adjugate times 1/_det(A) for
-    n = 2, np.linalg.inv otherwise; an exactly zero determinant raises LinAlgError, as LAPACK does."""
-    if A.shape[-1] != 2:
-        return np.linalg.inv(A)
-    det = _det(A)
-    if np.any(det == 0):
-        raise np.linalg.LinAlgError("Singular matrix")
-    r = 1.0 / det
-    out = np.empty_like(A)
-    out[:, 0, 0], out[:, 0, 1] = A[:, 1, 1] * r, A[:, 0, 1] * -r
-    out[:, 1, 0], out[:, 1, 1] = A[:, 1, 0] * -r, A[:, 0, 0] * r
-    return out
-
-
 def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part A of each matrix in a stack, (N, n, n) -> (N,): for n <= 2 the
     closed form, as in _det, (a + d)/2 - hypot((a - d)/2, |b|) with A = [[a, b], [conj b, d]]; eigvalsh otherwise."""
@@ -279,11 +264,6 @@ def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
     a, d = A[:, 0, 0].real, A[:, -1, -1].real  # d = a when n = 1
     b = np.abs(A[:, 0, 1]) if A.shape[-1] == 2 else 0.0
     return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
-
-
-def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stacked product (N, k, l) x (N, l, m) -> (N, k, m); einsum beats ``@`` on small operands."""
-    return np.einsum("pkl,plm->pkm", A, B)
 
 
 def _eval_matrices(group: Tuple[ChartGroup, list], W: np.ndarray) -> List[np.ndarray]:
@@ -421,13 +401,13 @@ class GeometryContext:
         """Entry (i, j, a) of the curvature of the Chern connection along
         dw_a ^ dwbar_b for every b, shape (N, n): out[:, b] = R[i, j, a, b].
 
-        The tests' reference for Example22Geometry.curvature_term_batch; no
-        sampler calls it.  From exact derivatives of G = H^T, with X_a = G^{-1}
-        d_a G: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of G^{-1}
-        meets column j of d_a G and of d_a dbar_b G, so only those columns are
-        built; G^{-1} is :func:`_inv` (closed form for rank 2) and every product
-        one :func:`_mm`.  The matrices come from one cached ChartGroup per
-        entry, evaluated ROW_BLOCK points at a time to bound memory.
+        The tests' reference for the r_c of Example22Geometry.sheet_terms_batch;
+        no sampler calls it.  From exact derivatives of G = H^T, with X_a =
+        G^{-1} d_a G: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of
+        G^{-1} meets column j of d_a G and of d_a dbar_b G, so only those columns
+        are built; G^{-1} is LAPACK's.  The matrices come from one cached
+        ChartGroup per entry, evaluated ROW_BLOCK points at a time to bound
+        memory.
         """
         data = self.chart_data(chart)
         n = self.n
@@ -443,10 +423,10 @@ class GeometryContext:
         for block in row_blocks(W.shape[0]):
             G, *mats = _eval_matrices(group, W[block])
             dbarG, dGa, d2G = mats[:n], mats[n], mats[n + 1 :]
-            Ginv = _inv(G)
-            X = _mm(Ginv, dGa)
+            Ginv = np.linalg.inv(G)
+            X = Ginv @ dGa
             for b in range(n):
-                out[block, b] = _mm(Ginv[:, i : i + 1, :], _mm(dbarG[b], X) - d2G[b])[:, 0, 0]
+                out[block, b] = (Ginv[:, i : i + 1, :] @ (dbarG[b] @ X - d2G[b]))[:, 0, 0]
         return out
 
     # -------------------------------------------------------- certification
@@ -490,19 +470,10 @@ class Example22Geometry:
         self.f = ctx.section[self.f_index]
         if ctx.metric.kind == "perturbed" and ctx.metric.f_index != self.f_index:
             raise GeometryError("metric perturbation must vanish on the section curve")
-        self._df = {}
         self._coupling = {}
 
     def f_aff(self, chart: int) -> AffinePoly:
         return self.ctx.chart_data(chart).s_aff[self.f_index]
-
-    def df(self, chart: int) -> Tuple[AffinePoly, AffinePoly]:
-        """(df/dw_1, df/dw_2) on the chart, built once so each compiles its
-        batch kernel once; threads that race store equal pairs."""
-        if chart not in self._df:
-            f = self.f_aff(chart)
-            self._df[chart] = (f.partial(0), f.partial(1))
-        return self._df[chart]
 
     def smoothness_defect(self) -> Optional[str]:
         """None when the curve {f = 0} is smooth, else why it is not, read in
@@ -540,20 +511,11 @@ class Example22Geometry:
         z = _eigen_zeros(N, index, 2, D, 0)[0][0]
         return f"singular point at {_point_text(z / z[np.argmax(np.abs(z))])}"
 
-    def psi_over_det_ds_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        """Coefficient of the curve form against dw_1 (x) e_{V_1}:
-        psi / (df/dw_2), restricted to Z; shape (N, 2) -> (N,)."""
-        psi = self.ctx.psi_batch(chart, W)
-        fn = self.df(chart)[1].eval_batch(W)
-        if np.any(np.abs(fn) < 1e-12 * self.f.coeff_norm()):
-            raise GeometryError("vanishing normal derivative (branch point)")
-        return psi / fn
-
     def coupling(self, chart: int) -> ChartFunction:
         """K / G_ff on the chart, read off G = H^T, not off the metric's label:
         the terms of the coupling G_fv = f K + conj(f) L whose hol factor is f,
         each over G_ff, which must be one weight term.  r_c does not see the
-        conj(f) L terms (curvature_term_batch); a term that carries f neither
+        conj(f) L terms (sheet_terms_batch); a term that carries f neither
         way is refused with GeometryError.  No terms: r_c is zero by structure."""
         if chart not in self._coupling:
             n, G, f, v = self.ctx.n, self.ctx.chart_data(chart).G, self.f_index, self.v_index
@@ -568,27 +530,40 @@ class Example22Geometry:
             self._coupling[chart] = K
         return self._coupling[chart]
 
-    def curvature_term_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        """The End(N)-scalar of the localized curvature contraction, as the
-        coefficient against dwbar_1 (x) e*_{V_1}; shape (N, 2) -> (N,):
+    def sheet_terms_batch(self, chart: int, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(phi_c, r_c) at points of Z = {f = 0} on the chart, (N, 2) -> two (N,).
+
+        phi_c = psi / (df/dw_2) is the coefficient of the curve form against
+        dw_1 (x) e_{V_1}; a point where |df/dw_2| is below 1e-12 times f's
+        coefficient norm is refused with GeometryError.  r_c is the
+        End(N)-scalar of the localized curvature contraction, as the
+        coefficient against dwbar_1 (x) e*_{V_1}:
 
             r = -R^{L<-V_1}(nu, taubar) / df(nu) = sum_b conj(tau_b) dbar_b(K / G_ff),
 
-        nu = d/dw_2 the normal direction, tau = (1, kappa) the sheet tangent and
-        G_fv = f K + conj(f) L (:meth:`coupling`).  On Z = {f = 0}, G is diagonal
-        and dbar_b(f K) = 0, so entry (f, v) of the Chern curvature R[a][b] =
-        G^{-1}((dbar_b G) X_a - d_a dbar_b G), X_a = G^{-1} d_a G (Griffiths and
-        Harris, Principles of Algebraic Geometry, 1978, ch. 0 sec. 5), is
-        -(d_a f) dbar_b(K / G_ff) plus a multiple of conj(d_b f), which the
-        conjugated tangent annihilates.  For pair = (f, v), K / G_ff = eps
-        conj(q) (1+|w|^2)^{-d_v}; for pair = (v, f) and split metrics, r = 0.
-        One cached ChartGroup per chart gives dbar_b(K / G_ff) and d_b f.
+        nu = d/dw_2 the normal direction, tau = (1, kappa) the sheet tangent,
+        kappa = -(df/dw_1) / (df/dw_2), and G_fv = f K + conj(f) L
+        (:meth:`coupling`).  On Z = {f = 0}, G is diagonal and dbar_b(f K) = 0,
+        so entry (f, v) of the Chern curvature R[a][b] = G^{-1}((dbar_b G) X_a -
+        d_a dbar_b G), X_a = G^{-1} d_a G (Griffiths and Harris, Principles of
+        Algebraic Geometry, 1978, ch. 0 sec. 5), is -(d_a f) dbar_b(K / G_ff)
+        plus a multiple of conj(d_b f), which the conjugated tangent
+        annihilates.  For pair = (f, v), K / G_ff = eps conj(q) (1+|w|^2)^{-d_v};
+        for pair = (v, f) and split metrics, r = 0.  One cached ChartGroup per
+        chart gives [dbar_1(K / G_ff), dbar_2(K / G_ff), df/dw_1, df/dw_2, psi],
+        so phi_c and kappa share one df/dw_2.
         """
 
         def build():
-            K = self.coupling(chart)
-            return [[[K.dbar(0), K.dbar(1), *(ChartFunction.from_parts(self.ctx.n, hol=p) for p in self.df(chart))]]]
+            psi = self.ctx.chart_data(chart).psi_aff
+            if psi is None:
+                raise GeometryError("this instance carries no psi")
+            K, f = self.coupling(chart), self.f_aff(chart)
+            hol = [ChartFunction.from_parts(self.ctx.n, hol=p) for p in (f.partial(0), f.partial(1), psi)]
+            return [[[K.dbar(0), K.dbar(1), *hol]]]
 
-        dK1, dK2, f1, f2 = self.ctx.chart_data(chart).group("curve term", build)[0].eval_batch(W)
+        dK1, dK2, f1, f2, psi = self.ctx.chart_data(chart).group("sheet terms", build)[0].eval_batch(W)
+        if np.any(np.abs(f2) < 1e-12 * self.f.coeff_norm()):
+            raise GeometryError("vanishing normal derivative (branch point)")
         kappa = -f1 / f2
-        return dK1 + dK2 * np.conj(kappa)
+        return psi / f2, dK1 + dK2 * np.conj(kappa)

@@ -406,10 +406,12 @@ def test_curve_density_chart_invariance():
         z = np.array([1.0, u, w2])
         if min(abs(z[0]), abs(z[1])) < 0.4 or abs(w2) < 0.3:
             continue
-        rho0 = geo.psi_over_det_ds_batch(0, w[None])[0] * geo.curvature_term_batch(0, w[None])[0] / np.pi
+        phi0, r0 = geo.sheet_terms_batch(0, w[None])
+        rho0 = phi0[0] * r0[0] / np.pi
         # chart 1 coordinates (z0/z1, z2/z1), base coordinate v0 = 1/u
         v = chart_coords(z, 1)
-        rho1 = geo.psi_over_det_ds_batch(1, v[None])[0] * geo.curvature_term_batch(1, v[None])[0] / np.pi
+        phi1, r1 = geo.sheet_terms_batch(1, v[None])
+        rho1 = phi1[0] * r1[0] / np.pi
         dv_du = -1.0 / u**2
         assert abs(rho0 - rho1 * abs(dv_du) ** 2) <= 1e-9 * max(1.0, abs(rho0))
         checked += 1
@@ -570,13 +572,13 @@ def test_sheet_slopes_are_df_dw2_at_every_sheet(d, branch):
 
 def _scalar_rejections(geo, samples, seed):
     """The rejected count of one curve chunk, each sheet's df/dw_2 evaluated
-    by the scalar _PolyBase.eval of geo.df(0)[1] at (u, root)."""
+    by the scalar _PolyBase.eval of f_aff(0).partial(1) at (u, root)."""
     rng = np.random.default_rng(np.random.Philox(key=seed, counter=0))
     Z = fs_uniform_points(1, samples, rng)
     u = Z[:, 1] / Z[:, 0]
     f = geo.f_aff(0)
     coeffs = np.array([[cp.eval([w]) for cp in localize._sheet_coefficients(f)] for w in u])
-    tol, fn = localize._BRANCH_TOL * f.coeff_norm(), geo.df(0)[1]
+    tol, fn = localize._BRANCH_TOL * f.coeff_norm(), f.partial(1)
     rejected = 0
     for w, row in zip(u, coeffs):
         if not abs(row[-1]) > 1e-12 * np.abs(row).max():
@@ -636,7 +638,7 @@ def test_cube_root_is_the_principal_branch_within_4_ulps():
 
 
 def test_curvature_entered_once_per_row_block(monkeypatch):
-    # a chunk's accepted sheet points reach curvature_term_batch one
+    # a chunk's accepted sheet points reach sheet_terms_batch one
     # ROW_BLOCK at a time, in order, so a tracer wrapping the public name
     # counts every point once: the calls sum to the chunks' sheet points
     from residue_lab import chartfun, localize, polycore
@@ -644,24 +646,54 @@ def test_curvature_entered_once_per_row_block(monkeypatch):
     monkeypatch.setattr(localize, "_CHUNK", 1500)
     monkeypatch.setattr(polycore, "ROW_BLOCK", 512)
     calls, group_rows = [], []
-    curvature = Example22Geometry.curvature_term_batch
+    sheet_terms = Example22Geometry.sheet_terms_batch
     group_eval = chartfun.ChartGroup.eval_batch
 
     def counted(self, chart, W):
         calls.append(len(W))
-        return curvature(self, chart, W)
+        return sheet_terms(self, chart, W)
 
     def rows_seen(self, W):
         group_rows.append(len(W))
         return group_eval(self, W)
 
-    monkeypatch.setattr(Example22Geometry, "curvature_term_batch", counted)
+    monkeypatch.setattr(Example22Geometry, "sheet_terms_batch", counted)
     monkeypatch.setattr(chartfun.ChartGroup, "eval_batch", rows_seen)
     term = curve_localized_term(Example22Geometry(example22_context()), samples=4000, seed=3)
     assert term.rejected == 0
     # two sheets per sample: chunks of 3000, 3000 and 2000 points
     assert calls == [512] * 5 + [440] + [512] * 5 + [440] + [512] * 3 + [464]
     assert max(group_rows) <= 512
+
+
+def test_sheet_density_is_one_group_evaluation_per_row_block(monkeypatch):
+    # phi_c and r_c of a block of sheet points come from one ChartGroup
+    # evaluation, with no polynomial evaluated on its own
+    from residue_lab import chartfun, polycore
+
+    monkeypatch.setattr(polycore, "ROW_BLOCK", 512)
+    geo = _fiber_family(3, True)
+    rng = np.random.default_rng(36)
+    u = rng.normal(size=700) + 1j * rng.normal(size=700)
+    coeffs = np.stack([cp.eval_batch(u[:, None]) for cp in localize._sheet_coefficients(geo.f_aff(0))], axis=1)
+    roots = _solve_sheets(coeffs)
+    group_rows, poly_calls = [], []
+    group_eval, poly_eval = chartfun.ChartGroup.eval_batch, AffinePoly.eval_batch
+
+    def rows_seen(self, W):
+        group_rows.append(len(W))
+        return group_eval(self, W)
+
+    def poly_seen(self, W):
+        poly_calls.append(len(W))
+        return poly_eval(self, W)
+
+    monkeypatch.setattr(chartfun.ChartGroup, "eval_batch", rows_seen)
+    monkeypatch.setattr(AffinePoly, "eval_batch", poly_seen)
+    dens = localize._sheet_density(geo, u, roots)
+    # three sheets per base point: 2100 sheet points
+    assert group_rows == [512] * 4 + [52] and poly_calls == []
+    assert dens.shape == (700, 3) and np.all(dens != 0)
 
 
 # ---------------------------------------------------- rejected curve samples
@@ -793,7 +825,7 @@ def _parent_fiber_mass(geo, u, t, radial_nodes=80, angular_nodes=24):
     ctx = geo.ctx
     coeffs = np.array([[cp.eval(np.array([u])) for cp in localize._sheet_coefficients(geo.f_aff(0))]])
     roots = _solve_sheets(coeffs)[0]
-    fn_poly = geo.df(0)[1]
+    fn_poly = geo.f_aff(0).partial(1)
     wth = 2.0 * math.pi / angular_nodes
     total = 0j
     for root in roots:
@@ -1111,7 +1143,8 @@ def _parent_sheet_density(geo, u, roots):
     dens = np.empty(roots.size, dtype=complex)
     for block in row_blocks(roots.size):
         W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
-        dens[block] = geo.psi_over_det_ds_batch(0, W) * geo.curvature_term_batch(0, W) / math.pi
+        phi, r = geo.sheet_terms_batch(0, W)
+        dens[block] = phi * r / math.pi
     return dens.reshape(-1, m)
 
 
@@ -1135,7 +1168,7 @@ def test_split_curve_term_evaluates_no_density(monkeypatch):
     fs = _random_fs_curve(3, 31)
     geos = [fs, _relabelled(fs, metric=_Q0)]
     _forbid_evaluation(monkeypatch)
-    monkeypatch.setattr(GeometryContext, "chern_curvature_batch", _evaluating)
+    monkeypatch.setattr(Example22Geometry, "sheet_terms_batch", _evaluating)
     for geo in geos:
         term = curve_localized_term(geo, samples=3000, seed=31)
         assert term.value == 0 and term.pointwise_max == term.l1_mass == 0.0
@@ -1159,8 +1192,7 @@ def test_reversed_pair_curve_term_evaluates_no_density(monkeypatch, tmp_path):
     doc["metric"]["pair"] = [1, 0]
     path = tmp_path / "reversed.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(Example22Geometry, "curvature_term_batch", _evaluating)
-    monkeypatch.setattr(Example22Geometry, "psi_over_det_ds_batch", _evaluating)
+    monkeypatch.setattr(Example22Geometry, "sheet_terms_batch", _evaluating)
     (task,) = run_scenario(str(path)).tasks
     assert task.verdict == "pass"
     assert _bits(task.results["value"]) == _ZERO

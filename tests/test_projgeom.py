@@ -482,7 +482,7 @@ def test_psi_over_det_ds_axis_curve():
     ctx = GeometryContext(bundle, s, MetricSpec(), psi)
     geo = Example22Geometry(ctx)
     for w1 in [0.3, -1.2 + 0.5j]:
-        val = geo.psi_over_det_ds_batch(0, np.array([[w1, 0.0]], dtype=complex))[0]
+        val = geo.sheet_terms_batch(0, np.array([[w1, 0.0]], dtype=complex))[0][0]
         assert abs(val - (1.0 - w1)) < 1e-13
 
 
@@ -497,8 +497,26 @@ def test_psi_over_det_ds_linearity():
     g1, g2, g3 = (Example22Geometry(c) for c in (ctx1, ctx2, ctx3))
     w1 = 0.4 - 0.7j
     W = np.array([[w1, w1 * w1]])
-    v1, v2, v3 = (g.psi_over_det_ds_batch(0, W)[0] for g in (g1, g2, g3))
+    v1, v2, v3 = (g.sheet_terms_batch(0, W)[0][0] for g in (g1, g2, g3))
     assert abs(v1 + v2 - v3) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [76, 77])
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_phi_is_psi_over_the_scalar_normal_derivative(d, seed):
+    # phi_c from the group's psi and df/dw_2 rows against psi / (df/dw_2) by
+    # the scalar _PolyBase.eval at random sheet points of both charts, each
+    # within 1e-14 of |phi_c| (up to 9.9e-15 measured over 160 curves); a
+    # branch point is refused
+    geo = _random_perturbed_curve(d, seed)
+    rng = np.random.default_rng(seed)
+    for chart in (0, 1):
+        psi, f2 = geo.ctx.chart_data(chart).psi_aff, geo.f_aff(chart).partial(1)
+        W = _sheet_points(geo, chart, rng.normal(size=30) + 1j * rng.normal(size=30))
+        want = np.array([psi.eval(list(w)) / f2.eval(list(w)) for w in W])
+        assert np.all(np.abs(geo.sheet_terms_batch(chart, W)[0] - want) <= 1e-14 * np.abs(want))
+        with pytest.raises(GeometryError, match=r"^vanishing normal derivative \(branch point\)$"):
+            geo.sheet_terms_batch(chart, _branch_point(geo, chart, rng)[None])
 
 
 # ---------------------------------------------------------------- R^{V_1}_s
@@ -508,21 +526,21 @@ def test_curvature_term_zero_for_fs():
     ctx = example22_context(eps=0)
     geo = Example22Geometry(ctx)
     w1 = 0.6 + 0.2j
-    assert abs(geo.curvature_term_batch(0, np.array([[w1, w1 * w1]]))[0]) < 1e-14
+    assert abs(geo.sheet_terms_batch(0, np.array([[w1, w1 * w1]]))[1][0]) < 1e-14
 
 
 def test_curvature_term_nonzero_for_perturbed():
     ctx = example22_context()
     geo = Example22Geometry(ctx)
     w1 = 0.6 + 0.2j
-    assert abs(geo.curvature_term_batch(0, np.array([[w1, w1 * w1]]))[0]) > 1e-5
+    assert abs(geo.sheet_terms_batch(0, np.array([[w1, w1 * w1]]))[1][0]) > 1e-5
 
 
 def test_curvature_term_well_definedness():
     """Feeding tangents in both slots contributes nothing on Z."""
     ctx = example22_context()
     geo = Example22Geometry(ctx)
-    f1, f2 = geo.df(0)
+    f1, f2 = (geo.f_aff(0).partial(k) for k in (0, 1))
     rng = np.random.default_rng(10)
     for _ in range(10):
         w1 = complex(rng.normal(), rng.normal()) * 0.7
@@ -559,7 +577,7 @@ def test_curvature_term_matches_on_curve_closed_form():
         gy = (Qt_over_H11(upi) - Qt_over_H11(dni)) / (2 * h)
         dbar_tau = 0.5 * (gx + 1j * gy)
         expected = ctx.metric.epsilon * dbar_tau
-        got = geo.curvature_term_batch(0, w[None])[0]
+        got = geo.sheet_terms_batch(0, w[None])[1][0]
         assert abs(got - expected) <= 1e-4 * max(1e-6, abs(expected))
 
 
@@ -588,7 +606,8 @@ def _random_perturbed_curve(d, seed, f_index=0, d_v=2, reversed_pair=False, q=No
 def _sheet_points(geo, chart, bases):
     """Every sheet point (u, w_2) of the chart over the base values u, from
     numpy's companion roots of f(u, .) and one Newton step."""
-    f, f2 = geo.f_aff(chart), geo.df(chart)[1]
+    f = geo.f_aff(chart)
+    f2 = f.partial(1)
     m = max(e[1] for e in f.terms)
     points = []
     for u in bases:
@@ -604,7 +623,8 @@ def _sheet_points(geo, chart, bases):
 def _branch_point(geo, chart, rng):
     """A point of the chart where f and df/dw_2 both vanish, by Newton's
     method from random starts."""
-    f, (f1, f2) = geo.f_aff(chart), geo.df(chart)
+    f = geo.f_aff(chart)
+    f1, f2 = f.partial(0), f.partial(1)
     rows = [(f, f1, f2), (f2, f2.partial(0), f2.partial(1))]
     for _ in range(100):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -621,7 +641,7 @@ def _branch_point(geo, chart, rng):
 def _chern_reference(geo, chart, W):
     """r = -(R[f, v, 1, 0] + R[f, v, 1, 1] conj(kappa)) / (df/dw_2) from the
     full Chern curvature, kappa = -(df/dw_1) / (df/dw_2) the sheet slope."""
-    f1, f2 = (p.eval_batch(W) for p in geo.df(chart))
+    f1, f2 = (geo.f_aff(chart).partial(k).eval_batch(W) for k in (0, 1))
     R = geo.ctx.chern_curvature_batch(chart, W, entry=(geo.f_index, geo.v_index, 1))
     return -(R[:, 0] + R[:, 1] * np.conj(-f1 / f2)) / f2
 
@@ -640,9 +660,9 @@ def test_curve_term_matches_the_chern_reference(d, seed, f_index):
     rng = np.random.default_rng(seed)
     tol = 1e-6 * geo.f.coeff_norm()
     for chart in (0, 1):
-        f2 = geo.df(chart)[1]
+        f2 = geo.f_aff(chart).partial(1)
         generic = _sheet_points(geo, chart, rng.normal(size=40) + 1j * rng.normal(size=40))
-        got = geo.curvature_term_batch(chart, generic)
+        got = geo.sheet_terms_batch(chart, generic)[1]
         assert np.abs(got - _chern_reference(geo, chart, generic)).max() <= 1e-12 * np.abs(got).max()
         u0 = _branch_point(geo, chart, rng)[0]
         near = _sheet_points(geo, chart, u0 + np.exp(1j * rng.uniform(0, 2 * np.pi, 11)) * np.logspace(-2, -12, 11))
@@ -650,7 +670,7 @@ def test_curve_term_matches_the_chern_reference(d, seed, f_index):
         near, fn = near[fn >= tol], fn[fn >= tol]
         assert fn.min() < 10 * tol
         size = sum(abs(c) * np.prod(np.abs(near) ** e, axis=1) for e, c in f2.terms.items())
-        got = geo.curvature_term_batch(chart, near)
+        got = geo.sheet_terms_batch(chart, near)[1]
         assert np.all(np.abs(got - _chern_reference(geo, chart, near)) <= 1e-12 * size / fn * np.abs(got))
 
 
@@ -666,9 +686,9 @@ def test_reversed_pair_curve_term_is_exactly_zero(d):
     assert not reverse.coupling(0).terms
     for chart in (0, 1):
         W = _sheet_points(reverse, chart, rng.normal(size=40) + 1j * rng.normal(size=40))
-        got = reverse.curvature_term_batch(chart, W)
+        got = reverse.sheet_terms_batch(chart, W)[1]
         assert got.dtype == complex and not got.any()
-        scale = np.abs(forward.curvature_term_batch(chart, W)).max()
+        scale = np.abs(forward.sheet_terms_batch(chart, W)[1]).max()
         assert np.abs(_chern_reference(reverse, chart, W)).max() <= 1e-13 * scale
 
 
@@ -702,7 +722,7 @@ def test_a_term_the_closed_form_cannot_read_is_refused(monkeypatch, entry, match
     geo = Example22Geometry(_ExtraTerm(ctx.degrees, ctx.section, ctx.metric, ctx.psi))
     for chart in (0, 1):
         with pytest.raises(GeometryError, match=match):
-            geo.curvature_term_batch(chart, np.array([[0.6 + 0.2j, 0.32 + 0.24j]]))
+            geo.sheet_terms_batch(chart, np.array([[0.6 + 0.2j, 0.32 + 0.24j]]))
 
 
 # ---------------------------------------------------------------- charts
@@ -899,33 +919,7 @@ def test_curvature_blocks_are_independent(entry):
     assert np.all(whole[-37:] != 0)
 
 
-# ------------------------------------- closed-form inverse and curvature
-
-
-def well_conditioned(n, count=500, seed=23):
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    return A + 3.0 * n * np.eye(n)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_inverse_matches_lapack(n):
-    from residue_lab.projgeom import _inv
-
-    A = well_conditioned(n)
-    ref = np.linalg.inv(A)
-    scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
-    assert np.all(np.abs(_inv(A) - ref) <= 1e-13 * scale)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_inverse_of_a_singular_matrix_raises(n):
-    from residue_lab.projgeom import _inv
-
-    A = well_conditioned(n, count=4)
-    A[2, -1] = 0.0  # a zero row: one exactly singular matrix in the stack
-    with pytest.raises(np.linalg.LinAlgError):
-        _inv(A)
+# ------------------------------------------------- curvature reference
 
 
 def _function_matrix(fns, W):
