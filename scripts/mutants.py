@@ -86,6 +86,10 @@ MUTANTS = [
     ("sheet-derivative-factor-dropped", LOCALIZE, "[ri - rj for", "[1 for",
      "df/dw_2 at a sheet read as the leading coefficient alone"),
     ("cube-root-as-sqrt", LOCALIZE, "np.cbrt(", "np.sqrt(", "Cardano's cube root taken as a square root"),
+    ("json-keys-unsorted", HARNESS, "for key in sorted(obj):", "for key in obj:",
+     "the canonical JSON's keys in insertion order"),
+    ("json-non-ascii-unescaped", HARNESS, "json.encoder.encode_basestring_ascii", "json.encoder.encode_basestring",
+     "non-ASCII characters of the canonical JSON written unescaped"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")

@@ -16,9 +16,10 @@ before the first task runs; tasks run in file order, each producing a
 * ``assumed-hypotheses`` -- the check passed but rests on splitting
   hypotheses that are assumed rather than certified (mixed-family runs).
 
-Reports serialize deterministically: the canonical JSON rendering excludes
-wall-clock timings (they appear in the text rendering only), complex numbers
-are [re, im] pairs, and keys are sorted.
+Reports serialize deterministically.  ``_write_json`` writes the canonical
+JSON in one walk, byte for byte as ``json.dumps(doc, sort_keys=True,
+indent=2)``, the tests' reference: keys sorted, complex numbers as [re, im]
+pairs, and no wall-clock timings (the text rendering has them).
 """
 
 from __future__ import annotations
@@ -229,16 +230,45 @@ class VerificationReport:
         return all(t.ok() for t in self.tasks)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+_quote = json.encoder.encode_basestring_ascii  # json's own string escaper, in C
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(obj, out: List[str], pad: str) -> None:
+    """Append the canonical JSON of ``obj``, its line indented by ``pad``, to
+    ``out``: a complex value (Python or numpy) as [re, im], any other numpy
+    scalar as its ``.item()``; a dict key that is not a str is a TypeError."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_NONFINITE.get(text, text))
+    elif isinstance(obj, dict):
+        inner, sep = pad + "  ", "{\n" + pad + "  "
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            sep = ",\n" + inner
+            _write_json(obj[key], out, inner)
+        out.append("\n" + pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + "  ", "[\n" + pad + "  "
+        for item in obj:
+            out.append(sep)
+            sep = ",\n" + inner
+            _write_json(item, out, inner)
+        out.append("\n" + pad + "]" if obj else "[]")
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write_json([float(obj.real), float(obj.imag)], out, pad)
+    elif isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
+        _write_json(item, out, pad)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(report: VerificationReport, fmt: str) -> bytes:
@@ -251,19 +281,16 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
             "tool_version": report.tool_version,
             "seed": report.seed,
             "backend": report.backend,
-            "scenario": _jsonable(report.scenario),
+            "scenario": report.scenario,
             "tasks": [
-                {
-                    "kind": t.kind,
-                    "inputs": _jsonable(t.inputs),
-                    "results": _jsonable(t.results),
-                    "verdict": t.verdict,
-                }
+                {"kind": t.kind, "inputs": t.inputs, "results": t.results, "verdict": t.verdict}
                 for t in report.tasks
             ],
             "all_ok": report.all_ok(),
         }
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        out: List[str] = []
+        _write_json(doc, out, "")
+        return ("".join(out) + "\n").encode()
     if fmt == "text":
         lines = [
             f"residue-lab {report.tool_version}  backend={report.backend} "
@@ -281,6 +308,9 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
                         lines.append(
                             f"      ({pt})  ->  {entry['value'][0]:+.3e}{entry['value'][1]:+.3e}i"
                         )
+                elif isinstance(val, list) and val and all(isinstance(entry, dict) for entry in val):
+                    lines.append(f"    {key}:")
+                    lines.extend(f"      {_fmt(entry)}" for entry in val)
                 else:
                     lines.append(f"    {key}: {_fmt(val)}")
         lines.append("")
@@ -290,11 +320,16 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
 
 
 def _fmt(val):
+    """A result value in the text report; complex values and [re, im] as re+imi."""
+    if isinstance(val, list) and len(val) == 2 and all(isinstance(x, float) for x in val):
+        val = complex(*val)
+    if isinstance(val, (complex, np.complexfloating)):
+        return f"{val.real:.6g}{val.imag:+.6g}i"
     if isinstance(val, float):
         return f"{val:.6g}"
-    if isinstance(val, list) and len(val) == 2 and all(isinstance(x, float) for x in val):
-        return f"{val[0]:.6g}{val[1]:+.6g}i"
-    return str(val)
+    if isinstance(val, dict):
+        return ", ".join(f"{key}: {_fmt(v)}" for key, v in val.items())
+    return "[" + ", ".join(map(_fmt, val)) + "]" if isinstance(val, list) else str(val)
 
 
 # ---------------------------------------------------------------- dispatch

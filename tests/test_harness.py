@@ -1,6 +1,7 @@
 """Scenario loading, task dispatch, report emission, CLI exit codes."""
 
 import json
+import math
 import operator
 import os
 import re
@@ -12,9 +13,11 @@ from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from residue_lab import harness, residue
+from residue_lab import cli, harness, residue
 from residue_lab.cli import main
 from residue_lab.harness import (
     Scenario,
@@ -187,6 +190,102 @@ def test_thread_count_byte_identical(tmp_path):
     r1 = run_scenario(path, seed=3, threads=1)
     r4 = run_scenario(path, seed=3, threads=4)
     assert emit_report(r1, "json") == emit_report(r4, "json")
+
+
+def _reference_default(obj):
+    """What the report writer makes of a value json cannot write: a complex
+    value (Python or numpy) as [re, im], a numpy scalar as its .item()."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _reference_json(doc) -> str:
+    """The canonical JSON of ``doc`` by the json module's own encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_reference_default) + "\n"
+
+
+def _written(doc) -> str:
+    out = []
+    harness._write_json(doc, out, "")
+    return "".join(out) + "\n"
+
+
+_ODD_TEXTS = st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\t\n\r\x7f", "\u00e9\u2028\U0001f600", "\ud800", ""])
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7, 0.1])
+_LEAVES = st.one_of(
+    st.text(max_size=8) | _ODD_TEXTS,
+    st.integers() | st.booleans() | st.none(),
+    st.floats() | _ODD_FLOATS,
+    st.complex_numbers(),
+    st.floats().map(np.float64) | _ODD_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128),
+    st.complex_numbers(width=64).map(np.complex64),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6) | _ODD_TEXTS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_report_writer_matches_the_json_module(doc):
+    assert _written(doc) == _reference_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"value": np.zeros(2)}, "Object of type ndarray is not JSON serializable"),
+        ([{"a": {1: "one"}}], "keys must be str, not int"),
+        ({(0, 1): "pair"}, "keys must be str, not tuple"),
+    ],
+    ids=["ndarray", "int-key", "tuple-key"],
+)
+def test_report_writer_refuses_what_it_cannot_write(doc, message):
+    # an int key is refused, where json would write it as a string
+    with pytest.raises(TypeError, match=re.escape(message)):
+        _written(doc)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.json")))
+def test_bundled_reports_match_the_reference(name, monkeypatch, capsys):
+    """``verify --json-out -`` writes the text report, then the canonical
+    JSON, which equals the json module's rendering of the same report; the
+    text report shows no Python complex repr or dict repr."""
+    reports = []
+
+    def kept(*args, **kwargs):
+        reports.append(run_scenario(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", kept)
+    main(["verify", str(SCENARIOS / name), "--threads", "1", "--json-out", "-"])
+    (report,) = reports
+    doc = {
+        "tool_version": report.tool_version,
+        "seed": report.seed,
+        "backend": report.backend,
+        "scenario": report.scenario,
+        "tasks": [
+            {"kind": t.kind, "inputs": t.inputs, "results": t.results, "verdict": t.verdict} for t in report.tasks
+        ],
+        "all_ok": report.all_ok(),
+    }
+    text = emit_report(report, "text").decode()
+    assert capsys.readouterr().out == text + _reference_json(doc)
+    assert not re.search(r"\dj\b", text) and "{'" not in text
 
 
 def test_empty_task_list_valid(tmp_path):
