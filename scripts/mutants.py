@@ -90,6 +90,8 @@ MUTANTS = [
      "the canonical JSON's keys in insertion order"),
     ("json-non-ascii-unescaped", HARNESS, "json.encoder.encode_basestring_ascii", "json.encoder.encode_basestring",
      "non-ASCII characters of the canonical JSON written unescaped"),
+    ("cache-key-chartless", PROJGEOM, "key = (chart, what)", "key = what",
+     "a geometry context's cached chart data and groups read on every chart"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")

@@ -128,7 +128,7 @@ class FlatModel(GeometryContext):
     def __init__(self, s_aff: Sequence[AffinePoly], psi_aff: AffinePoly):
         self.n = n = s_aff[0].num_vars
         H = [[ChartFunction.constant(n, float(i == j)) for j in range(n)] for i in range(n)]
-        self._charts = {0: _assemble_chart(0, list(s_aff), psi_aff, H)}
+        self._cache = {(0, "data"): _assemble_chart(list(s_aff), psi_aff, H)}
 
 
 def _density_parts(ctx, chart: int, W: np.ndarray):
@@ -213,7 +213,10 @@ def _run_chunks(draw, count: int, seed: int, threads: int, top: bool = False) ->
     as soon as it is drawn and merged in chunk order.  The chunk starting at
     sample ``start`` draws from the Philox stream of ``seed`` at counter
     start << 64, so chunk boundaries, streams and merge order, and with them
-    the results, are the same for any thread count."""
+    the results, are the same for any thread count.  A count below 1 is
+    refused with GeometryError."""
+    if count < 1:
+        raise GeometryError(f"at least 1 sample required, got {count}")
 
     def chunk(start: int) -> _Summary:
         rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
@@ -455,8 +458,7 @@ def curve_localized_term(
     so f is evaluated once per chunk, for its coefficients in w_2.  The
     vanishing of the total is the verified identity.
     """
-    if geo.ctx.chart_data(0).psi_aff is None:
-        raise GeometryError("instance carries no psi")
+    geo.ctx.chart_psi(0)  # refuses an instance without psi
     f = geo.f_aff(0)
     coeff_polys = _sheet_coefficients(f)
     branch_tol = _BRANCH_TOL * f.coeff_norm()
@@ -542,7 +544,7 @@ def fiber_mass_quadrature(
     overflows to one), and a sheet where |df/dw_2| is below 1e-12 times f's
     coefficient norm (the rule of ``Example22Geometry.sheet_terms_batch``):
     there the sheets meet or run off to infinity, and the disc has no finite
-    width.
+    width.  The last refusal is of an instance that carries no psi.
 
     Then a row or column of chart 0's Abar with no terms makes det(Abar) zero
     by structure (under a split metric, xi of the zero summand of s = (f, 0)
@@ -564,9 +566,10 @@ def fiber_mass_quadrature(
     fns = [fn_poly.eval(list(w0)) for w0 in centres]
     if not np.abs(fns).min() >= 1e-12 * geo.f.coeff_norm():  # NaN refused too
         raise GeometryError("vanishing normal derivative (branch point)")
+    ctx.chart_psi(0)  # refuses an instance without psi
     data = ctx.chart_data(0)
     empty = [not any(f.terms for f in line) for line in [*data.Abar, *zip(*data.Abar)]]
-    if any(empty) and data.psi_aff is not None:  # without psi, global_density refuses below
+    if any(empty):
         return 0j
 
     H = ctx.metric_matrix_batch(0, centres)

@@ -24,7 +24,7 @@ tests):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,30 +198,16 @@ def psi_chart_rep(psi: HomogeneousPoly, chart: int) -> AffinePoly:
 
 @dataclass
 class _ChartData:
-    chart: int
     s_aff: List[AffinePoly]
     psi_aff: Optional[AffinePoly]
     xi: List[ChartFunction]  # <., s> components: xi_p = sum_q H_pq conj(s_q)
     s_norm2: ChartFunction
     Abar: List[List[ChartFunction]]  # Abar[b][p] = dbar_b xi_p (unscaled)
-    G: List[List[ChartFunction]] = field(default_factory=list)  # H^T for curvature
-    groups: dict = field(default_factory=dict)  # compiled ChartGroups, see group
-
-    def group(self, key, build) -> Tuple[ChartGroup, List[Tuple[int, int]]]:
-        """(group, shapes): the matrices of chart functions that ``build()``
-        returns as nested lists, their entries compiled in row order as one
-        ChartGroup on the first call under ``key``, and each matrix's shape.
-        Threads that race on it build equal groups."""
-        if key not in self.groups:
-            matrices = build()
-            functions = [f for m in matrices for row in m for f in row]
-            shapes = [(len(m), len(m[0])) for m in matrices]
-            self.groups[key] = (ChartGroup(len(self.s_aff), functions), shapes)
-        return self.groups[key]
+    G: List[List[ChartFunction]]  # H^T for curvature
 
 
 def _assemble_chart(
-    chart: int, s_aff: List[AffinePoly], psi_aff: Optional[AffinePoly], H: List[List[ChartFunction]]
+    s_aff: List[AffinePoly], psi_aff: Optional[AffinePoly], H: List[List[ChartFunction]]
 ) -> _ChartData:
     """Chart data of a section s_aff and top-form coefficient psi_aff under the
     metric entries H (pairing convention): xi_p = sum_q H_pq conj(s_q),
@@ -241,10 +227,7 @@ def _assemble_chart(
             continue
         s_norm2 = s_norm2 + xi[p].mul_hol(s_aff[p])
     Abar = [[xi[p].dbar(bb) for p in range(n)] for bb in range(n)]
-
-    data = _ChartData(chart, s_aff, psi_aff, xi, s_norm2, Abar)
-    data.G = [[H[j][i] for j in range(n)] for i in range(n)]
-    return data
+    return _ChartData(s_aff, psi_aff, xi, s_norm2, Abar, [[H[j][i] for j in range(n)] for i in range(n)])
 
 
 def _det(A: np.ndarray) -> np.ndarray:
@@ -266,23 +249,11 @@ def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
     return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
 
 
-def _eval_matrices(group: Tuple[ChartGroup, list], W: np.ndarray) -> List[np.ndarray]:
-    """The matrices of a ``_ChartData.group`` at a batch of points, (N, rows,
-    columns) each, from one evaluation of the group."""
-    chart_group, shapes = group
-    V = chart_group.eval_batch(W)
-    out, start = [], 0
-    for rows, cols in shapes:
-        out.append(V[start : start + rows * cols].T.reshape(W.shape[0], rows, cols))
-        start += rows * cols
-    return out
-
-
 class GeometryContext:
     """All chart-level data for one (degrees, section, metric, psi) instance.
 
-    Chart data is assembled lazily per chart and cached.  Every derivative
-    used downstream is exact (see :mod:`residue_lab.chartfun`).
+    What it derives on a chart is built on first use and kept under (chart,
+    what), see :meth:`cached`.  Every derivative is exact (see :mod:`residue_lab.chartfun`).
     """
 
     PD_SAMPLES = 1000
@@ -301,22 +272,38 @@ class GeometryContext:
         self.section = tuple(section)
         self.metric = metric
         self.psi = psi
-        self._charts = {}
-        self._metric_groups = {}  # chart -> H compiled, see metric_matrix_batch
+        self._cache = {}
         if metric.kind == "perturbed":
             self._certify_positive()
 
     # -------------------------------------------------------- chart assembly
 
-    def chart_data(self, chart: int) -> _ChartData:
-        if chart not in self._charts:
-            self._charts[chart] = self._build_chart(chart)
-        return self._charts[chart]
+    def cached(self, chart: int, what, build):
+        """The value kept under (chart, what), built by ``build()`` on the
+        first call.  Threads that race on a key build equal values."""
+        key = (chart, what)
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
-    def _build_chart(self, chart: int) -> _ChartData:
-        s_aff = [s.dehomogenize(chart) for s in self.section]
-        psi_aff = None if self.psi is None else psi_chart_rep(self.psi, chart)
-        return _assemble_chart(chart, s_aff, psi_aff, self._metric(chart))
+    def group(self, chart: int, what, build) -> ChartGroup:
+        """The flat list of chart functions that ``build()`` returns, compiled
+        in order as one ChartGroup kept under (chart, what)."""
+        return self.cached(chart, what, lambda: ChartGroup(self.n, build()))
+
+    def chart_data(self, chart: int) -> _ChartData:
+        def build():
+            psi_aff = None if self.psi is None else psi_chart_rep(self.psi, chart)
+            return _assemble_chart([s.dehomogenize(chart) for s in self.section], psi_aff, self._metric(chart))
+
+        return self.cached(chart, "data", build)
+
+    def chart_psi(self, chart: int) -> AffinePoly:
+        """psi's chart representative; GeometryError when the instance carries none."""
+        psi_aff = self.chart_data(chart).psi_aff
+        if psi_aff is None:
+            raise GeometryError("this instance carries no psi")
+        return psi_aff
 
     def _metric(self, chart: int) -> List[List[ChartFunction]]:
         """The metric entries H on the chart, in the pairing convention."""
@@ -344,12 +331,10 @@ class GeometryContext:
 
     def metric_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Hermitian metric H at a batch of points, (N, n) -> (N, n, n), in the
-        pairing convention of the module doc, from one ChartGroup per chart and
-        no other chart data: the certificate compiles it, fiber oracles reuse it."""
-        if chart not in self._metric_groups:
-            entries = [f for row in self._metric(chart) for f in row]
-            self._metric_groups[chart] = (ChartGroup(self.n, entries), [(self.n, self.n)])
-        return _eval_matrices(self._metric_groups[chart], W)[0]
+        pairing convention of the module doc, from a group of its own entries
+        and no chart data: the certificate compiles it, fiber oracles reuse it."""
+        group = self.group(chart, "H", lambda: [f for row in self._metric(chart) for f in row])
+        return group.eval_batch(W).T.reshape(len(W), self.n, self.n)
 
     def S_form(self, chart: int, W: np.ndarray, t: float) -> SForm:
         """Superconnection datum scaled by 1/(2t) at a batch of points W of
@@ -374,7 +359,8 @@ class GeometryContext:
     def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         """Unscaled dbar<., s> as (N, n, n) with [b, p] = dbar_b xi_p."""
         data = self.chart_data(chart)
-        return _eval_matrices(data.group("Abar", lambda: [data.Abar]), W)[0]
+        group = self.group(chart, "Abar", lambda: [f for row in data.Abar for f in row])
+        return group.eval_batch(W).T.reshape(len(W), self.n, self.n)
 
     def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
         return self.chart_data(chart).s_norm2.eval_batch(W).real
@@ -383,19 +369,15 @@ class GeometryContext:
         """[|s|^2, Abar[b][p] for b, p in row order, P] compiled as one group:
         the t-independent parts of the global density at one set of points."""
         data = self.chart_data(chart)
-        if data.psi_aff is None:
-            raise GeometryError("this instance carries no psi")
 
         def build():
-            return [[[data.s_norm2]], data.Abar, [[ChartFunction.from_parts(self.n, hol=data.psi_aff)]]]
+            psi = ChartFunction.from_parts(self.n, hol=self.chart_psi(chart))
+            return [data.s_norm2, *(f for row in data.Abar for f in row), psi]
 
-        return data.group("density", build)[0]
+        return self.group(chart, "density", build)
 
     def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        data = self.chart_data(chart)
-        if data.psi_aff is None:
-            raise GeometryError("this instance carries no psi")
-        return data.psi_aff.eval_batch(W)
+        return self.chart_psi(chart).eval_batch(W)
 
     def chern_curvature_batch(self, chart: int, W: np.ndarray, *, entry: Tuple[int, int, int]) -> np.ndarray:
         """Entry (i, j, a) of the curvature of the Chern connection along
@@ -405,28 +387,31 @@ class GeometryContext:
         no sampler calls it.  From exact derivatives of G = H^T, with X_a =
         G^{-1} d_a G: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of
         G^{-1} meets column j of d_a G and of d_a dbar_b G, so only those columns
-        are built; G^{-1} is LAPACK's.  The matrices come from one cached
-        ChartGroup per entry, evaluated ROW_BLOCK points at a time to bound
-        memory.
+        are built; G^{-1} is LAPACK's.  One group per entry holds the rows of
+        G, each dbar_b G, the column and each dbar_b of it, and is evaluated
+        ROW_BLOCK points at a time to bound memory.
         """
         data = self.chart_data(chart)
         n = self.n
         i, j, a = entry
+        m = n * n  # rows of one n x n matrix
+        col = m * (n + 1)  # the column's first row, after G and every dbar_b G
 
         def build():
-            dGa = [[row[j].d(a)] for row in data.G]
-            dbarG = [[[g.dbar(b) for g in row] for row in data.G] for b in range(n)]
-            return [data.G, *dbarG, dGa] + [[[f.dbar(b) for f in row] for row in dGa] for b in range(n)]
+            G = [g for row in data.G for g in row]
+            dGa = [row[j].d(a) for row in data.G]
+            return G + [g.dbar(b) for b in range(n) for g in G] + dGa + [f.dbar(b) for b in range(n) for f in dGa]
 
-        group = data.group(("curvature", entry), build)
+        group = self.group(chart, ("curvature", entry), build)
         out = np.zeros((W.shape[0], n), dtype=complex)
         for block in row_blocks(W.shape[0]):
-            G, *mats = _eval_matrices(group, W[block])
-            dbarG, dGa, d2G = mats[:n], mats[n], mats[n + 1 :]
+            V = group.eval_batch(W[block]).T
+            G, dbarG = V[:, :m].reshape(-1, n, n), V[:, m:col].reshape(-1, n, n, n)
+            dGa, d2G = V[:, col : col + n].reshape(-1, n, 1), V[:, col + n :].reshape(-1, n, n, 1)
             Ginv = np.linalg.inv(G)
             X = Ginv @ dGa
             for b in range(n):
-                out[block, b] = (Ginv[:, i : i + 1, :] @ (dbarG[b] @ X - d2G[b]))[:, 0, 0]
+                out[block, b] = (Ginv[:, i : i + 1, :] @ (dbarG[:, b] @ X - d2G[:, b]))[:, 0, 0]
         return out
 
     # -------------------------------------------------------- certification
@@ -470,7 +455,6 @@ class Example22Geometry:
         self.f = ctx.section[self.f_index]
         if ctx.metric.kind == "perturbed" and ctx.metric.f_index != self.f_index:
             raise GeometryError("metric perturbation must vanish on the section curve")
-        self._coupling = {}
 
     def f_aff(self, chart: int) -> AffinePoly:
         return self.ctx.chart_data(chart).s_aff[self.f_index]
@@ -516,8 +500,10 @@ class Example22Geometry:
         the terms of the coupling G_fv = f K + conj(f) L whose hol factor is f,
         each over G_ff, which must be one weight term.  r_c does not see the
         conj(f) L terms (sheet_terms_batch); a term that carries f neither
-        way is refused with GeometryError.  No terms: r_c is zero by structure."""
-        if chart not in self._coupling:
+        way is refused with GeometryError.  No terms: r_c is zero by structure.
+        Kept on the context: every geometry of one context reads one K."""
+
+        def build():
             n, G, f, v = self.ctx.n, self.ctx.chart_data(chart).G, self.f_index, self.v_index
             g, K = (G[f][f].terms[0] if len(G[f][f].terms) == 1 else None), ChartFunction.zero(n)
             if g is None or not g.hol == g.anti == AffinePoly.constant(n, 1.0 + 0j):
@@ -527,8 +513,9 @@ class Example22Geometry:
                     K = K + ChartFunction.from_parts(n, anti=t.anti, weight=t.weight - g.weight, coef=t.coef / g.coef)
                 elif t.anti != self.f_aff(chart):
                     raise GeometryError("every term of the coupling G_fv must carry the curve's f")
-            self._coupling[chart] = K
-        return self._coupling[chart]
+            return K
+
+        return self.ctx.cached(chart, "coupling", build)
 
     def sheet_terms_batch(self, chart: int, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(phi_c, r_c) at points of Z = {f = 0} on the chart, (N, 2) -> two (N,).
@@ -549,20 +536,18 @@ class Example22Geometry:
         Algebraic Geometry, 1978, ch. 0 sec. 5), is -(d_a f) dbar_b(K / G_ff)
         plus a multiple of conj(d_b f), which the conjugated tangent
         annihilates.  For pair = (f, v), K / G_ff = eps conj(q) (1+|w|^2)^{-d_v};
-        for pair = (v, f) and split metrics, r = 0.  One cached ChartGroup per
-        chart gives [dbar_1(K / G_ff), dbar_2(K / G_ff), df/dw_1, df/dw_2, psi],
-        so phi_c and kappa share one df/dw_2.
+        for pair = (v, f) and split metrics, r = 0.  One group per chart, kept on
+        the context, gives [dbar_1(K / G_ff), dbar_2(K / G_ff), df/dw_1, df/dw_2,
+        psi], so phi_c and kappa share one df/dw_2.
         """
 
         def build():
-            psi = self.ctx.chart_data(chart).psi_aff
-            if psi is None:
-                raise GeometryError("this instance carries no psi")
+            psi = self.ctx.chart_psi(chart)
             K, f = self.coupling(chart), self.f_aff(chart)
             hol = [ChartFunction.from_parts(self.ctx.n, hol=p) for p in (f.partial(0), f.partial(1), psi)]
-            return [[[K.dbar(0), K.dbar(1), *hol]]]
+            return [K.dbar(0), K.dbar(1), *hol]
 
-        dK1, dK2, f1, f2, psi = self.ctx.chart_data(chart).group("sheet terms", build)[0].eval_batch(W)
+        dK1, dK2, f1, f2, psi = self.ctx.group(chart, "sheet terms", build).eval_batch(W)
         if np.any(np.abs(f2) < 1e-12 * self.f.coeff_norm()):
             raise GeometryError("vanishing normal derivative (branch point)")
         kappa = -f1 / f2

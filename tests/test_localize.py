@@ -1213,3 +1213,13 @@ def test_a_split_fiber_without_psi_is_still_refused():
     geo = Example22Geometry(GeometryContext(ctx.degrees, ctx.section, MetricSpec()))
     with pytest.raises(GeometryError, match="carries no psi"):
         fiber_mass_quadrature(geo, 0.3 + 0.2j, 1e-3)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_a_sample_count_below_one_is_refused(samples):
+    from residue_lab.projgeom import GeometryError
+
+    with pytest.raises(GeometryError, match="at least 1 sample"):
+        local_mass(p1_o2_context(), [1.0], 0.01, 0.5, samples, seed=1)
+    with pytest.raises(GeometryError, match="at least 1 sample"):
+        curve_localized_term(Example22Geometry(example22_context()), samples, seed=1)

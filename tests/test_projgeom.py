@@ -121,7 +121,7 @@ def test_certificate_compiles_the_metric_alone(monkeypatch):
     assemble, group = projgeom._assemble_chart, projgeom.ChartGroup
 
     def counted_assembly(*args):
-        assembled.append(args[0])
+        assembled.append(args)
         return assemble(*args)
 
     def counted_group(*args):
@@ -135,7 +135,7 @@ def test_certificate_compiles_the_metric_alone(monkeypatch):
     ctx.metric_matrix_batch(0, np.array([[0.3 + 0j, 0.4]]))
     assert assembled == [] and compiled == [4, 4, 4]
     ctx.chart_data(0)
-    assert assembled == [0]
+    assert len(assembled) == 1
 
 
 def test_oversized_perturbation_rejected():
@@ -725,6 +725,27 @@ def test_a_term_the_closed_form_cannot_read_is_refused(monkeypatch, entry, match
             geo.sheet_terms_batch(chart, np.array([[0.6 + 0.2j, 0.32 + 0.24j]]))
 
 
+def test_curve_geometries_on_one_context_share_its_cache(monkeypatch):
+    # a second geometry on the same context reads the first one's coupling
+    # and sheet-terms group: it builds no K and compiles no group
+    ctx = example22_context()
+    W = np.array([[0.6 + 0.2j, 0.32 + 0.24j]])
+    first = Example22Geometry(ctx)
+    want = first.sheet_terms_batch(0, W)
+    compiled = []
+    group = projgeom.ChartGroup
+
+    def counted_group(*args):
+        compiled.append(args)
+        return group(*args)
+
+    monkeypatch.setattr(projgeom, "ChartGroup", counted_group)
+    second = Example22Geometry(ctx)
+    assert second.coupling(0) is first.coupling(0)
+    got = second.sheet_terms_batch(0, W)
+    assert compiled == [] and all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------- charts
 
 
@@ -862,25 +883,28 @@ def test_refusal_names_the_singular_point_or_the_path_count():
 
 @pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 1)])
 def test_curvature_matrices_come_from_one_group(entry):
-    # one call builds one group, and each matrix it holds equals its chart
-    # functions evaluated on their own: G, dbar_b G, column j of d_a G and
-    # column j of d_a dbar_b G
-    from residue_lab.projgeom import _eval_matrices
-
+    # one call builds one group, kept on the context under the entry, and
+    # the rows it holds, read matrix after matrix in row order, equal its
+    # chart functions evaluated on their own: G, dbar_b G, column j of d_a G
+    # and column j of d_a dbar_b G
     ctx = example22_context()
     data = ctx.chart_data(0)
-    before = set(data.groups)
+    before = set(ctx._cache)
     rng = np.random.default_rng(21)
     W = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
     ctx.chern_curvature_batch(0, W, entry=entry)
-    (key,) = set(data.groups) - before
+    assert set(ctx._cache) - before == {(0, ("curvature", entry))}
     _, j, a = entry
     dGa = [[row[j].d(a)] for row in data.G]
     want = [data.G] + [[[g.dbar(b) for g in row] for row in data.G] for b in range(2)] + [dGa]
     want += [[[f.dbar(b) for f in row] for row in dGa] for b in range(2)]
-    got = _eval_matrices(data.groups[key], W)
-    assert [m.shape for m in got] == [(300, 2, 2)] * 3 + [(300, 2, 1)] * 3
-    for mat, fns in zip(got, want):
+    V = ctx._cache[0, ("curvature", entry)].eval_batch(W)
+    assert V.shape == (3 * 4 + 3 * 2, 300)
+    start = 0
+    for fns in want:
+        rows, cols = len(fns), len(fns[0])
+        mat = V[start : start + rows * cols].T.reshape(300, rows, cols)
+        start += rows * cols
         ref = _function_matrix(fns, W)
         assert np.abs(mat - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
@@ -1002,11 +1026,11 @@ def test_off_diagonal_terms_keep_the_generic_route(cancelling):
     if cancelling is not None:
         r, c = cancelling
         data.G[r][c] = data.G[0][0] - data.G[0][0]
-    before = set(data.groups)
+    before = set(ctx._cache)
     rng = np.random.default_rng(29)
     W = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
     R = ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
-    assert set(data.groups) - before == {("curvature", (0, 1, 1))}
+    assert set(ctx._cache) - before == {(0, ("curvature", (0, 1, 1)))}
     ref = reference_curvature(ctx, 0, W)
     scale = np.abs(ref).reshape(len(W), -1).max(axis=1)
     assert np.all(np.abs(R - ref[:, 0, 1, 1, :]) <= 1e-12 * scale[:, None])
