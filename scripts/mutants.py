@@ -9,7 +9,12 @@ For each one (or each NAME given), the repository is copied to a temporary
 directory without ``.git`` and caches, the old text, which must occur exactly
 once, is replaced by the new, and tier-1 runs in the copy with ``-x``:
 
-    PYTHONPATH=src python -m pytest -q -x -p no:cacheprovider
+    PYTHONPATH=src python -m pytest -q -x -p no:cacheprovider \
+        --deselect tests/test_mutants.py::test_every_mutant_text_occurs_once_in_its_file
+
+The deselected test asserts that every mutant's old text occurs once, which
+the copy no longer holds for the mutant applied; at the parent it has already
+shown that no mutant's change removes another's text.
 
 A mutant is CAUGHT when the run fails or runs longer than ``TIMEOUT``
 seconds, and SURVIVED when it passes; a caught one is printed with its first
@@ -32,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HARNESS, LOCALIZE = "src/residue_lab/harness.py", "src/residue_lab/localize.py"
 PROJGEOM, SUPERALG = "src/residue_lab/projgeom.py", "src/residue_lab/superalg.py"
 TIMEOUT = 600  # seconds per tier-1 run
+ANCHOR_TEST = "tests/test_mutants.py::test_every_mutant_text_occurs_once_in_its_file"
 
 MUTANTS = [
     ("sigma-mult-3", LOCALIZE, "_SIGMA_MULT = 12.0", "_SIGMA_MULT = 3.0",
@@ -59,7 +65,7 @@ MUTANTS = [
     ("cancellation-dropped", HARNESS, "ok = ok and cancel", "ok = ok", "the local-mass cancellation gate"),
     ("cb-tol-1e6", HARNESS, '("pass" if rep.max_residual <= tol else "fail")',
      '("pass" if rep.max_residual <= tol * 1e6 else "fail")', "the float Cayley-Bacharach tol"),
-    ("gcb-curve-dropped", HARNESS, "rep.curve_entry_max <= tol\n        and ", "",
+    ("gcb-curve-dropped", HARNESS, "rep.curve_entry_max <= tol\n", "True\n",
      "the generalized_cb gate on the curve's ledger entries"),
     ("gcb-isolated-dropped", HARNESS, "and rep.isolated_relative_vanishing <= tol\n        ", "",
      "the generalized_cb gate on the isolated points' sum"),
@@ -92,6 +98,10 @@ MUTANTS = [
      "non-ASCII characters of the canonical JSON written unescaped"),
     ("cache-key-chartless", PROJGEOM, "key = (chart, what)", "key = what",
      "a geometry context's cached chart data and groups read on every chart"),
+    ("dbar-weight-sign-flipped", "src/residue_lab/chartfun.py", "_Term(t.coef * t.weight,", "_Term(-t.coef * t.weight,",
+     "the weight term of dbar, and through it of d, with the wrong sign"),
+    ("disc-ray-weight-halved", LOCALIZE, "wth = 2.0 * math.pi / angular_nodes", "wth = math.pi / angular_nodes",
+     "each ray of a quadrature disc weighted pi / angular_nodes"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")
@@ -123,7 +133,7 @@ def run(mutant):
         shutil.copytree(ROOT, copy, ignore=_IGNORE)
         apply(copy, file, old, new)
         env = dict(os.environ, PYTHONPATH="src")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--deselect", ANCHOR_TEST]
         try:
             proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:

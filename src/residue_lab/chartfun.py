@@ -6,10 +6,11 @@ on an affine chart of P^n is a finite sum of terms
     c * A(w) * conj(B(w)) * (1 + |w|^2)^p
 
 with A, B polynomials and p an integer.  This family is closed under sums,
-products, d/dw_a and d/dwbar_a (the weight derivative produces an extra
-conjugated or plain coordinate factor, which folds into B or A), so all
-derivatives needed for the superconnection one-form and the Chern curvature
-are exact -- no numerical differentiation in the production path.
+products, conjugation and d/dwbar_a (the weight derivative produces an extra
+plain coordinate factor, which folds into A), and d/dw_a is the conjugate of
+d/dwbar_a of the conjugate, so all derivatives needed for the superconnection
+one-form and the Chern curvature are exact -- no numerical differentiation in
+the production path.
 
 For evaluation, functions that are needed at the same points compile into
 one :class:`ChartGroup`: a single :class:`~residue_lab.polycore.PolyKernel`
@@ -56,11 +57,6 @@ class ChartFunction:
     @staticmethod
     def zero(num_vars: int) -> "ChartFunction":
         return ChartFunction(num_vars, [])
-
-    @staticmethod
-    def constant(num_vars: int, c: complex) -> "ChartFunction":
-        one = AffinePoly.constant(num_vars, 1.0 + 0j)
-        return ChartFunction(num_vars, [_Term(complex(c), one, one, 0)])
 
     @staticmethod
     def from_parts(
@@ -125,25 +121,15 @@ class ChartFunction:
     # ------------------------------------------------------------ calculus
 
     def d(self, a: int) -> "ChartFunction":
-        """d/dw_a.  Hits A and the weight; the weight derivative contributes
-        p (1+|w|^2)^{p-1} conj(w_a), folded into the anti factor."""
-        out = []
-        for t in self.terms:
-            da = t.hol.partial(a)
-            if not da.is_zero():
-                out.append(_Term(t.coef, da, t.anti, t.weight))
-            if t.weight:
-                wa = AffinePoly.coordinate(self.num_vars, a)
-                out.append(_Term(t.coef * t.weight, t.hol, t.anti * wa, t.weight - 1))
-        return ChartFunction(self.num_vars, out)
+        """d/dw_a = conj(d/dwbar_a conj): the rule lives in :meth:`dbar`."""
+        return self.conjugate().dbar(a).conjugate()
 
     def dbar(self, a: int) -> "ChartFunction":
-        """d/dwbar_a; mirror image of :meth:`d`."""
+        """d/dwbar_a.  Hits B and the weight; the weight derivative contributes
+        p (1+|w|^2)^{p-1} w_a, folded into the hol factor."""
         out = []
         for t in self.terms:
-            db = t.anti.partial(a)
-            if not db.is_zero():
-                out.append(_Term(t.coef, t.hol, db, t.weight))
+            out.append(_Term(t.coef, t.hol, t.anti.partial(a), t.weight))  # dropped when zero
             if t.weight:
                 wa = AffinePoly.coordinate(self.num_vars, a)
                 out.append(_Term(t.coef * t.weight, t.hol * wa, t.anti, t.weight - 1))

@@ -35,8 +35,8 @@ and the curve integrand are identically 0: the sampler still draws and rejects
 sheets, but evaluates no density there.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
-:func:`fiber_mass_quadrature`, integrate over polar discs whose rays are each
-summed in one row reduction of the (angles, radii) grid and added in order.  A
+:func:`fiber_mass_quadrature`, integrate over polar discs by one rule,
+:func:`_disc_sum`: one row reduction per ray, the rays added in order.  A
 fiber whose det(Abar) is zero by structure is 0j with no disc built.
 
 Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
@@ -71,7 +71,7 @@ from .projgeom import (
     GeometryContext,
     GeometryError,
     _assemble_chart,
-    _check_t,
+    _check_positive,
     _det,
     by_chart,
     fs_density,
@@ -122,13 +122,21 @@ class CurveTerm:
 
 class FlatModel(GeometryContext):
     """Flat-metric model on C^n (h = identity): a GeometryContext whose only
-    chart, 0, is assembled from s_aff and psi_aff; used by the normalization
-    oracle and tests."""
+    chart, 0, is assembled from s_aff and psi_aff; any other chart is refused
+    with GeometryError.  Used by the normalization oracle and tests."""
 
     def __init__(self, s_aff: Sequence[AffinePoly], psi_aff: AffinePoly):
-        self.n = n = s_aff[0].num_vars
-        H = [[ChartFunction.constant(n, float(i == j)) for j in range(n)] for i in range(n)]
-        self._cache = {(0, "data"): _assemble_chart(list(s_aff), psi_aff, H)}
+        self.n = s_aff[0].num_vars
+        self._cache = {(0, "data"): _assemble_chart(list(s_aff), psi_aff, self._metric(0))}
+
+    def cached(self, chart: int, what, build):
+        if chart != 0:
+            raise GeometryError(f"a flat model has chart 0 only, not chart {chart}")
+        return super().cached(chart, what, build)
+
+    def _metric(self, chart: int) -> List[List[ChartFunction]]:
+        n = self.n
+        return [[ChartFunction.from_parts(n, coef=float(i == j)) for j in range(n)] for i in range(n)]
 
 
 def _density_parts(ctx, chart: int, W: np.ndarray):
@@ -237,14 +245,24 @@ _leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 def _polar_disc(R: float, radial_nodes: int, angular_nodes: int):
     """Polar quadrature of the disc |zeta| <= R: Gauss-Legendre radii r with
     weights wr, and the points zeta = r e^{i theta} ray after ray, for
-    ``angular_nodes`` equally spaced angles of weight 2 pi / angular_nodes,
-    built in one broadcast.  Reshaped to (angles, radii), each ray is one row:
-    a quadrature sums every row in one reduction and adds the rays in order."""
+    ``angular_nodes`` equally spaced angles, built in one broadcast."""
     nodes, weights = _leggauss(radial_nodes)
     r = 0.5 * R * (nodes + 1.0)
     wr = 0.5 * R * weights
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     return r, wr, (r * np.exp(1j * thetas)[:, None]).reshape(-1)
+
+
+def _disc_sum(density, R: float, radial_nodes: int, angular_nodes: int, total):
+    """``total`` plus the polar quadrature of density(zeta) over |zeta| <= R
+    (_polar_disc): density times r wr is summed along each ray in one row
+    reduction, and the rays, each of weight 2 pi / angular_nodes, are added
+    to ``total`` in order, so the bits are those of a sum per ray."""
+    r, wr, zeta = _polar_disc(R, radial_nodes, angular_nodes)
+    wth = 2.0 * math.pi / angular_nodes
+    for ray_sum in (density(zeta).reshape(angular_nodes, radial_nodes) * r * wr).sum(axis=1):
+        total += ray_sum * wth
+    return total
 
 
 # ------------------------------------------------------------------ oracle
@@ -253,24 +271,20 @@ def _polar_disc(R: float, radial_nodes: int, angular_nodes: int):
 def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 32) -> float:
     """Unit-mass normalization oracle: s = w, psi = dw (x) e_1, flat metric.
 
-    Integrates the pipeline integrand over C by polar quadrature; the exact
-    value is 1 for every t > 0, which pins every sign and constant convention
-    at once.  The real part of the density times r wr is summed along each ray
-    in one row reduction, and the rays are added in order.  A t that is not
-    positive and finite is refused with GeometryError.
+    Integrates the real part of the pipeline integrand over C (_disc_sum); the
+    exact value is 1 for every t > 0, which pins every sign and constant
+    convention at once.  A t that is not positive and finite is refused with
+    GeometryError.
     """
-    _check_t(t)
+    _check_positive(t)
     model = FlatModel(
         [AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j)
     )
-    r, wr, zeta = _polar_disc(10.0 * math.sqrt(2.0 * t), radial_nodes, angular_nodes)
-    wth = 2.0 * math.pi / angular_nodes
-    dens = global_density_tensor(model, 0, zeta[:, None], t).reshape(angular_nodes, radial_nodes)
-    total = 0.0
-    # one reduction per ray, the rays added in order: the bits of a sum per ray
-    for ray_sum in (dens.real * r * wr).sum(axis=1):
-        total += float(ray_sum) * wth
-    return total
+
+    def density(zeta):
+        return global_density_tensor(model, 0, zeta[:, None], t).real
+
+    return float(_disc_sum(density, 10.0 * math.sqrt(2.0 * t), radial_nodes, angular_nodes, 0.0))
 
 
 # ------------------------------------------------------------------ global MC
@@ -289,7 +303,7 @@ def virtual_residue_sweep(
     if samples < SWEEP_MIN_SAMPLES:
         raise GeometryError(f"at least {SWEEP_MIN_SAMPLES} samples required")
     for t in ts:
-        _check_t(t)
+        _check_positive(t)
     n = ctx.n
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -322,7 +336,8 @@ def local_mass(
     n = 1; in higher dimension an orientation factor (-1)^{n(n-1)/2} from the
     pairing convention multiplies it, invisible to the vanishing statements).
     """
-    _check_t(t)
+    _check_positive(t)
+    _check_positive(radius, "radius")
     n = ctx.n
     center = np.asarray(center, dtype=complex)
     vol = math.pi**n * radius ** (2 * n) / math.factorial(n)
@@ -535,8 +550,7 @@ def fiber_mass_quadrature(
     As t -> 0 this converges to the summed curve-localized density of the
     sheets over u, providing a pointwise oracle for every constant in the
     localization formula (diagnostic; used by the test suite).  Each sheet
-    gets a polar disc; the density times r wr is summed along each ray in one
-    row reduction, and the rays are added in order, sheet after sheet.
+    gets a polar disc, summed by _disc_sum, sheet after sheet.
 
     Every refusal comes first, with GeometryError: a t that is not positive
     and finite, a u that is not finite, a fiber whose leading coefficient in
@@ -552,7 +566,7 @@ def fiber_mass_quadrature(
     would start at +0 and add only signed zeros, which give +0.  Any other
     fiber evaluates the metric at all its sheet centres in one call.
     """
-    _check_t(t)
+    _check_positive(t)
     if not np.isfinite(u):
         raise GeometryError("u must be finite")
     ctx = geo.ctx
@@ -573,15 +587,13 @@ def fiber_mass_quadrature(
         return 0j
 
     H = ctx.metric_matrix_batch(0, centres)
-    wth = 2.0 * math.pi / angular_nodes
     total = 0j
     for root, fn, Hm in zip(roots, fns, H):
         h11 = float(Hm[geo.f_index, geo.f_index].real)
         width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
-        r, wr, zeta = _polar_disc(_SIGMA_MULT * width, radial_nodes, angular_nodes)
-        W = np.stack([np.full_like(zeta, u), root + zeta], axis=1)
-        g = global_density(ctx, 0, W, t).reshape(angular_nodes, radial_nodes)
-        # one reduction per ray, the rays added in order: the bits of a sum per ray
-        for ray_sum in (g * r * wr).sum(axis=1):
-            total += ray_sum * wth
+
+        def density(zeta, root=root):
+            return global_density(ctx, 0, np.stack([np.full_like(zeta, u), root + zeta], axis=1), t)
+
+        total = _disc_sum(density, _SIGMA_MULT * width, radial_nodes, angular_nodes, total)
     return complex(total)

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
-from .polycore import AffinePoly, HomogeneousPoly, row_blocks
+from .polycore import AffinePoly, HomogeneousPoly
 from .superalg import SForm
 from .syszero import SolveError, _common_root, _eigen_zeros, _null_space, _point_text
 
@@ -54,10 +54,10 @@ class GeometryError(ValueError):
     """Configuration violates a geometric precondition."""
 
 
-def _check_t(t: float) -> None:
-    """Refuse a t the integrals cannot take: zero, negative, infinite or NaN."""
-    if not 0 < t < math.inf:
-        raise GeometryError("t must be positive")
+def _check_positive(value: float, name: str = "t") -> None:
+    """Refuse a t or radius the integrals cannot take: zero, negative, infinite or NaN."""
+    if not 0 < value < math.inf:
+        raise GeometryError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ class GeometryContext:
         refused with GeometryError, as by every integral of
         :mod:`residue_lab.localize`.
         """
-        _check_t(t)
+        _check_positive(t)
         data = self.chart_data(chart)
         scal = -data.s_norm2.eval_batch(W) / (2.0 * t)
         one = {}
@@ -384,35 +384,23 @@ class GeometryContext:
         dw_a ^ dwbar_b for every b, shape (N, n): out[:, b] = R[i, j, a, b].
 
         The tests' reference for the r_c of Example22Geometry.sheet_terms_batch;
-        no sampler calls it.  From exact derivatives of G = H^T, with X_a =
-        G^{-1} d_a G: R[a][b] = G^{-1}((dbar_b G) X_a - d_a dbar_b G).  Row i of
-        G^{-1} meets column j of d_a G and of d_a dbar_b G, so only those columns
-        are built; G^{-1} is LAPACK's.  One group per entry holds the rows of
-        G, each dbar_b G, the column and each dbar_b of it, and is evaluated
-        ROW_BLOCK points at a time to bound memory.
+        no sampler calls it.  The textbook formula over full n x n matrices,
+        from exact derivatives of G = H^T: R[a][b] = G^{-1}((dbar_b G) G^{-1}
+        d_a G - d_a dbar_b G), G^{-1} LAPACK's.  One group per (chart, a),
+        shared by every (i, j), holds G and d_a G, then each dbar_b of both.
         """
-        data = self.chart_data(chart)
         n = self.n
         i, j, a = entry
-        m = n * n  # rows of one n x n matrix
-        col = m * (n + 1)  # the column's first row, after G and every dbar_b G
 
         def build():
-            G = [g for row in data.G for g in row]
-            dGa = [row[j].d(a) for row in data.G]
-            return G + [g.dbar(b) for b in range(n) for g in G] + dGa + [f.dbar(b) for b in range(n) for f in dGa]
+            G = [g for row in self.chart_data(chart).G for g in row]
+            both = G + [g.d(a) for g in G]
+            return both + [f.dbar(b) for b in range(n) for f in both]
 
-        group = self.group(chart, ("curvature", entry), build)
-        out = np.zeros((W.shape[0], n), dtype=complex)
-        for block in row_blocks(W.shape[0]):
-            V = group.eval_batch(W[block]).T
-            G, dbarG = V[:, :m].reshape(-1, n, n), V[:, m:col].reshape(-1, n, n, n)
-            dGa, d2G = V[:, col : col + n].reshape(-1, n, 1), V[:, col + n :].reshape(-1, n, n, 1)
-            Ginv = np.linalg.inv(G)
-            X = Ginv @ dGa
-            for b in range(n):
-                out[block, b] = (Ginv[:, i : i + 1, :] @ (dbarG[:, b] @ X - d2G[:, b]))[:, 0, 0]
-        return out
+        V = self.group(chart, ("curvature", a), build).eval_batch(W).T.reshape(len(W), n + 1, 2, n, n)
+        Ginv = np.linalg.inv(V[:, 0, 0])
+        X = Ginv @ V[:, 0, 1]
+        return np.stack([(Ginv @ (V[:, b, 0] @ X - V[:, b, 1]))[:, i, j] for b in range(1, n + 1)], axis=1)
 
     # -------------------------------------------------------- certification
 

@@ -202,7 +202,7 @@ def test_zero_and_constant():
     zero = ChartFunction.zero(NV)
     assert np.array_equal(zero.eval_batch(W), np.zeros(5, dtype=complex))
     assert zero.eval_batch(np.zeros((0, NV))).shape == (0,)
-    const = ChartFunction.constant(NV, 3 - 2j)
+    const = ChartFunction.from_parts(NV, coef=3 - 2j)
     assert np.array_equal(const.eval_batch(W), np.full(5, 3 - 2j))
     # a weight alone: (1 + |w|^2)^-2
     weight = ChartFunction.from_parts(NV, weight=-2)

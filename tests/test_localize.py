@@ -107,6 +107,25 @@ def test_flat_model_s_form_coefficients():
     assert abs(S.one_form[(1, 1)][0] + 1.0 / (2 * t)) < 1e-15
 
 
+def test_flat_model_is_a_whole_context_on_chart_0_only():
+    # chart 0 answers every query, the metric with the identity; any other
+    # chart is refused, where it once raised AttributeError for 'degrees' or 'psi'
+    from residue_lab.projgeom import GeometryError
+
+    model = FlatModel([AffinePoly.coordinate(2, 0), AffinePoly.coordinate(2, 1)], AffinePoly.constant(2, 1.0 + 0j))
+    W = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [1.5 - 0.7j, 0.05j]])
+    assert np.array_equal(model.metric_matrix_batch(0, W), np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
+    assert model.density_group(0).size == 6
+    for query in (
+        lambda: model.metric_matrix_batch(1, W),
+        lambda: model.chart_data(1),
+        lambda: model.density_group(1),
+        lambda: model.psi_batch(2, W),
+    ):
+        with pytest.raises(GeometryError, match="chart 0 only"):
+            query()
+
+
 def test_fast_density_matches_tensor_route():
     ctx = p2_22_context()
     rng = np.random.default_rng(1)
@@ -923,6 +942,18 @@ def test_every_entry_point_refuses_a_t_that_is_not_positive(t):
             model.S_form(0, [[0.3 + 0.1j]], t)
         with pytest.raises(GeometryError, match="t must be positive"):
             global_density_tensor(model, 0, [[0.3 + 0.1j]], t)
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0, float("nan"), float("inf")])
+def test_local_mass_refuses_a_radius_that_is_not_positive(radius, monkeypatch):
+    # refused before any sample: radius -0.5 once gave the radius-0.5 mass,
+    # 0 gave 0 +- 0, and NaN or inf a NaN with RuntimeWarnings
+    from residue_lab.projgeom import GeometryError
+
+    monkeypatch.setattr(localize, "_run_chunks", None)  # drawing would fail on the call
+    with np.errstate(all="raise"):
+        with pytest.raises(GeometryError, match="radius must be positive"):
+            local_mass(p1_o2_context(), [1.0], 0.01, radius=radius, samples=20000, seed=1)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""scripts/mutants.py: the applier on a toy file and the summary parser; no
-mutant is run."""
+"""scripts/mutants.py: the applier on a toy file, the summary parser and the
+anchor of every mutant; no mutant is run."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +36,16 @@ def test_first_failure_reads_the_summary():
     assert mutants.first_failure(out) == "tests/test_a.py::test_b[x-1]"
     assert mutants.first_failure("ERROR tests/test_c.py - SyntaxError\n") == "tests/test_c.py"
     assert mutants.first_failure("3 passed\n") is None
+
+
+def test_every_mutant_text_occurs_once_in_its_file():
+    # a refactor that moves or duplicates a mutant's text fails here, not
+    # only in --list, and so does a mutant whose change hides another's text
+    # (scripts/mutants.py deselects this test in a mutant's own run)
+    texts = {file: (ROOT / file).read_text(encoding="utf-8") for _, file, _, _, _ in mutants.MUTANTS}
+    counts = {name: texts[file].count(old) for name, file, old, _, _ in mutants.MUTANTS}
+    assert {name: count for name, count in counts.items() if count != 1} == {}
+    for name, file, old, new, _ in mutants.MUTANTS:
+        mutated = {**texts, file: texts[file].replace(old, new)}
+        hidden = [other for other, f, o, _, _ in mutants.MUTANTS if other != name and mutated[f].count(o) != 1]
+        assert hidden == [], f"mutant {name} changes the text of {hidden}"

@@ -883,35 +883,32 @@ def test_refusal_names_the_singular_point_or_the_path_count():
 
 @pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 1)])
 def test_curvature_matrices_come_from_one_group(entry):
-    # one call builds one group, kept on the context under the entry, and
+    # one call builds one group, kept on the context under (chart, a), and
     # the rows it holds, read matrix after matrix in row order, equal its
-    # chart functions evaluated on their own: G, dbar_b G, column j of d_a G
-    # and column j of d_a dbar_b G
+    # chart functions evaluated on their own: G and d_a G, then dbar_b of
+    # both for each b
     ctx = example22_context()
     data = ctx.chart_data(0)
     before = set(ctx._cache)
     rng = np.random.default_rng(21)
     W = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
     ctx.chern_curvature_batch(0, W, entry=entry)
-    assert set(ctx._cache) - before == {(0, ("curvature", entry))}
-    _, j, a = entry
-    dGa = [[row[j].d(a)] for row in data.G]
-    want = [data.G] + [[[g.dbar(b) for g in row] for row in data.G] for b in range(2)] + [dGa]
-    want += [[[f.dbar(b) for f in row] for row in dGa] for b in range(2)]
-    V = ctx._cache[0, ("curvature", entry)].eval_batch(W)
-    assert V.shape == (3 * 4 + 3 * 2, 300)
-    start = 0
-    for fns in want:
-        rows, cols = len(fns), len(fns[0])
-        mat = V[start : start + rows * cols].T.reshape(300, rows, cols)
-        start += rows * cols
+    a = entry[2]
+    assert set(ctx._cache) - before == {(0, ("curvature", a))}
+    both = [data.G, [[g.d(a) for g in row] for row in data.G]]
+    want = both + [[[f.dbar(b) for f in row] for row in fns] for b in range(2) for fns in both]
+    V = ctx._cache[0, ("curvature", a)].eval_batch(W)
+    assert V.shape == (6 * 4, 300)
+    for k, fns in enumerate(want):
+        mat = V[4 * k : 4 * (k + 1)].T.reshape(300, 2, 2)
         ref = _function_matrix(fns, W)
         assert np.abs(mat - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 def test_an_entry_builds_only_its_own_derivatives(monkeypatch):
-    # the curve's entry on P^2 builds column j of d_a G (2 d), dbar_b G and
-    # dbar_b of that column (8 + 4 dbar), and a second call builds none
+    # the curve's entry on P^2 builds d_a of every entry of G (4 d, each one
+    # dbar of the conjugate) and dbar_b of G and of d_a G (16 dbar); a second
+    # call, or another entry with the same a, builds none
     ctx = example22_context()
     ctx.chart_data(0)
     counts = {"d": 0, "dbar": 0}
@@ -924,9 +921,23 @@ def test_an_entry_builds_only_its_own_derivatives(monkeypatch):
         monkeypatch.setattr(ChartFunction, name, counted)
     W = np.array([[0.3 + 0.1j, 0.09 + 0.06j]])
     ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
-    assert counts == {"d": 2, "dbar": 12}
+    assert counts == {"d": 4, "dbar": 20}
     ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
-    assert counts == {"d": 2, "dbar": 12}
+    ctx.chern_curvature_batch(0, W, entry=(1, 0, 1))
+    assert counts == {"d": 4, "dbar": 20}
+
+
+def test_entries_with_one_a_share_one_group():
+    # every (i, j) along dw_a reads the one group compiled for (chart, a)
+    ctx = example22_context()
+    W = np.array([[0.3 + 0.1j, 0.09 + 0.06j], [-0.2 + 0.5j, 0.4 - 0.3j]])
+    ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
+    group = ctx._cache[0, ("curvature", 1)]
+    before = set(ctx._cache)
+    for entry in [(1, 0, 1), (0, 0, 1), (1, 1, 1)]:
+        ctx.chern_curvature_batch(0, W, entry=entry)
+    assert set(ctx._cache) == before
+    assert ctx._cache[0, ("curvature", 1)] is group
 
 
 @pytest.mark.parametrize("entry", [(1, 0, 0), (0, 1, 1)])
@@ -1030,7 +1041,7 @@ def test_off_diagonal_terms_keep_the_generic_route(cancelling):
     rng = np.random.default_rng(29)
     W = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
     R = ctx.chern_curvature_batch(0, W, entry=(0, 1, 1))
-    assert set(ctx._cache) - before == {(0, ("curvature", (0, 1, 1)))}
+    assert set(ctx._cache) - before == {(0, ("curvature", 1))}
     ref = reference_curvature(ctx, 0, W)
     scale = np.abs(ref).reshape(len(W), -1).max(axis=1)
     assert np.all(np.abs(R - ref[:, 0, 1, 1, :]) <= 1e-12 * scale[:, None])
