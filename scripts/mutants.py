@@ -36,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS, LOCALIZE = "src/residue_lab/harness.py", "src/residue_lab/localize.py"
 PROJGEOM, SUPERALG = "src/residue_lab/projgeom.py", "src/residue_lab/superalg.py"
+POLYCORE, CHARTFUN = "src/residue_lab/polycore.py", "src/residue_lab/chartfun.py"
 TIMEOUT = 600  # seconds per tier-1 run
 ANCHOR_TEST = "tests/test_mutants.py::test_every_mutant_text_occurs_once_in_its_file"
 
@@ -77,7 +78,7 @@ MUTANTS = [
      "a misspelled key read as its default"),
     ("missing-keys-accepted", HARNESS, "if key not in doc and key in required:", "if False:",
      "a required key that is missing"),
-    ("zero-poly-complex", "src/residue_lab/polycore.py", "return 0 if total is None else total",
+    ("zero-poly-complex", POLYCORE, "return 0 if total is None else total",
      "return 0j if total is None else total", "a polynomial with no terms evaluates to a float zero"),
     ("curve-tol-1e-1", "src/residue_lab/residue.py", "_CURVE_TOL = 1e-6", "_CURVE_TOL = 1e-1",
      "isolated zeros near the curve counted on it"),
@@ -98,10 +99,24 @@ MUTANTS = [
      "non-ASCII characters of the canonical JSON written unescaped"),
     ("cache-key-chartless", PROJGEOM, "key = (chart, what)", "key = what",
      "a geometry context's cached chart data and groups read on every chart"),
-    ("dbar-weight-sign-flipped", "src/residue_lab/chartfun.py", "_Term(t.coef * t.weight,", "_Term(-t.coef * t.weight,",
+    ("dbar-weight-sign-flipped", CHARTFUN, "_Term(t.coef * t.weight,", "_Term(-t.coef * t.weight,",
      "the weight term of dbar, and through it of d, with the wrong sign"),
     ("disc-ray-weight-halved", LOCALIZE, "wth = 2.0 * math.pi / angular_nodes", "wth = math.pi / angular_nodes",
      "each ray of a quadrature disc weighted pi / angular_nodes"),
+    ("descent-unary-minus-dropped", POLYCORE, "return {e: -c for e, c in self.unary().items()}",
+     "return self.unary()", "the parser's unary minus read as no sign"),
+    ("descent-power-once-more", POLYCORE, "for _ in range(int(value[0])):", "for _ in range(int(value[0]) + 1):",
+     "a power of a parenthesised sum taken once more than its exponent"),
+    ("disc-half-turn", LOCALIZE, "thetas = 2.0 * math.pi * np.arange", "thetas = math.pi * np.arange",
+     "a quadrature disc's rays spread over half a turn"),
+    ("flat-disc-3-widths", LOCALIZE, "10.0 * math.sqrt(2.0 * t)", "3.0 * math.sqrt(2.0 * t)",
+     "the flat mass over a disc of 3 Gaussian widths, missing e^-9 of it"),
+    ("fiber-sheets-not-summed", LOCALIZE, "radial_nodes, angular_nodes, total)", "radial_nodes, angular_nodes, 0j)",
+     "a fiber's mass read off its last sheet alone"),
+    ("sweep-charts-read-as-0", LOCALIZE, "s2[rows], psi_det[rows] = _density_parts(ctx, chart, W)",
+     "s2[rows], psi_det[rows] = _density_parts(ctx, 0, W)", "the sweep reading every chart's points on chart 0"),
+    ("group-anti-unconjugated", CHARTFUN, "np.conjugate(V[self.antis], out=V[self.antis])", "V[self.antis]",
+     "a chart group's anti factors entering unconjugated"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")

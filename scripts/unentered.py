@@ -16,8 +16,9 @@ It then prints every function or method (nested ones included) that was
 never entered, with its line count, and the total per module.  A function
 inside a never-entered one is counted with it, not again on its own.  The
 tests' own calls do not count: a function only they call is listed.  The
-last line is the package's whole line count, as
-``cat src/residue_lab/*.py | wc -l`` gives it.
+last two lines are the line counts of the tests and of the package, as
+``cat tests/*.py | wc -l`` and ``cat src/residue_lab/*.py | wc -l`` give
+them; ``src lines`` is the last line.
 
 With ``--lines`` the same runs also record every line of the package that
 runs, and after the functions it lists, as ``module.py:line  function  text``,
@@ -139,6 +140,11 @@ def run_everything():
             bench.determinism_check(lib, prepared, tmp / workload)
 
 
+def line_count(directory: Path) -> int:
+    """The lines of the directory's ``*.py`` files, as ``cat *.py | wc -l`` counts them."""
+    return sum(path.read_text(encoding="utf-8").count("\n") for path in directory.glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="List what no run of the package enters.")
     parser.add_argument("--lines", action="store_true", help="also list the statements of entered functions that never ran")
@@ -166,8 +172,8 @@ def main(argv=None) -> int:
     for module, lines in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"{module:10s} {lines:5d}")
     print(f"{'total':10s} {sum(totals.values()):5d}")
-    src_lines = sum(path.read_text(encoding="utf-8").count("\n") for path in PACKAGE.glob("*.py"))
-    print(f"{'src lines':10s} {src_lines:5d}")
+    print(f"{'tests lines':10s} {line_count(ROOT / 'tests'):5d}")
+    print(f"{'src lines':10s} {line_count(PACKAGE):5d}")
     return 0
 
 

@@ -45,12 +45,11 @@ class _Term:
 class ChartFunction:
     """Finite sum of weighted mixed-polynomial terms on one affine chart."""
 
-    __slots__ = ("num_vars", "terms", "_compiled")
+    __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: List[_Term]):
         self.num_vars = num_vars
         self.terms = [t for t in terms if t.coef and not t.hol.is_zero() and not t.anti.is_zero()]
-        self._compiled = None
 
     # ------------------------------------------------------------ builders
 
@@ -154,13 +153,8 @@ class ChartFunction:
         return grouped
 
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of chart points, shape (N, num_vars) -> (N,).
-
-        Compiles on the first call; compiling is deterministic, so threads
-        that race on it store equal groups."""
-        if self._compiled is None:
-            self._compiled = ChartGroup(self.num_vars, [self])
-        return self._compiled.eval_batch(W)[0]
+        """Evaluate at a batch of chart points, (N, num_vars) -> (N,): a group of one, compiled on each call."""
+        return ChartGroup(self.num_vars, [self]).eval_batch(W)[0]
 
     def __repr__(self):
         return f"ChartFunction({self.num_vars} vars, {len(self.terms)} terms)"

@@ -46,8 +46,9 @@ from .residue import (
     cb_failures_exact,
     generalized_cb_check,
     global_residue_sum,
+    psi_cofactor_degree,
 )
-from .syszero import SolveError
+from .syszero import SolveError, check_desk_scale
 
 __all__ = [
     "ScenarioError",
@@ -169,8 +170,9 @@ class Scenario:
 
     def parse_polys(self):
         """The section, psi and metric, parsed and put through
-        ``check_instance`` on the first call and kept for the later ones.  On
-        the exact backend the check sees the section parsed exactly, kept as
+        ``check_instance``, and ``check_desk_scale`` when a task solves the
+        section, on the first call and kept for the later ones.  On the exact
+        backend the check sees the section parsed exactly, kept as
         ``exact_section``, and the float section returned is parsed only when
         some task takes a float route (None otherwise)."""
         if self._parsed is not None:
@@ -182,13 +184,16 @@ class Scenario:
         if m["kind"] == "perturbed":
             q = self._parse("metric.q", m["q"])
             metric = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), q, m.get("f_index", 0))
+        kinds = [KINDS[task["kind"]] for task in self.tasks]
         try:
             check_instance(self.degrees, section, psi, metric)
-        except GeometryError as exc:
+            if any(k.solves and not (self.backend == "exact" and k.exact_required) for k in kinds):
+                check_desk_scale(self.degrees)  # before any Macaulay matrix, the infinity check's too
+        except (GeometryError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
         if self.backend == "exact":
             self.exact_section = section
-            floats = any(not KINDS[task["kind"]].exact_required for task in self.tasks)
+            floats = any(not k.exact_required for k in kinds)
             section = self._section("float") if floats else None
         self._parsed = section, psi, metric
         return self._parsed
@@ -495,18 +500,20 @@ def _projective_key(p):
 
 
 def _parse_factors(scenario, task):
-    """curve_factor f, cofactor u and psi_cofactor phi, with f u = section[0]
-    and, where both are given, f phi = psi."""
+    """curve_factor f, cofactor u and psi_cofactor phi, with f u = section[0], phi of
+    the degree ``psi_cofactor_degree`` gives and, where both are given, f phi = psi."""
     section, psi, _ = scenario.parse_polys()
     f = scenario._parse("curve_factor", task["curve_factor"])
     u = scenario._parse("cofactor", task["cofactor"])
     if not _poly_close(f * u, section[0]):
         raise ScenarioError("curve_factor * cofactor does not reproduce section[0]")
-    phi = None
-    if "psi_cofactor" in task:
-        phi = scenario._parse("psi_cofactor", task["psi_cofactor"])
-        if psi is not None and not _poly_close(f * phi, psi):
-            raise ScenarioError("curve_factor * psi_cofactor does not reproduce psi")
+    phi = scenario._parse("psi_cofactor", task["psi_cofactor"]) if "psi_cofactor" in task else None
+    try:
+        psi_cofactor_degree(f, u, section[1], phi)
+    except ResidueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if phi is not None and psi is not None and not _poly_close(f * phi, psi):
+        raise ScenarioError("curve_factor * psi_cofactor does not reproduce psi")
     return {"curve_factor": f, "cofactor": u, "psi_cofactor": phi}
 
 
@@ -650,7 +657,8 @@ class TaskKind:
     ``p2``, ``required`` and, on the exact backend, ``exact_required`` are what
     a task needs of its scenario and its file; a kind with ``exact_required``
     keys takes its exact route there, and no float section; off the exact
-    backend those keys are unknown."""
+    backend those keys are unknown.  A kind that ``solves`` the section, off
+    its exact route, needs the solver's Macaulay matrix at desk scale."""
 
     run: Callable
     keys: Dict[str, object]
@@ -659,20 +667,23 @@ class TaskKind:
     required: Tuple[str, ...] = ()
     exact_required: Tuple[str, ...] = ()
     parse: Optional[Callable] = None
+    solves: bool = False
 
 
 KINDS = {
-    "euler_jacobi": TaskKind(_run_euler_jacobi, {"tol": 1e-8}, psi=True),
+    "euler_jacobi": TaskKind(_run_euler_jacobi, {"tol": 1e-8}, psi=True, solves=True),
     "cayley_bacharach": TaskKind(
         _run_cayley_bacharach, {"tol": 1e-8, "lines_f": None, "lines_g": None}, p2=True,
-        exact_required=("lines_f", "lines_g"), parse=_parse_lines,
+        exact_required=("lines_f", "lines_g"), parse=_parse_lines, solves=True,
     ),
     "generalized_cb": TaskKind(
         _run_generalized_cb, {"tol": 1e-8, "curve_factor": None, "cofactor": None, "psi_cofactor": None}, p2=True,
-        required=("curve_factor", "cofactor"), parse=_parse_factors,
+        required=("curve_factor", "cofactor"), parse=_parse_factors, solves=True,
     ),
     "virtual_residue": TaskKind(_run_virtual_residue, {"t": [1.0], "samples": 50000}, psi=True),
-    "local_mass": TaskKind(_run_local_mass, {"t": 0.01, "radius": 0.5, "rtol": 0.05, "samples": 50000}, psi=True),
+    "local_mass": TaskKind(
+        _run_local_mass, {"t": 0.01, "radius": 0.5, "rtol": 0.05, "samples": 50000}, psi=True, solves=True
+    ),
     "curve_localization": TaskKind(_run_curve_localization, {"samples": 30000, "sigma_l1_frac": 0.02}, psi=True),
 }
 

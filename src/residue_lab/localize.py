@@ -65,7 +65,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartfun import ChartFunction
-from .polycore import AffinePoly, row_blocks
+from .polycore import AffinePoly, PolyKernel, row_blocks
 from .projgeom import (
     Example22Geometry,
     GeometryContext,
@@ -475,7 +475,7 @@ def curve_localized_term(
     """
     geo.ctx.chart_psi(0)  # refuses an instance without psi
     f = geo.f_aff(0)
-    coeff_polys = _sheet_coefficients(f)
+    kernels = [PolyKernel(1, [cp]) for cp in _sheet_coefficients(f)]  # one row each, compiled once
     branch_tol = _BRANCH_TOL * f.coeff_norm()
 
     def sheets(rng: np.random.Generator, count: int):
@@ -484,9 +484,9 @@ def curve_localized_term(
         are freed before the density is evaluated."""
         Z = fs_uniform_points(1, count, rng)
         u = Z[:, 1] / Z[:, 0]
-        coeffs = np.stack([cp.eval_batch(u[:, None]) for cp in coeff_polys], axis=1)
+        coeffs = np.stack([k.eval_batch(u[:, None])[0] for k in kernels], axis=1)
         lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * functools.reduce(np.maximum, np.abs(coeffs).T)
-        roots = np.full((count, len(coeff_polys) - 1), np.nan, dtype=complex)
+        roots = np.full((count, len(kernels) - 1), np.nan, dtype=complex)
         solvable = np.flatnonzero(lead_ok)
         for block in row_blocks(len(solvable)):  # bounds the closed forms' temporaries
             roots[solvable[block]] = _solve_sheets(coeffs[solvable[block]])

@@ -205,12 +205,11 @@ def _mul_terms(a: Mapping, b: Mapping) -> dict:
 class _PolyBase:
     """Shared arithmetic for exponent-map polynomials (backend-agnostic)."""
 
-    __slots__ = ("num_vars", "terms", "_cache")
+    __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping):
         self.num_vars = int(num_vars)
         self.terms = _canonical(terms)
-        self._cache = None
         for e in self.terms:
             if len(e) != self.num_vars:
                 raise PolyError(f"exponent {e} does not match num_vars={num_vars}")
@@ -307,10 +306,8 @@ class AffinePoly(_PolyBase):
         return max((sum(e) for e in self.terms), default=0)
 
     def eval_batch(self, W: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of points, shape (N, num_vars) -> (N,)."""
-        if self._cache is None:
-            self._cache = PolyKernel(self.num_vars, [self])
-        return self._cache.eval_batch(W)[0]
+        """Evaluate at a batch of points, (N, num_vars) -> (N,): a kernel of one, compiled on each call."""
+        return PolyKernel(self.num_vars, [self]).eval_batch(W)[0]
 
 
 ROW_BLOCK = 1 << 12  # points per monomial table: bounds its memory and keeps it in cache

@@ -359,6 +359,16 @@ class GeneralizedCBReport:
     ledger: ResidueLedger = field(repr=False, default=None)
 
 
+def psi_cofactor_degree(f, u, g, phi=None) -> int:
+    """deg psi - deg f for s = (f u, g) on P^2; ResidueError when it is negative or ``phi`` has another degree."""
+    degree = (f * u).degree + g.degree - 3 - f.degree
+    if degree < 0:
+        raise ResidueError("no room for a numerator cofactor at these degrees")
+    if phi is not None and phi.degree != degree:
+        raise ResidueError(f"psi cofactor must have degree {degree}")
+    return degree
+
+
 def generalized_cb_check(
     curve_factor: HomogeneousPoly,
     cofactor: HomogeneousPoly,
@@ -377,10 +387,7 @@ def generalized_cb_check(
     """
     f, u, g = curve_factor, cofactor, second
     s1 = f * u
-    D = s1.degree + g.degree - 3
-    phi_degree = D - f.degree
-    if phi_degree < 0:
-        raise ResidueError("no room for a numerator cofactor at these degrees")
+    phi_degree = psi_cofactor_degree(f, u, g, psi_cofactor)
     if psi_cofactor is None:
         rng = np.random.default_rng(np.random.Philox(seed + 5))
         terms = {
@@ -388,8 +395,6 @@ def generalized_cb_check(
             for e in monomials_of_degree(3, phi_degree)
         }
         psi_cofactor = HomogeneousPoly(3, phi_degree, terms)
-    elif psi_cofactor.degree != phi_degree:
-        raise ResidueError(f"psi cofactor must have degree {phi_degree}")
     psi = f * psi_cofactor
 
     ledger = global_residue_sum([s1, g], psi, seed=seed)

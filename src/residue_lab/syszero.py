@@ -148,9 +148,7 @@ def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
     if 0 in system.degrees:
         return ZeroSet([], 0, 0, 0)  # a nonzero constant equation: empty zero set
     n, degrees, bezout = system.n, system.degrees, math.prod(system.degrees)
-    columns = math.comb(sum(degrees) + 1, n)  # the monomials of degree rho in n + 1 variables
-    if columns > MAX_COLUMNS:
-        raise ValueError(f"Macaulay matrix of {columns} columns exceeds the desk-scale bound {MAX_COLUMNS}")
+    check_desk_scale(degrees)
     rho = 1 + sum(d - 1 for d in degrees)
     homogenized = [{(d - sum(e),) + e: c for e, c in p.terms.items()} for p, d in zip(polys, degrees)]
     N, index = _null_space([HomogeneousPoly(n + 1, d, t) for d, t in zip(degrees, homogenized)], rho, bezout)
@@ -168,6 +166,13 @@ def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
     good = (res <= _RESIDUAL_TOL) & regular
     points = [ZeroPoint(tuple(w.tolist()), float(r), complex(d)) for w, r, d in zip(W[good], res[good], det[good])]
     return ZeroSet(points, bezout, missing, sum(m for _, m in multiple) + int((~good).sum()), multiple)
+
+
+def check_desk_scale(degrees: Sequence[int]) -> None:
+    """A ValueError when the Macaulay matrix of equations of these degrees has more than MAX_COLUMNS columns."""
+    columns = math.comb(sum(degrees) + 1, len(degrees))  # the monomials of degree rho in n + 1 variables
+    if columns > MAX_COLUMNS:
+        raise ValueError(f"Macaulay matrix of {columns} columns exceeds the desk-scale bound {MAX_COLUMNS}")
 
 
 def _null_space(forms: Sequence[HomogeneousPoly], D: int, expected=None):

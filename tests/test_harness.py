@@ -729,6 +729,57 @@ def _no_runner(monkeypatch):
     return entered
 
 
+# a Macaulay matrix of C(81, 2) = 3240 columns solves this section
+BEYOND_DESK_SCALE = dict(BASE_P2, degrees=[40, 40], section=["z1^40 - z0^40", "z2^40 - z0^40"], psi="z0^77")
+
+
+@pytest.mark.parametrize("kind", ["euler_jacobi", "local_mass", "generalized_cb", "cayley_bacharach"])
+def test_a_solve_beyond_the_desk_scale_bound_is_refused_before_any_task(tmp_path, monkeypatch, capsys, kind):
+    entered = _no_runner(monkeypatch)
+    task = VALID_TASKS[kind]
+    if kind == "generalized_cb":
+        task = dict(task, curve_factor="z1^40 - z0^40", cofactor="1")
+    doc = dict(BEYOND_DESK_SCALE, tasks=[VALID_TASKS["virtual_residue"], task])
+    capsys.readouterr()
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "scenario error: Macaulay matrix of 3240 columns exceeds the desk-scale bound 1000\n"
+    assert entered == []
+    Scenario.from_dict(dict(doc, tasks=[VALID_TASKS["virtual_residue"]])).parse_polys()  # a Monte Carlo task solves nothing
+
+
+def _generalized_cb_violation(case):
+    """p2_generalized_cb with a psi cofactor of degree 3, or a section of
+    degrees (2, 1) that leaves no room for one; neither has psi."""
+    if case == "psi-cofactor-degree":
+        doc = json.loads((SCENARIOS / "p2_generalized_cb.json").read_text())
+        doc["tasks"][0]["psi_cofactor"] = "z0^3"
+    else:
+        task = {"kind": "generalized_cb", "curve_factor": "z1^2 - z0^2", "cofactor": "1"}
+        doc = dict(BASE_P2, degrees=[2, 1], section=["z1^2 - z0^2", "z2 - 3*z0"], tasks=[task])
+    del doc["psi"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("psi-cofactor-degree", "psi cofactor must have degree 2"), ("no-room", "no room for a numerator cofactor at these degrees")],
+)
+def test_a_generalized_cb_degree_violation_is_an_input_error(tmp_path, monkeypatch, capsys, case, message):
+    # the library's own rule, raised by the task's parse step before any task
+    doc = _generalized_cb_violation(case)
+    task = doc["tasks"][0]
+    f, u, g = (parse_poly(text, 3) for text in (task["curve_factor"], task["cofactor"], doc["section"][1]))
+    phi = parse_poly(task["psi_cofactor"], 3) if "psi_cofactor" in task else None
+    with pytest.raises(residue.ResidueError) as library:
+        residue.generalized_cb_check(f, u, g, psi_cofactor=phi)
+    assert str(library.value) == message
+    entered = _no_runner(monkeypatch)
+    capsys.readouterr()
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert entered == []
+
+
 @pytest.mark.parametrize(
     "file, key, text, message",
     [

@@ -1,6 +1,6 @@
 """Polynomial core: parser, arithmetic, calculus, chart trivialization."""
 
-import cmath
+import functools
 import json
 import re
 import sys
@@ -8,14 +8,15 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from residue_lab import polycore
 from residue_lab.polycore import (
     AffinePoly,
-    Coeff,
     GaussianRational,
     HomogeneousPoly,
     ROW_BLOCK,
@@ -699,200 +700,19 @@ def test_parser_rejects_malformed_input(text):
         parse_poly(text, 2)
 
 
-# ---------------------------------------------------------------- one parser against its reference
+# ---------------------------------------------------------------- the term scanner against the descent
 #
-# The reference: the tokenizer and recursive descent that parsed every text
-# before the parser read flat terms by regex, kept as they were.  _tokenize
-# reads the whole text first, so its lexical errors come before any other.
+# The reference for the term regex is production's own recursive descent:
+# with _TERM switched off every term is read token by token.  The descent
+# itself is checked by properties of the grammar and a table of errors.
 
-_TOK_NUM = "num"
-_TOK_VAR = "var"
-_TOK_OP = "op"
-_TOK_END = "end"
+_NO_TERM = re.compile(r"(?!)")  # matches nowhere
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((_TOK_OP, ch, i))
-            i += 1
-            continue
-        if ch == "z":
-            if i + 1 < n and text[i + 1].isdigit():
-                tokens.append((_TOK_VAR, int(text[i + 1]), i))
-                i += 2
-                continue
-            raise ParseError("variable must be z followed by a single digit", i)
-        if ch.isdigit() or ch == ".":
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            num = text[start:i]
-            if num.count(".") > 1 or num == ".":
-                raise ParseError(f"malformed number {num!r}", start)
-            denom = None
-            if i < n and text[i] == "/":
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                denom = text[dstart:i]
-                if not denom:
-                    raise ParseError("missing denominator after '/'", dstart)
-            imag = False
-            if i < n and text[i] == "i":
-                imag = True
-                i += 1
-            tokens.append((_TOK_NUM, (num, denom, imag), start))
-            continue
-        if ch == "i":
-            tokens.append((_TOK_NUM, ("1", None, True), i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append((_TOK_END, None, n))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over: expr := term (('+'|'-') term)*,
-    term := unary ('*' unary)*, unary := '-' unary | atom ('^' INT)?,
-    atom := NUMBER | VAR | '(' expr ')'.
-
-    Produces intermediate (num_vars+1)-variable maps carrying inhomogeneous
-    sums; homogeneity is checked at the top level.
-    """
-
-    def __init__(self, tokens, num_vars: int, exact: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.num_vars = num_vars
-        self.exact = exact
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str):
-        kind, val, p = self.next()
-        if kind != _TOK_OP or val != op:
-            raise ParseError(f"expected {op!r}", p)
-
-    def one(self):
-        return GaussianRational.of(1) if self.exact else (1.0 + 0j)
-
-    def _number(self, spec, position: int) -> Coeff:
-        """The coefficient of a NUMBER token at ``position``; a zero
-        denominator, and on the float backend a magnitude beyond the finite
-        doubles, is a ParseError there."""
-        num, denom, imag = spec
-        if denom is not None and int(denom) == 0:
-            raise ParseError("zero denominator", position)
-        if self.exact:
-            mag = Fraction(num) if denom is None else Fraction(num) / Fraction(int(denom))
-            return GaussianRational(Fraction(0), mag) if imag else GaussianRational(mag)
-        try:
-            # int true division rounds correctly, as float(Fraction) does
-            whole, _, frac = num.partition(".")
-            mag = int(whole + frac) / (10 ** len(frac) * int(denom or 1))
-        except OverflowError:
-            raise ParseError("number too large for a double", position) from None
-        return complex(0.0, mag) if imag else complex(mag, 0.0)
-
-    def _finite(self, terms: dict, position: int) -> dict:
-        """``terms``, the result of the operator at ``position``; on the float
-        backend a coefficient it took beyond the finite doubles is a
-        ParseError there."""
-        if not self.exact and not all(map(cmath.isfinite, terms.values())):
-            raise ParseError("coefficient beyond the finite doubles", position)
-        return terms
-
-    def parse(self) -> dict:
-        result = self.expr()
-        kind, _, p = self.peek()
-        if kind != _TOK_END:
-            raise ParseError("trailing input", p)
-        return result
-
-    def expr(self) -> dict:
-        acc = self.term()
-        while True:
-            kind, val, p = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                if val == "-":
-                    rhs = {e: -c for e, c in rhs.items()}
-                acc = self._finite(_add_terms(acc, rhs), p)
-            else:
-                return acc
-
-    def term(self) -> dict:
-        acc = self.unary()
-        while True:
-            kind, val, p = self.peek()
-            if kind == _TOK_OP and val == "*":
-                self.next()
-                acc = self._finite(_mul_terms(acc, self.unary()), p)
-            else:
-                return acc
-
-    def unary(self) -> dict:
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "-":
-            self.next()
-            inner = self.unary()
-            return {e: -c for e, c in inner.items()}
-        return self.power()
-
-    def power(self) -> dict:
-        base = self.atom()
-        kind, val, at = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.next()
-            kind, val, p = self.next()
-            if kind != _TOK_NUM or val[1] is not None or val[2]:
-                raise ParseError("exponent must be a nonnegative integer", p)
-            try:
-                expo = int(val[0])
-            except ValueError:
-                raise ParseError("exponent must be a nonnegative integer", p) from None
-            acc = {(0,) * self.num_vars: self.one()}
-            for _ in range(expo):
-                acc = _mul_terms(acc, base)
-            return self._finite(acc, at)
-        return base
-
-    def atom(self) -> dict:
-        kind, val, p = self.next()
-        if kind == _TOK_NUM:
-            c = self._number(val, p)
-            return {(0,) * self.num_vars: c} if c else {}
-        if kind == _TOK_VAR:
-            if val >= self.num_vars:
-                raise ParseError(
-                    f"variable z{val} out of range for {self.num_vars} variables", p
-                )
-            e = [0] * self.num_vars
-            e[val] = 1
-            return {tuple(e): self.one()}
-        if kind == _TOK_OP and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected number, variable or '('", p)
-
-
+def _recursive_descent(text, num_vars, backend):
+    """_parse_terms with the term regex switched off: the descent alone."""
+    with mock.patch.object(polycore, "_TERM", _NO_TERM):
+        return _parse_terms(text, num_vars, backend == "exact")
 
 
 def _bits(terms, backend):
@@ -908,10 +728,6 @@ def _outcome(parse, backend):
         return _bits(parse(), backend)
     except PolyError as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
-
-
-def _recursive_descent(text, num_vars, backend):
-    return _Parser(_tokenize(text), num_vars, backend == "exact").parse()
 
 
 def _assert_parsed_as_the_reference(text, num_vars):
@@ -948,9 +764,9 @@ def _coefficients(draw):
 
 
 @st.composite
-def _flat_sums(draw):
+def _flat_sums(draw, num_vars=st.integers(1, 4)):
     """(text, num_vars): a flat sum of terms of one degree."""
-    num_vars = draw(st.integers(1, 4))
+    num_vars = draw(num_vars)
     degree = draw(st.integers(0, 3))
     terms = []
     for index in range(draw(st.integers(1, 6))):
@@ -1007,6 +823,31 @@ def test_scanner_builds_the_parsers_term_map_for_every_bundled_scenario():
     assert count >= 27
 
 
+@settings(max_examples=100, deadline=None)
+@given(_flat_sums(), st.data(), st.integers(0, 3))
+def test_the_descent_composes_flat_sums_as_their_term_maps(a, data, k):
+    # the descent's operations on two flat sums A and B are those of their
+    # term maps, in the same order, so a float result keeps its bits
+    text_a, num_vars = a
+    text_b, _ = data.draw(_flat_sums(st.just(num_vars)))
+    for backend in ("float", "exact"):
+        exact = backend == "exact"
+        A, B = (_recursive_descent(text, num_vars, backend) for text in (text_a, text_b))
+        neg_b = {e: -c for e, c in B.items()}
+        one = {(0,) * num_vars: GaussianRational.of(1) if exact else 1.0 + 0j}
+        for text, want in [
+            (f"-({text_a})", {e: -c for e, c in A.items()}),
+            (f"({text_a})+({text_b})", _add_terms(A, B)),
+            (f"({text_a}) - ({text_b})", _add_terms(A, neg_b)),
+            (f"({text_a})*({text_b})", _mul_terms(A, B)),
+            (f"({text_a})^{k}", functools.reduce(_mul_terms, [A] * k, one)),
+        ]:
+            assert _bits(_recursive_descent(text, num_vars, backend), backend) == _bits(want, backend), (text, backend)
+        # parse(to_text(p)) is p; to_text writes a zero part unsigned
+        p = parse_poly(text_a, num_vars, backend)
+        assert parse_poly(p.to_text(), num_vars, backend).terms == p.terms
+
+
 @pytest.mark.parametrize("backend", ["float", "exact"])
 @pytest.mark.parametrize("text", ["(z0+z1)^2", "2*3*z0", "z0*2", "i*z0", "1/0*z0", "z0 + -z1", "+z0", "z3"])
 def test_scanner_hands_the_rest_of_the_grammar_to_the_parser(text, backend):
@@ -1056,3 +897,36 @@ def test_malformed_and_nested_texts_give_the_references_terms_or_error(case):
     for backend in ("float", "exact"):
         expected = _outcome(lambda: _recursive_descent(text, num_vars, backend), backend)
         assert _outcome(lambda: _parse_terms(text, num_vars, backend == "exact"), backend) == expected, (text, backend)
+
+
+# every message of the descent, at its position, on both routes; a lexical
+# error anywhere in the text comes before any other
+_ERRORS = [
+    ("", "float exact", "expected number, variable or '('", 0),
+    ("z0 * * z1", "float exact", "expected number, variable or '('", 5),
+    ("(z0 + z1", "float exact", "expected ')'", 8),
+    ("z0 z1", "float exact", "trailing input", 3),
+    ("z0^1.5", "float exact", "exponent must be a nonnegative integer", 3),
+    ("z0^i", "float exact", "exponent must be a nonnegative integer", 3),
+    ("zz0", "float exact", "variable must be z followed by a single digit", 0),
+    ("3//2*z0", "float exact", "missing denominator after '/'", 2),
+    ("1/0*z0", "float exact", "zero denominator", 0),
+    ("z3", "float exact", "variable z3 out of range for 3 variables", 0),
+    ("..5*z0", "float exact", "malformed number '..5'", 0),
+    ("2*z0 + 1e5", "float exact", "unexpected character 'e'", 8),
+    ("z0^ + @", "float exact", "unexpected character '@'", 6),
+    ("1/0*z0 + @", "float exact", "unexpected character '@'", 9),
+    ("(z0 + 1.2.3", "float exact", "malformed number '1.2.3'", 6),
+    ("z3 + z0 z", "float exact", "variable must be z followed by a single digit", 8),
+    ("1" + "0" * 400 + "*z0", "float", "number too large for a double", 0),
+    (f"({_BIG}+{_BIG})*z0", "float", "coefficient beyond the finite doubles", 309),
+    (f"{_BIG}*z0 * 2", "float", "coefficient beyond the finite doubles", 312),
+]
+
+
+@pytest.mark.parametrize("text, backends, message, position", _ERRORS, ids=range(len(_ERRORS)))
+def test_each_error_text_gives_its_message_and_position(text, backends, message, position):
+    for backend in backends.split():
+        want = ParseError, f"{message} (at position {position})", position
+        assert _outcome(lambda: _recursive_descent(text, 3, backend), backend) == want, backend
+        assert _outcome(lambda: _parse_terms(text, 3, backend == "exact"), backend) == want, backend
