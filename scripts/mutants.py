@@ -117,6 +117,8 @@ MUTANTS = [
      "s2[rows], psi_det[rows] = _density_parts(ctx, 0, W)", "the sweep reading every chart's points on chart 0"),
     ("group-anti-unconjugated", CHARTFUN, "np.conjugate(V[self.antis], out=V[self.antis])", "V[self.antis]",
      "a chart group's anti factors entering unconjugated"),
+    ("tensor-scalar-over-t", LOCALIZE, "SForm(n, -s2 / (2.0 * t), one)", "SForm(n, -s2 / t, one)",
+     "the tensor route's scalar datum -|s|^2/t in place of -|s|^2/2t"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")

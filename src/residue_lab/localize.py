@@ -16,8 +16,8 @@ prefactor leaves the real-measure density
 which the flat one-dimensional Gaussian oracle pins to unit local mass.  The
 tensor-algebra route (superalg.top_pairing, in :func:`global_density_tensor`)
 computes the same coefficient and the agreement is tested; it takes a batch of
-points and runs the tensor algebra once with array coefficients.  The
-determinant form is the production path.
+points and runs the tensor algebra once with array coefficients, on the rows
+that the determinant form, the production path, reads (:func:`_density_rows`).
 
 Curve term.  For the split-section family on P^2 the curve Z = {f = 0} is
 sampled in chart 0 with base coordinate w_1 and sheet coordinate w_2: over each
@@ -77,7 +77,7 @@ from .projgeom import (
     fs_density,
     fs_uniform_points,
 )
-from .superalg import SuperTensor, contract, exp_S, top_pairing
+from .superalg import SForm, SuperTensor, contract, exp_S, top_pairing
 
 __all__ = [
     "IntegralEstimate",
@@ -139,13 +139,18 @@ class FlatModel(GeometryContext):
         return [[ChartFunction.from_parts(n, coef=float(i == j)) for j in range(n)] for i in range(n)]
 
 
-def _density_parts(ctx, chart: int, W: np.ndarray):
-    """The t-independent parts of the global density, |s|^2 and P det(Abar),
-    from one evaluation of the chart's density group."""
-    n = ctx.n
+def _density_rows(ctx, chart: int, W: np.ndarray):
+    """(|s|^2, Abar, P) at points W, (N, n), from one evaluation of the chart's
+    density group, the one reader of its rows: |s|^2 complex, real up to
+    rounding, and Abar (N, n, n) with [b, p] = dbar_b xi_p."""
     V = ctx.density_group(chart).eval_batch(W)
-    Abar = V[1:-1].T.reshape(len(W), n, n)
-    return V[0].real, V[-1] * _det(Abar)
+    return V[0], V[1:-1].T.reshape(len(W), ctx.n, ctx.n), V[-1]
+
+
+def _density_parts(ctx, chart: int, W: np.ndarray):
+    """The t-independent parts of the global density, |s|^2 and P det(Abar)."""
+    s2, Abar, P = _density_rows(ctx, chart, W)
+    return s2.real, P * _det(Abar)
 
 
 def _density(n: int, s2: np.ndarray, psi_det: np.ndarray, ts: Sequence[float]) -> np.ndarray:
@@ -166,11 +171,16 @@ def global_density(ctx, chart: int, W: np.ndarray, t: float) -> np.ndarray:
 def global_density_tensor(ctx, chart: int, W: np.ndarray, t: float) -> np.ndarray:
     """Same density through the tensor-algebra route at a batch of points W
     of shape (N, n), as an (N,) array from one pass of the tensor algebra;
-    reference path."""
+    reference path.  Its datum S/2t is -rows/2t of :func:`_density_rows`, so
+    the two routes differ in the algebra alone.  A t that is not positive and
+    finite is refused first, with GeometryError."""
+    _check_positive(t)
     n = ctx.n
     full = tuple(range(1, n + 1))
-    S = ctx.S_form(chart, W, t)  # refuses a t that is not positive first
-    psi = SuperTensor.monomial(n, I=full, K=full, c=ctx.psi_batch(chart, W))
+    s2, Abar, P = _density_rows(ctx, chart, W)
+    one = {(b + 1, p + 1): -Abar[:, b, p] / (2.0 * t) for b in range(n) for p in range(n)}
+    S = SForm(n, -s2 / (2.0 * t), one)
+    psi = SuperTensor.monomial(n, I=full, K=full, c=P)
     coeff = top_pairing(psi, exp_S(S))
     # (n,n)-basis to Lebesgue: interleave sign and (-2i)^n, then prefactor
     conv = (-1.0) ** (n * (n - 1) // 2) * (-2j) ** n

@@ -31,7 +31,6 @@ import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, HomogeneousPoly
-from .superalg import SForm
 from .syszero import SolveError, _common_root, _eigen_zeros, _null_space, _point_text
 
 __all__ = [
@@ -336,38 +335,11 @@ class GeometryContext:
         group = self.group(chart, "H", lambda: [f for row in self._metric(chart) for f in row])
         return group.eval_batch(W).T.reshape(len(W), self.n, self.n)
 
-    def S_form(self, chart: int, W: np.ndarray, t: float) -> SForm:
-        """Superconnection datum scaled by 1/(2t) at a batch of points W of
-        shape (N, n): scalar -|s|^2/2t and one-form -(1/2t) dbar <., s>, each
-        an (N,) array.
-
-        Evaluated from each chart function on its own, not through the
-        ``density_group`` of the determinant path, so the tensor route checks
-        that group independently.  A t that is not positive and finite is
-        refused with GeometryError, as by every integral of
-        :mod:`residue_lab.localize`.
-        """
-        _check_positive(t)
-        data = self.chart_data(chart)
-        scal = -data.s_norm2.eval_batch(W) / (2.0 * t)
-        one = {}
-        for b in range(self.n):
-            for p in range(self.n):
-                one[(b + 1, p + 1)] = -data.Abar[b][p].eval_batch(W) / (2.0 * t)
-        return SForm(self.n, scal, one)
-
-    def sbar_matrix_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        """Unscaled dbar<., s> as (N, n, n) with [b, p] = dbar_b xi_p."""
-        data = self.chart_data(chart)
-        group = self.group(chart, "Abar", lambda: [f for row in data.Abar for f in row])
-        return group.eval_batch(W).T.reshape(len(W), self.n, self.n)
-
-    def s_norm2_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        return self.chart_data(chart).s_norm2.eval_batch(W).real
-
     def density_group(self, chart: int) -> ChartGroup:
         """[|s|^2, Abar[b][p] for b, p in row order, P] compiled as one group:
-        the t-independent parts of the global density at one set of points."""
+        the t-independent parts of the global density at one set of points.
+        Both density routes read its rows, and only through
+        ``localize._density_rows``."""
         data = self.chart_data(chart)
 
         def build():
@@ -375,9 +347,6 @@ class GeometryContext:
             return [data.s_norm2, *(f for row in data.Abar for f in row), psi]
 
         return self.group(chart, "density", build)
-
-    def psi_batch(self, chart: int, W: np.ndarray) -> np.ndarray:
-        return self.chart_psi(chart).eval_batch(W)
 
     def chern_curvature_batch(self, chart: int, W: np.ndarray, *, entry: Tuple[int, int, int]) -> np.ndarray:
         """Entry (i, j, a) of the curvature of the Chern connection along

@@ -6,14 +6,13 @@ deferred to later calibration.
 """
 
 import itertools
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from residue_lab.harness import emit_report, run_scenario
 from residue_lab.localize import (
+    _density_rows,
     curve_localized_term,
     flat_gaussian_mass,
     global_density,
@@ -38,7 +37,7 @@ from residue_lab.residue import (
 from residue_lab.superalg import SForm, SuperTensor, contract, dual_pair, exp_S, wedge
 from residue_lab.syszero import solve_square_system
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from bundled import SCENARIOS, scenario_context
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -54,24 +53,6 @@ def random_form(nv, deg, rng):
         for e in monomials_of_degree(nv, deg)
     }
     return HomogeneousPoly(nv, deg, terms)
-
-
-def p1_o2_context():
-    return GeometryContext(
-        (2,),
-        (parse_poly("z1^2 - z0^2", 2),),
-        MetricSpec(),
-        parse_poly("1", 2),
-    )
-
-
-def p2_22_context():
-    return GeometryContext(
-        (2, 2),
-        (parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3)),
-        MetricSpec(),
-        parse_poly("z0", 3),
-    )
 
 
 def example22_context(eps):
@@ -225,11 +206,9 @@ def test_criterion_4_global_vanishing_and_t_independence():
     t0 = time.perf_counter()
     ok = True
     details = []
-    for label, ctx, section, psi in (
-        ("P1 O(2)", p1_o2_context(), [parse_poly("z1^2 - z0^2", 2)], parse_poly("1", 2)),
-        ("P2 (2,2)", p2_22_context(), [parse_poly("z1^2 - z0^2", 3), parse_poly("z2^2 - z0^2", 3)], parse_poly("z0", 3)),
-    ):
-        ledger = global_residue_sum(section, psi, seed=9)
+    for label, name in (("P1 O(2)", "p1_o2"), ("P2 (2,2)", "p2_22")):
+        ctx = scenario_context(name)
+        ledger = global_residue_sum(list(ctx.section), ctx.psi, seed=9)
         scale = sum(abs(v) for _, v in ledger.entries)
         ests = virtual_residue_sweep(ctx, [0.5, 1.0, 2.0], samples=200000, seed=777)
         for est in ests:
@@ -249,7 +228,7 @@ def test_criterion_4_global_vanishing_and_t_independence():
 
 def test_criterion_5_local_masses():
     t0 = time.perf_counter()
-    ctx = p1_o2_context()
+    ctx = scenario_context("p1_o2")
     m_plus = local_mass(ctx, [1.0], t=0.01, radius=0.5, samples=120000, seed=51)
     m_minus = local_mass(ctx, [-1.0], t=0.01, radius=0.5, samples=120000, seed=52)
     ok = abs(m_plus.value - 0.5) <= 0.05 * 0.5 and abs(m_minus.value + 0.5) <= 0.05 * 0.5
@@ -344,7 +323,7 @@ def test_criterion_7_algebra_suite():
         E = exp_S(SForm(n, -0.3, one))
         ok = ok and all(blk[1] == blk[3] and blk[0] == 0 and blk[2] == 0 for blk in E.blocks())
     # chart-invariance spot checks at 1e-9
-    ctx = p2_22_context()
+    ctx = scenario_context("p2_22")
     worst = 0.0
     for _ in range(40):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -355,8 +334,8 @@ def test_criterion_7_algebra_suite():
         g1 = global_density(ctx, 1, w1.reshape(1, -1), 0.8)[0]
         det2 = abs(np.linalg.det(transition_jacobian(w0, 0, 1, 2))) ** 2
         worst = max(worst, abs(g0 - g1 * det2) / max(1.0, abs(g0)))
-        a = ctx.s_norm2_batch(0, w0[None])[0]
-        b = ctx.s_norm2_batch(1, w1[None])[0]
+        a = _density_rows(ctx, 0, w0[None])[0][0].real
+        b = _density_rows(ctx, 1, w1[None])[0][0].real
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     ok = ok and worst <= 1e-9
     elapsed = time.perf_counter() - t0

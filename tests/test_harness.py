@@ -1361,19 +1361,6 @@ def test_seed_sweep_script_smoke():
     assert bad.returncode == 2
 
 
-def test_t_sweep_script_smoke():
-    # one small sweep of p1_o2's instance; the figures themselves are tier 2
-    script = Path(__file__).resolve().parent.parent / "scripts" / "t_sweep.py"
-    args = [sys.executable, str(script), "--samples", "2000", "--scenario", "p1"]
-    proc = subprocess.run(args, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    title, header, *rows = proc.stdout.splitlines()
-    assert title == "scenario p1, 2000 samples, seed 1"
-    assert header.split() == ["t", "Re", "value", "Im", "value", "sigma", "|z|"]
-    assert [float(row.split()[0]) for row in rows] == [0.2, 0.5, 1.0, 2.0, 5.0]
-    assert subprocess.run([sys.executable, str(script), "--samples", "500"], capture_output=True).returncode == 2
-
-
 def test_mc_memory_script_smoke():
     # one small count per estimator; the growth figures themselves are tier 2
     script = Path(__file__).resolve().parent.parent / "scripts" / "mc_memory.py"

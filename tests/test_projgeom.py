@@ -7,13 +7,15 @@ exact chart-function derivatives used by the implementation.
 import itertools
 import math
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
 from residue_lab import projgeom
 from residue_lab.chartfun import ChartFunction
-from residue_lab.polycore import HomogeneousPoly, monomials_of_degree, parse_poly
+from residue_lab.localize import FlatModel, _density_rows
+from residue_lab.polycore import AffinePoly, HomogeneousPoly, monomials_of_degree, parse_poly
 from residue_lab.projgeom import (
     Example22Geometry,
     GeometryContext,
@@ -29,6 +31,13 @@ from residue_lab.projgeom import (
 )
 from residue_lab.syszero import _normalized_eval, _point_text
 
+from bundled import scenario_context
+
+
+def s_norm2(ctx, chart, W):
+    """|s|^2 at a batch of points, read off the density group."""
+    return _density_rows(ctx, chart, W)[0].real
+
 
 def full_curvature(ctx, chart, W):
     """The whole Chern curvature, (N, rank, rank, n, n) with [:, i, j, a, b]
@@ -38,13 +47,6 @@ def full_curvature(ctx, chart, W):
     for i, j, a in itertools.product(range(n), repeat=3):
         R[:, i, j, a, :] = ctx.chern_curvature_batch(chart, W, entry=(i, j, a))
     return R
-
-
-def p1_o2_context(metric=None):
-    bundle = (2,)
-    s = (parse_poly("z1^2 - z0^2", 2),)
-    psi = parse_poly("1", 2)
-    return GeometryContext(bundle, s, metric or MetricSpec(), psi)
 
 
 def example22_context(eps=0.05, q_text="z0^2 + 2*z1*z2", f_text="z0*z2 - z1^2"):
@@ -63,7 +65,7 @@ def example22_context(eps=0.05, q_text="z0^2 + 2*z1*z2", f_text="z0*z2 - z1^2"):
 
 
 def test_fs_metric_p1_origin():
-    ctx = p1_o2_context()
+    ctx = scenario_context("p1_o2")
     H = ctx.metric_matrix_batch(0, np.array([[0.0j]]))[0]
     assert np.allclose(H, [[1.0]])
 
@@ -154,20 +156,21 @@ def test_psi_degree_validation():
 
 
 def test_s_norm_vanishes_on_zero():
-    ctx = p1_o2_context()
-    n2 = ctx.s_norm2_batch(0, np.array([[1.0 + 0j]]))[0]
+    ctx = scenario_context("p1_o2")
+    n2 = s_norm2(ctx, 0, np.array([[1.0 + 0j]]))[0]
     assert abs(n2) < 1e-15
 
 
 def test_s_norm_p1_o2_closed_form():
-    # V = O(2), s = z0 z1: |s|^2 = |w|^2 / (1+|w|^2)^2 on chart 0
+    # V = O(2), s = z0 z1: |s|^2 = |w|^2 / (1+|w|^2)^2 on chart 0; the
+    # density group, which holds |s|^2, needs a psi
     bundle = (2,)
     s = (parse_poly("z0*z1", 2),)
-    ctx = GeometryContext(bundle, s, MetricSpec())
+    ctx = GeometryContext(bundle, s, MetricSpec(), parse_poly("1", 2))
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = complex(rng.normal(), rng.normal())
-        n2 = ctx.s_norm2_batch(0, np.array([[w]]))[0]
+        n2 = s_norm2(ctx, 0, np.array([[w]]))[0]
         expected = abs(w) ** 2 / (1 + abs(w) ** 2) ** 2
         assert abs(n2 - expected) < 1e-13
 
@@ -179,8 +182,8 @@ def test_s_norm_chart_invariant():
     for z in Z:
         if min(abs(z[0]), abs(z[1])) < 0.2:
             continue
-        a = ctx.s_norm2_batch(0, chart_coords(z, 0)[None])[0]
-        b = ctx.s_norm2_batch(1, chart_coords(z, 1)[None])[0]
+        a = s_norm2(ctx, 0, chart_coords(z, 0)[None])[0]
+        b = s_norm2(ctx, 1, chart_coords(z, 1)[None])[0]
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -188,20 +191,15 @@ def test_s_norm_chart_invariant():
 
 
 def test_sform_at_zero_fs_metric():
-    # at a zero of s only h_i conj(df_i) survives in the one-form part
-    ctx = p1_o2_context()
+    # at a zero of s only h_i conj(df_i) survives in the one-form part of the
+    # tensor route's datum -rows/2t
+    ctx = scenario_context("p1_o2")
     t = 0.7
-    S = ctx.S_form(0, [[1.0]], t)
-    assert abs(S.scalar_part[0]) < 1e-14
+    s2, Abar, _ = _density_rows(ctx, 0, np.array([[1.0 + 0j]]))
+    assert abs(-s2[0] / (2 * t)) < 1e-14
     h = (1 + 1.0) ** -2
     expected = -h * np.conj(2.0) / (2 * t)  # f = w^2 - 1, df = 2w at w=1
-    assert abs(S.one_form[(1, 1)][0] - expected) < 1e-13
-
-
-def test_sform_t_validation():
-    ctx = p1_o2_context()
-    with pytest.raises(GeometryError):
-        ctx.S_form(0, [[0.5]], 0.0)
+    assert abs(-Abar[0, 0, 0] / (2 * t) - expected) < 1e-13
 
 
 def test_sform_dbar_finite_difference_crosscheck():
@@ -226,43 +224,56 @@ def test_sform_dbar_finite_difference_crosscheck():
 
 @pytest.mark.parametrize("chart", [0, 1, 2])
 def test_batched_sform_data_match_pointwise_eval(chart):
-    """s_norm2_batch and sbar_matrix_batch (the reference values the density
-    group is tested against) against the chart functions evaluated one point
-    at a time."""
+    """The density rows of a 50-point batch against the chart functions
+    evaluated one point at a time."""
     ctx = example22_context()
     data = ctx.chart_data(chart)
+    psi = ctx.chart_psi(chart)
     rng = np.random.default_rng(60 + chart)
     W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
-    s2 = ctx.s_norm2_batch(chart, W)
-    A = ctx.sbar_matrix_batch(chart, W)
-    assert s2.shape == (50,) and A.shape == (50, 2, 2)
+    s2, A, P = _density_rows(ctx, chart, W)
+    assert s2.shape == P.shape == (50,) and A.shape == (50, 2, 2)
     for m, w in enumerate(W):
         ref = data.s_norm2.eval_batch(w[None])[0]
         assert abs(ref.imag) <= 1e-12 * max(1.0, abs(ref))
-        assert abs(s2[m] - ref.real) <= 1e-13 * max(1.0, abs(ref))
+        assert abs(s2[m] - ref) <= 1e-13 * max(1.0, abs(ref))
         for b in range(2):
             for p in range(2):
                 ref = data.Abar[b][p].eval_batch(w[None])[0]
                 assert abs(A[m, b, p] - ref) <= 1e-13 * max(1.0, abs(ref))
+        ref = psi.eval_batch(w[None])[0]
+        assert abs(P[m] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("chart", [0, 1, 2])
-def test_density_group_matches_batched_data(chart):
-    """The density group's rows against s_norm2_batch, sbar_matrix_batch and
-    psi_batch, entry by entry, the chart functions' rows bit for bit."""
-    ctx = example22_context()
+def _flat_model():
+    return FlatModel(
+        [AffinePoly(2, {(2, 0): 1.0, (0, 0): -1.0, (0, 1): 2j}), AffinePoly(2, {(1, 1): 0.5 - 1j, (0, 2): 1.0})],
+        AffinePoly(2, {(1, 0): 1.0, (0, 0): 0.25}),
+    )
+
+
+@pytest.mark.parametrize(
+    "context, chart",
+    [(example22_context, 0), (example22_context, 1), (example22_context, 2), (_flat_model, 0)],
+    ids=["0", "1", "2", "flat"],
+)
+def test_density_group_matches_batched_data(context, chart):
+    """The density group's rows, as localize._density_rows reads them for
+    both density routes, against each chart function evaluated alone: |s|^2
+    and Abar bit for bit, P within 1e-14."""
+    ctx = context()
+    data = ctx.chart_data(chart)
     rng = np.random.default_rng(70 + chart)
     W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
-    V = ctx.density_group(chart).eval_batch(W)
-    assert V.shape == (6, 50)
-    assert np.array_equal(V[0].real, ctx.s_norm2_batch(chart, W))
-    A = ctx.sbar_matrix_batch(chart, W)
-    for b in range(2):
-        for p in range(2):
-            assert np.array_equal(V[1 + 2 * b + p], A[:, b, p])
+    s2, A, P = _density_rows(ctx, chart, W)
+    assert s2.shape == P.shape == (50,) and A.shape == (50, 2, 2)
+    assert np.array_equal(s2, data.s_norm2.eval_batch(W))
+    assert np.all(np.abs(s2.imag) <= 1e-12 * np.maximum(1.0, np.abs(s2)))
+    for b, p in itertools.product(range(2), repeat=2):
+        assert np.array_equal(A[:, b, p], data.Abar[b][p].eval_batch(W))
     # P alone is one polynomial, which the BLAS may sum in another order
-    psi = ctx.psi_batch(chart, W)
-    assert np.all(np.abs(V[5] - psi) <= 1e-14 * np.abs(psi))
+    psi = ctx.chart_psi(chart).eval_batch(W)
+    assert np.all(np.abs(P - psi) <= 1e-14 * np.abs(psi))
 
 
 # ---------------------------------------------------------------- curvature
@@ -307,7 +318,7 @@ def test_curvature_first_call_from_two_threads(monkeypatch):
 
 
 def test_fs_curvature_p1_closed_form():
-    ctx = p1_o2_context()
+    ctx = scenario_context("p1_o2")
     for w in [0.0, 0.35 - 0.8j, 1.2 + 0.4j]:
         R = ctx.chern_curvature_batch(0, np.array([[w]], dtype=complex), entry=(0, 0, 0))[0]
         expected = 2.0 / (1 + abs(w) ** 2) ** 2  # degree d = 2
@@ -982,7 +993,7 @@ def reference_curvature(ctx, chart, W):
 CURVATURE_CONTEXTS = {
     "p2_fs": (lambda: example22_context(eps=0), (0, 1, 1)),
     "p2_perturbed": (example22_context, (0, 1, 1)),
-    "p1": (p1_o2_context, (0, 0, 0)),
+    "p1": (partial(scenario_context, "p1_o2"), (0, 0, 0)),
 }
 
 
