@@ -119,6 +119,8 @@ MUTANTS = [
      "a chart group's anti factors entering unconjugated"),
     ("tensor-scalar-over-t", LOCALIZE, "SForm(n, -s2 / (2.0 * t), one)", "SForm(n, -s2 / t, one)",
      "the tensor route's scalar datum -|s|^2/t in place of -|s|^2/2t"),
+    ("pd-certificate-off", PROJGEOM, "if worst <= 0:", "if worst <= -math.inf:",
+     "a perturbed metric that is not positive definite certified as one"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", ".work")

@@ -3,9 +3,11 @@
 A scenario is a JSON document naming the instance (dimension, summand
 degrees, section and twist polynomials, metric) and a list of tasks, each of
 a kind in :data:`KINDS`.  Each level has one key table, whose texts make
-:data:`SCENARIO_SCHEMA`; an unknown key is refused.  Every input is checked
-before the first task runs; tasks run in file order, each producing a
-:class:`TaskResult` with a verdict derived solely from its stated tolerances:
+:data:`SCENARIO_SCHEMA` and whose checks refuse a bad value, in the file or in
+a seed or samples override; an unknown key is refused.  Every input, with a
+perturbed metric's positivity, is checked before the first task runs; tasks
+run in file order, each producing a :class:`TaskResult` with a verdict
+derived solely from its stated tolerances:
 
 * ``pass`` / ``fail`` -- the check ran and met / missed its tolerance;
   a zero solve that finds no finite zero set of the right size
@@ -84,7 +86,7 @@ def _nonnegative(v) -> bool:
 
 
 def _strings(v) -> bool:
-    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+    return isinstance(v, list) and len(v) > 0 and all(isinstance(s, str) for s in v)
 
 
 class ScenarioError(ValueError):
@@ -104,12 +106,6 @@ def _check_keys(doc: Dict, table: Dict, where: str, required: Tuple[str, ...] = 
             raise ScenarioError(f"{where} key {key!r} must be {text}; got {doc[key]!r}")
         if key not in doc and key in required:
             raise ScenarioError(f"{where} key {key!r} must be {text}; it is missing")
-
-
-def _check_count(value, what: str) -> None:
-    """A sample or thread count must be an int >= 1."""
-    if not _is_int(value) or value < 1:
-        raise ScenarioError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -142,16 +138,14 @@ class Scenario:
             if not isinstance(kind, str) or kind not in KINDS:
                 raise ScenarioError(f"every task needs a kind from {tuple(KINDS)}; got {task!r}")
             spec = KINDS[kind]
-            keys = [key for key in spec.keys if backend == "exact" or key not in spec.exact_required]
-            _check_keys(task, {key: TASK_KEYS[key] for key in ("kind", "seed", *keys)}, f"{kind} task")
+            exact_keys = spec.exact_required if backend == "exact" else ()
+            keys = ("kind", "seed", *(key for key in spec.keys if key in exact_keys or key not in spec.exact_required))
+            _check_keys(task, {key: TASK_KEYS[key] for key in keys}, f"{kind} task", spec.required + exact_keys)
             # what the kind needs of its scenario, checked before any task runs
             if spec.psi and psi is None:
                 raise ScenarioError(f"{kind} requires psi")
             if spec.p2 and doc["n"] != 2:
                 raise ScenarioError(f"{kind} runs on P^2 with two curve sections, got n = {doc['n']}")
-            for key in spec.required + (spec.exact_required if backend == "exact" else ()):
-                if not task.get(key):
-                    raise ScenarioError(f"{kind} task key {key!r} is required: {TASK_KEYS[key][0]}")
         degrees, section, tasks = (list(doc[key]) for key in ("degrees", "section", "tasks"))
         return Scenario(doc["n"], degrees, section, psi, dict(metric), tasks, backend)
 
@@ -170,11 +164,12 @@ class Scenario:
 
     def parse_polys(self):
         """The section, psi and metric, parsed and put through
-        ``check_instance``, and ``check_desk_scale`` when a task solves the
-        section, on the first call and kept for the later ones.  On the exact
-        backend the check sees the section parsed exactly, kept as
-        ``exact_section``, and the float section returned is parsed only when
-        some task takes a float route (None otherwise)."""
+        ``check_instance``, ``check_desk_scale`` when a task solves the
+        section, and the GeometryContext (which certifies a perturbed metric
+        positive), on the first call and kept for the later ones; a refused
+        scenario keeps nothing.  On the exact backend the check sees the
+        section parsed exactly, kept as ``exact_section``; the float section
+        and the context are built only for a task on a float route (else None)."""
         if self._parsed is not None:
             return self._parsed
         section = self._section(self.backend)
@@ -191,22 +186,19 @@ class Scenario:
                 check_desk_scale(self.degrees)  # before any Macaulay matrix, the infinity check's too
         except (GeometryError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
-        if self.backend == "exact":
-            self.exact_section = section
-            floats = any(not k.exact_required for k in kinds)
-            section = self._section("float") if floats else None
-        self._parsed = section, psi, metric
+        exact = section if self.backend == "exact" else None
+        if exact is not None:
+            section = self._section("float") if any(not k.exact_required for k in kinds) else None
+        try:
+            geometry = None if section is None else GeometryContext(self.degrees, section, metric, psi)
+        except GeometryError as exc:
+            raise ScenarioError(str(exc)) from exc
+        self.exact_section, self._geometry, self._parsed = exact, geometry, (section, psi, metric)
         return self._parsed
 
-    def geometry(self) -> GeometryContext:
-        """The instance's GeometryContext, built on the first call and kept
-        for the later ones, so every task shares its chart data."""
-        if self._geometry is None:
-            section, psi, metric = self.parse_polys()
-            try:
-                self._geometry = GeometryContext(self.degrees, section or self._section("float"), metric, psi)
-            except GeometryError as exc:
-                raise ScenarioError(str(exc)) from exc
+    def geometry(self) -> Optional[GeometryContext]:
+        """The GeometryContext every task shares (None with no float section)."""
+        self.parse_polys()
         return self._geometry
 
 
@@ -347,28 +339,25 @@ def run_scenario(
     threads: int = 1,
 ) -> VerificationReport:
     """Execute every task of a scenario file, in order.  Every input is
-    checked before the first task runs: the overrides, the schema, the
-    instance with its metric, and each task's own polynomials."""
+    checked before the first task runs: the schema, the overrides by their
+    key's check on every task and on a task of no kind, the instance with its
+    metric's positivity certificate, and each task's own polynomials."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    _check_count(threads, "the thread count")
-    if samples is not None:
-        _check_count(samples, "the samples override")
-    if seed is not None and not TASK_KEYS["seed"][1](seed, None):
-        raise ScenarioError(f"the seed override must be {TASK_KEYS['seed'][0]}, got {seed!r}")
+    if not _is_int(threads) or threads < 1:
+        raise ScenarioError(f"the thread count must be an integer >= 1, got {threads!r}")
     scenario = Scenario.from_dict(doc)
-    sweeps = any(task["kind"] == "virtual_residue" for task in scenario.tasks)
-    if sweeps and samples is not None and samples < SWEEP_MIN_SAMPLES:
-        raise ScenarioError(
-            f"the samples override must be at least {SWEEP_MIN_SAMPLES} with a virtual_residue task, got {samples}"
-        )
+    overrides = {key: v for key, v in (("seed", seed), ("samples", samples)) if v is not None}
+    for key, value in overrides.items():
+        text, check = TASK_KEYS[key]
+        if not all(check(value, task) for task in (*scenario.tasks, {"kind": None})):
+            raise ScenarioError(f"the {key} override must be {text}, got {value!r}")
     scenario.parse_polys()
     specs = [KINDS[task["kind"]] for task in scenario.tasks]
     own = [spec.parse(scenario, task) if spec.parse else {} for spec, task in zip(specs, scenario.tasks)]
-    overrides = {key: v for key, v in (("seed", seed), ("samples", samples)) if v is not None}
     report = VerificationReport(
         tool_version=__version__,
         seed=0 if seed is None else seed,
@@ -684,7 +673,9 @@ KINDS = {
     "local_mass": TaskKind(
         _run_local_mass, {"t": 0.01, "radius": 0.5, "rtol": 0.05, "samples": 50000}, psi=True, solves=True
     ),
-    "curve_localization": TaskKind(_run_curve_localization, {"samples": 30000, "sigma_l1_frac": 0.02}, psi=True),
+    "curve_localization": TaskKind(
+        _run_curve_localization, {"samples": 30000, "sigma_l1_frac": 0.02}, psi=True, p2=True
+    ),
 }
 
 
@@ -723,7 +714,7 @@ TASK_KEYS = {
     ),
     **dict.fromkeys(
         ("curve_factor", "cofactor"),
-        ("polynomial string (generalized_cb, required)", lambda v, task: isinstance(v, str)),
+        ("polynomial string (generalized_cb, required)", lambda v, task: isinstance(v, str) and len(v) > 0),
     ),
     "psi_cofactor": ("polynomial string (generalized_cb)", lambda v, task: isinstance(v, str)),
     **dict.fromkeys(

@@ -106,7 +106,6 @@ class IntegralEstimate:
     std_error: float
     samples: int
     t: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ class CurveTerm:
     value: complex
     std_error: float
     samples: int
-    seed: int
     rejected: int
     pointwise_max: float
     l1_mass: float
@@ -278,6 +276,12 @@ def _disc_sum(density, R: float, radial_nodes: int, angular_nodes: int, total):
 # ------------------------------------------------------------------ oracle
 
 
+@functools.cache
+def _flat_unit() -> FlatModel:
+    """The oracle's instance, built once: its density group compiles on first use."""
+    return FlatModel([AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j))
+
+
 def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 32) -> float:
     """Unit-mass normalization oracle: s = w, psi = dw (x) e_1, flat metric.
 
@@ -287,9 +291,7 @@ def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 3
     GeometryError.
     """
     _check_positive(t)
-    model = FlatModel(
-        [AffinePoly.coordinate(1, 0)], AffinePoly.constant(1, 1.0 + 0j)
-    )
+    model = _flat_unit()
 
     def density(zeta):
         return global_density_tensor(model, 0, zeta[:, None], t).real
@@ -327,7 +329,7 @@ def virtual_residue_sweep(
 
     summary = _run_chunks(draw, samples, seed, threads)
     return [
-        IntegralEstimate(*_estimate(summary, k), samples, float(t), seed) for k, t in enumerate(ts)
+        IntegralEstimate(*_estimate(summary, k), samples, float(t)) for k, t in enumerate(ts)
     ]
 
 
@@ -360,7 +362,7 @@ def local_mass(
         W = center[None, :] + radii[:, None] * offsets
         return (global_density(ctx, 0, W, t) * vol)[None, :]
 
-    return IntegralEstimate(*_estimate(_run_chunks(draw, samples, seed, threads), 0), samples, t, seed)
+    return IntegralEstimate(*_estimate(_run_chunks(draw, samples, seed, threads), 0), samples, t)
 
 
 # ------------------------------------------------------------------ curve
@@ -526,7 +528,6 @@ def curve_localized_term(
         value=value,
         std_error=se,
         samples=samples,
-        seed=seed,
         rejected=int(summary.total[3].real),
         pointwise_max=float(summary.top[2]),
         l1_mass=float(summary.total[1].real / summary.count),

@@ -410,8 +410,6 @@ class Example22Geometry:
         self.f_index = nonzero[0]
         self.v_index = 1 - self.f_index
         self.f = ctx.section[self.f_index]
-        if ctx.metric.kind == "perturbed" and ctx.metric.f_index != self.f_index:
-            raise GeometryError("metric perturbation must vanish on the section curve")
 
     def f_aff(self, chart: int) -> AffinePoly:
         return self.ctx.chart_data(chart).s_aff[self.f_index]

@@ -532,7 +532,7 @@ def test_samples_override_below_the_sweep_minimum_rejected(tmp_path):
     # the override; a scenario without one runs at fewer
     doc = dict(BASE_P1, tasks=[{"kind": "virtual_residue", "t": [1.0], "samples": 5000}])
     path = write_scenario(tmp_path, doc)
-    with pytest.raises(ScenarioError, match="at least 1000"):
+    with pytest.raises(ScenarioError, match=re.escape(">= 1000 for virtual_residue, got 999")):
         run_scenario(path, samples=999)
     assert main(["verify", path, "--samples", "999"]) == 2
     lm = {"kind": "local_mass", "t": 0.01, "radius": 0.5, "rtol": 0.05}
@@ -612,15 +612,26 @@ def test_lines_on_the_float_backend_are_unknown_keys(tmp_path):
     ]
     + [
         pytest.param(BASE_P1, VALID_TASKS[kind], f"{kind} runs on P^2", id=f"{kind}-on-P1")
-        for kind in ("cayley_bacharach", "generalized_cb")
+        for kind in ("cayley_bacharach", "generalized_cb", "curve_localization")
     ]
     + [
-        pytest.param(changes, dict(kind=kind, **keys), f"{missing!r} is required", id=name)
-        for name, changes, kind, keys, missing in [
-            ("no-cofactor", {}, "generalized_cb", {"curve_factor": "z0"}, "cofactor"),
-            ("no-curve-factor", {}, "generalized_cb", {"cofactor": "z1"}, "curve_factor"),
-            ("exact-no-lines-f", {"backend": "exact"}, "cayley_bacharach", {"lines_g": ["z1"]}, "lines_f"),
-            ("exact-empty-lines-g", {"backend": "exact"}, "cayley_bacharach", {"lines_f": ["z0"], "lines_g": []}, "lines_g"),
+        # a required key is checked with the others, by the check of its
+        # schema text, so an empty value is refused as a missing one is
+        pytest.param(
+            changes,
+            dict(kind=kind, **keys),
+            f"{kind} task key {key!r} must be {harness.TASK_KEYS[key][0]}; {end}",
+            id=name,
+        )
+        for name, changes, kind, keys, key, end in [
+            ("no-cofactor", {}, "generalized_cb", {"curve_factor": "z0"}, "cofactor", "it is missing"),
+            ("no-curve-factor", {}, "generalized_cb", {"cofactor": "z1"}, "curve_factor", "it is missing"),
+            ("empty-cofactor", {}, "generalized_cb", {"curve_factor": "z0", "cofactor": ""}, "cofactor", "got ''"),
+            ("exact-no-lines-f", {"backend": "exact"}, "cayley_bacharach", {"lines_g": ["z1"]}, "lines_f", "it is missing"),
+            (
+                "exact-empty-lines-g", {"backend": "exact"}, "cayley_bacharach", {"lines_f": ["z0"], "lines_g": []},
+                "lines_g", "got []",
+            ),
         ]
     ],
 )
@@ -722,11 +733,46 @@ def test_parse_error_names_the_key_and_the_text(tmp_path, capsys, key):
 
 
 def _no_runner(monkeypatch):
-    """Replace every kind's runner by one that records its kind; returns the record."""
+    """Replace every kind's runner by one that records its kind and its opts
+    and passes; returns the record."""
     entered = []
+
+    def run(scenario, opts, threads):
+        entered.append((opts["kind"], opts))
+        return {}, "pass"
+
     for kind, spec in harness.KINDS.items():
-        monkeypatch.setitem(harness.KINDS, kind, replace(spec, run=lambda *args, kind=kind: entered.append(kind)))
+        monkeypatch.setitem(harness.KINDS, kind, replace(spec, run=run))
     return entered
+
+
+@pytest.mark.parametrize(
+    "override, kinds, refused",
+    [
+        pytest.param({"samples": 0}, ["local_mass"], True, id="samples-0"),
+        pytest.param({"samples": -5}, ["euler_jacobi"], True, id="samples-minus-5-no-task-reads-it"),
+        pytest.param({"samples": True}, [], True, id="samples-True-no-task"),
+        pytest.param({"samples": 999}, ["local_mass", "virtual_residue"], True, id="samples-999-with-a-sweep"),
+        pytest.param({"samples": 500}, ["local_mass", "euler_jacobi"], False, id="samples-500-without-a-sweep"),
+        pytest.param({"seed": -1}, ["euler_jacobi"], True, id="seed-minus-1"),
+        pytest.param({"seed": 2**64}, ["local_mass"], True, id="seed-2^64"),
+    ],
+)
+def test_overrides_are_refused_by_their_key_check_before_any_task(tmp_path, monkeypatch, override, kinds, refused):
+    """An override is refused by the task key check of the key it overrides,
+    on every task and on a task of no kind, so a bare >= 1 holds for samples
+    that no task reads; the message is the key's schema text."""
+    entered = _no_runner(monkeypatch)
+    path = write_scenario(tmp_path, dict(BASE_P1, tasks=[VALID_TASKS[kind] for kind in kinds]))
+    ((key, value),) = override.items()
+    if not refused:
+        run_scenario(path, **override)
+        assert [(kind, opts[key]) for kind, opts in entered] == [(kind, value) for kind in kinds]
+        return
+    message = f"the {key} override must be {harness.TASK_KEYS[key][0]}, got {value!r}"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(path, **override)
+    assert entered == []
 
 
 # a Macaulay matrix of C(81, 2) = 3240 columns solves this section
@@ -819,10 +865,13 @@ def test_task_polynomials_checked_before_any_task(tmp_path, monkeypatch, file, k
 
 
 @pytest.mark.parametrize(
-    "key, value", [("q", "z0 +"), ("q", "z0^5"), ("epsilon", -1.0), ("pair", [0, 0]), ("f_index", 2)]
+    "key, value",
+    [("q", "z0 +"), ("q", "z0^5"), ("epsilon", -1.0), ("pair", [0, 0]), ("f_index", 2)]
+    # smallest eigenvalue about -58: the positivity certificate refuses it
+    + [pytest.param("epsilon", 50.0, id="epsilon-not-positive-definite")],
 )
 def test_perturbed_metric_checked_before_any_task(tmp_path, monkeypatch, capsys, key, value):
-    # an Euler-Jacobi task, which builds no metric, before the curve task
+    # an Euler-Jacobi task, which reads no metric, before the curve task
     entered = _no_runner(monkeypatch)
     doc = json.loads((SCENARIOS / "p2_example22_perturbed.json").read_text())
     doc["metric"][key] = value
@@ -833,6 +882,10 @@ def test_perturbed_metric_checked_before_any_task(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
     assert main(["verify", path]) == 2
     assert entered == []
+    fresh = Scenario.from_dict(doc)
+    for _ in range(2):  # a refused scenario is not kept as parsed
+        with pytest.raises(ScenarioError, match=re.escape(str(scenario.value))):
+            fresh.parse_polys()
     if value == "z0 +":
         assert str(scenario.value).startswith("polynomial parse error")
         return
@@ -1065,6 +1118,18 @@ def test_json_out_written(tmp_path):
     assert main(["verify", path, "--json-out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_ok"] is True
+
+
+def test_perturbation_on_the_zero_summand_is_fubini_study(tmp_path):
+    # f_index on the zero summand of s = (f, 0): the perturbation
+    # eps q conj(s_1) vanishes, so the metric is Fubini-Study and the curve
+    # term is zero by structure
+    doc = json.loads((SCENARIOS / "p2_example22_perturbed.json").read_text())
+    doc["metric"]["f_index"] = 1
+    doc["tasks"][0]["samples"] = 5000
+    task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
+    assert task.verdict == "pass"
+    assert (task.results["value"], task.results["std_error"]) == (0j, 0.0)
 
 
 def test_singular_curve_precondition_failed(tmp_path):
