@@ -43,9 +43,10 @@ ANCHOR_TEST = "tests/test_mutants.py::test_every_mutant_text_occurs_once_in_its_
 MUTANTS = [
     ("sigma-mult-3", LOCALIZE, "_SIGMA_MULT = 12.0", "_SIGMA_MULT = 3.0",
      "a fiber disc of 3 widths misses about e^-9 of the mass"),
-    ("ball-volume-no-factorial", LOCALIZE,
-     "vol = math.pi**n * radius ** (2 * n) / math.factorial(n)", "vol = math.pi**n * radius ** (2 * n)",
-     "the ball volume without 1/n!, invisible on P^1"),
+    ("ball-volume-no-factorial", LOCALIZE, "np.full(count, math.factorial(n) / (", "np.full(count, 1 / (",
+     "the ball's sampling density without n!, invisible on P^1"),
+    ("ball-density-radius-power", LOCALIZE, "radius ** (2 * n)", "radius ** n",
+     "the ball's sampling density with radius^n in place of radius^2n"),
     ("orientation-dropped", HARNESS, "orient = (-1.0) ** (scenario.n * (scenario.n - 1) // 2)", "orient = 1.0",
      "the local mass's orientation factor, invisible on P^1"),
     ("curve-density-2pi", LOCALIZE, "phi * r / math.pi", "phi * r / (2 * math.pi)", "the curve density's constant"),
@@ -113,8 +114,8 @@ MUTANTS = [
      "the flat mass over a disc of 3 Gaussian widths, missing e^-9 of it"),
     ("fiber-sheets-not-summed", LOCALIZE, "radial_nodes, angular_nodes, total)", "radial_nodes, angular_nodes, 0j)",
      "a fiber's mass read off its last sheet alone"),
-    ("sweep-charts-read-as-0", LOCALIZE, "s2[rows], psi_det[rows] = _density_parts(ctx, chart, W)",
-     "s2[rows], psi_det[rows] = _density_parts(ctx, 0, W)", "the sweep reading every chart's points on chart 0"),
+    ("sweep-charts-read-as-0", LOCALIZE, "s2[rows], psi_det[rows] = _density_parts(src, chart, W)",
+     "s2[rows], psi_det[rows] = _density_parts(src, 0, W)", "the sweep reading every chart's points on chart 0"),
     ("group-anti-unconjugated", CHARTFUN, "np.conjugate(V[self.antis], out=V[self.antis])", "V[self.antis]",
      "a chart group's anti factors entering unconjugated"),
     ("tensor-scalar-over-t", LOCALIZE, "SForm(n, -s2 / (2.0 * t), one)", "SForm(n, -s2 / t, one)",

@@ -163,13 +163,13 @@ class Scenario:
         return tuple(self._parse(f"section[{k}]", text, backend) for k, text in enumerate(self.section_text))
 
     def parse_polys(self):
-        """The section, psi and metric, parsed and put through
-        ``check_instance``, ``check_desk_scale`` when a task solves the
-        section, and the GeometryContext (which certifies a perturbed metric
-        positive), on the first call and kept for the later ones; a refused
-        scenario keeps nothing.  On the exact backend the check sees the
-        section parsed exactly, kept as ``exact_section``; the float section
-        and the context are built only for a task on a float route (else None)."""
+        """The section, psi and metric, parsed and put through the
+        GeometryContext (which runs ``check_instance`` and certifies a
+        perturbed metric positive) and ``check_desk_scale`` when a task solves
+        the section, on the first call and kept for the later ones; a refused
+        scenario keeps nothing.  On the exact backend ``check_instance`` sees
+        the section parsed exactly, kept as ``exact_section``, and the float
+        section and the context are built only for a float route (else None)."""
         if self._parsed is not None:
             return self._parsed
         section = self._section(self.backend)
@@ -180,18 +180,15 @@ class Scenario:
             q = self._parse("metric.q", m["q"])
             metric = MetricSpec("perturbed", float(m["epsilon"]), tuple(m["pair"]), q, m.get("f_index", 0))
         kinds = [KINDS[task["kind"]] for task in self.tasks]
+        exact = section if self.backend == "exact" else None
         try:
-            check_instance(self.degrees, section, psi, metric)
+            if exact is not None:
+                check_instance(self.degrees, exact, psi, metric)
+                section = self._section("float") if any(not k.exact_required for k in kinds) else None
+            geometry = None if section is None else GeometryContext(self.degrees, section, metric, psi)
             if any(k.solves and not (self.backend == "exact" and k.exact_required) for k in kinds):
                 check_desk_scale(self.degrees)  # before any Macaulay matrix, the infinity check's too
         except (GeometryError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
-        exact = section if self.backend == "exact" else None
-        if exact is not None:
-            section = self._section("float") if any(not k.exact_required for k in kinds) else None
-        try:
-            geometry = None if section is None else GeometryContext(self.degrees, section, metric, psi)
-        except GeometryError as exc:
             raise ScenarioError(str(exc)) from exc
         self.exact_section, self._geometry, self._parsed = exact, geometry, (section, psi, metric)
         return self._parsed

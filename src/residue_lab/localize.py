@@ -39,20 +39,22 @@ Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`_disc_sum`: one row reduction per ray, the rays added in order.  A
 fiber whose det(Abar) is zero by structure is 0j with no disc built.
 
-Sampling.  Every Monte Carlo estimator is a draw(rng, size) of per-sample
-values, one contiguous row per reported quantity, run by :func:`_run_chunks`
-on the seeded Philox stream in fixed chunks.  Each chunk is reduced at once to
-a :class:`_Summary` per row (count, sum, M2 = sum |x - mean|^2, and the curve's
-row maxima), and the summaries merge in chunk order by the pairwise update of
-Chan, Golub and LeVeque (The American Statistician 37, 1983).  So the working
-set does not grow with the sample count, and results do not depend on the
-thread count.  Each chart of a sweep chunk scatters only the density's t-free
-values (|s|^2, P det(Abar), the FS density), and one density pass over the
-chunk gives every t.  A curve chunk is drawn once; a sample near a branch point
-weighs 0 and is counted as rejected.  Its sheet roots and the density at its
-accepted sheet points are computed ROW_BLOCK rows at a time, the blocks that
-PolyKernel and ChartGroup use.  :class:`FlatModel` is a
-GeometryContext under the identity metric.
+Sampling.  Every Monte Carlo estimator is a point law and its rows, run by
+:func:`_run_chunks` on the seeded Philox stream in fixed chunks.  A point law
+draws a chunk's points and their sampling density p and evaluates nothing:
+FS-uniform on P^n chart by chart (the sweep), uniform on a ball of chart 0
+(the local mass), or FS-uniform base points with their sheet roots (the curve;
+a sample near a branch point weighs 0 and is counted as rejected).  The rows,
+one per reported quantity, are the integrand there over p; the sweep and the
+local mass share theirs, one density pass over the t-free |s|^2 and
+P det(Abar) for every t.  Each chunk is reduced at once to a :class:`_Summary`
+per row (count, sum, M2 = sum |x - mean|^2, and the curve's row maxima), and
+the summaries merge in chunk order by the pairwise update of Chan, Golub and
+LeVeque (The American Statistician 37, 1983).  So the working set does not
+grow with the sample count, and results do not depend on the thread count.
+A curve chunk's sheet roots and sheet densities are computed ROW_BLOCK rows
+at a time, the blocks that PolyKernel and ChartGroup use.  :class:`FlatModel`
+is a density source under the identity metric, on chart 0 only.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chartfun import ChartFunction
+from .chartfun import ChartFunction, ChartGroup
 from .polycore import AffinePoly, PolyKernel, row_blocks
 from .projgeom import (
     Example22Geometry,
@@ -118,23 +120,21 @@ class CurveTerm:
     l1_mass: float
 
 
-class FlatModel(GeometryContext):
-    """Flat-metric model on C^n (h = identity): a GeometryContext whose only
-    chart, 0, is assembled from s_aff and psi_aff; any other chart is refused
-    with GeometryError.  Used by the normalization oracle and tests."""
+class FlatModel:
+    """Flat-metric density source on C^n (h = identity): ``data``, chart 0
+    assembled from s_aff and psi_aff, and its density group; any other chart
+    is refused with GeometryError.  Used by the normalization oracle and tests."""
 
     def __init__(self, s_aff: Sequence[AffinePoly], psi_aff: AffinePoly):
-        self.n = s_aff[0].num_vars
-        self._cache = {(0, "data"): _assemble_chart(list(s_aff), psi_aff, self._metric(0))}
+        self.n = n = s_aff[0].num_vars
+        identity = [[ChartFunction.from_parts(n, coef=float(i == j)) for j in range(n)] for i in range(n)]
+        self.data = _assemble_chart(list(s_aff), psi_aff, identity)
+        self._group = ChartGroup(n, self.data.density_terms())
 
-    def cached(self, chart: int, what, build):
+    def density_group(self, chart: int) -> ChartGroup:
         if chart != 0:
             raise GeometryError(f"a flat model has chart 0 only, not chart {chart}")
-        return super().cached(chart, what, build)
-
-    def _metric(self, chart: int) -> List[List[ChartFunction]]:
-        n = self.n
-        return [[ChartFunction.from_parts(n, coef=float(i == j)) for j in range(n)] for i in range(n)]
+        return self._group
 
 
 def _density_rows(ctx, chart: int, W: np.ndarray):
@@ -224,8 +224,10 @@ def _estimate(s: _Summary, row: int) -> Tuple[complex, float]:
     return mean, math.sqrt(float(s.m2[row]) / (s.count * (s.count - 1)))
 
 
-def _run_chunks(draw, count: int, seed: int, threads: int, top: bool = False) -> _Summary:
-    """draw(rng, size) over fixed chunks of ``count`` samples, each summarized
+def _run_chunks(points, rows, count: int, seed: int, threads: int, top: bool = False) -> _Summary:
+    """rows(*points(rng, size)) over fixed chunks of ``count`` samples: a point
+    law draws the chunk's points and their sampling density p, the rows are the
+    integrand there, one row per reported quantity.  Each chunk is summarized
     as soon as it is drawn and merged in chunk order.  The chunk starting at
     sample ``start`` draws from the Philox stream of ``seed`` at counter
     start << 64, so chunk boundaries, streams and merge order, and with them
@@ -236,7 +238,7 @@ def _run_chunks(draw, count: int, seed: int, threads: int, top: bool = False) ->
 
     def chunk(start: int) -> _Summary:
         rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
-        return _summarize(draw(rng, min(_CHUNK, count - start)), top)
+        return _summarize(rows(*points(rng, min(_CHUNK, count - start))), top)
 
     starts = range(0, count, _CHUNK)
     if threads > 1 and len(starts) > 1:
@@ -302,6 +304,36 @@ def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 3
 # ------------------------------------------------------------------ global MC
 
 
+def _fs_law(n: int, rng: np.random.Generator, count: int):
+    """FS-uniform points of P^n: the (chart, rows, W) of ``by_chart``, and p,
+    the FS density at every point."""
+    parts, p = list(by_chart(fs_uniform_points(n, count, rng))), np.empty(count)
+    for _, rows, W in parts:
+        p[rows] = fs_density(W, n)
+    return parts, p
+
+
+def _ball_law(center: np.ndarray, radius: float, rng: np.random.Generator, count: int):
+    """Uniform points of the ball |w - center| <= radius in chart 0, as one
+    part over every row, and p = n! / (pi^n radius^2n)."""
+    n = len(center)
+    direction = rng.standard_normal((count, 2 * n))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radii = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
+    W = center[None, :] + radii[:, None] * (direction[:, :n] + 1j * direction[:, n:])
+    return [(0, slice(None), W)], np.full(count, math.factorial(n) / (math.pi**n * radius ** (2 * n)))
+
+
+def _global_rows(src, ts: Sequence[float], parts, p: np.ndarray) -> np.ndarray:
+    """g / p at every t of ``ts``, (len(ts), N): each part scatters the
+    density's t-free values, then one density pass gives every t."""
+    s2, psi_det = np.empty(len(p)), np.empty(len(p), dtype=complex)
+    for chart, rows, W in parts:
+        s2[rows], psi_det[rows] = _density_parts(src, chart, W)
+    out = _density(src.n, s2, psi_det, ts)
+    return np.divide(out, p, out=out)  # in place: a chunk holds one (len(ts), N) result
+
+
 def virtual_residue_sweep(
     ctx: GeometryContext,
     ts: Sequence[float],
@@ -310,24 +342,13 @@ def virtual_residue_sweep(
     threads: int = 1,
 ) -> List[IntegralEstimate]:
     """FS-uniform Monte Carlo of the prefactored global integral for several
-    values of t, reusing one sample set and one chart evaluation pass: each
-    chart scatters its t-free values, then one density pass gives every t."""
+    values of t, reusing one sample set and one chart evaluation pass."""
     if samples < SWEEP_MIN_SAMPLES:
         raise GeometryError(f"at least {SWEEP_MIN_SAMPLES} samples required")
     for t in ts:
         _check_positive(t)
-    n = ctx.n
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        s2, psi_det, p = np.empty(count), np.empty(count, dtype=complex), np.empty(count)
-        for chart, rows, W in by_chart(fs_uniform_points(n, count, rng)):
-            s2[rows], psi_det[rows] = _density_parts(ctx, chart, W)
-            p[rows] = fs_density(W, n)
-        del rows, W  # the last chart's: freed before the chunk's largest array is allocated
-        out = _density(n, s2, psi_det, ts)
-        return np.divide(out, p, out=out)  # in place: a chunk holds one (len(ts), count) result
-
-    summary = _run_chunks(draw, samples, seed, threads)
+    fs, rows = functools.partial(_fs_law, ctx.n), functools.partial(_global_rows, ctx, ts)
+    summary = _run_chunks(fs, rows, samples, seed, threads)
     return [
         IntegralEstimate(*_estimate(summary, k), samples, float(t)) for k, t in enumerate(ts)
     ]
@@ -350,19 +371,9 @@ def local_mass(
     """
     _check_positive(t)
     _check_positive(radius, "radius")
-    n = ctx.n
-    center = np.asarray(center, dtype=complex)
-    vol = math.pi**n * radius ** (2 * n) / math.factorial(n)
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        direction = rng.standard_normal((count, 2 * n))
-        direction /= np.linalg.norm(direction, axis=1)[:, None]
-        radii = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
-        offsets = direction[:, :n] + 1j * direction[:, n:]
-        W = center[None, :] + radii[:, None] * offsets
-        return (global_density(ctx, 0, W, t) * vol)[None, :]
-
-    return IntegralEstimate(*_estimate(_run_chunks(draw, samples, seed, threads), 0), samples, t)
+    ball = functools.partial(_ball_law, np.asarray(center, dtype=complex), radius)
+    summary = _run_chunks(ball, functools.partial(_global_rows, ctx, [t]), samples, seed, threads)
+    return IntegralEstimate(*_estimate(summary, 0), samples, t)
 
 
 # ------------------------------------------------------------------ curve
@@ -488,41 +499,8 @@ def curve_localized_term(
     geo.ctx.chart_psi(0)  # refuses an instance without psi
     f = geo.f_aff(0)
     kernels = [PolyKernel(1, [cp]) for cp in _sheet_coefficients(f)]  # one row each, compiled once
-    branch_tol = _BRANCH_TOL * f.coeff_norm()
-
-    def sheets(rng: np.random.Generator, count: int):
-        """A chunk's base values u, its sheet roots (count, m) and the mask of
-        its accepted samples.  A function of its own, so that its temporaries
-        are freed before the density is evaluated."""
-        Z = fs_uniform_points(1, count, rng)
-        u = Z[:, 1] / Z[:, 0]
-        coeffs = np.stack([k.eval_batch(u[:, None])[0] for k in kernels], axis=1)
-        lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * functools.reduce(np.maximum, np.abs(coeffs).T)
-        roots = np.full((count, len(kernels) - 1), np.nan, dtype=complex)
-        solvable = np.flatnonzero(lead_ok)
-        for block in row_blocks(len(solvable)):  # bounds the closed forms' temporaries
-            roots[solvable[block]] = _solve_sheets(coeffs[solvable[block]])
-        with np.errstate(all="ignore"):
-            clear = np.abs(_sheet_slopes(coeffs[:, -1], roots)) > branch_tol
-            # over the m sheets by whole-column operations (here and in draw), not a per-row axis=1 loop
-            ok = lead_ok & functools.reduce(np.logical_and, np.isfinite(roots).T & clear.T)
-        return u, roots, ok
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        """Rows: value, L1 mass, largest |sheet density|, rejected flag."""
-        u, roots, ok = sheets(rng, count)
-        u = u[ok]
-        dens = _sheet_density(geo, u, roots[ok])
-        size, p_base = np.abs(dens), fs_density(u[:, None], 1)
-        out = np.zeros((4, count), dtype=complex)
-        # sheet after sheet, in order: the bits of sum(axis=1) for m <= 3
-        out[0, ok] = functools.reduce(np.add, dens.T) / p_base
-        out[1, ok] = functools.reduce(np.add, size.T) / p_base
-        out[2, ok] = functools.reduce(np.maximum, size.T)
-        out[3] = ~ok
-        return out
-
-    summary = _run_chunks(draw, samples, seed, threads, top=True)
+    law = functools.partial(_sheet_law, kernels, _BRANCH_TOL * f.coeff_norm())
+    summary = _run_chunks(law, functools.partial(_curve_rows, geo), samples, seed, threads, top=True)
     value, se = _estimate(summary, 0)
     return CurveTerm(
         value=value,
@@ -532,6 +510,39 @@ def curve_localized_term(
         pointwise_max=float(summary.top[2]),
         l1_mass=float(summary.total[1].real / summary.count),
     )
+
+
+def _sheet_law(kernels: Sequence[PolyKernel], branch_tol: float, rng: np.random.Generator, count: int):
+    """FS-uniform base values u of the chart-0 line, their sheet roots (count,
+    m) from f's coefficients in w_2 (``kernels``), the mask of the accepted
+    samples, and p, the FS density at every u.  Its temporaries are freed
+    before the density is evaluated."""
+    Z = fs_uniform_points(1, count, rng)
+    u = Z[:, 1] / Z[:, 0]
+    coeffs = np.stack([k.eval_batch(u[:, None])[0] for k in kernels], axis=1)
+    lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * functools.reduce(np.maximum, np.abs(coeffs).T)
+    roots = np.full((count, len(kernels) - 1), np.nan, dtype=complex)
+    solvable = np.flatnonzero(lead_ok)
+    for block in row_blocks(len(solvable)):  # bounds the closed forms' temporaries
+        roots[solvable[block]] = _solve_sheets(coeffs[solvable[block]])
+    with np.errstate(all="ignore"):
+        clear = np.abs(_sheet_slopes(coeffs[:, -1], roots)) > branch_tol
+        # over the m sheets by whole-column operations (here and in _curve_rows), not a per-row axis=1 loop
+        ok = lead_ok & functools.reduce(np.logical_and, np.isfinite(roots).T & clear.T)
+    return u, roots, ok, fs_density(u[:, None], 1)
+
+
+def _curve_rows(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray, ok: np.ndarray, p: np.ndarray):
+    """Rows: value, L1 mass, largest |sheet density|, rejected flag."""
+    dens = _sheet_density(geo, u[ok], roots[ok])
+    size, p = np.abs(dens), p[ok]
+    out = np.zeros((4, len(u)), dtype=complex)
+    # sheet after sheet, in order: the bits of sum(axis=1) for m <= 3
+    out[0, ok] = functools.reduce(np.add, dens.T) / p
+    out[1, ok] = functools.reduce(np.add, size.T) / p
+    out[2, ok] = functools.reduce(np.maximum, size.T)
+    out[3] = ~ok
+    return out
 
 
 def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> np.ndarray:

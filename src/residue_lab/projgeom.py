@@ -204,6 +204,14 @@ class _ChartData:
     Abar: List[List[ChartFunction]]  # Abar[b][p] = dbar_b xi_p (unscaled)
     G: List[List[ChartFunction]]  # H^T for curvature
 
+    def density_terms(self) -> List[ChartFunction]:
+        """[|s|^2, Abar[b][p] for b, p in row order, P]: the rows of a density
+        group, the t-independent parts of the global density at one set of
+        points.  Both density routes read them, and only through
+        ``localize._density_rows``."""
+        psi = ChartFunction.from_parts(len(self.xi), hol=self.psi_aff)
+        return [self.s_norm2, *(f for row in self.Abar for f in row), psi]
+
 
 def _assemble_chart(
     s_aff: List[AffinePoly], psi_aff: Optional[AffinePoly], H: List[List[ChartFunction]]
@@ -336,17 +344,9 @@ class GeometryContext:
         return group.eval_batch(W).T.reshape(len(W), self.n, self.n)
 
     def density_group(self, chart: int) -> ChartGroup:
-        """[|s|^2, Abar[b][p] for b, p in row order, P] compiled as one group:
-        the t-independent parts of the global density at one set of points.
-        Both density routes read its rows, and only through
-        ``localize._density_rows``."""
-        data = self.chart_data(chart)
-
-        def build():
-            psi = ChartFunction.from_parts(self.n, hol=self.chart_psi(chart))
-            return [data.s_norm2, *(f for row in data.Abar for f in row), psi]
-
-        return self.group(chart, "density", build)
+        """The chart's ``_ChartData.density_terms`` compiled as one group."""
+        self.chart_psi(chart)  # refuses an instance without psi
+        return self.group(chart, "density", self.chart_data(chart).density_terms)
 
     def chern_curvature_batch(self, chart: int, W: np.ndarray, *, entry: Tuple[int, int, int]) -> np.ndarray:
         """Entry (i, j, a) of the curvature of the Chern connection along

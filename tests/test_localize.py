@@ -102,21 +102,19 @@ def test_flat_model_s_form_coefficients():
     assert abs(-Abar[0, 0, 0] / (2 * t) + 1.0 / (2 * t)) < 1e-15
 
 
-def test_flat_model_is_a_whole_context_on_chart_0_only():
-    # chart 0 answers every query, the metric with the identity; any other
-    # chart is refused, where it once raised AttributeError for 'degrees' or 'psi'
+def test_flat_model_is_a_density_source_on_chart_0_only():
+    # no GeometryContext: chart 0's density rows are those of s = w under the
+    # identity metric, |w|^2 and Abar = I; any other chart is refused, where
+    # the context it once subclassed raised AttributeError
     from residue_lab.projgeom import GeometryError
 
     model = FlatModel([AffinePoly.coordinate(2, 0), AffinePoly.coordinate(2, 1)], AffinePoly.constant(2, 1.0 + 0j))
     W = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [1.5 - 0.7j, 0.05j]])
-    assert np.array_equal(model.metric_matrix_batch(0, W), np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
-    assert model.density_group(0).size == 6
-    for query in (
-        lambda: model.metric_matrix_batch(1, W),
-        lambda: model.chart_data(1),
-        lambda: model.density_group(1),
-        lambda: global_density_tensor(model, 2, W, 0.5),
-    ):
+    assert not isinstance(model, GeometryContext) and model.density_group(0).size == 6
+    s2, Abar, P = _density_rows(model, 0, W)
+    assert np.abs(s2 - np.sum(np.abs(W) ** 2, axis=1)).max() <= 1e-15 and np.array_equal(P, [1, 1])
+    assert np.array_equal(Abar, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
+    for query in (lambda: model.density_group(1), lambda: global_density_tensor(model, 2, W, 0.5)):
         with pytest.raises(GeometryError, match="chart 0 only"):
             query()
 
@@ -242,10 +240,50 @@ def test_virtual_residue_seed_determinism():
 
 
 def test_virtual_residue_thread_count_invariance():
+    # the sweep and the ball local mass, each over three chunks
     ctx = scenario_context("p1_o2")
-    a = virtual_residue_sweep(ctx, [1.0], samples=40000, seed=7, threads=1)[0]
-    b = virtual_residue_sweep(ctx, [1.0], samples=40000, seed=7, threads=4)[0]
-    assert a.value == b.value and a.std_error == b.std_error
+    for run in (
+        lambda threads: virtual_residue_sweep(ctx, [1.0], samples=40000, seed=7, threads=threads)[0],
+        lambda threads: local_mass(ctx, [1.0], 0.05, 0.5, samples=40000, seed=7, threads=threads),
+    ):
+        a, b = run(1), run(4)
+        assert a.value == b.value and a.std_error == b.std_error
+
+
+def test_point_laws_draw_points_and_evaluate_nothing(monkeypatch):
+    """A point law draws a chunk's points and their sampling density p; no
+    chart group is evaluated.  The FS law's parts cover every index once,
+    each W the affine coordinates of its point in the chart of its largest
+    coordinate, with p = fs_density(W, n) bit for bit; the ball's points lie
+    in the ball; the sheet law's accepted roots lie on the curve."""
+    from residue_lab.chartfun import ChartGroup
+    from residue_lab.polycore import PolyKernel
+
+    geo = Example22Geometry(example22_context())  # its metric certified before the patch
+    f = geo.f_aff(0)
+    monkeypatch.setattr(ChartGroup, "eval_batch", None)
+    n, count = 2, 3000
+    parts, p = localize._fs_law(n, np.random.default_rng(np.random.Philox(1)), count)
+    Z = fs_uniform_points(n, count, np.random.default_rng(np.random.Philox(1)))
+    assert np.array_equal(np.sort(np.concatenate([rows for _, rows, _ in parts])), np.arange(count))
+    for chart, rows, W in parts:
+        assert np.all(np.argmax(np.abs(Z[rows]), axis=1) == chart) and np.abs(W).max() <= 1
+        assert np.array_equal(W, Z[rows][:, np.arange(n + 1) != chart] / Z[rows, chart, None])
+        assert p[rows].tobytes() == fs_density(W, n).tobytes()
+
+    center = np.array([0.3 - 0.2j, 1.1j])
+    [(chart, rows, W)], p = localize._ball_law(center, 0.5, np.random.default_rng(2), count)
+    assert chart == 0 and W[rows].shape == (count, n)
+    assert np.linalg.norm(W - center, axis=1).max() <= 0.5 + 1e-15
+    assert np.all(p == 2 / (math.pi**2 * 0.5**4))
+
+    kernels = [PolyKernel(1, [c]) for c in localize._sheet_coefficients(f)]
+    u, roots, ok, p = localize._sheet_law(kernels, 1e-6, np.random.default_rng(3), count)
+    assert roots.shape == (count, 2) and ok.sum() > 0.99 * count
+    assert p.tobytes() == fs_density(u[:, None], 1).tobytes()
+    on_curve = [abs(f.eval([a, r])) for a, pair in zip(u[ok], roots[ok]) for r in pair]
+    # measured 4.5e-13, with |w_2|^2 up to 2.6e3
+    assert max(on_curve) <= 1e-12 * max(1.0, np.abs(roots[ok]).max() ** 2)
 
 
 def test_three_sigma_coverage_binomial():
@@ -895,19 +933,6 @@ def test_fiber_quadrature_refuses_an_unintegrable_fiber(f_text, u, match):
 
 
 # ------------------------------------------ structural zeros of a split metric
-
-
-def test_flat_model_curvature_is_zero_by_structure():
-    # FlatModel has no metric label: its G is the identity, whose off-diagonal
-    # functions have no terms, and every entry is the flat connection's 0
-    model = FlatModel(
-        [AffinePoly.coordinate(2, 0), AffinePoly.coordinate(2, 1)], AffinePoly.constant(2, 1.0 + 0j)
-    )
-    rng = np.random.default_rng(30)
-    W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
-    for entry in [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]:
-        assert not model.chern_curvature_batch(0, W, entry=entry).any()
-    assert not model.chern_curvature_batch(0, W, entry=(0, 0, 1)).any()
 
 
 def _random_fs_curve(d, seed):

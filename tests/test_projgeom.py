@@ -260,9 +260,10 @@ def _flat_model():
 def test_density_group_matches_batched_data(context, chart):
     """The density group's rows, as localize._density_rows reads them for
     both density routes, against each chart function evaluated alone: |s|^2
-    and Abar bit for bit, P within 1e-14."""
+    and Abar bit for bit, P within 1e-14.  A flat model's chart data is its
+    ``data``."""
     ctx = context()
-    data = ctx.chart_data(chart)
+    data = ctx.data if isinstance(ctx, FlatModel) else ctx.chart_data(chart)
     rng = np.random.default_rng(70 + chart)
     W = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
     s2, A, P = _density_rows(ctx, chart, W)
@@ -272,7 +273,7 @@ def test_density_group_matches_batched_data(context, chart):
     for b, p in itertools.product(range(2), repeat=2):
         assert np.array_equal(A[:, b, p], data.Abar[b][p].eval_batch(W))
     # P alone is one polynomial, which the BLAS may sum in another order
-    psi = ctx.chart_psi(chart).eval_batch(W)
+    psi = data.psi_aff.eval_batch(W)
     assert np.all(np.abs(P - psi) <= 1e-14 * np.abs(psi))
 
 
