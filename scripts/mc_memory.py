@@ -20,8 +20,10 @@ rather than where the heap happened to fragment.  It prints one row per run:
 
 The estimators are ``virtual_residue_sweep`` on ``p2_22`` at the five t of
 the benchmark's sweep, ``local_mass`` on ``p1_o2`` (the ball of radius 0.5
-around its zero w = 1, t = 0.01) and ``curve_localized_term`` on
-``p2_example22_perturbed``.  An estimator whose working set does not grow
+around its zero w = 1, t = 0.01) and the curve sampler ``_sampled_term``
+on ``p2_example22_perturbed`` (``curve_localized_term`` takes a conic's
+product rule, which draws no samples; the sampler serves every other
+degree).  An estimator whose working set does not grow
 with the sample count shows a growth that stays flat down the column.
 """
 
@@ -60,7 +62,7 @@ def measure(estimator: str, samples: int) -> None:
         run = lambda count: localize.local_mass(ctx, [1.0], 0.01, 0.5, count, seed=1)  # noqa: E731
     else:
         geo = Example22Geometry(ctx)
-        run = lambda count: localize.curve_localized_term(geo, count, seed=1)  # noqa: E731
+        run = lambda count: localize._sampled_term(geo, count, seed=1)  # noqa: E731
     run(2 * localize._CHUNK)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()

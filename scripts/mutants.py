@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HARNESS, LOCALIZE = "src/residue_lab/harness.py", "src/residue_lab/localize.py"
 PROJGEOM, SUPERALG = "src/residue_lab/projgeom.py", "src/residue_lab/superalg.py"
 POLYCORE, CHARTFUN = "src/residue_lab/polycore.py", "src/residue_lab/chartfun.py"
+SYSZERO = "src/residue_lab/syszero.py"
 TIMEOUT = 600  # seconds per tier-1 run
 ANCHOR_TEST = "tests/test_mutants.py::test_every_mutant_text_occurs_once_in_its_file"
 
@@ -54,8 +55,14 @@ MUTANTS = [
      "the curve term's sheet tangent entering unconjugated"),
     ("curve-phi-base-slope", PROJGEOM, "return psi / f2,", "return psi / f1,",
      "phi_c divided by df/dw_1 in place of df/dw_2"),
-    ("curve-split-shortcut-dropped", LOCALIZE, "if not geo.coupling(0).terms:", "if False:",
+    ("curve-split-shortcut-dropped", LOCALIZE, "return not geo.coupling(0).terms", "return False",
      "the curve density evaluated where r_c is zero by structure"),
+    ("conic-jacobian-dropped", LOCALIZE, "dens[rows] = value * jacobian", "dens[rows] = value * math.pi",
+     "the conic's form read against the sphere's measure without |dw_1/ds|^2 (1 + |s|^2)^2"),
+    ("conic-sigma-floor-only", LOCALIZE, "max(abs(value - coarse), _CONIC_FLOOR * l1)", "_CONIC_FLOOR * l1",
+     "the conic rule's sigma taken from its rounding floor alone"),
+    ("all-finite-ignored", SYSZERO, "if not all_finite and abs(z[0])", "if abs(z[0])",
+     "a far finite zero counted at infinity although the resultant shows none there"),
     ("curve-term-weight-unshifted", PROJGEOM, "weight=t.weight - g.weight", "weight=t.weight",
      "K / G_ff keeping the weight of G_fv"),
     ("fs-density-scaled", PROJGEOM, "return math.factorial(n) / (np.pi**n",

@@ -621,6 +621,8 @@ def _run_curve_localization(scenario, opts, threads):
         "l1_mass": term.l1_mass,
         "metric": scenario.metric_cfg.get("kind"),
     }
+    if term.nodes:  # a conic's rule, which draws none of the samples
+        results["nodes"] = term.nodes
     if scenario.metric_cfg.get("kind") == "fubini_study":
         ok = term.pointwise_max <= 1e-12 and abs(term.value) <= 1e-12
         results["pointwise_tol"] = 1e-12

@@ -19,20 +19,28 @@ computes the same coefficient and the agreement is tested; it takes a batch of
 points and runs the tensor algebra once with array coefficients, on the rows
 that the determinant form, the production path, reads (:func:`_density_rows`).
 
-Curve term.  For the split-section family on P^2 the curve Z = {f = 0} is
-sampled in chart 0 with base coordinate w_1 and sheet coordinate w_2: over each
-base point w_1 = u the sheets are the roots w_2 of f(u, w_2) = 0.  The
-localized integrand per sheet is
+Curve term.  For the split-section family on P^2 the curve form on Z = {f = 0},
+in a chart with base coordinate w_1 and sheet coordinate w_2, is
 
     (phi . (-2 pi i)(1 - r))^{(1,1)} * prefactor = (phi_c r_c / pi) dx dy,
 
-with phi_c = psi / (df/dw_2) and r_c = sum_b conj(tau_b) dbar_b(K / G_ff), tau
-the sheet tangent and G_fv = f K + conj(f) L the coupling: the closed form on
-the curve, which builds no Chern curvature.  Both come from one evaluation of
-:meth:`Example22Geometry.sheet_terms_batch`.
+dx dy the Lebesgue measure of w_1, with phi_c = psi / (df/dw_2) and r_c =
+sum_b conj(tau_b) dbar_b(K / G_ff), tau the sheet tangent and G_fv = f K +
+conj(f) L the coupling: the closed form on the curve, which builds no Chern
+curvature.  Both come from one evaluation of
+:meth:`Example22Geometry.sheet_terms_batch` (:func:`_curve_form`).  A smooth
+conic is a P^1: z = T R x(s), with T a Takagi frame of f (_conic_frame), R a
+real rotation drawn from the seed and x(s) = (1 - s^2, i (1 + s^2), 2s) the
+standard conic x.x = 0, pulls the form back to a smooth form on the sphere,
+which a product rule (_sphere_rule: Gauss-Legendre in cos theta times equally
+spaced phases) integrates spectrally, each node in the chart of its largest
+coordinate; the rule at orders m and 2m gives the value and its error
+(_conic_term).  A curve of any other degree is sampled in chart 0: over each
+base point w_1 = u the sheets are the roots w_2 of f(u, w_2) = 0.
 Where K has no terms (Fubini-Study, or a perturbation with pair = (v, f)), r_c
-and the curve integrand are identically 0: the sampler still draws and rejects
-sheets, but evaluates no density there.
+and the curve integrand are identically 0: the conic's rule evaluates
+nothing, and the sampler still draws and rejects sheets, but evaluates no
+density there.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`fiber_mass_quadrature`, integrate over polar discs by one rule,
@@ -43,11 +51,11 @@ Sampling.  Every Monte Carlo estimator is a point law and its rows, run by
 :func:`_run_chunks` on the seeded Philox stream in fixed chunks.  A point law
 draws a chunk's points and their sampling density p and evaluates nothing:
 FS-uniform on P^n chart by chart (the sweep), uniform on a ball of chart 0
-(the local mass), or FS-uniform base points with their sheet roots (the curve;
-a sample near a branch point weighs 0 and is counted as rejected).  The rows,
-one per reported quantity, are the integrand there over p; the sweep and the
-local mass share theirs, one density pass over the t-free |s|^2 and
-P det(Abar) for every t.  Each chunk is reduced at once to a :class:`_Summary`
+(the local mass), or FS-uniform base points with their sheet roots (a curve
+that is not a conic; a sample near a branch point weighs 0 and is counted as
+rejected).  The rows, one per reported quantity, are the integrand there over
+p; the sweep and the local mass share theirs, one density pass over the t-free
+|s|^2 and P det(Abar) for every t.  Each chunk is reduced at once to a :class:`_Summary`
 per row (count, sum, M2 = sum |x - mean|^2, and the curve's row maxima), and
 the summaries merge in chunk order by the pairwise update of Chan, Golub and
 LeVeque (The American Statistician 37, 1983).  So the working set does not
@@ -67,7 +75,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
-from .polycore import AffinePoly, PolyKernel, row_blocks
+from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, row_blocks
 from .projgeom import (
     Example22Geometry,
     GeometryContext,
@@ -98,6 +106,10 @@ _CHUNK = 1 << 14
 SWEEP_MIN_SAMPLES = 1000
 # |df/dw_2| below this times f's coefficient norm: too near a branch point, where phi blows up
 _BRANCH_TOL = 1e-6
+# Gauss-Legendre order of a conic's coarser sphere rule; the finer has twice it
+_CONIC_ORDER = 24
+# least std_error of a conic's rule, as a fraction of its L1 mass: the rounding of its sum
+_CONIC_FLOOR = 1e-12
 # fiber quadrature disc radius in Gaussian widths: e^{-144} of the peak at its rim
 _SIGMA_MULT = 12.0
 
@@ -112,12 +124,16 @@ class IntegralEstimate:
 
 @dataclass(frozen=True)
 class CurveTerm:
+    """The curve term: ``samples`` and ``rejected`` count the sampler's draws
+    (0 on a conic's rule), ``nodes`` the rule's nodes (0 on the sampler)."""
+
     value: complex
     std_error: float
     samples: int
     rejected: int
     pointwise_max: float
     l1_mass: float
+    nodes: int = 0
 
 
 class FlatModel:
@@ -224,6 +240,17 @@ def _estimate(s: _Summary, row: int) -> Tuple[complex, float]:
     return mean, math.sqrt(float(s.m2[row]) / (s.count * (s.count - 1)))
 
 
+def _check_count(count: int) -> None:
+    """Refuse a sample count below 1 with GeometryError."""
+    if count < 1:
+        raise GeometryError(f"at least 1 sample required, got {count}")
+
+
+def _philox(seed: int, start: int) -> np.random.Generator:
+    """The seeded Philox stream at sample ``start``: counter start << 64."""
+    return np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
+
+
 def _run_chunks(points, rows, count: int, seed: int, threads: int, top: bool = False) -> _Summary:
     """rows(*points(rng, size)) over fixed chunks of ``count`` samples: a point
     law draws the chunk's points and their sampling density p, the rows are the
@@ -233,12 +260,10 @@ def _run_chunks(points, rows, count: int, seed: int, threads: int, top: bool = F
     start << 64, so chunk boundaries, streams and merge order, and with them
     the results, are the same for any thread count.  A count below 1 is
     refused with GeometryError."""
-    if count < 1:
-        raise GeometryError(f"at least 1 sample required, got {count}")
+    _check_count(count)
 
     def chunk(start: int) -> _Summary:
-        rng = np.random.default_rng(np.random.Philox(key=seed, counter=start << 64))
-        return _summarize(rows(*points(rng, min(_CHUNK, count - start))), top)
+        return _summarize(rows(*points(_philox(seed, start), min(_CHUNK, count - start))), top)
 
     starts = range(0, count, _CHUNK)
     if threads > 1 and len(starts) > 1:
@@ -486,17 +511,30 @@ def curve_localized_term(
     seed: int,
     threads: int = 1,
 ) -> CurveTerm:
-    """Sheeted Monte Carlo of the curve-localized integrand over Z = {f = 0}.
+    """The curve-localized integral over Z = {f = 0}, whose vanishing is the
+    verified identity: a conic by the product rule on its rational
+    parametrization (:func:`_conic_term`), which draws none of the
+    ``samples``, and a curve of higher degree by sheeted Monte Carlo
+    (:func:`_sampled_term`).  The rule is deterministic given the seed and
+    runs on one thread.  A sample count below 1 is refused on both routes,
+    with GeometryError, as is an instance without psi."""
+    geo.ctx.chart_psi(0)  # refuses an instance without psi
+    if geo.f.degree == 2:
+        _check_count(samples)
+        return _conic_term(geo, seed)
+    return _sampled_term(geo, samples, seed, threads)
+
+
+def _sampled_term(geo: Example22Geometry, samples: int, seed: int, threads: int = 1) -> CurveTerm:
+    """Sheeted Monte Carlo of the curve term; it serves every degree but 2.
 
     Base points w_1 are FS-uniform on the chart-0 line; each sample's roots
     w_2 are the sheets.  A sample too close to a branch point (|df/dw_2| below
     _BRANCH_TOL times f's coefficient norm at a sheet), or whose leading
     coefficient vanishes or whose sheets are not finite, is rejected: it
     weighs 0 and is counted.  df/dw_2 is read off the roots (_sheet_slopes),
-    so f is evaluated once per chunk, for its coefficients in w_2.  The
-    vanishing of the total is the verified identity.
+    so f is evaluated once per chunk, for its coefficients in w_2.
     """
-    geo.ctx.chart_psi(0)  # refuses an instance without psi
     f = geo.f_aff(0)
     kernels = [PolyKernel(1, [cp]) for cp in _sheet_coefficients(f)]  # one row each, compiled once
     law = functools.partial(_sheet_law, kernels, _BRANCH_TOL * f.coeff_norm())
@@ -545,19 +583,134 @@ def _curve_rows(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray, ok: np
     return out
 
 
+def _zero_by_structure(geo: Example22Geometry) -> bool:
+    """True when K / G_ff has no terms, so that r_c and with it the curve
+    form are zero by structure (Example22Geometry.coupling)."""
+    return not geo.coupling(0).terms
+
+
+def _curve_form(geo: Example22Geometry, chart: int, W: np.ndarray) -> np.ndarray:
+    """phi_c r_c / pi at points W of Z on the chart, (N, 2) -> (N,): the curve
+    form's density against the Lebesgue measure of the chart's base
+    coordinate w_1, from one evaluation of the sheet terms."""
+    phi, r = geo.sheet_terms_batch(chart, W)
+    return phi * r / math.pi
+
+
 def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """phi_c r_c / pi at every sheet point (u, root) of chart 0, (N, m),
-    ROW_BLOCK sheet points at a time; zeros, with nothing evaluated, when
-    K / G_ff has no terms and r_c is zero by structure (Example22Geometry.coupling)."""
-    if not geo.coupling(0).terms:
+    """The curve form (_curve_form) at every sheet point (u, root) of chart 0,
+    (N, m), ROW_BLOCK sheet points at a time; zeros, with nothing evaluated,
+    when it is zero by structure."""
+    if _zero_by_structure(geo):
         return np.zeros(roots.shape, dtype=complex)
     m = roots.shape[1]
     dens = np.empty(roots.size, dtype=complex)
     for block in row_blocks(roots.size):
         W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
-        phi, r = geo.sheet_terms_batch(0, W)
-        dens[block] = phi * r / math.pi
+        dens[block] = _curve_form(geo, 0, W)
     return dens.reshape(-1, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_rule(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Product rule of order m for the FS probability measure on P^1: m
+    Gauss-Legendre nodes in c = cos theta times 2m + 1 equally spaced phases
+    phi, as unit homogeneous points (cos(theta/2), sin(theta/2) e^{i phi}),
+    (m (2m + 1), 2), and their weights, which sum to 1.  It is exact for
+    c^j e^{i k phi} with j <= 2m - 1 and |k| <= 2m, and on a smooth periodic
+    integrand the phases converge geometrically (Trefethen and Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  Built
+    once per order (read only)."""
+    c, wc = _leggauss(m)
+    phase = np.exp(2j * math.pi * np.arange(2 * m + 1) / (2 * m + 1))
+    first = np.repeat(np.sqrt((1 + c) / 2), 2 * m + 1)
+    second = (np.sqrt((1 - c) / 2)[:, None] * phase).reshape(-1)
+    return np.stack([first + 0j, second], axis=1), np.repeat(wc / (2 * (2 * m + 1)), 2 * m + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_conic(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x(sigma) = (s0^2 - s1^2, i (s0^2 + s1^2), 2 s0 s1), the standard conic
+    x.x = 0, and its partials d/ds0 and d/ds1, each (N, 3), at the nodes of
+    the order-m sphere rule.  Built once per order (read only)."""
+    s0, s1 = _sphere_rule(m)[0].T
+    x = np.stack([s0 * s0 - s1 * s1, 1j * (s0 * s0 + s1 * s1), 2 * s0 * s1], axis=1)
+    return x, 2 * np.stack([s0, 1j * s0, s1], axis=1), 2 * np.stack([-s1, 1j * s1, s0], axis=1)
+
+
+def _conic_frame(f: HomogeneousPoly) -> np.ndarray:
+    """T with T^T B T = I for the conic f(z) = z^T B z, B symmetric: T =
+    conj(U) Sigma^(-1/2) from a Takagi factorization B = U Sigma U^T, so
+    z = T x maps the standard conic x.x = 0 onto f = 0.  With B = A + iC, A
+    and C real, an eigenvector (a, b) of the real symmetric [[A, C], [C, -A]]
+    of eigenvalue sigma gives B conj(a + ib) = sigma (a + ib); the three
+    largest eigenvalues are Sigma, and eigenvectors of one eigenvalue stay
+    orthonormal as complex vectors, so equal singular values (Sigma = I on
+    z1^2 + z2^2 - z0^2) need no care.  A singular conic is refused with
+    GeometryError."""
+    B = np.zeros((3, 3), dtype=complex)
+    for e, c in f.terms.items():
+        i, j = (k for k in range(3) for _ in range(e[k]))
+        B[i, j] += c / 2
+        B[j, i] += c / 2
+    sigma, V = np.linalg.eigh(np.block([[B.real, B.imag], [B.imag, -B.real]]))
+    if not sigma[3] > 1e-12 * sigma[5]:
+        raise GeometryError("the conic is singular")
+    return (V[:3, 3:] - 1j * V[3:, 3:]) / np.sqrt(sigma[3:])
+
+
+def _rotation(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random real orthogonal 3 x 3 matrix: QR of a Gaussian matrix
+    with the signs of R's diagonal moved into Q."""
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+    return Q * np.sign(np.diag(R))
+
+
+def _conic_sum(form, M: np.ndarray, m: int) -> Tuple[complex, float, float]:
+    """The order-m sphere rule (_sphere_rule) of a (1,1)-form on the conic
+    z(sigma) = M x(sigma), x = (s0^2 - s1^2, i (s0^2 + s1^2), 2 s0 s1): its
+    integral, its L1 mass and the largest |density| at a node.  ``form(chart,
+    W)`` is the form's density against the Lebesgue measure of the chart's
+    base coordinate w_1 at curve points W; each node is read in the chart of
+    its largest coordinate.  The pullback to s = s1 / s0 against the sphere's
+    probability measure is the density times |dw_1/ds|^2 pi (1 + |s|^2)^2,
+    which at a unit sigma is pi |det d(z_b, z_c)/d(s0, s1)|^2 / (4 |z_c|^4),
+    z_b the base coordinate's numerator and z_c the chart's."""
+    weights = _sphere_rule(m)[1]
+    Z, dZ0, dZ1 = (v @ M.T for v in _standard_conic(m))
+    dens, top = np.empty(len(weights), dtype=complex), 0.0
+    for chart, rows, W in by_chart(Z):
+        b = int(chart == 0)  # the base coordinate w_1 = z_b / z_chart
+        det = dZ0[rows, b] * dZ1[rows, chart] - dZ1[rows, b] * dZ0[rows, chart]
+        zc2 = Z[rows, chart].real ** 2 + Z[rows, chart].imag ** 2
+        jacobian = math.pi * (det.real**2 + det.imag**2) / (4 * zc2 * zc2)
+        value = form(chart, W)
+        dens[rows] = value * jacobian
+        top = max(top, float(np.abs(value).max()))
+    return complex(weights @ dens), float(weights @ np.abs(dens)), top
+
+
+def _conic_term(geo: Example22Geometry, seed: int) -> CurveTerm:
+    """The curve term of a smooth conic by the sphere rule at orders
+    _CONIC_ORDER and twice it, on the frame z = T R x (_conic_frame), R a
+    real rotation drawn from the seed: R keeps x.x and |x|, and |x(s)|^2 =
+    2 (1 + |s|^2)^2, so the nodes spread evenly over the curve.  The
+    pulled-back form is smooth on the sphere (Sendra, Winkler and
+    Perez-Diaz, Rational Algebraic Curves, 2008, ch. 4), and the rule
+    converges spectrally.  The value is the finer sum; its std_error is
+    |fine - coarse|, and at least _CONIC_FLOOR times the L1 mass, the
+    rounding of a sum whose terms cancel.  L1 and pointwise_max come from the
+    finer nodes; no sample is drawn or rejected.  When the form is zero by
+    structure nothing is evaluated."""
+    m = _CONIC_ORDER
+    nodes = m * (2 * m + 1) + 2 * m * (4 * m + 1)
+    if _zero_by_structure(geo):
+        return CurveTerm(0j, 0.0, 0, 0, 0.0, 0.0, nodes)
+    M = _conic_frame(geo.f) @ _rotation(_philox(seed, 0))
+    form = functools.partial(_curve_form, geo)
+    coarse = _conic_sum(form, M, m)[0]
+    value, l1, top = _conic_sum(form, M, 2 * m)
+    return CurveTerm(value, max(abs(value - coarse), _CONIC_FLOOR * l1), 0, 0, top, l1, nodes)
 
 
 def fiber_mass_quadrature(

@@ -110,7 +110,7 @@ def global_residue_sum(
         raise ResidueError("zeros at infinity: the affine chart misses part of the zero set")
     section_aff = [s.dehomogenize(0) for s in section]
     psi_aff = psi.dehomogenize(0)
-    zs = solve_square_system(section_aff, seed=seed)
+    zs = solve_square_system(section_aff, seed=seed, all_finite=True)
     if zs.defective:
         named = "; ".join(f"zero of multiplicity {m} at {_point_text(p)}" for p, m in zs.multiple)
         raise ResidueError(f"{zs.defective} defective (non-simple) zeros" + (f": {named}" if named else ""))
@@ -323,7 +323,7 @@ def cayley_bacharach_verify(
         if not zeros_at_infinity_check([cur_f, cur_g]):
             raise ResidueError("the curves share a component: their intersection is not finite")
 
-    zs = solve_square_system([h.dehomogenize(0) for h in (cur_f, cur_g)], seed=seed)
+    zs = solve_square_system([h.dehomogenize(0) for h in (cur_f, cur_g)], seed=seed, all_finite=True)
     if zs.defective or zs.missing_paths or len(zs.points) != d * e:
         named = []
         for p, m in zs.multiple:  # in the section's own frame

@@ -20,7 +20,9 @@ any polish.  A cluster of k > 1 is one zero of multiplicity k, placed at the
 mean eigenvalue of each M_k on the span of its eigenvectors (a trace, which
 stays accurate where single eigenvectors of a multiple zero do not); it adds
 k to ``defective``, is listed in ``multiple`` and is not returned.  A zero
-with |z_0| <= _INFINITY_TOL |z| is at infinity, counted in ``missing_paths``.
+with |z_0| <= _INFINITY_TOL |z| is at infinity, counted in ``missing_paths``,
+unless the caller has shown by the resultant (``zeros_at_infinity_check``)
+that none is: with ``all_finite`` every zero is finite, however far out.
 Simple finite zeros are polished by batched Newton iteration, each row until
 a step of at most _STEP_TOL max(1, |z|_inf): the eigenvalue of a simple zero
 is at the rounding floor and takes one step; near a multiple zero Newton
@@ -140,8 +142,10 @@ def _solve_rows(A: np.ndarray, b: np.ndarray):
         return x, ok
 
 
-def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
-    """All isolated finite zeros of the square system polys = 0, at desk scale."""
+def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0, all_finite: bool = False) -> ZeroSet:
+    """All isolated finite zeros of the square system polys = 0, at desk
+    scale.  ``all_finite``: the resultant has shown that no zero lies at
+    infinity, so no eigenvalue is counted missing by _INFINITY_TOL."""
     system = _System(polys)
     if any(p.is_zero() for p in polys):
         raise ValueError("system contains an identically zero equation")
@@ -155,7 +159,7 @@ def solve_square_system(polys: Sequence[AffinePoly], seed: int = 0) -> ZeroSet:
 
     finite, missing, multiple = [], 0, []
     for z, m in _eigen_zeros(N, index, n, rho, seed):
-        if abs(z[0]) <= _INFINITY_TOL * np.linalg.norm(z):
+        if not all_finite and abs(z[0]) <= _INFINITY_TOL * np.linalg.norm(z):
             missing += m
         elif m > 1:
             multiple.append((tuple((z[1:] / z[0]).tolist()), m))

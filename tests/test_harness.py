@@ -385,7 +385,7 @@ def test_task_defaults(tmp_path, monkeypatch):
 
         def term(geo, n, seed, threads):
             calls["curve_localized_term"] = n
-            return SimpleNamespace(value=0.0, std_error=std_error, rejected=0, pointwise_max=0.0, l1_mass=1.0)
+            return SimpleNamespace(value=0.0, std_error=std_error, rejected=0, pointwise_max=0.0, l1_mass=1.0, nodes=0)
 
         monkeypatch.setattr(harness, "curve_localized_term", term)
         assert run(perturbed).results["sigma_vs_l1_ok"] is precise
@@ -482,7 +482,7 @@ def test_fubini_study_curve_gate_fails_on_a_nonzero_term(tmp_path, monkeypatch):
     # 1e-6 fails, however small its standard error
     path = str(SCENARIOS / "p2_example22_fs.json")
     for pointwise_max, value, verdict in ((1e-6, 0.0, "fail"), (0.0, 1e-6, "fail"), (0.0, 0.0, "pass")):
-        term = SimpleNamespace(value=value, std_error=1.0, rejected=0, pointwise_max=pointwise_max, l1_mass=1.0)
+        term = SimpleNamespace(value=value, std_error=1.0, rejected=0, pointwise_max=pointwise_max, l1_mass=1.0, nodes=0)
         monkeypatch.setattr(harness, "curve_localized_term", lambda *args, **kwargs: term)
         task = run_scenario(path).tasks[0]
         assert task.results["metric"] == "fubini_study" and task.verdict == verdict

@@ -131,3 +131,14 @@ def test_split_line_cayley_bacharach_exact_against_float(d, e, tmp_path):
         doc = {**doc, "backend": "float", "tasks": [{"kind": "cayley_bacharach"}]}
         for seed in range(3):
             assert _verdicts(tmp_path, doc, seed) == exact, (trial, seed)
+
+
+@pytest.mark.parametrize("k", [7, 13])
+def test_a_far_finite_zero_is_not_counted_at_infinity(k, tmp_path):
+    # (z1^2 - 10^k z0 z1, z2 - z1) has its two zeros at w = (0, 0) and
+    # (10^k, 10^k), both finite, as the resultant shows; the solver's
+    # |z_0| <= 1e-6 |z| rule alone once counted the far one at infinity
+    section = [f"z1^2 - {10**k}*z0*z1", "z2 - z1"]
+    doc = {"n": 2, "degrees": [2, 1], "section": section, "psi": "1", "metric": {"kind": "fubini_study"},
+           "backend": "float", "tasks": [{"kind": "euler_jacobi", "tol": 1e-8}]}
+    assert [_verdicts(tmp_path, doc, seed) for seed in range(20)] == [["pass"]] * 20
