@@ -20,11 +20,11 @@ rather than where the heap happened to fragment.  It prints one row per run:
 
 The estimators are ``virtual_residue_sweep`` on ``p2_22`` at the five t of
 the benchmark's sweep, ``local_mass`` on ``p1_o2`` (the ball of radius 0.5
-around its zero w = 1, t = 0.01) and the curve sampler ``_sampled_term``
-on ``p2_example22_perturbed`` (``curve_localized_term`` takes a conic's
-product rule, which draws no samples; the sampler serves every other
-degree).  An estimator whose working set does not grow
-with the sample count shows a growth that stays flat down the column.
+around its zero w = 1, t = 0.01) and the curve's line sampler
+``_sampled_term`` on ``PERTURBED_CUBIC``, the bundled perturbed scenario with
+a cubic in place of its conic (the bundled curve scenarios are conics, whose
+product rule draws no samples).  An estimator whose working set does not
+grow with the sample count shows a growth that stays flat down the column.
 """
 
 import argparse
@@ -47,14 +47,26 @@ from residue_lab import localize  # noqa: E402
 from residue_lab.harness import Scenario  # noqa: E402
 from residue_lab.projgeom import Example22Geometry  # noqa: E402
 
-ESTIMATORS = ("virtual_residue p2_22", "local_mass p1_o2", "curve p2_example22_perturbed")
+ESTIMATORS = ("virtual_residue p2_22", "local_mass p1_o2", "curve perturbed_cubic")
 SWEEP_T = (0.05, 0.1, 0.5, 1.0, 2.0)
+PERTURBED_CUBIC = {
+    "n": 2,
+    "degrees": [3, 2],
+    "section": ["z1^3 + (2-1i)*z1*z2^2 + z2^3 - (1/2)*z0^3 + (1+1i)*z0^2*z1 + (1/5)*z0*z2^2", "0"],
+    "psi": "z0^2 - (1/3+1i)*z1*z2",
+    "metric": {"kind": "perturbed", "epsilon": 0.05, "pair": [0, 1], "q": "z0^2 + 2*z1*z2 - z2^2", "f_index": 0},
+    "backend": "float",
+    "tasks": [{"kind": "curve_localization", "samples": 20000}],
+}
 
 
 def measure(estimator: str, samples: int) -> None:
     """One row, in this process: print the growth in MB and the wall time."""
     kind, scenario = estimator.split()
-    doc = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    if scenario == "perturbed_cubic":
+        doc = PERTURBED_CUBIC
+    else:
+        doc = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
     ctx = Scenario.from_dict(doc).geometry()
     if kind == "virtual_residue":
         run = lambda count: localize.virtual_residue_sweep(ctx, SWEEP_T, count, seed=1)  # noqa: E731

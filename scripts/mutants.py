@@ -98,8 +98,10 @@ MUTANTS = [
      "dual_pair's sign for It passing Ju"),
     ("contract-l-sign-dropped", SUPERALG, " + l * (l - 1) // 2", "",
      "the l(l-1)/2 term of the adjunction sign"),
-    ("sheet-derivative-factor-dropped", LOCALIZE, "[ri - rj for", "[1 for",
-     "df/dw_2 at a sheet read as the leading coefficient alone"),
+    ("line-summand-fs-area-dropped", LOCALIZE, "fs = (norm * nu2 - (dot.real**2 + dot.imag**2)) / (norm * norm)",
+     "fs = nu2", "the line summand over the normal's Euclidean norm in place of its FS norm"),
+    ("line-normal-unconjugated", LOCALIZE, "psi * (np.conj(f2) * dK1", "psi * (f2 * dK1",
+     "the line summand's d_2 f entering unconjugated"),
     ("cube-root-as-sqrt", LOCALIZE, "np.cbrt(", "np.sqrt(", "Cardano's cube root taken as a square root"),
     ("json-keys-unsorted", HARNESS, "for key in sorted(obj):", "for key in obj:",
      "the canonical JSON's keys in insertion order"),

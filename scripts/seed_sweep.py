@@ -13,9 +13,19 @@ Monte Carlo estimate, with z = |value| / sigma:
     sigma/L1   mean and largest std_error / L1 mass (curve task only)
 
 The estimates are those a task gates at 3 sigma: each t of a virtual
-residue sweep, the cancelling total of a local-mass task and the curve term.
-Where sigma is 0 (the Fubini-Study curve term, which vanishes pointwise) z is
-not defined and is printed as "-".
+residue sweep, the cancelling total of a local-mass task and the curve term
+of a curve that is not a conic, sampled over random lines.  Where sigma is 0
+(a curve form that is zero by structure, which draws nothing) z is not
+defined and is printed as "-".
+
+A conic's curve term is a product rule, whose sigma is an error bound
+(|Q_48 - Q_24|, at least 1e-12 of L1), not a standard error: z has no
+distribution to calibrate.  Such tasks are printed in a second table, under
+"bound", with:
+
+    pass               seeds at which the task passed
+    max |value|/sigma  the largest |value| / sigma, at most 1 while the bound holds
+    sigma/L1           mean and largest sigma / L1 mass
 
 Usage: python3 scripts/seed_sweep.py SCENARIO --seeds A:B
 
@@ -42,7 +52,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def estimates(task):
     """(label, value, sigma, sigma / L1 or None) of each 3-sigma-gated
-    estimate in one task's results."""
+    estimate in one task's results; a curve term by a rule (its results
+    carry ``nodes``) is labelled "curve rule"."""
     res = task.results
     if task.kind == "virtual_residue":
         for est in res.get("estimates", []):
@@ -51,14 +62,20 @@ def estimates(task):
         yield "local_mass total", res["mass_total"], res["mass_total_3sigma"] / 3, None
     elif task.kind == "curve_localization" and "value" in res:
         l1 = res["l1_mass"]
-        yield "curve", res["value"], res["std_error"], (res["std_error"] / l1 if l1 > 0 else None)
+        label = "curve rule" if "nodes" in res else "curve"
+        yield label, res["value"], res["std_error"], (res["std_error"] / l1 if l1 > 0 else None)
+
+
+def _ratios(runs, spec: str = ".4f") -> str:
+    """Mean and largest sigma / L1 over the seeds, or "-" where no L1 is positive."""
+    ratios = [r for *_, r in runs if r is not None]
+    return f"{statistics.fmean(ratios):{spec}} / {max(ratios):{spec}}" if ratios else "-"
 
 
 def summarize(runs):
     """One printed row from the per-seed (passed, value, sigma, sigma/L1)."""
     zs = [abs(v) / s for _, v, s, _ in runs if s > 0]
     sigmas = [s for _, _, s, _ in runs]
-    ratios = [r for *_, r in runs if r is not None]
     mean_s = statistics.fmean(sigmas)
     cv = statistics.pstdev(sigmas) / mean_s if mean_s > 0 else 0.0
     cols = [f"{sum(p for p, *_ in runs)}/{len(runs)}"]
@@ -66,9 +83,19 @@ def summarize(runs):
         cols += [f"{statistics.fmean(z * z for z in zs):.3f}", f"{max(zs):.2f}", str(sum(z > 3 for z in zs))]
     else:
         cols += ["-", "-", "-"]
-    cols.append(f"{cv:.3f}")
-    cols.append(f"{statistics.fmean(ratios):.4f} / {max(ratios):.4f}" if ratios else "-")
-    return cols
+    return cols + [f"{cv:.3f}", _ratios(runs)]
+
+
+def summarize_rule(runs):
+    """One printed row of a rule's bound from the same per-seed tuples."""
+    zs = [abs(v) / s for _, v, s, _ in runs if s > 0]
+    return [f"{sum(p for p, *_ in runs)}/{len(runs)}", f"{max(zs):.4f}" if zs else "-", _ratios(runs, ".2e")]
+
+
+def print_table(header, rows):
+    widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
+    for row in [header] + rows:
+        print("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w) for i, (cell, w) in enumerate(zip(row, widths))))
 
 
 def main() -> int:
@@ -98,11 +125,12 @@ def main() -> int:
                 runs.setdefault(f"[{k}] {label}", []).append((task.ok(), value, sigma, ratio))
 
     print(f"{path.name}, seeds {first}:{stop}")
-    header = ["estimate", "pass", "mean z^2", "max z", "z>3", "cv(sigma)", "sigma/L1 mean / max"]
-    rows = [[label] + summarize(r) for label, r in runs.items()]
-    widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
-    for row in [header] + rows:
-        print("  ".join(cell.ljust(w) if i == 0 else cell.rjust(w) for i, (cell, w) in enumerate(zip(row, widths))))
+    sampled = [[label] + summarize(r) for label, r in runs.items() if not label.endswith(" rule")]
+    rules = [[label] + summarize_rule(r) for label, r in runs.items() if label.endswith(" rule")]
+    if sampled:
+        print_table(["estimate", "pass", "mean z^2", "max z", "z>3", "cv(sigma)", "sigma/L1 mean / max"], sampled)
+    if rules:
+        print_table(["bound", "pass", "max |value|/sigma", "sigma/L1 mean / max"], rules)
     return 0
 
 

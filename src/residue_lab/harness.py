@@ -616,7 +616,6 @@ def _run_curve_localization(scenario, opts, threads):
         "samples": n_samples,
         "value": complex(term.value),
         "std_error": term.std_error,
-        "rejected_samples": term.rejected,
         "pointwise_max": term.pointwise_max,
         "l1_mass": term.l1_mass,
         "metric": scenario.metric_cfg.get("kind"),

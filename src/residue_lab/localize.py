@@ -35,12 +35,15 @@ standard conic x.x = 0, pulls the form back to a smooth form on the sphere,
 which a product rule (_sphere_rule: Gauss-Legendre in cos theta times equally
 spaced phases) integrates spectrally, each node in the chart of its largest
 coordinate; the rule at orders m and 2m gives the value and its error
-(_conic_term).  A curve of any other degree is sampled in chart 0: over each
-base point w_1 = u the sheets are the roots w_2 of f(u, w_2) = 0.
-Where K has no terms (Fubini-Study, or a perturbation with pair = (v, f)), r_c
-and the curve integrand are identically 0: the conic's rule evaluates
-nothing, and the sampler still draws and rejects sheets, but evaluates no
-density there.
+(_conic_term).  A curve of any other degree is sampled over random lines
+(Crofton's formula): a line {a.z = 0}, a FS-uniform on the dual plane, meets
+the curve in d points, and the mean over lines of the sum of Area_FS(P^1)
+times the form over the FS area element at those points is the integral
+(_sampled_term, _line_summand).  The summand divides by the FS norm of the
+curve's normal, not by df/dw_2, so it is bounded on a smooth curve and no
+line is refused.  Where K has no terms (Fubini-Study, or a perturbation with
+pair = (v, f)), r_c and the curve form are identically 0, and the term is 0
+with nothing drawn or evaluated, on every degree.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`fiber_mass_quadrature`, integrate over polar discs by one rule,
@@ -51,17 +54,17 @@ Sampling.  Every Monte Carlo estimator is a point law and its rows, run by
 :func:`_run_chunks` on the seeded Philox stream in fixed chunks.  A point law
 draws a chunk's points and their sampling density p and evaluates nothing:
 FS-uniform on P^n chart by chart (the sweep), uniform on a ball of chart 0
-(the local mass), or FS-uniform base points with their sheet roots (a curve
-that is not a conic; a sample near a branch point weighs 0 and is counted as
-rejected).  The rows, one per reported quantity, are the integrand there over
-p; the sweep and the local mass share theirs, one density pass over the t-free
-|s|^2 and P det(Abar) for every t.  Each chunk is reduced at once to a :class:`_Summary`
+(the local mass), or random lines with their d points on the curve (a curve
+that is not a conic), whose law needs no density: a line's rows are its
+summands' sum.  The rows, one per reported quantity, are the integrand there
+over p; the sweep and the local mass share theirs, one density pass over the
+t-free |s|^2 and P det(Abar) for every t.  Each chunk is reduced at once to a :class:`_Summary`
 per row (count, sum, M2 = sum |x - mean|^2, and the curve's row maxima), and
 the summaries merge in chunk order by the pairwise update of Chan, Golub and
 LeVeque (The American Statistician 37, 1983).  So the working set does not
 grow with the sample count, and results do not depend on the thread count.
-A curve chunk's sheet roots and sheet densities are computed ROW_BLOCK rows
-at a time, the blocks that PolyKernel and ChartGroup use.  :class:`FlatModel`
+A curve chunk's line roots and summands are computed ROW_BLOCK rows at a
+time, the blocks that PolyKernel and ChartGroup use.  :class:`FlatModel`
 is a density source under the identity metric, on chart 0 only.
 """
 
@@ -75,7 +78,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .chartfun import ChartFunction, ChartGroup
-from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, row_blocks
+from .polycore import AffinePoly, HomogeneousPoly, PolyKernel, _substitute_terms, row_blocks
 from .projgeom import (
     Example22Geometry,
     GeometryContext,
@@ -104,8 +107,6 @@ __all__ = [
 _CHUNK = 1 << 14
 # fewest samples of a virtual residue sweep
 SWEEP_MIN_SAMPLES = 1000
-# |df/dw_2| below this times f's coefficient norm: too near a branch point, where phi blows up
-_BRANCH_TOL = 1e-6
 # Gauss-Legendre order of a conic's coarser sphere rule; the finer has twice it
 _CONIC_ORDER = 24
 # least std_error of a conic's rule, as a fraction of its L1 mass: the rounding of its sum
@@ -124,13 +125,13 @@ class IntegralEstimate:
 
 @dataclass(frozen=True)
 class CurveTerm:
-    """The curve term: ``samples`` and ``rejected`` count the sampler's draws
-    (0 on a conic's rule), ``nodes`` the rule's nodes (0 on the sampler)."""
+    """The curve term: ``samples`` counts the lines drawn (0 on a conic's rule
+    and where the form is zero by structure), ``nodes`` the rule's nodes (0
+    on the sampler)."""
 
     value: complex
     std_error: float
     samples: int
-    rejected: int
     pointwise_max: float
     l1_mass: float
     nodes: int = 0
@@ -497,14 +498,6 @@ def _solve_sheets(coeffs: np.ndarray) -> np.ndarray:
         return newton(np.concatenate([x, _quadratic_roots(-total[:, 0], prod[:, 0])], axis=1))
 
 
-def _sheet_slopes(lead: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """df/dw_2 at every sheet, (N, m), read off the roots with f not evaluated:
-    f = c_m prod_j (w_2 - r_j) gives c_m prod_{j != i} (r_i - r_j) at r_i."""
-    cols = list(roots.T)
-    factors = [[ri - rj for j, rj in enumerate(cols) if j != i] for i, ri in enumerate(cols)]
-    return np.stack([functools.reduce(np.multiply, f, lead) for f in factors], axis=1)
-
-
 def curve_localized_term(
     geo: Example22Geometry,
     samples: int,
@@ -514,73 +507,113 @@ def curve_localized_term(
     """The curve-localized integral over Z = {f = 0}, whose vanishing is the
     verified identity: a conic by the product rule on its rational
     parametrization (:func:`_conic_term`), which draws none of the
-    ``samples``, and a curve of higher degree by sheeted Monte Carlo
-    (:func:`_sampled_term`).  The rule is deterministic given the seed and
-    runs on one thread.  A sample count below 1 is refused on both routes,
-    with GeometryError, as is an instance without psi."""
+    ``samples``, and a curve of any other degree by Monte Carlo over random
+    lines (:func:`_sampled_term`).  A form that is zero by structure is 0
+    with nothing drawn or evaluated, on every degree.  The rule is
+    deterministic given the seed and runs on one thread.  A sample count
+    below 1 is refused on both routes, with GeometryError, as is an instance
+    without psi."""
     geo.ctx.chart_psi(0)  # refuses an instance without psi
-    if geo.f.degree == 2:
-        _check_count(samples)
+    _check_count(samples)
+    conic = geo.f.degree == 2
+    if _zero_by_structure(geo):
+        return CurveTerm(0j, 0.0, 0, 0.0, 0.0, _conic_nodes(_CONIC_ORDER) if conic else 0)
+    if conic:
         return _conic_term(geo, seed)
     return _sampled_term(geo, samples, seed, threads)
 
 
 def _sampled_term(geo: Example22Geometry, samples: int, seed: int, threads: int = 1) -> CurveTerm:
-    """Sheeted Monte Carlo of the curve term; it serves every degree but 2.
-
-    Base points w_1 are FS-uniform on the chart-0 line; each sample's roots
-    w_2 are the sheets.  A sample too close to a branch point (|df/dw_2| below
-    _BRANCH_TOL times f's coefficient norm at a sheet), or whose leading
-    coefficient vanishes or whose sheets are not finite, is rejected: it
-    weighs 0 and is counted.  df/dw_2 is read off the roots (_sheet_slopes),
-    so f is evaluated once per chunk, for its coefficients in w_2.
-    """
-    f = geo.f_aff(0)
-    kernels = [PolyKernel(1, [cp]) for cp in _sheet_coefficients(f)]  # one row each, compiled once
-    law = functools.partial(_sheet_law, kernels, _BRANCH_TOL * f.coeff_norm())
-    summary = _run_chunks(law, functools.partial(_curve_rows, geo), samples, seed, threads, top=True)
+    """Monte Carlo of the curve term over random lines (Crofton's formula;
+    Santalo, Integral Geometry and Geometric Probability, 1976): the mean of
+    a line's summands (_line_summand) over its d points on the curve is the
+    integral, and each summand is bounded on a smooth curve, so no line is
+    refused.  f is restricted to each line through one compiled kernel of
+    its coefficients per chart (_line_coefficients)."""
+    kernels = [PolyKernel(2, _line_coefficients(geo.f, chart)) for chart in range(3)]
+    law = functools.partial(_line_law, kernels)
+    summary = _run_chunks(law, functools.partial(_line_rows, geo), samples, seed, threads, top=True)
     value, se = _estimate(summary, 0)
     return CurveTerm(
         value=value,
         std_error=se,
         samples=samples,
-        rejected=int(summary.total[3].real),
         pointwise_max=float(summary.top[2]),
         l1_mass=float(summary.total[1].real / summary.count),
     )
 
 
-def _sheet_law(kernels: Sequence[PolyKernel], branch_tol: float, rng: np.random.Generator, count: int):
-    """FS-uniform base values u of the chart-0 line, their sheet roots (count,
-    m) from f's coefficients in w_2 (``kernels``), the mask of the accepted
-    samples, and p, the FS density at every u.  Its temporaries are freed
-    before the density is evaluated."""
-    Z = fs_uniform_points(1, count, rng)
-    u = Z[:, 1] / Z[:, 0]
-    coeffs = np.stack([k.eval_batch(u[:, None])[0] for k in kernels], axis=1)
-    lead_ok = np.abs(coeffs[:, -1]) > 1e-12 * functools.reduce(np.maximum, np.abs(coeffs).T)
-    roots = np.full((count, len(kernels) - 1), np.nan, dtype=complex)
-    solvable = np.flatnonzero(lead_ok)
-    for block in row_blocks(len(solvable)):  # bounds the closed forms' temporaries
-        roots[solvable[block]] = _solve_sheets(coeffs[solvable[block]])
-    with np.errstate(all="ignore"):
-        clear = np.abs(_sheet_slopes(coeffs[:, -1], roots)) > branch_tol
-        # over the m sheets by whole-column operations (here and in _curve_rows), not a per-row axis=1 loop
-        ok = lead_ok & functools.reduce(np.logical_and, np.isfinite(roots).T & clear.T)
-    return u, roots, ok, fs_density(u[:, None], 1)
+def _line_coefficients(f: HomogeneousPoly, chart: int) -> List[AffinePoly]:
+    """F_0, ..., F_d of f restricted to the line z_c = -(b_1 z_i + b_2 z_j), c
+    the chart and i < j the other coordinates: f(z) = sum_k F_k z_i^k
+    z_j^(d - k), each F_k a polynomial in the line's chart coordinates (b_1,
+    b_2) = (a_i, a_j) / a_c of {a.z = 0}.  Expanded over term maps in (b_1,
+    b_2, z_i, z_j)."""
+    i, j = (k for k in range(3) if k != chart)
+    image = {i: {(0, 0, 1, 0): 1.0}, j: {(0, 0, 0, 1): 1.0}, chart: {(1, 0, 1, 0): -1.0, (0, 1, 0, 1): -1.0}}
+    total = _substitute_terms(f.terms, [image[k] for k in range(3)], 4)
+    coeffs: List[dict] = [{} for _ in range(f.degree + 1)]
+    for (b1, b2, x, _), c in total.items():
+        coeffs[x][(b1, b2)] = c
+    return [AffinePoly(2, terms) for terms in coeffs]
 
 
-def _curve_rows(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray, ok: np.ndarray, p: np.ndarray):
-    """Rows: value, L1 mass, largest |sheet density|, rejected flag."""
-    dens = _sheet_density(geo, u[ok], roots[ok])
-    size, p = np.abs(dens), p[ok]
-    out = np.zeros((4, len(u)), dtype=complex)
-    # sheet after sheet, in order: the bits of sum(axis=1) for m <= 3
-    out[0, ok] = functools.reduce(np.add, dens.T) / p
-    out[1, ok] = functools.reduce(np.add, size.T) / p
-    out[2, ok] = functools.reduce(np.maximum, size.T)
-    out[3] = ~ok
-    return out
+def _line_law(kernels: Sequence[PolyKernel], rng: np.random.Generator, count: int):
+    """Lines {a.z = 0}, a FS-uniform on the dual plane (the unitarily
+    invariant law of lines), and their d points on the curve as homogeneous
+    vectors, (count, d, 3), with nothing evaluated on the curve.  Each line is
+    parametrized in the chart c of a's largest coordinate by (z_i, z_j); f on
+    it is the binary form sum_k F_k z_i^k z_j^(d - k) (``kernels[c]``), whose
+    roots are solved in z_i / z_j, or in z_j / z_i with the row reversed,
+    whichever end coefficient is larger, ROW_BLOCK lines at a time.  The
+    lines come in the order of ``by_chart``'s parts of a."""
+    d, start = kernels[0].coeffs.shape[0] - 1, 0
+    parts = list(by_chart(fs_uniform_points(2, count, rng)))  # a is freed before Z is made
+    Z = np.empty((count, d, 3), dtype=complex)
+    for chart, _, W in parts:
+        i, j = (k for k in range(3) if k != chart)
+        for block in row_blocks(len(W)):
+            b, points = W[block], Z[start : start + block.stop - block.start]
+            coeffs = kernels[chart].eval_batch(b).T
+            flip = np.abs(coeffs[:, :1]) > np.abs(coeffs[:, -1:])
+            roots = _solve_sheets(np.where(flip, coeffs[:, ::-1], coeffs))
+            points[:, :, i], points[:, :, j] = np.where(flip, 1.0, roots), np.where(flip, roots, 1.0)
+            points[:, :, chart] = -(b[:, :1] * points[:, :, i] + b[:, 1:] * points[:, :, j])
+            start += len(b)
+    return (Z,)
+
+
+def _line_rows(geo: Example22Geometry, Z: np.ndarray) -> np.ndarray:
+    """Rows: each line's sum of summands over its d points on the curve, its
+    sum of |summand| (the L1 mass) and its largest |summand|; the points of
+    ROW_BLOCK lines at a time are read in the chart of their largest
+    coordinate."""
+    count, d = Z.shape[:2]
+    dens = np.empty((count, d), dtype=complex)
+    for block in row_blocks(count):
+        part = dens[block].reshape(-1)
+        for chart, rows, W in by_chart(Z[block].reshape(-1, 3)):
+            part[rows] = _line_summand(geo, chart, W)
+    size = np.abs(dens)
+    # over the d points by whole-column operations, not a per-row axis=1 loop
+    return np.stack([functools.reduce(np.add, dens.T), functools.reduce(np.add, size.T),
+                     functools.reduce(np.maximum, size.T)])
+
+
+def _line_summand(geo: Example22Geometry, chart: int, W: np.ndarray) -> np.ndarray:
+    """The Crofton summand at curve points W of the chart, (N, 2) -> (N,):
+    psi (conj(d_2 f) dbar_1(K / G_ff) - conj(d_1 f) dbar_2(K / G_ff)) /
+    |nu|^2_FS, nu = (d_2 f, -d_1 f) normal to the curve's tangent, where
+    |v|^2_FS = ((1 + |W|^2) |v|^2 - |conj(W).v|^2) / (1 + |W|^2)^2.  With
+    tau = nu / d_2 f = (1, kappa) this is pi (phi_c r_c / pi) / |tau|^2_FS:
+    Area_FS(P^1) = pi times the curve form over the FS area element, with
+    no division by d_2 f.  One evaluation of the chart's sheet group."""
+    dK1, dK2, f1, f2, psi = geo.sheet_group(chart).eval_batch(W)
+    norm = 1.0 + (W.real**2 + W.imag**2).sum(axis=1)
+    nu2 = f1.real**2 + f1.imag**2 + f2.real**2 + f2.imag**2
+    dot = np.conj(W[:, 0]) * f2 - np.conj(W[:, 1]) * f1
+    fs = (norm * nu2 - (dot.real**2 + dot.imag**2)) / (norm * norm)
+    return psi * (np.conj(f2) * dK1 - np.conj(f1) * dK2) / fs
 
 
 def _zero_by_structure(geo: Example22Geometry) -> bool:
@@ -595,20 +628,6 @@ def _curve_form(geo: Example22Geometry, chart: int, W: np.ndarray) -> np.ndarray
     coordinate w_1, from one evaluation of the sheet terms."""
     phi, r = geo.sheet_terms_batch(chart, W)
     return phi * r / math.pi
-
-
-def _sheet_density(geo: Example22Geometry, u: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The curve form (_curve_form) at every sheet point (u, root) of chart 0,
-    (N, m), ROW_BLOCK sheet points at a time; zeros, with nothing evaluated,
-    when it is zero by structure."""
-    if _zero_by_structure(geo):
-        return np.zeros(roots.shape, dtype=complex)
-    m = roots.shape[1]
-    dens = np.empty(roots.size, dtype=complex)
-    for block in row_blocks(roots.size):
-        W = np.stack([u[np.arange(block.start, block.stop) // m], roots.reshape(-1)[block]], axis=1)
-        dens[block] = _curve_form(geo, 0, W)
-    return dens.reshape(-1, m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -626,6 +645,11 @@ def _sphere_rule(m: int) -> Tuple[np.ndarray, np.ndarray]:
     first = np.repeat(np.sqrt((1 + c) / 2), 2 * m + 1)
     second = (np.sqrt((1 - c) / 2)[:, None] * phase).reshape(-1)
     return np.stack([first + 0j, second], axis=1), np.repeat(wc / (2 * (2 * m + 1)), 2 * m + 1)
+
+
+def _conic_nodes(m: int) -> int:
+    """Nodes of a conic's two sphere rules, of orders m and 2m."""
+    return m * (2 * m + 1) + 2 * m * (4 * m + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -700,17 +724,13 @@ def _conic_term(geo: Example22Geometry, seed: int) -> CurveTerm:
     converges spectrally.  The value is the finer sum; its std_error is
     |fine - coarse|, and at least _CONIC_FLOOR times the L1 mass, the
     rounding of a sum whose terms cancel.  L1 and pointwise_max come from the
-    finer nodes; no sample is drawn or rejected.  When the form is zero by
-    structure nothing is evaluated."""
+    finer nodes; no sample is drawn."""
     m = _CONIC_ORDER
-    nodes = m * (2 * m + 1) + 2 * m * (4 * m + 1)
-    if _zero_by_structure(geo):
-        return CurveTerm(0j, 0.0, 0, 0, 0.0, 0.0, nodes)
     M = _conic_frame(geo.f) @ _rotation(_philox(seed, 0))
     form = functools.partial(_curve_form, geo)
     coarse = _conic_sum(form, M, m)[0]
     value, l1, top = _conic_sum(form, M, 2 * m)
-    return CurveTerm(value, max(abs(value - coarse), _CONIC_FLOOR * l1), 0, 0, top, l1, nodes)
+    return CurveTerm(value, max(abs(value - coarse), _CONIC_FLOOR * l1), 0, top, l1, _conic_nodes(m))
 
 
 def fiber_mass_quadrature(
@@ -729,11 +749,10 @@ def fiber_mass_quadrature(
 
     Every refusal comes first, with GeometryError: a t that is not positive
     and finite, a u that is not finite, a fiber whose leading coefficient in
-    w_2 is below 1e-12 of its largest one (the curve sampler's rule; a huge u
-    overflows to one), and a sheet where |df/dw_2| is below 1e-12 times f's
-    coefficient norm (the rule of ``Example22Geometry.sheet_terms_batch``):
-    there the sheets meet or run off to infinity, and the disc has no finite
-    width.  The last refusal is of an instance that carries no psi.
+    w_2 is below 1e-12 of its largest one (a huge u overflows to one), and a
+    sheet where |df/dw_2| is below 1e-12 times f's coefficient norm (the rule
+    of ``Example22Geometry.sheet_terms_batch``): there the sheets meet or run
+    off to infinity, and the disc has no finite width.  The last refusal is of an instance that carries no psi.
 
     Then a row or column of chart 0's Abar with no terms makes det(Abar) zero
     by structure (under a split metric, xi of the zero summand of s = (f, 0)

@@ -31,7 +31,7 @@ import math
 import re
 import threading
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -200,6 +200,20 @@ def _mul_terms(a: Mapping, b: Mapping) -> dict:
             p = c1 * c2
             out[e] = p if s is None else s + p
     return _canonical(out)
+
+
+def _substitute_terms(terms: Mapping, images: Sequence[Mapping], num_vars: int) -> dict:
+    """The term map of sum_e c_e prod_k images[k]^e_k, each variable k
+    replaced by the term map images[k] in num_vars variables, expanded term
+    by term with complex coefficients."""
+    total: dict = {}
+    for e, c in terms.items():
+        term = {(0,) * num_vars: complex(c)}
+        for k, power in enumerate(e):
+            for _ in range(power):
+                term = _mul_terms(term, images[k])
+        total = _add_terms(total, term)
+    return total
 
 
 class _PolyBase:
@@ -459,14 +473,7 @@ class HomogeneousPoly(_PolyBase):
             _canonical({tuple(int(i == c) for i in range(nv)): complex(Q[r, c]) for c in range(nv)})
             for r in range(nv)
         ]
-        total: dict = {}
-        for e, c in self.terms.items():
-            term = {(0,) * nv: complex(c)}
-            for k, power in enumerate(e):
-                for _ in range(power):
-                    term = _mul_terms(term, images[k])
-            total = _add_terms(total, term)
-        return HomogeneousPoly(nv, self.degree, total)
+        return HomogeneousPoly(nv, self.degree, _substitute_terms(self.terms, images, nv))
 
     def to_text(self) -> str:
         """Canonical grammar string; parse(to_text()) reproduces the term map."""

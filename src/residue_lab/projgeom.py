@@ -397,7 +397,9 @@ class Example22Geometry:
 
     The curve is framed the same way in every chart: its base coordinate is
     w_1 and its sheet coordinate w_2, so the sheet slope is dw_2/dw_1 and the
-    normal direction is d/dw_2.  The curve-localized sampler works on chart 0.
+    normal direction is d/dw_2.  The curve term reads each curve point in the
+    chart of its largest coordinate, the conic rule's nodes and the line
+    sampler's points alike; the fiber oracle works on chart 0.
     """
 
     def __init__(self, ctx: GeometryContext):
@@ -472,6 +474,18 @@ class Example22Geometry:
 
         return self.ctx.cached(chart, "coupling", build)
 
+    def sheet_group(self, chart: int) -> ChartGroup:
+        """The chart's group [dbar_1(K / G_ff), dbar_2(K / G_ff), df/dw_1,
+        df/dw_2, psi], compiled once and kept on the context."""
+
+        def build():
+            psi = self.ctx.chart_psi(chart)
+            K, f = self.coupling(chart), self.f_aff(chart)
+            hol = [ChartFunction.from_parts(self.ctx.n, hol=p) for p in (f.partial(0), f.partial(1), psi)]
+            return [K.dbar(0), K.dbar(1), *hol]
+
+        return self.ctx.group(chart, "sheet terms", build)
+
     def sheet_terms_batch(self, chart: int, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(phi_c, r_c) at points of Z = {f = 0} on the chart, (N, 2) -> two (N,).
 
@@ -491,18 +505,10 @@ class Example22Geometry:
         Algebraic Geometry, 1978, ch. 0 sec. 5), is -(d_a f) dbar_b(K / G_ff)
         plus a multiple of conj(d_b f), which the conjugated tangent
         annihilates.  For pair = (f, v), K / G_ff = eps conj(q) (1+|w|^2)^{-d_v};
-        for pair = (v, f) and split metrics, r = 0.  One group per chart, kept on
-        the context, gives [dbar_1(K / G_ff), dbar_2(K / G_ff), df/dw_1, df/dw_2,
-        psi], so phi_c and kappa share one df/dw_2.
+        for pair = (v, f) and split metrics, r = 0.  Both come from one
+        evaluation of :meth:`sheet_group`, so phi_c and kappa share one df/dw_2.
         """
-
-        def build():
-            psi = self.ctx.chart_psi(chart)
-            K, f = self.coupling(chart), self.f_aff(chart)
-            hol = [ChartFunction.from_parts(self.ctx.n, hol=p) for p in (f.partial(0), f.partial(1), psi)]
-            return [K.dbar(0), K.dbar(1), *hol]
-
-        dK1, dK2, f1, f2, psi = self.ctx.group(chart, "sheet terms", build).eval_batch(W)
+        dK1, dK2, f1, f2, psi = self.sheet_group(chart).eval_batch(W)
         if np.any(np.abs(f2) < 1e-12 * self.f.coeff_norm()):
             raise GeometryError("vanishing normal derivative (branch point)")
         kappa = -f1 / f2

@@ -385,7 +385,7 @@ def test_task_defaults(tmp_path, monkeypatch):
 
         def term(geo, n, seed, threads):
             calls["curve_localized_term"] = n
-            return SimpleNamespace(value=0.0, std_error=std_error, rejected=0, pointwise_max=0.0, l1_mass=1.0, nodes=0)
+            return SimpleNamespace(value=0.0, std_error=std_error, pointwise_max=0.0, l1_mass=1.0, nodes=0)
 
         monkeypatch.setattr(harness, "curve_localized_term", term)
         assert run(perturbed).results["sigma_vs_l1_ok"] is precise
@@ -482,7 +482,7 @@ def test_fubini_study_curve_gate_fails_on_a_nonzero_term(tmp_path, monkeypatch):
     # 1e-6 fails, however small its standard error
     path = str(SCENARIOS / "p2_example22_fs.json")
     for pointwise_max, value, verdict in ((1e-6, 0.0, "fail"), (0.0, 1e-6, "fail"), (0.0, 0.0, "pass")):
-        term = SimpleNamespace(value=value, std_error=1.0, rejected=0, pointwise_max=pointwise_max, l1_mass=1.0, nodes=0)
+        term = SimpleNamespace(value=value, std_error=1.0, pointwise_max=pointwise_max, l1_mass=1.0, nodes=0)
         monkeypatch.setattr(harness, "curve_localized_term", lambda *args, **kwargs: term)
         task = run_scenario(path).tasks[0]
         assert task.results["metric"] == "fubini_study" and task.verdict == verdict
@@ -1167,7 +1167,9 @@ def test_cusp_curve_precondition_failed(tmp_path):
 
 
 def test_curve_without_sheets_precondition_failed(tmp_path):
-    # f = z1 - z0 does not involve z2, so no sheet lies over w_1
+    # f = z1 - z0 does not involve z2, so no sheet lies over w_1; the curve
+    # term needs none (random lines meet the line once) and under
+    # Fubini-Study reads 0 by structure: the task passes
     doc = {
         "n": 2,
         "degrees": [1, 2],
@@ -1179,9 +1181,9 @@ def test_curve_without_sheets_precondition_failed(tmp_path):
     }
     path = write_scenario(tmp_path, doc)
     task = run_scenario(path).tasks[0]
-    assert task.verdict == "precondition-failed"
-    assert task.results["error"] == "the curve has no sheets over w_1: f does not involve w_2"
-    assert main(["verify", path]) == 1
+    assert task.verdict == "pass"
+    assert task.results["value"] == 0 and task.results["pointwise_max"] == 0.0
+    assert main(["verify", path]) == 0
 
 
 def test_overlapping_balls_precondition(tmp_path):
@@ -1398,13 +1400,13 @@ def test_exact_cb_line_that_is_not_linear_is_schema_error(tmp_path):
 @pytest.mark.parametrize("scale", ["1/10000000*", "10000000*"])
 def test_curve_task_verdict_is_scale_free(tmp_path, scale):
     # the FS conic with f scaled far down or up passes as the unscaled one
-    # does, with the same rejections
+    # does, with the same results
     base = run_scenario(str(SCENARIOS / "p2_example22_fs.json")).tasks[0]
     doc = json.loads((SCENARIOS / "p2_example22_fs.json").read_text())
     doc["section"] = [f"{scale}z1^2 + {scale}z2^2 - {scale}z0^2", "0"]
     task = run_scenario(write_scenario(tmp_path, doc)).tasks[0]
     assert task.verdict == "pass", task.results
-    assert task.results["rejected_samples"] == base.results["rejected_samples"]
+    assert task.results == base.results
 
 
 def test_seed_sweep_script_smoke():
@@ -1426,6 +1428,19 @@ def test_seed_sweep_script_smoke():
     assert bad.returncode == 2
 
 
+def test_seed_sweep_prints_a_rule_as_a_bound():
+    # a conic's sigma is the rule's error bound: no calibration columns
+    script = Path(__file__).resolve().parent.parent / "scripts" / "seed_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "p2_example22_perturbed", "--seeds", "0:2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()[1:]]
+    assert header == ["bound", "pass", "max |value|/sigma", "sigma/L1 mean / max"]
+    assert row[:2] == ["[0] curve rule", "2/2"] and float(row[2]) <= 1
+
+
 def test_mc_memory_script_smoke():
     # one small count per estimator; the growth figures themselves are tier 2
     script = Path(__file__).resolve().parent.parent / "scripts" / "mc_memory.py"
@@ -1433,6 +1448,6 @@ def test_mc_memory_script_smoke():
     assert proc.returncode == 0, proc.stderr
     header, *rows = [re.split(r"\s{2,}", line.strip()) for line in proc.stdout.splitlines()]
     assert header == ["estimator", "samples", "growth MB", "wall s"]
-    assert [row[0] for row in rows] == ["virtual_residue p2_22", "local_mass p1_o2", "curve p2_example22_perturbed"]
+    assert [row[0] for row in rows] == ["virtual_residue p2_22", "local_mass p1_o2", "curve perturbed_cubic"]
     assert all(row[1] == "2000" and float(row[2]) >= 0 and float(row[3]) > 0 for row in rows)
     assert subprocess.run([sys.executable, str(script), "--samples", "999"], capture_output=True).returncode == 2
