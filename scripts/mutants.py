@@ -50,15 +50,14 @@ MUTANTS = [
      "the ball's sampling density with radius^n in place of radius^2n"),
     ("orientation-dropped", HARNESS, "orient = (-1.0) ** (scenario.n * (scenario.n - 1) // 2)", "orient = 1.0",
      "the local mass's orientation factor, invisible on P^1"),
-    ("curve-density-2pi", LOCALIZE, "phi * r / math.pi", "phi * r / (2 * math.pi)", "the curve density's constant"),
     ("curve-term-tangent-unconjugated", PROJGEOM, "dK1 + dK2 * np.conj(kappa)", "dK1 + dK2 * kappa",
      "the curve term's sheet tangent entering unconjugated"),
     ("curve-phi-base-slope", PROJGEOM, "return psi / f2,", "return psi / f1,",
      "phi_c divided by df/dw_1 in place of df/dw_2"),
     ("curve-split-shortcut-dropped", LOCALIZE, "return not geo.coupling(0).terms", "return False",
      "the curve density evaluated where r_c is zero by structure"),
-    ("conic-jacobian-dropped", LOCALIZE, "dens[rows] = value * jacobian", "dens[rows] = value * math.pi",
-     "the conic's form read against the sphere's measure without |dw_1/ds|^2 (1 + |s|^2)^2"),
+    ("conic-jacobian-dropped", LOCALIZE, "return Z.T, weights * area", "return Z.T, weights",
+     "the conic's summand read against the sphere's measure without the curve's FS area factor"),
     ("conic-sigma-floor-only", LOCALIZE, "max(abs(value - coarse), _CONIC_FLOOR * l1)", "_CONIC_FLOOR * l1",
      "the conic rule's sigma taken from its rounding floor alone"),
     ("all-finite-ignored", SYSZERO, "if not all_finite and abs(z[0])", "if abs(z[0])",

@@ -27,23 +27,22 @@ in a chart with base coordinate w_1 and sheet coordinate w_2, is
 dx dy the Lebesgue measure of w_1, with phi_c = psi / (df/dw_2) and r_c =
 sum_b conj(tau_b) dbar_b(K / G_ff), tau the sheet tangent and G_fv = f K +
 conj(f) L the coupling: the closed form on the curve, which builds no Chern
-curvature.  Both come from one evaluation of
-:meth:`Example22Geometry.sheet_terms_batch` (:func:`_curve_form`).  A smooth
-conic is a P^1: z = T R x(s), with T a Takagi frame of f (_conic_frame), R a
+curvature.  Both routes read it as the Crofton summand (_line_summand), pi
+times the form over the curve's FS area element: bounded on a smooth curve
+and the same in every chart, each point read in the chart of its largest
+coordinate (_curve_summands).  A smooth conic is a P^1: z = T R x(s), with T a Takagi frame of f (_conic_frame), R a
 real rotation drawn from the seed and x(s) = (1 - s^2, i (1 + s^2), 2s) the
-standard conic x.x = 0, pulls the form back to a smooth form on the sphere,
-which a product rule (_sphere_rule: Gauss-Legendre in cos theta times equally
-spaced phases) integrates spectrally, each node in the chart of its largest
-coordinate; the rule at orders m and 2m gives the value and its error
-(_conic_term).  A curve of any other degree is sampled over random lines
-(Crofton's formula): a line {a.z = 0}, a FS-uniform on the dual plane, meets
-the curve in d points, and the mean over lines of the sum of Area_FS(P^1)
-times the form over the FS area element at those points is the integral
-(_sampled_term, _line_summand).  The summand divides by the FS norm of the
-curve's normal, not by df/dw_2, so it is bounded on a smooth curve and no
-line is refused.  Where K has no terms (Fubini-Study, or a perturbation with
-pair = (v, f)), r_c and the curve form are identically 0, and the term is 0
-with nothing drawn or evaluated, on every degree.
+standard conic x.x = 0.  A product rule (_sphere_rule: Gauss-Legendre in
+cos theta times equally spaced phases) weights each node's summand by the
+curve's FS area over pi against the sphere's probability measure
+(_conic_rule) and integrates the smooth pulled-back form spectrally; the
+rule at orders m and 2m gives the value and its error (_conic_term).  A
+curve of any other degree is sampled over random lines (Crofton's formula):
+a line {a.z = 0}, a FS-uniform on the dual plane, meets the curve in d
+points, and the mean over lines of the sum of the summands there is the
+integral (_sampled_term).  Where K has no terms (Fubini-Study, or a
+perturbation with pair = (v, f)), r_c and the curve form are identically 0,
+and the term is 0 with nothing drawn or evaluated, on every degree.
 
 Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`fiber_mass_quadrature`, integrate over polar discs by one rule,
@@ -127,7 +126,8 @@ class IntegralEstimate:
 class CurveTerm:
     """The curve term: ``samples`` counts the lines drawn (0 on a conic's rule
     and where the form is zero by structure), ``nodes`` the rule's nodes (0
-    on the sampler)."""
+    on the sampler).  ``pointwise_max`` is the largest |summand| seen, pi
+    times the form over the curve's FS area element, on both routes."""
 
     value: complex
     std_error: float
@@ -586,18 +586,24 @@ def _line_law(kernels: Sequence[PolyKernel], rng: np.random.Generator, count: in
 def _line_rows(geo: Example22Geometry, Z: np.ndarray) -> np.ndarray:
     """Rows: each line's sum of summands over its d points on the curve, its
     sum of |summand| (the L1 mass) and its largest |summand|; the points of
-    ROW_BLOCK lines at a time are read in the chart of their largest
-    coordinate."""
+    ROW_BLOCK lines at a time are read by :func:`_curve_summands`."""
     count, d = Z.shape[:2]
     dens = np.empty((count, d), dtype=complex)
     for block in row_blocks(count):
-        part = dens[block].reshape(-1)
-        for chart, rows, W in by_chart(Z[block].reshape(-1, 3)):
-            part[rows] = _line_summand(geo, chart, W)
+        dens[block] = _curve_summands(geo, Z[block].reshape(-1, 3)).reshape(-1, d)
     size = np.abs(dens)
     # over the d points by whole-column operations, not a per-row axis=1 loop
     return np.stack([functools.reduce(np.add, dens.T), functools.reduce(np.add, size.T),
                      functools.reduce(np.maximum, size.T)])
+
+
+def _curve_summands(geo: Example22Geometry, Z: np.ndarray) -> np.ndarray:
+    """The summand (_line_summand) at homogeneous curve points Z, (N, 3) ->
+    (N,), each read in the chart of its largest coordinate, on both routes."""
+    out = np.empty(len(Z), dtype=complex)
+    for chart, rows, W in by_chart(Z):
+        out[rows] = _line_summand(geo, chart, W)
+    return out
 
 
 def _line_summand(geo: Example22Geometry, chart: int, W: np.ndarray) -> np.ndarray:
@@ -620,14 +626,6 @@ def _zero_by_structure(geo: Example22Geometry) -> bool:
     """True when K / G_ff has no terms, so that r_c and with it the curve
     form are zero by structure (Example22Geometry.coupling)."""
     return not geo.coupling(0).terms
-
-
-def _curve_form(geo: Example22Geometry, chart: int, W: np.ndarray) -> np.ndarray:
-    """phi_c r_c / pi at points W of Z on the chart, (N, 2) -> (N,): the curve
-    form's density against the Lebesgue measure of the chart's base
-    coordinate w_1, from one evaluation of the sheet terms."""
-    phi, r = geo.sheet_terms_batch(chart, W)
-    return phi * r / math.pi
 
 
 @functools.lru_cache(maxsize=None)
@@ -653,13 +651,15 @@ def _conic_nodes(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _standard_conic(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standard_conic(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """x(sigma) = (s0^2 - s1^2, i (s0^2 + s1^2), 2 s0 s1), the standard conic
-    x.x = 0, and its partials d/ds0 and d/ds1, each (N, 3), at the nodes of
-    the order-m sphere rule.  Built once per order (read only)."""
+    x.x = 0, and D x, its derivative along the sphere's unit tangent
+    (-conj(s1), conj(s0)), each (3, N), coordinates first, at the nodes of the
+    order-m sphere rule.  Built once per order (read only)."""
     s0, s1 = _sphere_rule(m)[0].T
-    x = np.stack([s0 * s0 - s1 * s1, 1j * (s0 * s0 + s1 * s1), 2 * s0 * s1], axis=1)
-    return x, 2 * np.stack([s0, 1j * s0, s1], axis=1), 2 * np.stack([-s1, 1j * s1, s0], axis=1)
+    c0, c1 = np.conj(s0), np.conj(s1)
+    x = np.array([s0 * s0 - s1 * s1, 1j * (s0 * s0 + s1 * s1), 2 * s0 * s1])
+    return x, 2 * np.array([-s0 * c1 - s1 * c0, 1j * (s1 * c0 - s0 * c1), s0 * c0 - s1 * c1])
 
 
 def _conic_frame(f: HomogeneousPoly) -> np.ndarray:
@@ -690,28 +690,26 @@ def _rotation(rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def _conic_sum(form, M: np.ndarray, m: int) -> Tuple[complex, float, float]:
-    """The order-m sphere rule (_sphere_rule) of a (1,1)-form on the conic
-    z(sigma) = M x(sigma), x = (s0^2 - s1^2, i (s0^2 + s1^2), 2 s0 s1): its
-    integral, its L1 mass and the largest |density| at a node.  ``form(chart,
-    W)`` is the form's density against the Lebesgue measure of the chart's
-    base coordinate w_1 at curve points W; each node is read in the chart of
-    its largest coordinate.  The pullback to s = s1 / s0 against the sphere's
-    probability measure is the density times |dw_1/ds|^2 pi (1 + |s|^2)^2,
-    which at a unit sigma is pi |det d(z_b, z_c)/d(s0, s1)|^2 / (4 |z_c|^4),
-    z_b the base coordinate's numerator and z_c the chart's."""
+def _conic_rule(M: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The order-m sphere rule on the conic z = M x (_standard_conic): its
+    nodes z, (N, 3), and weights, the sphere's times the curve's FS area over
+    pi against the sphere's probability measure, |z ^ Dz|^2 / |z|^4 =
+    (|z|^2 |Dz|^2 - |conj(z).Dz|^2) / |z|^4.  They sum to the degree, 2."""
     weights = _sphere_rule(m)[1]
-    Z, dZ0, dZ1 = (v @ M.T for v in _standard_conic(m))
-    dens, top = np.empty(len(weights), dtype=complex), 0.0
-    for chart, rows, W in by_chart(Z):
-        b = int(chart == 0)  # the base coordinate w_1 = z_b / z_chart
-        det = dZ0[rows, b] * dZ1[rows, chart] - dZ1[rows, b] * dZ0[rows, chart]
-        zc2 = Z[rows, chart].real ** 2 + Z[rows, chart].imag ** 2
-        jacobian = math.pi * (det.real**2 + det.imag**2) / (4 * zc2 * zc2)
-        value = form(chart, W)
-        dens[rows] = value * jacobian
-        top = max(top, float(np.abs(value).max()))
-    return complex(weights @ dens), float(weights @ np.abs(dens)), top
+    Z, DZ = (M @ v for v in _standard_conic(m))  # (3, N): each sum below adds 3 rows
+    z2 = (Z.real**2 + Z.imag**2).sum(axis=0)
+    dot = (np.conj(Z) * DZ).sum(axis=0)
+    area = (z2 * (DZ.real**2 + DZ.imag**2).sum(axis=0) - (dot.real**2 + dot.imag**2)) / (z2 * z2)
+    return Z.T, weights * area
+
+
+def _conic_sum(geo: Example22Geometry, M: np.ndarray, m: int) -> Tuple[complex, float, float]:
+    """Integral, L1 mass and largest |summand| of the order-m rule on the
+    conic (_conic_rule), whose weights turn the summand into the form."""
+    Z, weights = _conic_rule(M, m)
+    summand = _curve_summands(geo, Z)
+    size = np.abs(summand)
+    return complex(weights @ summand), float(weights @ size), float(size.max())
 
 
 def _conic_term(geo: Example22Geometry, seed: int) -> CurveTerm:
@@ -727,9 +725,8 @@ def _conic_term(geo: Example22Geometry, seed: int) -> CurveTerm:
     finer nodes; no sample is drawn."""
     m = _CONIC_ORDER
     M = _conic_frame(geo.f) @ _rotation(_philox(seed, 0))
-    form = functools.partial(_curve_form, geo)
-    coarse = _conic_sum(form, M, m)[0]
-    value, l1, top = _conic_sum(form, M, 2 * m)
+    coarse = _conic_sum(geo, M, m)[0]
+    value, l1, top = _conic_sum(geo, M, 2 * m)
     return CurveTerm(value, max(abs(value - coarse), _CONIC_FLOOR * l1), 0, top, l1, _conic_nodes(m))
 
 
@@ -752,7 +749,8 @@ def fiber_mass_quadrature(
     w_2 is below 1e-12 of its largest one (a huge u overflows to one), and a
     sheet where |df/dw_2| is below 1e-12 times f's coefficient norm (the rule
     of ``Example22Geometry.sheet_terms_batch``): there the sheets meet or run
-    off to infinity, and the disc has no finite width.  The last refusal is of an instance that carries no psi.
+    off to infinity, and the disc has no finite width.  Last comes an
+    instance that carries no psi.
 
     Then a row or column of chart 0's Abar with no terms makes det(Abar) zero
     by structure (under a split metric, xi of the zero summand of s = (f, 0)

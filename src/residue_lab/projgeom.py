@@ -353,7 +353,7 @@ class GeometryContext:
         dw_a ^ dwbar_b for every b, shape (N, n): out[:, b] = R[i, j, a, b].
 
         The tests' reference for the r_c of Example22Geometry.sheet_terms_batch;
-        no sampler calls it.  The textbook formula over full n x n matrices,
+        no ``src/`` code calls it.  The textbook formula over full n x n matrices,
         from exact derivatives of G = H^T: R[a][b] = G^{-1}((dbar_b G) G^{-1}
         d_a G - d_a dbar_b G), G^{-1} LAPACK's.  One group per (chart, a),
         shared by every (i, j), holds G and d_a G, then each dbar_b of both.
@@ -395,11 +395,10 @@ class Example22Geometry:
     bundle with the f-summand L, and the complementary summand V_1 survives as
     the cokernel.  Supported at desk scale with rank-one L and V_1 only.
 
-    The curve is framed the same way in every chart: its base coordinate is
-    w_1 and its sheet coordinate w_2, so the sheet slope is dw_2/dw_1 and the
-    normal direction is d/dw_2.  The curve term reads each curve point in the
-    chart of its largest coordinate, the conic rule's nodes and the line
-    sampler's points alike; the fiber oracle works on chart 0.
+    The curve term reads each curve point in the chart of its largest
+    coordinate (:meth:`sheet_group`).  The framing of base w_1 and sheet w_2
+    in every chart (slope dw_2/dw_1, normal d/dw_2) serves the tests'
+    reference :meth:`sheet_terms_batch` and the fiber oracle on chart 0.
     """
 
     def __init__(self, ctx: GeometryContext):
@@ -487,7 +486,9 @@ class Example22Geometry:
         return self.ctx.group(chart, "sheet terms", build)
 
     def sheet_terms_batch(self, chart: int, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(phi_c, r_c) at points of Z = {f = 0} on the chart, (N, 2) -> two (N,).
+        """(phi_c, r_c) at points of Z = {f = 0} on the chart, (N, 2) -> two
+        (N,): the tests' reference for the curve form phi_c r_c / pi, which
+        no ``src/`` code calls.
 
         phi_c = psi / (df/dw_2) is the coefficient of the curve form against
         dw_1 (x) e_{V_1}; a point where |df/dw_2| is below 1e-12 times f's

