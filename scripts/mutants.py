@@ -122,6 +122,8 @@ MUTANTS = [
      "the flat mass over a disc of 3 Gaussian widths, missing e^-9 of it"),
     ("fiber-sheets-not-summed", LOCALIZE, "radial_nodes, angular_nodes, total)", "radial_nodes, angular_nodes, 0j)",
      "a fiber's mass read off its last sheet alone"),
+    ("fiber-row-unreversed", LOCALIZE, "[::-1, 0][: sheets + 1]", "[:, 0][: sheets + 1]",
+     "the fiber's row in w_2 read from the line kernel without reversing it"),
     ("sweep-charts-read-as-0", LOCALIZE, "s2[rows], psi_det[rows] = _density_parts(src, chart, W)",
      "s2[rows], psi_det[rows] = _density_parts(src, 0, W)", "the sweep reading every chart's points on chart 0"),
     ("group-anti-unconjugated", CHARTFUN, "np.conjugate(V[self.antis], out=V[self.antis])", "V[self.antis]",

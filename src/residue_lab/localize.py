@@ -426,18 +426,6 @@ def curve_integrand_tensor(phi_c: complex, r_val: complex) -> complex:
     return complex(pref * conv * coeff)
 
 
-def _sheet_coefficients(f: AffinePoly):
-    """Coefficients of f as a polynomial in the sheet variable w_2: list of
-    univariate polynomials in the base variable w_1, constant term first."""
-    deg = max(e[1] for e in f.terms)
-    if deg == 0:
-        raise GeometryError("the curve has no sheets over w_1: f does not involve w_2")
-    coeff_polys = [dict() for _ in range(deg + 1)]
-    for e, c in f.terms.items():
-        coeff_polys[e[1]][(e[0],)] = c
-    return [AffinePoly(1, terms) for terms in coeff_polys]
-
-
 def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a / b, and 0 where b is 0 (a finite there)."""
     return a / np.where(b == 0, np.inf, b)
@@ -529,9 +517,8 @@ def _sampled_term(geo: Example22Geometry, samples: int, seed: int, threads: int 
     a line's summands (_line_summand) over its d points on the curve is the
     integral, and each summand is bounded on a smooth curve, so no line is
     refused.  f is restricted to each line through one compiled kernel of
-    its coefficients per chart (_line_coefficients)."""
-    kernels = [PolyKernel(2, _line_coefficients(geo.f, chart)) for chart in range(3)]
-    law = functools.partial(_line_law, kernels)
+    its coefficients per chart (_line_kernel)."""
+    law = functools.partial(_line_law, [_line_kernel(geo, chart) for chart in range(3)])
     summary = _run_chunks(law, functools.partial(_line_rows, geo), samples, seed, threads, top=True)
     value, se = _estimate(summary, 0)
     return CurveTerm(
@@ -543,19 +530,22 @@ def _sampled_term(geo: Example22Geometry, samples: int, seed: int, threads: int 
     )
 
 
-def _line_coefficients(f: HomogeneousPoly, chart: int) -> List[AffinePoly]:
+def _line_kernel(geo: Example22Geometry, chart: int) -> PolyKernel:
     """F_0, ..., F_d of f restricted to the line z_c = -(b_1 z_i + b_2 z_j), c
     the chart and i < j the other coordinates: f(z) = sum_k F_k z_i^k
     z_j^(d - k), each F_k a polynomial in the line's chart coordinates (b_1,
     b_2) = (a_i, a_j) / a_c of {a.z = 0}.  Expanded over term maps in (b_1,
-    b_2, z_i, z_j)."""
-    i, j = (k for k in range(3) if k != chart)
-    image = {i: {(0, 0, 1, 0): 1.0}, j: {(0, 0, 0, 1): 1.0}, chart: {(1, 0, 1, 0): -1.0, (0, 1, 0, 1): -1.0}}
-    total = _substitute_terms(f.terms, [image[k] for k in range(3)], 4)
-    coeffs: List[dict] = [{} for _ in range(f.degree + 1)]
-    for (b1, b2, x, _), c in total.items():
-        coeffs[x][(b1, b2)] = c
-    return [AffinePoly(2, terms) for terms in coeffs]
+    b_2, z_i, z_j), and compiled once per context."""
+
+    def build():
+        i, j = (k for k in range(3) if k != chart)
+        image = {i: {(0, 0, 1, 0): 1.0}, j: {(0, 0, 0, 1): 1.0}, chart: {(1, 0, 1, 0): -1.0, (0, 1, 0, 1): -1.0}}
+        coeffs: List[dict] = [{} for _ in range(geo.f.degree + 1)]
+        for (b1, b2, x, _), c in _substitute_terms(geo.f.terms, [image[k] for k in range(3)], 4).items():
+            coeffs[x][(b1, b2)] = c
+        return PolyKernel(2, [AffinePoly(2, terms) for terms in coeffs])
+
+    return geo.ctx.cached(chart, "line", build)
 
 
 def _line_law(kernels: Sequence[PolyKernel], rng: np.random.Generator, count: int):
@@ -730,6 +720,25 @@ def _conic_term(geo: Example22Geometry, seed: int) -> CurveTerm:
     return CurveTerm(value, max(abs(value - coarse), _CONIC_FLOOR * l1), 0, top, l1, _conic_nodes(m))
 
 
+def _fiber_sheets(geo: Example22Geometry, u: complex) -> Tuple[np.ndarray, np.ndarray]:
+    """The sheets w_2 over u and df/dw_2 at each, with the fiber's refusals of
+    them.  The fiber is the line z_1 = u z_0 of chart 1, (b_1, b_2) = (-u, 0),
+    where f(1, u, w_2) = sum_k F_k w_2^(d - k): its row in w_2 is F reversed,
+    cut at f's degree in w_2, and df/dw_2 is the row's derivative."""
+    sheets = max(e[2] for e in geo.f.terms)  # the degree of f in w_2
+    if not sheets:
+        raise GeometryError("the curve has no sheets over w_1: f does not involve w_2")
+    with np.errstate(all="ignore"):  # a huge u overflows, and is refused below
+        row = _line_kernel(geo, 1).eval_batch(np.array([[-u, 0]]))[::-1, 0][: sheets + 1]
+    if not abs(row[-1]) > 1e-12 * np.abs(row).max():
+        raise GeometryError("vanishing leading coefficient: a sheet over u is at infinity")
+    roots = _solve_sheets(row[None])[0]
+    fns = np.polynomial.polynomial.polyval(roots, np.polynomial.polynomial.polyder(row))
+    if not np.abs(fns).min() >= 1e-12 * geo.f.coeff_norm():  # NaN refused too
+        raise GeometryError("vanishing normal derivative (branch point)")
+    return roots, fns
+
+
 def fiber_mass_quadrature(
     geo: Example22Geometry,
     u: complex,
@@ -737,7 +746,8 @@ def fiber_mass_quadrature(
     radial_nodes: int = 80,
     angular_nodes: int = 24,
 ) -> complex:
-    """Quadrature of the global integrand over one fiber {w_1 = u} of chart 0.
+    """Quadrature of the global integrand over one fiber {w_1 = u} of chart 0,
+    a line of the line law (_fiber_sheets).
 
     As t -> 0 this converges to the summed curve-localized density of the
     sheets over u, providing a pointwise oracle for every constant in the
@@ -745,12 +755,12 @@ def fiber_mass_quadrature(
     gets a polar disc, summed by _disc_sum, sheet after sheet.
 
     Every refusal comes first, with GeometryError: a t that is not positive
-    and finite, a u that is not finite, a fiber whose leading coefficient in
-    w_2 is below 1e-12 of its largest one (a huge u overflows to one), and a
-    sheet where |df/dw_2| is below 1e-12 times f's coefficient norm (the rule
-    of ``Example22Geometry.sheet_terms_batch``): there the sheets meet or run
-    off to infinity, and the disc has no finite width.  Last comes an
-    instance that carries no psi.
+    and finite, a u that is not finite, a curve with no term in z_2, a fiber
+    whose leading coefficient in w_2 is below 1e-12 of its largest one (a
+    huge u overflows to one), and a sheet where |df/dw_2| is below 1e-12
+    times f's coefficient norm (the rule of ``sheet_terms_batch``): there the
+    sheets meet or run off to infinity, and the disc has no finite width.
+    Last comes an instance that carries no psi.
 
     Then a row or column of chart 0's Abar with no terms makes det(Abar) zero
     by structure (under a split metric, xi of the zero summand of s = (f, 0)
@@ -761,29 +771,17 @@ def fiber_mass_quadrature(
     _check_positive(t)
     if not np.isfinite(u):
         raise GeometryError("u must be finite")
+    roots, fns = _fiber_sheets(geo, u)
     ctx = geo.ctx
-    with np.errstate(all="ignore"):
-        coeffs = np.array([[cp.eval(np.array([u])) for cp in _sheet_coefficients(geo.f_aff(0))]])
-    if not abs(coeffs[0, -1]) > 1e-12 * np.abs(coeffs).max():
-        raise GeometryError("vanishing leading coefficient: a sheet over u is at infinity")
-    roots = _solve_sheets(coeffs)[0]
-    centres = np.stack([np.full(len(roots), u, dtype=complex), roots], axis=1)
-    fn_poly = geo.f_aff(0).partial(1)
-    fns = [fn_poly.eval(list(w0)) for w0 in centres]
-    if not np.abs(fns).min() >= 1e-12 * geo.f.coeff_norm():  # NaN refused too
-        raise GeometryError("vanishing normal derivative (branch point)")
     ctx.chart_psi(0)  # refuses an instance without psi
     data = ctx.chart_data(0)
-    empty = [not any(f.terms for f in line) for line in [*data.Abar, *zip(*data.Abar)]]
-    if any(empty):
+    if any(not any(f.terms for f in line) for line in [*data.Abar, *zip(*data.Abar)]):
         return 0j
 
-    H = ctx.metric_matrix_batch(0, centres)
+    H = ctx.metric_matrix_batch(0, np.stack([np.full(len(roots), u, dtype=complex), roots], axis=1))
+    widths = np.sqrt(2.0 * t / (H[:, geo.f_index, geo.f_index].real * np.abs(fns) ** 2))
     total = 0j
-    for root, fn, Hm in zip(roots, fns, H):
-        h11 = float(Hm[geo.f_index, geo.f_index].real)
-        width = math.sqrt(2.0 * t / (h11 * abs(fn) ** 2))
-
+    for root, width in zip(roots, widths):
         def density(zeta, root=root):
             return global_density(ctx, 0, np.stack([np.full_like(zeta, u), root + zeta], axis=1), t)
 

@@ -15,7 +15,8 @@ Two carrier types:
   :meth:`HomogeneousPoly.dehomogenize` and consumed by the numeric layers.
 
 Batched evaluation of affine polynomials, alone or as a set that shares one
-monomial table, goes through :class:`PolyKernel`.
+monomial table, goes through :class:`PolyKernel`; the scalar ``eval`` is the
+tests' reference, with no production caller but ``residue.local_residue``.
 
 The input grammar (see :func:`parse_poly`): variables ``z0``..``z9``, operators
 ``+ - * ^``, parentheses, complex literals ``a``, ``bi``, ``a+bi`` with decimal
@@ -269,7 +270,8 @@ class _PolyBase:
         return math.sqrt(sum(abs(complex(c)) ** 2 for c in self.terms.values()))
 
     def eval(self, z) -> Coeff:
-        """Evaluate at a point (one scalar per variable); no terms give 0, the zero of both backends."""
+        """Evaluate at a point (one scalar per variable); no terms give 0, the zero of both backends.
+        The tests' reference: no production path calls it but ``residue.local_residue``."""
         if len(z) != self.num_vars:
             raise PolyError(
                 f"point has {len(z)} coordinates, polynomial has {self.num_vars} variables"
@@ -282,6 +284,10 @@ class _PolyBase:
                     v = v * zi
             total = v if total is None else total + v
         return 0 if total is None else total
+
+    def eval_batch(self, W: np.ndarray) -> np.ndarray:
+        """Evaluate at a batch of points, (N, num_vars) -> (N,): a kernel of one, compiled on each call."""
+        return PolyKernel(self.num_vars, [self]).eval_batch(W)[0]
 
     def __eq__(self, other):
         return (
@@ -318,10 +324,6 @@ class AffinePoly(_PolyBase):
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def eval_batch(self, W: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of points, (N, num_vars) -> (N,): a kernel of one, compiled on each call."""
-        return PolyKernel(self.num_vars, [self]).eval_batch(W)[0]
 
 
 ROW_BLOCK = 1 << 12  # points per monomial table: bounds its memory and keeps it in cache

@@ -7,7 +7,7 @@ over all zeros of a degree-compatible numerator the invariants cancel exactly;
 the ledger records the entries, the exact floating total in a fixed order, and
 the relative vanishing |total| / sum |entries|.  Its denominators are the
 solver's signed det J at each zero (``ZeroPoint.det_j``, from the batched
-certification), so a ledger compiles the section once.
+certification), so a ledger compiles the section once; psi is one kernel call.
 
 The Cayley-Bacharach verifier runs on both coefficient backends, each deciding
 every held-out point from one factorization of the points' monomial rows, by
@@ -89,7 +89,7 @@ def local_residue(
     psi_aff: AffinePoly,
 ) -> complex:
     """H(p) / det(ds/dw)(p) in a fixed chart; requires a simple zero, by the
-    solver's own relative Jacobian test."""
+    solver's own relative Jacobian test; the ledger's reference, by ``eval``."""
     _, det, regular = (x[0] for x in _certify(_System(section_aff), np.array([p], dtype=complex)))
     if not regular:
         raise ResidueError(f"singular Jacobian at {p} (|det J| = {abs(det):.2e})")
@@ -114,7 +114,8 @@ def global_residue_sum(
     if zs.defective:
         named = "; ".join(f"zero of multiplicity {m} at {_point_text(p)}" for p, m in zs.multiple)
         raise ResidueError(f"{zs.defective} defective (non-simple) zeros" + (f": {named}" if named else ""))
-    return ResidueLedger.from_entries([(zp.point, psi_aff.eval(list(zp.point)) / zp.det_j) for zp in zs.points])
+    psi_at = psi_aff.eval_batch(np.array([zp.point for zp in zs.points], dtype=complex).reshape(-1, psi_aff.num_vars))
+    return ResidueLedger.from_entries([(zp.point, complex(v) / zp.det_j) for zp, v in zip(zs.points, psi_at)])
 
 
 # ------------------------------------------------------------------ CB
@@ -396,21 +397,17 @@ def generalized_cb_check(
     psi = f * psi_cofactor
 
     ledger = global_residue_sum([s1, g], psi, seed=seed)
-    curve_entries, isolated_entries = [], []
-    for point, val in ledger.entries:
-        if _normalized_eval(f, (1, *point)) < _CURVE_TOL:
-            curve_entries.append((point, val))
-        else:
-            isolated_entries.append((point, val))
+    on_curve = _normalized_eval(f, [(1, *point) for point, _ in ledger.entries]) < _CURVE_TOL
+    isolated_entries = [entry for entry, on in zip(ledger.entries, on_curve) if not on]
     iso = ResidueLedger.from_entries(isolated_entries)
-    curve_max = max((abs(v) for _, v in curve_entries), default=0.0)
+    curve_max = max((abs(v) for (_, v), on in zip(ledger.entries, on_curve) if on), default=0.0)
 
     forcing = []
     iso_points = [np.concatenate(([1.0 + 0j], np.array(p))) for p, _ in isolated_entries]
     if len(iso_points) >= 2 and phi_degree >= 1:
         forcing = cb_held_out(iso_points, phi_degree)[0]
     return GeneralizedCBReport(
-        curve_points=len(curve_entries),
+        curve_points=int(on_curve.sum()),
         isolated_points=len(isolated_entries),
         curve_entry_max=curve_max,
         isolated_relative_vanishing=iso.relative_vanishing,

@@ -42,7 +42,7 @@ whether a plane curve is smooth.  ``_null_space`` and ``_eigen_zeros`` serve
 that second caller too: the null space of a singular curve's three partials,
 with no expected dimension, gives its singular points as eigenvalues
 (``Example22Geometry.smoothness_defect``).  ``_normalized_eval`` is how nearly
-a form vanishes at a point, scale-free.
+a form vanishes at each of a batch of points, scale-free.
 """
 
 from __future__ import annotations
@@ -320,7 +320,8 @@ def _point_text(point) -> str:
     return "(" + ", ".join(f"{c:g}" for c in np.round(np.asarray(point, dtype=complex), 6) + 0.0) + ")"
 
 
-def _normalized_eval(form: HomogeneousPoly, point) -> float:
-    """|form(p)| / (||coeffs||_2 max(1, ||p||)^deg); scale-free residual."""
-    p = np.asarray(point, dtype=complex)
-    return abs(complex(form.eval(list(p)))) / (form.coeff_norm() * max(1.0, float(np.linalg.norm(p))) ** form.degree)
+def _normalized_eval(form: HomogeneousPoly, points) -> np.ndarray:
+    """|form(p)| / (||coeffs||_2 max(1, ||p||)^deg) at each of a batch of
+    points, (N, num_vars) -> (N,), from one kernel call; scale-free residual."""
+    P = np.asarray(points, dtype=complex).reshape(-1, form.num_vars)
+    return np.abs(form.eval_batch(P)) / (form.coeff_norm() * np.maximum(1.0, np.linalg.norm(P, axis=1)) ** form.degree)

@@ -185,7 +185,7 @@ def test_criterion_3_cayley_bacharach():
         pts = [np.concatenate(([1.0 + 0j], np.array(p.point))) for p in zs.points]
         pts[0] = np.array([1.0, complex(rng.standard_normal()), complex(rng.standard_normal())])
         basis = cb_vanishing_space(pts[:-1], d + e - 3)
-        if basis and max(_normalized_eval(b, pts[-1]) for b in basis) > 1e-3:
+        if basis and max(_normalized_eval(b, [pts[-1]])[0] for b in basis) > 1e-3:
             neg_hits += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and exact_ok and neg_hits >= 45

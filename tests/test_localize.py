@@ -257,7 +257,6 @@ def test_point_laws_draw_points_and_evaluate_nothing(monkeypatch):
     coordinate, with p = fs_density(W, n) bit for bit; the ball's points lie
     in the ball; the line law's points lie on the curve and on their line."""
     from residue_lab.chartfun import ChartGroup
-    from residue_lab.polycore import PolyKernel
 
     geo = _fiber_family(3, True)  # its metric certified before the patch
     monkeypatch.setattr(ChartGroup, "eval_batch", None)
@@ -276,7 +275,7 @@ def test_point_laws_draw_points_and_evaluate_nothing(monkeypatch):
     assert np.linalg.norm(W - center, axis=1).max() <= 0.5 + 1e-15
     assert np.all(p == 2 / (math.pi**2 * 0.5**4))
 
-    kernels = [PolyKernel(2, localize._line_coefficients(geo.f, chart)) for chart in range(3)]
+    kernels = [localize._line_kernel(geo, chart) for chart in range(3)]
     (Z,) = localize._line_law(kernels, np.random.default_rng(3), count)
     # the law's lines {a.z = 0}, a drawn first from the same stream
     A = fs_uniform_points(n, count, np.random.default_rng(3))
@@ -548,7 +547,7 @@ def test_conic_rule_l1_is_the_samplers(geo):
     # normal's FS norm that does not depend on the degree (measured z 0.83
     # and 1.40 on the value, 2.14 and 1.45 on L1; sigma / L1 0.27% and 0.23%)
     geo = geo()
-    kernels = [localize.PolyKernel(2, localize._line_coefficients(geo.f, chart)) for chart in range(3)]
+    kernels = [localize._line_kernel(geo, chart) for chart in range(3)]
     rows = partial(localize._line_rows, geo)
     summary = localize._run_chunks(partial(localize._line_law, kernels), rows, 100000, 5, 1, top=True)
     (value, sigma), (l1, l1_sigma) = localize._estimate(summary, 0), localize._estimate(summary, 1)
@@ -576,10 +575,17 @@ def test_bundled_perturbed_conic_passes_where_the_sampler_failed(seed):
 # ---------------------------------------------------- localization oracle
 
 
+def _fiber_row(f, u):
+    """f(1, u, w_2) as a polynomial in w_2, constant term first, from f's term map."""
+    row = np.zeros(max(e[2] for e in f.terms) + 1, dtype=complex)
+    for (_, e1, e2), c in f.terms.items():
+        row[e2] += c * u**e1
+    return row
+
+
 def _curve_density(geo, u):
     """The curve form phi_c r_c / pi (sheet_terms_batch) summed over the sheets above u in chart 0."""
-    coeffs = np.array([[cp.eval(np.array([u])) for cp in localize._sheet_coefficients(geo.f_aff(0))]])
-    roots = _solve_sheets(coeffs)[0]
+    roots = _solve_sheets(_fiber_row(geo.f, u)[None])[0]
     phi, r = geo.sheet_terms_batch(0, np.stack([np.full(len(roots), u), roots], axis=1))
     return (phi * r / np.pi).sum()
 
@@ -962,6 +968,64 @@ def test_fiber_mass_tends_to_the_summed_curve_density(d, perturbed):
         assert abs(q - rho) <= 3e-2 * abs(rho)
         assert abs(2 * q_half - q - rho) <= {2: 1e-8, 3: 1e-5}[d] * abs(rho)
         assert bool(rho) is perturbed
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["conic", "cubic"])
+def test_the_fiber_row_and_its_derivative_against_the_term_map(monkeypatch, d):
+    # the fiber {w_1 = u} is the line law's line z_1 = u z_0: the row it
+    # solves is f(1, u, w_2) from f's term map, and df/dw_2 at each sheet is
+    # the scalar route's, for |u| below and above 1 (measured at most 1.2e-16
+    # relative on the row and 3.7e-16 relative on df/dw_2)
+    rows, solve = [], localize._solve_sheets
+    monkeypatch.setattr(localize, "_solve_sheets", lambda coeffs, **kw: rows.append(coeffs[0]) or solve(coeffs, **kw))
+    for geo in (_fiber_family(d, True), _random_fs_curve(d, 31)):
+        df = geo.f_aff(0).partial(1)
+        for u in (*_FIBERS, 0.4 - 3.1j, -12.5 + 0.25j):
+            roots, fns = localize._fiber_sheets(geo, u)
+            want = _fiber_row(geo.f, u)
+            assert np.abs(rows.pop() - want).max() <= 1e-15 * np.abs(want).max()
+            ref = np.array([df.eval([u, root]) for root in roots])
+            assert len(roots) == d and np.abs(fns - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_the_fiber_compiles_its_restriction_once_per_context(monkeypatch):
+    # one line kernel per context, not one per call: a compile costs about
+    # as much as the rest of a Fubini-Study fiber
+    from residue_lab.polycore import PolyKernel
+
+    compiles, init = [], PolyKernel.__init__
+    monkeypatch.setattr(PolyKernel, "__init__", lambda self, *a: compiles.append(1) or init(self, *a))
+    for geo in (_fiber_family(2, False), _fiber_family(3, True)):
+        geo.ctx.density_group(0)  # the density's own kernel, compiled first
+        counts = []
+        for _ in range(2):
+            compiles.clear()
+            fiber_mass_quadrature(geo, 0.3 + 0.2j, 1e-3)
+            counts.append(len(compiles))
+        assert counts == [1, 0]
+
+
+def test_no_production_route_reaches_the_scalar_evaluator(monkeypatch):
+    # the scalar eval is the tests' reference: the bundled scenarios give
+    # their verdicts, and the fibers their values, with it raising
+    from residue_lab.harness import run_scenario
+    from residue_lab.polycore import _PolyBase
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+    assert len(paths) == 7
+
+    def verdicts():
+        return [[(t.kind, t.verdict) for t in run_scenario(str(path)).tasks] for path in paths]
+
+    def scalar(*args):
+        raise AssertionError("the scalar eval was called")
+
+    want = verdicts()
+    monkeypatch.setattr(_PolyBase, "eval", scalar)
+    assert verdicts() == want
+    for d in (2, 3):
+        geo = _fiber_family(d, True)
+        assert all(np.isfinite(fiber_mass_quadrature(geo, u, 1e-3)) for u in _FIBERS)
 
 
 # ------------------------------------------------------------------ refusals

@@ -860,7 +860,7 @@ def test_certificate_verdicts(monkeypatch, text, smooth):
         z = eigen[0][0][0]
         z = z / z[np.argmax(np.abs(z))]
         assert defect == f"singular point at {_point_text(z)}"
-        assert max(_normalized_eval(F.partial(k), z) for k in range(3)) <= 1e-8
+        assert max(_normalized_eval(F.partial(k), [z])[0] for k in range(3)) <= 1e-8
 
 
 def test_random_dense_curves_are_certified_with_no_solve(monkeypatch):

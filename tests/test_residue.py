@@ -318,7 +318,7 @@ def test_cb_negative_control():
     # replace one constraint point by a random one
     pts[3] = np.array([1.0, rng.standard_normal() + 0j, rng.standard_normal() + 0j])
     basis = cb_vanishing_space(pts[:8], 3)
-    worst = max(_normalized_eval(b, pts[8]) for b in basis)
+    worst = max(_normalized_eval(b, [pts[8]])[0] for b in basis)
     assert worst > 1e-3
     # the nine points are no complete intersection of cubics any more: at
     # each, a cubic through the other eight is far from zero
@@ -332,7 +332,7 @@ def _per_point_cb_float(points, degree):
     for i, held in enumerate(points):
         basis = cb_vanishing_space(points[:i] + points[i + 1 :], degree)
         dims.append(len(basis))
-        residuals.append(max((_normalized_eval(form, held) for form in basis), default=0.0))
+        residuals.append(max((_normalized_eval(form, [held])[0] for form in basis), default=0.0))
     return residuals, dims
 
 
@@ -509,7 +509,7 @@ def test_cb_exact_vs_float_agreement():
     from residue_lab.residue import _normalized_eval
 
     for form in basis_f:
-        assert _normalized_eval(form, np.array(cpts[-1])) <= 1e-10
+        assert _normalized_eval(form, [cpts[-1]])[0] <= 1e-10
 
 
 def _gaussian_rational_monomial_rows(points, degree):
