@@ -23,8 +23,13 @@ the benchmark's sweep, ``local_mass`` on ``p1_o2`` (the ball of radius 0.5
 around its zero w = 1, t = 0.01) and the curve's line sampler
 ``_sampled_term`` on ``PERTURBED_CUBIC``, the bundled perturbed scenario with
 a cubic in place of its conic (the bundled curve scenarios are conics, whose
-product rule draws no samples).  An estimator whose working set does not
-grow with the sample count shows a growth that stays flat down the column.
+product rule draws no samples).  On P^2 the sweep is a product rule that
+draws no samples either: its row measures the rule at the order whose two
+rules fit in the sample count, built and reduced chunk by chunk, and must
+stay flat as the samplers' do: its chunks hold at most _CHUNK // 2 nodes
+up to about 1.9e7 samples (m = 45), above which a chunk is one simplex
+node's 4m^2 phase tuples.  An estimator whose working set does not grow
+with the sample count shows a growth that stays flat down the column.
 """
 
 import argparse

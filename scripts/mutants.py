@@ -58,7 +58,7 @@ MUTANTS = [
      "the curve density evaluated where r_c is zero by structure"),
     ("conic-jacobian-dropped", LOCALIZE, "return Z.T, weights * area", "return Z.T, weights",
      "the conic's summand read against the sphere's measure without the curve's FS area factor"),
-    ("conic-sigma-floor-only", LOCALIZE, "max(abs(value - coarse), _CONIC_FLOOR * l1)", "_CONIC_FLOOR * l1",
+    ("conic-sigma-floor-only", LOCALIZE, "max(abs(value - coarse), _RULE_FLOOR * l1)", "_RULE_FLOOR * l1",
      "the conic rule's sigma taken from its rounding floor alone"),
     ("all-finite-ignored", SYSZERO, "if not all_finite and abs(z[0])", "if abs(z[0])",
      "a far finite zero counted at infinity although the resultant shows none there"),
@@ -126,6 +126,10 @@ MUTANTS = [
      "the fiber's row in w_2 read from the line kernel without reversing it"),
     ("sweep-charts-read-as-0", LOCALIZE, "s2[rows], psi_det[rows] = _density_parts(src, chart, W)",
      "s2[rows], psi_det[rows] = _density_parts(src, 0, W)", "the sweep reading every chart's points on chart 0"),
+    ("sweep-rule-unrotated", LOCALIZE, "U = _rotation(_philox(seed, 0), n + 1, unitary=True)", "U = np.eye(n + 1)",
+     "the sweep's product rule left unrotated, the same nodes at every seed"),
+    ("sweep-sigma-floor-only", LOCALIZE, "np.maximum(np.abs(value - coarse), _RULE_FLOOR * l1.real)",
+     "_RULE_FLOOR * l1.real", "the sweep rule's sigma taken from its rounding floor alone, the coarse rule dropped"),
     ("group-anti-unconjugated", CHARTFUN, "np.conjugate(V[self.antis], out=V[self.antis])", "V[self.antis]",
      "a chart group's anti factors entering unconjugated"),
     ("tensor-scalar-over-t", LOCALIZE, "SForm(n, -s2 / (2.0 * t), one)", "SForm(n, -s2 / t, one)",

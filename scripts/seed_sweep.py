@@ -13,15 +13,16 @@ Monte Carlo estimate, with z = |value| / sigma:
     sigma/L1   mean and largest std_error / L1 mass (curve task only)
 
 The estimates are those a task gates at 3 sigma: each t of a virtual
-residue sweep, the cancelling total of a local-mass task and the curve term
-of a curve that is not a conic, sampled over random lines.  Where sigma is 0
-(a curve form that is zero by structure, which draws nothing) z is not
-defined and is printed as "-".
+residue sweep on P^n, n >= 3, the cancelling total of a local-mass task and
+the curve term of a curve that is not a conic, sampled over random lines.
+Where sigma is 0 (a curve form that is zero by structure, which draws
+nothing) z is not defined and is printed as "-".
 
-A conic's curve term is a product rule, whose sigma is an error bound
-(|Q_48 - Q_24|, at least 1e-12 of L1), not a standard error: z has no
-distribution to calibrate.  Such tasks are printed in a second table, under
-"bound", with:
+A conic's curve term and a virtual residue sweep on P^1 or P^2 are product
+rules, whose results carry ``nodes`` and whose sigma is an error bound
+(|Q_48 - Q_24| on a conic, |Q_m - Q_(m // 2)| on the sweep, at least 1e-12
+of L1), not a standard error: z has no distribution to calibrate.  Their
+estimates are printed in a second table, under "bound", with:
 
     pass               seeds at which the task passed
     max |value|/sigma  the largest |value| / sigma, at most 1 while the bound holds
@@ -51,19 +52,21 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def estimates(task):
-    """(label, value, sigma, sigma / L1 or None) of each 3-sigma-gated
-    estimate in one task's results; a curve term by a rule (its results
-    carry ``nodes``) is labelled "curve rule"."""
+    """(label, value, sigma, sigma / L1 or None, rule) of each 3-sigma-gated
+    estimate in one task's results, ``rule`` true where the results carry
+    ``nodes`` (a product rule's bound); a curve term by a rule is labelled
+    "curve rule"."""
     res = task.results
+    rule = "nodes" in res
     if task.kind == "virtual_residue":
         for est in res.get("estimates", []):
-            yield f"virtual_residue t={est['t']:g}", est["value"], est["std_error"], None
+            yield f"virtual_residue t={est['t']:g}", est["value"], est["std_error"], None, rule
     elif task.kind == "local_mass" and len(res.get("masses", [])) >= 2:
-        yield "local_mass total", res["mass_total"], res["mass_total_3sigma"] / 3, None
+        yield "local_mass total", res["mass_total"], res["mass_total_3sigma"] / 3, None, rule
     elif task.kind == "curve_localization" and "value" in res:
         l1 = res["l1_mass"]
-        label = "curve rule" if "nodes" in res else "curve"
-        yield label, res["value"], res["std_error"], (res["std_error"] / l1 if l1 > 0 else None)
+        label = "curve rule" if rule else "curve"
+        yield label, res["value"], res["std_error"], (res["std_error"] / l1 if l1 > 0 else None), rule
 
 
 def _ratios(runs, spec: str = ".4f") -> str:
@@ -113,7 +116,7 @@ def main() -> int:
     if not path.exists():
         path = SCENARIOS / f"{args.scenario.removesuffix('.json')}.json"
 
-    runs = {}  # label -> per-seed (passed, value, sigma, sigma / L1)
+    runs, rules = {}, set()  # label -> per-seed (passed, value, sigma, sigma / L1); the labels of rules
     for seed in range(first, stop):
         try:
             report = run_scenario(str(path), seed=seed)
@@ -121,16 +124,18 @@ def main() -> int:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2
         for k, task in enumerate(report.tasks):
-            for label, value, sigma, ratio in estimates(task):
+            for label, value, sigma, ratio, rule in estimates(task):
                 runs.setdefault(f"[{k}] {label}", []).append((task.ok(), value, sigma, ratio))
+                if rule:
+                    rules.add(f"[{k}] {label}")
 
     print(f"{path.name}, seeds {first}:{stop}")
-    sampled = [[label] + summarize(r) for label, r in runs.items() if not label.endswith(" rule")]
-    rules = [[label] + summarize_rule(r) for label, r in runs.items() if label.endswith(" rule")]
+    sampled = [[label] + summarize(r) for label, r in runs.items() if label not in rules]
+    bounds = [[label] + summarize_rule(r) for label, r in runs.items() if label in rules]
     if sampled:
         print_table(["estimate", "pass", "mean z^2", "max z", "z>3", "cv(sigma)", "sigma/L1 mean / max"], sampled)
-    if rules:
-        print_table(["bound", "pass", "max |value|/sigma", "sigma/L1 mean / max"], rules)
+    if bounds:
+        print_table(["bound", "pass", "max |value|/sigma", "sigma/L1 mean / max"], bounds)
     return 0
 
 

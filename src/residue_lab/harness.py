@@ -556,6 +556,8 @@ def _run_virtual_residue(scenario, opts, threads):
     for a, b in zip(ests, ests[1:]):
         ok = ok and abs(a.value - b.value) <= 3 * float(np.hypot(a.std_error, b.std_error))
     results = {"samples": n_samples, "estimates": entries}
+    if ests and ests[0].nodes:  # the product rule on P^1 and P^2, which draws none of the samples
+        results["nodes"] = ests[0].nodes
     return results, ("pass" if ok else "fail")
 
 

@@ -49,22 +49,40 @@ Quadrature.  The two oracles, :func:`flat_gaussian_mass` and
 :func:`_disc_sum`: one row reduction per ray, the rays added in order.  A
 fiber whose det(Abar) is zero by structure is 0j with no disc built.
 
+Sweep.  On P^1 and P^2 the global integral is a product rule for the FS
+probability measure, rotated by one Haar unitary U drawn from the seed
+(Genz and Monahan, SIAM J. Sci. Comput. 19, 1998).  FS-uniform on P^n is
+uniform on the simplex of the x_i = |Z_i|^2 times uniform phases: on P^1
+Gauss-Legendre in x_0 - x_1 = cos theta times 2m + 1 phases (_sphere_rule),
+on P^2 an m x m Gauss-Legendre rule on the simplex by Duffy's map (x_1 = u,
+x_2 = (1 - u) v, weight 2 (1 - u) w_u w_v) times a 2m x 2m trapezoid on the
+phases, which converges geometrically on a smooth periodic integrand
+(Trefethen and Weideman, SIAM Review 56, 2014).  A node Z = (sqrt x_0,
+sqrt x_1 e^{i phi_1}, sqrt x_2 e^{i phi_2}) is read as UZ, in the chart of
+its largest coordinate, with row weight w / p (_rule_law).  The rule at
+orders m and m // 2, m the largest whose two rules fit in ``samples``
+nodes, gives the value and its error bound (_rule_sweep), as a conic's
+rule does.  Monte Carlo stays for n >= 3.
+
 Sampling.  Every Monte Carlo estimator is a point law and its rows, run by
 :func:`_run_chunks` on the seeded Philox stream in fixed chunks.  A point law
 draws a chunk's points and their sampling density p and evaluates nothing:
-FS-uniform on P^n chart by chart (the sweep), uniform on a ball of chart 0
-(the local mass), or random lines with their d points on the curve (a curve
-that is not a conic), whose law needs no density: a line's rows are its
-summands' sum.  The rows, one per reported quantity, are the integrand there
-over p; the sweep and the local mass share theirs, one density pass over the
-t-free |s|^2 and P det(Abar) for every t.  Each chunk is reduced at once to a :class:`_Summary`
-per row (count, sum, M2 = sum |x - mean|^2, and the curve's row maxima), and
-the summaries merge in chunk order by the pairwise update of Chan, Golub and
-LeVeque (The American Statistician 37, 1983).  So the working set does not
-grow with the sample count, and results do not depend on the thread count.
-A curve chunk's line roots and summands are computed ROW_BLOCK rows at a
-time, the blocks that PolyKernel and ChartGroup use.  :class:`FlatModel`
-is a density source under the identity metric, on chart 0 only.
+FS-uniform on P^n chart by chart (the sweep on n >= 3), uniform on a ball of
+chart 0 (the local mass), or random lines with their d points on the curve
+(a curve that is not a conic), whose law needs no density: a line's rows are
+its summands' sum.  The rows, one per reported quantity, are the integrand
+there over p; the sweep, its rule included, and the local mass share theirs,
+one density pass over the t-free |s|^2 and P det(Abar) for every t.  Each
+chunk is reduced at once to a :class:`_Summary` per row (count, sum, M2 =
+sum |x - mean|^2, and the curve's row maxima), and the summaries merge in
+chunk order by the pairwise update of Chan, Golub and LeVeque (The American
+Statistician 37, 1983); a rule's chunks, of at most half as many nodes
+built from cached 1-D factors (_rule_sums), reduce to their sums and L1
+masses, added in chunk order (_chunked).  So the working set does not grow
+with the sample count, and results do not depend on the thread count.  A
+curve chunk's line roots and summands are computed ROW_BLOCK rows at a
+time, the blocks that PolyKernel and ChartGroup use.  :class:`FlatModel` is
+a density source under the identity metric, on chart 0 only.
 """
 
 from __future__ import annotations
@@ -108,18 +126,24 @@ _CHUNK = 1 << 14
 SWEEP_MIN_SAMPLES = 1000
 # Gauss-Legendre order of a conic's coarser sphere rule; the finer has twice it
 _CONIC_ORDER = 24
-# least std_error of a conic's rule, as a fraction of its L1 mass: the rounding of its sum
-_CONIC_FLOOR = 1e-12
+# least std_error of a product rule, a conic's or the sweep's, as a fraction of
+# its L1 mass: the rounding of its sum
+_RULE_FLOOR = 1e-12
 # fiber quadrature disc radius in Gaussian widths: e^{-144} of the peak at its rim
 _SIGMA_MULT = 12.0
 
 
 @dataclass(frozen=True)
 class IntegralEstimate:
+    """One integral: ``samples`` counts the points drawn (0 on the sweep's
+    product rule), ``nodes`` the rule's nodes at both orders (0 on Monte
+    Carlo).  On a rule ``std_error`` is its error bound."""
+
     value: complex
     std_error: float
     samples: int
     t: float
+    nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -266,12 +290,17 @@ def _run_chunks(points, rows, count: int, seed: int, threads: int, top: bool = F
     def chunk(start: int) -> _Summary:
         return _summarize(rows(*points(_philox(seed, start), min(_CHUNK, count - start))), top)
 
-    starts = range(0, count, _CHUNK)
+    return _chunked(chunk, range(0, count, _CHUNK), threads, _merge)
+
+
+def _chunked(chunk, starts: range, threads: int, merge):
+    """chunk(start) for every start, on ``threads`` threads, reduced by
+    ``merge`` in chunk order."""
     if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor  # here: importing the package does not load it
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return functools.reduce(_merge, pool.map(chunk, starts))
-    return functools.reduce(_merge, map(chunk, starts))
+            return functools.reduce(merge, pool.map(chunk, starts))
+    return functools.reduce(merge, map(chunk, starts))
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], computed once per node count (read only)
@@ -330,13 +359,28 @@ def flat_gaussian_mass(t: float, radial_nodes: int = 120, angular_nodes: int = 3
 # ------------------------------------------------------------------ global MC
 
 
-def _fs_law(n: int, rng: np.random.Generator, count: int):
-    """FS-uniform points of P^n: the (chart, rows, W) of ``by_chart``, and p,
-    the FS density at every point."""
-    parts, p = list(by_chart(fs_uniform_points(n, count, rng))), np.empty(count)
+def _fs_parts(Z: np.ndarray):
+    """The (chart, rows, W) of ``by_chart`` of points Z of P^n, (N, n + 1),
+    and p, the FS density at every point."""
+    n = Z.shape[1] - 1
+    parts, p = list(by_chart(Z)), np.empty(len(Z))
     for _, rows, W in parts:
         p[rows] = fs_density(W, n)
     return parts, p
+
+
+def _fs_law(n: int, rng: np.random.Generator, count: int):
+    """FS-uniform points of P^n, as parts and their FS density (_fs_parts)."""
+    return _fs_parts(fs_uniform_points(n, count, rng))
+
+
+def _rule_law(n: int, m: int, U: np.ndarray, which: np.ndarray):
+    """The nodes of the simplex nodes ``which`` of the order-m rule on P^n
+    rotated by U (_product_rule), as parts (_fs_parts), and p over the node
+    weight w, so that a row is the integrand times w / p."""
+    Z, w = _product_rule(n, m, which, U)
+    parts, p = _fs_parts(Z)
+    return parts, np.divide(p, w, out=p)
 
 
 def _ball_law(center: np.ndarray, radius: float, rng: np.random.Generator, count: int):
@@ -367,17 +411,73 @@ def virtual_residue_sweep(
     seed: int,
     threads: int = 1,
 ) -> List[IntegralEstimate]:
-    """FS-uniform Monte Carlo of the prefactored global integral for several
-    values of t, reusing one sample set and one chart evaluation pass."""
+    """The prefactored global integral for several values of t, each point
+    evaluated once for every t: on P^1 and P^2 by the rotated product rule
+    within ``samples`` nodes (:func:`_rule_sweep`), which draws none of
+    them, and on P^n, n >= 3, by FS-uniform Monte Carlo.  Fewer than
+    SWEEP_MIN_SAMPLES samples, or a t that is not positive and finite, is
+    refused with GeometryError."""
     if samples < SWEEP_MIN_SAMPLES:
         raise GeometryError(f"at least {SWEEP_MIN_SAMPLES} samples required")
     for t in ts:
         _check_positive(t)
+    if ctx.n <= 2:
+        return _rule_sweep(ctx, ts, samples, seed, threads)
     fs, rows = functools.partial(_fs_law, ctx.n), functools.partial(_global_rows, ctx, ts)
     summary = _run_chunks(fs, rows, samples, seed, threads)
     return [
         IntegralEstimate(*_estimate(summary, k), samples, float(t)) for k, t in enumerate(ts)
     ]
+
+
+def _rule_sweep(ctx: GeometryContext, ts: Sequence[float], samples: int, seed: int, threads: int):
+    """The sweep on P^1 or P^2 by the product rule rotated by one Haar
+    unitary U drawn from the seed, at the order m of _sweep_order.  The
+    value is the order-m sum; its std_error is |Q_m - Q_(m // 2)|, and at
+    least _RULE_FLOOR times its L1 mass, as a conic's rule has it."""
+    n = ctx.n
+    m = _sweep_order(n, samples)
+    U = _rotation(_philox(seed, 0), n + 1, unitary=True)
+    (value, l1), (coarse, _) = (_rule_sums(ctx, ts, U, order, threads) for order in (m, m // 2))
+    sigma = np.maximum(np.abs(value - coarse), _RULE_FLOOR * l1.real)
+    nodes = _rule_size(n, m) + _rule_size(n, m // 2)
+    return [IntegralEstimate(complex(value[k]), float(sigma[k]), 0, float(t), nodes) for k, t in enumerate(ts)]
+
+
+def _rule_sums(ctx: GeometryContext, ts: Sequence[float], U: np.ndarray, m: int, threads: int) -> np.ndarray:
+    """The order-m rule's sum of the rows and of their moduli, its L1 mass,
+    at every t, (2, len(ts)).  A chunk is as many whole simplex nodes as
+    hold at most _CHUNK // 2 nodes, or one, taken in strided order: every
+    J-th from the first, then from the second and so on, J the number of
+    chunks, so that each chunk spreads over the whole simplex.  Its points
+    still fall unevenly into the charts (on P^2 up to 54% in one, where
+    FS-uniform points put a third in each), so a chunk holds half a
+    sampler's: its largest chart part, which sets the working set, stays
+    below a sampler chunk's."""
+    simplex = m**ctx.n
+    step = max(_CHUNK // 2 * simplex // _rule_size(ctx.n, m), 1)  # simplex nodes per chunk
+    order = np.argsort(np.arange(simplex) % -(-simplex // step), kind="stable")
+
+    def chunk(start: int) -> np.ndarray:
+        rows = _global_rows(ctx, ts, *_rule_law(ctx.n, m, U, order[start : start + step]))
+        return np.stack([rows.sum(axis=1), np.abs(rows).sum(axis=1)])
+
+    return _chunked(chunk, range(0, simplex, step), threads, np.add)
+
+
+def _rule_size(n: int, m: int) -> int:
+    """Nodes of the order-m product rule on P^n: m (2m + 1) on P^1, m^2
+    simplex nodes times (2m)^2 phases on P^2."""
+    return m * (2 * m + 1) if n == 1 else 4 * m**4
+
+
+def _sweep_order(n: int, samples: int) -> int:
+    """The largest order m whose rules at m and m // 2 take at most
+    ``samples`` nodes together, and at least 1."""
+    m = 1
+    while _rule_size(n, m + 1) + _rule_size(n, (m + 1) // 2) <= samples:
+        m += 1
+    return m
 
 
 def local_mass(
@@ -619,25 +719,58 @@ def _zero_by_structure(geo: Example22Geometry) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _sphere_rule(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Product rule of order m for the FS probability measure on P^1: m
-    Gauss-Legendre nodes in c = cos theta times 2m + 1 equally spaced phases
-    phi, as unit homogeneous points (cos(theta/2), sin(theta/2) e^{i phi}),
-    (m (2m + 1), 2), and their weights, which sum to 1.  It is exact for
-    c^j e^{i k phi} with j <= 2m - 1 and |k| <= 2m, and on a smooth periodic
-    integrand the phases converge geometrically (Trefethen and Weideman, "The
-    exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  Built
-    once per order (read only)."""
+def _rule_factors(n: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 1-D factors of the order-m product rule for the FS probability
+    measure on P^n, n = 1 or 2: the moduli sqrt(x_i) at each node of the
+    simplex rule, (S, n + 1), each node's weight (the simplex rule's over
+    the phase count to the n), and the k equally spaced phases e^{i phi}.
+    On P^1, m Gauss-Legendre nodes in c = x_0 - x_1 and k = 2m + 1; on P^2,
+    m x m Gauss-Legendre nodes (u, v) on [0, 1]^2 mapped by Duffy's map to
+    x = ((1 - u)(1 - v), u, (1 - u) v), weight 2 (1 - u) w_u w_v, and k =
+    2m.  Built once per (n, m) (read only)."""
     c, wc = _leggauss(m)
-    phase = np.exp(2j * math.pi * np.arange(2 * m + 1) / (2 * m + 1))
-    first = np.repeat(np.sqrt((1 + c) / 2), 2 * m + 1)
-    second = (np.sqrt((1 - c) / 2)[:, None] * phase).reshape(-1)
-    return np.stack([first + 0j, second], axis=1), np.repeat(wc / (2 * (2 * m + 1)), 2 * m + 1)
+    if n == 1:
+        k = 2 * m + 1
+        moduli, weights = np.stack([np.sqrt((1 + c) / 2), np.sqrt((1 - c) / 2)], axis=1), wc / (2 * k)
+    else:
+        k = 2 * m
+        u, wu = (1 + c) / 2, wc / 2
+        rest = np.repeat(1 - u, m)
+        x = np.stack([rest * np.tile(1 - u, m), np.repeat(u, m), rest * np.tile(u, m)], axis=1)
+        moduli, weights = np.sqrt(x), np.outer(2 * (1 - u) * wu, wu).reshape(-1) / (k * k)
+    return moduli, weights, np.exp(2j * math.pi * np.arange(k) / k)
+
+
+def _product_rule(n: int, m: int, which: np.ndarray, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes of the simplex nodes ``which`` of the order-m product rule
+    on P^n (_rule_factors), each with its k^n phase tuples, the last
+    coordinate's fastest, rotated by U: UZ = sum_i Z_i U[:, i] for Z =
+    (sqrt x_0, sqrt x_1 e^{i phi_1}, ...), each term built on its own
+    simplex node and phase and broadcast over the other phases, as unit
+    homogeneous points, (len(which) k^n, n + 1), and their weights.  Under
+    U = I the nodes are Z to the bit, as the conic's sphere rule needs."""
+    moduli, weights, phase = _rule_factors(n, m)
+    k, r = len(phase), moduli[which]
+    Z = (r[:, 0, None] * U[:, 0]).reshape((len(r),) + (1,) * n + (n + 1,))
+    for i in range(1, n + 1):
+        term = r[:, i, None, None] * (phase[:, None] * U[:, i])  # (len(r), k, n + 1)
+        Z = Z + term.reshape((len(r),) + (1,) * (i - 1) + (k,) + (1,) * (n - i) + (n + 1,))
+    return Z.reshape(-1, n + 1), np.repeat(weights[which], k**n)
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_rule(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every node of the order-m product rule on P^1 (_product_rule),
+    unrotated: unit homogeneous points (cos(theta/2), sin(theta/2) e^{i
+    phi}), (m (2m + 1), 2), and their weights, which sum to 1, exact for c^j
+    e^{i k phi}, c = cos theta, with j <= 2m - 1 and |k| <= 2m.  Built once
+    per order (read only)."""
+    return _product_rule(1, m, np.arange(m), np.eye(2))
 
 
 def _conic_nodes(m: int) -> int:
     """Nodes of a conic's two sphere rules, of orders m and 2m."""
-    return m * (2 * m + 1) + 2 * m * (4 * m + 1)
+    return _rule_size(1, m) + _rule_size(1, 2 * m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -673,11 +806,17 @@ def _conic_frame(f: HomogeneousPoly) -> np.ndarray:
     return (V[:3, 3:] - 1j * V[3:, 3:]) / np.sqrt(sigma[3:])
 
 
-def _rotation(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-random real orthogonal 3 x 3 matrix: QR of a Gaussian matrix
-    with the signs of R's diagonal moved into Q."""
-    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
-    return Q * np.sign(np.diag(R))
+def _rotation(rng: np.random.Generator, dim: int = 3, unitary: bool = False) -> np.ndarray:
+    """A Haar-random real orthogonal dim x dim matrix, or a unitary one: QR of
+    a Gaussian matrix, complex for a unitary one, with the phases of R's
+    diagonal moved into Q (Mezzadri, "How to generate random matrices from
+    the classical compact groups", Notices of the AMS 54, 2007)."""
+    G = rng.standard_normal((dim, dim))
+    if unitary:
+        G = G + 1j * rng.standard_normal((dim, dim))
+    Q, R = np.linalg.qr(G)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
 
 
 def _conic_rule(M: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -710,14 +849,14 @@ def _conic_term(geo: Example22Geometry, seed: int) -> CurveTerm:
     pulled-back form is smooth on the sphere (Sendra, Winkler and
     Perez-Diaz, Rational Algebraic Curves, 2008, ch. 4), and the rule
     converges spectrally.  The value is the finer sum; its std_error is
-    |fine - coarse|, and at least _CONIC_FLOOR times the L1 mass, the
+    |fine - coarse|, and at least _RULE_FLOOR times the L1 mass, the
     rounding of a sum whose terms cancel.  L1 and pointwise_max come from the
     finer nodes; no sample is drawn."""
     m = _CONIC_ORDER
     M = _conic_frame(geo.f) @ _rotation(_philox(seed, 0))
     coarse = _conic_sum(geo, M, m)[0]
     value, l1, top = _conic_sum(geo, M, 2 * m)
-    return CurveTerm(value, max(abs(value - coarse), _CONIC_FLOOR * l1), 0, top, l1, _conic_nodes(m))
+    return CurveTerm(value, max(abs(value - coarse), _RULE_FLOOR * l1), 0, top, l1, _conic_nodes(m))
 
 
 def _fiber_sheets(geo: Example22Geometry, u: complex) -> Tuple[np.ndarray, np.ndarray]:

@@ -403,7 +403,7 @@ def _gate_task(tmp_path, task):
 
 def _sweep_of(values, std_error=1e-3):
     return lambda ctx, ts, n, seed, threads: [
-        SimpleNamespace(t=t, value=complex(v), std_error=std_error) for t, v in zip(ts, values)
+        SimpleNamespace(t=t, value=complex(v), std_error=std_error, nodes=0) for t, v in zip(ts, values)
     ]
 
 
@@ -1061,6 +1061,16 @@ def test_samples_override_applies(tmp_path):
     assert report.tasks[0].results["samples"] == 5000
 
 
+def test_sweep_results_count_the_rule_nodes():
+    # on P^1 and P^2 the sweep is a product rule: its results keep the
+    # samples and count the nodes of both orders, m and m // 2 (m = 10 on
+    # P^2 at 60,000 samples, m = 27 on P^1 at 2,000)
+    for name, samples, nodes in (("p2_22.json", None, 4 * 10**4 + 4 * 5**4), ("p1_o2.json", 2000, 27 * 55 + 13 * 27)):
+        report = run_scenario(str(SCENARIOS / name), samples=samples)
+        results = next(task.results for task in report.tasks if task.kind == "virtual_residue")
+        assert results["nodes"] == nodes and results["samples"] == (samples or 60000)
+
+
 def test_bundled_cb_scenarios():
     rep = run_scenario(str(SCENARIOS / "p2_cb33.json"))
     assert rep.all_ok()
@@ -1419,11 +1429,14 @@ def test_seed_sweep_script_smoke():
     lines = proc.stdout.splitlines()
     assert lines[0] == "p1_o2.json, seeds 0:2"
     cells = [re.split(r"\s{2,}", line.strip()) for line in lines[1:]]
+    # the local masses are sampled; the sweep on P^1 is a rule, whose sigma is a bound
     assert cells[0] == ["estimate", "pass", "mean z^2", "max z", "z>3", "cv(sigma)", "sigma/L1 mean / max"]
-    rows = {row[0]: row[1:] for row in cells[1:]}
-    assert set(rows) == {f"[1] virtual_residue t={t}" for t in ("0.5", "1", "2")} | {"[2] local_mass total"}
+    assert cells[1][:2] == ["[2] local_mass total", "2/2"] and cells[1][-1] == "-"
+    assert cells[2] == ["bound", "pass", "max |value|/sigma", "sigma/L1 mean / max"]
+    rows = {row[0]: row[1:] for row in cells[3:]}
+    assert set(rows) == {f"[1] virtual_residue t={t}" for t in ("0.5", "1", "2")}
     for cols in rows.values():
-        assert cols[0] == "2/2" and cols[-1] == "-"
+        assert cols[0] == "2/2" and float(cols[1]) <= 1 and cols[-1] == "-"
     bad = subprocess.run([sys.executable, str(script), "p1_o2", "--seeds", "3:3"], capture_output=True, text=True)
     assert bad.returncode == 2
 

@@ -165,28 +165,168 @@ def test_sweep_equals_single_t_estimates():
         assert (est.value, est.std_error, est.t) == (single.value, single.std_error, single.t)
 
 
-@pytest.mark.parametrize(
-    "context",
-    [partial(scenario_context, "p1_o2"), partial(scenario_context, "p2_22"), lambda: example22_context(eps=0), example22_context],
-    ids=["p1_fs", "p2_fs", "p2_curve_fs", "p2_curve_perturbed"],
-)
+def _random_sweep_context(seed, degrees, perturbed=False):
+    """A split section on P^n, n = len(degrees), as the global_mc workload
+    builds its sweeps: component k a product of lines z_{k+1} - a z_0 at
+    distinct random a, psi dense with random complex coefficients, and the
+    Fubini-Study metric or a perturbation on the pair (0, 1) with eps |s_0|_1
+    |q|_1 between 0.15 and 0.3, which keeps the metric positive.  Random,
+    not symmetric: symmetric instances flatter a product rule."""
+    rng = np.random.default_rng(seed)
+    n = len(degrees)
+
+    def dense(degree):
+        monomials = monomials_of_degree(n + 1, degree)
+        values = rng.integers(-2, 3, len(monomials)) + 1j * rng.integers(-2, 3, len(monomials))
+        return HomogeneousPoly(n + 1, degree, {e: c or 1.0 for e, c in zip(monomials, values)})
+
+    section = []
+    for k, d in enumerate(degrees):
+        roots = rng.permutation(25)[:d] / 10 - 1.2 + 1j * (rng.permutation(25)[:d] / 10 - 1.2)
+        poly = HomogeneousPoly(n + 1, 0, {(0,) * (n + 1): 1.0})
+        for a in roots:
+            line = {tuple(int(i == k + 1) for i in range(n + 1)): 1.0, (1,) + (0,) * n: -a}
+            poly = poly * HomogeneousPoly(n + 1, 1, line)
+        section.append(poly)
+    ms = MetricSpec()
+    if perturbed:
+        q = dense(degrees[1])
+        eps = rng.uniform(0.15, 0.3) / (sum(map(abs, section[0].terms.values())) * sum(map(abs, q.terms.values())))
+        ms = MetricSpec("perturbed", epsilon=eps, pair=(0, 1), q=q, f_index=0)
+    return GeometryContext(tuple(degrees), tuple(section), ms, dense(sum(degrees) - n - 1))
+
+
+_SWEEP_CONTEXTS = [
+    partial(scenario_context, "p1_o2"),
+    partial(scenario_context, "p2_22"),
+    lambda: example22_context(eps=0),
+    example22_context,
+    partial(_random_sweep_context, 1, [3]),
+    partial(_random_sweep_context, 2, [2, 3]),
+    partial(_random_sweep_context, 3, [2, 2], True),
+]
+_SWEEP_IDS = ["p1_fs", "p2_fs", "p2_curve_fs", "p2_curve_perturbed", "p1_random", "p2_random", "p2_random_perturbed"]
+
+
+@pytest.mark.parametrize("context", _SWEEP_CONTEXTS, ids=_SWEEP_IDS)
 def test_sweep_rows_are_the_tensor_density_over_the_fs_density(context, monkeypatch):
-    # chunks of a length no multiple of ROW_BLOCK, the last one shorter; every
-    # sample of every t within 1e-12 of the tensor route at the chunk's own
-    # points (measured at most 2.4e-13), and zero exactly where it is zero
-    ctx, ts, samples = context(), [0.05, 0.3, 1.0, 2.0], 2 * (ROW_BLOCK + 37) + 500
+    # chunks of whole simplex nodes, at most half a length no multiple of
+    # ROW_BLOCK, the last one shorter: every row of every t within 1e-12 of
+    # the tensor route over the FS density times the node weight, at the
+    # rule's nodes rotated by the Haar unitary of the seed, computed here
+    # (measured at most 2.9e-14 relative), and zero exactly where it is zero;
+    # each rule's chunks take its simplex nodes once
+    ctx, ts, samples = context(), [0.05, 0.3, 1.0, 2.0], 6000
+    monkeypatch.setattr(localize, "_CHUNK", ROW_BLOCK + 37)
+    chunks, laws = [], []
+    rows_of, law = localize._global_rows, localize._rule_law
+    monkeypatch.setattr(localize, "_global_rows", lambda *a: chunks.append(rows_of(*a).copy()) or chunks[-1])
+    monkeypatch.setattr(localize, "_rule_law", lambda n, m, U, which: laws.append((m, which)) or law(n, m, U, which))
+    virtual_residue_sweep(ctx, ts, samples, seed=31)
+    n, m = ctx.n, localize._sweep_order(ctx.n, samples)
+    U = localize._rotation(np.random.default_rng(np.random.Philox(key=31, counter=0)), n + 1, unitary=True)
+    for order in (m, m // 2):
+        per = localize._rule_size(n, order) // order**n
+        step = max((ROW_BLOCK + 37) // 2 // per, 1)
+        taken = [which for k, which in laws if k == order]
+        assert [len(which) for which in taken] == [min(step, order**n - start) for start in range(0, order**n, step)]
+        assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(order**n))
+    assert len(chunks) == len(laws) and len([k for k, _ in laws if k == m]) > 1
+    for rows, (order, which) in zip(chunks, laws):
+        Z, w = localize._product_rule(n, order, which, np.eye(n + 1))
+        Z = Z @ U.T
+        assert np.abs(localize._product_rule(n, order, which, U)[0] - Z).max() <= 1e-15
+        assert rows.shape == (4, len(w))
+        want = np.empty_like(rows)
+        for chart, where, W in by_chart(Z):
+            want[:, where] = [global_density_tensor(ctx, chart, W, t) / fs_density(W, n) * w[where] for t in ts]
+        assert np.all(np.abs(rows - want) <= 1e-12 * np.abs(want))
+
+
+def test_sweep_on_p3_is_monte_carlo_over_fs_points(monkeypatch):
+    # above P^2 the sweep samples: every sample of every t within 1e-12 of
+    # the tensor route at the chunk's own FS-uniform points over the FS density
+    n, ts, samples = 3, [0.3, 1.0], 2 * (ROW_BLOCK + 37) + 500
+    section = tuple(parse_poly(text, n + 1) for text in ("z1^2 - z0^2", "z2 - (1/2+1i)*z0", "z3 + (1/3)*z0"))
+    ctx = GeometryContext((2, 1, 1), section, MetricSpec(), parse_poly("1", n + 1))
     monkeypatch.setattr(localize, "_CHUNK", ROW_BLOCK + 37)
     chunks, points = [], []
     summarize, uniform = localize._summarize, localize.fs_uniform_points
     monkeypatch.setattr(localize, "_summarize", lambda rows, top: chunks.append(rows.copy()) or summarize(rows, top))
     monkeypatch.setattr(localize, "fs_uniform_points", lambda *a: points.append(uniform(*a)) or points[-1])
-    virtual_residue_sweep(ctx, ts, samples, seed=31)
-    assert [c.shape for c in chunks] == [(4, ROW_BLOCK + 37)] * 2 + [(4, 500)]
+    ests = virtual_residue_sweep(ctx, ts, samples, seed=31)
+    assert [(e.samples, e.nodes) for e in ests] == [(samples, 0)] * 2
+    assert all(abs(e.value) <= 3 * e.std_error for e in ests)
+    assert [c.shape for c in chunks] == [(2, ROW_BLOCK + 37)] * 2 + [(2, 500)]
     for rows, Z in zip(chunks, points):
         want = np.empty_like(rows)
         for chart, where, W in by_chart(Z):
-            want[:, where] = [global_density_tensor(ctx, chart, W, t) / fs_density(W, ctx.n) for t in ts]
+            want[:, where] = [global_density_tensor(ctx, chart, W, t) / fs_density(W, n) for t in ts]
         assert np.all(np.abs(rows - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 14])
+def test_simplex_rule_is_exact_to_its_degree(m):
+    # x0^a x1^b x2^c against the uniform probability measure on the simplex,
+    # 2 a! b! c! / (a + b + c + 2)!, for a + b + c <= 2m - 2: measured within
+    # 4.5e-16, as is the sum of the whole rule's weights
+    moduli, weights, phase = localize._rule_factors(2, m)
+    x, w = moduli**2, weights * len(phase) ** 2
+    assert len(phase) == 2 * m and moduli.shape == (m * m, 3) and np.all(w > 0)
+    assert np.abs(x.sum(axis=1) - 1).max() <= 1e-15
+    assert abs(localize._product_rule(2, m, np.arange(m * m), np.eye(3))[1].sum() - 1) <= 1e-15
+    for a in range(2 * m - 1):
+        for b in range(2 * m - 1 - a):
+            for c in range(2 * m - 1 - a - b):
+                exact = 2 * math.factorial(a) * math.factorial(b) * math.factorial(c) / math.factorial(a + b + c + 2)
+                assert abs(w @ (x[:, 0] ** a * x[:, 1] ** b * x[:, 2] ** c) - exact) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [2, 5, 9])
+def test_p2_rule_integrates_phase_modes_to_zero(m):
+    # e^{i (k1 phi1 + k2 phi2)} for 0 < max |k| < 2m: measured within 1.7e-15
+    # at m = 9; its nodes are unit vectors whose |Z_i|^2 are the simplex's
+    Z, w = localize._product_rule(2, m, np.arange(m * m), np.eye(3))
+    moduli = localize._rule_factors(2, m)[0]
+    assert Z.shape == (4 * m**4, 3) and localize._rule_size(2, m) == len(w)
+    assert np.abs(np.abs(Z) - np.repeat(moduli, 4 * m * m, axis=0)).max() <= 1e-15
+    phi = np.angle(Z[:, 1:])
+    k = np.arange(-2 * m + 1, 2 * m)
+    modes = np.exp(1j * (k[:, None, None] * phi[:, 0] + k[None, :, None] * phi[:, 1])) @ w
+    modes[2 * m - 1, 2 * m - 1] -= 1  # the constant mode integrates to 1
+    assert np.abs(modes).max() <= 1e-14
+
+
+def test_sweep_order_fits_both_rules_in_the_samples():
+    # the workload's 40,000 samples: m = 9 on P^2 (26,244 + 1,024 nodes) and
+    # m = 126 on P^1 (31,878 + 8,001); one more order would not fit
+    assert (localize._sweep_order(2, 40000), localize._sweep_order(1, 40000)) == (9, 126)
+    for n in (1, 2):
+        for samples in (1000, 5507, 40000, 10**6):
+            m = localize._sweep_order(n, samples)
+            assert localize._rule_size(n, m) + localize._rule_size(n, m // 2) <= samples
+            assert localize._rule_size(n, m + 1) + localize._rule_size(n, (m + 1) // 2) > samples
+    est = virtual_residue_sweep(scenario_context("p2_22"), [1.0], samples=40000, seed=3)[0]
+    assert (est.samples, est.nodes) == (0, 26244 + 1024)
+
+
+@pytest.mark.parametrize("context", _SWEEP_CONTEXTS[4:], ids=_SWEEP_IDS[4:])
+def test_sweep_rule_reads_a_non_vanishing_control(context):
+    # the sweep's rows times |Z_1|^2 / |Z|^2 do not integrate to 0: at two
+    # orders the control reads the same to 4 digits (measured within 1.2e-5
+    # of its value), 2.5-11% of the L1 mass, while the sweep itself vanishes
+    # (measured at most 2.9e-7 of L1)
+    ctx, ts = context(), [0.5, 1.0, 2.0]
+    U = localize._rotation(np.random.default_rng(5), ctx.n + 1, unitary=True)
+    controls = []
+    for m in ((60, 90) if ctx.n == 1 else (9, 12)):
+        rows = localize._global_rows(ctx, ts, *localize._rule_law(ctx.n, m, U, np.arange(m**ctx.n)))
+        Z = localize._product_rule(ctx.n, m, np.arange(m**ctx.n), U)[0]
+        weight = np.abs(Z[:, 1]) ** 2 / (np.abs(Z) ** 2).sum(axis=1)
+        assert np.all(np.abs(rows.sum(axis=1)) <= 1e-6 * np.abs(rows).sum(axis=1))
+        controls.append(rows @ weight)
+        assert np.all(np.abs(controls[-1]) >= 1e-2 * np.abs(rows).sum(axis=1))
+    assert np.all(np.abs(controls[0] - controls[1]) <= 1e-4 * np.abs(controls[1]))
 
 
 def test_global_density_chart_invariance():
@@ -239,15 +379,37 @@ def test_virtual_residue_seed_determinism():
     assert a.value == b.value and a.std_error == b.std_error
 
 
-def test_virtual_residue_thread_count_invariance():
-    # the sweep and the ball local mass, each over three chunks
-    ctx = scenario_context("p1_o2")
+@pytest.mark.parametrize("context", _SWEEP_CONTEXTS[4:], ids=_SWEEP_IDS[4:])
+def test_sweep_rule_seeds_differ_within_sigma(context):
+    # two rotations are two rules: their values differ, and agree within the
+    # sum of their error bounds at every t (measured within 0.0025 of it)
+    ctx, ts = context(), [0.05, 0.1, 0.5, 1.0, 2.0]
+    a, b = (virtual_residue_sweep(ctx, ts, samples=40000, seed=seed) for seed in (7007, 4242))
+    for x, y in zip(a, b):
+        assert x.value != y.value and abs(x.value - y.value) <= x.std_error + y.std_error
+
+
+def test_sweep_sigma_covers_a_rule_too_coarse_to_converge():
+    # at 1,000 samples (m = 3 on P^2) the value is off by up to 22% of L1;
+    # |Q_3 - Q_1| covers it (|value| / sigma measured at most 0.34), where
+    # the rounding floor alone would not
+    for seed in range(3):
+        for est in virtual_residue_sweep(_random_sweep_context(seed, [2, 3]), [0.05, 0.1], samples=1000, seed=seed):
+            assert abs(est.value) <= est.std_error and est.nodes == 324 + 4
+
+
+def test_virtual_residue_thread_count_invariance(monkeypatch):
+    # the sweep's rule on P^1 and P^2 and the ball local mass, each over
+    # several chunks
+    monkeypatch.setattr(localize, "_CHUNK", 5000)
+    p1, p2 = scenario_context("p1_o2"), _random_sweep_context(3, [2, 2], True)
     for run in (
-        lambda threads: virtual_residue_sweep(ctx, [1.0], samples=40000, seed=7, threads=threads)[0],
-        lambda threads: local_mass(ctx, [1.0], 0.05, 0.5, samples=40000, seed=7, threads=threads),
+        lambda threads: virtual_residue_sweep(p1, [0.1, 1.0], samples=40000, seed=7, threads=threads),
+        lambda threads: virtual_residue_sweep(p2, [0.1, 1.0], samples=40000, seed=7, threads=threads),
+        lambda threads: [local_mass(p1, [1.0], 0.05, 0.5, samples=40000, seed=7, threads=threads)],
     ):
         a, b = run(1), run(4)
-        assert a.value == b.value and a.std_error == b.std_error
+        assert [(e.value, e.std_error, e.nodes) for e in a] == [(e.value, e.std_error, e.nodes) for e in b]
 
 
 def test_point_laws_draw_points_and_evaluate_nothing(monkeypatch):
@@ -291,11 +453,12 @@ def test_point_laws_draw_points_and_evaluate_nothing(monkeypatch):
 
 def test_three_sigma_coverage_binomial():
     """Over 20 seeds of a true-zero quantity at most one estimate may leave
-    its own 3-sigma band."""
-    ctx = scenario_context("p1_o2")
+    its own 3-sigma band: the sweep's rule, rotated by each seed, on a random
+    P^2 instance at 8,000 samples."""
+    ctx = _random_sweep_context(4, [2, 3])
     misses = 0
     for seed in range(20):
-        est = virtual_residue_sweep(ctx, [1.0], samples=8000, seed=seed)[0]
+        est = virtual_residue_sweep(ctx, [0.1], samples=8000, seed=seed)[0]
         if abs(est.value) > 3 * est.std_error:
             misses += 1
     assert misses <= 1
@@ -536,7 +699,7 @@ def test_conic_sigma_covers_a_rule_too_coarse_to_converge(monkeypatch):
     monkeypatch.setattr(localize, "_CONIC_ORDER", 4)
     for seed in range(10):
         term = curve_localized_term(_random_perturbed_curve(seed), samples=1000, seed=seed)
-        assert abs(term.value) <= term.std_error and term.std_error > 1e3 * localize._CONIC_FLOOR * term.l1_mass
+        assert abs(term.value) <= term.std_error and term.std_error > 1e3 * localize._RULE_FLOOR * term.l1_mass
 
 
 @pytest.mark.parametrize("geo", [lambda: Example22Geometry(example22_context()), lambda: _random_perturbed_curve(7)],
@@ -881,6 +1044,7 @@ def test_one_seeded_stream_for_every_estimator():
     assert "np.random.Philox(key=seed, counter=start << 64)" in inspect.getsource(localize._philox)
     assert "_philox(seed, start)" in inspect.getsource(localize._run_chunks)
     assert "_philox(seed, 0)" in inspect.getsource(localize._conic_term)
+    assert "_philox(seed, 0)" in inspect.getsource(localize._rule_sweep)
 
 
 def test_curve_without_sheets_is_a_geometry_error():
